@@ -4,9 +4,8 @@ plus the structural consequences for class minima and their quotients."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .denumerant import GeneratorSet, as_generator_set
+from .denumerant import as_generator_set
 from .errors import PreconditionError
 from .reports import VerdictBundle
 from .semigroup import PSemigroup, build
@@ -33,19 +32,23 @@ def is_arf(sp: PSemigroup, limit: int | None = None) -> ArfReport:
 
     Pairs (y, z) are grouped by their difference t: some triple with that
     difference fails iff some member x at or above the least such y has
-    x + t outside.  Bitmasks keep the scan near-linear in the conductor.
+    x + t outside.  Only t below the modulus a is scanned: each residue
+    class is closed upward under +a, so a failing (x, y, z) with
+    y - z = t >= a gives a failing (x, y, z + a), and the first failing t
+    and its witness are those of a scan over every t.  Bitmasks built in
+    O(c) keep the scan at O(a * c / 64) word operations.
     """
     cutoff = sp.conductor if limit is None else limit
     if cutoff < 0:
         raise PreconditionError("limit must be non-negative")
-    member_mask = 0
-    for n in range(cutoff):
-        if sp.contains(n):
-            member_mask |= 1 << n
-    gap_mask = 0
-    for x in sp.gaps:
-        gap_mask |= 1 << x
-    for t in range(cutoff):
+    a, c = sp.modulus, sp.conductor
+    bits = bytearray(b"0") * max(cutoff, c)
+    for m in sp.apery_by_residue:
+        bits[m::a] = b"1" * len(range(m, len(bits), a))
+    members = int(bits[::-1] or b"0", 2)
+    member_mask = members & ((1 << cutoff) - 1)
+    gap_mask = ~members & ((1 << c) - 1)
+    for t in range(min(cutoff, a)):
         pair_mask = member_mask & (member_mask << t)
         if pair_mask == 0:
             continue

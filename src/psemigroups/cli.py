@@ -94,15 +94,23 @@ def jsonify(value: Any) -> Any:
 
 
 def emit(doc: dict[str, Any], fmt: str) -> None:
-    doc = jsonify(doc)
-    if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    elif fmt == "tsv":
-        for line in _tsv_lines(doc):
-            print(line)
-    else:
-        for line in _pretty_lines(doc, indent=0):
-            print(line)
+    # Exact rationals (a weighted power sum's den^F) can outgrow Python's
+    # int -> str digit limit: lift it while rendering only, so that parsing
+    # outside input keeps it.
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = jsonify(doc)
+        if fmt == "json":
+            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        elif fmt == "tsv":
+            for line in _tsv_lines(doc):
+                print(line)
+        else:
+            for line in _pretty_lines(doc, indent=0):
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _tsv_lines(doc: dict[str, Any]) -> list[str]:
@@ -179,6 +187,15 @@ def _parse_p_range(text: str) -> list[int]:
     if p < 0:
         raise PreconditionError("p must be non-negative")
     return [p]
+
+
+def _parse_weight(text: str | None) -> Fraction | None:
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise PreconditionError(f"could not parse weight from {text!r}") from None
 
 
 def _single_p(values: list[int]) -> int:
@@ -268,7 +285,7 @@ def sums_document(
     gens: GeneratorSet,
     p: int,
     mu_max: int,
-    weight: str | None,
+    weight: Fraction | None,
     mu_cap: int,
 ) -> dict[str, Any]:
     rows = []
@@ -279,13 +296,11 @@ def sums_document(
             "from_apery": power_sum_bernoulli(gens, p, mu, mu_cap=mu_cap),
         }
         if weight is not None:
-            row["weighted"] = weighted_power_sum(
-                gens, p, Fraction(weight), mu, mu_cap=mu_cap
-            )
+            row["weighted"] = weighted_power_sum(gens, p, weight, mu, mu_cap=mu_cap)
         rows.append(row)
     doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
     if weight is not None:
-        doc["weight"] = fraction_str(Fraction(weight))
+        doc["weight"] = weight
     return doc
 
 
@@ -413,7 +428,7 @@ def _cmd_sums(args: argparse.Namespace) -> int:
     gens = _parse_gens(args.gens)
     p = _single_p(_parse_p_range(args.p))
     emit(
-        sums_document(gens, p, args.mu, args.weight, args.mu_cap),
+        sums_document(gens, p, args.mu, _parse_weight(args.weight), args.mu_cap),
         args.format,
     )
     return EXIT_OK

@@ -261,16 +261,24 @@ def weighted_power_sum(
     mu_cap: int = DEFAULT_POWER_CAP,
 ) -> Fraction:
     """Sum of weight^n * n^mu over the gaps (0^0 = 1); weight 1 reproduces
-    the plain power sum."""
+    the plain power sum.
+
+    With weight num/den the terms share the denominator den^F (F the
+    largest gap), so the numerators num^n * den^(F-n) * n^mu are summed as
+    integers, by Horner's rule over the gaps, and reduced once.
+    """
     _check_power(mu, mu_cap)
     w = Fraction(weight)
     if w == 0:
         raise PreconditionError("weight must be non-zero")
     sp = build(gens, p)
-    total = Fraction(0)
+    num, den = w.numerator, w.denominator
+    total, num_power, prev = 0, 1, 0
     for n in sp.gaps:
-        total += w**n * n**mu
-    return total
+        num_power *= num ** (n - prev)
+        total = total * den ** (n - prev) + num_power * n**mu
+        prev = n
+    return Fraction(total, den**prev)
 
 
 @dataclass

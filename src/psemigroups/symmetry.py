@@ -10,7 +10,6 @@ report agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
@@ -60,32 +59,25 @@ class SymmetryReport:
     completely_symmetric: bool
 
 
-@lru_cache(maxsize=512)
 def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
     """Non-members x with x + s - multiplicity a member for every member
     s above the multiplicity.
 
-    Only shifts t = s - multiplicity <= frobenius can fail (anything larger
-    lands above the largest gap), so the quantifier is finite.  Gaps are
-    packed into a bitmask; shift t eliminates every gap x with x + t also a
-    gap.
+    Each residue class modulo a is closed upward under adding a, so within
+    a class only the least member s above the multiplicity can fail: the
+    class minimum, or multiplicity + a in the multiplicity's own class.
+    That leaves a shifts t = s - multiplicity, among them t = a, which
+    forces x + a to be a member; so every pseudo-Frobenius element is some
+    class minimum minus a, and the test costs O(a^2), independent of the
+    Frobenius number.
     """
-    gapmask = 0
-    for x in sp.gaps:
-        gapmask |= 1 << x
-    failmask = 0
-    for t in _member_shifts(sp):
-        failmask |= gapmask >> t
-    return tuple(x for x in sp.gaps if not (failmask >> x) & 1)
-
-
-def _member_shifts(sp: PSemigroup) -> list[int]:
-    """Shifts s - multiplicity over members s in (multiplicity, multiplicity
-    + frobenius]; larger members cannot invalidate any candidate."""
-    low, g, c = sp.multiplicity, sp.frobenius, sp.conductor
-    shifts = [s - low for s in sp.small_elements if low < s <= g]
-    shifts.extend(range(max(c - low, 1), g + 1))
-    return shifts
+    a, low, minima = sp.modulus, sp.multiplicity, sp.apery_by_residue
+    shifts = [m - low for m in minima if m != low] + [a]
+    return tuple(
+        x
+        for x in sorted(m - a for m in minima if m >= a)
+        if all(x + t >= minima[(x + t) % a] for t in shifts)
+    )
 
 
 def type_p(sp: PSemigroup) -> int:

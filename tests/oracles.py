@@ -2,6 +2,9 @@
 
 These deliberately use naive recursion and direct set logic so they share
 no machinery with the package; tests compare the two on small instances.
+The full_* routes are bitmask scans over a built instance's enumerated
+gaps and members, quadratic in the Frobenius number; they serve as
+references at sizes the brute-force scans cannot reach.
 """
 
 from __future__ import annotations
@@ -79,3 +82,44 @@ def brute_l_set(gens: tuple[int, ...], p: int) -> list[int]:
     sg = BruteSemigroup(gens, p)
     total = sg.frobenius + sg.multiplicity
     return [x for x in sg.gaps if not sg.member(x) and not sg.member(total - x)]
+
+
+def full_shift_pseudo_frobenius(sp) -> tuple[int, ...]:
+    """Bitmask reference for pseudo-Frobenius on a built instance, over
+    every member shift s - multiplicity up to the Frobenius number (larger
+    shifts land above the largest gap).  O(F^2 / 64): usable at F ~ 10^4,
+    where the definition-level scan is too slow."""
+    low, g, c = sp.multiplicity, sp.frobenius, sp.conductor
+    shifts = [s - low for s in sp.small_elements if low < s <= g]
+    shifts.extend(range(max(c - low, 1), g + 1))
+    gapmask = 0
+    for x in sp.gaps:
+        gapmask |= 1 << x
+    failmask = 0
+    for t in shifts:
+        failmask |= gapmask >> t
+    return tuple(x for x in sp.gaps if not (failmask >> x) & 1)
+
+
+def full_scan_arf(sp, limit: int | None = None) -> tuple[bool, tuple[int, int, int] | None]:
+    """Bitmask reference for the x + y - z closure over members below
+    ``limit`` (default: the conductor), trying every difference t = y - z
+    in ascending order; returns (closed, first witness)."""
+    cutoff = sp.conductor if limit is None else limit
+    member_mask = 0
+    for n in range(cutoff):
+        if sp.contains(n):
+            member_mask |= 1 << n
+    gap_mask = 0
+    for x in sp.gaps:
+        gap_mask |= 1 << x
+    for t in range(cutoff):
+        pair_mask = member_mask & (member_mask << t)
+        if pair_mask == 0:
+            continue
+        y_min = (pair_mask & -pair_mask).bit_length() - 1
+        fail = (member_mask & (gap_mask >> t)) >> y_min
+        if fail:
+            x = (fail & -fail).bit_length() - 1 + y_min
+            return False, (x, y_min, y_min - t)
+    return True, None

@@ -1,8 +1,10 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import generator_tuples, small_p
+from conftest import acceptance_instances, generator_tuples, small_p
+from oracles import full_scan_arf
 from psemigroups import (
+    ArfReport,
     build,
     is_arf,
     verify_arf_conductor_kunz,
@@ -105,3 +107,31 @@ def test_raising_the_cutoff_never_changes_the_verdict(gens, p):
 @given(b=st.integers(3, 19).filter(lambda b: b % 2 == 1), p=st.integers(0, 4))
 def test_two_generator_even_family_is_closed(b, p):
     assert is_arf(build((2, b), p)).is_arf
+
+
+def _assert_matches_full_scan(sp):
+    for limit in (None, sp.conductor // 2, 2 * sp.conductor):
+        report = is_arf(sp, limit)
+        closed, witness = full_scan_arf(sp, limit)
+        assert report == ArfReport(closed, witness=witness)
+        if witness is not None:
+            _, y, z = witness
+            assert y - z < sp.modulus
+
+
+@given(instance=st.sampled_from(acceptance_instances()), p=st.integers(0, 15))
+def test_scan_below_modulus_matches_full_scan(instance, p):
+    _assert_matches_full_scan(build(instance[0], p))
+
+
+def test_scan_below_modulus_matches_full_scan_near_conductor_1e4():
+    for gens, p, closed in (
+        ((151, 157, 163), 20, False),
+        ((101, 103, 107), 30, False),
+        ((2, 3), 1666, True),
+        ((2, 10001), 0, True),
+    ):
+        sp = build(gens, p)
+        assert 8000 < sp.conductor < 16000
+        assert is_arf(sp).is_arf == closed
+        _assert_matches_full_scan(sp)

@@ -1,10 +1,18 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from psemigroups import build, classify, frobenius_p, genus_p, sylvester_sum_p
+from psemigroups import (
+    build,
+    classify,
+    frobenius_p,
+    genus_p,
+    sylvester_sum_p,
+    weighted_power_sum,
+)
 from psemigroups.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -99,6 +107,29 @@ def test_sums_rows(capsys):
     assert doc["rows"][0]["weighted"] == "253/128"
 
 
+def test_sums_renders_rationals_past_the_int_str_digit_limit(capsys):
+    # F = 1081 here, so the weighted sum's denominator 10000^F has 4325
+    # digits, past Python's default 4300-digit int -> str limit
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(
+        capsys, "sums", "--gens", "2,3", "--p", "180", "--mu", "0", "--weight", "1/10000"
+    )
+    assert code == EXIT_OK
+    weighted = json.loads(out)["rows"][0]["weighted"]
+    assert weighted.split("/")[1] == "1" + "0" * 4324
+    expected = weighted_power_sum((2, 3), 180, Fraction(1, 10000), 0)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(weighted) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # parsing outside input keeps the limit: an oversized generator is
+    # still a precondition failure
+    assert sys.get_int_max_str_digits() == limit
+    code, _ = run_cli(capsys, "analyze", "--gens", "2," + "9" * 5000, "--p", "0")
+    assert code == EXIT_PRECONDITION
+
+
 def test_verify_johnson_range(capsys):
     code, out = run_cli(
         capsys,
@@ -165,6 +196,9 @@ def test_precondition_exit_code(capsys):
     assert code == EXIT_PRECONDITION
     code, _ = run_cli(capsys, "analyze", "--gens", "4,5,6", "--p", "-1")
     assert code == EXIT_PRECONDITION
+    for weight in ("abc", "1/0"):
+        code, _ = run_cli(capsys, "sums", "--gens", "2,3", "--p", "0", "--weight", weight)
+        assert code == EXIT_PRECONDITION
 
 
 def test_cap_exceeded_exit_code(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import generator_tuples, small_p
-from oracles import brute_l_set, brute_pseudo_frobenius
+from conftest import acceptance_instances, generator_tuples, small_p
+from oracles import brute_l_set, brute_pseudo_frobenius, full_shift_pseudo_frobenius
 from psemigroups import (
     PATTERN_FULL_INTERVAL,
     PATTERN_OTHER,
@@ -163,6 +164,24 @@ def test_nari_examples():
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
 def test_pf_matches_brute_force(gens, p):
     assert list(pseudo_frobenius(build(gens, p))) == brute_pseudo_frobenius(gens, p)
+
+
+@given(instance=st.sampled_from(acceptance_instances()), p=st.integers(0, 15))
+def test_pf_matches_full_shift_reference(instance, p):
+    sp = build(instance[0], p)
+    assert pseudo_frobenius(sp) == full_shift_pseudo_frobenius(sp)
+
+
+def test_pf_matches_full_shift_reference_near_frobenius_1e4():
+    for gens, p, frobenius, type_count in (
+        ((151, 157, 163), 20, 15334, 42),
+        ((101, 103, 107), 30, 8358, 41),
+        ((31, 37), 8, 10255, 1),
+        ((2, 3), 1666, 9997, 1),
+    ):
+        sp = build(gens, p)
+        assert (sp.frobenius, type_p(sp)) == (frobenius, type_count)
+        assert pseudo_frobenius(sp) == full_shift_pseudo_frobenius(sp)
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
