@@ -7,35 +7,31 @@ properties, and verifies the scaling identities relating different
 generator lists.
 """
 
-from .arf import ArfReport, is_arf, verify_arf_conductor_kunz, verify_arf_heredity
+from .arf import is_arf, verify_arf_conductor_kunz, verify_arf_heredity
 from .denumerant import (
     DenumerantTable,
     GeneratorSet,
     as_generator_set,
-    build_table,
     denumerant,
     horizon_cap,
     representations,
 )
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import BigRat, SeriesCheck, bernoulli, eulerian, verify_eulerian_gf
+from .exactmath import bernoulli, eulerian, verify_eulerian_gf
 from .identities import (
     is_minimal_generator_system,
     verify_gcd_scaling,
     verify_johnson,
     verify_watanabe,
 )
-from .reports import IdentityReport, VerdictBundle
+from .reports import Report
 from .semigroup import (
-    GapStats,
     PSemigroup,
     apery_set,
     build,
     frobenius_p,
-    gap_stats,
     genus_p,
     kunz_coordinates,
-    membership,
     multiplicity_p,
     power_sum_bernoulli,
     power_sum_gaps,
@@ -61,41 +57,33 @@ from .symmetry import (
 )
 
 __all__ = [
-    "ArfReport",
-    "BigRat",
     "CapExceededError",
     "CofiniteSet",
     "DenumerantTable",
-    "GapStats",
     "GeneratorSet",
-    "IdentityReport",
     "InternalCheckError",
     "PATTERN_FULL_INTERVAL",
     "PATTERN_OTHER",
     "PATTERN_SINGLETON_PLUS_TAIL",
     "PSemigroup",
     "PreconditionError",
-    "SeriesCheck",
+    "Report",
     "SymmetryReport",
-    "VerdictBundle",
     "apery_set",
     "as_generator_set",
     "bernoulli",
     "build",
-    "build_table",
     "classify",
     "denumerant",
     "detect_pattern",
     "eulerian",
     "frobenius_p",
-    "gap_stats",
     "genus_p",
     "hlk_sets",
     "horizon_cap",
     "is_arf",
     "is_minimal_generator_system",
     "kunz_coordinates",
-    "membership",
     "multiplicity_p",
     "power_sum_bernoulli",
     "power_sum_gaps",

@@ -3,32 +3,18 @@ plus the structural consequences for class minima and their quotients."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .denumerant import as_generator_set
 from .errors import PreconditionError
-from .reports import VerdictBundle
+from .reports import Report
 from .semigroup import PSemigroup, build
 
 
-@dataclass
-class ArfReport:
-    """Outcome of a closure check.  ``witness`` is a failing triple
-    (x, y, z) with x >= y >= z, all members, x + y - z outside; present
-    exactly when the instance is not closed."""
-
-    is_arf: bool
-    witness: tuple[int, int, int] | None = None
-    apery_checks: tuple[bool, bool] | None = None
-    kunz_checks: tuple[bool, bool] | None = None
-    applicable: bool = True
-    note: str = ""
-
-
-def is_arf(sp: PSemigroup, limit: int | None = None) -> ArfReport:
+def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
     """Exhaustively check x + y - z membership over members below ``limit``
     (default: the conductor; x at or above it cannot fail since
-    x + y - z >= x).
+    x + y - z >= x).  ``passed`` is the closure verdict; the ``witness``
+    detail is a failing triple (x, y, z) with x >= y >= z, all members,
+    x + y - z outside, and is None exactly when the instance is closed.
 
     Pairs (y, z) are grouped by their difference t: some triple with that
     difference fails iff some member x at or above the least such y has
@@ -56,11 +42,12 @@ def is_arf(sp: PSemigroup, limit: int | None = None) -> ArfReport:
         fail = (member_mask & (gap_mask >> t)) >> y_min
         if fail:
             x = (fail & -fail).bit_length() - 1 + y_min
-            return ArfReport(False, witness=(x, y_min, y_min - t))
-    return ArfReport(True)
+            witness = (x, y_min, y_min - t)
+            return Report("closure", passed=False, details={"witness": witness})
+    return Report("closure", passed=True, details={"witness": None})
 
 
-def verify_arf_heredity(a: int, b: int, p_max: int) -> VerdictBundle:
+def verify_arf_heredity(a: int, b: int, p_max: int) -> Report:
     """If the two-generator instance at p = 0 is closed, every instance up
     to p_max must be closed as well.  Reported as not applicable when the
     base instance is not closed."""
@@ -68,19 +55,23 @@ def verify_arf_heredity(a: int, b: int, p_max: int) -> VerdictBundle:
         raise PreconditionError("p_max must be non-negative")
     gens = as_generator_set((a, b))
     base = is_arf(build(gens, 0))
-    if not base.is_arf:
-        return VerdictBundle(
-            "arf-heredity",
-            {},
+    if not base.passed:
+        return Report(
+            "verdicts",
             passed=True,
             applicable=False,
-            note=f"base instance is not closed (witness {base.witness})",
+            note=f"base instance is not closed (witness {base.details['witness']})",
+            details={"identity": "arf-heredity", "verdicts": {}},
         )
-    verdicts = {f"p={p}": is_arf(build(gens, p)).is_arf for p in range(p_max + 1)}
-    return VerdictBundle("arf-heredity", verdicts, passed=all(verdicts.values()))
+    verdicts = {f"p={p}": is_arf(build(gens, p)).passed for p in range(p_max + 1)}
+    return Report(
+        "verdicts",
+        passed=all(verdicts.values()),
+        details={"identity": "arf-heredity", "verdicts": verdicts},
+    )
 
 
-def verify_arf_conductor_kunz(sp: PSemigroup) -> ArfReport:
+def verify_arf_conductor_kunz(sp: PSemigroup) -> Report:
     """For a closed instance the class minima next to the zero class are
     pinned by the conductor c and its residue r modulo a:
 
@@ -88,15 +79,22 @@ def verify_arf_conductor_kunz(sp: PSemigroup) -> ArfReport:
         minimum of class a-1:  c - r + a - 1
 
     and the matching coordinate quotients are ceil(c/a) and floor(c/a).
-    Reported as not applicable when the instance is not closed.
+    Passes when the instance is closed and all four checks hold; reported
+    as not applicable, and not passed, when the instance is not closed.
     """
-    report = is_arf(sp)
-    if not report.is_arf:
-        return ArfReport(
-            False,
-            witness=report.witness,
+    closure = is_arf(sp)
+    if not closure.passed:
+        return Report(
+            "arf",
+            passed=False,
             applicable=False,
             note="not applicable: instance is not closed under x + y - z",
+            details={
+                "is_arf": False,
+                "witness": closure.details["witness"],
+                "apery_checks": None,
+                "kunz_checks": None,
+            },
         )
     a, c = sp.modulus, sp.conductor
     r = c % a
@@ -110,4 +108,13 @@ def verify_arf_conductor_kunz(sp: PSemigroup) -> ArfReport:
         sp.kunz[1 % a] == -(-c // a),
         sp.kunz[(a - 1) % a] == c // a,
     )
-    return ArfReport(True, apery_checks=apery_checks, kunz_checks=kunz_checks)
+    return Report(
+        "arf",
+        passed=all(apery_checks) and all(kunz_checks),
+        details={
+            "is_arf": True,
+            "witness": None,
+            "apery_checks": apery_checks,
+            "kunz_checks": kunz_checks,
+        },
+    )

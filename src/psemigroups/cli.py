@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -25,7 +25,7 @@ from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
 from .identities import verify_gcd_scaling, verify_johnson, verify_watanabe
-from .reports import IdentityReport, VerdictBundle
+from .reports import Report
 from .semigroup import (
     build,
     genus_p,
@@ -88,8 +88,6 @@ def jsonify(value: Any) -> Any:
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return jsonify(asdict(value))
     return value
 
 
@@ -162,11 +160,21 @@ def _pretty_lines(value: Any, indent: int) -> list[str]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """The rejected text for an error message, cut to a bounded prefix."""
+    if len(text) <= _ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:_ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _parse_gens(text: str) -> GeneratorSet:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise PreconditionError(f"could not parse generators from {text!r}") from None
+        raise PreconditionError(f"could not parse generators from {_echo(text)}") from None
     return as_generator_set(values)
 
 
@@ -176,14 +184,14 @@ def _parse_p_range(text: str) -> list[int]:
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            raise PreconditionError(f"could not parse p range from {text!r}") from None
+            raise PreconditionError(f"could not parse p range from {_echo(text)}") from None
         if lo < 0 or hi < lo:
-            raise PreconditionError(f"invalid p range {text!r}")
+            raise PreconditionError(f"invalid p range {_echo(text)}")
         return list(range(lo, hi + 1))
     try:
         p = int(text)
     except ValueError:
-        raise PreconditionError(f"could not parse p from {text!r}") from None
+        raise PreconditionError(f"could not parse p from {_echo(text)}") from None
     if p < 0:
         raise PreconditionError("p must be non-negative")
     return [p]
@@ -195,7 +203,7 @@ def _parse_weight(text: str | None) -> Fraction | None:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"could not parse weight from {text!r}") from None
+        raise PreconditionError(f"could not parse weight from {_echo(text)}") from None
 
 
 def _single_p(values: list[int]) -> int:
@@ -235,7 +243,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "almost_symmetric": report.almost_symmetric,
         "completely_symmetric": report.completely_symmetric,
         "pattern": sym_mod.detect_pattern(sp),
-        "arf": arf_mod.is_arf(sp).is_arf,
+        "arf": arf_mod.is_arf(sp).passed,
     }
 
 
@@ -307,47 +315,17 @@ def sums_document(
 # ---------------------------------------------------------------------------
 # verify plumbing
 
-def _report_doc(report: Any) -> dict[str, Any]:
-    if isinstance(report, IdentityReport):
-        return {
-            "kind": "identity",
-            "identity": report.identity,
-            "params": report.params,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "passed": report.passed,
-            "applicable": True,
-            "note": report.note,
-            "extras": report.extras,
-        }
-    if isinstance(report, VerdictBundle):
-        return {
-            "kind": "verdicts",
-            "identity": report.name,
-            "verdicts": report.verdicts,
-            "passed": report.passed,
-            "applicable": report.applicable,
-            "note": report.note,
-        }
-    if isinstance(report, arf_mod.ArfReport):
-        return {
-            "kind": "arf",
-            "is_arf": report.is_arf,
-            "witness": list(report.witness) if report.witness else None,
-            "apery_checks": list(report.apery_checks) if report.apery_checks else None,
-            "kunz_checks": list(report.kunz_checks) if report.kunz_checks else None,
-            "passed": bool(
-                report.applicable
-                and all(report.apery_checks or ())
-                and all(report.kunz_checks or ())
-            ),
-            "applicable": report.applicable,
-            "note": report.note,
-        }
-    return {"kind": "series", "passed": report.passed, "first_mismatch": report.first_mismatch, "applicable": True, "note": ""}
+def _report_doc(report: Report) -> dict[str, Any]:
+    return {
+        "kind": report.kind,
+        "passed": report.passed,
+        "applicable": report.applicable,
+        "note": report.note,
+        **report.details,
+    }
 
 
-def _run_verify(args: argparse.Namespace) -> list[Any]:
+def _run_verify(args: argparse.Namespace) -> list[Report]:
     name = args.name
     if name in ("johnson", "watanabe"):
         fn = verify_johnson if name == "johnson" else verify_watanabe
@@ -395,6 +373,7 @@ def _required(args: argparse.Namespace, field: str) -> str:
 
 
 def verify_exit_code(docs: list[dict[str, Any]]) -> int:
+    """A verify run fails when some applicable row did not pass."""
     failed = any(doc["applicable"] and not doc["passed"] for doc in docs)
     return EXIT_VERIFIER_FAILED if failed else EXIT_OK
 
@@ -436,8 +415,9 @@ def _cmd_sums(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     docs = [_report_doc(r) for r in _run_verify(args)]
-    emit({"rows": docs, "passed": all(d["passed"] or not d["applicable"] for d in docs)}, args.format)
-    return verify_exit_code(docs)
+    code = verify_exit_code(docs)
+    emit({"rows": docs, "passed": code == EXIT_OK}, args.format)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,10 +488,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a token that starts with "-" and is not a plain number for
+# an option, so "--weight -2/3" would lose its value: such a pair (the flag
+# possibly abbreviated, as argparse allows) is joined into "--weight=-2/3"
+# before parsing.
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _is_weight_flag(token: str) -> bool:
+    return token.startswith("--w") and "--weight".startswith(token)
+
+
+def _join_negative_weight(argv: Sequence[str]) -> list[str]:
+    joined: list[str] = []
+    for token in argv:
+        if joined and _is_weight_flag(joined[-1]) and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_negative_weight(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

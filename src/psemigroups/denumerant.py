@@ -9,7 +9,6 @@ redundant for the generated semigroup still raises the counts.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
@@ -154,33 +153,11 @@ class DenumerantTable:
         return self._stages[-1][n]
 
 
-def build_table(
-    gens: GeneratorSet | Iterable[int], horizon: int, cap: int | None = None
-) -> DenumerantTable:
-    """Table of d(0..horizon) for the given generators."""
-    return DenumerantTable(as_generator_set(gens), horizon, cap)
-
-
-_shared_tables: dict[tuple[int, ...], DenumerantTable] = {}
-_shared_lock = threading.Lock()
-
-
 def denumerant(gens: GeneratorSet | Iterable[int], n: int) -> int:
-    """d(n) for the given generators, via a shared extendable table.
-
-    Counts do not depend on generator order, so the cache is keyed by the
-    sorted elements.
-    """
-    A = as_generator_set(gens)
+    """d(n) for the given generators, from a table built for this call."""
     if n < 0:
         raise PreconditionError("n must be non-negative")
-    key = A.elements
-    with _shared_lock:
-        table = _shared_tables.get(key)
-        if table is None:
-            table = _shared_tables[key] = DenumerantTable(GeneratorSet(key), n)
-        table.ensure(n)
-        return table.count(n)
+    return DenumerantTable(gens, n).count(n)
 
 
 def representations(

@@ -7,14 +7,11 @@ Every value here is an ``int`` or a ``fractions.Fraction``; nothing rounds.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import PreconditionError
-
-# Exact rational scalar used throughout the package.
-BigRat = Fraction
+from .reports import Report
 
 # Bernoulli numbers under the x/(e^x - 1) convention, so B_1 = -1/2.  The
 # cache grows on demand and is never evicted; expected indices are tiny.
@@ -70,20 +67,13 @@ def eulerian(n: int, m: int) -> int:
         return _eulerian[n][m]
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
-    """Outcome of a truncated-series comparison."""
-
-    passed: bool
-    first_mismatch: int | None = None
-
-
-def verify_eulerian_gf(n: int, order: int) -> SeriesCheck:
+def verify_eulerian_gf(n: int, order: int) -> Report:
     """Check the Eulerian generating-function identity as truncated series.
 
     Compares (1 - x)^(n+1) * sum_{k=0}^{order} k^n x^k against
     sum_m <n, m> x^(m+1) coefficient-wise on every degree <= order - n - 1,
-    where truncation cannot have disturbed the product.
+    where truncation cannot have disturbed the product.  The
+    ``first_mismatch`` detail is the least degree that differs, or None.
     """
     if n < 1:
         raise PreconditionError("series exponent n must be positive")
@@ -97,5 +87,5 @@ def verify_eulerian_gf(n: int, order: int) -> SeriesCheck:
         )
         rhs = eulerian(n, degree - 1) if degree >= 1 else 0
         if lhs != rhs:
-            return SeriesCheck(False, degree)
-    return SeriesCheck(True, None)
+            return Report("series", passed=False, details={"first_mismatch": degree})
+    return Report("series", passed=True, details={"first_mismatch": None})

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set, denumerant
 from .errors import PreconditionError
-from .reports import IdentityReport
+from .reports import Report
 from .semigroup import apery_set, build, frobenius_p, genus_p, sylvester_sum_p
 from .symmetry import classify
 
@@ -68,7 +68,7 @@ def _scaling_instances(
 
 def verify_johnson(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p: int
-) -> IdentityReport:
+) -> Report:
     """Frobenius and genus transport under scaling the base by beta:
 
         frobenius(alpha, beta*B) = beta * frobenius(alpha, B) + (beta-1) * alpha
@@ -83,18 +83,22 @@ def verify_johnson(
         "frobenius": beta * frobenius_p(unscaled, p) + (beta - 1) * alpha,
         "genus": beta * genus_p(unscaled, p) + (alpha - 1) * (beta - 1) // 2,
     }
-    return IdentityReport(
-        "johnson",
-        {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
-        lhs,
-        rhs,
+    return Report(
+        "identity",
         passed=lhs == rhs,
+        details={
+            "identity": "johnson",
+            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
+            "lhs": lhs,
+            "rhs": rhs,
+            "extras": {},
+        },
     )
 
 
 def verify_watanabe(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p: int
-) -> IdentityReport:
+) -> Report:
     """Symmetry is preserved under scaling the base by beta, and the least
     member scales by exactly beta."""
     B, scaled, unscaled = _scaling_instances(alpha, beta, base)
@@ -108,12 +112,16 @@ def verify_watanabe(
         "symmetric": classify(sp_unscaled).symmetric,
         "multiplicity": beta * sp_unscaled.multiplicity,
     }
-    return IdentityReport(
-        "watanabe",
-        {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
-        lhs,
-        rhs,
+    return Report(
+        "identity",
         passed=lhs == rhs,
+        details={
+            "identity": "watanabe",
+            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
+            "lhs": lhs,
+            "rhs": rhs,
+            "extras": {},
+        },
     )
 
 
@@ -121,7 +129,7 @@ def _as_int_if_integral(x: Fraction) -> int | Fraction:
     return int(x) if x.denominator == 1 else x
 
 
-def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> IdentityReport:
+def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
     """Dividing the generators after the first by their gcd d relates the two
     instances exactly:
 
@@ -167,16 +175,19 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> IdentityRe
         "sylvester_sum": _as_int_if_integral(expected_sum),
         "apery": sorted(d * x for x in apery_set(reduced, p, modulus=first)),
     }
-    return IdentityReport(
-        "gcd-scaling",
-        {"generators": list(A.ordered), "d": d, "p": p},
-        lhs,
-        rhs,
+    return Report(
+        "identity",
         passed=lhs == rhs,
         note=_SCALING_SUM_NOTE,
-        extras={
-            "sylvester_sum_denominator_2_variant": _as_int_if_integral(
-                denominator_2_variant
-            )
+        details={
+            "identity": "gcd-scaling",
+            "params": {"generators": list(A.ordered), "d": d, "p": p},
+            "lhs": lhs,
+            "rhs": rhs,
+            "extras": {
+                "sylvester_sum_denominator_2_variant": _as_int_if_integral(
+                    denominator_2_variant
+                )
+            },
         },
     )

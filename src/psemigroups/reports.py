@@ -1,4 +1,4 @@
-"""Report containers shared by the verifier surfaces."""
+"""The one result type every verifier and closure check returns."""
 
 from __future__ import annotations
 
@@ -6,33 +6,18 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass
-class IdentityReport:
-    """Two-sided identity check: passes iff every lhs value equals its rhs.
-
-    ``extras`` holds diagnostic values that are not part of the identity
-    itself (for example the value a known-bad variant would produce).
-    """
-
-    identity: str
-    params: dict[str, Any]
-    lhs: dict[str, Any]
-    rhs: dict[str, Any]
-    passed: bool
-    note: str = ""
-    extras: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class VerdictBundle:
-    """Named boolean verdicts plus an overall pass flag.
+@dataclass(frozen=True)
+class Report:
+    """Outcome of one check.
 
     ``applicable`` is False when the check's hypotheses do not hold for the
     given instance; that is reported, never treated as a failure.
+    ``details`` holds the values particular to the kind of check; the JSON
+    row renders them flat beside the four common keys.
     """
 
-    name: str
-    verdicts: dict[str, bool]
+    kind: str
     passed: bool
     applicable: bool = True
     note: str = ""
+    details: dict[str, Any] = field(default_factory=dict)

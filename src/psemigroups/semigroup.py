@@ -9,7 +9,7 @@ everywhere follows from those class minima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -42,15 +42,10 @@ class PSemigroup:
     frobenius: int
     conductor: int
     kunz: tuple[int, ...]
-    _members: frozenset[int] = field(repr=False)
 
     def contains(self, n: int) -> bool:
-        """Membership test; everything above the largest gap is inside."""
-        if n < 0:
-            return False
-        if n > self.frobenius:
-            return True
-        return n in self._members
+        """Membership test: n is in iff it is at least its class minimum."""
+        return n >= 0 and n >= self.apery_by_residue[n % self.modulus]
 
     __contains__ = contains
 
@@ -86,7 +81,6 @@ def _build(ordered: tuple[int, ...], p: int) -> PSemigroup:
         frobenius=frobenius,
         conductor=conductor,
         kunz=tuple((minima[j] - j) // a for j in range(a)),
-        _members=frozenset(small),
     )
     _validate(sp, table)
     return sp
@@ -193,10 +187,6 @@ def kunz_coordinates(gens: GeneratorSet | Iterable[int], p: int) -> tuple[int, .
     return build(gens, p).kunz
 
 
-def membership(sp: PSemigroup, n: int) -> bool:
-    return sp.contains(n)
-
-
 def _check_power(mu: int, mu_cap: int) -> None:
     if mu < 0:
         raise PreconditionError("exponent must be non-negative")
@@ -279,22 +269,3 @@ def weighted_power_sum(
         total = total * den ** (n - prev) + num_power * n**mu
         prev = n
     return Fraction(total, den**prev)
-
-
-@dataclass
-class GapStats:
-    """Gap-set summary: cardinality, sum, and the low power sums."""
-
-    genus: int
-    sylvester_sum: int
-    power_sums: dict[int, int]
-
-
-def gap_stats(
-    gens: GeneratorSet | Iterable[int], p: int, mu_max: int = 3
-) -> GapStats:
-    sums = {mu: power_sum_gaps(gens, p, mu) for mu in range(mu_max + 1)}
-    stats = GapStats(genus=genus_p(gens, p), sylvester_sum=sylvester_sum_p(gens, p), power_sums=sums)
-    if stats.genus != sums[0] or stats.sylvester_sum != sums.get(1, stats.sylvester_sum):
-        raise InternalCheckError("gap statistics disagree with power sums")
-    return stats

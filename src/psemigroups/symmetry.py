@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
-from .reports import VerdictBundle
+from .reports import Report
 from .semigroup import PSemigroup, build
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
@@ -147,16 +147,16 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     )
 
 
-def verify_symmetry_equivalences(sp: PSemigroup) -> VerdictBundle:
-    """Evaluate five independent characterizations of mirror symmetry and
-    report whether they all agree.
+def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
+    """Evaluate five characterizations of mirror symmetry and report
+    whether they all agree.
 
-    definition: every gap mirrors to a member.  window_counts: members and
-    gaps split the window [multiplicity, frobenius] in half.
-    complementary_pairs: of every non-negative pair summing to the mirror
-    total, exactly one side is a member.  sorted_pairing: opposite entries
-    of the sorted class minima sum to total + modulus.  genus_midpoint:
-    twice the gap count is total + 1.
+    definition and complementary_pairs: of every non-negative pair summing
+    to the mirror total, exactly one side is a member (the exact mirror
+    exchange; one scan, reported under both names).  window_counts: members
+    and gaps split the window [multiplicity, frobenius] in half.
+    sorted_pairing: opposite entries of the sorted class minima sum to
+    total + modulus.  genus_midpoint: twice the gap count is total + 1.
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low
@@ -165,25 +165,24 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> VerdictBundle:
     gaps_in_window = (g - low + 1) - members_in_window
 
     ls = sp.apery_sorted
+    exchange = _mirror_pairs_exactly_one(sp, exception=None)
     verdicts = {
-        "definition": _mirror_pairs_exactly_one(sp, exception=None),
+        "definition": exchange,
         "window_counts": members_in_window == gaps_in_window,
-        "complementary_pairs": all(
-            sp.contains(x) != sp.contains(total - x) for x in range(total // 2 + 1)
-        ),
+        "complementary_pairs": exchange,
         "sorted_pairing": all(
             ls[i] + ls[a - i - 1] == total + a for i in range(1, a // 2 + 1)
         ),
         "genus_midpoint": 2 * len(sp.gaps) == total + 1,
     }
-    return VerdictBundle(
-        "symmetry-equivalences",
-        verdicts,
+    return Report(
+        "verdicts",
         passed=len(set(verdicts.values())) == 1,
+        details={"identity": "symmetry-equivalences", "verdicts": verdicts},
     )
 
 
-def verify_apery_pairings(sp: PSemigroup) -> VerdictBundle:
+def verify_apery_pairings(sp: PSemigroup) -> Report:
     """Residue-pairing characterizations of symmetric (odd mirror total) and
     pseudo-symmetric (even total), checked against the definitional flags.
 
@@ -215,11 +214,11 @@ def verify_apery_pairings(sp: PSemigroup) -> VerdictBundle:
             "pairing": pairing,
             "matches_classification": pairing == flags.symmetric,
         }
-        return VerdictBundle(
-            "apery-pairings",
-            verdicts,
+        return Report(
+            "verdicts",
             passed=verdicts["matches_classification"],
             note=_PAIRING_NOTE,
+            details={"identity": "apery-pairings", "verdicts": verdicts},
         )
 
     mid = total // 2
@@ -238,16 +237,15 @@ def verify_apery_pairings(sp: PSemigroup) -> VerdictBundle:
         "genus_offset": genus_offset,
         "genus_offset_necessity": (not flags.pseudo_symmetric) or genus_offset,
     }
-    return VerdictBundle(
-        "apery-pairings",
-        verdicts,
-        passed=verdicts["matches_classification"]
-        and verdicts["genus_offset_necessity"],
+    return Report(
+        "verdicts",
+        passed=verdicts["matches_classification"] and verdicts["genus_offset_necessity"],
         note=_PAIRING_NOTE,
+        details={"identity": "apery-pairings", "verdicts": verdicts},
     )
 
 
-def verify_pf_consequences(sp: PSemigroup) -> VerdictBundle:
+def verify_pf_consequences(sp: PSemigroup) -> Report:
     """Claimed consequences of the symmetry flags for the pseudo-Frobenius
     set, each re-derived from the definitions.
 
@@ -275,16 +273,16 @@ def verify_pf_consequences(sp: PSemigroup) -> VerdictBundle:
             verdicts["pseudo_pf_pair"] = set(flags.pf) == {mid, g}
             verdicts["pseudo_type_two"] = flags.type_count == 2
     applicable = bool(verdicts)
-    return VerdictBundle(
-        "pf-consequences",
-        verdicts,
+    return Report(
+        "verdicts",
         passed=all(verdicts.values()),
         applicable=applicable,
         note="" if applicable else "neither symmetry hypothesis holds",
+        details={"identity": "pf-consequences", "verdicts": verdicts},
     )
 
 
-def verify_almost_symmetric_equivalences(sp: PSemigroup) -> VerdictBundle:
+def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     """Three characterizations of almost symmetry, asserted to coincide:
     the both-sides-outside set is contained in PF; PF is that set plus the
     frobenius number; every gap mirrors to a member or is itself PF."""
@@ -299,10 +297,10 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> VerdictBundle:
             sp.contains(total - x) or x in pf for x in sp.gaps
         ),
     }
-    return VerdictBundle(
-        "almost-symmetric-equivalences",
-        verdicts,
+    return Report(
+        "verdicts",
         passed=len(set(verdicts.values())) == 1,
+        details={"identity": "almost-symmetric-equivalences", "verdicts": verdicts},
     )
 
 
@@ -323,18 +321,19 @@ def detect_pattern(sp: PSemigroup) -> str:
     return PATTERN_OTHER
 
 
-def verify_nari(gens: GeneratorSet | Iterable[int]) -> VerdictBundle:
+def verify_nari(gens: GeneratorSet | Iterable[int]) -> Report:
     """At p = 0: if twice the gap count equals frobenius + type, the
     semigroup must be almost symmetric.  Only the implication is checked;
     the converse is not claimed."""
     sp = build(as_generator_set(gens), 0)
     flags = classify(sp)
     count_identity = 2 * len(sp.gaps) == sp.frobenius + flags.type_count
-    return VerdictBundle(
-        "nari",
-        {
-            "count_identity": count_identity,
-            "almost_symmetric": flags.almost_symmetric,
-        },
+    verdicts = {
+        "count_identity": count_identity,
+        "almost_symmetric": flags.almost_symmetric,
+    }
+    return Report(
+        "verdicts",
         passed=(not count_identity) or flags.almost_symmetric,
+        details={"identity": "nari", "verdicts": verdicts},
     )

@@ -288,7 +288,7 @@ def test_c07a_five_symmetry_criteria_identical_on_random_instances():
 
 def test_c07a_exchange_criteria_agree_and_counting_criteria_are_necessary():
     for gens, p in INSTANCES:
-        v = verify_symmetry_equivalences(build(gens, p)).verdicts
+        v = verify_symmetry_equivalences(build(gens, p)).details["verdicts"]
         assert v["definition"] == v["complementary_pairs"] == v["sorted_pairing"], (
             gens,
             p,
@@ -296,7 +296,7 @@ def test_c07a_exchange_criteria_agree_and_counting_criteria_are_necessary():
         if v["definition"]:
             assert v["window_counts"] and v["genus_midpoint"], (gens, p)
     # the known accident: counting criteria hold, exchange criteria fail
-    v = verify_symmetry_equivalences(build((28, 20, 26, 25), 3)).verdicts
+    v = verify_symmetry_equivalences(build((28, 20, 26, 25), 3)).details["verdicts"]
     assert v["window_counts"] and v["genus_midpoint"] and not v["definition"]
     _passline(
         "7a*",
@@ -352,18 +352,19 @@ def test_c08_scaling_identities():
 
     # the denominator-2 variant demonstrably fails: 3828 != 3618
     report = verify_gcd_scaling((8, 12, 15, 18), 8)
-    assert report.lhs["sylvester_sum"] == 3618
-    assert report.extras["sylvester_sum_denominator_2_variant"] == 3828
-    assert report.extras["sylvester_sum_denominator_2_variant"] != report.lhs["sylvester_sum"]
+    assert report.details["lhs"]["sylvester_sum"] == 3618
+    variant = report.details["extras"]["sylvester_sum_denominator_2_variant"]
+    assert variant == 3828
+    assert variant != report.details["lhs"]["sylvester_sum"]
     _passline("8", "johnson/watanabe matrix and gcd scaling with the corrected constant")
 
 
 # -- criterion 9 ------------------------------------------------------------
 
 def test_c09_arf_suite():
-    assert is_arf(build((2, 3), 0)).is_arf
+    assert is_arf(build((2, 3), 0)).passed
     open_report = is_arf(build((3, 4), 0))
-    assert not open_report.is_arf and open_report.witness == (4, 4, 3)
+    assert not open_report.passed and open_report.details["witness"] == (4, 4, 3)
 
     for a, b in ((2, 3), (2, 5), (2, 7)):
         assert verify_arf_heredity(a, b, 5).passed, (a, b)
@@ -373,11 +374,11 @@ def test_c09_arf_suite():
         for p in range(p_max + 1):
             sp = build(gens, p)
             report = is_arf(sp)
-            if not report.is_arf:
+            if not report.passed:
                 continue
             checks = verify_arf_conductor_kunz(sp)
-            assert checks.apery_checks == (True, True), (gens, p)
-            assert checks.kunz_checks == (True, True), (gens, p)
+            assert checks.details["apery_checks"] == (True, True), (gens, p)
+            assert checks.details["kunz_checks"] == (True, True), (gens, p)
             residues_seen.add(0 if sp.conductor % sp.modulus == 0 else 1)
     assert residues_seen == {0, 1}  # both conductor-residue branches exercised
     _passline("9", "closure checks, heredity, and conductor/kunz structure")

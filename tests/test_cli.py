@@ -105,6 +105,13 @@ def test_sums_rows(capsys):
     assert doc["rows"][0]["direct"] == 7
     assert doc["rows"][0]["from_apery"] == 7
     assert doc["rows"][0]["weighted"] == "253/128"
+    # a negative weight is a value, not an option, with or without "="
+    head = ("sums", "--gens", "2,3", "--p", "1", "--mu", "0")
+    spaced = run_cli(capsys, *head, "--weight", "-2/3")
+    joined = run_cli(capsys, *head, "--weight=-2/3")
+    assert spaced == joined == run_cli(capsys, *head, "--wei", "-2/3")
+    assert spaced[0] == EXIT_OK
+    assert json.loads(spaced[1])["rows"][0]["weighted"] == "1069/2187"
 
 
 def test_sums_renders_rationals_past_the_int_str_digit_limit(capsys):
@@ -169,6 +176,59 @@ def test_verify_eulerian_gf(capsys):
     assert json.loads(out)["passed"] is True
 
 
+# Exact stdout of `psg verify` for each row kind (identity with extras,
+# verdicts with a note, an arf-heredity row that is not applicable, arf-kunz
+# rows closed and not applicable, series), so that a change to how reports
+# are built or rendered cannot move a byte.
+PINNED_VERIFY = [
+    (
+        'verify johnson --alpha 8 --beta 3 --gens 4,5,6 --p 0..1',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"extras":{},"identity":"johnson","kind":"identity","lhs":{"frobenius":37,"genus":19},"note":"","params":{"alpha":8,"base":[4,5,6],"beta":3,"p":0},"passed":true,"rhs":{"frobenius":37,"genus":19}},'
+        '{"applicable":true,"extras":{},"identity":"johnson","kind":"identity","lhs":{"frobenius":49,"genus":37},"note":"","params":{"alpha":8,"base":[4,5,6],"beta":3,"p":1},"passed":true,"rhs":{"frobenius":49,"genus":37}}]}'
+    ),
+    (
+        'verify gcd-scaling --gens 8,12,15,18 --p 8',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"extras":{"sylvester_sum_denominator_2_variant":3828},"identity":"gcd-scaling","kind":"identity","lhs":{"apery":[72,78,84,87,90,93,99,105],"frobenius":97,"genus":85,"sylvester_sum":3618},"note":"the quadratic gap-sum scaling uses 12 in its final denominator; a published variant with denominator 2 contradicts direct enumeration (see extras for the value it would give)","params":{"d":3,"generators":[8,12,15,18],"p":8},"passed":true,"rhs":{"apery":[72,78,84,87,90,93,99,105],"frobenius":97,"genus":85,"sylvester_sum":3618}}]}'
+    ),
+    (
+        'verify symmetry --gens 28,20,26,25 --p 3',
+        5,
+        '{"passed":false,"rows":[{"applicable":true,"identity":"symmetry-equivalences","kind":"verdicts","note":"","passed":false,"verdicts":{"complementary_pairs":false,"definition":false,"genus_midpoint":true,"sorted_pairing":false,"window_counts":true}}]}'
+    ),
+    (
+        'verify pairings --gens 6,7,17 --p 0..1',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"apery-pairings","kind":"verdicts","note":"indices are reduced to residue classes; paired indices sum to frobenius + multiplicity","passed":true,"verdicts":{"genus_offset":true,"genus_offset_necessity":true,"matches_classification":true,"midpoint_pairing":true}},'
+        '{"applicable":true,"identity":"apery-pairings","kind":"verdicts","note":"indices are reduced to residue classes; paired indices sum to frobenius + multiplicity","passed":true,"verdicts":{"matches_classification":true,"pairing":true}}]}'
+    ),
+    (
+        'verify arf-heredity --a 3 --b 4 --pmax 2',
+        0,
+        '{"passed":true,"rows":[{"applicable":false,"identity":"arf-heredity","kind":"verdicts","note":"base instance is not closed (witness (4, 4, 3))","passed":true,"verdicts":{}}]}'
+    ),
+    (
+        'verify arf-kunz --gens 4,5,6 --p 0..1',
+        0,
+        '{"passed":true,"rows":[{"apery_checks":null,"applicable":false,"is_arf":false,"kind":"arf","kunz_checks":null,"note":"not applicable: instance is not closed under x + y - z","passed":false,"witness":[6,5,4]},'
+        '{"apery_checks":[true,true],"applicable":true,"is_arf":true,"kind":"arf","kunz_checks":[true,true],"note":"","passed":true,"witness":null}]}'
+    ),
+    (
+        'verify eulerian-gf --exponent 3 --order 12',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"first_mismatch":null,"kind":"series","note":"","passed":true}]}'
+    ),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, stdout", PINNED_VERIFY)
+def test_verify_output_is_pinned(capsys, command, exit_code, stdout):
+    code, out = run_cli(capsys, *command.split())
+    assert code == exit_code
+    assert out == stdout + "\n"
+
+
 def test_verify_exit_code_mapping():
     assert verify_exit_code([{"applicable": True, "passed": True}]) == EXIT_OK
     assert verify_exit_code([{"applicable": False, "passed": False}]) == EXIT_OK
@@ -199,6 +259,19 @@ def test_precondition_exit_code(capsys):
     for weight in ("abc", "1/0"):
         code, _ = run_cli(capsys, "sums", "--gens", "2,3", "--p", "0", "--weight", weight)
         assert code == EXIT_PRECONDITION
+
+
+def test_error_messages_quote_a_bounded_prefix(capsys):
+    huge = "1" * 5000
+    for argv in (
+        ["analyze", "--gens", "2," + huge, "--p", "0"],
+        ["sums", "--gens", "2,3", "--p", "0", "--weight", "1/" + huge],
+        ["classify", "--gens", "2,3", "--p", "0.." + huge],
+    ):
+        assert main(argv) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not parse")
+        assert len(err.encode()) < 300
 
 
 def test_cap_exceeded_exit_code(capsys, monkeypatch):

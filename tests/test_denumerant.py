@@ -6,9 +6,9 @@ from conftest import generator_tuples
 from oracles import brute_count
 from psemigroups import (
     CapExceededError,
+    DenumerantTable,
     GeneratorSet,
     PreconditionError,
-    build_table,
     denumerant,
     representations,
 )
@@ -41,15 +41,15 @@ def test_generator_set_validation():
 
 
 def test_counts_start_with_the_empty_representation():
-    assert build_table((4, 5, 6), 0).count(0) == 1
+    assert DenumerantTable((4, 5, 6), 0).count(0) == 1
     assert denumerant((4, 5, 6), 1) == 0
 
 
 def test_remark_counts():
     assert denumerant((4, 5, 6), 25) == 4
     assert denumerant((8, 4, 5, 6), 25) == 7
-    assert build_table((4, 5, 6), 25).count(25) == 4
-    assert build_table((8, 4, 5, 6), 25).count(25) == 7
+    assert DenumerantTable((4, 5, 6), 25).count(25) == 4
+    assert DenumerantTable((8, 4, 5, 6), 25).count(25) == 7
 
 
 def test_remark_representation_tuples():
@@ -67,12 +67,12 @@ def test_small_golden_against_recursion():
 
 @given(gens=generator_tuples(max_value=12, max_size=3), n=st.integers(0, 80))
 def test_table_matches_recursive_oracle(gens, n):
-    assert build_table(gens, n).count(n) == brute_count(gens, n)
+    assert DenumerantTable(gens, n).count(n) == brute_count(gens, n)
 
 
 @given(gens=generator_tuples(), n=st.integers(0, 120))
 def test_shift_monotonicity(gens, n):
-    table = build_table(gens, n + max(gens))
+    table = DenumerantTable(gens, n + max(gens))
     for a in gens:
         assert table.count(n + a) >= table.count(n)
 
@@ -100,7 +100,7 @@ def test_enumeration_cardinality_matches_count(gens, n):
 
 
 def test_table_extension_preserves_counts():
-    table = build_table((4, 7, 9), 30)
+    table = DenumerantTable((4, 7, 9), 30)
     before = [table.count(n) for n in range(31)]
     table.ensure(120)
     assert [table.count(n) for n in range(31)] == before
@@ -108,7 +108,7 @@ def test_table_extension_preserves_counts():
 
 
 def test_table_invariant_shift_monotonicity_whole_table():
-    table = build_table((3, 5), 60)
+    table = DenumerantTable((3, 5), 60)
     counts = table.counts
     for a in (3, 5):
         for n in range(len(counts) - a):
@@ -117,8 +117,8 @@ def test_table_invariant_shift_monotonicity_whole_table():
 
 def test_horizon_cap_guard():
     with pytest.raises(CapExceededError):
-        build_table((4, 5, 6), 1000, cap=100)
-    table = build_table((4, 5, 6), 10, cap=100)
+        DenumerantTable((4, 5, 6), 1000, cap=100)
+    table = DenumerantTable((4, 5, 6), 10, cap=100)
     with pytest.raises(CapExceededError):
         table.ensure(5000)
 
@@ -126,10 +126,10 @@ def test_horizon_cap_guard():
 def test_horizon_cap_env_override(monkeypatch):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "50")
     with pytest.raises(CapExceededError):
-        build_table((4, 5, 6), 1000)
+        DenumerantTable((4, 5, 6), 1000)
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "bogus")
     with pytest.raises(PreconditionError):
-        build_table((4, 5, 6), 10)
+        DenumerantTable((4, 5, 6), 10)
 
 
 def test_negative_n_rejected():

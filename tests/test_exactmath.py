@@ -66,4 +66,4 @@ def test_series_check_rejects_small_order():
 @given(n=st.integers(1, 6), extra=st.integers(2, 12))
 def test_series_check_passes_generally(n, extra):
     check = verify_eulerian_gf(n, n + extra)
-    assert check.passed and check.first_mismatch is None
+    assert check.passed and check.details["first_mismatch"] is None

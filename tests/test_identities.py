@@ -33,13 +33,13 @@ def test_johnson_golden_columns():
 def test_johnson_genus_golden():
     report = verify_johnson(8, 3, (4, 5, 6), 8)
     assert report.passed
-    assert report.lhs["genus"] == 85 == 3 * 26 + 7
+    assert report.details["lhs"]["genus"] == 85 == 3 * 26 + 7
 
 
 def test_johnson_beta_one_degenerates():
     report = verify_johnson(8, 1, (4, 5, 6), 3)
     assert report.passed
-    assert report.lhs == report.rhs
+    assert report.details["lhs"] == report.details["rhs"]
 
 
 def test_johnson_preconditions():
@@ -58,13 +58,13 @@ def test_johnson_preconditions():
 def test_watanabe_golden():
     report = verify_watanabe(8, 3, (4, 5, 6), 8)
     assert report.passed
-    assert report.lhs == {"symmetric": True, "multiplicity": 72}
-    assert report.rhs == {"symmetric": True, "multiplicity": 72}
+    assert report.details["lhs"] == {"symmetric": True, "multiplicity": 72}
+    assert report.details["rhs"] == {"symmetric": True, "multiplicity": 72}
 
 
 def test_watanabe_beta_one_degenerates():
     report = verify_watanabe(8, 1, (4, 5, 6), 2)
-    assert report.passed and report.lhs == report.rhs
+    assert report.passed and report.details["lhs"] == report.details["rhs"]
 
 
 def test_watanabe_across_p_range():
@@ -75,25 +75,25 @@ def test_watanabe_across_p_range():
 def test_gcd_scaling_golden_8form():
     report = verify_gcd_scaling((8, 12, 15, 18), 8)
     assert report.passed
-    assert report.lhs["frobenius"] == 97 == 3 * 27 + 2 * 8
-    assert report.lhs["genus"] == 85 == 3 * 26 + 7
-    assert report.lhs["sylvester_sum"] == 3618 == 9 * 328 + 24 * 26 + 42
-    assert report.extras["sylvester_sum_denominator_2_variant"] == 3828
+    assert report.details["lhs"]["frobenius"] == 97 == 3 * 27 + 2 * 8
+    assert report.details["lhs"]["genus"] == 85 == 3 * 26 + 7
+    assert report.details["lhs"]["sylvester_sum"] == 3618 == 9 * 328 + 24 * 26 + 42
+    assert report.details["extras"]["sylvester_sum_denominator_2_variant"] == 3828
     assert "12" in report.note
 
 
 def test_gcd_scaling_golden_546():
     report = verify_gcd_scaling((5, 4, 6), 0)
     assert report.passed
-    assert report.lhs["frobenius"] == 7 == 2 * 1 + 5
-    assert report.lhs["genus"] == 4 == 2 * 1 + 2
-    assert report.lhs["sylvester_sum"] == 13 == 4 + 5 + 4
+    assert report.details["lhs"]["frobenius"] == 7 == 2 * 1 + 5
+    assert report.details["lhs"]["genus"] == 4 == 2 * 1 + 2
+    assert report.details["lhs"]["sylvester_sum"] == 13 == 4 + 5 + 4
 
 
 def test_gcd_scaling_apery_relation_uses_first_generator_as_modulus():
     report = verify_gcd_scaling((5, 4, 6), 0)
-    assert report.lhs["apery"] == [0, 4, 6, 8, 12]
-    assert report.rhs["apery"] == [2 * x for x in (0, 2, 3, 4, 6)]
+    assert report.details["lhs"]["apery"] == [0, 4, 6, 8, 12]
+    assert report.details["rhs"]["apery"] == [2 * x for x in (0, 2, 3, 4, 6)]
 
 
 def test_gcd_scaling_preconditions():
@@ -107,7 +107,8 @@ def test_printed_denominator_2_variant_fails_enumeration():
     # the denominator-2 form of the quadratic scaling term would predict
     # 3828 here, while the enumerated gap sum is 3618
     report = verify_gcd_scaling((8, 12, 15, 18), 8)
-    assert report.extras["sylvester_sum_denominator_2_variant"] != report.lhs["sylvester_sum"]
+    variant = report.details["extras"]["sylvester_sum_denominator_2_variant"]
+    assert variant != report.details["lhs"]["sylvester_sum"]
 
 
 def test_generator_dropping_reduction_only_valid_at_p_zero():
@@ -126,8 +127,8 @@ def test_johnson_specializes_gcd_scaling():
         johnson = verify_johnson(8, 3, (4, 5, 6), p)
         scaling = verify_gcd_scaling((8, 12, 15, 18), p)
         assert johnson.passed and scaling.passed
-        assert johnson.lhs["frobenius"] == scaling.lhs["frobenius"]
-        assert johnson.lhs["genus"] == scaling.lhs["genus"]
+        assert johnson.details["lhs"]["frobenius"] == scaling.details["lhs"]["frobenius"]
+        assert johnson.details["lhs"]["genus"] == scaling.details["lhs"]["genus"]
 
 
 @given(gens=generator_tuples(max_value=14, max_size=3), p=small_p)
@@ -150,6 +151,6 @@ def test_scaled_tail_instances_satisfy_gcd_scaling(gens, p):
 def test_gcd_scaling_consistency_with_direct_values(p):
     report = verify_gcd_scaling((8, 12, 15, 18), p)
     assert report.passed
-    assert report.lhs["frobenius"] == frobenius_p((8, 12, 15, 18), p)
-    assert report.lhs["genus"] == genus_p((8, 12, 15, 18), p)
-    assert report.lhs["sylvester_sum"] == sylvester_sum_p((8, 12, 15, 18), p)
+    assert report.details["lhs"]["frobenius"] == frobenius_p((8, 12, 15, 18), p)
+    assert report.details["lhs"]["genus"] == genus_p((8, 12, 15, 18), p)
+    assert report.details["lhs"]["sylvester_sum"] == sylvester_sum_p((8, 12, 15, 18), p)

@@ -12,10 +12,8 @@ from psemigroups import (
     apery_set,
     build,
     frobenius_p,
-    gap_stats,
     genus_p,
     kunz_coordinates,
-    membership,
     multiplicity_p,
     power_sum_bernoulli,
     power_sum_gaps,
@@ -114,11 +112,11 @@ def test_kunz_goldens():
 
 def test_membership():
     sp = build((17, 18, 19), 5)
-    assert membership(sp, 198)
-    assert not membership(sp, 229)
-    assert not membership(sp, -1)
+    assert sp.contains(198)
+    assert not sp.contains(229)
+    assert not sp.contains(-1)
     assert 198 in sp and 229 not in sp
-    assert membership(sp, sp.frobenius + 1000)
+    assert sp.contains(sp.frobenius + 1000)
 
 
 def test_apery_with_non_minimum_modulus():
@@ -128,12 +126,10 @@ def test_apery_with_non_minimum_modulus():
         apery_set((5, 4, 6), 0, modulus=7)
 
 
-def test_gap_stats_consistency():
-    stats = gap_stats((8, 4, 5, 6), 8, mu_max=3)
-    assert stats.genus == 26
-    assert stats.sylvester_sum == 328
-    assert stats.power_sums[0] == 26
-    assert stats.power_sums[1] == 328
+def test_gap_count_and_sum_match_power_sums():
+    gens, p = (8, 4, 5, 6), 8
+    assert genus_p(gens, p) == power_sum_gaps(gens, p, 0) == 26
+    assert sylvester_sum_p(gens, p) == power_sum_gaps(gens, p, 1) == 328
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))

@@ -81,7 +81,7 @@ def test_symmetry_excludes_member_member_mirrors():
 def test_equivalences_all_true_on_symmetric_instance():
     bundle = verify_symmetry_equivalences(build((8, 4, 5, 6), 8))
     assert bundle.passed
-    assert all(bundle.verdicts.values())
+    assert all(bundle.details["verdicts"].values())
     sp = build((8, 4, 5, 6), 8)
     assert sp.apery_sorted == (24, 26, 29, 31)
     assert 24 + 31 == 26 + 29 == sp.frobenius + sp.multiplicity + sp.modulus == 55
@@ -90,12 +90,12 @@ def test_equivalences_all_true_on_symmetric_instance():
 def test_equivalences_all_false_on_asymmetric_instance():
     bundle = verify_symmetry_equivalences(build((17, 18, 19), 5))
     assert bundle.passed
-    assert not any(bundle.verdicts.values())
+    assert not any(bundle.details["verdicts"].values())
 
 
 def test_equivalences_trivial_instance():
     bundle = verify_symmetry_equivalences(build((2, 3), 0))
-    assert bundle.passed and all(bundle.verdicts.values())
+    assert bundle.passed and all(bundle.details["verdicts"].values())
 
 
 def test_counting_criteria_alone_are_not_sufficient():
@@ -103,7 +103,7 @@ def test_counting_criteria_alone_are_not_sufficient():
     # genus hits total + 1, yet the mirror exchange fails, so the counting
     # characterizations cannot be equivalences in general
     bundle = verify_symmetry_equivalences(build((28, 20, 26, 25), 3))
-    v = bundle.verdicts
+    v = bundle.details["verdicts"]
     assert v["window_counts"] and v["genus_midpoint"]
     assert not v["definition"] and not v["complementary_pairs"] and not v["sorted_pairing"]
     assert not bundle.passed
@@ -111,11 +111,11 @@ def test_counting_criteria_alone_are_not_sufficient():
 
 def test_apery_pairing_examples():
     odd = verify_apery_pairings(build((8, 4, 5, 6), 8))
-    assert odd.verdicts["pairing"] and odd.passed
+    assert odd.details["verdicts"]["pairing"] and odd.passed
     even = verify_apery_pairings(build((3, 5, 7), 0))
-    assert even.verdicts["midpoint_pairing"] and even.passed
+    assert even.details["verdicts"]["midpoint_pairing"] and even.passed
     trivial = verify_apery_pairings(build((2, 3), 0))
-    assert trivial.verdicts["pairing"] and trivial.passed
+    assert trivial.details["verdicts"]["pairing"] and trivial.passed
 
 
 def test_apery_pairing_even_case_details():
@@ -129,22 +129,22 @@ def test_apery_pairing_even_case_details():
 
 def test_pf_consequences_goldens():
     sym = verify_pf_consequences(build((8, 12, 15, 18), 8))
-    assert sym.passed and sym.verdicts["symmetric_pf_singleton"]
+    assert sym.passed and sym.details["verdicts"]["symmetric_pf_singleton"]
     assert classify(build((8, 12, 15, 18), 8)).pf == (97,)
     pseudo = verify_pf_consequences(build((3, 5, 7), 0))
-    assert pseudo.passed and pseudo.verdicts["pseudo_pf_pair"]
+    assert pseudo.passed and pseudo.details["verdicts"]["pseudo_pf_pair"]
     assert set(classify(build((3, 5, 7), 0)).pf) == {2, 4}
     trivial = verify_pf_consequences(build((2, 3), 0))
-    assert trivial.passed and trivial.verdicts["symmetric_pf_singleton"]
+    assert trivial.passed and trivial.details["verdicts"]["symmetric_pf_singleton"]
 
 
 def test_almost_symmetric_equivalences_goldens():
     all_true = verify_almost_symmetric_equivalences(build((6, 7, 17), 14))
-    assert all_true.passed and all(all_true.verdicts.values())
+    assert all_true.passed and all(all_true.details["verdicts"].values())
     all_false = verify_almost_symmetric_equivalences(build((17, 18, 19), 5))
-    assert all_false.passed and not any(all_false.verdicts.values())
+    assert all_false.passed and not any(all_false.details["verdicts"].values())
     trivial = verify_almost_symmetric_equivalences(build((2, 3), 0))
-    assert trivial.passed and all(trivial.verdicts.values())
+    assert trivial.passed and all(trivial.details["verdicts"].values())
 
 
 def test_patterns():
@@ -156,7 +156,7 @@ def test_patterns():
 
 def test_nari_examples():
     report = verify_nari((3, 5, 7))
-    assert report.passed and report.verdicts["count_identity"]
+    assert report.passed and report.details["verdicts"]["count_identity"]
     assert verify_nari((2, 3)).passed
     assert verify_nari((4, 5, 6)).passed
 
@@ -252,7 +252,7 @@ def test_pairings_agree_with_classification(gens, p):
 
 @given(gens=generator_tuples(), p=small_p)
 def test_exchange_criteria_agree_and_counting_is_necessary(gens, p):
-    v = verify_symmetry_equivalences(build(gens, p)).verdicts
+    v = verify_symmetry_equivalences(build(gens, p)).details["verdicts"]
     assert v["definition"] == v["complementary_pairs"] == v["sorted_pairing"]
     if v["definition"]:
         assert v["window_counts"] and v["genus_midpoint"]
@@ -298,9 +298,9 @@ def test_genus_offset_can_hold_by_accident():
     sp = build((9, 12, 29, 16), 2)
     bundle = verify_apery_pairings(sp)
     assert not classify(sp).pseudo_symmetric
-    assert bundle.verdicts["genus_offset"]
-    assert bundle.verdicts["genus_offset_necessity"]
-    assert bundle.verdicts["matches_classification"]
+    assert bundle.details["verdicts"]["genus_offset"]
+    assert bundle.details["verdicts"]["genus_offset_necessity"]
+    assert bundle.details["verdicts"]["matches_classification"]
     assert bundle.passed
 
 
