@@ -6,7 +6,7 @@ Usage: python scripts/classification_sweep.py --gens 17,18,19 --pmax 44
 
 import argparse
 
-from psemigroups import build, classify, detect_pattern
+from psemigroups import build_range, classify, detect_pattern
 
 
 def label(report) -> str:
@@ -30,11 +30,10 @@ def main() -> None:
 
     print(f"A = {set(gens)}")
     print(f"{'p':>4} {'mult':>6} {'frob':>6} {'type':>5}  class / member pattern")
-    for p in range(args.pmax + 1):
-        sp = build(gens, p)
+    for sp in build_range(gens, range(args.pmax + 1)):
         report = classify(sp)
         print(
-            f"{p:>4} {sp.multiplicity:>6} {sp.frobenius:>6} {report.type_count:>5}"
+            f"{sp.p:>4} {sp.multiplicity:>6} {sp.frobenius:>6} {report.type_count:>5}"
             f"  {label(report)} / {detect_pattern(sp)}"
         )
 

@@ -6,7 +6,7 @@ Usage: python scripts/frobenius_tables.py [--pmax N]
 
 import argparse
 
-from psemigroups import build, genus_p, sylvester_sum_p
+from psemigroups import build_range, gap_count, gap_sum
 
 SHOWCASE = [(4, 5, 6), (8, 4, 5, 6), (8, 12, 15, 18), (17, 18, 19)]
 
@@ -19,11 +19,10 @@ def main() -> None:
     for gens in SHOWCASE:
         print(f"A = {set(gens)}")
         print(f"{'p':>4} {'frobenius':>10} {'multiplicity':>13} {'genus':>7} {'gap sum':>9}")
-        for p in range(args.pmax + 1):
-            sp = build(gens, p)
+        for sp in build_range(gens, range(args.pmax + 1)):
             print(
-                f"{p:>4} {sp.frobenius:>10} {sp.multiplicity:>13}"
-                f" {genus_p(gens, p):>7} {sylvester_sum_p(gens, p):>9}"
+                f"{sp.p:>4} {sp.frobenius:>10} {sp.multiplicity:>13}"
+                f" {gap_count(sp):>7} {gap_sum(sp):>9}"
             )
         print()
 

@@ -29,9 +29,13 @@ from .semigroup import (
     PSemigroup,
     apery_set,
     build,
+    build_range,
     frobenius_p,
+    gap_count,
+    gap_sum,
     genus_p,
     kunz_coordinates,
+    member_mask,
     multiplicity_p,
     power_sum_bernoulli,
     power_sum_gaps,
@@ -73,17 +77,21 @@ __all__ = [
     "as_generator_set",
     "bernoulli",
     "build",
+    "build_range",
     "classify",
     "denumerant",
     "detect_pattern",
     "eulerian",
     "frobenius_p",
+    "gap_count",
+    "gap_sum",
     "genus_p",
     "hlk_sets",
     "horizon_cap",
     "is_arf",
     "is_minimal_generator_system",
     "kunz_coordinates",
+    "member_mask",
     "multiplicity_p",
     "power_sum_bernoulli",
     "power_sum_gaps",

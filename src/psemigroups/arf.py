@@ -6,7 +6,7 @@ from __future__ import annotations
 from .denumerant import as_generator_set
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build
+from .semigroup import PSemigroup, build, member_mask
 
 
 def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
@@ -28,18 +28,15 @@ def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
     if cutoff < 0:
         raise PreconditionError("limit must be non-negative")
     a, c = sp.modulus, sp.conductor
-    bits = bytearray(b"0") * max(cutoff, c)
-    for m in sp.apery_by_residue:
-        bits[m::a] = b"1" * len(range(m, len(bits), a))
-    members = int(bits[::-1] or b"0", 2)
-    member_mask = members & ((1 << cutoff) - 1)
+    members = member_mask(sp, max(cutoff, c))
+    in_cutoff = members & ((1 << cutoff) - 1)
     gap_mask = ~members & ((1 << c) - 1)
     for t in range(min(cutoff, a)):
-        pair_mask = member_mask & (member_mask << t)
+        pair_mask = in_cutoff & (in_cutoff << t)
         if pair_mask == 0:
             continue
         y_min = (pair_mask & -pair_mask).bit_length() - 1
-        fail = (member_mask & (gap_mask >> t)) >> y_min
+        fail = (in_cutoff & (gap_mask >> t)) >> y_min
         if fail:
             x = (fail & -fail).bit_length() - 1 + y_min
             witness = (x, y_min, y_min - t)

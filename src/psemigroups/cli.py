@@ -28,6 +28,9 @@ from .identities import verify_gcd_scaling, verify_johnson, verify_watanabe
 from .reports import Report
 from .semigroup import (
     build,
+    build_range,
+    gap_count,
+    gap_sum,
     genus_p,
     power_sum_bernoulli,
     power_sum_gaps,
@@ -178,7 +181,7 @@ def _parse_gens(text: str) -> GeneratorSet:
     return as_generator_set(values)
 
 
-def _parse_p_range(text: str) -> list[int]:
+def _parse_p_range(text: str) -> range:
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         try:
@@ -187,14 +190,14 @@ def _parse_p_range(text: str) -> list[int]:
             raise PreconditionError(f"could not parse p range from {_echo(text)}") from None
         if lo < 0 or hi < lo:
             raise PreconditionError(f"invalid p range {_echo(text)}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
         p = int(text)
     except ValueError:
         raise PreconditionError(f"could not parse p from {_echo(text)}") from None
     if p < 0:
         raise PreconditionError("p must be non-negative")
-    return [p]
+    return range(p, p + 1)
 
 
 def _parse_weight(text: str | None) -> Fraction | None:
@@ -206,7 +209,7 @@ def _parse_weight(text: str | None) -> Fraction | None:
         raise PreconditionError(f"could not parse weight from {_echo(text)}") from None
 
 
-def _single_p(values: list[int]) -> int:
+def _single_p(values: range) -> int:
     if len(values) != 1:
         raise PreconditionError("this command takes a single p, not a range")
     return values[0]
@@ -251,35 +254,34 @@ _TABLE_FIELDS = {
     "frobenius": lambda sp: sp.frobenius,
     "multiplicity": lambda sp: sp.multiplicity,
     "conductor": lambda sp: sp.conductor,
-    "genus": lambda sp: len(sp.gaps),
-    "sylvester_sum": lambda sp: sum(sp.gaps),
+    "genus": gap_count,
+    "sylvester_sum": gap_sum,
     "type": lambda sp: sym_mod.type_p(sp),
 }
 
 
-def table_document(gens: GeneratorSet, p_values: list[int], fields: list[str]) -> dict[str, Any]:
+def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> dict[str, Any]:
     for f in fields:
         if f not in _TABLE_FIELDS:
             raise PreconditionError(
                 f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}"
             )
     rows = []
-    for p in p_values:
-        sp = build(gens, p)
-        row: dict[str, Any] = {"p": p}
+    for sp in build_range(gens, p_values):
+        row: dict[str, Any] = {"p": sp.p}
         for f in fields:
             row[f] = _TABLE_FIELDS[f](sp)
         rows.append(row)
     return {"generators": list(gens.ordered), "rows": rows}
 
 
-def classify_document(gens: GeneratorSet, p_values: list[int]) -> dict[str, Any]:
+def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
     rows = []
-    for p in p_values:
-        report = sym_mod.classify(build(gens, p))
+    for sp in build_range(gens, p_values):
+        report = sym_mod.classify(sp)
         rows.append(
             {
-                "p": p,
+                "p": sp.p,
                 "symmetric": report.symmetric,
                 "pseudo_symmetric": report.pseudo_symmetric,
                 "almost_symmetric": report.almost_symmetric,
@@ -344,19 +346,21 @@ def _run_verify(args: argparse.Namespace) -> list[Report]:
             "pf-consequences": sym_mod.verify_pf_consequences,
             "almost-symmetric": sym_mod.verify_almost_symmetric_equivalences,
         }
-        return [fns[name](build(gens, p)) for p in _parse_p_range(args.p)]
+        return [fns[name](sp) for sp in build_range(gens, _parse_p_range(args.p))]
     if name == "nari":
         gens = _parse_gens(_required(args, "gens"))
+        _only_p0(args, "nari is defined at p = 0")
         return [sym_mod.verify_nari(gens)]
     if name == "arf-heredity":
+        _only_p0(args, "arf-heredity takes its p range from --pmax")
         if args.a is None or args.b is None:
             raise PreconditionError("verify arf-heredity needs --a and --b")
         return [arf_mod.verify_arf_heredity(args.a, args.b, args.pmax)]
     if name == "arf-kunz":
         gens = _parse_gens(_required(args, "gens"))
         return [
-            arf_mod.verify_arf_conductor_kunz(build(gens, p))
-            for p in _parse_p_range(args.p)
+            arf_mod.verify_arf_conductor_kunz(sp)
+            for sp in build_range(gens, _parse_p_range(args.p))
         ]
     if name == "eulerian-gf":
         if args.exponent is None or args.order is None:
@@ -370,6 +374,11 @@ def _required(args: argparse.Namespace, field: str) -> str:
     if value is None:
         raise PreconditionError(f"verify {args.name} needs --{field}")
     return value
+
+
+def _only_p0(args: argparse.Namespace, reason: str) -> None:
+    if _parse_p_range(args.p) != range(1):
+        raise PreconditionError(f"verify {args.name} takes only --p 0: {reason}")
 
 
 def verify_exit_code(docs: list[dict[str, Any]]) -> int:

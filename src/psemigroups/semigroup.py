@@ -1,25 +1,44 @@
 """The order-p numerical semigroup of a generator list: every n whose
 representation count exceeds p.
 
-Within each residue class modulo a = min(A) the count is non-decreasing
-along steps of a (append one more copy of a to any representation), so the
-least member of each class is found by a single upward scan, and membership
-everywhere follows from those class minima.
+Within each residue class modulo a generator g the count is non-decreasing
+along steps of g (append one more copy of g to any representation), so the
+least member of each class, the class minimum, decides membership in the
+whole class; every invariant of an instance is derived from its minima
+modulo a = min(A).
+
+The minima for every p of a range come from one computation at the largest
+p, P, along the cheaper of two exact routes:
+
+- the count table, grown geometrically while its k stages hold at most
+  (k-1)*g*(P+1) entries; once every class column exceeds P within it, each
+  p's minima are read by bisection;
+- (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
+  congruent to n modulo g that are representable over the generators
+  other than g, so the class minimum at p is the (p+1)-th smallest of
+  them.  The lists are merged one generator at a time, in
+  O((k-1)*g*(P+1)*log(g)) and with no table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .denumerant import DenumerantTable, GeneratorSet, as_generator_set
+from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .exactmath import bernoulli
 
 DEFAULT_POWER_CAP = 8
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 @dataclass(frozen=True)
@@ -27,8 +46,8 @@ class PSemigroup:
     """One built (generators, p) instance; immutable and freely shareable.
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
-    modulus; ``small_elements`` lists the members up to and including the
-    conductor, beyond which every integer is a member.
+    modulus.  The instance holds O(a) data; ``gaps`` and ``small_elements``
+    are derived from the class minima on first access.
     """
 
     generators: GeneratorSet
@@ -36,8 +55,6 @@ class PSemigroup:
     modulus: int
     apery_by_residue: tuple[int, ...]
     apery_sorted: tuple[int, ...]
-    gaps: tuple[int, ...]
-    small_elements: tuple[int, ...]
     multiplicity: int
     frobenius: int
     conductor: int
@@ -48,6 +65,35 @@ class PSemigroup:
         return n >= 0 and n >= self.apery_by_residue[n % self.modulus]
 
     __contains__ = contains
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """The non-members, ascending; all lie below the conductor."""
+        outside = _member_flags(self, self.conductor).translate(_INVERT)
+        return tuple(compress(range(self.conductor), outside))
+
+    @cached_property
+    def small_elements(self) -> tuple[int, ...]:
+        """The members up to and including the conductor, beyond which
+        every integer is a member."""
+        length = self.conductor + 1
+        return tuple(compress(range(length), _member_flags(self, length)))
+
+
+def _member_flags(sp: PSemigroup, length: int) -> bytearray:
+    """One byte per n < length: 1 for a member, 0 for a gap."""
+    a, flags = sp.modulus, bytearray(length)
+    for m in sp.apery_by_residue:
+        if m < length:
+            flags[m::a] = b"\x01" * len(range(m, length, a))
+    return flags
+
+
+def member_mask(sp: PSemigroup, length: int, mirrored: bool = False) -> int:
+    """Bitmask of the members below ``length``: bit n is set iff n is a
+    member, or, ``mirrored``, iff length - 1 - n is."""
+    digits = _member_flags(sp, length).translate(_TO_DIGITS)
+    return int((digits if mirrored else digits[::-1]) or b"0", 2)
 
 
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
@@ -60,65 +106,169 @@ def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
 
 @lru_cache(maxsize=512)
 def _build(ordered: tuple[int, ...], p: int) -> PSemigroup:
-    A = GeneratorSet(ordered)
+    return next(build_range(GeneratorSet(ordered), range(p, p + 1)))
+
+
+def build_range(
+    gens: GeneratorSet | Iterable[int], p_values: range
+) -> Iterator[PSemigroup]:
+    """The instances for every p of ``p_values``, in order, from one
+    computation of the class minima up to its largest p.  That computation
+    (and the cap check) happens here; each instance is made when the
+    iterator reaches it, so a long range holds one instance at a time."""
+    A = as_generator_set(gens)
+    if not p_values:
+        return iter(())
+    ends = (p_values[0], p_values[-1])
+    if min(ends) < 0:
+        raise PreconditionError("p must be non-negative")
+    minima_at = _class_minima(A, A.least, max(ends))
+    return (_instance(A, p, minima_at(p)) for p in p_values)
+
+
+def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
     a = A.least
-    table = DenumerantTable(A, horizon=max(A.ordered))
-    minima = _least_members_by_residue(table, p, a)
+    _validate(A.ordered, a, minima)
     frobenius = max(minima) - a
-    conductor = frobenius + 1
-    table.ensure(max(minima))
-    gaps = tuple(n for n in range(frobenius + 1) if table.count(n) <= p)
-    small = tuple(n for n in range(conductor + 1) if table.count(n) > p)
-    sp = PSemigroup(
+    return PSemigroup(
         generators=A,
         p=p,
         modulus=a,
-        apery_by_residue=tuple(minima),
+        apery_by_residue=minima,
         apery_sorted=tuple(sorted(minima)),
-        gaps=gaps,
-        small_elements=small,
         multiplicity=min(minima),
         frobenius=frobenius,
-        conductor=conductor,
-        kunz=tuple((minima[j] - j) // a for j in range(a)),
+        conductor=frobenius + 1,
+        kunz=tuple((m - j) // a for j, m in enumerate(minima)),
     )
-    _validate(sp, table)
-    return sp
 
 
-def _least_members_by_residue(
-    table: DenumerantTable, p: int, modulus: int
-) -> list[int]:
-    found: list[int | None] = [None] * modulus
-    remaining = modulus
-    n = 0
-    while remaining:
-        table.ensure(n)
-        j = n % modulus
-        if found[j] is None and table.count(n) > p:
-            found[j] = n
-            remaining -= 1
-        n += 1
-    return [v for v in found if v is not None]
+def _class_minima(
+    A: GeneratorSet, modulus: int, top: int
+) -> Callable[[int], tuple[int, ...]]:
+    """p -> class minima modulo ``modulus`` (a generator) for 0 <= p <= top.
 
-
-def _validate(sp: PSemigroup, table: DenumerantTable) -> None:
-    a, p = sp.modulus, sp.p
-    for j, m in enumerate(sp.apery_by_residue):
-        below = m - a
-        ok = (
-            m % a == j
-            and table.count(m) > p
-            and (below < 0 or table.count(below) <= p)
+    The table route is tried first, within the size at which the lists
+    would cost no more; the lists take over when it does not settle there.
+    The horizon cap bounds the table's entries per stage and the lists'
+    modulus * (top + 1) entries alike, and the largest minimum found must
+    stay below it before anything F-sized is derived.
+    """
+    cap = horizon_cap()
+    k = len(A)
+    list_entries = modulus * (top + 1)
+    lists_fit = list_entries <= cap
+    limit = min(cap, (k - 1) * list_entries // k) if lists_fit else cap
+    minima_at = _minima_from_table(A, modulus, top, limit)
+    if minima_at is None:
+        if not lists_fit:
+            raise CapExceededError(
+                f"class minima at p = {top} need a count table past {cap}"
+                f" entries or {list_entries} list entries; the cap is {cap}"
+            )
+        minima_at = _minima_from_lists(A.ordered, modulus, top)
+    largest = max(minima_at(top))
+    if largest + 1 > cap:
+        raise CapExceededError(
+            f"class minima reach {largest}, past the cap {cap}"
         )
-        if not ok:
-            raise InternalCheckError(f"class minimum {m} fails its conditions")
-    if sorted(n % a for n in sp.apery_by_residue) != list(range(a)):
+    return minima_at
+
+
+def _minima_from_table(
+    A: GeneratorSet, modulus: int, top: int, limit: int
+) -> Callable[[int], tuple[int, ...]] | None:
+    """Count-table route: grow the table, at most ``limit`` entries a
+    stage, until the last entry of every class column exceeds ``top``;
+    None when it does not within that size.  Columns are non-decreasing,
+    so the minimum of class j at p is j + modulus * (number of entries of
+    column j that are at most p)."""
+    g = modulus
+    horizon = max(A.ordered)
+    if horizon + 1 > limit:
+        return None
+    table = DenumerantTable(A, horizon, cap=limit)
+    while True:
+        h = table.horizon
+        if min(table.count(n) for n in range(h - g + 1, h + 1)) > top:
+            break
+        if h + 1 >= limit:
+            return None
+        table.ensure(h + 1)
+    counts = table.counts
+    columns = [counts[j::g] for j in range(g)]
+
+    def minima_at(p: int) -> tuple[int, ...]:
+        return tuple(j + g * bisect_right(col, p) for j, col in enumerate(columns))
+
+    return minima_at
+
+
+def _minima_from_lists(
+    order: tuple[int, ...], modulus: int, top: int
+) -> Callable[[int], tuple[int, ...]]:
+    """(top+1)-best-lists route: for each residue class, the top + 1
+    smallest values (with multiplicity) representable over the generators
+    other than ``modulus``; the minimum of class j at p is the p-th entry
+    of list j (counting from 0)."""
+    keep = top + 1
+    lists: list[list[int]] = [[] for _ in range(modulus)]
+    lists[0].append(0)
+    for b in order:
+        if b != modulus:
+            lists = _merge_generator(lists, b, modulus, keep)
+
+    def minima_at(p: int) -> tuple[int, ...]:
+        return tuple(values[p] for values in lists)
+
+    return minima_at
+
+
+def _merge_generator(
+    lists: list[list[int]], b: int, modulus: int, keep: int
+) -> list[list[int]]:
+    """The lists once b may be used too: class r merges its old list with
+    the new list of class r - b shifted by b (Boecker and Liptak's
+    round-robin step, Algorithmica 48, 2007).  Values leave one heap in
+    ascending order; a value v placed in class r feeds v + b to class
+    r + b, and a class takes no values past ``keep``.  Heap entries are
+    (value, class, next index into the old list), the index 0 marking a
+    fed value."""
+    new: list[list[int]] = [[] for _ in range(modulus)]
+    heap = [(values[0], r, 1) for r, values in enumerate(lists) if values]
+    heapify(heap)
+    while heap:
+        v, r, nxt = heappop(heap)
+        out = new[r]
+        if len(out) == keep:
+            continue
+        out.append(v)
+        old = lists[r]
+        if nxt and nxt < len(old):
+            heappush(heap, (old[nxt], r, nxt + 1))
+        s = (r + b) % modulus
+        if len(new[s]) < keep:
+            heappush(heap, (v + b, s, 0))
+    return new
+
+
+def _validate(order: tuple[int, ...], modulus: int, minima: tuple[int, ...]) -> None:
+    """O(k*modulus) structural checks of class minima from either route."""
+    if len(minima) != modulus:
         raise InternalCheckError("class minima do not cover all residues")
-    if sp.small_elements[0] != sp.multiplicity:
-        raise InternalCheckError("least member disagrees with class minima")
-    if any(k < 0 for k in sp.kunz):
-        raise InternalCheckError("negative Kunz coordinate")
+    for j, m in enumerate(minima):
+        if m % modulus != j:
+            raise InternalCheckError(f"class minimum {m} is not in class {j}")
+        if m < 0:
+            raise InternalCheckError("negative Kunz coordinate")
+    # a count never drops along a step of a generator b, so the member
+    # m_j + b bounds the minimum of its class
+    for b in order:
+        for j, m in enumerate(minima):
+            if minima[(j + b) % modulus] > m + b:
+                raise InternalCheckError(
+                    f"class minimum {minima[(j + b) % modulus]} exceeds {m} + {b}"
+                )
 
 
 def apery_set(
@@ -126,8 +276,8 @@ def apery_set(
 ) -> tuple[int, ...]:
     """Least member of each residue class modulo ``modulus`` (default min(A)).
 
-    The modulus must be one of the generators: the single upward scan per
-    class is justified by count monotonicity along steps of a generator.
+    The modulus must be one of the generators: the per-class reading of the
+    counts is justified by their monotonicity along steps of a generator.
     """
     A = as_generator_set(gens)
     if p < 0:
@@ -136,8 +286,9 @@ def apery_set(
         return build(A, p).apery_by_residue
     if modulus not in A.ordered:
         raise PreconditionError("modulus must be one of the generators")
-    table = DenumerantTable(A, horizon=max(A.ordered))
-    return tuple(_least_members_by_residue(table, p, modulus))
+    minima = _class_minima(A, modulus, p)(p)
+    _validate(A.ordered, modulus, minima)
+    return minima
 
 
 def frobenius_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
@@ -150,13 +301,11 @@ def multiplicity_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
     return build(gens, p).multiplicity
 
 
-def genus_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Number of gaps; the class-minima formula is re-derived and compared
-    against the direct enumeration on every call."""
-    sp = build(gens, p)
-    direct = len(sp.gaps)
-    total = sum(sp.apery_by_residue)
-    formula = Fraction(total, sp.modulus) - Fraction(sp.modulus - 1, 2)
+def gap_count(sp: PSemigroup) -> int:
+    """Number of gaps, counted on the membership flags (no gap list is
+    built) and compared with the class-minima formula on every call."""
+    direct = _member_flags(sp, sp.conductor).count(0)
+    formula = Fraction(sum(sp.apery_by_residue), sp.modulus) - Fraction(sp.modulus - 1, 2)
     if formula != direct:
         raise InternalCheckError(
             f"genus mismatch: enumeration {direct}, formula {formula}"
@@ -164,10 +313,11 @@ def genus_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
     return direct
 
 
-def sylvester_sum_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Sum of the gaps, cross-checked against the class-minima formula."""
-    sp = build(gens, p)
-    direct = sum(sp.gaps)
+def gap_sum(sp: PSemigroup) -> int:
+    """Sum of the gaps, added up over the membership flags and compared
+    with the class-minima formula on every call."""
+    outside = _member_flags(sp, sp.conductor).translate(_INVERT)
+    direct = sum(compress(range(sp.conductor), outside))
     a = sp.modulus
     m = sp.apery_by_residue
     formula = (
@@ -180,6 +330,16 @@ def sylvester_sum_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
             f"gap-sum mismatch: enumeration {direct}, formula {formula}"
         )
     return direct
+
+
+def genus_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
+    """Number of gaps (``gap_count`` of the built instance)."""
+    return gap_count(build(gens, p))
+
+
+def sylvester_sum_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
+    """Sum of the gaps (``gap_sum`` of the built instance)."""
+    return gap_sum(build(gens, p))
 
 
 def kunz_coordinates(gens: GeneratorSet | Iterable[int], p: int) -> tuple[int, ...]:

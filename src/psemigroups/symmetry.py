@@ -2,23 +2,27 @@
 classification of a built instance.
 
 The mirror of x is multiplicity + frobenius - x.  All classifications are
-evaluated from first principles on the gap and member sets; the verify_*
-functions re-derive the same classifications along independent routes and
-report agreement.
+evaluated from first principles, as bitmask tests on the members and their
+mirror images; the verify_* functions re-derive the same classifications
+along independent routes and report agreement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress, count
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
 from .reports import Report
-from .semigroup import PSemigroup, build
+from .semigroup import PSemigroup, build, member_mask
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
 PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
 PATTERN_OTHER = "OTHER"
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # Index arithmetic for the residue-pairing checks reads m(t) as the class
 # minimum of t's residue class; paired indices always sum to
@@ -45,18 +49,33 @@ class CofiniteSet:
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Classification of one instance: pseudo-Frobenius set, type, the
-    mirror decomposition, and the four symmetry flags."""
+    """Classification of one instance: pseudo-Frobenius set, type, and the
+    four symmetry flags.  The mirror decomposition ``h_set``, ``l_set`` and
+    ``k_set`` of the instance is built only when first read."""
 
+    instance: PSemigroup = field(repr=False)
     pf: tuple[int, ...]
     type_count: int
-    h_set: tuple[int, ...]
-    l_set: tuple[int, ...]
-    k_set: CofiniteSet
     symmetric: bool
     pseudo_symmetric: bool
     almost_symmetric: bool
     completely_symmetric: bool
+
+    @cached_property
+    def _hlk(self) -> tuple[tuple[int, ...], tuple[int, ...], CofiniteSet]:
+        return hlk_sets(self.instance)
+
+    @property
+    def h_set(self) -> tuple[int, ...]:
+        return self._hlk[0]
+
+    @property
+    def l_set(self) -> tuple[int, ...]:
+        return self._hlk[1]
+
+    @property
+    def k_set(self) -> CofiniteSet:
+        return self._hlk[2]
 
 
 def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
@@ -85,34 +104,42 @@ def type_p(sp: PSemigroup) -> int:
     return len(pseudo_frobenius(sp))
 
 
+def _mirror_masks(sp: PSemigroup) -> tuple[int, int, int]:
+    """(members, mirror, full) over [0, total], total = frobenius +
+    multiplicity: bit x of ``members`` is set iff x is a member, of
+    ``mirror`` iff total - x is, and ``full`` has every bit set.  Integers
+    outside [0, total] need no bits: a negative one is never a member and
+    its mirror lies above the largest gap."""
+    length = sp.frobenius + sp.multiplicity + 1
+    return (
+        member_mask(sp, length),
+        member_mask(sp, length, mirrored=True),
+        (1 << length) - 1,
+    )
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a non-negative mask, ascending."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+
+
 def hlk_sets(sp: PSemigroup) -> tuple[tuple[int, ...], tuple[int, ...], CofiniteSet]:
     """Mirror image of the members (within the non-negatives), the set whose
     element and mirror both fall outside, and the mirror image of the
-    complement (co-finite upward)."""
-    g, low = sp.frobenius, sp.multiplicity
-    total = g + low
-    h_tail = {total - s for s in sp.small_elements if s <= g}
-    h = tuple(sorted(set(range(low)) | h_tail))
-    l = tuple(x for x in sp.gaps if x > low and not sp.contains(total - x))
-    k_below = tuple(sorted(total - x for x in sp.gaps))
-    return h, l, CofiniteSet(k_below, total + 1)
+    complement (co-finite upward).
 
-
-def _mirror_pairs_exactly_one(sp: PSemigroup, exception: int | None) -> bool:
-    """True iff every pair {x, total - x} holds exactly one member.
-
-    Pairs with a negative side always qualify (the other side lands above
-    the largest gap), so only x in [0, total] needs scanning.  A pair whose
-    two sides coincide (x = total - x) can never hold exactly one member,
-    so an even total fails unless the midpoint is exempted.
+    With total the mirror total, H is the x <= frobenius whose mirror is a
+    member (below the multiplicity every mirror lies past the largest gap),
+    L the x with both sides outside, and K below total + 1 the x whose
+    mirror is a gap; three bitmask expressions, O(F/64) word operations
+    before the positions are listed.
     """
+    members, mirror, full = _mirror_masks(sp)
     total = sp.frobenius + sp.multiplicity
-    for x in range(total // 2 + 1):
-        if x == exception:
-            continue
-        if sp.contains(x) == sp.contains(total - x):
-            return False
-    return True
+    h = _positions(mirror & ((1 << (sp.frobenius + 1)) - 1))
+    l = _positions(full & ~(members | mirror))
+    k_below = _positions(full & ~mirror)
+    return h, l, CofiniteSet(k_below, total + 1)
 
 
 def classify(sp: PSemigroup) -> SymmetryReport:
@@ -128,21 +155,23 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     The exchange must hold in both directions: one gap mirroring onto
     another breaks it, but so do two members mirroring onto each other,
     which can happen here because members need not be closed downward.
+    All three are bitmask tests over [0, total], O(F/64) word operations.
     """
     pf = pseudo_frobenius(sp)
-    h, l, k = hlk_sets(sp)
+    members, mirror, full = _mirror_masks(sp)
     total = sp.frobenius + sp.multiplicity
-    symmetric = _mirror_pairs_exactly_one(sp, exception=None)
-    pseudo = total % 2 == 0 and _mirror_pairs_exactly_one(sp, exception=total // 2)
+    exchange = members ^ mirror
+    symmetric = exchange == full
+    pseudo = total % 2 == 0 and exchange | (1 << total // 2) == full
+    both_outside = full & ~(members | mirror)
+    pf_mask = sum(1 << x for x in pf)
     return SymmetryReport(
+        instance=sp,
         pf=pf,
         type_count=len(pf),
-        h_set=h,
-        l_set=l,
-        k_set=k,
         symmetric=symmetric,
         pseudo_symmetric=pseudo,
-        almost_symmetric=set(l) <= set(pf),
+        almost_symmetric=both_outside & ~pf_mask == 0,
         completely_symmetric=symmetric and sp.multiplicity == sp.conductor,
     )
 
@@ -160,12 +189,15 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low
-
-    members_in_window = sum(1 for n in range(low, g + 1) if sp.contains(n))
+    members, mirror, full = _mirror_masks(sp)
+    exchange = members ^ mirror == full
+    # no member lies below the multiplicity, so the members up to the
+    # largest gap are those of the window
+    members_in_window = (members & ((1 << (g + 1)) - 1)).bit_count()
     gaps_in_window = (g - low + 1) - members_in_window
+    genus = g + 1 - members_in_window
 
     ls = sp.apery_sorted
-    exchange = _mirror_pairs_exactly_one(sp, exception=None)
     verdicts = {
         "definition": exchange,
         "window_counts": members_in_window == gaps_in_window,
@@ -173,7 +205,7 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
         "sorted_pairing": all(
             ls[i] + ls[a - i - 1] == total + a for i in range(1, a // 2 + 1)
         ),
-        "genus_midpoint": 2 * len(sp.gaps) == total + 1,
+        "genus_midpoint": 2 * genus == total + 1,
     }
     return Report(
         "verdicts",

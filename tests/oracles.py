@@ -4,7 +4,9 @@ These deliberately use naive recursion and direct set logic so they share
 no machinery with the package; tests compare the two on small instances.
 The full_* routes are bitmask scans over a built instance's enumerated
 gaps and members, quadratic in the Frobenius number; they serve as
-references at sizes the brute-force scans cannot reach.
+references at sizes the brute-force scans cannot reach.  The set-based
+mirror routes are the library's former O(F) evaluations of the exchange
+and of H/L/K, kept as references for its bitmask ones.
 """
 
 from __future__ import annotations
@@ -65,6 +67,20 @@ class BruteSemigroup:
         return x >= 0 and (x > self.frobenius or x not in self._gapset)
 
 
+def brute_class_minima(gens: tuple[int, ...], p: int, modulus: int) -> tuple[int, ...]:
+    """Least member of each residue class modulo ``modulus`` (one of the
+    generators), read off the brute-force gap set: counts never drop along
+    a step of a generator, so each class is closed upward under it."""
+    gapset = set(brute_gap_set(gens, p))
+    minima = []
+    for j in range(modulus):
+        n = j
+        while n in gapset:
+            n += modulus
+        minima.append(n)
+    return tuple(minima)
+
+
 def brute_pseudo_frobenius(gens: tuple[int, ...], p: int) -> list[int]:
     """Definition-level scan: x outside with x + s - multiplicity inside
     for every member s above the multiplicity (larger s cannot fail)."""
@@ -123,3 +139,34 @@ def full_scan_arf(sp, limit: int | None = None) -> tuple[bool, tuple[int, int, i
             x = (fail & -fail).bit_length() - 1 + y_min
             return False, (x, y_min, y_min - t)
     return True, None
+
+
+def mirror_pairs_exactly_one(sp, exception: int | None) -> bool:
+    """True iff every pair {x, total - x} holds exactly one member.
+
+    Pairs with a negative side always qualify (the other side lands above
+    the largest gap), so only x in [0, total] needs scanning.  A pair whose
+    two sides coincide (x = total - x) can never hold exactly one member,
+    so an even total fails unless the midpoint is exempted.
+    """
+    total = sp.frobenius + sp.multiplicity
+    for x in range(total // 2 + 1):
+        if x == exception:
+            continue
+        if sp.contains(x) == sp.contains(total - x):
+            return False
+    return True
+
+
+def set_hlk_sets(sp):
+    """H, L and the finite part of K from the enumerated gaps and members:
+    the mirror image of the members within the non-negatives, the gaps
+    above the multiplicity whose mirror is outside, and the mirror image
+    of the gaps (K contains everything above the mirror total as well)."""
+    g, low = sp.frobenius, sp.multiplicity
+    total = g + low
+    h_tail = {total - s for s in sp.small_elements if s <= g}
+    h = tuple(sorted(set(range(low)) | h_tail))
+    l = tuple(x for x in sp.gaps if x > low and not sp.contains(total - x))
+    k_below = tuple(sorted(total - x for x in sp.gaps))
+    return h, l, k_below

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from psemigroups import semigroup
 from psemigroups import (
     build,
     classify,
@@ -229,6 +231,92 @@ def test_verify_output_is_pinned(capsys, command, exit_code, stdout):
     assert out == stdout + "\n"
 
 
+# Exact stdout of p ranges on each side of the route choice for the class
+# minima (recorded before the routes existed): {8,9,10} up to p = 1330 and
+# the extreme-p cases resolve on the count table, {128,218,231} on the
+# (p+1)-best lists.  The extreme-p frobenius numbers are 34072 and 3033.
+PINNED_RANGES = [
+    (
+        'table --gens 8,9,10 --p 1321..1330 --field frobenius,genus',
+        'table',
+        '{"generators":[8,9,10],"rows":['
+        '{"frobenius":1369,"genus":1366,"p":1321},'
+        '{"frobenius":1371,"genus":1368,"p":1322},'
+        '{"frobenius":1371,"genus":1368,"p":1323},'
+        '{"frobenius":1371,"genus":1368,"p":1324},'
+        '{"frobenius":1371,"genus":1368,"p":1325},'
+        '{"frobenius":1373,"genus":1370,"p":1326},'
+        '{"frobenius":1373,"genus":1370,"p":1327},'
+        '{"frobenius":1373,"genus":1370,"p":1328},'
+        '{"frobenius":1373,"genus":1370,"p":1329},'
+        '{"frobenius":1375,"genus":1372,"p":1330}]}'
+    ),
+    (
+        'classify --gens 128,218,231 --p 1..29',
+        'lists',
+        '{"generators":[128,218,231],"rows":['
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":1,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":2,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":3,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":4,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":5,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":6,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":7,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":8,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":9,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":10,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":11,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":12,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":13,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":14,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":15,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":16,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":17,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":18,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":19,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":20,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":21,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":22,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":23,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":24,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":25,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":26,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":27,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":28,"pseudo_symmetric":false,"symmetric":false},'
+        '{"almost_symmetric":false,"completely_symmetric":false,"p":29,"pseudo_symmetric":false,"symmetric":false}]}'
+    ),
+    (
+        'table --gens 17,18,19 --p 100000',
+        'table',
+        '{"generators":[17,18,19],"rows":[{"frobenius":34072,"p":100000}]}',
+    ),
+    (
+        'table --gens 10,11,12,18 --p 200000',
+        'table',
+        '{"generators":[10,11,12,18],"rows":[{"frobenius":3033,"p":200000}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("command, route, stdout", PINNED_RANGES)
+def test_range_output_is_pinned(capsys, monkeypatch, command, route, stdout):
+    served = []
+    for name in ("table", "lists"):
+        fn = getattr(semigroup, f"_minima_from_{name}")
+
+        def spy(*args, _fn=fn, _name=name):
+            result = _fn(*args)
+            if result is not None:
+                served.append(_name)
+            return result
+
+        monkeypatch.setattr(semigroup, f"_minima_from_{name}", spy)
+    code, out = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert out == stdout + "\n"
+    assert served == [route]
+
+
 def test_verify_exit_code_mapping():
     assert verify_exit_code([{"applicable": True, "passed": True}]) == EXIT_OK
     assert verify_exit_code([{"applicable": False, "passed": False}]) == EXIT_OK
@@ -259,6 +347,11 @@ def test_precondition_exit_code(capsys):
     for weight in ("abc", "1/0"):
         code, _ = run_cli(capsys, "sums", "--gens", "2,3", "--p", "0", "--weight", weight)
         assert code == EXIT_PRECONDITION
+    # nari is defined at p = 0, and arf-heredity reads its range from --pmax
+    code, _ = run_cli(capsys, "verify", "nari", "--gens", "4,5,6", "--p", "0..50")
+    assert code == EXIT_PRECONDITION
+    code, _ = run_cli(capsys, "verify", "arf-heredity", "--a", "3", "--b", "4", "--p", "3")
+    assert code == EXIT_PRECONDITION
 
 
 def test_error_messages_quote_a_bounded_prefix(capsys):
@@ -278,6 +371,19 @@ def test_cap_exceeded_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "40")
     code, _ = run_cli(capsys, "analyze", "--gens", "101,103", "--p", "1")
     assert code == EXIT_CAP
+
+
+def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch):
+    # the range is never listed, and the cap is checked once, at its top p
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    start = time.perf_counter()
+    code = main(["classify", "--gens", "2,3", "--p", "0..1000000000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_CAP
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert elapsed < 1.0
 
 
 def test_json_is_deterministic_in_process(capsys):

@@ -5,12 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
-from oracles import brute_count, brute_gap_set
+from oracles import brute_class_minima, brute_count, brute_gap_set
 from psemigroups import (
     CapExceededError,
+    GeneratorSet,
     PreconditionError,
     apery_set,
     build,
+    build_range,
     frobenius_p,
     genus_p,
     kunz_coordinates,
@@ -20,6 +22,7 @@ from psemigroups import (
     sylvester_sum_p,
     weighted_power_sum,
 )
+from psemigroups.semigroup import _minima_from_lists, _minima_from_table
 
 GOLDEN_FROBENIUS = {
     (4, 5, 6): [7, 13, 19, 23, 27, 31, 33, 37, 39, 43, 43],
@@ -207,3 +210,45 @@ def test_membership_of_first_class_minimum():
         assert brute_count((4, 7, 9), m) > 2
         if m >= 4:
             assert brute_count((4, 7, 9), m - 4) <= 2
+
+
+@given(
+    gens=generator_tuples(max_value=12),
+    bounds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    pick=st.integers(0, 3),
+)
+def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds, pick):
+    # draws are unsorted and need not be minimal; each route is forced
+    # through its own function, for the least generator as modulus and for
+    # another one
+    lo, hi = sorted(bounds)
+    A = GeneratorSet(gens)
+    others = [g for g in gens if g != A.least]
+    other = others[pick % len(others)]
+    for modulus in (A.least, other):
+        by_table = _minima_from_table(A, modulus, hi, 10**7)
+        by_lists = _minima_from_lists(A.ordered, modulus, hi)
+        for p in range(lo, hi + 1):
+            assert by_table(p) == by_lists(p), (modulus, p)
+        assert by_lists(hi) == brute_class_minima(gens, hi, modulus)
+    assert apery_set(gens, hi, modulus=other) == by_lists(hi)
+    least = _minima_from_lists(A.ordered, A.least, hi)
+    in_range = [sp.apery_by_residue for sp in build_range(gens, range(lo, hi + 1))]
+    assert in_range == [build(gens, p).apery_by_residue for p in range(lo, hi + 1)]
+    assert in_range == [least(p) for p in range(lo, hi + 1)]
+
+
+def test_table_route_gives_up_within_its_size_limit():
+    # {10007, 10009, 10037} at p = 0 has F = 6814761, far past 20000 entries
+    A = GeneratorSet((10007, 10009, 10037))
+    assert _minima_from_table(A, A.least, 0, 20_000) is None
+    assert max(_minima_from_lists(A.ordered, A.least, 0)(0)) == 6814761 + 10007
+
+
+def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    with pytest.raises(CapExceededError):
+        build_range((2, 3), range(0, 10**12 + 1))
+    # F = 6p + 1 for {2, 3}: 601 at p = 100 stays under the cap
+    rows = build_range((2, 3), range(0, 101))
+    assert [next(rows).frobenius for _ in range(3)] == [1, 7, 13]

@@ -1,12 +1,19 @@
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances, generator_tuples, small_p
-from oracles import brute_l_set, brute_pseudo_frobenius, full_shift_pseudo_frobenius
+from oracles import (
+    brute_l_set,
+    brute_pseudo_frobenius,
+    full_shift_pseudo_frobenius,
+    mirror_pairs_exactly_one,
+    set_hlk_sets,
+)
 from psemigroups import (
     PATTERN_FULL_INTERVAL,
     PATTERN_OTHER,
     PATTERN_SINGLETON_PLUS_TAIL,
+    CofiniteSet,
     build,
     classify,
     detect_pattern,
@@ -182,6 +189,29 @@ def test_pf_matches_full_shift_reference_near_frobenius_1e4():
         sp = build(gens, p)
         assert (sp.frobenius, type_p(sp)) == (frobenius, type_count)
         assert pseudo_frobenius(sp) == full_shift_pseudo_frobenius(sp)
+
+
+@settings(max_examples=200)
+@given(instance=st.sampled_from(acceptance_instances()), p=st.integers(0, 15))
+def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
+    sp = build(instance[0], p)
+    total = sp.frobenius + sp.multiplicity
+    report = classify(sp)
+    h, l, k_below = set_hlk_sets(sp)
+    assert (report.h_set, report.l_set) == (h, l)
+    assert report.k_set == CofiniteSet(k_below, total + 1)
+    assert hlk_sets(sp) == (h, l, report.k_set)
+    symmetric = mirror_pairs_exactly_one(sp, exception=None)
+    pseudo = total % 2 == 0 and mirror_pairs_exactly_one(sp, exception=total // 2)
+    assert (report.symmetric, report.pseudo_symmetric) == (symmetric, pseudo)
+    assert report.almost_symmetric == (set(l) <= set(report.pf))
+    verdicts = verify_symmetry_equivalences(sp).details["verdicts"]
+    members_in_window = sum(sp.contains(n) for n in range(sp.multiplicity, sp.frobenius + 1))
+    assert verdicts["definition"] == verdicts["complementary_pairs"] == symmetric
+    assert verdicts["window_counts"] == (
+        2 * members_in_window == sp.frobenius - sp.multiplicity + 1
+    )
+    assert verdicts["genus_midpoint"] == (2 * len(sp.gaps) == total + 1)
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
