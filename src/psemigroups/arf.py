@@ -6,7 +6,7 @@ from __future__ import annotations
 from .denumerant import as_generator_set
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build, member_mask
+from .semigroup import PSemigroup, build, build_range, member_mask
 
 
 def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
@@ -60,7 +60,9 @@ def verify_arf_heredity(a: int, b: int, p_max: int) -> Report:
             note=f"base instance is not closed (witness {base.details['witness']})",
             details={"identity": "arf-heredity", "verdicts": {}},
         )
-    verdicts = {f"p={p}": is_arf(build(gens, p)).passed for p in range(p_max + 1)}
+    verdicts = {
+        f"p={sp.p}": is_arf(sp).passed for sp in build_range(gens, range(p_max + 1))
+    }
     return Report(
         "verdicts",
         passed=all(verdicts.values()),

@@ -17,24 +17,28 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from . import arf as arf_mod
 from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
-from .identities import verify_gcd_scaling, verify_johnson, verify_watanabe
+from .identities import (
+    verify_gcd_scaling_range,
+    verify_johnson_range,
+    verify_watanabe_range,
+)
 from .reports import Report
 from .semigroup import (
+    bit_positions,
     build,
     build_range,
     gap_count,
     gap_sum,
-    genus_p,
+    member_mask,
     power_sum_bernoulli,
     power_sum_gaps,
-    sylvester_sum_p,
     weighted_power_sum,
 )
 
@@ -48,35 +52,30 @@ EXIT_VERIFIER_FAILED = 5
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-def interval_runs(values: Iterable[int]) -> str:
-    """Run-length rendering of a finite integer set: "0-23,25,27"."""
-    items = sorted(values)
-    runs: list[str] = []
-    i = 0
-    while i < len(items):
-        j = i
-        while j + 1 < len(items) and items[j + 1] == items[j] + 1:
-            j += 1
-        if j == i:
-            runs.append(str(items[i]))
-        else:
-            runs.append(f"{items[i]}-{items[j]}")
-        i = j + 1
-    return ",".join(runs)
+def mask_runs(mask: int) -> str:
+    """Run-length rendering of the finite set whose members are the set
+    bits of ``mask``: "0-23,25,27".  The set bits of mask ^ (mask << 1)
+    are the run boundaries, alternately a run's first element and the
+    integer just past its last; one formatted string per run."""
+    edges = bit_positions(mask ^ (mask << 1))
+    return ",".join(
+        str(first) if stop - first == 1 else f"{first}-{stop - 1}"
+        for first, stop in zip(edges, edges)
+    )
 
 
-def finite_set_doc(values: Iterable[int], expand: bool) -> Any:
-    ordered = sorted(values)
-    return ordered if expand else interval_runs(ordered)
+def finite_set_doc(mask: int, expand: bool) -> Any:
+    """A finite set, given as the bitmask of its elements."""
+    return list(bit_positions(mask)) if expand else mask_runs(mask)
 
 
-def cofinite_doc(below: Iterable[int], all_from: int, expand: bool) -> dict[str, Any]:
-    """Merge the finite part into the tail where contiguous, then render."""
-    items = sorted(below)
-    while items and items[-1] == all_from - 1:
-        all_from -= 1
-        items.pop()
-    return {"below": finite_set_doc(items, expand), "all_from": all_from}
+def cofinite_doc(below: int, all_from: int, expand: bool) -> dict[str, Any]:
+    """The integers >= all_from together with the set bits of ``below``:
+    the run of set bits just under all_from merges into the tail, then the
+    rest renders as a finite set."""
+    all_from = (~below & ((1 << all_from) - 1)).bit_length()
+    below &= (1 << all_from) - 1
+    return {"below": finite_set_doc(below, expand), "all_from": all_from}
 
 
 def fraction_str(value: Fraction) -> str:
@@ -219,9 +218,13 @@ def _single_p(values: range) -> int:
 # document builders
 
 def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[str, Any]:
+    """Every set is rendered from a bitmask, so no O(F) tuple is built
+    unless ``expand`` lists the elements."""
     sp = build(gens, p)
     report = sym_mod.classify(sp)
-    members_below = [n for n in sp.small_elements if n <= sp.frobenius]
+    h, l, k_below = sym_mod.hlk_masks(sp)
+    c = sp.conductor
+    members = member_mask(sp, c)
     return {
         "generators": list(sp.generators.ordered),
         "p": sp.p,
@@ -230,17 +233,17 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "apery_sorted": list(sp.apery_sorted),
         "multiplicity": sp.multiplicity,
         "frobenius": sp.frobenius,
-        "conductor": sp.conductor,
-        "genus": genus_p(gens, p),
-        "sylvester_sum": sylvester_sum_p(gens, p),
+        "conductor": c,
+        "genus": gap_count(sp),
+        "sylvester_sum": gap_sum(sp),
         "kunz": list(sp.kunz),
-        "gaps": finite_set_doc(sp.gaps, expand),
-        "members": cofinite_doc(members_below, sp.conductor, expand),
-        "pseudo_frobenius": finite_set_doc(report.pf, expand),
+        "gaps": finite_set_doc(~members & ((1 << c) - 1), expand),
+        "members": cofinite_doc(members, c, expand),
+        "pseudo_frobenius": finite_set_doc(sum(1 << x for x in report.pf), expand),
         "type": report.type_count,
-        "h_set": finite_set_doc(report.h_set, expand),
-        "l_set": finite_set_doc(report.l_set, expand),
-        "k_set": cofinite_doc(report.k_set.below, report.k_set.all_from, expand),
+        "h_set": finite_set_doc(h, expand),
+        "l_set": finite_set_doc(l, expand),
+        "k_set": cofinite_doc(k_below, sp.frobenius + sp.multiplicity + 1, expand),
         "symmetric": report.symmetric,
         "pseudo_symmetric": report.pseudo_symmetric,
         "almost_symmetric": report.almost_symmetric,
@@ -330,14 +333,14 @@ def _report_doc(report: Report) -> dict[str, Any]:
 def _run_verify(args: argparse.Namespace) -> list[Report]:
     name = args.name
     if name in ("johnson", "watanabe"):
-        fn = verify_johnson if name == "johnson" else verify_watanabe
+        fn = verify_johnson_range if name == "johnson" else verify_watanabe_range
         if args.alpha is None or args.beta is None or args.gens is None:
             raise PreconditionError(f"verify {name} needs --alpha, --beta and --gens")
         gens = _parse_gens(args.gens)
-        return [fn(args.alpha, args.beta, gens, p) for p in _parse_p_range(args.p)]
+        return fn(args.alpha, args.beta, gens, _parse_p_range(args.p))
     if name == "gcd-scaling":
         gens = _parse_gens(_required(args, "gens"))
-        return [verify_gcd_scaling(gens, p) for p in _parse_p_range(args.p)]
+        return verify_gcd_scaling_range(gens, _parse_p_range(args.p))
     if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric"):
         gens = _parse_gens(_required(args, "gens"))
         fns = {

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 from .denumerant import GeneratorSet, as_generator_set, denumerant
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import apery_set, build, frobenius_p, genus_p, sylvester_sum_p
+from .semigroup import PSemigroup, apery_range, build_range, gap_count, gap_sum
 from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
@@ -43,9 +43,11 @@ def _representable(target: int, parts: list[int]) -> bool:
 
 
 def _scaling_instances(
-    alpha: int, beta: int, base: GeneratorSet | Iterable[int]
-) -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
-    """Validate the shared preconditions and build both generator lists."""
+    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
+) -> tuple[GeneratorSet, Iterator[tuple[PSemigroup, PSemigroup]]]:
+    """Validate the shared preconditions; return the base and the (scaled,
+    unscaled) instance pairs for every p of ``p_values``, each generator
+    list's class minima computed once, at the largest p."""
     B = as_generator_set(base)
     if alpha < 2:
         raise PreconditionError("alpha must be at least 2")
@@ -63,7 +65,29 @@ def _scaling_instances(
         )
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
     unscaled = GeneratorSet((alpha, *B.ordered))
-    return B, scaled, unscaled
+    return B, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
+
+
+def _scaling_report(
+    identity: str,
+    alpha: int,
+    beta: int,
+    B: GeneratorSet,
+    p: int,
+    lhs: dict[str, Any],
+    rhs: dict[str, Any],
+) -> Report:
+    return Report(
+        "identity",
+        passed=lhs == rhs,
+        details={
+            "identity": identity,
+            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
+            "lhs": lhs,
+            "rhs": rhs,
+            "extras": {},
+        },
+    )
 
 
 def verify_johnson(
@@ -74,26 +98,29 @@ def verify_johnson(
         frobenius(alpha, beta*B) = beta * frobenius(alpha, B) + (beta-1) * alpha
         genus(alpha, beta*B)     = beta * genus(alpha, B) + (alpha-1)(beta-1)/2
     """
-    B, scaled, unscaled = _scaling_instances(alpha, beta, base)
-    lhs = {
-        "frobenius": frobenius_p(scaled, p),
-        "genus": genus_p(scaled, p),
-    }
-    rhs = {
-        "frobenius": beta * frobenius_p(unscaled, p) + (beta - 1) * alpha,
-        "genus": beta * genus_p(unscaled, p) + (alpha - 1) * (beta - 1) // 2,
-    }
-    return Report(
-        "identity",
-        passed=lhs == rhs,
-        details={
-            "identity": "johnson",
-            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
-            "lhs": lhs,
-            "rhs": rhs,
-            "extras": {},
-        },
-    )
+    return verify_johnson_range(alpha, beta, base, range(p, p + 1))[0]
+
+
+def verify_johnson_range(
+    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
+) -> list[Report]:
+    """``verify_johnson`` for every p of ``p_values``."""
+    B, pairs = _scaling_instances(alpha, beta, base, p_values)
+    return [
+        _scaling_report(
+            "johnson",
+            alpha,
+            beta,
+            B,
+            scaled.p,
+            {"frobenius": scaled.frobenius, "genus": gap_count(scaled)},
+            {
+                "frobenius": beta * unscaled.frobenius + (beta - 1) * alpha,
+                "genus": beta * gap_count(unscaled) + (alpha - 1) * (beta - 1) // 2,
+            },
+        )
+        for scaled, unscaled in pairs
+    ]
 
 
 def verify_watanabe(
@@ -101,28 +128,32 @@ def verify_watanabe(
 ) -> Report:
     """Symmetry is preserved under scaling the base by beta, and the least
     member scales by exactly beta."""
-    B, scaled, unscaled = _scaling_instances(alpha, beta, base)
-    sp_scaled = build(scaled, p)
-    sp_unscaled = build(unscaled, p)
-    lhs = {
-        "symmetric": classify(sp_scaled).symmetric,
-        "multiplicity": sp_scaled.multiplicity,
-    }
-    rhs = {
-        "symmetric": classify(sp_unscaled).symmetric,
-        "multiplicity": beta * sp_unscaled.multiplicity,
-    }
-    return Report(
-        "identity",
-        passed=lhs == rhs,
-        details={
-            "identity": "watanabe",
-            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
-            "lhs": lhs,
-            "rhs": rhs,
-            "extras": {},
-        },
-    )
+    return verify_watanabe_range(alpha, beta, base, range(p, p + 1))[0]
+
+
+def verify_watanabe_range(
+    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
+) -> list[Report]:
+    """``verify_watanabe`` for every p of ``p_values``."""
+    B, pairs = _scaling_instances(alpha, beta, base, p_values)
+    return [
+        _scaling_report(
+            "watanabe",
+            alpha,
+            beta,
+            B,
+            scaled.p,
+            {
+                "symmetric": classify(scaled).symmetric,
+                "multiplicity": scaled.multiplicity,
+            },
+            {
+                "symmetric": classify(unscaled).symmetric,
+                "multiplicity": beta * unscaled.multiplicity,
+            },
+        )
+        for scaled, unscaled in pairs
+    ]
 
 
 def _as_int_if_integral(x: Fraction) -> int | Fraction:
@@ -142,6 +173,15 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
     those of the reduced instance.  The first listed generator plays the
     role of a1 regardless of whether it is the minimum.
     """
+    return verify_gcd_scaling_range(gens, range(p, p + 1))[0]
+
+
+def verify_gcd_scaling_range(
+    gens: GeneratorSet | Iterable[int], p_values: range
+) -> list[Report]:
+    """``verify_gcd_scaling`` for every p of ``p_values``; the original
+    and the reduced list's class minima (modulo the least generator and
+    modulo the first) are each computed once, at the largest p."""
     A = as_generator_set(gens)
     first, rest = A.ordered[0], A.ordered[1:]
     d = gcd(*rest) if len(rest) > 1 else rest[0]
@@ -153,9 +193,39 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
     if any(x < 2 for x in reduced_rest):
         raise PreconditionError("reduced generators must stay at least 2")
     reduced = GeneratorSet((first, *reduced_rest))
+    rows = zip(
+        _with_minima_modulo(A, first, p_values),
+        _with_minima_modulo(reduced, first, p_values),
+    )
+    return [
+        _gcd_scaling_report(A, d, sp, apery, sp_r, apery_r)
+        for (sp, apery), (sp_r, apery_r) in rows
+    ]
 
-    g, n, s = frobenius_p(A, p), genus_p(A, p), sylvester_sum_p(A, p)
-    g_r, n_r, s_r = frobenius_p(reduced, p), genus_p(reduced, p), sylvester_sum_p(reduced, p)
+
+def _with_minima_modulo(
+    G: GeneratorSet, modulus: int, p_values: range
+) -> Iterator[tuple[PSemigroup, tuple[int, ...]]]:
+    """Each instance of ``p_values`` with its class minima modulo
+    ``modulus`` (a generator): the instance's own when that is the least
+    generator, else from one more computation over the range."""
+    instances = build_range(G, p_values)
+    if modulus == G.least:
+        return ((sp, sp.apery_by_residue) for sp in instances)
+    return zip(instances, apery_range(G, p_values, modulus))
+
+
+def _gcd_scaling_report(
+    A: GeneratorSet,
+    d: int,
+    sp: PSemigroup,
+    apery: tuple[int, ...],
+    sp_r: PSemigroup,
+    apery_r: tuple[int, ...],
+) -> Report:
+    first = A.ordered[0]
+    g, n, s = sp.frobenius, gap_count(sp), gap_sum(sp)
+    g_r, n_r, s_r = sp_r.frobenius, gap_count(sp_r), gap_sum(sp_r)
 
     cubic = (first - 1) * (d - 1) * (2 * first * d - first - d - 1)
     expected_sum = d * d * s_r + Fraction(first * d * (d - 1), 2) * n_r + Fraction(cubic, 12)
@@ -167,13 +237,13 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
         "frobenius": g,
         "genus": n,
         "sylvester_sum": s,
-        "apery": sorted(apery_set(A, p, modulus=first)),
+        "apery": sorted(apery),
     }
     rhs = {
         "frobenius": d * g_r + (d - 1) * first,
         "genus": d * n_r + (d - 1) * (first - 1) // 2,
         "sylvester_sum": _as_int_if_integral(expected_sum),
-        "apery": sorted(d * x for x in apery_set(reduced, p, modulus=first)),
+        "apery": sorted(d * x for x in apery_r),
     }
     return Report(
         "identity",
@@ -181,7 +251,7 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
         note=_SCALING_SUM_NOTE,
         details={
             "identity": "gcd-scaling",
-            "params": {"generators": list(A.ordered), "d": d, "p": p},
+            "params": {"generators": list(A.ordered), "d": d, "p": sp.p},
             "lhs": lhs,
             "rhs": rhs,
             "extras": {

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, count
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -38,6 +38,7 @@ from .exactmath import bernoulli
 DEFAULT_POWER_CAP = 8
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -96,6 +97,12 @@ def member_mask(sp: PSemigroup, length: int, mirrored: bool = False) -> int:
     return int((digits if mirrored else digits[::-1]) or b"0", 2)
 
 
+def bit_positions(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative mask, ascending; C-level iteration
+    over the binary digits, O(bit_length) with no per-bit Python step."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_FROM_DIGITS))
+
+
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
     """Build (and cache) the instance for the given generators and p."""
     A = as_generator_set(gens)
@@ -119,11 +126,16 @@ def build_range(
     A = as_generator_set(gens)
     if not p_values:
         return iter(())
+    minima_at = _class_minima(A, A.least, _top_p(p_values))
+    return (_instance(A, p, minima_at(p)) for p in p_values)
+
+
+def _top_p(p_values: range) -> int:
+    """The largest p of a non-empty range, which must hold no negative p."""
     ends = (p_values[0], p_values[-1])
     if min(ends) < 0:
         raise PreconditionError("p must be non-negative")
-    minima_at = _class_minima(A, A.least, max(ends))
-    return (_instance(A, p, minima_at(p)) for p in p_values)
+    return max(ends)
 
 
 def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
@@ -284,11 +296,28 @@ def apery_set(
         raise PreconditionError("p must be non-negative")
     if modulus is None or modulus == A.least:
         return build(A, p).apery_by_residue
+    return next(apery_range(A, range(p, p + 1), modulus))
+
+
+def apery_range(
+    gens: GeneratorSet | Iterable[int], p_values: range, modulus: int
+) -> Iterator[tuple[int, ...]]:
+    """``apery_set(gens, p, modulus)`` for every p of ``p_values``, in
+    order, from one computation of the class minima up to its largest p
+    (the cap checked there, before the first is yielded)."""
+    A = as_generator_set(gens)
     if modulus not in A.ordered:
         raise PreconditionError("modulus must be one of the generators")
-    minima = _class_minima(A, modulus, p)(p)
-    _validate(A.ordered, modulus, minima)
-    return minima
+    if not p_values:
+        return iter(())
+    minima_at = _class_minima(A, modulus, _top_p(p_values))
+
+    def checked(p: int) -> tuple[int, ...]:
+        minima = minima_at(p)
+        _validate(A.ordered, modulus, minima)
+        return minima
+
+    return (checked(p) for p in p_values)
 
 
 def frobenius_p(gens: GeneratorSet | Iterable[int], p: int) -> int:

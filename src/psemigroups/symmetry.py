@@ -11,18 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
 from .reports import Report
-from .semigroup import PSemigroup, build, member_mask
+from .semigroup import PSemigroup, bit_positions, build, gap_count, member_mask
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
 PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
 PATTERN_OTHER = "OTHER"
-
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # Index arithmetic for the residue-pairing checks reads m(t) as the class
 # minimum of t's residue class; paired indices always sum to
@@ -118,28 +115,34 @@ def _mirror_masks(sp: PSemigroup) -> tuple[int, int, int]:
     )
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """The set bits of a non-negative mask, ascending."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS)))
+def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
+    """Bitmasks of H, L and the finite part of K over [0, total], total =
+    frobenius + multiplicity; K holds every integer above total as well.
+
+    H is the mirror image of the members within the non-negatives: the
+    x <= frobenius whose mirror is a member (below the multiplicity every
+    mirror lies past the largest gap).  L is the x with both sides outside,
+    and K below total + 1 the x whose mirror is a gap.  Three bitmask
+    expressions, O(F/64) word operations.
+    """
+    members, mirror, full = _mirror_masks(sp)
+    return (
+        mirror & ((1 << (sp.frobenius + 1)) - 1),
+        full & ~(members | mirror),
+        full & ~mirror,
+    )
 
 
 def hlk_sets(sp: PSemigroup) -> tuple[tuple[int, ...], tuple[int, ...], CofiniteSet]:
-    """Mirror image of the members (within the non-negatives), the set whose
-    element and mirror both fall outside, and the mirror image of the
-    complement (co-finite upward).
-
-    With total the mirror total, H is the x <= frobenius whose mirror is a
-    member (below the multiplicity every mirror lies past the largest gap),
-    L the x with both sides outside, and K below total + 1 the x whose
-    mirror is a gap; three bitmask expressions, O(F/64) word operations
-    before the positions are listed.
-    """
-    members, mirror, full = _mirror_masks(sp)
+    """H, L and K of ``hlk_masks`` as ascending tuples, K as a co-finite
+    set from total + 1."""
+    h, l, k_below = hlk_masks(sp)
     total = sp.frobenius + sp.multiplicity
-    h = _positions(mirror & ((1 << (sp.frobenius + 1)) - 1))
-    l = _positions(full & ~(members | mirror))
-    k_below = _positions(full & ~mirror)
-    return h, l, CofiniteSet(k_below, total + 1)
+    return (
+        tuple(bit_positions(h)),
+        tuple(bit_positions(l)),
+        CofiniteSet(tuple(bit_positions(k_below)), total + 1),
+    )
 
 
 def classify(sp: PSemigroup) -> SymmetryReport:
@@ -262,7 +265,7 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
         return total + a
 
     pairing = all(m(mid + j) + m(mid - j) == expected(j) for j in window)
-    genus_offset = len(sp.gaps) == mid + (1 if midpoint_gap else 0)
+    genus_offset = gap_count(sp) == mid + (1 if midpoint_gap else 0)
     verdicts = {
         "midpoint_pairing": pairing,
         "matches_classification": pairing == flags.pseudo_symmetric,
@@ -344,11 +347,19 @@ def detect_pattern(sp: PSemigroup) -> str:
     before the conductor tail, with at least two integers missing between
     them.  Everything else is OTHER.  Both named layouts force almost
     symmetry.
+
+    No member lies strictly between the least one and the conductor iff
+    every other class minimum is at least the conductor and so is the next
+    member of the least one's class: an O(a) test on the minima.
     """
     low, c = sp.multiplicity, sp.conductor
     if low == c:
         return PATTERN_FULL_INTERVAL
-    if sp.small_elements == (low, c) and c >= low + 3:
+    if (
+        c >= low + 3
+        and low + sp.modulus >= c
+        and all(m == low or m >= c for m in sp.apery_by_residue)
+    ):
         return PATTERN_SINGLETON_PLUS_TAIL
     return PATTERN_OTHER
 
@@ -359,7 +370,7 @@ def verify_nari(gens: GeneratorSet | Iterable[int]) -> Report:
     the converse is not claimed."""
     sp = build(as_generator_set(gens), 0)
     flags = classify(sp)
-    count_identity = 2 * len(sp.gaps) == sp.frobenius + flags.type_count
+    count_identity = 2 * gap_count(sp) == sp.frobenius + flags.type_count
     verdicts = {
         "count_identity": count_identity,
         "almost_symmetric": flags.almost_symmetric,

@@ -6,10 +6,13 @@ The full_* routes are bitmask scans over a built instance's enumerated
 gaps and members, quadratic in the Frobenius number; they serve as
 references at sizes the brute-force scans cannot reach.  The set-based
 mirror routes are the library's former O(F) evaluations of the exchange
-and of H/L/K, kept as references for its bitmask ones.
+and of H/L/K, and the tuple renderers the CLI's former way of writing
+sets, kept as references for its bitmask ones.
 """
 
 from __future__ import annotations
+
+from typing import Any, Iterable
 
 
 def brute_count(gens: tuple[int, ...], n: int) -> int:
@@ -170,3 +173,45 @@ def set_hlk_sets(sp):
     l = tuple(x for x in sp.gaps if x > low and not sp.contains(total - x))
     k_below = tuple(sorted(total - x for x in sp.gaps))
     return h, l, k_below
+
+
+def set_pattern(sp) -> str:
+    """The member layout tag read off the enumerated members up to the
+    conductor."""
+    low, c = sp.multiplicity, sp.conductor
+    if low == c:
+        return "FULL_INTERVAL"
+    if sp.small_elements == (low, c) and c >= low + 3:
+        return "SINGLETON_PLUS_TAIL"
+    return "OTHER"
+
+
+def interval_runs(values: Iterable[int]) -> str:
+    """Run-length rendering of a finite integer set: "0-23,25,27"."""
+    items = sorted(values)
+    runs: list[str] = []
+    i = 0
+    while i < len(items):
+        j = i
+        while j + 1 < len(items) and items[j + 1] == items[j] + 1:
+            j += 1
+        if j == i:
+            runs.append(str(items[i]))
+        else:
+            runs.append(f"{items[i]}-{items[j]}")
+        i = j + 1
+    return ",".join(runs)
+
+
+def set_finite_doc(values: Iterable[int], expand: bool) -> Any:
+    ordered = sorted(values)
+    return ordered if expand else interval_runs(ordered)
+
+
+def set_cofinite_doc(below: Iterable[int], all_from: int, expand: bool) -> dict[str, Any]:
+    """Merge the finite part into the tail where contiguous, then render."""
+    items = sorted(below)
+    while items and items[-1] == all_from - 1:
+        all_from -= 1
+        items.pop()
+    return {"below": set_finite_doc(items, expand), "all_from": all_from}

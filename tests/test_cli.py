@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,9 +6,14 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import acceptance_instances
+from oracles import interval_runs, set_cofinite_doc, set_finite_doc, set_hlk_sets, set_pattern
 from psemigroups import semigroup
 from psemigroups import (
+    as_generator_set,
     build,
     classify,
     frobenius_p,
@@ -21,8 +27,10 @@ from psemigroups.cli import (
     EXIT_PRECONDITION,
     EXIT_USAGE,
     EXIT_VERIFIER_FAILED,
-    interval_runs,
+    analyze_document,
+    cofinite_doc,
     main,
+    mask_runs,
     verify_exit_code,
 )
 
@@ -33,10 +41,224 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _mask(values):
+    return sum(1 << x for x in set(values))
+
+
 def test_interval_runs():
-    assert interval_runs([0, 1, 2, 3, 5, 7, 8]) == "0-3,5,7-8"
-    assert interval_runs([]) == ""
-    assert interval_runs([4]) == "4"
+    assert mask_runs(_mask([0, 1, 2, 3, 5, 7, 8])) == "0-3,5,7-8"
+    assert mask_runs(_mask([])) == ""
+    assert mask_runs(_mask([4])) == "4"
+
+
+@given(
+    values=st.sets(st.integers(0, 200)),
+    all_from=st.integers(0, 210),
+    expand=st.booleans(),
+)
+def test_mask_rendering_matches_the_tuple_oracle(values, all_from, expand):
+    assert mask_runs(_mask(values)) == interval_runs(values)
+    below = {x for x in values if x < all_from}
+    assert cofinite_doc(_mask(below), all_from, expand) == set_cofinite_doc(
+        below, all_from, expand
+    )
+
+
+@settings(max_examples=150)
+@given(
+    instance=st.sampled_from(acceptance_instances()),
+    p=st.integers(0, 15),
+    expand=st.booleans(),
+)
+def test_analyze_document_matches_the_set_rendering(instance, p, expand):
+    gens = as_generator_set(instance[0])
+    doc = analyze_document(gens, p, expand)
+    sp = build(gens, p)
+    h, l, k_below = set_hlk_sets(sp)
+    total = sp.frobenius + sp.multiplicity
+    expected = {
+        "genus": len(sp.gaps),
+        "sylvester_sum": sum(sp.gaps),
+        "gaps": set_finite_doc(sp.gaps, expand),
+        "members": set_cofinite_doc(
+            [n for n in sp.small_elements if n <= sp.frobenius], sp.conductor, expand
+        ),
+        "pseudo_frobenius": set_finite_doc(classify(sp).pf, expand),
+        "h_set": set_finite_doc(h, expand),
+        "l_set": set_finite_doc(l, expand),
+        "k_set": set_cofinite_doc(k_below, total + 1, expand),
+        "pattern": set_pattern(sp),
+    }
+    assert {key: doc[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("expand", [False, True])
+def test_analyze_builds_no_gap_tuples(expand):
+    semigroup._build.cache_clear()
+    for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
+        analyze_document(as_generator_set(gens), p, expand)
+        assert not {"gaps", "small_elements"} & set(vars(build(gens, p)))
+
+
+# Exact stdout of `psg analyze`, recorded before the sets were rendered from
+# bitmasks: the run-length strings, a p >= 1 instance whose 0 is a gap and
+# whose K and member tails merge, --expand, the tsv and pretty formats, and
+# a larger instance (F = 15334) by digest.
+PINNED_ANALYZE = [
+    (
+        'analyze --gens 17,18,19 --p 5',
+        '{"almost_symmetric":false,'
+        '"apery_by_residue":[238,239,240,241,242,243,244,245,246,247,180,198,199,217,218,236,237],'
+        '"apery_sorted":[180,198,199,217,218,236,237,238,239,240,241,242,243,244,245,246,247],'
+        '"arf":false,"completely_symmetric":false,"conductor":231,"frobenius":230,'
+        '"gaps":"0-179,181-196,200-213,219-230","generators":[17,18,19],"genus":222,'
+        '"h_set":"0-179,192-196,211-213,230","k_set":{"all_from":231,'
+        '"below":"180-191,197-210,214-229"},'
+        '"kunz":[14,14,14,14,14,14,14,14,14,14,10,11,11,12,12,13,13],'
+        '"l_set":"181-191,200-210,219-229","members":{"all_from":231,'
+        '"below":"180,197-199,214-218"},"modulus":17,"multiplicity":180,"p":5,'
+        '"pattern":"OTHER","pseudo_frobenius":"219-230","pseudo_symmetric":false,'
+        '"sylvester_sum":24711,"symmetric":false,"type":12}\n',
+    ),
+    (
+        'analyze --gens 2,3 --p 1',
+        '{"almost_symmetric":true,"apery_by_residue":[6,9],"apery_sorted":[6,9],"arf":true,'
+        '"completely_symmetric":false,"conductor":8,"frobenius":7,"gaps":"0-5,7",'
+        '"generators":[2,3],"genus":7,"h_set":"0-5,7","k_set":{"all_from":8,"below":"6"},'
+        '"kunz":[3,4],"l_set":"","members":{"all_from":8,"below":"6"},"modulus":2,'
+        '"multiplicity":6,"p":1,"pattern":"OTHER","pseudo_frobenius":"7",'
+        '"pseudo_symmetric":false,"sylvester_sum":22,"symmetric":true,"type":1}\n',
+    ),
+    (
+        'analyze --gens 2,3 --p 1 --expand',
+        '{"almost_symmetric":true,"apery_by_residue":[6,9],"apery_sorted":[6,9],"arf":true,'
+        '"completely_symmetric":false,"conductor":8,"frobenius":7,"gaps":[0,1,2,3,4,5,7],'
+        '"generators":[2,3],"genus":7,"h_set":[0,1,2,3,4,5,7],"k_set":{"all_from":8,'
+        '"below":[6]},"kunz":[3,4],"l_set":[],"members":{"all_from":8,"below":[6]},'
+        '"modulus":2,"multiplicity":6,"p":1,"pattern":"OTHER","pseudo_frobenius":[7],'
+        '"pseudo_symmetric":false,"sylvester_sum":22,"symmetric":true,"type":1}\n',
+    ),
+    (
+        'analyze --gens 2,3 --p 1 --expand --format tsv',
+        'almost_symmetric\tTrue\n'
+        'apery_by_residue\t[6,9]\n'
+        'apery_sorted\t[6,9]\n'
+        'arf\tTrue\n'
+        'completely_symmetric\tFalse\n'
+        'conductor\t8\n'
+        'frobenius\t7\n'
+        'gaps\t[0,1,2,3,4,5,7]\n'
+        'generators\t[2,3]\n'
+        'genus\t7\n'
+        'h_set\t[0,1,2,3,4,5,7]\n'
+        'k_set\t{"all_from":8,"below":[6]}\n'
+        'kunz\t[3,4]\n'
+        'l_set\t[]\n'
+        'members\t{"all_from":8,"below":[6]}\n'
+        'modulus\t2\n'
+        'multiplicity\t6\n'
+        'p\t1\n'
+        'pattern\tOTHER\n'
+        'pseudo_frobenius\t[7]\n'
+        'pseudo_symmetric\tFalse\n'
+        'sylvester_sum\t22\n'
+        'symmetric\tTrue\n'
+        'type\t1\n',
+    ),
+    (
+        'analyze --gens 6,7,17 --p 14 --format tsv',
+        'almost_symmetric\tTrue\n'
+        'apery_by_residue\t[126,133,134,135,136,131]\n'
+        'apery_sorted\t[126,131,133,134,135,136]\n'
+        'arf\tTrue\n'
+        'completely_symmetric\tFalse\n'
+        'conductor\t131\n'
+        'frobenius\t130\n'
+        'gaps\t0-125,127-130\n'
+        'generators\t[6,7,17]\n'
+        'genus\t130\n'
+        'h_set\t0-125,130\n'
+        'k_set\t{"all_from":131,"below":"126-129"}\n'
+        'kunz\t[21,22,22,22,22,21]\n'
+        'l_set\t127-129\n'
+        'members\t{"all_from":131,"below":"126"}\n'
+        'modulus\t6\n'
+        'multiplicity\t126\n'
+        'p\t14\n'
+        'pattern\tSINGLETON_PLUS_TAIL\n'
+        'pseudo_frobenius\t127-130\n'
+        'pseudo_symmetric\tFalse\n'
+        'sylvester_sum\t8389\n'
+        'symmetric\tFalse\n'
+        'type\t4\n',
+    ),
+    (
+        'analyze --gens 6,7,17 --p 14 --format pretty',
+        'almost_symmetric: True\n'
+        'apery_by_residue:\n'
+        '  - 126\n'
+        '  - 133\n'
+        '  - 134\n'
+        '  - 135\n'
+        '  - 136\n'
+        '  - 131\n'
+        'apery_sorted:\n'
+        '  - 126\n'
+        '  - 131\n'
+        '  - 133\n'
+        '  - 134\n'
+        '  - 135\n'
+        '  - 136\n'
+        'arf: True\n'
+        'completely_symmetric: False\n'
+        'conductor: 131\n'
+        'frobenius: 130\n'
+        'gaps: 0-125,127-130\n'
+        'generators:\n'
+        '  - 6\n'
+        '  - 7\n'
+        '  - 17\n'
+        'genus: 130\n'
+        'h_set: 0-125,130\n'
+        'k_set:\n'
+        '  all_from: 131\n'
+        '  below: 126-129\n'
+        'kunz:\n'
+        '  - 21\n'
+        '  - 22\n'
+        '  - 22\n'
+        '  - 22\n'
+        '  - 22\n'
+        '  - 21\n'
+        'l_set: 127-129\n'
+        'members:\n'
+        '  all_from: 131\n'
+        '  below: 126\n'
+        'modulus: 6\n'
+        'multiplicity: 126\n'
+        'p: 14\n'
+        'pattern: SINGLETON_PLUS_TAIL\n'
+        'pseudo_frobenius: 127-130\n'
+        'pseudo_symmetric: False\n'
+        'sylvester_sum: 8389\n'
+        'symmetric: False\n'
+        'type: 4\n',
+    ),
+    ('analyze --gens 151,157,163 --p 20', 'sha256:ec94bf1294f691ce99860cf26dee724b4d48b24b780607acf86079beee34cbc7'),
+    ('analyze --gens 151,157,163 --p 20 --expand', 'sha256:c01abb226f8882bf52b17e9cb110d217490dd8d6f9f2d2e5be1c3f0b96cd9f96'),
+]
+
+
+@pytest.mark.parametrize(
+    "command, stdout", PINNED_ANALYZE, ids=[command for command, _ in PINNED_ANALYZE]
+)
+def test_analyze_output_is_pinned(capsys, command, stdout):
+    code, out = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    if stdout.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == stdout
+    else:
+        assert out == stdout
 
 
 def test_analyze_appendix_golden(capsys):
@@ -373,11 +595,22 @@ def test_cap_exceeded_exit_code(capsys, monkeypatch):
     assert code == EXIT_CAP
 
 
-def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch):
-    # the range is never listed, and the cap is checked once, at its top p
+HUGE_RANGES = {
+    "classify": "classify --gens 2,3 --p 0..1000000000000",
+    "johnson": "verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..1000000000000",
+    "watanabe": "verify watanabe --alpha 9 --beta 2 --gens 4,5 --p 0..1000000000000",
+    "gcd-scaling": "verify gcd-scaling --gens 5,6,9 --p 0..1000000000000",
+    "arf-heredity": "verify arf-heredity --a 2 --b 3 --pmax 1000000000000",
+}
+
+
+@pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
+def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
+    # the range is never listed, and the cap is checked once, at its top p,
+    # before any instance of the range is made
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
     start = time.perf_counter()
-    code = main(["classify", "--gens", "2,3", "--p", "0..1000000000000"])
+    code = main(command.split())
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == EXIT_CAP

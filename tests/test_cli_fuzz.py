@@ -1,0 +1,123 @@
+"""Grammar-driven fuzzing of the CLI contract: any argv ends in a documented
+exit code, never a traceback, and quickly.
+
+The horizon cap is lowered inside each example, so that a huge p range or
+--pmax must end at the cap check rather than in a long loop.  Generators
+stay below 40 (or fail to parse), and --exponent and --order stay small:
+the scaling verifiers' minimality test and the Eulerian series allocate
+in proportion to those values without a cap.
+"""
+
+import contextlib
+import io
+import time
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from psemigroups.cli import main
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
+HUGE = 10**12
+
+VERIFIERS = (
+    "johnson",
+    "watanabe",
+    "gcd-scaling",
+    "symmetry",
+    "pairings",
+    "pf-consequences",
+    "almost-symmetric",
+    "nari",
+    "arf-heredity",
+    "arf-kunz",
+    "eulerian-gf",
+)
+
+small = st.integers(-2, 12)
+small_or_huge = st.one_of(small, st.just(HUGE))
+
+gens_text = st.one_of(
+    st.lists(st.integers(2, 39), min_size=2, max_size=4, unique=True)
+    .filter(lambda xs: gcd(*xs) == 1)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["", "4", "4,,5", "a,b", "-3,5", "4;5", "4.5,6", "0,1", "4,4,5", "4,6"]),
+    st.just("2," + "9" * 5000),
+)
+p_text = st.one_of(
+    st.integers(0, 40).map(str),
+    st.tuples(st.integers(0, 20), st.integers(0, 20)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.just(f"0..{HUGE}"),
+    st.sampled_from(["x", "5..2", "-1", "1..", "..", "0..x", "1.5", "9" * 5000]),
+)
+# Parameter sets that pass each verifier's preconditions, so that the
+# drawn --p and --pmax reach its computation.
+VALID_VERIFY = {
+    "johnson": [
+        ["--alpha", "9", "--beta", "2", "--gens", "4,5"],
+        ["--alpha", "8", "--beta", "3", "--gens", "4,5,6"],
+    ],
+    "gcd-scaling": [["--gens", "5,6,9"], ["--gens", "8,12,15,18"], ["--gens", "5,4,6"]],
+    "arf-heredity": [["--a", "2", "--b", "3"], ["--a", "2", "--b", "5"], ["--a", "3", "--b", "4"]],
+    "eulerian-gf": [["--exponent", "3", "--order", "12"]],
+}
+VALID_VERIFY["watanabe"] = VALID_VERIFY["johnson"]
+
+
+def _option(name, values):
+    """The option with a drawn value, left out one time in five."""
+    present = st.sampled_from([True, True, True, True, False])
+    return present.flatmap(
+        lambda on: values.map(lambda v: [name, str(v)]) if on else st.just([])
+    )
+
+
+@st.composite
+def argvs(draw):
+    head = draw(
+        st.one_of(
+            st.sampled_from([["analyze"], ["table"], ["classify"], ["sums"]]),
+            st.sampled_from(VERIFIERS).map(lambda name: ["verify", name]),
+        )
+    )
+    argv = list(head)
+    valid = VALID_VERIFY.get(head[-1]) if head[0] == "verify" else None
+    if valid and draw(st.booleans()):
+        argv += draw(st.sampled_from(valid))
+    else:
+        argv += draw(_option("--gens", gens_text))
+        if head[0] == "verify":
+            for name in ("--alpha", "--beta", "--a", "--b"):
+                argv += draw(_option(name, small_or_huge))
+            argv += draw(_option("--exponent", small))
+            argv += draw(_option("--order", st.integers(-2, 30)))
+    argv += draw(_option("--p", p_text))
+    if head[0] == "verify":
+        argv += draw(_option("--pmax", small_or_huge))
+    if head == ["sums"]:
+        argv += draw(_option("--mu", small_or_huge))
+    if head == ["analyze"]:
+        argv += draw(st.sampled_from([[], ["--expand"]]))
+    if head == ["table"]:
+        fields = st.sampled_from(["genus,type", "frobenius", "nope", ","])
+        argv += draw(_option("--field", fields))
+    formats = [[], [], ["--format", "tsv"], ["--format", "pretty"], ["--format", "xml"]]
+    argv += draw(st.sampled_from(formats))
+    return argv
+
+
+@settings(max_examples=200)
+@given(argv=argvs())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in DOCUMENTED_EXIT_CODES, (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert elapsed < 2.0, (argv, elapsed)
