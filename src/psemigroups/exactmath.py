@@ -10,7 +10,8 @@ import threading
 from fractions import Fraction
 from math import comb
 
-from .errors import PreconditionError
+from .denumerant import horizon_cap
+from .errors import CapExceededError, PreconditionError
 from .reports import Report
 
 # Bernoulli numbers under the x/(e^x - 1) convention, so B_1 = -1/2.  The
@@ -74,11 +75,15 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
     sum_m <n, m> x^(m+1) coefficient-wise on every degree <= order - n - 1,
     where truncation cannot have disturbed the product.  The
     ``first_mismatch`` detail is the least degree that differs, or None.
+    The horizon cap bounds its (order + 1) * (n + 2) products.
     """
     if n < 1:
         raise PreconditionError("series exponent n must be positive")
     if order < n + 2:
         raise PreconditionError("truncation order must be at least n + 2")
+    cap = horizon_cap()
+    if (order + 1) * (n + 2) > cap:
+        raise CapExceededError(f"series to order {order} at n = {n} exceed the cap {cap}")
     source = [k**n for k in range(order + 1)]
     binom = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
     for degree in range(order - n):

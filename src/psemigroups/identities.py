@@ -10,8 +10,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Iterable, Iterator
 
-from .denumerant import GeneratorSet, as_generator_set, denumerant
-from .errors import PreconditionError
+from .denumerant import GeneratorSet, as_generator_set, denumerant, horizon_cap
+from .errors import CapExceededError, PreconditionError
 from .reports import Report
 from .semigroup import PSemigroup, apery_range, build_range, gap_count, gap_sum
 from .symmetry import classify
@@ -34,6 +34,9 @@ def is_minimal_generator_system(gens: GeneratorSet | Iterable[int]) -> bool:
 
 
 def _representable(target: int, parts: list[int]) -> bool:
+    cap = horizon_cap()
+    if target + 1 > cap:
+        raise CapExceededError(f"minimality test of {target} exceeds the cap {cap}")
     reach = [False] * (target + 1)
     reach[0] = True
     for a in parts:

@@ -47,8 +47,8 @@ class PSemigroup:
     """One built (generators, p) instance; immutable and freely shareable.
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
-    modulus.  The instance holds O(a) data; ``gaps`` and ``small_elements``
-    are derived from the class minima on first access.
+    modulus.  The instance holds O(a) data; ``gaps`` is derived from the
+    class minima on first access.
     """
 
     generators: GeneratorSet
@@ -72,13 +72,6 @@ class PSemigroup:
         """The non-members, ascending; all lie below the conductor."""
         outside = _member_flags(self, self.conductor).translate(_INVERT)
         return tuple(compress(range(self.conductor), outside))
-
-    @cached_property
-    def small_elements(self) -> tuple[int, ...]:
-        """The members up to and including the conductor, beyond which
-        every integer is a member."""
-        length = self.conductor + 1
-        return tuple(compress(range(length), _member_flags(self, length)))
 
 
 def _member_flags(sp: PSemigroup, length: int) -> bytearray:

@@ -1,21 +1,21 @@
 """Pseudo-Frobenius data, mirror-set decompositions, and the symmetry
 classification of a built instance.
 
-The mirror of x is multiplicity + frobenius - x.  All classifications are
-evaluated from first principles, as bitmask tests on the members and their
-mirror images; the verify_* functions re-derive the same classifications
-along independent routes and report agreement.
+The mirror of x is total - x, total = multiplicity + frobenius.
+``classify`` reads the mirror exchange class by class off the class
+minima, in O(a); the member and mirror bitmasks (``hlk_masks``) serve
+rendering and give the verify_* functions an independent second route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
 from .reports import Report
-from .semigroup import PSemigroup, bit_positions, build, gap_count, member_mask
+from .semigroup import PSemigroup, build, gap_count, member_mask
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
 PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
@@ -32,47 +32,16 @@ _PAIRING_NOTE = (
 
 
 @dataclass(frozen=True)
-class CofiniteSet:
-    """Integers >= all_from together with the listed smaller values."""
-
-    below: tuple[int, ...]
-    all_from: int
-
-    def contains(self, n: int) -> bool:
-        return n >= self.all_from or n in self.below
-
-    __contains__ = contains
-
-
-@dataclass(frozen=True)
 class SymmetryReport:
     """Classification of one instance: pseudo-Frobenius set, type, and the
-    four symmetry flags.  The mirror decomposition ``h_set``, ``l_set`` and
-    ``k_set`` of the instance is built only when first read."""
+    four symmetry flags."""
 
-    instance: PSemigroup = field(repr=False)
     pf: tuple[int, ...]
     type_count: int
     symmetric: bool
     pseudo_symmetric: bool
     almost_symmetric: bool
     completely_symmetric: bool
-
-    @cached_property
-    def _hlk(self) -> tuple[tuple[int, ...], tuple[int, ...], CofiniteSet]:
-        return hlk_sets(self.instance)
-
-    @property
-    def h_set(self) -> tuple[int, ...]:
-        return self._hlk[0]
-
-    @property
-    def l_set(self) -> tuple[int, ...]:
-        return self._hlk[1]
-
-    @property
-    def k_set(self) -> CofiniteSet:
-        return self._hlk[2]
 
 
 def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
@@ -133,16 +102,35 @@ def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     )
 
 
-def hlk_sets(sp: PSemigroup) -> tuple[tuple[int, ...], tuple[int, ...], CofiniteSet]:
-    """H, L and K of ``hlk_masks`` as ascending tuples, K as a co-finite
-    set from total + 1."""
-    h, l, k_below = hlk_masks(sp)
+def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
+    """(number of x in [0, total] where the mirror exchange fails, L as one
+    range per class), L being the x with both sides outside.  O(a).
+
+    Of the points j, j + a, ... <= total of class j the first kunz_j are
+    outside, and a prefix has its mirror in: x <= total - m[(total - j)
+    mod a].  The exchange fails between the two thresholds, with both
+    sides outside (L) where the first is the larger.
+    """
+    a, minima, kunz = sp.modulus, sp.apery_by_residue, sp.kunz
     total = sp.frobenius + sp.multiplicity
-    return (
-        tuple(bit_positions(h)),
-        tuple(bit_positions(l)),
-        CofiniteSet(tuple(bit_positions(k_below)), total + 1),
-    )
+    mismatches, l_ranges = 0, []
+    for j in range(min(a, total + 1)):
+        n = (total - j) // a + 1
+        below = min(kunz[j], n)
+        u = total - minima[(total - j) % a]  # congruent to j
+        mirror_in = max(0, min((u - j) // a + 1, n))
+        mismatches += abs(below - mirror_in)
+        if below > mirror_in:
+            l_ranges.append(range(j + mirror_in * a, j + below * a, a))
+    return mismatches, l_ranges
+
+
+def _within(l_ranges: list[range], pf: tuple[int, ...]) -> bool:
+    """Whether every point of the ranges is in pf; at most len(pf) points
+    are listed."""
+    return sum(map(len, l_ranges)) <= len(pf) and set(
+        chain.from_iterable(l_ranges)
+    ) <= set(pf)
 
 
 def classify(sp: PSemigroup) -> SymmetryReport:
@@ -158,23 +146,20 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     The exchange must hold in both directions: one gap mirroring onto
     another breaks it, but so do two members mirroring onto each other,
     which can happen here because members need not be closed downward.
-    All three are bitmask tests over [0, total], O(F/64) word operations.
+    Failures come in mirror pairs but for the midpoint of an even total,
+    which always fails.  All read off ``_class_exchange``, with no F-sized
+    structure.
     """
     pf = pseudo_frobenius(sp)
-    members, mirror, full = _mirror_masks(sp)
+    mismatches, l_ranges = _class_exchange(sp)
     total = sp.frobenius + sp.multiplicity
-    exchange = members ^ mirror
-    symmetric = exchange == full
-    pseudo = total % 2 == 0 and exchange | (1 << total // 2) == full
-    both_outside = full & ~(members | mirror)
-    pf_mask = sum(1 << x for x in pf)
+    symmetric = mismatches == 0
     return SymmetryReport(
-        instance=sp,
         pf=pf,
         type_count=len(pf),
         symmetric=symmetric,
-        pseudo_symmetric=pseudo,
-        almost_symmetric=both_outside & ~pf_mask == 0,
+        pseudo_symmetric=total % 2 == 0 and mismatches == 1,
+        almost_symmetric=_within(l_ranges, pf),
         completely_symmetric=symmetric and sp.multiplicity == sp.conductor,
     )
 
@@ -185,15 +170,16 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
 
     definition and complementary_pairs: of every non-negative pair summing
     to the mirror total, exactly one side is a member (the exact mirror
-    exchange; one scan, reported under both names).  window_counts: members
-    and gaps split the window [multiplicity, frobenius] in half.
+    exchange), from the bitmasks and from ``classify``'s per-class route.
+    window_counts: members and gaps split the window [multiplicity,
+    frobenius] in half.
     sorted_pairing: opposite entries of the sorted class minima sum to
     total + modulus.  genus_midpoint: twice the gap count is total + 1.
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low
     members, mirror, full = _mirror_masks(sp)
-    exchange = members ^ mirror == full
+    mismatches, _ = _class_exchange(sp)
     # no member lies below the multiplicity, so the members up to the
     # largest gap are those of the window
     members_in_window = (members & ((1 << (g + 1)) - 1)).bit_count()
@@ -202,9 +188,9 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
 
     ls = sp.apery_sorted
     verdicts = {
-        "definition": exchange,
+        "definition": members ^ mirror == full,
         "window_counts": members_in_window == gaps_in_window,
-        "complementary_pairs": exchange,
+        "complementary_pairs": mismatches == 0,
         "sorted_pairing": all(
             ls[i] + ls[a - i - 1] == total + a for i in range(1, a // 2 + 1)
         ),
@@ -320,17 +306,16 @@ def verify_pf_consequences(sp: PSemigroup) -> Report:
 def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     """Three characterizations of almost symmetry, asserted to coincide:
     the both-sides-outside set is contained in PF; PF is that set plus the
-    frobenius number; every gap mirrors to a member or is itself PF."""
-    pf = set(pseudo_frobenius(sp))
-    _, l, _ = hlk_sets(sp)
-    g, low = sp.frobenius, sp.multiplicity
-    total = g + low
+    frobenius number (both on bitmasks); every gap mirrors to a member or
+    is itself PF (those that do not are L, read by ``classify``'s route)."""
+    pf = pseudo_frobenius(sp)
+    pf_mask = sum(1 << x for x in pf)
+    _, l_mask, _ = hlk_masks(sp)
+    _, l_ranges = _class_exchange(sp)
     verdicts = {
-        "l_subset_pf": set(l) <= pf,
-        "pf_is_l_plus_frobenius": pf == set(l) | {g},
-        "mirror_or_pf": all(
-            sp.contains(total - x) or x in pf for x in sp.gaps
-        ),
+        "l_subset_pf": l_mask & ~pf_mask == 0,
+        "pf_is_l_plus_frobenius": pf_mask == l_mask | 1 << sp.frobenius,
+        "mirror_or_pf": _within(l_ranges, pf),
     }
     return Report(
         "verdicts",

@@ -103,13 +103,19 @@ def brute_l_set(gens: tuple[int, ...], p: int) -> list[int]:
     return [x for x in sg.gaps if not sg.member(x) and not sg.member(total - x)]
 
 
+def small_elements(sp) -> tuple[int, ...]:
+    """The members of a built instance up to and including the conductor,
+    beyond which every integer is a member."""
+    return tuple(n for n in range(sp.conductor + 1) if sp.contains(n))
+
+
 def full_shift_pseudo_frobenius(sp) -> tuple[int, ...]:
     """Bitmask reference for pseudo-Frobenius on a built instance, over
     every member shift s - multiplicity up to the Frobenius number (larger
     shifts land above the largest gap).  O(F^2 / 64): usable at F ~ 10^4,
     where the definition-level scan is too slow."""
     low, g, c = sp.multiplicity, sp.frobenius, sp.conductor
-    shifts = [s - low for s in sp.small_elements if low < s <= g]
+    shifts = [s - low for s in small_elements(sp) if low < s <= g]
     shifts.extend(range(max(c - low, 1), g + 1))
     gapmask = 0
     for x in sp.gaps:
@@ -168,7 +174,7 @@ def set_hlk_sets(sp):
     of the gaps (K contains everything above the mirror total as well)."""
     g, low = sp.frobenius, sp.multiplicity
     total = g + low
-    h_tail = {total - s for s in sp.small_elements if s <= g}
+    h_tail = {total - s for s in small_elements(sp) if s <= g}
     h = tuple(sorted(set(range(low)) | h_tail))
     l = tuple(x for x in sp.gaps if x > low and not sp.contains(total - x))
     k_below = tuple(sorted(total - x for x in sp.gaps))
@@ -181,7 +187,7 @@ def set_pattern(sp) -> str:
     low, c = sp.multiplicity, sp.conductor
     if low == c:
         return "FULL_INTERVAL"
-    if sp.small_elements == (low, c) and c >= low + 3:
+    if small_elements(sp) == (low, c) and c >= low + 3:
         return "SINGLETON_PLUS_TAIL"
     return "OTHER"
 

@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import acceptance_instances
+from oracles import small_elements
 from psemigroups import (
     build,
     classify,
     denumerant,
     frobenius_p,
     genus_p,
-    hlk_sets,
+    hlk_masks,
     is_arf,
     power_sum_bernoulli,
     power_sum_gaps,
@@ -36,6 +37,7 @@ from psemigroups import (
     verify_watanabe,
     PreconditionError,
 )
+from psemigroups.semigroup import bit_positions
 
 INSTANCES = acceptance_instances(200, seed=20260810)
 
@@ -85,35 +87,48 @@ def test_c03_appendix_golden():
 
 # -- criterion 4 ------------------------------------------------------------
 
+def _mirror_sets(sp):
+    """H and L as ascending tuples, and K as a membership test, from the
+    bitmasks of ``hlk_masks`` (K holds everything above the mirror total)."""
+    h, l, k_below = hlk_masks(sp)
+    total = sp.frobenius + sp.multiplicity
+
+    def in_k(n):
+        return n > total or (k_below >> n) & 1 == 1
+
+    return tuple(bit_positions(h)), tuple(bit_positions(l)), in_k
+
+
 def test_c04_section5_set_goldens():
     sp = build((17, 18, 19), 5)
     report = classify(sp)
+    h, l, in_k = _mirror_sets(sp)
     assert sp.multiplicity == 180 and sp.frobenius == 230
     assert report.pf == tuple(range(219, 231))
-    assert report.l_set == (
+    assert l == (
         tuple(range(181, 192)) + tuple(range(200, 211)) + tuple(range(219, 230))
     )
-    assert report.h_set == (
+    assert h == (
         tuple(range(180)) + tuple(range(192, 197)) + (211, 212, 213, 230)
     )
-    k = report.k_set
     expected_k_members = (
         set(range(180, 192)) | set(range(197, 211)) | set(range(214, 230))
     )
     for n in range(180, 260):
-        assert (n in k) == (n in expected_k_members or n >= 231), n
+        assert in_k(n) == (n in expected_k_members or n >= 231), n
 
     sp14 = build((6, 7, 17), 14)
     r14 = classify(sp14)
-    assert sp14.small_elements == (126, 131) and sp14.frobenius == 130
-    assert r14.l_set == (127, 128, 129)
+    _, l14, in_k14 = _mirror_sets(sp14)
+    assert small_elements(sp14) == (126, 131) and sp14.frobenius == 130
+    assert l14 == (127, 128, 129)
     assert r14.pf == (127, 128, 129, 130)
-    k14 = r14.k_set
     for n in range(120, 140):
-        assert (n in k14) == (n in {126, 127, 128, 129} or n >= 131), n
+        assert in_k14(n) == (n in {126, 127, 128, 129} or n >= 131), n
 
-    r16 = classify(build((6, 7, 17), 16))
-    assert r16.l_set == ()
+    sp16 = build((6, 7, 17), 16)
+    r16 = classify(sp16)
+    assert _mirror_sets(sp16)[1] == ()
     assert r16.pf == (141,)
     _passline("4", "mirror decompositions for {17,18,19} and {6,7,17}")
 
@@ -320,7 +335,7 @@ def test_c07c_almost_symmetric_conditions_coincide():
 def test_c07d_mirror_sets_cover_the_nonnegatives():
     for gens, p in INSTANCES:
         sp = build(gens, p)
-        h, l, _ = hlk_sets(sp)
+        h, l, _ = _mirror_sets(sp)
         hs, ls = set(h), set(l)
         assert all(
             n in hs or n in ls or sp.contains(n) for n in range(sp.conductor + 1)

@@ -2,7 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances, generator_tuples, small_p
-from oracles import full_scan_arf
+from oracles import full_scan_arf, small_elements
 from psemigroups import (
     build,
     is_arf,
@@ -42,7 +42,7 @@ def test_witness_for_open_instance():
 
 def test_higher_p_instance_is_closed():
     sp = build((2, 3), 1)
-    assert sp.small_elements == (6, 8)
+    assert small_elements(sp) == (6, 8)
     assert is_arf(sp).passed
 
 

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances
-from oracles import interval_runs, set_cofinite_doc, set_finite_doc, set_hlk_sets, set_pattern
+from oracles import (
+    interval_runs,
+    set_cofinite_doc,
+    set_finite_doc,
+    set_hlk_sets,
+    set_pattern,
+    small_elements,
+)
 from psemigroups import semigroup
 from psemigroups import (
     as_generator_set,
@@ -81,7 +88,7 @@ def test_analyze_document_matches_the_set_rendering(instance, p, expand):
         "sylvester_sum": sum(sp.gaps),
         "gaps": set_finite_doc(sp.gaps, expand),
         "members": set_cofinite_doc(
-            [n for n in sp.small_elements if n <= sp.frobenius], sp.conductor, expand
+            [n for n in small_elements(sp) if n <= sp.frobenius], sp.conductor, expand
         ),
         "pseudo_frobenius": set_finite_doc(classify(sp).pf, expand),
         "h_set": set_finite_doc(h, expand),
@@ -97,7 +104,7 @@ def test_analyze_builds_no_gap_tuples(expand):
     semigroup._build.cache_clear()
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         analyze_document(as_generator_set(gens), p, expand)
-        assert not {"gaps", "small_elements"} & set(vars(build(gens, p)))
+        assert "gaps" not in vars(build(gens, p))
 
 
 # Exact stdout of `psg analyze`, recorded before the sets were rendered from
@@ -608,6 +615,23 @@ HUGE_RANGES = {
 def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
     # the range is never listed, and the cap is checked once, at its top p,
     # before any instance of the range is made
+    _assert_refused_quickly(capsys, monkeypatch, command)
+
+
+# a generator's minimality table and the Eulerian series' terms are sized
+# against the cap before anything is allocated
+HUGE_ARGUMENTS = {
+    "johnson-generator": "verify johnson --alpha 9 --beta 2 --gens 4,5,19999999 --p 0",
+    "eulerian-gf": "verify eulerian-gf --exponent 1500 --order 1600",
+}
+
+
+@pytest.mark.parametrize("command", HUGE_ARGUMENTS.values(), ids=HUGE_ARGUMENTS)
+def test_cap_bounds_a_huge_argument_quickly(capsys, monkeypatch, command):
+    _assert_refused_quickly(capsys, monkeypatch, command)
+
+
+def _assert_refused_quickly(capsys, monkeypatch, command):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
     start = time.perf_counter()
     code = main(command.split())

@@ -2,10 +2,9 @@
 exit code, never a traceback, and quickly.
 
 The horizon cap is lowered inside each example, so that a huge p range or
---pmax must end at the cap check rather than in a long loop.  Generators
-stay below 40 (or fail to parse), and --exponent and --order stay small:
-the scaling verifiers' minimality test and the Eulerian series allocate
-in proportion to those values without a cap.
+--pmax, a generator up to 10^9 (one per list, at any position, so it can
+be the modulus), and a huge --order or --exponent must all end at a cap
+check rather than in a long loop or a large allocation.
 """
 
 import contextlib
@@ -42,6 +41,14 @@ small_or_huge = st.one_of(small, st.just(HUGE))
 gens_text = st.one_of(
     st.lists(st.integers(2, 39), min_size=2, max_size=4, unique=True)
     .filter(lambda xs: gcd(*xs) == 1)
+    .map(lambda xs: ",".join(map(str, xs))),
+    st.tuples(
+        st.lists(st.integers(2, 39), min_size=1, max_size=3, unique=True),
+        st.integers(40, 10**9),
+    )
+    .map(lambda t: t[0] + [t[1]])
+    .filter(lambda xs: gcd(*xs) == 1)
+    .flatmap(st.permutations)
     .map(lambda xs: ",".join(map(str, xs))),
     st.sampled_from(["", "4", "4,,5", "a,b", "-3,5", "4;5", "4.5,6", "0,1", "4,4,5", "4,6"]),
     st.just("2," + "9" * 5000),
@@ -91,8 +98,8 @@ def argvs(draw):
         if head[0] == "verify":
             for name in ("--alpha", "--beta", "--a", "--b"):
                 argv += draw(_option(name, small_or_huge))
-            argv += draw(_option("--exponent", small))
-            argv += draw(_option("--order", st.integers(-2, 30)))
+            argv += draw(_option("--exponent", st.one_of(small, st.integers(-2, 3000))))
+            argv += draw(_option("--order", st.one_of(st.integers(-2, 30), st.integers(-2, HUGE))))
     argv += draw(_option("--p", p_text))
     if head[0] == "verify":
         argv += draw(_option("--pmax", small_or_huge))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psemigroups import PreconditionError, bernoulli, eulerian, verify_eulerian_gf
+from psemigroups import (
+    CapExceededError,
+    PreconditionError,
+    bernoulli,
+    eulerian,
+    verify_eulerian_gf,
+)
 
 
 def test_bernoulli_base_values():
@@ -61,6 +67,15 @@ def test_series_check_passes_on_known_orders():
 def test_series_check_rejects_small_order():
     with pytest.raises(PreconditionError):
         verify_eulerian_gf(2, 3)
+
+
+def test_series_check_is_bounded_by_the_horizon_cap(monkeypatch):
+    # order 12 at exponent 3 sums (12 + 1) * (3 + 2) = 65 terms
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "65")
+    assert verify_eulerian_gf(3, 12).passed
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "64")
+    with pytest.raises(CapExceededError):
+        verify_eulerian_gf(3, 12)
 
 
 @given(n=st.integers(1, 6), extra=st.integers(2, 12))

@@ -1,3 +1,5 @@
+from itertools import chain
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +15,10 @@ from psemigroups import (
     PATTERN_FULL_INTERVAL,
     PATTERN_OTHER,
     PATTERN_SINGLETON_PLUS_TAIL,
-    CofiniteSet,
     build,
     classify,
     detect_pattern,
-    hlk_sets,
+    hlk_masks,
     pseudo_frobenius,
     type_p,
     verify_almost_symmetric_equivalences,
@@ -26,6 +27,14 @@ from psemigroups import (
     verify_pf_consequences,
     verify_symmetry_equivalences,
 )
+from psemigroups import symmetry
+from psemigroups.semigroup import bit_positions
+
+
+def _hlk(sp):
+    """H, L and K up to the mirror total, ascending, from ``hlk_masks``;
+    K holds every integer above the mirror total as well."""
+    return tuple(tuple(bit_positions(mask)) for mask in hlk_masks(sp))
 
 
 def test_pf_goldens():
@@ -41,7 +50,8 @@ def test_type_goldens():
 
 
 def test_hlk_goldens_171819_p5():
-    h, l, k = hlk_sets(build((17, 18, 19), 5))
+    sp = build((17, 18, 19), 5)
+    h, l, k_below = _hlk(sp)
     assert l == tuple(range(181, 192)) + tuple(range(200, 211)) + tuple(range(219, 230))
     expected_h = tuple(range(180)) + tuple(range(192, 197)) + (211, 212, 213, 230)
     assert h == expected_h
@@ -51,17 +61,19 @@ def test_hlk_goldens_171819_p5():
         + tuple(range(214, 230))
         + tuple(range(231, 411))
     )
-    assert k.below == expected_k_below
-    assert k.all_from == 411
-    assert 231 in k and 230 not in k
+    assert k_below == expected_k_below
+    assert sp.frobenius + sp.multiplicity + 1 == 411
+    assert 231 in k_below and 230 not in k_below
 
 
 def test_hlk_goldens_6717():
-    _, l14, k14 = hlk_sets(build((6, 7, 17), 14))
+    sp14 = build((6, 7, 17), 14)
+    _, l14, k14_below = _hlk(sp14)
     assert l14 == (127, 128, 129)
-    assert set(k14.below) | set(range(k14.all_from, 300)) >= {126, 127, 128, 129, 131}
+    k14 = set(k14_below) | set(range(sp14.frobenius + sp14.multiplicity + 1, 300))
+    assert k14 >= {126, 127, 128, 129, 131}
     assert 130 not in k14
-    _, l16, _ = hlk_sets(build((6, 7, 17), 16))
+    _, l16, _ = _hlk(build((6, 7, 17), 16))
     assert l16 == ()
 
 
@@ -198,9 +210,12 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     total = sp.frobenius + sp.multiplicity
     report = classify(sp)
     h, l, k_below = set_hlk_sets(sp)
-    assert (report.h_set, report.l_set) == (h, l)
-    assert report.k_set == CofiniteSet(k_below, total + 1)
-    assert hlk_sets(sp) == (h, l, report.k_set)
+    assert _hlk(sp) == (h, l, k_below)
+    # the per-class exchange that classify reads, against the masks
+    members, mirror, full = symmetry._mirror_masks(sp)
+    mismatches, l_ranges = symmetry._class_exchange(sp)
+    assert mismatches == (full & ~(members ^ mirror)).bit_count()
+    assert tuple(sorted(chain.from_iterable(l_ranges))) == l
     symmetric = mirror_pairs_exactly_one(sp, exception=None)
     pseudo = total % 2 == 0 and mirror_pairs_exactly_one(sp, exception=total // 2)
     assert (report.symmetric, report.pseudo_symmetric) == (symmetric, pseudo)
@@ -212,11 +227,27 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
         2 * members_in_window == sp.frobenius - sp.multiplicity + 1
     )
     assert verdicts["genus_midpoint"] == (2 * len(sp.gaps) == total + 1)
+    almost = verify_almost_symmetric_equivalences(sp).details["verdicts"]
+    assert set(almost.values()) == {report.almost_symmetric}
+
+
+def test_classify_builds_no_bitmask(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built an F-sized bitmask")
+
+    monkeypatch.setattr(symmetry, "member_mask", refuse)
+    monkeypatch.setattr(symmetry, "_mirror_masks", refuse)
+    assert classify(build((8, 12, 15, 18), 8)).symmetric
+    assert classify(build((6, 7, 17), 0)).pseudo_symmetric
+    r14 = classify(build((6, 7, 17), 14))
+    assert (r14.symmetric, r14.pseudo_symmetric, r14.almost_symmetric) == (False, False, True)
+    assert not classify(build((13, 23, 30), 3)).almost_symmetric
+    assert classify(build((17, 18, 19), 9)).completely_symmetric
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
 def test_l_set_matches_brute_force(gens, p):
-    _, l, _ = hlk_sets(build(gens, p))
+    _, l, _ = _hlk(build(gens, p))
     assert list(l) == brute_l_set(gens, p)
 
 
@@ -232,7 +263,7 @@ def test_frobenius_number_tops_the_pf_set(gens, p):
 @given(gens=generator_tuples(), p=small_p)
 def test_coverage_of_nonnegatives(gens, p):
     sp = build(gens, p)
-    h, l, _ = hlk_sets(sp)
+    h, l, _ = _hlk(sp)
     hs, ls = set(h), set(l)
     assert all(
         n in hs or n in ls or sp.contains(n) for n in range(sp.conductor + 1)
@@ -243,14 +274,15 @@ def test_coverage_of_nonnegatives(gens, p):
 def test_symmetric_forces_singleton_pf_and_empty_l(gens, p):
     sp = build(gens, p)
     r = classify(sp)
+    _, l, _ = _hlk(sp)
     if r.symmetric:
-        assert r.l_set == ()
+        assert l == ()
         assert r.pf == (max(r.pf),)
         assert r.almost_symmetric
     if r.pseudo_symmetric:
         mid = (sp.frobenius + sp.multiplicity) // 2
-        assert set(r.l_set) <= {mid}
-        assert r.almost_symmetric == (set(r.l_set) <= set(r.pf))
+        assert set(l) <= {mid}
+        assert r.almost_symmetric == (set(l) <= set(r.pf))
     if r.completely_symmetric:
         assert r.symmetric
 
@@ -317,7 +349,7 @@ def test_midpoint_need_not_be_pseudo_frobenius():
     assert r.pseudo_symmetric and not sp.contains(mid)
     assert mid == 217 and sp.contains(210) and not sp.contains(217 + 210 - 203)
     assert r.pf == (231,)
-    assert r.l_set == (217,)
+    assert _hlk(sp)[1] == (217,)
     assert not r.almost_symmetric
     assert not verify_pf_consequences(sp).passed
 
