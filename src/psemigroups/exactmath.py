@@ -19,11 +19,6 @@ from .reports import Report
 _bernoulli: list[Fraction] = [Fraction(1)]
 _bernoulli_lock = threading.Lock()
 
-# Triangular table of Eulerian numbers: row 0 is [1], row n >= 1 holds the
-# entries for m = 0 .. n-1.
-_eulerian: list[list[int]] = [[1]]
-_eulerian_lock = threading.Lock()
-
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with B_1 = -1/2.
@@ -54,18 +49,17 @@ def eulerian(n: int, m: int) -> int:
         return 1 if m == 0 else 0
     if m < 0 or m >= n:
         return 0
-    with _eulerian_lock:
-        while len(_eulerian) <= n:
-            r = len(_eulerian)
-            prev = _eulerian[r - 1]
+    return _eulerian_row(n)[m]
 
-            def entry(i: int) -> int:
-                return prev[i] if 0 <= i < len(prev) else 0
 
-            _eulerian.append(
-                [(i + 1) * entry(i) + (r - i) * entry(i - 1) for i in range(r)]
-            )
-        return _eulerian[n][m]
+def _eulerian_row(n: int) -> list[int]:
+    """Row n >= 1 of the Eulerian triangle, entries m = 0 .. n-1, built
+    from row 0 = [1] keeping only the previous row."""
+    row = [1]
+    for r in range(1, n + 1):
+        padded = [0, *row, 0]
+        row = [(i + 1) * padded[i + 1] + (r - i) * padded[i] for i in range(r)]
+    return row
 
 
 def verify_eulerian_gf(n: int, order: int) -> Report:
@@ -86,11 +80,12 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
         raise CapExceededError(f"series to order {order} at n = {n} exceed the cap {cap}")
     source = [k**n for k in range(order + 1)]
     binom = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
+    row = _eulerian_row(n)
     for degree in range(order - n):
         lhs = sum(
             binom[i] * source[degree - i] for i in range(min(degree, n + 1) + 1)
         )
-        rhs = eulerian(n, degree - 1) if degree >= 1 else 0
+        rhs = row[degree - 1] if 1 <= degree <= n else 0
         if lhs != rhs:
             return Report("series", passed=False, details={"first_mismatch": degree})
     return Report("series", passed=True, details={"first_mismatch": None})

@@ -10,10 +10,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Iterable, Iterator
 
-from .denumerant import GeneratorSet, as_generator_set, denumerant, horizon_cap
-from .errors import CapExceededError, PreconditionError
+from .denumerant import GeneratorSet, as_generator_set
+from .errors import PreconditionError
 from .reports import Report
 from .semigroup import PSemigroup, apery_range, build_range, gap_count, gap_sum
+from .semigroup import _order_one_instance
 from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
@@ -24,25 +25,14 @@ _SCALING_SUM_NOTE = (
 
 
 def is_minimal_generator_system(gens: GeneratorSet | Iterable[int]) -> bool:
-    """True iff no generator is a non-negative combination of the others."""
+    """True iff no generator is a non-negative combination of the others.
+
+    The only representation of a listed generator b that uses b is b
+    itself, so b is a combination of the others iff it is a member of the
+    list's p = 1 semigroup."""
     A = as_generator_set(gens)
-    for i, b in enumerate(A.ordered):
-        others = [x for j, x in enumerate(A.ordered) if j != i]
-        if _representable(b, others):
-            return False
-    return True
-
-
-def _representable(target: int, parts: list[int]) -> bool:
-    cap = horizon_cap()
-    if target + 1 > cap:
-        raise CapExceededError(f"minimality test of {target} exceeds the cap {cap}")
-    reach = [False] * (target + 1)
-    reach[0] = True
-    for a in parts:
-        for n in range(a, target + 1):
-            reach[n] = reach[n] or reach[n - a]
-    return reach[target]
+    order_one = _order_one_instance(A)
+    return not any(b in order_one for b in A.ordered)
 
 
 def _scaling_instances(
@@ -62,12 +52,13 @@ def _scaling_instances(
         raise PreconditionError("alpha must differ from every base generator")
     if not is_minimal_generator_system(B):
         raise PreconditionError("base generators must form a minimal system")
-    if denumerant(B, alpha) == 0:
+    # as for a listed generator: alpha is in <B> iff it has a second representation
+    unscaled = GeneratorSet((alpha, *B.ordered))
+    if alpha not in _order_one_instance(unscaled):
         raise PreconditionError(
             "alpha must lie in the semigroup generated by the base"
         )
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
-    unscaled = GeneratorSet((alpha, *B.ordered))
     return B, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
 
 

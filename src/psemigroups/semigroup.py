@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 from math import comb
@@ -48,7 +48,7 @@ class PSemigroup:
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
     modulus.  The instance holds O(a) data; ``gaps`` is derived from the
-    class minima on first access.
+    class minima on each access and never stored.
     """
 
     generators: GeneratorSet
@@ -67,11 +67,10 @@ class PSemigroup:
 
     __contains__ = contains
 
-    @cached_property
+    @property
     def gaps(self) -> tuple[int, ...]:
         """The non-members, ascending; all lie below the conductor."""
-        outside = _member_flags(self, self.conductor).translate(_INVERT)
-        return tuple(compress(range(self.conductor), outside))
+        return tuple(_gap_walk(self))
 
 
 def _member_flags(sp: PSemigroup, length: int) -> bytearray:
@@ -81,6 +80,12 @@ def _member_flags(sp: PSemigroup, length: int) -> bytearray:
         if m < length:
             flags[m::a] = b"\x01" * len(range(m, length, a))
     return flags
+
+
+def _gap_walk(sp: PSemigroup) -> Iterator[int]:
+    """The gaps, ascending, read off the membership flags at C level."""
+    outside = _member_flags(sp, sp.conductor).translate(_INVERT)
+    return compress(range(sp.conductor), outside)
 
 
 def member_mask(sp: PSemigroup, length: int, mirrored: bool = False) -> int:
@@ -146,6 +151,17 @@ def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
         conductor=frobenius + 1,
         kunz=tuple((m - j) // a for j, m in enumerate(minima)),
     )
+
+
+def _order_one_instance(A: GeneratorSet) -> PSemigroup:
+    """The p = 1 instance on the lists route, for membership tests below
+    the class minima: its 2a list entries are checked against the cap
+    before they are allocated, and as nothing F-sized is derived from it,
+    the largest minimum is not."""
+    a, cap = A.least, horizon_cap()
+    if 2 * a > cap:
+        raise CapExceededError(f"p = 1 class minima need {2 * a} list entries; the cap is {cap}")
+    return _instance(A, 1, _minima_from_lists(A.ordered, a, 1)(1))
 
 
 def _class_minima(
@@ -327,29 +343,20 @@ def gap_count(sp: PSemigroup) -> int:
     """Number of gaps, counted on the membership flags (no gap list is
     built) and compared with the class-minima formula on every call."""
     direct = _member_flags(sp, sp.conductor).count(0)
-    formula = Fraction(sum(sp.apery_by_residue), sp.modulus) - Fraction(sp.modulus - 1, 2)
-    if formula != direct:
-        raise InternalCheckError(
-            f"genus mismatch: enumeration {direct}, formula {formula}"
-        )
-    return direct
+    return _checked_by_formula(sp, 0, direct, "genus")
 
 
 def gap_sum(sp: PSemigroup) -> int:
     """Sum of the gaps, added up over the membership flags and compared
     with the class-minima formula on every call."""
-    outside = _member_flags(sp, sp.conductor).translate(_INVERT)
-    direct = sum(compress(range(sp.conductor), outside))
-    a = sp.modulus
-    m = sp.apery_by_residue
-    formula = (
-        Fraction(sum(x * x for x in m), 2 * a)
-        - Fraction(sum(m), 2)
-        + Fraction(a * a - 1, 12)
-    )
+    return _checked_by_formula(sp, 1, sum(_gap_walk(sp)), "gap-sum")
+
+
+def _checked_by_formula(sp: PSemigroup, mu: int, direct: int, name: str) -> int:
+    formula = _power_sum_formula(sp, mu)
     if formula != direct:
         raise InternalCheckError(
-            f"gap-sum mismatch: enumeration {direct}, formula {formula}"
+            f"{name} mismatch: enumeration {direct}, formula {formula}"
         )
     return direct
 
@@ -385,8 +392,7 @@ def power_sum_gaps(
 ) -> int:
     """Sum of n^mu over the gaps, by direct summation (0^0 = 1)."""
     _check_power(mu, mu_cap)
-    sp = build(gens, p)
-    return sum(n**mu for n in sp.gaps)
+    return sum(n**mu for n in _gap_walk(build(gens, p)))
 
 
 def power_sum_bernoulli(
@@ -408,7 +414,17 @@ def power_sum_bernoulli(
     arithmetic is mandatory; a non-integer final value is a hard failure.
     """
     _check_power(mu, mu_cap)
-    sp = build(gens, p)
+    total = _power_sum_formula(build(gens, p), mu)
+    if total.denominator != 1 or total < 0:
+        raise InternalCheckError(
+            f"power-sum formula produced a non-integer or negative value: {total}"
+        )
+    return int(total)
+
+
+def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
+    """``power_sum_bernoulli``'s formula at mu; Selmer's genus and gap-sum
+    forms are its values at mu = 0 and mu = 1."""
     a = sp.modulus
     m = sp.apery_by_residue
     total = Fraction(0)
@@ -417,11 +433,7 @@ def power_sum_bernoulli(
         total += comb(mu + 1, kappa) * bernoulli(kappa) * Fraction(a) ** (kappa - 1) * s
     total /= mu + 1
     total += bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError(
-            f"power-sum formula produced a non-integer or negative value: {total}"
-        )
-    return int(total)
+    return total
 
 
 def weighted_power_sum(
@@ -443,10 +455,9 @@ def weighted_power_sum(
     w = Fraction(weight)
     if w == 0:
         raise PreconditionError("weight must be non-zero")
-    sp = build(gens, p)
     num, den = w.numerator, w.denominator
     total, num_power, prev = 0, 1, 0
-    for n in sp.gaps:
+    for n in _gap_walk(build(gens, p)):
         num_power *= num ** (n - prev)
         total = total * den ** (n - prev) + num_power * n**mu
         prev = n

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from psemigroups.cli import (
     cofinite_doc,
     main,
     mask_runs,
+    sums_document,
     verify_exit_code,
 )
 
@@ -101,10 +103,15 @@ def test_analyze_document_matches_the_set_rendering(instance, p, expand):
 
 @pytest.mark.parametrize("expand", [False, True])
 def test_analyze_builds_no_gap_tuples(expand):
+    # the cached instances keep only their O(a) fields: nothing the
+    # renderer, the power sums or the weighted sums walk is stored on them
     semigroup._build.cache_clear()
+    stored = {field.name for field in fields(semigroup.PSemigroup)}
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         analyze_document(as_generator_set(gens), p, expand)
-        assert "gaps" not in vars(build(gens, p))
+        sums_document(as_generator_set(gens), p, 3, Fraction(1, 2), 8)
+        weighted_power_sum(gens, p, Fraction(2, 3), 2)
+        assert set(vars(build(gens, p))) == stored
 
 
 # Exact stdout of `psg analyze`, recorded before the sets were rendered from
@@ -581,6 +588,12 @@ def test_precondition_exit_code(capsys):
     assert code == EXIT_PRECONDITION
     code, _ = run_cli(capsys, "verify", "arf-heredity", "--a", "3", "--b", "4", "--p", "3")
     assert code == EXIT_PRECONDITION
+    # 19999999 = 4 * 4999996 + 5 * 3: the base is not minimal, whatever its size
+    code, _ = run_cli(
+        capsys, "verify", "johnson", "--alpha", "9", "--beta", "2",
+        "--gens", "4,5,19999999", "--p", "0",
+    )
+    assert code == EXIT_PRECONDITION
 
 
 def test_error_messages_quote_a_bounded_prefix(capsys):
@@ -618,10 +631,12 @@ def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
     _assert_refused_quickly(capsys, monkeypatch, command)
 
 
-# a generator's minimality table and the Eulerian series' terms are sized
-# against the cap before anything is allocated
+# the minimality test's 2a list entries and the Eulerian series' terms are
+# sized against the cap before anything is allocated; a minimal base with a
+# huge generator is refused where its scaled instance is built
 HUGE_ARGUMENTS = {
-    "johnson-generator": "verify johnson --alpha 9 --beta 2 --gens 4,5,19999999 --p 0",
+    "johnson-generator": "verify johnson --alpha 20000003 --beta 3 --gens 4,6,19999999 --p 0",
+    "johnson-modulus": "verify johnson --alpha 3 --beta 2 --gens 1000000007,1000000009 --p 0",
     "eulerian-gf": "verify eulerian-gf --exponent 1500 --order 1600",
 }
 

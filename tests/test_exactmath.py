@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -76,6 +77,17 @@ def test_series_check_is_bounded_by_the_horizon_cap(monkeypatch):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "64")
     with pytest.raises(CapExceededError):
         verify_eulerian_gf(3, 12)
+
+
+def test_series_check_holds_nothing_after_it_returns():
+    # only row n of the Eulerian triangle is built, and no table is cached
+    tracemalloc.start()
+    try:
+        assert verify_eulerian_gf(400, 500).passed
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 @given(n=st.integers(1, 6), extra=st.integers(2, 12))

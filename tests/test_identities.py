@@ -1,7 +1,11 @@
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
+from oracles import brute_count
 from psemigroups import (
     PreconditionError,
     frobenius_p,
@@ -19,6 +23,38 @@ def test_minimality():
     assert not is_minimal_generator_system((8, 4, 5, 6))
     assert is_minimal_generator_system((2, 3))
     assert is_minimal_generator_system((17, 18, 19))
+
+
+@st.composite
+def lists_with_shared_factors(draw):
+    """k = 2..5 generators <= 60 with gcd 1, all but one sharing a factor
+    d <= 6, so that sub-lists like (4, 6) of (4, 6, 9) have gcd > 1."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 6))
+    factors = st.lists(st.integers(1, 60 // d), min_size=k - 1, max_size=k - 1)
+    gens = [*(d * x for x in draw(factors)), draw(st.integers(2, 60))]
+    assume(min(gens) >= 2 and len(set(gens)) == k and gcd(*gens) == 1)
+    return tuple(draw(st.permutations(gens)))
+
+
+@settings(max_examples=150)
+@example(gens=(4, 6, 9), alpha=13)
+@example(gens=(4, 6, 9), alpha=11)
+@given(gens=lists_with_shared_factors(), alpha=st.integers(2, 120))
+def test_membership_preconditions_match_brute_force(gens, alpha):
+    minimal = all(
+        brute_count(tuple(x for x in gens if x != b), b) == 0 for b in gens
+    )
+    assert is_minimal_generator_system(gens) == minimal
+    if not minimal or alpha in gens:
+        return
+    in_base = brute_count(gens, alpha) > 0
+    try:
+        verify_johnson(alpha, 1, gens, 0)
+    except PreconditionError as err:
+        assert not in_base and "alpha must lie" in str(err)
+    else:
+        assert in_base
 
 
 def test_johnson_golden_columns():
