@@ -31,19 +31,13 @@ from .reports import Report
 from .semigroup import (
     PSemigroup,
     apery_range,
-    apery_set,
     build,
     build_range,
-    frobenius_p,
     gap_count,
     gap_sum,
-    genus_p,
-    kunz_coordinates,
     member_mask,
-    multiplicity_p,
     power_sum_bernoulli,
     power_sum_gaps,
-    sylvester_sum_p,
     weighted_power_sum,
 )
 from .symmetry import (
@@ -76,7 +70,6 @@ __all__ = [
     "Report",
     "SymmetryReport",
     "apery_range",
-    "apery_set",
     "as_generator_set",
     "bernoulli",
     "build",
@@ -85,22 +78,17 @@ __all__ = [
     "denumerant",
     "detect_pattern",
     "eulerian",
-    "frobenius_p",
     "gap_count",
     "gap_sum",
-    "genus_p",
     "hlk_masks",
     "horizon_cap",
     "is_arf",
     "is_minimal_generator_system",
-    "kunz_coordinates",
     "member_mask",
-    "multiplicity_p",
     "power_sum_bernoulli",
     "power_sum_gaps",
     "pseudo_frobenius",
     "representations",
-    "sylvester_sum_p",
     "type_p",
     "verify_arf_conductor_kunz",
     "verify_arf_heredity",

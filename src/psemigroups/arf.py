@@ -9,12 +9,12 @@ from .reports import Report
 from .semigroup import PSemigroup, build, build_range, member_mask
 
 
-def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
-    """Exhaustively check x + y - z membership over members below ``limit``
-    (default: the conductor; x at or above it cannot fail since
-    x + y - z >= x).  ``passed`` is the closure verdict; the ``witness``
-    detail is a failing triple (x, y, z) with x >= y >= z, all members,
-    x + y - z outside, and is None exactly when the instance is closed.
+def is_arf(sp: PSemigroup) -> Report:
+    """Exhaustively check x + y - z membership over members below the
+    conductor (x at or above it cannot fail since x + y - z >= x).
+    ``passed`` is the closure verdict; the ``witness`` detail is a failing
+    triple (x, y, z) with x >= y >= z, all members, x + y - z outside, and
+    is None exactly when the instance is closed.
 
     Pairs (y, z) are grouped by their difference t: some triple with that
     difference fails iff some member x at or above the least such y has
@@ -24,19 +24,15 @@ def is_arf(sp: PSemigroup, limit: int | None = None) -> Report:
     and its witness are those of a scan over every t.  Bitmasks built in
     O(c) keep the scan at O(a * c / 64) word operations.
     """
-    cutoff = sp.conductor if limit is None else limit
-    if cutoff < 0:
-        raise PreconditionError("limit must be non-negative")
     a, c = sp.modulus, sp.conductor
-    members = member_mask(sp, max(cutoff, c))
-    in_cutoff = members & ((1 << cutoff) - 1)
+    members = member_mask(sp, c)
     gap_mask = ~members & ((1 << c) - 1)
-    for t in range(min(cutoff, a)):
-        pair_mask = in_cutoff & (in_cutoff << t)
+    for t in range(min(c, a)):
+        pair_mask = members & (members << t)
         if pair_mask == 0:
             continue
         y_min = (pair_mask & -pair_mask).bit_length() - 1
-        fail = (in_cutoff & (gap_mask >> t)) >> y_min
+        fail = (members & (gap_mask >> t)) >> y_min
         if fail:
             x = (fail & -fail).bit_length() - 1 + y_min
             witness = (x, y_min, y_min - t)

@@ -34,6 +34,7 @@ from .semigroup import (
     bit_positions,
     build,
     build_range,
+    check_power,
     gap_count,
     gap_sum,
     member_mask,
@@ -295,22 +296,23 @@ def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
 
 
 def sums_document(
-    gens: GeneratorSet,
-    p: int,
-    mu_max: int,
-    weight: Fraction | None,
-    mu_cap: int,
+    gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
+    """Rows mu = 0..mu_max from one instance; the largest exponent is
+    checked before it is built, and a negative mu_max asks for no rows."""
     rows = []
-    for mu in range(mu_max + 1):
-        row: dict[str, Any] = {
-            "mu": mu,
-            "direct": power_sum_gaps(gens, p, mu, mu_cap=mu_cap),
-            "from_apery": power_sum_bernoulli(gens, p, mu, mu_cap=mu_cap),
-        }
-        if weight is not None:
-            row["weighted"] = weighted_power_sum(gens, p, weight, mu, mu_cap=mu_cap)
-        rows.append(row)
+    if mu_max >= 0:
+        check_power(mu_max)
+        sp = build(gens, p)
+        for mu in range(mu_max + 1):
+            row: dict[str, Any] = {
+                "mu": mu,
+                "direct": power_sum_gaps(sp, mu),
+                "from_apery": power_sum_bernoulli(sp, mu),
+            }
+            if weight is not None:
+                row["weighted"] = weighted_power_sum(sp, weight, mu)
+            rows.append(row)
     doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
     if weight is not None:
         doc["weight"] = weight
@@ -418,10 +420,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sums(args: argparse.Namespace) -> int:
     gens = _parse_gens(args.gens)
     p = _single_p(_parse_p_range(args.p))
-    emit(
-        sums_document(gens, p, args.mu, _parse_weight(args.weight), args.mu_cap),
-        args.format,
-    )
+    emit(sums_document(gens, p, args.mu, _parse_weight(args.weight)), args.format)
     return EXIT_OK
 
 
@@ -465,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sums)
     sums.add_argument("--mu", type=int, default=3, help="largest exponent to report")
     sums.add_argument("--weight", default=None, help='optional rational weight "num/den"')
-    sums.add_argument("--mu-cap", type=int, default=8, dest="mu_cap")
     sums.set_defaults(handler=_cmd_sums)
 
     verify = sub.add_parser("verify", help="run a named verifier")

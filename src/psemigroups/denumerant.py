@@ -160,9 +160,7 @@ def denumerant(gens: GeneratorSet | Iterable[int], n: int) -> int:
     return DenumerantTable(gens, n).count(n)
 
 
-def representations(
-    gens: GeneratorSet | Iterable[int], n: int, cap: int | None = None
-) -> list[tuple[int, ...]]:
+def representations(gens: GeneratorSet | Iterable[int], n: int) -> list[tuple[int, ...]]:
     """All coefficient tuples over the input order summing to n.
 
     Returned in lexicographic order; the list length equals denumerant(gens, n).
@@ -170,7 +168,7 @@ def representations(
     A = as_generator_set(gens)
     if n < 0:
         raise PreconditionError("n must be non-negative")
-    limit = horizon_cap() if cap is None else cap
+    limit = horizon_cap()
     if n + 1 > limit:
         raise CapExceededError(f"n = {n} exceeds the configured cap {limit}")
     order = A.ordered

@@ -25,17 +25,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
-from math import comb
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .exactmath import bernoulli
 
-DEFAULT_POWER_CAP = 8
+POWER_CAP = 8
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -102,16 +101,9 @@ def bit_positions(mask: int) -> Iterator[int]:
 
 
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
-    """Build (and cache) the instance for the given generators and p."""
-    A = as_generator_set(gens)
-    if p < 0:
-        raise PreconditionError("p must be non-negative")
-    return _build(A.ordered, p)
-
-
-@lru_cache(maxsize=512)
-def _build(ordered: tuple[int, ...], p: int) -> PSemigroup:
-    return next(build_range(GeneratorSet(ordered), range(p, p + 1)))
+    """The instance for the given generators and p, built on each call:
+    callers hold it and pass it on rather than building it again."""
+    return next(build_range(gens, range(p, p + 1)))
 
 
 def build_range(
@@ -170,7 +162,8 @@ def _class_minima(
     """p -> class minima modulo ``modulus`` (a generator) for 0 <= p <= top.
 
     The table route is tried first, within the size at which the lists
-    would cost no more; the lists take over when it does not settle there.
+    would cost no more; the lists take over when it does not settle there,
+    which a bound on d(n) may show before any table is grown.
     The horizon cap bounds the table's entries per stage and the lists'
     modulus * (top + 1) entries alike, and the largest minimum found must
     stay below it before anything F-sized is derived.
@@ -208,6 +201,9 @@ def _minima_from_table(
     horizon = max(A.ordered)
     if horizon + 1 > limit:
         return None
+    # a top p that no n below the limit can pass is refused before any table
+    if _count_bound(A, g, limit - 1) <= top:
+        return None
     table = DenumerantTable(A, horizon, cap=limit)
     while True:
         h = table.horizon
@@ -223,6 +219,17 @@ def _minima_from_table(
         return tuple(j + g * bisect_right(col, p) for j, col in enumerate(columns))
 
     return minima_at
+
+
+def _count_bound(A: GeneratorSet, modulus: int, n: int) -> int:
+    """An upper bound on d(t) for every t <= n.  The modulus coordinate of
+    a representation of t is fixed by the others, x_b for the m other
+    generators b, which satisfy sum(b * x_b) <= t; the unit cubes at those
+    points lie in the simplex sum(b * y_b) <= n + sum(b), so d(t) is at
+    most its volume."""
+    others = [b for b in A.ordered if b != modulus]
+    m = len(others)
+    return (n + sum(others)) ** m // (factorial(m) * prod(others))
 
 
 def _minima_from_lists(
@@ -292,28 +299,15 @@ def _validate(order: tuple[int, ...], modulus: int, minima: tuple[int, ...]) -> 
                 )
 
 
-def apery_set(
-    gens: GeneratorSet | Iterable[int], p: int, modulus: int | None = None
-) -> tuple[int, ...]:
-    """Least member of each residue class modulo ``modulus`` (default min(A)).
-
-    The modulus must be one of the generators: the per-class reading of the
-    counts is justified by their monotonicity along steps of a generator.
-    """
-    A = as_generator_set(gens)
-    if p < 0:
-        raise PreconditionError("p must be non-negative")
-    if modulus is None or modulus == A.least:
-        return build(A, p).apery_by_residue
-    return next(apery_range(A, range(p, p + 1), modulus))
-
-
 def apery_range(
     gens: GeneratorSet | Iterable[int], p_values: range, modulus: int
 ) -> Iterator[tuple[int, ...]]:
-    """``apery_set(gens, p, modulus)`` for every p of ``p_values``, in
-    order, from one computation of the class minima up to its largest p
-    (the cap checked there, before the first is yielded)."""
+    """The least member of each residue class modulo ``modulus`` for every
+    p of ``p_values``, in order, from one computation of the class minima
+    up to its largest p (the cap checked there, before the first is
+    yielded).  The modulus must be one of the generators: the per-class
+    reading of the counts is justified by their monotonicity along steps
+    of a generator."""
     A = as_generator_set(gens)
     if modulus not in A.ordered:
         raise PreconditionError("modulus must be one of the generators")
@@ -327,16 +321,6 @@ def apery_range(
         return minima
 
     return (checked(p) for p in p_values)
-
-
-def frobenius_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Largest non-member (equals the largest gap)."""
-    return build(gens, p).frobenius
-
-
-def multiplicity_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Least member."""
-    return build(gens, p).multiplicity
 
 
 def gap_count(sp: PSemigroup) -> int:
@@ -361,47 +345,22 @@ def _checked_by_formula(sp: PSemigroup, mu: int, direct: int, name: str) -> int:
     return direct
 
 
-def genus_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Number of gaps (``gap_count`` of the built instance)."""
-    return gap_count(build(gens, p))
-
-
-def sylvester_sum_p(gens: GeneratorSet | Iterable[int], p: int) -> int:
-    """Sum of the gaps (``gap_sum`` of the built instance)."""
-    return gap_sum(build(gens, p))
-
-
-def kunz_coordinates(gens: GeneratorSet | Iterable[int], p: int) -> tuple[int, ...]:
-    """(class minimum - residue) / modulus for each residue class."""
-    return build(gens, p).kunz
-
-
-def _check_power(mu: int, mu_cap: int) -> None:
+def check_power(mu: int) -> None:
+    """Refuse an exponent outside 0..POWER_CAP: the power sums' Bernoulli
+    recurrence and terms grow with it."""
     if mu < 0:
         raise PreconditionError("exponent must be non-negative")
-    if mu > mu_cap:
-        raise CapExceededError(f"exponent {mu} exceeds the cap {mu_cap}")
+    if mu > POWER_CAP:
+        raise CapExceededError(f"exponent {mu} exceeds the cap {POWER_CAP}")
 
 
-def power_sum_gaps(
-    gens: GeneratorSet | Iterable[int],
-    p: int,
-    mu: int,
-    *,
-    mu_cap: int = DEFAULT_POWER_CAP,
-) -> int:
+def power_sum_gaps(sp: PSemigroup, mu: int) -> int:
     """Sum of n^mu over the gaps, by direct summation (0^0 = 1)."""
-    _check_power(mu, mu_cap)
-    return sum(n**mu for n in _gap_walk(build(gens, p)))
+    check_power(mu)
+    return sum(n**mu for n in _gap_walk(sp))
 
 
-def power_sum_bernoulli(
-    gens: GeneratorSet | Iterable[int],
-    p: int,
-    mu: int,
-    *,
-    mu_cap: int = DEFAULT_POWER_CAP,
-) -> int:
+def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     """Sum of n^mu over the gaps, evaluated from the class minima.
 
     Exact-rational evaluation of
@@ -413,8 +372,8 @@ def power_sum_bernoulli(
     numbers (B_1 = -1/2).  Intermediate terms are not integers, so rational
     arithmetic is mandatory; a non-integer final value is a hard failure.
     """
-    _check_power(mu, mu_cap)
-    total = _power_sum_formula(build(gens, p), mu)
+    check_power(mu)
+    total = _power_sum_formula(sp, mu)
     if total.denominator != 1 or total < 0:
         raise InternalCheckError(
             f"power-sum formula produced a non-integer or negative value: {total}"
@@ -436,14 +395,7 @@ def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
     return total
 
 
-def weighted_power_sum(
-    gens: GeneratorSet | Iterable[int],
-    p: int,
-    weight: Fraction | int | str,
-    mu: int,
-    *,
-    mu_cap: int = DEFAULT_POWER_CAP,
-) -> Fraction:
+def weighted_power_sum(sp: PSemigroup, weight: Fraction | int | str, mu: int) -> Fraction:
     """Sum of weight^n * n^mu over the gaps (0^0 = 1); weight 1 reproduces
     the plain power sum.
 
@@ -451,13 +403,13 @@ def weighted_power_sum(
     largest gap), so the numerators num^n * den^(F-n) * n^mu are summed as
     integers, by Horner's rule over the gaps, and reduced once.
     """
-    _check_power(mu, mu_cap)
+    check_power(mu)
     w = Fraction(weight)
     if w == 0:
         raise PreconditionError("weight must be non-zero")
     num, den = w.numerator, w.denominator
     total, num_power, prev = 0, 1, 0
-    for n in _gap_walk(build(gens, p)):
+    for n in _gap_walk(sp):
         num_power *= num ** (n - prev)
         total = total * den ** (n - prev) + num_power * n**mu
         prev = n

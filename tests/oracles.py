@@ -126,19 +126,19 @@ def full_shift_pseudo_frobenius(sp) -> tuple[int, ...]:
     return tuple(x for x in sp.gaps if not (failmask >> x) & 1)
 
 
-def full_scan_arf(sp, limit: int | None = None) -> tuple[bool, tuple[int, int, int] | None]:
-    """Bitmask reference for the x + y - z closure over members below
-    ``limit`` (default: the conductor), trying every difference t = y - z
-    in ascending order; returns (closed, first witness)."""
-    cutoff = sp.conductor if limit is None else limit
+def full_scan_arf(sp) -> tuple[bool, tuple[int, int, int] | None]:
+    """Bitmask reference for the x + y - z closure over members below the
+    conductor, trying every difference t = y - z in ascending order;
+    returns (closed, first witness)."""
+    c = sp.conductor
     member_mask = 0
-    for n in range(cutoff):
+    for n in range(c):
         if sp.contains(n):
             member_mask |= 1 << n
     gap_mask = 0
     for x in sp.gaps:
         gap_mask |= 1 << x
-    for t in range(cutoff):
+    for t in range(c):
         pair_mask = member_mask & (member_mask << t)
         if pair_mask == 0:
             continue

@@ -18,15 +18,14 @@ from psemigroups import (
     build,
     classify,
     denumerant,
-    frobenius_p,
-    genus_p,
+    gap_count,
+    gap_sum,
     hlk_masks,
     is_arf,
     power_sum_bernoulli,
     power_sum_gaps,
     pseudo_frobenius,
     representations,
-    sylvester_sum_p,
     verify_arf_conductor_kunz,
     verify_arf_heredity,
     verify_almost_symmetric_equivalences,
@@ -59,7 +58,7 @@ def test_c01_golden_frobenius_sequences():
         (8, 12, 15, 18): [37, 49, 61, 73, 73, 85, 85, 97, 97, 97, 109],
     }
     for gens, expected in golden.items():
-        assert [frobenius_p(gens, p) for p in range(11)] == expected, gens
+        assert [build(gens, p).frobenius for p in range(11)] == expected, gens
     _passline("1", "three frobenius sequences, p = 0..10, exact")
 
 
@@ -81,7 +80,7 @@ def test_c02_denumerant_goldens():
 # -- criterion 3 ------------------------------------------------------------
 
 def test_c03_appendix_golden():
-    assert frobenius_p((4, 7, 8), 2) == 33
+    assert build((4, 7, 8), 2).frobenius == 33
     _passline("3", "frobenius of {4,7,8} at p = 2")
 
 
@@ -264,19 +263,15 @@ def test_c06_formula_enumeration_equivalence_on_random_instances():
         sp = build(gens, p)
         a, m = sp.modulus, sp.apery_by_residue
         assert max(m) - a == max(sp.gaps), (gens, p)
-        assert Fraction(sum(m), a) - Fraction(a - 1, 2) == genus_p(gens, p), (gens, p)
+        assert Fraction(sum(m), a) - Fraction(a - 1, 2) == gap_count(sp), (gens, p)
         assert (
             Fraction(sum(x * x for x in m), 2 * a)
             - Fraction(sum(m), 2)
             + Fraction(a * a - 1, 12)
-            == sylvester_sum_p(gens, p)
+            == gap_sum(sp)
         ), (gens, p)
         for mu in range(4):
-            assert power_sum_bernoulli(gens, p, mu) == power_sum_gaps(gens, p, mu), (
-                gens,
-                p,
-                mu,
-            )
+            assert power_sum_bernoulli(sp, mu) == power_sum_gaps(sp, mu), (gens, p, mu)
     _passline("6", "class-minima formulas match enumeration on 200 instances")
 
 

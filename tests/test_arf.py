@@ -97,25 +97,18 @@ def test_bitmask_scan_matches_naive_triples(gens, p):
     assert is_arf(sp).passed == verdict
 
 
-@given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
-def test_raising_the_cutoff_never_changes_the_verdict(gens, p):
-    sp = build(gens, p)
-    assert is_arf(sp).passed == is_arf(sp, limit=2 * sp.conductor).passed
-
-
 @given(b=st.integers(3, 19).filter(lambda b: b % 2 == 1), p=st.integers(0, 4))
 def test_two_generator_even_family_is_closed(b, p):
     assert is_arf(build((2, b), p)).passed
 
 
 def _assert_matches_full_scan(sp):
-    for limit in (None, sp.conductor // 2, 2 * sp.conductor):
-        report = is_arf(sp, limit)
-        closed, witness = full_scan_arf(sp, limit)
-        assert (report.passed, report.details["witness"]) == (closed, witness)
-        if witness is not None:
-            _, y, z = witness
-            assert y - z < sp.modulus
+    report = is_arf(sp)
+    closed, witness = full_scan_arf(sp)
+    assert (report.passed, report.details["witness"]) == (closed, witness)
+    if witness is not None:
+        _, y, z = witness
+        assert y - z < sp.modulus
 
 
 @given(instance=st.sampled_from(acceptance_instances()), p=st.integers(0, 15))

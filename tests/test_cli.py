@@ -19,14 +19,17 @@ from oracles import (
     set_pattern,
     small_elements,
 )
-from psemigroups import semigroup
+from psemigroups import cli, semigroup
 from psemigroups import (
     as_generator_set,
     build,
     classify,
-    frobenius_p,
-    genus_p,
-    sylvester_sum_p,
+    gap_count,
+    gap_sum,
+    hlk_masks,
+    is_arf,
+    power_sum_bernoulli,
+    power_sum_gaps,
     weighted_power_sum,
 )
 from psemigroups.cli import (
@@ -102,16 +105,33 @@ def test_analyze_document_matches_the_set_rendering(instance, p, expand):
 
 
 @pytest.mark.parametrize("expand", [False, True])
-def test_analyze_builds_no_gap_tuples(expand):
-    # the cached instances keep only their O(a) fields: nothing the
-    # renderer, the power sums or the weighted sums walk is stored on them
-    semigroup._build.cache_clear()
-    stored = {field.name for field in fields(semigroup.PSemigroup)}
+def test_analyze_builds_no_gap_tuples(monkeypatch, expand):
+    # an instance keeps only its O(a) fields: nothing the renderer, the
+    # power sums, the closure scan or the mirror masks walk is stored on
+    # it; analyze and sums each build one instance, which is held here
+    held = []
+
+    def build_and_hold(gens, p):
+        held.append(build(gens, p))
+        return held[-1]
+
+    monkeypatch.setattr(cli, "build", build_and_hold)
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         analyze_document(as_generator_set(gens), p, expand)
-        sums_document(as_generator_set(gens), p, 3, Fraction(1, 2), 8)
-        weighted_power_sum(gens, p, Fraction(2, 3), 2)
-        assert set(vars(build(gens, p))) == stored
+        sums_document(as_generator_set(gens), p, 3, Fraction(1, 2))
+        sp = build(gens, p)
+        for mu in range(3):
+            power_sum_gaps(sp, mu)
+            power_sum_bernoulli(sp, mu)
+            weighted_power_sum(sp, Fraction(2, 3), mu)
+        gap_count(sp)
+        gap_sum(sp)
+        is_arf(sp)
+        hlk_masks(sp)
+        held.append(sp)
+    stored = {field.name for field in fields(semigroup.PSemigroup)}
+    assert len(held) == 9
+    assert all(set(vars(sp)) == stored for sp in held)
 
 
 # Exact stdout of `psg analyze`, recorded before the sets were rendered from
@@ -362,7 +382,7 @@ def test_sums_renders_rationals_past_the_int_str_digit_limit(capsys):
     assert code == EXIT_OK
     weighted = json.loads(out)["rows"][0]["weighted"]
     assert weighted.split("/")[1] == "1" + "0" * 4324
-    expected = weighted_power_sum((2, 3), 180, Fraction(1, 10000), 0)
+    expected = weighted_power_sum(build((2, 3), 180), Fraction(1, 10000), 0)
     sys.set_int_max_str_digits(0)
     try:
         assert Fraction(weighted) == expected
@@ -631,6 +651,13 @@ def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
     _assert_refused_quickly(capsys, monkeypatch, command)
 
 
+@pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
+def test_default_cap_refuses_a_huge_p_range_quickly(capsys, monkeypatch, command):
+    # no n within the default cap has 10^12 representations, which the
+    # table route sees from a bound on d(n) before it grows any table
+    _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
+
+
 # the minimality test's 2a list entries and the Eulerian series' terms are
 # sized against the cap before anything is allocated; a minimal base with a
 # huge generator is refused where its scaled instance is built
@@ -646,8 +673,11 @@ def test_cap_bounds_a_huge_argument_quickly(capsys, monkeypatch, command):
     _assert_refused_quickly(capsys, monkeypatch, command)
 
 
-def _assert_refused_quickly(capsys, monkeypatch, command):
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):
+    if cap is None:
+        monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", cap)
     start = time.perf_counter()
     code = main(command.split())
     elapsed = time.perf_counter() - start
@@ -677,9 +707,9 @@ def test_cli_is_a_thin_adapter(capsys):
     gens, p = (8, 4, 5, 6), 8
     sp = build(gens, p)
     report = classify(sp)
-    assert doc["frobenius"] == frobenius_p(gens, p)
-    assert doc["genus"] == genus_p(gens, p)
-    assert doc["sylvester_sum"] == sylvester_sum_p(gens, p)
+    assert doc["frobenius"] == sp.frobenius
+    assert doc["genus"] == gap_count(sp)
+    assert doc["sylvester_sum"] == gap_sum(sp)
     assert doc["type"] == report.type_count
     assert doc["symmetric"] == report.symmetric
     assert doc["apery_by_residue"] == list(sp.apery_by_residue)

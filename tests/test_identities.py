@@ -8,10 +8,10 @@ from conftest import generator_tuples, small_p
 from oracles import brute_count
 from psemigroups import (
     PreconditionError,
-    frobenius_p,
-    genus_p,
+    build,
+    gap_count,
+    gap_sum,
     is_minimal_generator_system,
-    sylvester_sum_p,
     verify_gcd_scaling,
     verify_johnson,
     verify_watanabe,
@@ -59,8 +59,8 @@ def test_membership_preconditions_match_brute_force(gens, alpha):
 
 def test_johnson_golden_columns():
     # scaled column must be 3 * unscaled + 16 throughout
-    scaled = [frobenius_p((8, 12, 15, 18), p) for p in range(11)]
-    unscaled = [frobenius_p((8, 4, 5, 6), p) for p in range(11)]
+    scaled = [build((8, 12, 15, 18), p).frobenius for p in range(11)]
+    unscaled = [build((8, 4, 5, 6), p).frobenius for p in range(11)]
     assert scaled == [3 * g + 16 for g in unscaled]
     for p in range(11):
         assert verify_johnson(8, 3, (4, 5, 6), p).passed
@@ -150,10 +150,10 @@ def test_printed_denominator_2_variant_fails_enumeration():
 def test_generator_dropping_reduction_only_valid_at_p_zero():
     # 5 = 2 + 3 is redundant for the generated semigroup, so dropping it
     # keeps p = 0 values; at higher p its representations change the counts
-    assert frobenius_p((2, 5, 3), 0) == frobenius_p((2, 3), 0) == 1
-    assert frobenius_p((2, 5, 3), 1) == 4
-    assert frobenius_p((2, 3), 1) == 7
-    assert frobenius_p((2, 5, 3), 1) != frobenius_p((2, 3), 1)
+    assert build((2, 5, 3), 0).frobenius == build((2, 3), 0).frobenius == 1
+    assert build((2, 5, 3), 1).frobenius == 4
+    assert build((2, 3), 1).frobenius == 7
+    assert build((2, 5, 3), 1).frobenius != build((2, 3), 1).frobenius
 
 
 def test_johnson_specializes_gcd_scaling():
@@ -187,6 +187,7 @@ def test_scaled_tail_instances_satisfy_gcd_scaling(gens, p):
 def test_gcd_scaling_consistency_with_direct_values(p):
     report = verify_gcd_scaling((8, 12, 15, 18), p)
     assert report.passed
-    assert report.details["lhs"]["frobenius"] == frobenius_p((8, 12, 15, 18), p)
-    assert report.details["lhs"]["genus"] == genus_p((8, 12, 15, 18), p)
-    assert report.details["lhs"]["sylvester_sum"] == sylvester_sum_p((8, 12, 15, 18), p)
+    sp = build((8, 12, 15, 18), p)
+    assert report.details["lhs"]["frobenius"] == sp.frobenius
+    assert report.details["lhs"]["genus"] == gap_count(sp)
+    assert report.details["lhs"]["sylvester_sum"] == gap_sum(sp)

@@ -10,19 +10,17 @@ from psemigroups import (
     CapExceededError,
     GeneratorSet,
     PreconditionError,
-    apery_set,
+    apery_range,
     build,
     build_range,
-    frobenius_p,
-    genus_p,
-    kunz_coordinates,
-    multiplicity_p,
+    gap_count,
+    gap_sum,
     power_sum_bernoulli,
     power_sum_gaps,
-    sylvester_sum_p,
     weighted_power_sum,
 )
-from psemigroups.semigroup import _minima_from_lists, _minima_from_table
+from psemigroups import semigroup
+from psemigroups.semigroup import _count_bound, _minima_from_lists, _minima_from_table
 
 GOLDEN_FROBENIUS = {
     (4, 5, 6): [7, 13, 19, 23, 27, 31, 33, 37, 39, 43, 43],
@@ -57,60 +55,66 @@ def test_build_golden_171819():
 
 @pytest.mark.parametrize("gens,expected", sorted(GOLDEN_FROBENIUS.items()))
 def test_frobenius_sequences(gens, expected):
-    assert [frobenius_p(gens, p) for p in range(11)] == expected
+    assert [build(gens, p).frobenius for p in range(11)] == expected
 
 
 def test_frobenius_appendix_value():
-    assert frobenius_p((4, 7, 8), 2) == 33
+    assert build((4, 7, 8), 2).frobenius == 33
 
 
 def test_frobenius_two_generators_p3():
     # brute-force gap scan agrees and the value matches (p+1)*6 - 5
-    assert frobenius_p((2, 3), 3) == max(brute_gap_set((2, 3), 3)) == 19
+    assert build((2, 3), 3).frobenius == max(brute_gap_set((2, 3), 3)) == 19
 
 
 def test_genus_and_sum_goldens():
-    assert genus_p((8, 4, 5, 6), 8) == 26
-    assert sylvester_sum_p((8, 4, 5, 6), 8) == 328
-    assert genus_p((2, 3), 0) == 1
-    assert sylvester_sum_p((2, 3), 0) == 1
+    sp = build((8, 4, 5, 6), 8)
+    assert gap_count(sp) == 26
+    assert gap_sum(sp) == 328
+    sp = build((2, 3), 0)
+    assert gap_count(sp) == 1
+    assert gap_sum(sp) == 1
 
 
 def test_power_sum_goldens():
-    assert power_sum_gaps((2, 3), 0, 2) == 1
-    assert power_sum_gaps((8, 4, 5, 6), 8, 1) == 328
-    assert power_sum_gaps((2, 3), 1, 0) == 7
-    assert build((2, 3), 1).gaps == (0, 1, 2, 3, 4, 5, 7)
+    assert power_sum_gaps(build((2, 3), 0), 2) == 1
+    assert power_sum_gaps(build((8, 4, 5, 6), 8), 1) == 328
+    sp = build((2, 3), 1)
+    assert power_sum_gaps(sp, 0) == 7
+    assert sp.gaps == (0, 1, 2, 3, 4, 5, 7)
 
 
 def test_power_sum_formula_path_matches_direct_path():
-    assert power_sum_bernoulli((2, 3), 0, 0) == 1
-    assert power_sum_bernoulli((8, 4, 5, 6), 8, 1) == 328
-    assert power_sum_bernoulli((17, 18, 19), 5, 0) == len(build((17, 18, 19), 5).gaps)
+    assert power_sum_bernoulli(build((2, 3), 0), 0) == 1
+    assert power_sum_bernoulli(build((8, 4, 5, 6), 8), 1) == 328
+    sp = build((17, 18, 19), 5)
+    assert power_sum_bernoulli(sp, 0) == len(sp.gaps)
 
 
 def test_weighted_power_sum_values():
-    assert weighted_power_sum((2, 3), 0, 1, 1) == 1
-    assert weighted_power_sum((2, 3), 0, 2, 1) == 2
+    sp = build((2, 3), 0)
+    assert weighted_power_sum(sp, 1, 1) == 1
+    assert weighted_power_sum(sp, 2, 1) == 2
     # direct rational sum over the gap set {0,1,2,3,4,5,7}
     expected = sum(Fraction(1, 2) ** n for n in (0, 1, 2, 3, 4, 5, 7))
     assert expected == Fraction(253, 128)
-    assert weighted_power_sum((2, 3), 1, Fraction(1, 2), 0) == expected
+    assert weighted_power_sum(build((2, 3), 1), Fraction(1, 2), 0) == expected
 
 
 def test_weighted_power_sum_guards():
+    sp = build((2, 3), 0)
     with pytest.raises(PreconditionError):
-        weighted_power_sum((2, 3), 0, 0, 1)
+        weighted_power_sum(sp, 0, 1)
     with pytest.raises(CapExceededError):
-        power_sum_gaps((2, 3), 0, 9)
-    assert power_sum_gaps((2, 3), 0, 9, mu_cap=10) == 1
+        power_sum_gaps(sp, 9)
 
 
 def test_kunz_goldens():
-    assert kunz_coordinates((8, 4, 5, 6), 8) == (6, 7, 6, 7)
-    assert kunz_coordinates((2, 3), 0) == (0, 1)
-    assert kunz_coordinates((2, 3), 1) == (3, 4)
-    assert build((2, 3), 1).apery_by_residue == (6, 9)
+    assert build((8, 4, 5, 6), 8).kunz == (6, 7, 6, 7)
+    assert build((2, 3), 0).kunz == (0, 1)
+    sp = build((2, 3), 1)
+    assert sp.kunz == (3, 4)
+    assert sp.apery_by_residue == (6, 9)
 
 
 def test_membership():
@@ -124,15 +128,15 @@ def test_membership():
 
 def test_apery_with_non_minimum_modulus():
     # least members of classes modulo a listed non-minimal generator
-    assert sorted(apery_set((5, 4, 6), 0, modulus=5)) == [0, 4, 6, 8, 12]
+    assert sorted(next(apery_range((5, 4, 6), range(1), 5))) == [0, 4, 6, 8, 12]
     with pytest.raises(PreconditionError):
-        apery_set((5, 4, 6), 0, modulus=7)
+        apery_range((5, 4, 6), range(1), 7)
 
 
 def test_gap_count_and_sum_match_power_sums():
-    gens, p = (8, 4, 5, 6), 8
-    assert genus_p(gens, p) == power_sum_gaps(gens, p, 0) == 26
-    assert sylvester_sum_p(gens, p) == power_sum_gaps(gens, p, 1) == 328
+    sp = build((8, 4, 5, 6), 8)
+    assert gap_count(sp) == power_sum_gaps(sp, 0) == 26
+    assert gap_sum(sp) == power_sum_gaps(sp, 1) == 328
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
@@ -166,21 +170,22 @@ def test_formula_paths_agree_on_random_instances(gens, p):
     sp = build(gens, p)
     a, m = sp.modulus, sp.apery_by_residue
     assert max(m) - a == max(sp.gaps)
-    assert Fraction(sum(m), a) - Fraction(a - 1, 2) == genus_p(gens, p)
+    assert Fraction(sum(m), a) - Fraction(a - 1, 2) == gap_count(sp)
     assert (
         Fraction(sum(x * x for x in m), 2 * a)
         - Fraction(sum(m), 2)
         + Fraction(a * a - 1, 12)
-        == sylvester_sum_p(gens, p)
+        == gap_sum(sp)
     )
     for mu in range(4):
-        assert power_sum_bernoulli(gens, p, mu) == power_sum_gaps(gens, p, mu)
+        assert power_sum_bernoulli(sp, mu) == power_sum_gaps(sp, mu)
 
 
 @given(gens=generator_tuples(), p=small_p)
 def test_weight_one_reduces_to_plain_power_sum(gens, p):
+    sp = build(gens, p)
     for mu in range(3):
-        assert weighted_power_sum(gens, p, 1, mu) == power_sum_gaps(gens, p, mu)
+        assert weighted_power_sum(sp, 1, mu) == power_sum_gaps(sp, mu)
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
@@ -231,7 +236,9 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds,
         for p in range(lo, hi + 1):
             assert by_table(p) == by_lists(p), (modulus, p)
         assert by_lists(hi) == brute_class_minima(gens, hi, modulus)
-    assert apery_set(gens, hi, modulus=other) == by_lists(hi)
+    assert list(apery_range(gens, range(lo, hi + 1), other)) == [
+        by_lists(p) for p in range(lo, hi + 1)
+    ]
     least = _minima_from_lists(A.ordered, A.least, hi)
     in_range = [sp.apery_by_residue for sp in build_range(gens, range(lo, hi + 1))]
     assert in_range == [build(gens, p).apery_by_residue for p in range(lo, hi + 1)]
@@ -243,6 +250,20 @@ def test_table_route_gives_up_within_its_size_limit():
     A = GeneratorSet((10007, 10009, 10037))
     assert _minima_from_table(A, A.least, 0, 20_000) is None
     assert max(_minima_from_lists(A.ordered, A.least, 0)(0)) == 6814761 + 10007
+
+
+@given(gens=generator_tuples(max_value=12), n=st.integers(0, 60), pick=st.integers(0, 3))
+def test_count_bound_holds_up_to_n(gens, n, pick):
+    modulus = gens[pick % len(gens)]
+    bound = _count_bound(GeneratorSet(gens), modulus, n)
+    assert max(brute_count(gens, t) for t in range(n + 1)) <= bound
+
+
+def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
+    # d(n) <= (n + 3) // 3 for {2, 3}, so no n below 10^6 has more than
+    # 10^12 representations
+    monkeypatch.setattr(semigroup, "DenumerantTable", None)
+    assert _minima_from_table(GeneratorSet((2, 3)), 2, 10**12, 10**6) is None
 
 
 def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
