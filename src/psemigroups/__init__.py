@@ -21,21 +21,18 @@ from .exactmath import bernoulli, eulerian, verify_eulerian_gf
 from .identities import (
     is_minimal_generator_system,
     verify_gcd_scaling,
-    verify_gcd_scaling_range,
     verify_johnson,
-    verify_johnson_range,
     verify_watanabe,
-    verify_watanabe_range,
 )
 from .reports import Report
 from .semigroup import (
     PSemigroup,
-    apery_range,
     build,
     build_range,
     gap_count,
     gap_sum,
     member_mask,
+    minima_modulo,
     power_sum_bernoulli,
     power_sum_gaps,
     weighted_power_sum,
@@ -69,7 +66,6 @@ __all__ = [
     "PreconditionError",
     "Report",
     "SymmetryReport",
-    "apery_range",
     "as_generator_set",
     "bernoulli",
     "build",
@@ -85,6 +81,7 @@ __all__ = [
     "is_arf",
     "is_minimal_generator_system",
     "member_mask",
+    "minima_modulo",
     "power_sum_bernoulli",
     "power_sum_gaps",
     "pseudo_frobenius",
@@ -96,13 +93,10 @@ __all__ = [
     "verify_apery_pairings",
     "verify_eulerian_gf",
     "verify_gcd_scaling",
-    "verify_gcd_scaling_range",
     "verify_johnson",
-    "verify_johnson_range",
     "verify_nari",
     "verify_pf_consequences",
     "verify_symmetry_equivalences",
     "verify_watanabe",
-    "verify_watanabe_range",
     "weighted_power_sum",
 ]

@@ -56,8 +56,8 @@ def verify_arf_heredity(a: int, b: int, p_max: int) -> Report:
             note=f"base instance is not closed (witness {base.details['witness']})",
             details={"identity": "arf-heredity", "verdicts": {}},
         )
-    verdicts = {
-        f"p={sp.p}": is_arf(sp).passed for sp in build_range(gens, range(p_max + 1))
+    verdicts = {"p=0": base.passed} | {
+        f"p={sp.p}": is_arf(sp).passed for sp in build_range(gens, range(1, p_max + 1))
     }
     return Report(
         "verdicts",

@@ -24,11 +24,7 @@ from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
-from .identities import (
-    verify_gcd_scaling_range,
-    verify_johnson_range,
-    verify_watanabe_range,
-)
+from .identities import verify_gcd_scaling, verify_johnson, verify_watanabe
 from .reports import Report
 from .semigroup import (
     bit_positions,
@@ -335,14 +331,14 @@ def _report_doc(report: Report) -> dict[str, Any]:
 def _run_verify(args: argparse.Namespace) -> list[Report]:
     name = args.name
     if name in ("johnson", "watanabe"):
-        fn = verify_johnson_range if name == "johnson" else verify_watanabe_range
+        fn = verify_johnson if name == "johnson" else verify_watanabe
         if args.alpha is None or args.beta is None or args.gens is None:
             raise PreconditionError(f"verify {name} needs --alpha, --beta and --gens")
         gens = _parse_gens(args.gens)
         return fn(args.alpha, args.beta, gens, _parse_p_range(args.p))
     if name == "gcd-scaling":
         gens = _parse_gens(_required(args, "gens"))
-        return verify_gcd_scaling_range(gens, _parse_p_range(args.p))
+        return verify_gcd_scaling(gens, _parse_p_range(args.p))
     if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric"):
         gens = _parse_gens(_required(args, "gens"))
         fns = {

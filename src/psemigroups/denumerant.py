@@ -63,11 +63,6 @@ class GeneratorSet:
             raise PreconditionError("generators must have gcd 1")
 
     @property
-    def elements(self) -> tuple[int, ...]:
-        """Generators in ascending order."""
-        return tuple(sorted(self.ordered))
-
-    @property
     def least(self) -> int:
         return min(self.ordered)
 

@@ -13,7 +13,7 @@ from typing import Any, Iterable, Iterator
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, apery_range, build_range, gap_count, gap_sum
+from .semigroup import PSemigroup, build_range, gap_count, gap_sum, minima_modulo
 from .semigroup import _order_one_instance
 from .symmetry import classify
 
@@ -85,20 +85,14 @@ def _scaling_report(
 
 
 def verify_johnson(
-    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p: int
-) -> Report:
-    """Frobenius and genus transport under scaling the base by beta:
+    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
+) -> list[Report]:
+    """Frobenius and genus transport under scaling the base by beta, for
+    every p of ``p_values``:
 
         frobenius(alpha, beta*B) = beta * frobenius(alpha, B) + (beta-1) * alpha
         genus(alpha, beta*B)     = beta * genus(alpha, B) + (alpha-1)(beta-1)/2
     """
-    return verify_johnson_range(alpha, beta, base, range(p, p + 1))[0]
-
-
-def verify_johnson_range(
-    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
-) -> list[Report]:
-    """``verify_johnson`` for every p of ``p_values``."""
     B, pairs = _scaling_instances(alpha, beta, base, p_values)
     return [
         _scaling_report(
@@ -118,17 +112,10 @@ def verify_johnson_range(
 
 
 def verify_watanabe(
-    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p: int
-) -> Report:
-    """Symmetry is preserved under scaling the base by beta, and the least
-    member scales by exactly beta."""
-    return verify_watanabe_range(alpha, beta, base, range(p, p + 1))[0]
-
-
-def verify_watanabe_range(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
 ) -> list[Report]:
-    """``verify_watanabe`` for every p of ``p_values``."""
+    """Symmetry is preserved under scaling the base by beta, and the least
+    member scales by exactly beta, for every p of ``p_values``."""
     B, pairs = _scaling_instances(alpha, beta, base, p_values)
     return [
         _scaling_report(
@@ -154,9 +141,11 @@ def _as_int_if_integral(x: Fraction) -> int | Fraction:
     return int(x) if x.denominator == 1 else x
 
 
-def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
+def verify_gcd_scaling(
+    gens: GeneratorSet | Iterable[int], p_values: range
+) -> list[Report]:
     """Dividing the generators after the first by their gcd d relates the two
-    instances exactly:
+    instances exactly, for every p of ``p_values``:
 
         frobenius = d * frobenius' + (d-1) * a1
         genus     = d * genus' + (d-1)(a1-1)/2
@@ -165,17 +154,9 @@ def verify_gcd_scaling(gens: GeneratorSet | Iterable[int], p: int) -> Report:
 
     and the sorted class minima modulo a1 of the original equal d times
     those of the reduced instance.  The first listed generator plays the
-    role of a1 regardless of whether it is the minimum.
+    role of a1 regardless of whether it is the minimum; each list's class
+    minima are computed once, at the largest p.
     """
-    return verify_gcd_scaling_range(gens, range(p, p + 1))[0]
-
-
-def verify_gcd_scaling_range(
-    gens: GeneratorSet | Iterable[int], p_values: range
-) -> list[Report]:
-    """``verify_gcd_scaling`` for every p of ``p_values``; the original
-    and the reduced list's class minima (modulo the least generator and
-    modulo the first) are each computed once, at the largest p."""
     A = as_generator_set(gens)
     first, rest = A.ordered[0], A.ordered[1:]
     d = gcd(*rest) if len(rest) > 1 else rest[0]
@@ -187,35 +168,12 @@ def verify_gcd_scaling_range(
     if any(x < 2 for x in reduced_rest):
         raise PreconditionError("reduced generators must stay at least 2")
     reduced = GeneratorSet((first, *reduced_rest))
-    rows = zip(
-        _with_minima_modulo(A, first, p_values),
-        _with_minima_modulo(reduced, first, p_values),
-    )
-    return [
-        _gcd_scaling_report(A, d, sp, apery, sp_r, apery_r)
-        for (sp, apery), (sp_r, apery_r) in rows
-    ]
-
-
-def _with_minima_modulo(
-    G: GeneratorSet, modulus: int, p_values: range
-) -> Iterator[tuple[PSemigroup, tuple[int, ...]]]:
-    """Each instance of ``p_values`` with its class minima modulo
-    ``modulus`` (a generator): the instance's own when that is the least
-    generator, else from one more computation over the range."""
-    instances = build_range(G, p_values)
-    if modulus == G.least:
-        return ((sp, sp.apery_by_residue) for sp in instances)
-    return zip(instances, apery_range(G, p_values, modulus))
+    pairs = zip(build_range(A, p_values), build_range(reduced, p_values))
+    return [_gcd_scaling_report(A, d, sp, sp_r) for sp, sp_r in pairs]
 
 
 def _gcd_scaling_report(
-    A: GeneratorSet,
-    d: int,
-    sp: PSemigroup,
-    apery: tuple[int, ...],
-    sp_r: PSemigroup,
-    apery_r: tuple[int, ...],
+    A: GeneratorSet, d: int, sp: PSemigroup, sp_r: PSemigroup
 ) -> Report:
     first = A.ordered[0]
     g, n, s = sp.frobenius, gap_count(sp), gap_sum(sp)
@@ -231,13 +189,13 @@ def _gcd_scaling_report(
         "frobenius": g,
         "genus": n,
         "sylvester_sum": s,
-        "apery": sorted(apery),
+        "apery": sorted(minima_modulo(sp, first)),
     }
     rhs = {
         "frobenius": d * g_r + (d - 1) * first,
         "genus": d * n_r + (d - 1) * (first - 1) // 2,
         "sylvester_sum": _as_int_if_integral(expected_sum),
-        "apery": sorted(d * x for x in apery_r),
+        "apery": sorted(d * x for x in minima_modulo(sp_r, first)),
     }
     return Report(
         "identity",

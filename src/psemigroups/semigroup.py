@@ -5,19 +5,19 @@ Within each residue class modulo a generator g the count is non-decreasing
 along steps of g (append one more copy of g to any representation), so the
 least member of each class, the class minimum, decides membership in the
 whole class; every invariant of an instance is derived from its minima
-modulo a = min(A).
+modulo a = min(A), its minima modulo any other g included.
 
 The minima for every p of a range come from one computation at the largest
 p, P, along the cheaper of two exact routes:
 
 - the count table, grown geometrically while its k stages hold at most
-  (k-1)*g*(P+1) entries; once every class column exceeds P within it, each
+  (k-1)*a*(P+1) entries; once every class column exceeds P within it, each
   p's minima are read by bisection;
 - (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
-  congruent to n modulo g that are representable over the generators
-  other than g, so the class minimum at p is the (p+1)-th smallest of
+  congruent to n modulo a that are representable over the generators
+  other than a, so the class minimum at p is the (p+1)-th smallest of
   them.  The lists are merged one generator at a time, in
-  O((k-1)*g*(P+1)*log(g)) and with no table.
+  O((k-1)*a*(P+1)*log(a)) and with no table.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def build_range(
     A = as_generator_set(gens)
     if not p_values:
         return iter(())
-    minima_at = _class_minima(A, A.least, _top_p(p_values))
+    minima_at = _class_minima(A, _top_p(p_values))
     return (_instance(A, p, minima_at(p)) for p in p_values)
 
 
@@ -130,7 +130,7 @@ def _top_p(p_values: range) -> int:
 
 def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
     a = A.least
-    _validate(A.ordered, a, minima)
+    _validate(A, minima)
     frobenius = max(minima) - a
     return PSemigroup(
         generators=A,
@@ -153,34 +153,32 @@ def _order_one_instance(A: GeneratorSet) -> PSemigroup:
     a, cap = A.least, horizon_cap()
     if 2 * a > cap:
         raise CapExceededError(f"p = 1 class minima need {2 * a} list entries; the cap is {cap}")
-    return _instance(A, 1, _minima_from_lists(A.ordered, a, 1)(1))
+    return _instance(A, 1, _minima_from_lists(A, 1)(1))
 
 
-def _class_minima(
-    A: GeneratorSet, modulus: int, top: int
-) -> Callable[[int], tuple[int, ...]]:
-    """p -> class minima modulo ``modulus`` (a generator) for 0 <= p <= top.
+def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
+    """p -> class minima modulo a = min(A) for 0 <= p <= top.
 
     The table route is tried first, within the size at which the lists
     would cost no more; the lists take over when it does not settle there,
     which a bound on d(n) may show before any table is grown.
     The horizon cap bounds the table's entries per stage and the lists'
-    modulus * (top + 1) entries alike, and the largest minimum found must
+    a * (top + 1) entries alike, and the largest minimum found must
     stay below it before anything F-sized is derived.
     """
     cap = horizon_cap()
     k = len(A)
-    list_entries = modulus * (top + 1)
+    list_entries = A.least * (top + 1)
     lists_fit = list_entries <= cap
     limit = min(cap, (k - 1) * list_entries // k) if lists_fit else cap
-    minima_at = _minima_from_table(A, modulus, top, limit)
+    minima_at = _minima_from_table(A, top, limit)
     if minima_at is None:
         if not lists_fit:
             raise CapExceededError(
                 f"class minima at p = {top} need a count table past {cap}"
                 f" entries or {list_entries} list entries; the cap is {cap}"
             )
-        minima_at = _minima_from_lists(A.ordered, modulus, top)
+        minima_at = _minima_from_lists(A, top)
     largest = max(minima_at(top))
     if largest + 1 > cap:
         raise CapExceededError(
@@ -190,61 +188,59 @@ def _class_minima(
 
 
 def _minima_from_table(
-    A: GeneratorSet, modulus: int, top: int, limit: int
+    A: GeneratorSet, top: int, limit: int
 ) -> Callable[[int], tuple[int, ...]] | None:
     """Count-table route: grow the table, at most ``limit`` entries a
     stage, until the last entry of every class column exceeds ``top``;
     None when it does not within that size.  Columns are non-decreasing,
-    so the minimum of class j at p is j + modulus * (number of entries of
+    so the minimum of class j at p is j + a * (number of entries of
     column j that are at most p)."""
-    g = modulus
+    a = A.least
     horizon = max(A.ordered)
     if horizon + 1 > limit:
         return None
     # a top p that no n below the limit can pass is refused before any table
-    if _count_bound(A, g, limit - 1) <= top:
+    if _count_bound(A, limit - 1) <= top:
         return None
     table = DenumerantTable(A, horizon, cap=limit)
     while True:
         h = table.horizon
-        if min(table.count(n) for n in range(h - g + 1, h + 1)) > top:
+        if min(table.count(n) for n in range(h - a + 1, h + 1)) > top:
             break
         if h + 1 >= limit:
             return None
         table.ensure(h + 1)
     counts = table.counts
-    columns = [counts[j::g] for j in range(g)]
+    columns = [counts[j::a] for j in range(a)]
 
     def minima_at(p: int) -> tuple[int, ...]:
-        return tuple(j + g * bisect_right(col, p) for j, col in enumerate(columns))
+        return tuple(j + a * bisect_right(col, p) for j, col in enumerate(columns))
 
     return minima_at
 
 
-def _count_bound(A: GeneratorSet, modulus: int, n: int) -> int:
-    """An upper bound on d(t) for every t <= n.  The modulus coordinate of
+def _count_bound(A: GeneratorSet, n: int) -> int:
+    """An upper bound on d(t) for every t <= n.  The a coordinate of
     a representation of t is fixed by the others, x_b for the m other
     generators b, which satisfy sum(b * x_b) <= t; the unit cubes at those
     points lie in the simplex sum(b * y_b) <= n + sum(b), so d(t) is at
     most its volume."""
-    others = [b for b in A.ordered if b != modulus]
+    others = [b for b in A.ordered if b != A.least]
     m = len(others)
     return (n + sum(others)) ** m // (factorial(m) * prod(others))
 
 
-def _minima_from_lists(
-    order: tuple[int, ...], modulus: int, top: int
-) -> Callable[[int], tuple[int, ...]]:
-    """(top+1)-best-lists route: for each residue class, the top + 1
-    smallest values (with multiplicity) representable over the generators
-    other than ``modulus``; the minimum of class j at p is the p-th entry
+def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
+    """(top+1)-best-lists route: for each residue class modulo a, the
+    top + 1 smallest values (with multiplicity) representable over the
+    generators other than a; the minimum of class j at p is the p-th entry
     of list j (counting from 0)."""
-    keep = top + 1
-    lists: list[list[int]] = [[] for _ in range(modulus)]
+    a, keep = A.least, top + 1
+    lists: list[list[int]] = [[] for _ in range(a)]
     lists[0].append(0)
-    for b in order:
-        if b != modulus:
-            lists = _merge_generator(lists, b, modulus, keep)
+    for b in A.ordered:
+        if b != a:
+            lists = _merge_generator(lists, b, keep)
 
     def minima_at(p: int) -> tuple[int, ...]:
         return tuple(values[p] for values in lists)
@@ -252,9 +248,7 @@ def _minima_from_lists(
     return minima_at
 
 
-def _merge_generator(
-    lists: list[list[int]], b: int, modulus: int, keep: int
-) -> list[list[int]]:
+def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:
     """The lists once b may be used too: class r merges its old list with
     the new list of class r - b shifted by b (Boecker and Liptak's
     round-robin step, Algorithmica 48, 2007).  Values leave one heap in
@@ -262,7 +256,8 @@ def _merge_generator(
     r + b, and a class takes no values past ``keep``.  Heap entries are
     (value, class, next index into the old list), the index 0 marking a
     fed value."""
-    new: list[list[int]] = [[] for _ in range(modulus)]
+    a = len(lists)
+    new: list[list[int]] = [[] for _ in range(a)]
     heap = [(values[0], r, 1) for r, values in enumerate(lists) if values]
     heapify(heap)
     while heap:
@@ -274,53 +269,47 @@ def _merge_generator(
         old = lists[r]
         if nxt and nxt < len(old):
             heappush(heap, (old[nxt], r, nxt + 1))
-        s = (r + b) % modulus
+        s = (r + b) % a
         if len(new[s]) < keep:
             heappush(heap, (v + b, s, 0))
     return new
 
 
-def _validate(order: tuple[int, ...], modulus: int, minima: tuple[int, ...]) -> None:
-    """O(k*modulus) structural checks of class minima from either route."""
-    if len(minima) != modulus:
+def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:
+    """O(k*a) structural checks of class minima from either route."""
+    a = A.least
+    if len(minima) != a:
         raise InternalCheckError("class minima do not cover all residues")
     for j, m in enumerate(minima):
-        if m % modulus != j:
+        if m % a != j:
             raise InternalCheckError(f"class minimum {m} is not in class {j}")
         if m < 0:
             raise InternalCheckError("negative Kunz coordinate")
     # a count never drops along a step of a generator b, so the member
     # m_j + b bounds the minimum of its class
-    for b in order:
+    for b in A.ordered:
         for j, m in enumerate(minima):
-            if minima[(j + b) % modulus] > m + b:
+            if minima[(j + b) % a] > m + b:
                 raise InternalCheckError(
-                    f"class minimum {minima[(j + b) % modulus]} exceeds {m} + {b}"
+                    f"class minimum {minima[(j + b) % a]} exceeds {m} + {b}"
                 )
 
 
-def apery_range(
-    gens: GeneratorSet | Iterable[int], p_values: range, modulus: int
-) -> Iterator[tuple[int, ...]]:
-    """The least member of each residue class modulo ``modulus`` for every
-    p of ``p_values``, in order, from one computation of the class minima
-    up to its largest p (the cap checked there, before the first is
-    yielded).  The modulus must be one of the generators: the per-class
-    reading of the counts is justified by their monotonicity along steps
-    of a generator."""
-    A = as_generator_set(gens)
-    if modulus not in A.ordered:
-        raise PreconditionError("modulus must be one of the generators")
-    if not p_values:
-        return iter(())
-    minima_at = _class_minima(A, modulus, _top_p(p_values))
-
-    def checked(p: int) -> tuple[int, ...]:
-        minima = minima_at(p)
-        _validate(A.ordered, modulus, minima)
-        return minima
-
-    return (checked(p) for p in p_values)
+def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
+    """The least member of each residue class modulo g (the instance's
+    Apéry set with respect to g), read off the membership flags over
+    [0, conductor + g): every n from the conductor on is a member, so each
+    class has one there.  Those conductor + g bytes are checked against the
+    cap before they are allocated."""
+    if g < 1:
+        raise PreconditionError("modulus must be positive")
+    length, cap = sp.conductor + g, horizon_cap()
+    if length > cap:
+        raise CapExceededError(
+            f"minima modulo {g} scan {length} integers, past the cap {cap}"
+        )
+    flags = _member_flags(sp, length)
+    return tuple(r + g * flags[r::g].index(1) for r in range(g))
 
 
 def gap_count(sp: PSemigroup) -> int:

@@ -346,22 +346,23 @@ def test_c08_scaling_identities():
         for base in ((4, 5, 6), (5, 6, 7)):
             try:
                 for p in range(11):
-                    assert verify_johnson(alpha, beta, base, p).passed, (alpha, beta, base, p)
-                    assert verify_watanabe(alpha, beta, base, p).passed, (alpha, beta, base, p)
+                    one = range(p, p + 1)
+                    assert verify_johnson(alpha, beta, base, one)[0].passed, (alpha, beta, base, p)
+                    assert verify_watanabe(alpha, beta, base, one)[0].passed, (alpha, beta, base, p)
                 ran += 1
             except PreconditionError:
                 skipped += 1
     assert ran == 3 and skipped == 3  # every (alpha, *, {5,6,7}) combination skips
 
     for p in range(9):
-        report = verify_gcd_scaling((8, 12, 15, 18), p)
+        report = verify_gcd_scaling((8, 12, 15, 18), range(p, p + 1))[0]
         assert report.passed, p
         assert "12" in report.note
     for p in range(4):
-        assert verify_gcd_scaling((5, 4, 6), p).passed, p
+        assert verify_gcd_scaling((5, 4, 6), range(p, p + 1))[0].passed, p
 
     # the denominator-2 variant demonstrably fails: 3828 != 3618
-    report = verify_gcd_scaling((8, 12, 15, 18), 8)
+    report = verify_gcd_scaling((8, 12, 15, 18), range(8, 9))[0]
     assert report.details["lhs"]["sylvester_sum"] == 3618
     variant = report.details["extras"]["sylvester_sum_denominator_2_variant"]
     assert variant == 3828

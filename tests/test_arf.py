@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from conftest import acceptance_instances, generator_tuples, small_p
 from oracles import full_scan_arf, small_elements
+from psemigroups import arf
 from psemigroups import (
     build,
     is_arf,
@@ -53,6 +54,19 @@ def test_heredity_families():
     skipped = verify_arf_heredity(3, 4, 3)
     assert not skipped.applicable
     assert "witness" in skipped.note
+
+
+def test_heredity_scans_each_instance_once(monkeypatch):
+    # the base verdict serves as the p = 0 row
+    scanned = []
+
+    def spy(sp):
+        scanned.append(sp.p)
+        return is_arf(sp)
+
+    monkeypatch.setattr(arf, "is_arf", spy)
+    assert verify_arf_heredity(2, 3, 5).passed
+    assert scanned == [0, 1, 2, 3, 4, 5]
 
 
 def test_conductor_kunz_zero_residue_branch():

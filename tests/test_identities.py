@@ -50,7 +50,7 @@ def test_membership_preconditions_match_brute_force(gens, alpha):
         return
     in_base = brute_count(gens, alpha) > 0
     try:
-        verify_johnson(alpha, 1, gens, 0)
+        verify_johnson(alpha, 1, gens, range(0, 1))[0]
     except PreconditionError as err:
         assert not in_base and "alpha must lie" in str(err)
     else:
@@ -63,53 +63,53 @@ def test_johnson_golden_columns():
     unscaled = [build((8, 4, 5, 6), p).frobenius for p in range(11)]
     assert scaled == [3 * g + 16 for g in unscaled]
     for p in range(11):
-        assert verify_johnson(8, 3, (4, 5, 6), p).passed
+        assert verify_johnson(8, 3, (4, 5, 6), range(p, p + 1))[0].passed
 
 
 def test_johnson_genus_golden():
-    report = verify_johnson(8, 3, (4, 5, 6), 8)
+    report = verify_johnson(8, 3, (4, 5, 6), range(8, 9))[0]
     assert report.passed
     assert report.details["lhs"]["genus"] == 85 == 3 * 26 + 7
 
 
 def test_johnson_beta_one_degenerates():
-    report = verify_johnson(8, 1, (4, 5, 6), 3)
+    report = verify_johnson(8, 1, (4, 5, 6), range(3, 4))[0]
     assert report.passed
     assert report.details["lhs"] == report.details["rhs"]
 
 
 def test_johnson_preconditions():
     with pytest.raises(PreconditionError):
-        verify_johnson(4, 3, (4, 5, 6), 0)  # alpha equals a base generator
+        verify_johnson(4, 3, (4, 5, 6), range(0, 1))[0]  # alpha equals a base generator
     with pytest.raises(PreconditionError):
-        verify_johnson(8, 2, (4, 5, 6), 0)  # alpha, beta not coprime
+        verify_johnson(8, 2, (4, 5, 6), range(0, 1))[0]  # alpha, beta not coprime
     with pytest.raises(PreconditionError):
-        verify_johnson(7, 3, (4, 5, 6), 0)  # alpha outside the base semigroup
+        verify_johnson(7, 3, (4, 5, 6), range(0, 1))[0]  # alpha outside the base semigroup
     with pytest.raises(PreconditionError):
-        verify_johnson(8, 3, (8, 4, 5, 6), 0)  # base not minimal
+        verify_johnson(8, 3, (8, 4, 5, 6), range(0, 1))[0]  # base not minimal
     with pytest.raises(PreconditionError):
-        verify_johnson(8, 3, (5, 6, 7), 0)  # 8 not representable over {5,6,7}
+        verify_johnson(8, 3, (5, 6, 7), range(0, 1))[0]  # 8 not representable over {5,6,7}
 
 
 def test_watanabe_golden():
-    report = verify_watanabe(8, 3, (4, 5, 6), 8)
+    report = verify_watanabe(8, 3, (4, 5, 6), range(8, 9))[0]
     assert report.passed
     assert report.details["lhs"] == {"symmetric": True, "multiplicity": 72}
     assert report.details["rhs"] == {"symmetric": True, "multiplicity": 72}
 
 
 def test_watanabe_beta_one_degenerates():
-    report = verify_watanabe(8, 1, (4, 5, 6), 2)
+    report = verify_watanabe(8, 1, (4, 5, 6), range(2, 3))[0]
     assert report.passed and report.details["lhs"] == report.details["rhs"]
 
 
 def test_watanabe_across_p_range():
     for p in range(11):
-        assert verify_watanabe(8, 3, (4, 5, 6), p).passed
+        assert verify_watanabe(8, 3, (4, 5, 6), range(p, p + 1))[0].passed
 
 
 def test_gcd_scaling_golden_8form():
-    report = verify_gcd_scaling((8, 12, 15, 18), 8)
+    report = verify_gcd_scaling((8, 12, 15, 18), range(8, 9))[0]
     assert report.passed
     assert report.details["lhs"]["frobenius"] == 97 == 3 * 27 + 2 * 8
     assert report.details["lhs"]["genus"] == 85 == 3 * 26 + 7
@@ -119,7 +119,7 @@ def test_gcd_scaling_golden_8form():
 
 
 def test_gcd_scaling_golden_546():
-    report = verify_gcd_scaling((5, 4, 6), 0)
+    report = verify_gcd_scaling((5, 4, 6), range(0, 1))[0]
     assert report.passed
     assert report.details["lhs"]["frobenius"] == 7 == 2 * 1 + 5
     assert report.details["lhs"]["genus"] == 4 == 2 * 1 + 2
@@ -127,22 +127,22 @@ def test_gcd_scaling_golden_546():
 
 
 def test_gcd_scaling_apery_relation_uses_first_generator_as_modulus():
-    report = verify_gcd_scaling((5, 4, 6), 0)
+    report = verify_gcd_scaling((5, 4, 6), range(0, 1))[0]
     assert report.details["lhs"]["apery"] == [0, 4, 6, 8, 12]
     assert report.details["rhs"]["apery"] == [2 * x for x in (0, 2, 3, 4, 6)]
 
 
 def test_gcd_scaling_preconditions():
     with pytest.raises(PreconditionError):
-        verify_gcd_scaling((17, 18, 19), 0)  # gcd of the tail is 1
+        verify_gcd_scaling((17, 18, 19), range(0, 1))[0]  # gcd of the tail is 1
     with pytest.raises(PreconditionError):
-        verify_gcd_scaling((3, 2, 4), 0)  # tail/d drops below 2
+        verify_gcd_scaling((3, 2, 4), range(0, 1))[0]  # tail/d drops below 2
 
 
 def test_printed_denominator_2_variant_fails_enumeration():
     # the denominator-2 form of the quadratic scaling term would predict
     # 3828 here, while the enumerated gap sum is 3618
-    report = verify_gcd_scaling((8, 12, 15, 18), 8)
+    report = verify_gcd_scaling((8, 12, 15, 18), range(8, 9))[0]
     variant = report.details["extras"]["sylvester_sum_denominator_2_variant"]
     assert variant != report.details["lhs"]["sylvester_sum"]
 
@@ -160,8 +160,8 @@ def test_johnson_specializes_gcd_scaling():
     # scaling the base of {alpha} u B by beta is the tail-gcd scaling of
     # {alpha} u beta*B with d = beta
     for p in range(5):
-        johnson = verify_johnson(8, 3, (4, 5, 6), p)
-        scaling = verify_gcd_scaling((8, 12, 15, 18), p)
+        johnson = verify_johnson(8, 3, (4, 5, 6), range(p, p + 1))[0]
+        scaling = verify_gcd_scaling((8, 12, 15, 18), range(p, p + 1))[0]
         assert johnson.passed and scaling.passed
         assert johnson.details["lhs"]["frobenius"] == scaling.details["lhs"]["frobenius"]
         assert johnson.details["lhs"]["genus"] == scaling.details["lhs"]["genus"]
@@ -177,7 +177,7 @@ def test_scaled_tail_instances_satisfy_gcd_scaling(gens, p):
     if len(set(scaled)) != len(scaled):
         return
     try:
-        report = verify_gcd_scaling(scaled, p)
+        report = verify_gcd_scaling(scaled, range(p, p + 1))[0]
     except PreconditionError:
         return
     assert report.passed
@@ -185,7 +185,7 @@ def test_scaled_tail_instances_satisfy_gcd_scaling(gens, p):
 
 @given(p=small_p)
 def test_gcd_scaling_consistency_with_direct_values(p):
-    report = verify_gcd_scaling((8, 12, 15, 18), p)
+    report = verify_gcd_scaling((8, 12, 15, 18), range(p, p + 1))[0]
     assert report.passed
     sp = build((8, 12, 15, 18), p)
     assert report.details["lhs"]["frobenius"] == sp.frobenius

@@ -10,11 +10,11 @@ from psemigroups import (
     CapExceededError,
     GeneratorSet,
     PreconditionError,
-    apery_range,
     build,
     build_range,
     gap_count,
     gap_sum,
+    minima_modulo,
     power_sum_bernoulli,
     power_sum_gaps,
     weighted_power_sum,
@@ -128,9 +128,17 @@ def test_membership():
 
 def test_apery_with_non_minimum_modulus():
     # least members of classes modulo a listed non-minimal generator
-    assert sorted(next(apery_range((5, 4, 6), range(1), 5))) == [0, 4, 6, 8, 12]
+    assert sorted(minima_modulo(build((5, 4, 6), 0), 5)) == [0, 4, 6, 8, 12]
+
+
+def test_minima_modulo_checks_its_scan_against_the_cap(monkeypatch):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    sp = build((2, 3), 0)  # conductor 2, so modulo g the scan covers 2 + g integers
+    assert minima_modulo(sp, 998)[:4] == (0, 999, 2, 3)
+    with pytest.raises(CapExceededError):
+        minima_modulo(sp, 999)
     with pytest.raises(PreconditionError):
-        apery_range((5, 4, 6), range(1), 7)
+        minima_modulo(sp, 0)
 
 
 def test_gap_count_and_sum_match_power_sums():
@@ -220,42 +228,39 @@ def test_membership_of_first_class_minimum():
 @given(
     gens=generator_tuples(max_value=12),
     bounds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-    pick=st.integers(0, 3),
 )
-def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds, pick):
+def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds):
     # draws are unsorted and need not be minimal; each route is forced
-    # through its own function, for the least generator as modulus and for
-    # another one
+    # through its own function, and the minima modulo every generator are
+    # read off the top instance
     lo, hi = sorted(bounds)
     A = GeneratorSet(gens)
-    others = [g for g in gens if g != A.least]
-    other = others[pick % len(others)]
-    for modulus in (A.least, other):
-        by_table = _minima_from_table(A, modulus, hi, 10**7)
-        by_lists = _minima_from_lists(A.ordered, modulus, hi)
-        for p in range(lo, hi + 1):
-            assert by_table(p) == by_lists(p), (modulus, p)
-        assert by_lists(hi) == brute_class_minima(gens, hi, modulus)
-    assert list(apery_range(gens, range(lo, hi + 1), other)) == [
+    by_table = _minima_from_table(A, hi, 10**7)
+    by_lists = _minima_from_lists(A, hi)
+    for p in range(lo, hi + 1):
+        assert by_table(p) == by_lists(p), p
+    assert by_lists(hi) == brute_class_minima(gens, hi, A.least)
+    in_range = list(build_range(gens, range(lo, hi + 1)))
+    assert [sp.apery_by_residue for sp in in_range] == [
+        build(gens, p).apery_by_residue for p in range(lo, hi + 1)
+    ]
+    assert [sp.apery_by_residue for sp in in_range] == [
         by_lists(p) for p in range(lo, hi + 1)
     ]
-    least = _minima_from_lists(A.ordered, A.least, hi)
-    in_range = [sp.apery_by_residue for sp in build_range(gens, range(lo, hi + 1))]
-    assert in_range == [build(gens, p).apery_by_residue for p in range(lo, hi + 1)]
-    assert in_range == [least(p) for p in range(lo, hi + 1)]
+    for g in gens:
+        assert minima_modulo(in_range[-1], g) == brute_class_minima(gens, hi, g), g
 
 
 def test_table_route_gives_up_within_its_size_limit():
     # {10007, 10009, 10037} at p = 0 has F = 6814761, far past 20000 entries
     A = GeneratorSet((10007, 10009, 10037))
-    assert _minima_from_table(A, A.least, 0, 20_000) is None
-    assert max(_minima_from_lists(A.ordered, A.least, 0)(0)) == 6814761 + 10007
+    assert _minima_from_table(A, 0, 20_000) is None
+    assert max(_minima_from_lists(A, 0)(0)) == 6814761 + 10007
 
 
-@given(gens=generator_tuples(max_value=12), n=st.integers(0, 60), pick=st.integers(0, 3))
-def test_count_bound_holds_up_to_n(gens, n, pick):
-    modulus = gens[pick % len(gens)]
-    bound = _count_bound(GeneratorSet(gens), modulus, n)
+@given(gens=generator_tuples(max_value=12), n=st.integers(0, 60))
+def test_count_bound_holds_up_to_n(gens, n):
+    bound = _count_bound(GeneratorSet(gens), n)
     assert max(brute_count(gens, t) for t in range(n + 1)) <= bound
 
 
@@ -263,7 +268,7 @@ def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
     # d(n) <= (n + 3) // 3 for {2, 3}, so no n below 10^6 has more than
     # 10^12 representations
     monkeypatch.setattr(semigroup, "DenumerantTable", None)
-    assert _minima_from_table(GeneratorSet((2, 3)), 2, 10**12, 10**6) is None
+    assert _minima_from_table(GeneratorSet((2, 3)), 10**12, 10**6) is None
 
 
 def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
