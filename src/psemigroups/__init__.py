@@ -5,9 +5,11 @@ a fixed generator list; the package computes the class minima (Apery data),
 gaps, power sums, pseudo-Frobenius sets, symmetry classifications, closure
 properties, and verifies the scaling identities relating different
 generator lists.
+
+``arf`` and ``identities`` load on first use of one of their names, so that
+a command that needs neither does not import them.
 """
 
-from .arf import is_arf, verify_arf_conductor_kunz, verify_arf_heredity
 from .denumerant import (
     DenumerantTable,
     GeneratorSet,
@@ -18,12 +20,6 @@ from .denumerant import (
 )
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .exactmath import bernoulli, eulerian, verify_eulerian_gf
-from .identities import (
-    is_minimal_generator_system,
-    verify_gcd_scaling,
-    verify_johnson,
-    verify_watanabe,
-)
 from .reports import Report
 from .semigroup import (
     PSemigroup,
@@ -100,3 +96,28 @@ __all__ = [
     "verify_watanabe",
     "weighted_power_sum",
 ]
+
+_LAZY = {
+    "is_arf": "arf",
+    "verify_arf_conductor_kunz": "arf",
+    "verify_arf_heredity": "arf",
+    "is_minimal_generator_system": "identities",
+    "verify_gcd_scaling": "identities",
+    "verify_johnson": "identities",
+    "verify_watanabe": "identities",
+}
+
+
+def __getattr__(name: str) -> object:
+    """Import ``arf`` or ``identities`` when one of their names (or the
+    module itself) is first asked for, and keep the name here."""
+    module = _LAZY.get(name, name)
+    if module not in ("arf", "identities"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

@@ -4,7 +4,9 @@ Output formats: json (stable byte-for-byte: sorted keys, compact separators,
 rationals as "num/den" strings), tsv, and pretty.  Finite sets serialize as
 run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
-here; every command is a thin adapter over the library.
+here; every command is a thin adapter over the library.  ``arf`` and
+``identities`` are imported inside the handlers that call them, so the
+other commands never load them.
 
 Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 cap
 exceeded, 5 verifier failure.
@@ -19,12 +21,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import arf as arf_mod
 from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
-from .identities import verify_gcd_scaling, verify_johnson, verify_watanabe
 from .reports import Report
 from .semigroup import (
     bit_positions,
@@ -217,6 +217,8 @@ def _single_p(values: range) -> int:
 def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[str, Any]:
     """Every set is rendered from a bitmask, so no O(F) tuple is built
     unless ``expand`` lists the elements."""
+    from .arf import is_arf
+
     sp = build(gens, p)
     report = sym_mod.classify(sp)
     h, l, k_below = sym_mod.hlk_masks(sp)
@@ -246,7 +248,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "almost_symmetric": report.almost_symmetric,
         "completely_symmetric": report.completely_symmetric,
         "pattern": sym_mod.detect_pattern(sp),
-        "arf": arf_mod.is_arf(sp).passed,
+        "arf": is_arf(sp).passed,
     }
 
 
@@ -331,12 +333,16 @@ def _report_doc(report: Report) -> dict[str, Any]:
 def _run_verify(args: argparse.Namespace) -> list[Report]:
     name = args.name
     if name in ("johnson", "watanabe"):
+        from .identities import verify_johnson, verify_watanabe
+
         fn = verify_johnson if name == "johnson" else verify_watanabe
         if args.alpha is None or args.beta is None or args.gens is None:
             raise PreconditionError(f"verify {name} needs --alpha, --beta and --gens")
         gens = _parse_gens(args.gens)
         return fn(args.alpha, args.beta, gens, _parse_p_range(args.p))
     if name == "gcd-scaling":
+        from .identities import verify_gcd_scaling
+
         gens = _parse_gens(_required(args, "gens"))
         return verify_gcd_scaling(gens, _parse_p_range(args.p))
     if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric"):
@@ -353,14 +359,18 @@ def _run_verify(args: argparse.Namespace) -> list[Report]:
         _only_p0(args, "nari is defined at p = 0")
         return [sym_mod.verify_nari(gens)]
     if name == "arf-heredity":
+        from .arf import verify_arf_heredity
+
         _only_p0(args, "arf-heredity takes its p range from --pmax")
         if args.a is None or args.b is None:
             raise PreconditionError("verify arf-heredity needs --a and --b")
-        return [arf_mod.verify_arf_heredity(args.a, args.b, args.pmax)]
+        return [verify_arf_heredity(args.a, args.b, args.pmax)]
     if name == "arf-kunz":
+        from .arf import verify_arf_conductor_kunz
+
         gens = _parse_gens(_required(args, "gens"))
         return [
-            arf_mod.verify_arf_conductor_kunz(sp)
+            verify_arf_conductor_kunz(sp)
             for sp in build_range(gens, _parse_p_range(args.p))
         ]
     if name == "eulerian-gf":

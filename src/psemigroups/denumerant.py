@@ -9,11 +9,11 @@ redundant for the generated semigroup still raises the counts.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, PreconditionError
+from .reports import Record
 
 DEFAULT_HORIZON_CAP = 10_000_000
 HORIZON_CAP_ENV = "PSEMIGROUPS_HORIZON_CAP"
@@ -35,8 +35,7 @@ def horizon_cap() -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record):
     """Validated generator list.
 
     ``ordered`` preserves the caller's order; representation tuples are
@@ -45,11 +44,12 @@ class GeneratorSet:
     they are rejected rather than removed).
     """
 
+    __slots__ = ("ordered",)
+
     ordered: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        elems = tuple(self.ordered)
-        object.__setattr__(self, "ordered", elems)
+    def __init__(self, ordered: Iterable[int]) -> None:
+        elems = tuple(ordered)
         for a in elems:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise PreconditionError(f"generators must be integers, got {a!r}")
@@ -61,6 +61,7 @@ class GeneratorSet:
             raise PreconditionError("duplicate generators are not allowed")
         if gcd(*elems) != 1:
             raise PreconditionError("generators must have gcd 1")
+        super().__init__(elems)
 
     @property
     def least(self) -> int:

@@ -69,14 +69,17 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
     sum_m <n, m> x^(m+1) coefficient-wise on every degree <= order - n - 1,
     where truncation cannot have disturbed the product.  The
     ``first_mismatch`` detail is the least degree that differs, or None.
-    The horizon cap bounds its (order + 1) * (n + 2) products.
+    The horizon cap bounds its (order + 1) * (n + 2) products, each
+    counted once per 4096 bits of its n * log2(order)-bit terms (about
+    the cost of one count-table entry), so that it bounds time as well.
     """
     if n < 1:
         raise PreconditionError("series exponent n must be positive")
     if order < n + 2:
         raise PreconditionError("truncation order must be at least n + 2")
     cap = horizon_cap()
-    if (order + 1) * (n + 2) > cap:
+    blocks = -(-n * order.bit_length() // 4096)  # 4096-bit blocks per term, rounded up
+    if (order + 1) * (n + 2) * blocks > cap:
         raise CapExceededError(f"series to order {order} at n = {n} exceed the cap {cap}")
     source = [k**n for k in range(order + 1)]
     binom = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]

@@ -23,7 +23,6 @@ p, P, along the cheaper of two exact routes:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
@@ -33,6 +32,7 @@ from typing import Callable, Iterable, Iterator
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .exactmath import bernoulli
+from .reports import Record
 
 POWER_CAP = 8
 
@@ -41,14 +41,25 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-@dataclass(frozen=True)
-class PSemigroup:
+class PSemigroup(Record):
     """One built (generators, p) instance; immutable and freely shareable.
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
     modulus.  The instance holds O(a) data; ``gaps`` is derived from the
     class minima on each access and never stored.
     """
+
+    __slots__ = (
+        "generators",
+        "p",
+        "modulus",
+        "apery_by_residue",
+        "apery_sorted",
+        "multiplicity",
+        "frobenius",
+        "conductor",
+        "kunz",
+    )
 
     generators: GeneratorSet
     p: int

@@ -9,12 +9,11 @@ rendering and give the verify_* functions an independent second route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
-from .reports import Report
+from .reports import Record, Report
 from .semigroup import PSemigroup, build, gap_count, member_mask
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
@@ -31,10 +30,18 @@ _PAIRING_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(Record):
     """Classification of one instance: pseudo-Frobenius set, type, and the
     four symmetry flags."""
+
+    __slots__ = (
+        "pf",
+        "type_count",
+        "symmetric",
+        "pseudo_symmetric",
+        "almost_symmetric",
+        "completely_symmetric",
+    )
 
     pf: tuple[int, ...]
     type_count: int

@@ -3,7 +3,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -129,9 +128,16 @@ def test_analyze_builds_no_gap_tuples(monkeypatch, expand):
         is_arf(sp)
         hlk_masks(sp)
         held.append(sp)
-    stored = {field.name for field in fields(semigroup.PSemigroup)}
+    stored = set(semigroup.PSemigroup.__slots__)
     assert len(held) == 9
-    assert all(set(vars(sp)) == stored for sp in held)
+    assert all(_stored_fields(sp) == stored for sp in held)
+
+
+def _stored_fields(record):
+    """Names of the attributes an instance holds: its set slots and, were
+    there a __dict__, everything in it."""
+    slots = {name for name in type(record).__slots__ if hasattr(record, name)}
+    return slots | set(getattr(record, "__dict__", ()))
 
 
 # Exact stdout of `psg analyze`, recorded before the sets were rendered from
@@ -692,6 +698,14 @@ HUGE_ARGUMENTS = {
 @pytest.mark.parametrize("command", HUGE_ARGUMENTS.values(), ids=HUGE_ARGUMENTS)
 def test_cap_bounds_a_huge_argument_quickly(capsys, monkeypatch, command):
     _assert_refused_quickly(capsys, monkeypatch, command)
+
+
+def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):
+    # about 20 s of big-integer work: the cap counts each ~36000-bit term
+    # nine times, so the check is refused before any term is built
+    _assert_refused_quickly(
+        capsys, monkeypatch, "verify eulerian-gf --exponent 3000 --order 3002", cap=None
+    )
 
 
 def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):

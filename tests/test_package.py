@@ -1,0 +1,198 @@
+"""The package surface: public names, the immutable records, and what each
+entry point imports."""
+
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psemigroups
+from psemigroups import GeneratorSet, PreconditionError, PSemigroup, Report, SymmetryReport
+from psemigroups import build, classify
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+@pytest.mark.parametrize("name", psemigroups.__all__)
+def test_every_public_name_imports(name):
+    namespace = {}
+    exec(f"from psemigroups import {name}", namespace)
+    assert namespace[name] is getattr(psemigroups, name)
+
+
+def test_lazy_names_are_the_module_functions():
+    from psemigroups import arf, identities
+
+    assert psemigroups.is_arf is arf.is_arf
+    assert psemigroups.verify_johnson is identities.verify_johnson
+    assert psemigroups.arf is arf
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        psemigroups.no_such_name  # noqa: B018
+
+
+def test_denumerant_is_the_function():
+    assert callable(psemigroups.denumerant)
+    assert psemigroups.denumerant((4, 5), 20) == 2
+
+
+# ---------------------------------------------------------------------------
+# records
+
+def _records():
+    sp = build((4, 5, 6), 2)
+    return [
+        (GeneratorSet((4, 5, 6)), GeneratorSet((4, 5, 6)), GeneratorSet((4, 6, 5))),
+        (sp, build((4, 5, 6), 2), build((4, 5, 6), 3)),
+        (classify(sp), classify(build((4, 5, 6), 2)), classify(build((3, 5), 0))),
+        (Report("closure", True), Report("closure", True), Report("closure", False)),
+    ]
+
+
+@pytest.mark.parametrize("same, twin, other", _records(), ids=lambda r: type(r).__name__)
+def test_records_compare_and_print_by_value(same, twin, other):
+    assert same is not twin
+    assert same == twin and not same != twin
+    assert same != other
+    assert same != tuple(getattr(same, f) for f in type(same).__slots__)
+    assert repr(same) == repr(twin) != repr(other)
+    assert repr(same).startswith(type(same).__name__ + "(")
+    assert copy.copy(same) == same
+    assert pickle.loads(pickle.dumps(same)) == same
+
+
+@pytest.mark.parametrize("same, twin, other", _records()[:3], ids=lambda r: type(r).__name__)
+def test_hashable_records_hash_by_value(same, twin, other):
+    assert hash(same) == hash(twin)
+    assert len({same, twin, other}) == 2
+
+
+def test_report_with_details_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(Report("series", True, details={"first_mismatch": None}))
+
+
+@pytest.mark.parametrize("record", [r[0] for r in _records()], ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment(record):
+    field = type(record).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
+
+
+def test_reports_get_their_own_details():
+    first, second = Report("closure", True), Report("closure", True)
+    first.details["witness"] = None
+    assert second.details == {}
+    assert first.details is not second.details
+
+
+def test_report_constructor_calls():
+    report = Report("series", passed=False, details={"first_mismatch": 3})
+    assert (report.applicable, report.note, report.details) == (True, "", {"first_mismatch": 3})
+    full = Report("closure", True, False, "why", {"witness": None})
+    assert full == Report(
+        kind="closure", passed=True, applicable=False, note="why", details={"witness": None}
+    )
+
+
+def test_record_constructor_binds_like_a_signature():
+    sr = classify(build((4, 5, 6), 2))
+    values = [getattr(sr, f) for f in SymmetryReport.__slots__]
+    assert SymmetryReport(*values) == sr
+    assert SymmetryReport(*values[:2], **dict(zip(SymmetryReport.__slots__[2:], values[2:]))) == sr
+    with pytest.raises(TypeError):
+        SymmetryReport(*values[:-1])
+    with pytest.raises(TypeError):
+        SymmetryReport(*values, values[0])
+    with pytest.raises(TypeError):
+        SymmetryReport(*values[:-1], pf=values[0])
+    with pytest.raises(TypeError):
+        SymmetryReport(*values, colour="red")
+
+
+def test_generator_set_validates_and_keeps_a_tuple():
+    assert GeneratorSet([5, 4]).ordered == (5, 4)
+    assert GeneratorSet(ordered=iter((4, 5))) == GeneratorSet((4, 5))
+    for bad in ((4,), (1, 3), (4, 4, 5), (4, 6), (4, True), (4, 5.0)):
+        with pytest.raises(PreconditionError):
+            GeneratorSet(bad)
+
+
+def test_psemigroup_fields_are_its_slots():
+    sp = build((4, 5, 6), 2)
+    assert isinstance(sp, PSemigroup)
+    assert PSemigroup.__slots__[:3] == ("generators", "p", "modulus")
+    assert sp.frobenius == max(sp.apery_by_residue) - sp.modulus
+
+
+# ---------------------------------------------------------------------------
+# import footprint: each entry point loads only what it runs.  -X importtime
+# names every module a fresh interpreter imports; a bare interpreter's are
+# taken away, so that site hooks cannot trip the test.
+
+HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
+
+
+def _imported(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+    return names, result
+
+
+@pytest.fixture(scope="module")
+def new_imports():
+    bare, _ = _imported("-c", "pass")
+
+    def run(*args):
+        names, result = _imported(*args)
+        assert result.returncode == 0, result.stderr
+        return names - bare, result.stdout
+
+    return run
+
+
+def test_parser_imports_no_heavy_module(new_imports):
+    names, _ = new_imports("-c", "import psemigroups.cli as c; c.build_parser()")
+    assert "psemigroups.cli" in names
+    assert not names & HEAVY
+
+
+def test_classify_imports_neither_arf_nor_identities(new_imports):
+    names, out = new_imports("-m", "psemigroups", "classify", "--gens", "4,5", "--p", "0")
+    assert json.loads(out)["rows"][0]["symmetric"] is True
+    assert "psemigroups.symmetry" in names
+    assert not names & HEAVY
+
+
+def test_verify_arf_kunz_imports_arf(new_imports):
+    names, out = new_imports("-m", "psemigroups", "verify", "arf-kunz", "--gens", "4,5,6", "--p", "2")
+    assert json.loads(out)["passed"] is True
+    assert "psemigroups.arf" in names
+    assert "psemigroups.identities" not in names
