@@ -9,7 +9,9 @@ redundant for the generated semigroup still raises the counts.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 from math import gcd
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import CapExceededError, PreconditionError
@@ -120,17 +122,29 @@ class DenumerantTable:
             )
 
     def _fill(self, new_horizon: int) -> None:
-        lo = self._horizon + 1
-        if new_horizon < lo:
+        """Extend each stage to ``new_horizon`` from the previous one, one
+        slice, then add s[n - g] to each new s[n] in ascending n.  That
+        runs either down each residue class modulo g as a prefix sum or
+        over blocks of g entries, each block reading only the block before
+        it; whichever takes fewer Python steps."""
+        lo, end = self._horizon + 1, new_horizon + 1
+        if end <= lo:
             return
-        for i, a in enumerate(self.generators.ordered):
+        for i, g in enumerate(self.generators.ordered):
             stage = self._stages[i]
-            prev = self._stages[i - 1] if i else None
-            for n in range(lo, new_horizon + 1):
-                value = prev[n] if prev is not None else (1 if n == 0 else 0)
-                if n >= a:
-                    value += stage[n - a]
-                stage.append(value)
+            if i:
+                stage += self._stages[i - 1][lo:end]
+            else:
+                stage += [0] * (end - lo)
+                if lo == 0:
+                    stage[0] = 1
+            start = max(lo, g)
+            if end - start <= g * g:
+                for n in range(start, end, g):
+                    stage[n : n + g] = map(add, stage[n : n + g], stage[n - g : n])
+            else:
+                for r in range(start - g, start):
+                    stage[r:end:g] = accumulate(stage[r:end:g])
         self._horizon = new_horizon
 
     def ensure(self, n: int) -> None:

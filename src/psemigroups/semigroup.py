@@ -16,17 +16,18 @@ p, P, along the cheaper of two exact routes:
 - (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
   congruent to n modulo a that are representable over the generators
   other than a, so the class minimum at p is the (p+1)-th smallest of
-  them.  The lists are merged one generator at a time, in
-  O((k-1)*a*(P+1)*log(a)) and with no table.
+  them.  The lists are merged one generator at a time by a round-robin
+  walk over the residue cycles of that generator, with no table:
+  O((k-1)*a*(P+1)) element work in O((k-1)*a) Python-level merges of
+  sorted runs, plus the closure steps of each cycle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import compress, count
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Iterator
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, horizon_cap
@@ -172,7 +173,10 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
 
     The table route is tried first, within the size at which the lists
     would cost no more; the lists take over when it does not settle there,
-    which a bound on d(n) may show before any table is grown.
+    which a bound on d(n) may show before any table is grown.  That limit
+    was fitted when the lists were merged by a heap, and is kept so that no
+    input changes route; it is now conservative, as it may try a table
+    where the round-robin lists would cost a little less.
     The horizon cap bounds the table's entries per stage and the lists'
     a * (top + 1) entries alike, and the largest minimum found must
     stay below it before anything F-sized is derived.
@@ -260,30 +264,67 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
 
 
 def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:
-    """The lists once b may be used too: class r merges its old list with
-    the new list of class r - b shifted by b (Boecker and Liptak's
-    round-robin step, Algorithmica 48, 2007).  Values leave one heap in
-    ascending order; a value v placed in class r feeds v + b to class
-    r + b, and a class takes no values past ``keep``.  Heap entries are
-    (value, class, next index into the old list), the index 0 marking a
-    fed value."""
+    """The lists once b may be used too: class r keeps the ``keep``
+    smallest, with multiplicity, of its old list and of the new list of
+    class r - b shifted by b, an exact form of Boecker and Liptak's
+    round-robin step (Algorithmica 48, 2007).  The classes fall into
+    g = gcd(a, b) cycles s0, s0 + b, ... of length L = a/g, and going once
+    round a cycle adds W = L*b.  A first walk round each cycle collects
+    the values that reach s0 without going round; the new list of s0 is
+    their closure under adding W, and a second walk feeds it on round the
+    cycle.  So a generator costs about 2a Python steps, each a merge of
+    two ascending runs by one C-level ``list.sort``, and O(a*keep)
+    element work, plus at most ``keep`` block steps of each closure."""
     a = len(lists)
+    g = gcd(a, b)
+    length = a // g
     new: list[list[int]] = [[] for _ in range(a)]
-    heap = [(values[0], r, 1) for r, values in enumerate(lists) if values]
-    heapify(heap)
-    while heap:
-        v, r, nxt = heappop(heap)
-        out = new[r]
-        if len(out) == keep:
-            continue
-        out.append(v)
-        old = lists[r]
-        if nxt and nxt < len(old):
-            heappush(heap, (old[nxt], r, nxt + 1))
-        s = (r + b) % a
-        if len(new[s]) < keep:
-            heappush(heap, (v + b, s, 0))
+    for s0 in range(g):
+        rest = [s % a for s in range(s0 + b, s0 + length * b, b)]
+        fed: list[int] = []
+        for s in rest:
+            fed = _keep_union(lists[s], fed, b, keep)
+        fed = new[s0] = _closure(_keep_union(lists[s0], fed, b, keep), length * b, keep)
+        for s in rest:
+            fed = new[s] = _keep_union(lists[s], fed, b, keep)
     return new
+
+
+def _keep_union(old: list[int], fed: list[int], b: int, keep: int) -> list[int]:
+    """The ``keep`` smallest of two ascending lists of at most ``keep``
+    values, the second shifted by b; either list may be returned as it is,
+    so neither is changed afterwards."""
+    if not fed:
+        return old
+    merged = old + [v + b for v in fed]
+    if old:
+        merged.sort()
+        del merged[keep:]
+    return merged
+
+
+def _closure(values: list[int], width: int, keep: int) -> list[int]:
+    """The ``keep`` smallest of x + t*width over the ascending ``values``
+    and t >= 0, one block of the given width at a time: block m holds the
+    residues modulo width of the values below (m + 1)*width, plus
+    m*width.  Each block adds at least one value, and once every value is
+    below, the blocks repeat with period width."""
+    out: list[int] = []
+    residues: list[int] = []
+    i, n = 0, len(values)
+    base = values[0] // width * width if values else 0
+    while i < n and len(out) < keep:
+        j = bisect_left(values, base + width, i)
+        residues += [x % width for x in values[i:j]]
+        residues.sort()
+        i = j
+        out += [base + r for r in residues]
+        base += width
+    if residues and len(out) < keep:
+        blocks = -((len(out) - keep) // len(residues))
+        out += [base + t * width + r for t in range(blocks) for r in residues]
+    del out[keep:]
+    return out
 
 
 def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:

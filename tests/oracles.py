@@ -7,11 +7,14 @@ gaps and members, quadratic in the Frobenius number; they serve as
 references at sizes the brute-force scans cannot reach.  The set-based
 mirror routes are the library's former O(F) evaluations of the exchange
 and of H/L/K, and the tuple renderers the CLI's former way of writing
-sets, kept as references for its bitmask ones.
+sets, kept as references for its bitmask ones.  The heap merge is the
+library's former (P+1)-best-lists step, kept as a second route for its
+round-robin one.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Any, Iterable
 
 
@@ -29,6 +32,16 @@ def brute_count(gens: tuple[int, ...], n: int) -> int:
         )
 
     return rec(0, n)
+
+
+def dp_counts(gens: tuple[int, ...], horizon: int) -> list[int]:
+    """d(0..horizon) by the textbook DP, one generator and one n at a
+    time: d(n) += d(n - g)."""
+    counts = [1] + [0] * horizon
+    for g in gens:
+        for n in range(g, horizon + 1):
+            counts[n] += counts[n - g]
+    return counts
 
 
 def brute_gap_set(gens: tuple[int, ...], p: int) -> list[int]:
@@ -82,6 +95,45 @@ def brute_class_minima(gens: tuple[int, ...], p: int, modulus: int) -> tuple[int
             n += modulus
         minima.append(n)
     return tuple(minima)
+
+
+def heap_merge_lists(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:
+    """The (keep)-best lists modulo a = len(lists) once b may be used too,
+    by one heap over every class: values leave it in ascending order; a
+    value v placed in class r feeds v + b to class r + b, and a class takes
+    no values past ``keep``.  Heap entries are (value, class, next index
+    into the old list), the index 0 marking a fed value."""
+    a = len(lists)
+    new: list[list[int]] = [[] for _ in range(a)]
+    heap = [(values[0], r, 1) for r, values in enumerate(lists) if values]
+    heapify(heap)
+    while heap:
+        v, r, nxt = heappop(heap)
+        out = new[r]
+        if len(out) == keep:
+            continue
+        out.append(v)
+        old = lists[r]
+        if nxt and nxt < len(old):
+            heappush(heap, (old[nxt], r, nxt + 1))
+        s = (r + b) % a
+        if len(new[s]) < keep:
+            heappush(heap, (v + b, s, 0))
+    return new
+
+
+def heap_best_lists(gens: tuple[int, ...], top: int) -> list[list[int]]:
+    """For each residue class modulo a = min(gens), the top + 1 smallest
+    values (with multiplicity) representable over the other generators,
+    merged one generator at a time by ``heap_merge_lists``; the class
+    minimum at p <= top is entry p of its list."""
+    a = min(gens)
+    lists: list[list[int]] = [[] for _ in range(a)]
+    lists[0].append(0)
+    for b in gens:
+        if b != a:
+            lists = heap_merge_lists(lists, b, top + 1)
+    return lists
 
 
 def brute_pseudo_frobenius(gens: tuple[int, ...], p: int) -> list[int]:

@@ -578,6 +578,114 @@ PINNED_RANGES = [
         'table',
         '{"generators":[10,11,12,18],"rows":[{"frobenius":3033,"p":200000}]}',
     ),
+    (
+        'table --gens 101,103 --p 0..40 --field frobenius,genus',
+        'lists',
+        '{"generators":[101,103],"rows":['
+        '{"frobenius":10199,"genus":5100,"p":0},'
+        '{"frobenius":20602,"genus":15503,"p":1},'
+        '{"frobenius":31005,"genus":25906,"p":2},'
+        '{"frobenius":41408,"genus":36309,"p":3},'
+        '{"frobenius":51811,"genus":46712,"p":4},'
+        '{"frobenius":62214,"genus":57115,"p":5},'
+        '{"frobenius":72617,"genus":67518,"p":6},'
+        '{"frobenius":83020,"genus":77921,"p":7},'
+        '{"frobenius":93423,"genus":88324,"p":8},'
+        '{"frobenius":103826,"genus":98727,"p":9},'
+        '{"frobenius":114229,"genus":109130,"p":10},'
+        '{"frobenius":124632,"genus":119533,"p":11},'
+        '{"frobenius":135035,"genus":129936,"p":12},'
+        '{"frobenius":145438,"genus":140339,"p":13},'
+        '{"frobenius":155841,"genus":150742,"p":14},'
+        '{"frobenius":166244,"genus":161145,"p":15},'
+        '{"frobenius":176647,"genus":171548,"p":16},'
+        '{"frobenius":187050,"genus":181951,"p":17},'
+        '{"frobenius":197453,"genus":192354,"p":18},'
+        '{"frobenius":207856,"genus":202757,"p":19},'
+        '{"frobenius":218259,"genus":213160,"p":20},'
+        '{"frobenius":228662,"genus":223563,"p":21},'
+        '{"frobenius":239065,"genus":233966,"p":22},'
+        '{"frobenius":249468,"genus":244369,"p":23},'
+        '{"frobenius":259871,"genus":254772,"p":24},'
+        '{"frobenius":270274,"genus":265175,"p":25},'
+        '{"frobenius":280677,"genus":275578,"p":26},'
+        '{"frobenius":291080,"genus":285981,"p":27},'
+        '{"frobenius":301483,"genus":296384,"p":28},'
+        '{"frobenius":311886,"genus":306787,"p":29},'
+        '{"frobenius":322289,"genus":317190,"p":30},'
+        '{"frobenius":332692,"genus":327593,"p":31},'
+        '{"frobenius":343095,"genus":337996,"p":32},'
+        '{"frobenius":353498,"genus":348399,"p":33},'
+        '{"frobenius":363901,"genus":358802,"p":34},'
+        '{"frobenius":374304,"genus":369205,"p":35},'
+        '{"frobenius":384707,"genus":379608,"p":36},'
+        '{"frobenius":395110,"genus":390011,"p":37},'
+        '{"frobenius":405513,"genus":400414,"p":38},'
+        '{"frobenius":415916,"genus":410817,"p":39},'
+        '{"frobenius":426319,"genus":421220,"p":40}]}'
+    ),
+    (
+        'classify --gens 120,180,251 --p 0..30',
+        'lists',
+        '{"generators":[120,180,251],"rows":['
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":0,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":1,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":2,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":3,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":4,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":5,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":6,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":7,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":8,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":9,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":10,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":11,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":12,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":13,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":14,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":15,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":16,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":17,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":18,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":19,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":20,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":21,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":22,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":23,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":24,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":25,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":26,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":27,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":28,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":29,"pseudo_symmetric":false,"symmetric":true},'
+        '{"almost_symmetric":true,"completely_symmetric":false,"p":30,"pseudo_symmetric":false,"symmetric":true}]}'
+    ),
+    (
+        'table --gens 60,84,90,131 --p 0..20 --field frobenius,genus',
+        'lists',
+        '{"generators":[60,84,90,131],"rows":['
+        '{"frobenius":1021,"genus":511,"p":0},'
+        '{"frobenius":1201,"genus":691,"p":1},'
+        '{"frobenius":1381,"genus":871,"p":2},'
+        '{"frobenius":1381,"genus":925,"p":3},'
+        '{"frobenius":1477,"genus":1039,"p":4},'
+        '{"frobenius":1561,"genus":1099,"p":5},'
+        '{"frobenius":1657,"genus":1201,"p":6},'
+        '{"frobenius":1717,"genus":1267,"p":7},'
+        '{"frobenius":1741,"genus":1303,"p":8},'
+        '{"frobenius":1777,"genus":1357,"p":9},'
+        '{"frobenius":1837,"genus":1417,"p":10},'
+        '{"frobenius":1897,"genus":1447,"p":11},'
+        '{"frobenius":1897,"genus":1477,"p":12},'
+        '{"frobenius":1957,"genus":1537,"p":13},'
+        '{"frobenius":2017,"genus":1585,"p":14},'
+        '{"frobenius":2077,"genus":1621,"p":15},'
+        '{"frobenius":2077,"genus":1651,"p":16},'
+        '{"frobenius":2137,"genus":1705,"p":17},'
+        '{"frobenius":2137,"genus":1717,"p":18},'
+        '{"frobenius":2197,"genus":1765,"p":19},'
+        '{"frobenius":2197,"genus":1777,"p":20}]}'
+    ),
 ]
 
 

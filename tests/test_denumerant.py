@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import generator_tuples
-from oracles import brute_count
+from oracles import brute_count, dp_counts
 from psemigroups import (
     CapExceededError,
     DenumerantTable,
@@ -104,6 +104,21 @@ def test_table_extension_preserves_counts():
     table.ensure(120)
     assert [table.count(n) for n in range(31)] == before
     assert table.count(120) == brute_count((4, 7, 9), 120)
+
+
+@given(
+    gens=generator_tuples(max_value=30, max_size=5),
+    start=st.integers(0, 300),
+    targets=st.lists(st.integers(0, 5000), max_size=5),
+)
+def test_grown_table_matches_plain_dp(gens, start, targets):
+    # growth steps below and above g^2 entries take the block and the
+    # per-class prefix-sum paths for the generators drawn
+    table = DenumerantTable(gens, start)
+    assert list(table.counts) == dp_counts(gens, start)
+    for n in targets:
+        table.ensure(n)
+        assert list(table.counts) == dp_counts(gens, table.horizon)
 
 
 def test_table_invariant_shift_monotonicity_whole_table():

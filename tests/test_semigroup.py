@@ -1,11 +1,19 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
-from oracles import brute_class_minima, brute_count, brute_gap_set, small_elements
+from oracles import (
+    brute_class_minima,
+    brute_count,
+    brute_gap_set,
+    heap_best_lists,
+    heap_merge_lists,
+    small_elements,
+)
 from psemigroups import (
     CapExceededError,
     GeneratorSet,
@@ -249,6 +257,76 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds)
     ]
     for g in gens:
         assert minima_modulo(in_range[-1], g) == brute_class_minima(gens, hi, g), g
+
+
+@st.composite
+def lists_route_draws(draw):
+    """(generators, top p) for the lists route, unsorted and not always
+    minimal: small lists up to p = 40; pairs up to p = 300, whose one merge
+    closes a long progression; and lists whose least generator shares a
+    factor f with another, whose classes then fall into f cycles or more
+    for that generator."""
+    kind = draw(st.sampled_from(("small", "pair", "shared")))
+    if kind == "small":
+        return draw(generator_tuples(max_value=12)), draw(st.integers(0, 40))
+    if kind == "pair":
+        return draw(generator_tuples(max_value=30, max_size=2)), draw(st.integers(0, 300))
+    f = draw(st.integers(2, 4))
+    u, v = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+    low, high = sorted((f * u, f * v))
+    c = draw(st.integers(low + 1, 13).filter(lambda c: gcd(c, f) == 1 and c != high))
+    gens = [f * u, f * v, c]
+    if draw(st.booleans()) and sum(gens[:2]) not in gens:
+        gens.append(sum(gens[:2]))
+    return tuple(draw(st.permutations(gens))), draw(st.integers(0, 20))
+
+
+@given(draw=lists_route_draws())
+@example(draw=((6, 4, 9), 0))
+@example(draw=((4, 8, 6, 15), 1))
+@example(draw=((7, 5), 300))
+def test_round_robin_lists_agree_with_heap_merge_and_brute_force(draw):
+    gens, top = draw
+    A = GeneratorSet(gens)
+    a = A.least
+    by_lists = _minima_from_lists(A, top)
+    heap_lists = heap_best_lists(gens, top)
+    for p in range(top + 1):
+        assert by_lists(p) == tuple(values[p] for values in heap_lists), p
+    if len(gens) == 2:
+        # over one other generator b the lists are b*t, t = j/b mod a + p*a
+        b = max(gens)
+        inverse = pow(b, -1, a)
+        assert by_lists(top) == tuple(b * (j * inverse % a + top * a) for j in range(a))
+    if top <= 40 and max(gens) <= 20:
+        assert by_lists(top) == brute_class_minima(gens, top, a)
+    assert semigroup._order_one_instance(A).apery_by_residue == tuple(
+        values[1] for values in heap_best_lists(gens, 1)
+    )
+
+
+@st.composite
+def merge_inputs(draw):
+    """(lists, b, keep): for each class r modulo a, at most ``keep``
+    ascending values congruent to r, and a generator b > a, at times a
+    multiple of a.  Unlike lists grown from {0}, these often start a
+    cycle's closure from several values."""
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(a + 1, 40))
+    keep = draw(st.integers(1, 12))
+    lists = [
+        sorted(draw(st.lists(st.integers(0, 20).map(lambda t, r=r: r + a * t), max_size=keep)))
+        for r in range(a)
+    ]
+    return lists, b, keep
+
+
+@given(draw=merge_inputs())
+def test_round_robin_merge_agrees_with_heap_merge(draw):
+    lists, b, keep = draw
+    before = [values.copy() for values in lists]
+    assert semigroup._merge_generator(lists, b, keep) == heap_merge_lists(lists, b, keep)
+    assert lists == before
 
 
 def test_table_route_gives_up_within_its_size_limit():
