@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Sequence
 
 from . import symmetry as sym_mod
@@ -49,16 +50,23 @@ EXIT_VERIFIER_FAILED = 5
 # ---------------------------------------------------------------------------
 # rendering helpers
 
+_JOIN_RUNS = 8192
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def mask_runs(mask: int) -> str:
     """Run-length rendering of the finite set whose members are the set
     bits of ``mask``: "0-23,25,27".  The set bits of mask ^ (mask << 1)
     are the run boundaries, alternately a run's first element and the
     integer just past its last; one formatted string per run."""
     edges = bit_positions(mask ^ (mask << 1))
-    return ",".join(
+    runs = (
         str(first) if stop - first == 1 else f"{first}-{stop - 1}"
         for first, stop in zip(edges, edges)
     )
+    # Joined _JOIN_RUNS at a time, so that at most that many run strings
+    # are alive at once; no run renders empty, so "" marks the end.
+    return ",".join(iter(lambda: ",".join(islice(runs, _JOIN_RUNS)), ""))
 
 
 def finite_set_doc(mask: int, expand: bool) -> Any:
@@ -99,7 +107,16 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
     try:
         doc = jsonify(doc)
         if fmt == "json":
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            # Not json.dumps(doc): that holds the document, its escaped
+            # pieces, the joined string and its encoded bytes at once, several
+            # times the output at analyze's sizes.  Each top-level value goes
+            # through the one-shot encoder and is written before the next.
+            write = sys.stdout.write
+            write("{")
+            for i, key in enumerate(sorted(doc)):
+                write(f"{',' if i else ''}{_json(key)}:")
+                write(_json(doc[key]))
+            write("}\n")
         elif fmt == "tsv":
             for line in _tsv_lines(doc):
                 print(line)
@@ -129,7 +146,7 @@ def _tsv_lines(doc: dict[str, Any]) -> list[str]:
 
 def _scalar(value: Any) -> str:
     if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return _json(value)
     return str(value)
 
 

@@ -61,10 +61,11 @@ def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
     That leaves a shifts t = s - multiplicity, among them t = a, which
     forces x + a to be a member; so every pseudo-Frobenius element is some
     class minimum minus a, and the test costs O(a^2), independent of the
-    Frobenius number.
+    Frobenius number.  The shifts are tried smallest first: a candidate
+    that fails usually fails on a small one, so the check stops early.
     """
     a, low, minima = sp.modulus, sp.multiplicity, sp.apery_by_residue
-    shifts = [m - low for m in minima if m != low] + [a]
+    shifts = [m - low for m in sp.apery_sorted if m != low] + [a]
     return tuple(
         x
         for x in sorted(m - a for m in minima if m >= a)

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -73,6 +77,98 @@ def test_mask_rendering_matches_the_tuple_oracle(values, all_from, expand):
     assert cofinite_doc(_mask(below), all_from, expand) == set_cofinite_doc(
         below, all_from, expand
     )
+
+
+_CHUNK = cli._JOIN_RUNS
+
+
+@pytest.mark.parametrize("lengths", [(1,), (5,), (1, 5), (5, 1)], ids=str)
+@pytest.mark.parametrize(
+    "runs",
+    [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1],
+)
+def test_mask_rendering_across_join_chunks(runs, lengths):
+    # run i has lengths[i % len(lengths)] elements, so each side of a chunk
+    # boundary sees singletons, long runs, or one of each in either order;
+    # the holes between runs are 1 to 3 wide
+    bits, values = bytearray(), []
+    for i in range(runs):
+        bits += b"1" * lengths[i % len(lengths)]
+        values.extend(range(len(bits) - lengths[i % len(lengths)], len(bits)))
+        bits += b"0" * (1 + i % 3)
+    mask = int(bits[::-1] or b"0", 2)
+    assert list(semigroup.bit_positions(mask)) == values
+    rendered = mask_runs(mask)
+    assert rendered == interval_runs(values)
+    assert rendered.count(",") == max(runs - 1, 0)
+    # the tail absorbs the last run (one run fewer below) or stays apart
+    last = values[-1] if values else 0
+    for all_from in (last + 1, last + 2):
+        assert cofinite_doc(mask, all_from, False) == set_cofinite_doc(
+            values, all_from, False
+        )
+
+
+_KEYS = st.text(alphabet='ab"\\/\n\x00é \U0001f600', max_size=4) | st.text(max_size=4)
+_HUGE = st.integers(min_value=10**4300) | st.integers(max_value=-(10**4300))
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _HUGE
+    | st.fractions()
+    | st.builds(Fraction, _HUGE, st.integers(1, 10**6))
+    | _KEYS
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(
+    doc=st.dictionaries(_KEYS, _VALUES, max_size=6)
+    | st.builds(lambda d: {**d, "rows": []}, st.dictionaries(_KEYS, _VALUES, max_size=3))
+)
+def test_json_is_written_as_json_dumps_writes_it(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit(doc, "json")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = json.dumps(cli.jsonify(doc), sort_keys=True, separators=(",", ":"))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert out.getvalue() == expected + "\n"
+
+
+class _CountedWriter(io.TextIOWrapper):
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return super().write(text)
+
+
+def test_analyze_peak_memory_is_bounded_by_its_output():
+    # F = 206 843: the rendered sets, not the class minima, set the peak
+    # here, and the output is all ASCII, so its length is its size in bytes
+    out = _CountedWriter(open(os.devnull, "wb"))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--gens", "1009,1013,1019", "--p", "0"])
+            out.flush()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        out.close()
+    assert code == EXIT_OK
+    assert out.written > 10**6
+    assert peak <= 2 * out.written
 
 
 @settings(max_examples=150)
@@ -286,6 +382,9 @@ PINNED_ANALYZE = [
     ),
     ('analyze --gens 151,157,163 --p 20', 'sha256:ec94bf1294f691ce99860cf26dee724b4d48b24b780607acf86079beee34cbc7'),
     ('analyze --gens 151,157,163 --p 20 --expand', 'sha256:c01abb226f8882bf52b17e9cb110d217490dd8d6f9f2d2e5be1c3f0b96cd9f96'),
+    # About 21 000 runs per set: several joining chunks each.
+    ('analyze --gens 1009,1013,1019 --p 50', 'sha256:89a0c252179fe09c214c49be8e05d7ca1d8966368deb90d67f59fd1701362845'),
+    ('analyze --gens 1009,1013,1019 --p 50 --expand', 'sha256:3bc19a41f050f67dd4db7e3a9328aaa6bc4fae2d3aae55751e5050b9143b6bca'),
 ]
 
 
