@@ -93,11 +93,10 @@ def test_mask_rendering_across_join_chunks(runs, lengths):
     # the holes between runs are 1 to 3 wide
     bits, values = bytearray(), []
     for i in range(runs):
-        bits += b"1" * lengths[i % len(lengths)]
-        values.extend(range(len(bits) - lengths[i % len(lengths)], len(bits)))
-        bits += b"0" * (1 + i % 3)
+        n = lengths[i % len(lengths)]
+        values.extend(range(len(bits), len(bits) + n))
+        bits += b"1" * n + b"0" * (1 + i % 3)
     mask = int(bits[::-1] or b"0", 2)
-    assert list(semigroup.bit_positions(mask)) == values
     rendered = mask_runs(mask)
     assert rendered == interval_runs(values)
     assert rendered.count(",") == max(runs - 1, 0)
