@@ -8,14 +8,15 @@ here; every command is a thin adapter over the library.  ``arf`` and
 ``identities`` are imported inside the handlers that call them, so the
 other commands never load them.
 
-Exit codes: 0 success, 2 usage error, 3 precondition failure, 4 cap
-exceeded, 5 verifier failure.
+Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3
+precondition failure, 4 cap exceeded, 5 verifier failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -41,6 +42,7 @@ from .semigroup import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_CAP = 4
@@ -461,12 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, p_default: str | None = None) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--gens", required=True, help="comma-separated generators, e.g. 4,5,6")
-        if p_default is None:
-            p.add_argument("--p", required=True, help="p value or range lo..hi")
-        else:
-            p.add_argument("--p", default=p_default, help="p value or range lo..hi")
+        p.add_argument("--p", required=True, help="p value or range lo..hi")
         p.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
 
     analyze = sub.add_parser("analyze", help="full report for one (gens, p)")
@@ -551,7 +550,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so that
+        # the interpreter's final flush of what is left cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -37,6 +37,14 @@ def horizon_cap() -> int:
     return cap
 
 
+def charge(amount: int, what: str) -> None:
+    """Refuse ``amount`` units of work when it exceeds the horizon cap;
+    ``what`` names them in the refusal.  The only place the cap refuses."""
+    cap = horizon_cap()
+    if amount > cap:
+        raise CapExceededError(f"{amount} {what}, past the cap {cap}")
+
+
 class GeneratorSet(Record):
     """Validated generator list.
 
@@ -87,20 +95,15 @@ class DenumerantTable:
 
     One staged array per generator is kept (stage i counts tuples over the
     first i+1 generators only), so growing the horizon fills just the new
-    indices for each generator.
+    indices for each generator.  The table grows exactly to the horizon
+    asked for; the caller sets the growth schedule.
     """
 
-    def __init__(
-        self,
-        generators: GeneratorSet | Iterable[int],
-        horizon: int = 0,
-        cap: int | None = None,
-    ) -> None:
+    def __init__(self, generators: GeneratorSet | Iterable[int], horizon: int = 0) -> None:
         self.generators = as_generator_set(generators)
-        self._cap = horizon_cap() if cap is None else cap
         if horizon < 0:
             raise PreconditionError("horizon must be non-negative")
-        self._check_cap(horizon)
+        charge(horizon + 1, "count table entries per stage")
         self._stages: list[list[int]] = [[] for _ in self.generators.ordered]
         self._horizon = -1
         self._fill(horizon)
@@ -114,13 +117,6 @@ class DenumerantTable:
         """Snapshot of d(0..horizon)."""
         return tuple(self._stages[-1])
 
-    def _check_cap(self, horizon: int) -> None:
-        if horizon + 1 > self._cap:
-            raise CapExceededError(
-                f"denumerant table would need {horizon + 1} entries,"
-                f" cap is {self._cap}"
-            )
-
     def _fill(self, new_horizon: int) -> None:
         """Extend each stage to ``new_horizon`` from the previous one, one
         slice, then add s[n - g] to each new s[n] in ascending n.  That
@@ -128,8 +124,6 @@ class DenumerantTable:
         over blocks of g entries, each block reading only the block before
         it; whichever takes fewer Python steps."""
         lo, end = self._horizon + 1, new_horizon + 1
-        if end <= lo:
-            return
         for i, g in enumerate(self.generators.ordered):
             stage = self._stages[i]
             if i:
@@ -148,12 +142,11 @@ class DenumerantTable:
         self._horizon = new_horizon
 
     def ensure(self, n: int) -> None:
-        """Grow the table (geometrically) so count(n) is available."""
+        """Grow the table to horizon n, unless it already reaches n."""
         if n <= self._horizon:
             return
-        self._check_cap(n)
-        target = min(max(n, 2 * self._horizon + 64), self._cap - 1)
-        self._fill(target)
+        charge(n + 1, "count table entries per stage")
+        self._fill(n)
 
     def count(self, n: int) -> int:
         if n < 0:
@@ -178,9 +171,7 @@ def representations(gens: GeneratorSet | Iterable[int], n: int) -> list[tuple[in
     A = as_generator_set(gens)
     if n < 0:
         raise PreconditionError("n must be non-negative")
-    limit = horizon_cap()
-    if n + 1 > limit:
-        raise CapExceededError(f"n = {n} exceeds the configured cap {limit}")
+    charge(n + 1, f"integers up to n for the representations of {n}")
     order = A.ordered
     out: list[tuple[int, ...]] = []
     coeffs = [0] * len(order)

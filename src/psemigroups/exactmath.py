@@ -6,36 +6,29 @@ Every value here is an ``int`` or a ``fractions.Fraction``; nothing rounds.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 
-from .denumerant import horizon_cap
-from .errors import CapExceededError, PreconditionError
+from .denumerant import charge
+from .errors import PreconditionError
 from .reports import Report
 
-# Bernoulli numbers under the x/(e^x - 1) convention, so B_1 = -1/2.  The
-# cache grows on demand and is never evicted; expected indices are tiny.
-_bernoulli: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+
+def bernoulli_row(n: int) -> list[Fraction]:
+    """Bernoulli numbers B_0 .. B_n under the x/(e^x - 1) convention, so
+    B_1 = -1/2, from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0 for
+    m >= 1, anchored at B_0 = 1."""
+    if n < 0:
+        raise PreconditionError("Bernoulli index must be non-negative")
+    row = [Fraction(1)]
+    for m in range(1, n + 1):
+        row.append(-sum(comb(m + 1, k) * b for k, b in enumerate(row)) / (m + 1))
+    return row
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with B_1 = -1/2.
-
-    Computed by the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1,
-    anchored at B_0 = 1, and cached.
-    """
-    if n < 0:
-        raise PreconditionError("Bernoulli index must be non-negative")
-    with _bernoulli_lock:
-        while len(_bernoulli) <= n:
-            m = len(_bernoulli)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _bernoulli[k]
-            _bernoulli.append(-acc / (m + 1))
-        return _bernoulli[n]
+    """Bernoulli number B_n with B_1 = -1/2 (see ``bernoulli_row``)."""
+    return bernoulli_row(n)[n]
 
 
 def eulerian(n: int, m: int) -> int:
@@ -77,10 +70,8 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
         raise PreconditionError("series exponent n must be positive")
     if order < n + 2:
         raise PreconditionError("truncation order must be at least n + 2")
-    cap = horizon_cap()
     blocks = -(-n * order.bit_length() // 4096)  # 4096-bit blocks per term, rounded up
-    if (order + 1) * (n + 2) * blocks > cap:
-        raise CapExceededError(f"series to order {order} at n = {n} exceed the cap {cap}")
+    charge((order + 1) * (n + 2) * blocks, f"4096-bit blocks of series to order {order} at n = {n}")
     source = [k**n for k in range(order + 1)]
     binom = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
     row = _eulerian_row(n)

@@ -30,12 +30,14 @@ from itertools import compress, count
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Iterator
 
-from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, horizon_cap
+from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import bernoulli
+from .exactmath import bernoulli_row
 from .reports import Record
 
 POWER_CAP = 8
+# B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula reads
+_BERNOULLI = bernoulli_row(POWER_CAP + 1)
 
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -162,9 +164,7 @@ def _order_one_instance(A: GeneratorSet) -> PSemigroup:
     the class minima: its 2a list entries are checked against the cap
     before they are allocated, and as nothing F-sized is derived from it,
     the largest minimum is not."""
-    a, cap = A.least, horizon_cap()
-    if 2 * a > cap:
-        raise CapExceededError(f"p = 1 class minima need {2 * a} list entries; the cap is {cap}")
+    charge(2 * A.least, "list entries for the p = 1 class minima")
     return _instance(A, 1, _minima_from_lists(A, 1)(1))
 
 
@@ -188,28 +188,20 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
     limit = min(cap, (k - 1) * list_entries // k) if lists_fit else cap
     minima_at = _minima_from_table(A, top, limit)
     if minima_at is None:
-        if not lists_fit:
-            raise CapExceededError(
-                f"class minima at p = {top} need a count table past {cap}"
-                f" entries or {list_entries} list entries; the cap is {cap}"
-            )
+        charge(list_entries, f"list entries for the class minima at p = {top}")
         minima_at = _minima_from_lists(A, top)
-    largest = max(minima_at(top))
-    if largest + 1 > cap:
-        raise CapExceededError(
-            f"class minima reach {largest}, past the cap {cap}"
-        )
+    charge(max(minima_at(top)) + 1, "integers up to the largest class minimum")
     return minima_at
 
 
 def _minima_from_table(
     A: GeneratorSet, top: int, limit: int
 ) -> Callable[[int], tuple[int, ...]] | None:
-    """Count-table route: grow the table, at most ``limit`` entries a
-    stage, until the last entry of every class column exceeds ``top``;
-    None when it does not within that size.  Columns are non-decreasing,
-    so the minimum of class j at p is j + a * (number of entries of
-    column j that are at most p)."""
+    """Count-table route: grow the table from max(A) by h -> 2h + 64, at
+    most ``limit`` entries a stage, until the last entry of every class
+    column exceeds ``top``; None when it does not within that size.
+    Columns are non-decreasing, so the minimum of class j at p is
+    j + a * (number of entries of column j that are at most p)."""
     a = A.least
     horizon = max(A.ordered)
     if horizon + 1 > limit:
@@ -217,14 +209,14 @@ def _minima_from_table(
     # a top p that no n below the limit can pass is refused before any table
     if _count_bound(A, limit - 1) <= top:
         return None
-    table = DenumerantTable(A, horizon, cap=limit)
+    table = DenumerantTable(A, horizon)
     while True:
         h = table.horizon
         if min(table.count(n) for n in range(h - a + 1, h + 1)) > top:
             break
         if h + 1 >= limit:
             return None
-        table.ensure(h + 1)
+        table.ensure(min(2 * h + 64, limit - 1))
     counts = table.counts
     columns = [counts[j::a] for j in range(a)]
 
@@ -355,11 +347,8 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     cap before they are allocated."""
     if g < 1:
         raise PreconditionError("modulus must be positive")
-    length, cap = sp.conductor + g, horizon_cap()
-    if length > cap:
-        raise CapExceededError(
-            f"minima modulo {g} scan {length} integers, past the cap {cap}"
-        )
+    length = sp.conductor + g
+    charge(length, f"integers scanned for the minima modulo {g}")
     flags = _member_flags(sp, length)
     return tuple(r + g * flags[r::g].index(1) for r in range(g))
 
@@ -430,9 +419,9 @@ def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
     total = Fraction(0)
     for kappa in range(mu + 1):
         s = sum(x ** (mu + 1 - kappa) for x in m)
-        total += comb(mu + 1, kappa) * bernoulli(kappa) * Fraction(a) ** (kappa - 1) * s
+        total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * Fraction(a) ** (kappa - 1) * s
     total /= mu + 1
-    total += bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
+    total += _BERNOULLI[mu + 1] / (mu + 1) * (a ** (mu + 1) - 1)
     return total
 
 

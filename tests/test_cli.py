@@ -36,6 +36,7 @@ from psemigroups import (
     weighted_power_sum,
 )
 from psemigroups.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CAP,
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -847,6 +848,47 @@ def test_precondition_exit_code(capsys):
         "--gens", "4,5,19999999", "--p", "0",
     )
     assert code == EXIT_PRECONDITION
+
+
+# refusals of bad input at each layer, with the horizon cap set (None: unset)
+REFUSED_INPUTS = {
+    "johnson-missing-alpha": (None, "verify johnson --beta 3 --gens 4,5,6"),
+    "arf-heredity-missing-b": (None, "verify arf-heredity --a 2"),
+    "eulerian-gf-missing-order": (None, "verify eulerian-gf --exponent 3"),
+    "empty-field-list": (None, "table --gens 4,5,6 --p 0 --field ,"),
+    "descending-p-range": (None, "classify --gens 4,5,6 --p 5..3"),
+    "unknown-field": (None, "table --gens 4,5,6 --p 0 --field bogus"),
+    "johnson-zero-beta": (None, "verify johnson --alpha 9 --beta 0 --gens 4,5 --p 0"),
+    "arf-heredity-negative-pmax": (None, "verify arf-heredity --a 2 --b 3 --pmax -1"),
+    "zero-cap": ("0", "classify --gens 4,5 --p 0"),
+}
+
+
+@pytest.mark.parametrize("cap, command", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS)
+def test_bad_input_is_refused_with_exit_3(capsys, monkeypatch, cap, command):
+    if cap is None:
+        monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", cap)
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_stdout_closed_early_exits_1_without_a_traceback():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "psemigroups", "analyze", "--gens", "1009,1013,1019", "--p", "50"]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_error_messages_quote_a_bounded_prefix(capsys):

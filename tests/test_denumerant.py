@@ -129,12 +129,29 @@ def test_table_invariant_shift_monotonicity_whole_table():
             assert counts[n + a] >= counts[n]
 
 
-def test_horizon_cap_guard():
+def test_horizon_cap_guard(monkeypatch):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "100")
     with pytest.raises(CapExceededError):
-        DenumerantTable((4, 5, 6), 1000, cap=100)
-    table = DenumerantTable((4, 5, 6), 10, cap=100)
+        DenumerantTable((4, 5, 6), 1000)
+    table = DenumerantTable((4, 5, 6), 10)
     with pytest.raises(CapExceededError):
         table.ensure(5000)
+
+
+def test_table_grows_exactly_to_the_horizon_asked_for():
+    table = DenumerantTable((4, 5, 6), 10)
+    for n in (11, 12, 500, 501):
+        table.ensure(n)
+        assert table.horizon == n
+    table.ensure(7)
+    assert table.horizon == 501
+
+
+def test_representations_are_bounded_by_the_horizon_cap(monkeypatch):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "50")
+    assert len(representations((4, 5), 49)) == denumerant((4, 5), 49)
+    with pytest.raises(CapExceededError):
+        representations((4, 5), 60)
 
 
 def test_horizon_cap_env_override(monkeypatch):

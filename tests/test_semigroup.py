@@ -16,6 +16,7 @@ from oracles import (
 )
 from psemigroups import (
     CapExceededError,
+    DenumerantTable,
     GeneratorSet,
     PreconditionError,
     build,
@@ -347,6 +348,29 @@ def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
     # 10^12 representations
     monkeypatch.setattr(semigroup, "DenumerantTable", None)
     assert _minima_from_table(GeneratorSet((2, 3)), 10**12, 10**6) is None
+
+
+@pytest.mark.parametrize(
+    "gens, top, fills",
+    [
+        ((8, 9, 10), 1832, [10, 84, 232, 528, 1120, 2304]),
+        ((21, 33, 38), 1088, [38, 140, 344, 752, 1568, 3200, 6464, 12992]),
+    ],
+)
+def test_table_route_grows_by_doubling_from_the_largest_generator(monkeypatch, gens, top, fills):
+    # the route sets the schedule, h -> 2h + 64 below its limit; the table
+    # fills exactly to each horizon asked for
+    seen = []
+
+    class Recording(DenumerantTable):
+        def _fill(self, new_horizon):
+            seen.append(new_horizon)
+            super()._fill(new_horizon)
+
+    monkeypatch.setattr(semigroup, "DenumerantTable", Recording)
+    sp = build(gens, top)
+    assert sp.apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)
+    assert seen == fills
 
 
 def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
