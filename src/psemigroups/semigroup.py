@@ -87,7 +87,10 @@ class PSemigroup(Record):
 
 
 def _member_flags(sp: PSemigroup, length: int) -> bytearray:
-    """One byte per n < length: 1 for a member, 0 for a gap."""
+    """One byte per n < length: 1 for a member, 0 for a gap.  Every
+    F-sized structure starts here, so the ``length`` bytes are charged
+    against the cap before they are allocated."""
+    charge(length, "bytes of membership flags")
     a, flags = sp.modulus, bytearray(length)
     for m in sp.apery_by_residue:
         if m < length:
@@ -162,8 +165,7 @@ def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
 def _order_one_instance(A: GeneratorSet) -> PSemigroup:
     """The p = 1 instance on the lists route, for membership tests below
     the class minima: its 2a list entries are checked against the cap
-    before they are allocated, and as nothing F-sized is derived from it,
-    the largest minimum is not."""
+    before they are allocated."""
     charge(2 * A.least, "list entries for the p = 1 class minima")
     return _instance(A, 1, _minima_from_lists(A, 1)(1))
 
@@ -178,8 +180,7 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
     input changes route; it is now conservative, as it may try a table
     where the round-robin lists would cost a little less.
     The horizon cap bounds the table's entries per stage and the lists'
-    a * (top + 1) entries alike, and the largest minimum found must
-    stay below it before anything F-sized is derived.
+    a * (top + 1) entries alike.
     """
     cap = horizon_cap()
     k = len(A)
@@ -190,7 +191,6 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
     if minima_at is None:
         charge(list_entries, f"list entries for the class minima at p = {top}")
         minima_at = _minima_from_lists(A, top)
-    charge(max(minima_at(top)) + 1, "integers up to the largest class minimum")
     return minima_at
 
 
@@ -343,34 +343,33 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     """The least member of each residue class modulo g (the instance's
     Apéry set with respect to g), read off the membership flags over
     [0, conductor + g): every n from the conductor on is a member, so each
-    class has one there.  Those conductor + g bytes are checked against the
-    cap before they are allocated."""
+    class has one there."""
     if g < 1:
         raise PreconditionError("modulus must be positive")
-    length = sp.conductor + g
-    charge(length, f"integers scanned for the minima modulo {g}")
-    flags = _member_flags(sp, length)
+    flags = _member_flags(sp, sp.conductor + g)
     return tuple(r + g * flags[r::g].index(1) for r in range(g))
 
 
 def gap_count(sp: PSemigroup) -> int:
-    """Number of gaps, counted on the membership flags (no gap list is
-    built) and compared with the class-minima formula on every call."""
-    direct = _member_flags(sp, sp.conductor).count(0)
-    return _checked_by_formula(sp, 0, direct, "genus")
+    """Number of gaps, in O(a): class j holds kunz_j of them.  Compared
+    with Selmer's genus formula on every call."""
+    return _checked_by_formula(sp, 0, sum(sp.kunz), "genus")
 
 
 def gap_sum(sp: PSemigroup) -> int:
-    """Sum of the gaps, added up over the membership flags and compared
-    with the class-minima formula on every call."""
-    return _checked_by_formula(sp, 1, sum(_gap_walk(sp)), "gap-sum")
+    """Sum of the gaps, in O(a): those of class j are j, j + a, ...,
+    j + (kunz_j - 1)*a.  Compared with Selmer's gap-sum formula on every
+    call."""
+    a = sp.modulus
+    direct = sum(j * k + a * k * (k - 1) // 2 for j, k in enumerate(sp.kunz))
+    return _checked_by_formula(sp, 1, direct, "gap-sum")
 
 
 def _checked_by_formula(sp: PSemigroup, mu: int, direct: int, name: str) -> int:
     formula = _power_sum_formula(sp, mu)
     if formula != direct:
         raise InternalCheckError(
-            f"{name} mismatch: enumeration {direct}, formula {formula}"
+            f"{name} mismatch: by class {direct}, formula {formula}"
         )
     return direct
 

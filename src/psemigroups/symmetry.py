@@ -316,9 +316,10 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     the both-sides-outside set is contained in PF; PF is that set plus the
     frobenius number (both on bitmasks); every gap mirrors to a member or
     is itself PF (those that do not are L, read by ``classify``'s route)."""
+    # the masks are charged against the cap before pf_mask's F bits exist
+    _, l_mask, _ = hlk_masks(sp)
     pf = pseudo_frobenius(sp)
     pf_mask = sum(1 << x for x in pf)
-    _, l_mask, _ = hlk_masks(sp)
     _, l_ranges = _class_exchange(sp)
     verdicts = {
         "l_subset_pf": l_mask & ~pf_mask == 0,

@@ -933,19 +933,63 @@ def test_default_cap_refuses_a_huge_p_range_quickly(capsys, monkeypatch, command
     _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
 
 
-# the minimality test's 2a list entries and the Eulerian series' terms are
-# sized against the cap before anything is allocated; a minimal base with a
-# huge generator is refused where its scaled instance is built
+# the minimality test's 2a list entries, the Eulerian series' terms and the
+# membership flags are sized against the cap before anything is allocated;
+# a huge generator is refused where a command builds flags over [0, F]
 HUGE_ARGUMENTS = {
-    "johnson-generator": "verify johnson --alpha 20000003 --beta 3 --gens 4,6,19999999 --p 0",
     "johnson-modulus": "verify johnson --alpha 3 --beta 2 --gens 1000000007,1000000009 --p 0",
     "eulerian-gf": "verify eulerian-gf --exponent 1500 --order 1600",
+    "analyze-generator": "analyze --gens 4,6,19999999 --p 0",
+    "sums-generator": "sums --gens 4,6,19999999 --p 0",
 }
 
 
 @pytest.mark.parametrize("command", HUGE_ARGUMENTS.values(), ids=HUGE_ARGUMENTS)
 def test_cap_bounds_a_huge_argument_quickly(capsys, monkeypatch, command):
     _assert_refused_quickly(capsys, monkeypatch, command)
+
+
+def test_johnson_on_a_huge_generator_answers_by_the_closed_form(capsys, monkeypatch):
+    # johnson needs nothing F-sized, so even a cap of 1000 admits F = 10^8.
+    # For odd b, <4, 6, b> has the gaps 1, 3, ..., b - 2, 2 and b + 2
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    alpha, beta, b = 20000003, 3, 19999999
+    argv = f"verify johnson --alpha {alpha} --beta {beta} --gens 4,6,{b} --p 0"
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv.split())
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert elapsed < 1.0
+    (row,) = json.loads(out)["rows"]
+    frobenius, genus = b + 2, (b - 1) // 2 + 2
+    expected = {
+        "frobenius": beta * frobenius + (beta - 1) * alpha,
+        "genus": beta * genus + (alpha - 1) * (beta - 1) // 2,
+    }
+    assert expected == {"frobenius": 100000009, "genus": 50000005}
+    assert row["lhs"] == row["rhs"] == expected
+
+
+def test_f_free_commands_build_no_flags(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an F-free command built membership flags")
+
+    monkeypatch.setattr(semigroup, "_member_flags", refuse)
+    sp = build((8, 4, 5, 6), 8)
+    assert (gap_count(sp), gap_sum(sp)) == (26, 328)
+    for argv in (
+        "table --gens 6,7,17 --p 0..14"
+        " --field frobenius,multiplicity,conductor,genus,sylvester_sum,type",
+        "classify --gens 6,7,17 --p 0..14",
+        "verify pairings --gens 6,7,17 --p 0..14",
+        "verify pf-consequences --gens 6,7,17 --p 0..14",
+        "verify nari --gens 6,7,17 --p 0",
+        "verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..3",
+        "verify watanabe --alpha 9 --beta 2 --gens 4,5 --p 0..3",
+    ):
+        code, out = run_cli(capsys, *argv.split())
+        assert code == EXIT_OK, argv
+        assert json.loads(out)["rows"], argv
 
 
 def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):

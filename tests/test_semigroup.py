@@ -158,7 +158,10 @@ def test_gap_count_and_sum_match_power_sums():
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
 def test_gaps_match_brute_force(gens, p):
-    assert list(build(gens, p).gaps) == brute_gap_set(gens, p)
+    sp, expected = build(gens, p), brute_gap_set(gens, p)
+    assert list(sp.gaps) == expected
+    assert gap_count(sp) == len(expected)
+    assert gap_sum(sp) == sum(expected)
 
 
 @given(gens=generator_tuples(), p=small_p)

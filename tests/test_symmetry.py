@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import chain
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from oracles import (
 )
 from psemigroups import (
     PATTERN_FULL_INTERVAL,
+    CapExceededError,
     PATTERN_OTHER,
     PATTERN_SINGLETON_PLUS_TAIL,
     build,
@@ -243,6 +246,21 @@ def test_classify_builds_no_bitmask(monkeypatch):
     assert (r14.symmetric, r14.pseudo_symmetric, r14.almost_symmetric) == (False, False, True)
     assert not classify(build((13, 23, 30), 3)).almost_symmetric
     assert classify(build((17, 18, 19), 9)).completely_symmetric
+
+
+def test_almost_symmetric_refusal_allocates_nothing_f_sized(monkeypatch):
+    # F = 2*10^7 + 1: the masks are charged, and refused, before any F-bit
+    # integer is made, the pseudo-Frobenius mask included
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    sp = build((4, 6, 19999999), 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            verify_almost_symmetric_equivalences(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
