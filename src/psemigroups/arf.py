@@ -3,39 +3,37 @@ plus the structural consequences for class minima and their quotients."""
 
 from __future__ import annotations
 
-from .denumerant import as_generator_set
+from .denumerant import as_generator_set, charge
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build, build_range, member_mask
+from .semigroup import PSemigroup, build, build_range
 
 
 def is_arf(sp: PSemigroup) -> Report:
-    """Exhaustively check x + y - z membership over members below the
-    conductor (x at or above it cannot fail since x + y - z >= x).
-    ``passed`` is the closure verdict; the ``witness`` detail is a failing
-    triple (x, y, z) with x >= y >= z, all members, x + y - z outside, and
-    is None exactly when the instance is closed.
+    """Check x + y - z membership for members x >= y >= z, read off the
+    class minima m.  ``passed`` is the closure verdict; the ``witness``
+    detail is a failing triple (x, y, z) with x >= y >= z, all members,
+    x + y - z outside, and is None exactly when the instance is closed.
 
     Pairs (y, z) are grouped by their difference t: some triple with that
     difference fails iff some member x at or above the least such y has
-    x + t outside.  Only t below the modulus a is scanned: each residue
-    class is closed upward under +a, so a failing (x, y, z) with
-    y - z = t >= a gives a failing (x, y, z + a), and the first failing t
-    and its witness are those of a scan over every t.  Bitmasks built in
-    O(c) keep the scan at O(a * c / 64) word operations.
+    x + t outside.  Difference 0 never fails, and only t below the modulus
+    a is scanned: each residue class is closed upward under +a, so a
+    failing (x, y, z) with y - z = t >= a gives a failing (x, y, z + a),
+    and the first failing t and its witness are those of a scan over
+    every t.  The least y is min over classes j of max(m_j, m_(j-t) + t),
+    and in class j only its least member x_j >= y can fail, iff x_j + t
+    is below m_(j+t), and so a gap.  So the scan costs O(a * t*), t* the
+    first failing difference, charged before each t.
     """
-    a, c = sp.modulus, sp.conductor
-    members = member_mask(sp, c)
-    gap_mask = ~members & ((1 << c) - 1)
-    for t in range(min(c, a)):
-        pair_mask = members & (members << t)
-        if pair_mask == 0:
-            continue
-        y_min = (pair_mask & -pair_mask).bit_length() - 1
-        fail = (members & (gap_mask >> t)) >> y_min
-        if fail:
-            x = (fail & -fail).bit_length() - 1 + y_min
-            witness = (x, y_min, y_min - t)
+    a, c, m = sp.modulus, sp.conductor, sp.apery_by_residue
+    for t in range(1, min(a, c)):
+        charge(a * t, f"class steps of the Arf scan to difference {t}")
+        y = min(map(max, m, [v + t for v in m[-t:] + m[:-t]]))
+        firsts = map(max, m, [y + (j - y) % a for j in range(a)])
+        fails = [x for x, bound in zip(firsts, m[t:] + m[:t]) if x + t < bound]
+        if fails:
+            witness = (min(fails), y, y - t)
             return Report("closure", passed=False, details={"witness": witness})
     return Report("closure", passed=True, details={"witness": None})
 

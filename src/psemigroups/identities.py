@@ -13,8 +13,7 @@ from typing import Any, Iterable, Iterator
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build_range, gap_count, gap_sum, minima_modulo
-from .semigroup import _order_one_instance
+from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum, minima_modulo
 from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
@@ -31,7 +30,7 @@ def is_minimal_generator_system(gens: GeneratorSet | Iterable[int]) -> bool:
     itself, so b is a combination of the others iff it is a member of the
     list's p = 1 semigroup."""
     A = as_generator_set(gens)
-    order_one = _order_one_instance(A)
+    order_one = build(A, 1)
     return not any(b in order_one for b in A.ordered)
 
 
@@ -54,7 +53,7 @@ def _scaling_instances(
         raise PreconditionError("base generators must form a minimal system")
     # as for a listed generator: alpha is in <B> iff it has a second representation
     unscaled = GeneratorSet((alpha, *B.ordered))
-    if alpha not in _order_one_instance(unscaled):
+    if alpha not in build(unscaled, 1):
         raise PreconditionError(
             "alpha must lie in the semigroup generated by the base"
         )

@@ -162,14 +162,6 @@ def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
     )
 
 
-def _order_one_instance(A: GeneratorSet) -> PSemigroup:
-    """The p = 1 instance on the lists route, for membership tests below
-    the class minima: its 2a list entries are checked against the cap
-    before they are allocated."""
-    charge(2 * A.least, "list entries for the p = 1 class minima")
-    return _instance(A, 1, _minima_from_lists(A, 1)(1))
-
-
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
     """p -> class minima modulo a = min(A) for 0 <= p <= top.
 
@@ -430,13 +422,17 @@ def weighted_power_sum(sp: PSemigroup, weight: Fraction | int | str, mu: int) ->
 
     With weight num/den the terms share the denominator den^F (F the
     largest gap), so the numerators num^n * den^(F-n) * n^mu are summed as
-    integers, by Horner's rule over the gaps, and reduced once.
+    integers, by Horner's rule over the gaps, and reduced once.  The cap
+    counts each gap's step once per 4096 bits of its F * log2(max(|num|,
+    den))-bit integer, as it does for ``verify_eulerian_gf``.
     """
     check_power(mu)
     w = Fraction(weight)
     if w == 0:
         raise PreconditionError("weight must be non-zero")
     num, den = w.numerator, w.denominator
+    blocks = -(-sp.frobenius * max(abs(num), den).bit_length() // 4096)  # per gap, rounded up
+    charge(gap_count(sp) * blocks, f"4096-bit blocks of the weighted power sum over F = {sp.frobenius}")
     total, num_power, prev = 0, 1, 0
     for n in _gap_walk(sp):
         num_power *= num ** (n - prev)

@@ -2,9 +2,10 @@
 classification of a built instance.
 
 The mirror of x is total - x, total = multiplicity + frobenius.
-``classify`` reads the mirror exchange class by class off the class
-minima, in O(a); the member and mirror bitmasks (``hlk_masks``) serve
-rendering and give the verify_* functions an independent second route.
+``classify`` and ``verify_symmetry_equivalences`` read the mirror
+exchange class by class off the class minima, in O(a); the member and
+mirror bitmasks (``hlk_masks``) serve rendering and give
+``verify_almost_symmetric_equivalences`` an independent second route.
 """
 
 from __future__ import annotations
@@ -78,20 +79,6 @@ def type_p(sp: PSemigroup) -> int:
     return len(pseudo_frobenius(sp))
 
 
-def _mirror_masks(sp: PSemigroup) -> tuple[int, int, int]:
-    """(members, mirror, full) over [0, total], total = frobenius +
-    multiplicity: bit x of ``members`` is set iff x is a member, of
-    ``mirror`` iff total - x is, and ``full`` has every bit set.  Integers
-    outside [0, total] need no bits: a negative one is never a member and
-    its mirror lies above the largest gap."""
-    length = sp.frobenius + sp.multiplicity + 1
-    return (
-        member_mask(sp, length),
-        member_mask(sp, length, mirrored=True),
-        (1 << length) - 1,
-    )
-
-
 def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     """Bitmasks of H, L and the finite part of K over [0, total], total =
     frobenius + multiplicity; K holds every integer above total as well.
@@ -100,9 +87,14 @@ def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     x <= frobenius whose mirror is a member (below the multiplicity every
     mirror lies past the largest gap).  L is the x with both sides outside,
     and K below total + 1 the x whose mirror is a gap.  Three bitmask
-    expressions, O(F/64) word operations.
+    expressions, O(F/64) word operations.  Integers outside [0, total]
+    need no bits: a negative one is never a member and its mirror lies
+    above the largest gap.
     """
-    members, mirror, full = _mirror_masks(sp)
+    length = sp.frobenius + sp.multiplicity + 1
+    members = member_mask(sp, length)
+    mirror = member_mask(sp, length, mirrored=True)
+    full = (1 << length) - 1
     return (
         mirror & ((1 << (sp.frobenius + 1)) - 1),
         full & ~(members | mirror),
@@ -174,29 +166,33 @@ def classify(sp: PSemigroup) -> SymmetryReport:
 
 def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
     """Evaluate five characterizations of mirror symmetry and report
-    whether they all agree.
+    whether they all agree, in O(a) with nothing F-sized.
 
-    definition and complementary_pairs: of every non-negative pair summing
-    to the mirror total, exactly one side is a member (the exact mirror
-    exchange), from the bitmasks and from ``classify``'s per-class route.
+    definition: the mirror total is odd and the minima of every class r
+    and of its mirror class (total - r) mod a sum to total + modulus, so
+    that the members of class r start just above the mirrors of those of
+    class (total - r) mod a.  complementary_pairs: of every non-negative
+    pair summing to the mirror total, exactly one side is a member (the
+    exact mirror exchange), from ``classify``'s per-class route.
     window_counts: members and gaps split the window [multiplicity,
-    frobenius] in half.
-    sorted_pairing: opposite entries of the sorted class minima sum to
-    total + modulus.  genus_midpoint: twice the gap count is total + 1.
+    frobenius] in half.  sorted_pairing: opposite entries of the sorted
+    class minima sum to total + modulus.  genus_midpoint: twice the gap
+    count is total + 1.
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low
-    members, mirror, full = _mirror_masks(sp)
+    minima = sp.apery_by_residue
+    mirrored = all(m + minima[(total - r) % a] == total + a for r, m in enumerate(minima))
     mismatches, _ = _class_exchange(sp)
-    # no member lies below the multiplicity, so the members up to the
-    # largest gap are those of the window
-    members_in_window = (members & ((1 << (g + 1)) - 1)).bit_count()
+    genus = gap_count(sp)
+    # every non-member up to the largest gap is a gap, and no member lies
+    # below the multiplicity, so the members up to it are those of the window
+    members_in_window = g + 1 - genus
     gaps_in_window = (g - low + 1) - members_in_window
-    genus = g + 1 - members_in_window
 
     ls = sp.apery_sorted
     verdicts = {
-        "definition": members ^ mirror == full,
+        "definition": total % 2 == 1 and mirrored,
         "window_counts": members_in_window == gaps_in_window,
         "complementary_pairs": mismatches == 0,
         "sorted_pairing": all(

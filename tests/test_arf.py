@@ -1,10 +1,12 @@
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances, generator_tuples, small_p
 from oracles import full_scan_arf, small_elements
 from psemigroups import arf
 from psemigroups import (
+    CapExceededError,
     build,
     is_arf,
     verify_arf_conductor_kunz,
@@ -98,6 +100,18 @@ def test_conductor_kunz_nonzero_residue_branch():
     assert sp.kunz[1] == 2 and sp.kunz[2] == 1
 
 
+def test_scan_charges_each_difference(monkeypatch):
+    # every integer from 40 on is a member, so the instance is closed and
+    # the scan reaches t = 39, charged 40 * 39 class steps
+    gens = tuple(range(40, 80))
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1560")
+    sp = build(gens, 0)
+    assert is_arf(sp).passed
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1559")
+    with pytest.raises(CapExceededError, match="1560 class steps"):
+        is_arf(sp)
+
+
 def test_not_applicable_on_open_instance():
     report = verify_arf_conductor_kunz(build((3, 4), 0))
     assert not report.applicable and not report.passed
@@ -125,9 +139,16 @@ def _assert_matches_full_scan(sp):
         assert y - z < sp.modulus
 
 
-@given(instance=st.sampled_from(acceptance_instances()), p=st.integers(0, 15))
-def test_scan_below_modulus_matches_full_scan(instance, p):
-    _assert_matches_full_scan(build(instance[0], p))
+@settings(max_examples=200)
+@given(
+    gens=st.one_of(
+        st.sampled_from([gens for gens, _ in acceptance_instances()]),
+        generator_tuples(max_value=45),
+    ),
+    p=st.integers(0, 25),
+)
+def test_scan_below_modulus_matches_full_scan(gens, p):
+    _assert_matches_full_scan(build(gens, p))
 
 
 def test_scan_below_modulus_matches_full_scan_near_conductor_1e4():

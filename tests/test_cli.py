@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -977,6 +978,8 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
     monkeypatch.setattr(semigroup, "_member_flags", refuse)
     sp = build((8, 4, 5, 6), 8)
     assert (gap_count(sp), gap_sum(sp)) == (26, 328)
+    assert is_arf(build((3, 4), 0)).details["witness"] == (4, 4, 3)
+    assert is_arf(build((2, 3), 1)).passed
     for argv in (
         "table --gens 6,7,17 --p 0..14"
         " --field frobenius,multiplicity,conductor,genus,sylvester_sum,type",
@@ -984,6 +987,10 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
         "verify pairings --gens 6,7,17 --p 0..14",
         "verify pf-consequences --gens 6,7,17 --p 0..14",
         "verify nari --gens 6,7,17 --p 0",
+        "verify symmetry --gens 8,4,5,6 --p 0..10",
+        "verify arf-kunz --gens 6,7,17 --p 0..14",
+        "verify arf-kunz --gens 2,5 --p 0..4",
+        "verify arf-heredity --a 2 --b 7 --pmax 5",
         "verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..3",
         "verify watanabe --alpha 9 --beta 2 --gens 4,5 --p 0..3",
     ):
@@ -1000,6 +1007,17 @@ def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):
     )
 
 
+def test_default_cap_refuses_a_slow_weighted_sum_quickly(capsys, monkeypatch):
+    # Horner's rule over 318826 gaps of up to 2*358193-bit integers, about
+    # 20 s: the cap counts 4096-bit blocks per gap before the walk starts
+    _assert_refused_quickly(
+        capsys,
+        monkeypatch,
+        "sums --gens 1009,1013,1019 --p 50 --mu 0 --weight 2/3",
+        cap=None,
+    )
+
+
 def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):
     if cap is None:
         monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
@@ -1013,6 +1031,22 @@ def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert elapsed < 1.0
+
+
+def test_readme_cli_examples_run(capsys):
+    # every psg line of README's CLI code block, its trailing comment dropped
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        line.split("#", 1)[0].split()[1:]
+        for line in block.splitlines()
+        if line.startswith("psg ")
+    ]
+    assert examples
+    for argv in examples:
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_OK, argv
+        assert isinstance(json.loads(out), dict), argv
 
 
 def test_json_is_deterministic_in_process(capsys):

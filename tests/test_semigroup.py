@@ -118,6 +118,18 @@ def test_weighted_power_sum_guards():
         power_sum_gaps(sp, 9)
 
 
+def test_weighted_power_sum_charges_its_blocks(monkeypatch):
+    # F = 7 and 7 gaps; den = 2^5000 makes each step's integer 7 * 5001
+    # bits, 9 blocks of 4096, so the walk is charged 63 blocks
+    sp = build((2, 3), 1)
+    weight = Fraction(1, 2**5000)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "63")
+    assert weighted_power_sum(sp, weight, 0) == sum(weight**n for n in sp.gaps)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "62")
+    with pytest.raises(CapExceededError, match="63 4096-bit blocks"):
+        weighted_power_sum(sp, weight, 0)
+
+
 def test_kunz_goldens():
     assert build((8, 4, 5, 6), 8).kunz == (6, 7, 6, 7)
     assert build((2, 3), 0).kunz == (0, 1)
@@ -304,7 +316,7 @@ def test_round_robin_lists_agree_with_heap_merge_and_brute_force(draw):
         assert by_lists(top) == tuple(b * (j * inverse % a + top * a) for j in range(a))
     if top <= 40 and max(gens) <= 20:
         assert by_lists(top) == brute_class_minima(gens, top, a)
-    assert semigroup._order_one_instance(A).apery_by_residue == tuple(
+    assert build(A, 1).apery_by_residue == tuple(
         values[1] for values in heap_best_lists(gens, 1)
     )
 

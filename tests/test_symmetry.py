@@ -30,8 +30,8 @@ from psemigroups import (
     verify_pf_consequences,
     verify_symmetry_equivalences,
 )
-from psemigroups import symmetry
-from psemigroups.semigroup import bit_positions
+from psemigroups import semigroup, symmetry
+from psemigroups.semigroup import bit_positions, member_mask
 
 
 def _hlk(sp):
@@ -215,7 +215,9 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     h, l, k_below = set_hlk_sets(sp)
     assert _hlk(sp) == (h, l, k_below)
     # the per-class exchange that classify reads, against the masks
-    members, mirror, full = symmetry._mirror_masks(sp)
+    members = member_mask(sp, total + 1)
+    mirror = member_mask(sp, total + 1, mirrored=True)
+    full = (1 << (total + 1)) - 1
     mismatches, l_ranges = symmetry._class_exchange(sp)
     assert mismatches == (full & ~(members ^ mirror)).bit_count()
     assert tuple(sorted(chain.from_iterable(l_ranges))) == l
@@ -226,6 +228,7 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     verdicts = verify_symmetry_equivalences(sp).details["verdicts"]
     members_in_window = sum(sp.contains(n) for n in range(sp.multiplicity, sp.frobenius + 1))
     assert verdicts["definition"] == verdicts["complementary_pairs"] == symmetric
+    assert verdicts["definition"] == (members ^ mirror == full)
     assert verdicts["window_counts"] == (
         2 * members_in_window == sp.frobenius - sp.multiplicity + 1
     )
@@ -238,8 +241,7 @@ def test_classify_builds_no_bitmask(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("classify built an F-sized bitmask")
 
-    monkeypatch.setattr(symmetry, "member_mask", refuse)
-    monkeypatch.setattr(symmetry, "_mirror_masks", refuse)
+    monkeypatch.setattr(semigroup, "_member_flags", refuse)
     assert classify(build((8, 12, 15, 18), 8)).symmetric
     assert classify(build((6, 7, 17), 0)).pseudo_symmetric
     r14 = classify(build((6, 7, 17), 14))
