@@ -32,6 +32,7 @@ from .semigroup import (
     bit_positions,
     build,
     build_range,
+    charge_weighted_sums,
     check_power,
     gap_count,
     gap_sum,
@@ -234,15 +235,15 @@ def _single_p(values: range) -> int:
 # document builders
 
 def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[str, Any]:
-    """Every set is rendered from a bitmask, so no O(F) tuple is built
-    unless ``expand`` lists the elements."""
+    """Every set is rendered from one member bitmask over [0, total], so
+    no O(F) tuple is built unless ``expand`` lists the elements."""
     from .arf import is_arf
 
     sp = build(gens, p)
     report = sym_mod.classify(sp)
-    h, l, k_below = sym_mod.hlk_masks(sp)
+    members = member_mask(sp, sp.frobenius + sp.multiplicity + 1)
+    h, l, k_below = sym_mod.hlk_of_members(sp, members)
     c = sp.conductor
-    members = member_mask(sp, c)
     return {
         "generators": list(sp.generators.ordered),
         "p": sp.p,
@@ -315,12 +316,14 @@ def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
 def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
-    """Rows mu = 0..mu_max from one instance; the largest exponent is
-    checked before it is built, and a negative mu_max asks for no rows."""
+    """Rows mu = 0..mu_max from one instance, the exponent checked and the
+    weighted rows charged up front; a negative mu_max asks for none."""
     rows = []
     if mu_max >= 0:
         check_power(mu_max)
         sp = build(gens, p)
+        if weight is not None:
+            charge_weighted_sums(sp, weight, mu_max + 1)
         for mu in range(mu_max + 1):
             row: dict[str, Any] = {
                 "mu": mu,

@@ -104,11 +104,10 @@ def _gap_walk(sp: PSemigroup) -> Iterator[int]:
     return compress(range(sp.conductor), outside)
 
 
-def member_mask(sp: PSemigroup, length: int, mirrored: bool = False) -> int:
+def member_mask(sp: PSemigroup, length: int) -> int:
     """Bitmask of the members below ``length``: bit n is set iff n is a
-    member, or, ``mirrored``, iff length - 1 - n is."""
-    digits = _member_flags(sp, length).translate(_TO_DIGITS)
-    return int((digits if mirrored else digits[::-1]) or b"0", 2)
+    member."""
+    return int(_member_flags(sp, length).translate(_TO_DIGITS)[::-1] or b"0", 2)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -332,14 +331,21 @@ def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:
 
 
 def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
-    """The least member of each residue class modulo g (the instance's
-    Apéry set with respect to g), read off the membership flags over
-    [0, conductor + g): every n from the conductor on is a member, so each
-    class has one there."""
+    """The least member of each residue class modulo g (the Apéry set with
+    respect to g) in a + g steps, charged first: members are closed under
+    adding a, so one walk round each gcd(a, g) cycle r, r + a, ... from its
+    least class minimum settles it (Boecker and Liptak's round robin)."""
     if g < 1:
         raise PreconditionError("modulus must be positive")
-    flags = _member_flags(sp, sp.conductor + g)
-    return tuple(r + g * flags[r::g].index(1) for r in range(g))
+    a, h = sp.modulus, gcd(sp.modulus, g)
+    charge(a + g, f"class steps of the minima modulo {g}")
+    least, start = [sp.conductor + g] * g, [0] * h  # above every least member
+    for m in reversed(sp.apery_sorted):  # each class and cycle keeps its least seed
+        least[m % g], start[m % h] = m, m % g
+    for s in start:
+        for t in range(s + a, s + g // h * a, a):
+            least[t % g] = min(least[t % g], least[(t - a) % g] + a)
+    return tuple(least)
 
 
 def gap_count(sp: PSemigroup) -> int:
@@ -422,20 +428,26 @@ def weighted_power_sum(sp: PSemigroup, weight: Fraction | int | str, mu: int) ->
 
     With weight num/den the terms share the denominator den^F (F the
     largest gap), so the numerators num^n * den^(F-n) * n^mu are summed as
-    integers, by Horner's rule over the gaps, and reduced once.  The cap
-    counts each gap's step once per 4096 bits of its F * log2(max(|num|,
-    den))-bit integer, as it does for ``verify_eulerian_gf``.
+    integers by Horner's rule over the gaps, charged first, and reduced once.
     """
     check_power(mu)
-    w = Fraction(weight)
-    if w == 0:
-        raise PreconditionError("weight must be non-zero")
+    w = charge_weighted_sums(sp, weight, 1)
     num, den = w.numerator, w.denominator
-    blocks = -(-sp.frobenius * max(abs(num), den).bit_length() // 4096)  # per gap, rounded up
-    charge(gap_count(sp) * blocks, f"4096-bit blocks of the weighted power sum over F = {sp.frobenius}")
     total, num_power, prev = 0, 1, 0
     for n in _gap_walk(sp):
         num_power *= num ** (n - prev)
         total = total * den ** (n - prev) + num_power * n**mu
         prev = n
     return Fraction(total, den**prev)
+
+
+def charge_weighted_sums(sp: PSemigroup, weight: Fraction | int | str, rows: int) -> Fraction:
+    """The non-zero weight, once the cap admits ``rows`` weighted power sums
+    over sp: 4096-bit blocks of each gap's F * log2(max(|num|, den))-bit step."""
+    w = Fraction(weight)
+    if w == 0:
+        raise PreconditionError("weight must be non-zero")
+    bits64 = sp.frobenius * (max(abs(w.numerator), w.denominator) ** 64).bit_length()  # log2 to 1/64
+    blocks = rows * gap_count(sp) * -(-bits64 // (64 * 4096))  # rounded up per gap
+    charge(blocks, f"4096-bit blocks of weighted sums over F = {sp.frobenius}")
+    return w

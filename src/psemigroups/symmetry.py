@@ -1,11 +1,10 @@
 """Pseudo-Frobenius data, mirror-set decompositions, and the symmetry
 classification of a built instance.
 
-The mirror of x is total - x, total = multiplicity + frobenius.
-``classify`` and ``verify_symmetry_equivalences`` read the mirror
-exchange class by class off the class minima, in O(a); the member and
-mirror bitmasks (``hlk_masks``) serve rendering and give
-``verify_almost_symmetric_equivalences`` an independent second route.
+The mirror of x is total - x, total = multiplicity + frobenius.  Every
+verdict reads the class minima, in O(a) with nothing F-sized: the mirror
+exchange class by class, and a count of L as a second route for almost
+symmetry.  The member and mirror bitmasks (``hlk_masks``) serve rendering.
 """
 
 from __future__ import annotations
@@ -83,23 +82,21 @@ def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     """Bitmasks of H, L and the finite part of K over [0, total], total =
     frobenius + multiplicity; K holds every integer above total as well.
 
-    H is the mirror image of the members within the non-negatives: the
-    x <= frobenius whose mirror is a member (below the multiplicity every
-    mirror lies past the largest gap).  L is the x with both sides outside,
-    and K below total + 1 the x whose mirror is a gap.  Three bitmask
-    expressions, O(F/64) word operations.  Integers outside [0, total]
-    need no bits: a negative one is never a member and its mirror lies
-    above the largest gap.
+    H is the x <= frobenius whose mirror is a member (below the
+    multiplicity every mirror lies past the largest gap), L the x with
+    both sides outside, and K below total + 1 the x whose mirror is a gap.
+    A negative x needs no bit: it is outside, and its mirror is a member.
     """
+    return hlk_of_members(sp, member_mask(sp, sp.frobenius + sp.multiplicity + 1))
+
+
+def hlk_of_members(sp: PSemigroup, members: int) -> tuple[int, int, int]:
+    """``hlk_masks`` from the member bitmask over [0, total], whose digits
+    reversed are the mirror's, in O(F/64) word operations."""
     length = sp.frobenius + sp.multiplicity + 1
-    members = member_mask(sp, length)
-    mirror = member_mask(sp, length, mirrored=True)
+    mirror = int(f"{members:0{length}b}"[::-1], 2)
     full = (1 << length) - 1
-    return (
-        mirror & ((1 << (sp.frobenius + 1)) - 1),
-        full & ~(members | mirror),
-        full & ~mirror,
-    )
+    return mirror & ((1 << (sp.frobenius + 1)) - 1), full & ~(members | mirror), full & ~mirror
 
 
 def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
@@ -307,19 +304,27 @@ def verify_pf_consequences(sp: PSemigroup) -> Report:
     )
 
 
+def _l_count(sp: PSemigroup) -> int:
+    """|L| in O(a): [0, total] holds genus gaps and genus gap mirrors, and
+    the x of class j with both sides members run from m_j to its mirror's."""
+    a, m = sp.modulus, sp.apery_by_residue
+    total = sp.frobenius + sp.multiplicity
+    both_in = sum(max(0, (total - m[(total - j) % a] - x) // a + 1) for j, x in enumerate(m))
+    return 2 * gap_count(sp) - (total + 1) + both_in
+
+
 def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     """Three characterizations of almost symmetry, asserted to coincide:
-    the both-sides-outside set is contained in PF; PF is that set plus the
-    frobenius number (both on bitmasks); every gap mirrors to a member or
-    is itself PF (those that do not are L, read by ``classify``'s route)."""
-    # the masks are charged against the cap before pf_mask's F bits exist
-    _, l_mask, _ = hlk_masks(sp)
-    pf = pseudo_frobenius(sp)
-    pf_mask = sum(1 << x for x in pf)
+    L is in PF and PF is L plus F, by counting L as Nari (Semigroup Forum
+    86, 2013) does at p = 0 (L and PF hold gaps; F is in PF, not in L);
+    every gap mirrors to a member or is PF, by ``classify``'s route."""
+    total = sp.frobenius + sp.multiplicity
+    pf, l_count = pseudo_frobenius(sp), _l_count(sp)
+    l_subset_pf = l_count == sum(not sp.contains(total - f) for f in pf)
     _, l_ranges = _class_exchange(sp)
     verdicts = {
-        "l_subset_pf": l_mask & ~pf_mask == 0,
-        "pf_is_l_plus_frobenius": pf_mask == l_mask | 1 << sp.frobenius,
+        "l_subset_pf": l_subset_pf,
+        "pf_is_l_plus_frobenius": l_subset_pf and len(pf) == l_count + 1,
         "mirror_or_pf": _within(l_ranges, pf),
     }
     return Report(

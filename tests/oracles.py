@@ -9,7 +9,8 @@ mirror routes are the library's former O(F) evaluations of the exchange
 and of H/L/K, and the tuple renderers the CLI's former way of writing
 sets, kept as references for its bitmask ones.  The heap merge is the
 library's former (P+1)-best-lists step, kept as a second route for its
-round-robin one.
+round-robin one; the flag-scan minima modulo g and the mirrored member
+mask are the library's former F-sized routes, kept likewise.
 """
 
 from __future__ import annotations
@@ -95,6 +96,20 @@ def brute_class_minima(gens: tuple[int, ...], p: int, modulus: int) -> tuple[int
             n += modulus
         minima.append(n)
     return tuple(minima)
+
+
+def flags_minima_modulo(sp, g: int) -> tuple[int, ...]:
+    """Least member of each residue class modulo g of a built instance,
+    read off its membership over [0, conductor + g), where every class
+    has a member: the library's former route for ``minima_modulo``."""
+    flags = [sp.contains(n) for n in range(sp.conductor + g)]
+    return tuple(r + g * flags[r::g].index(True) for r in range(g))
+
+
+def mirrored_member_mask(sp, length: int) -> int:
+    """Bitmask whose bit n is set iff length - 1 - n is a member of a
+    built instance: the library's former ``member_mask(mirrored=True)``."""
+    return sum(1 << (length - 1 - n) for n in range(length) if sp.contains(n))
 
 
 def heap_merge_lists(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:

@@ -580,6 +580,19 @@ PINNED_VERIFY = [
         '{"passed":false,"rows":[{"applicable":true,"identity":"symmetry-equivalences","kind":"verdicts","note":"","passed":false,"verdicts":{"complementary_pairs":false,"definition":false,"genus_midpoint":true,"sorted_pairing":false,"window_counts":true}}]}'
     ),
     (
+        'verify almost-symmetric --gens 6,7,17 --p 12..15',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"almost-symmetric-equivalences","kind":"verdicts","note":"","passed":true,"verdicts":{"l_subset_pf":true,"mirror_or_pf":true,"pf_is_l_plus_frobenius":true}},'
+        '{"applicable":true,"identity":"almost-symmetric-equivalences","kind":"verdicts","note":"","passed":true,"verdicts":{"l_subset_pf":true,"mirror_or_pf":true,"pf_is_l_plus_frobenius":true}},'
+        '{"applicable":true,"identity":"almost-symmetric-equivalences","kind":"verdicts","note":"","passed":true,"verdicts":{"l_subset_pf":true,"mirror_or_pf":true,"pf_is_l_plus_frobenius":true}},'
+        '{"applicable":true,"identity":"almost-symmetric-equivalences","kind":"verdicts","note":"","passed":true,"verdicts":{"l_subset_pf":true,"mirror_or_pf":true,"pf_is_l_plus_frobenius":true}}]}'
+    ),
+    (
+        'verify almost-symmetric --gens 17,18,19 --p 5',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"almost-symmetric-equivalences","kind":"verdicts","note":"","passed":true,"verdicts":{"l_subset_pf":false,"mirror_or_pf":false,"pf_is_l_plus_frobenius":false}}]}'
+    ),
+    (
         'verify pairings --gens 6,7,17 --p 0..1',
         0,
         '{"passed":true,"rows":[{"applicable":true,"identity":"apery-pairings","kind":"verdicts","note":"indices are reduced to residue classes; paired indices sum to frobenius + multiplicity","passed":true,"verdicts":{"genus_offset":true,"genus_offset_necessity":true,"matches_classification":true,"midpoint_pairing":true}},'
@@ -934,14 +947,16 @@ def test_default_cap_refuses_a_huge_p_range_quickly(capsys, monkeypatch, command
     _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
 
 
-# the minimality test's 2a list entries, the Eulerian series' terms and the
-# membership flags are sized against the cap before anything is allocated;
-# a huge generator is refused where a command builds flags over [0, F]
+# the minimality test's 2a list entries, the Eulerian series' terms, the
+# membership flags and the a + g steps of the minima modulo g are sized
+# against the cap before anything is allocated; a huge generator is refused
+# where a command builds flags over [0, F] or reads minima modulo it
 HUGE_ARGUMENTS = {
     "johnson-modulus": "verify johnson --alpha 3 --beta 2 --gens 1000000007,1000000009 --p 0",
     "eulerian-gf": "verify eulerian-gf --exponent 1500 --order 1600",
     "analyze-generator": "analyze --gens 4,6,19999999 --p 0",
     "sums-generator": "sums --gens 4,6,19999999 --p 0",
+    "gcd-scaling-generator": "verify gcd-scaling --gens 1000000007,6,10 --p 0",
 }
 
 
@@ -993,10 +1008,51 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
         "verify arf-heredity --a 2 --b 7 --pmax 5",
         "verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..3",
         "verify watanabe --alpha 9 --beta 2 --gens 4,5 --p 0..3",
+        "verify almost-symmetric --gens 6,7,17 --p 0..14",
+        "verify gcd-scaling --gens 8,12,15,18 --p 0..8",
+        "verify gcd-scaling --gens 5,4,6 --p 0..6",
     ):
         code, out = run_cli(capsys, *argv.split())
         assert code == EXIT_OK, argv
         assert json.loads(out)["rows"], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify almost-symmetric --gens 4,6,19999999 --p 0",
+        "verify gcd-scaling --gens 10007,20018,20074 --p 0",
+    ],
+)
+def test_former_flag_refusals_answer_at_the_default_cap(capsys, monkeypatch, argv):
+    # each built membership flags over [0, F] or [0, F + g) and was refused
+    # at the default cap; both now read the class minima alone
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK
+    (row,) = json.loads(out)["rows"]
+    assert row["passed"]
+    if "almost-symmetric" in argv:
+        flags = classify(build((4, 6, 19999999), 0))
+        assert set(row["verdicts"].values()) == {flags.almost_symmetric}
+
+
+def test_analyze_builds_membership_flags_once(monkeypatch):
+    # the gaps, the members and H/L/K all read one member mask over
+    # [0, frobenius + multiplicity]
+    lengths = []
+    member_flags = semigroup._member_flags
+
+    def spy(sp, length):
+        lengths.append(length)
+        return member_flags(sp, length)
+
+    monkeypatch.setattr(semigroup, "_member_flags", spy)
+    for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
+        lengths.clear()
+        analyze_document(as_generator_set(gens), p)
+        sp = build(gens, p)
+        assert lengths == [sp.frobenius + sp.multiplicity + 1]
 
 
 def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):
@@ -1014,6 +1070,17 @@ def test_default_cap_refuses_a_slow_weighted_sum_quickly(capsys, monkeypatch):
         capsys,
         monkeypatch,
         "sums --gens 1009,1013,1019 --p 50 --mu 0 --weight 2/3",
+        cap=None,
+    )
+
+
+def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch):
+    # nine rows of about 4 s each: each row alone passes the cap, but every
+    # row's blocks are charged together before the first
+    _assert_refused_quickly(
+        capsys,
+        monkeypatch,
+        "sums --gens 701,709,719 --p 25 --mu 8 --weight 2/3",
         cap=None,
     )
 

@@ -66,7 +66,8 @@ VALID_VERIFY = {
         ["--alpha", "9", "--beta", "2", "--gens", "4,5"],
         ["--alpha", "8", "--beta", "3", "--gens", "4,5,6"],
     ],
-    # 601,4,6 refuses at the scan for its minima modulo 601 under the cap
+    # 601,4,6 reads its minima modulo 601 in 4 + 601 class steps, which the
+    # cap of 1000 admits; its flags over [0, F + 601) would not be
     "gcd-scaling": [
         ["--gens", "5,6,9"],
         ["--gens", "8,12,15,18"],

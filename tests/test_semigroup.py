@@ -10,6 +10,7 @@ from oracles import (
     brute_class_minima,
     brute_count,
     brute_gap_set,
+    flags_minima_modulo,
     heap_best_lists,
     heap_merge_lists,
     small_elements,
@@ -29,7 +30,12 @@ from psemigroups import (
     weighted_power_sum,
 )
 from psemigroups import semigroup
-from psemigroups.semigroup import _count_bound, _minima_from_lists, _minima_from_table
+from psemigroups.semigroup import (
+    _count_bound,
+    _minima_from_lists,
+    _minima_from_table,
+    charge_weighted_sums,
+)
 
 GOLDEN_FROBENIUS = {
     (4, 5, 6): [7, 13, 19, 23, 27, 31, 33, 37, 39, 43, 43],
@@ -128,6 +134,19 @@ def test_weighted_power_sum_charges_its_blocks(monkeypatch):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "62")
     with pytest.raises(CapExceededError, match="63 4096-bit blocks"):
         weighted_power_sum(sp, weight, 0)
+
+
+def test_weighted_charge_reads_log2_to_a_64th_bit(monkeypatch):
+    # F = 206 843 and 103 826 gaps: weight 1/2 costs 65/64 bits a step, so
+    # 52 blocks a gap, where bit_length (2 bits for the base 2) charged 101
+    sp = build((1009, 1013, 1019), 0)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "5398952")
+    assert charge_weighted_sums(sp, "1/2", 1) == Fraction(1, 2)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "5398951")
+    with pytest.raises(CapExceededError, match="5398952 4096-bit blocks"):
+        charge_weighted_sums(sp, "1/2", 1)
+    with pytest.raises(CapExceededError, match="10797904 4096-bit blocks"):
+        charge_weighted_sums(sp, "1/2", 2)
 
 
 def test_kunz_goldens():
@@ -255,8 +274,8 @@ def test_membership_of_first_class_minimum():
 )
 def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds):
     # draws are unsorted and need not be minimal; each route is forced
-    # through its own function, and the minima modulo every generator are
-    # read off the top instance
+    # through its own function, and the minima modulo several g are read
+    # off the top instance
     lo, hi = sorted(bounds)
     A = GeneratorSet(gens)
     by_table = _minima_from_table(A, hi, 10**7)
@@ -271,8 +290,13 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds)
     assert [sp.apery_by_residue for sp in in_range] == [
         by_lists(p) for p in range(lo, hi + 1)
     ]
-    for g in gens:
-        assert minima_modulo(in_range[-1], g) == brute_class_minima(gens, hi, g), g
+    # modulo every generator, 1, a modulus below a, one sharing a factor
+    # with a, and one past the conductor
+    sp = in_range[-1]
+    a = sp.modulus
+    for g in {*gens, 1, a - 1, 2 * a, 6, sp.conductor + 3}:
+        expected = brute_class_minima(gens, hi, g)
+        assert minima_modulo(sp, g) == flags_minima_modulo(sp, g) == expected, g
 
 
 @st.composite

@@ -11,11 +11,11 @@ from oracles import (
     brute_pseudo_frobenius,
     full_shift_pseudo_frobenius,
     mirror_pairs_exactly_one,
+    mirrored_member_mask,
     set_hlk_sets,
 )
 from psemigroups import (
     PATTERN_FULL_INTERVAL,
-    CapExceededError,
     PATTERN_OTHER,
     PATTERN_SINGLETON_PLUS_TAIL,
     build,
@@ -216,7 +216,7 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     assert _hlk(sp) == (h, l, k_below)
     # the per-class exchange that classify reads, against the masks
     members = member_mask(sp, total + 1)
-    mirror = member_mask(sp, total + 1, mirrored=True)
+    mirror = mirrored_member_mask(sp, total + 1)
     full = (1 << (total + 1)) - 1
     mismatches, l_ranges = symmetry._class_exchange(sp)
     assert mismatches == (full & ~(members ^ mirror)).bit_count()
@@ -250,25 +250,31 @@ def test_classify_builds_no_bitmask(monkeypatch):
     assert classify(build((17, 18, 19), 9)).completely_symmetric
 
 
-def test_almost_symmetric_refusal_allocates_nothing_f_sized(monkeypatch):
-    # F = 2*10^7 + 1: the masks are charged, and refused, before any F-bit
-    # integer is made, the pseudo-Frobenius mask included
+def test_almost_symmetric_answers_allocating_nothing_f_sized(monkeypatch):
+    # F = 2*10^7 + 1: L is counted off the class minima, so under a cap of
+    # 1000 the verifier answers, as classify does, with no F-bit integer
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
     sp = build((4, 6, 19999999), 0)
     tracemalloc.start()
     try:
-        with pytest.raises(CapExceededError):
-            verify_almost_symmetric_equivalences(sp)
+        report = verify_almost_symmetric_equivalences(sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+    assert report.passed
+    assert set(report.details["verdicts"].values()) == {classify(sp).almost_symmetric}
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
 def test_l_set_matches_brute_force(gens, p):
     _, l, _ = _hlk(build(gens, p))
     assert list(l) == brute_l_set(gens, p)
+
+
+@given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
+def test_l_count_matches_brute_force(gens, p):
+    assert symmetry._l_count(build(gens, p)) == len(brute_l_set(gens, p))
 
 
 @given(gens=generator_tuples(), p=small_p)
