@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set
@@ -61,15 +61,23 @@ def mask_runs(mask: int) -> str:
     """Run-length rendering of the finite set whose members are the set
     bits of ``mask``: "0-23,25,27".  The set bits of mask ^ (mask << 1)
     are the run boundaries, alternately a run's first element and the
-    integer just past its last; one formatted string per run."""
+    integer just past its last."""
+    return ",".join(_runs_text(chunk[::2], chunk[1::2]) for chunk in _edge_chunks(mask))
+
+
+def _edge_chunks(mask: int) -> Iterator[list[int]]:
+    """The run boundaries of ``mask``, ascending, _JOIN_RUNS at a time, so
+    that at most that many run strings are alive at once."""
     edges = bit_positions(mask ^ (mask << 1))
-    runs = (
+    return iter(lambda: list(islice(edges, _JOIN_RUNS)), [])
+
+
+def _runs_text(firsts: list[int], stops: list[int]) -> str:
+    """The runs [first, stop) that are not empty, one formatted string each."""
+    return ",".join(
         str(first) if stop - first == 1 else f"{first}-{stop - 1}"
-        for first, stop in zip(edges, edges)
+        for first, stop in zip(firsts, stops) if first < stop
     )
-    # Joined _JOIN_RUNS at a time, so that at most that many run strings
-    # are alive at once; no run renders empty, so "" marks the end.
-    return ",".join(iter(lambda: ",".join(islice(runs, _JOIN_RUNS)), ""))
 
 
 def finite_set_doc(mask: int, expand: bool) -> Any:
@@ -77,13 +85,18 @@ def finite_set_doc(mask: int, expand: bool) -> Any:
     return list(bit_positions(mask)) if expand else mask_runs(mask)
 
 
-def cofinite_doc(below: int, all_from: int, expand: bool) -> dict[str, Any]:
-    """The integers >= all_from together with the set bits of ``below``:
-    the run of set bits just under all_from merges into the tail, then the
-    rest renders as a finite set."""
-    all_from = (~below & ((1 << all_from) - 1)).bit_length()
-    below &= (1 << all_from) - 1
-    return {"below": finite_set_doc(below, expand), "all_from": all_from}
+def split_docs(mask: int, length: int, expand: bool) -> tuple[Any, Any]:
+    """``finite_set_doc`` of the set bits of ``mask`` and of its clear bits
+    below ``length``, run texts from one scan of their shared boundaries."""
+    if expand:
+        return list(bit_positions(mask)), list(bit_positions(~mask & ((1 << length) - 1)))
+    set_texts, clear_texts, stop = [], [], 0
+    for chunk in _edge_chunks(mask):
+        set_texts.append(_runs_text(chunk[::2], chunk[1::2]))
+        clear_texts.append(_runs_text([stop, *chunk[1:-1:2]], chunk[::2]))
+        stop = chunk[-1]
+    clear_texts.append(_runs_text([stop], [length]))
+    return ",".join(set_texts), ",".join(filter(None, clear_texts))
 
 
 def fraction_str(value: Fraction) -> str:
@@ -242,8 +255,12 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     sp = build(gens, p)
     report = sym_mod.classify(sp)
     members = member_mask(sp, sp.frobenius + sp.multiplicity + 1)
-    h, l, k_below = sym_mod.hlk_of_members(sp, members)
+    h, l, _ = sym_mod.hlk_of_members(sp, members)
     c = sp.conductor
+    # F is a gap, so the members' tail starts at c.  H's mask is the whole
+    # mirror (at p = 0, total = F), so K is its clear bits and all above.
+    members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
+    h_set, k_below = split_docs(h, h.bit_length(), expand)
     return {
         "generators": list(sp.generators.ordered),
         "p": sp.p,
@@ -256,13 +273,13 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "genus": gap_count(sp),
         "sylvester_sum": gap_sum(sp),
         "kunz": list(sp.kunz),
-        "gaps": finite_set_doc(~members & ((1 << c) - 1), expand),
-        "members": cofinite_doc(members, c, expand),
+        "gaps": gaps,
+        "members": {"below": members_below, "all_from": c},
         "pseudo_frobenius": finite_set_doc(sum(1 << x for x in report.pf), expand),
         "type": report.type_count,
-        "h_set": finite_set_doc(h, expand),
+        "h_set": h_set,
         "l_set": finite_set_doc(l, expand),
-        "k_set": cofinite_doc(k_below, sp.frobenius + sp.multiplicity + 1, expand),
+        "k_set": {"below": k_below, "all_from": h.bit_length()},
         "symmetric": report.symmetric,
         "pseudo_symmetric": report.pseudo_symmetric,
         "almost_symmetric": report.almost_symmetric,

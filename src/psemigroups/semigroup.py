@@ -19,14 +19,15 @@ p, P, along the cheaper of two exact routes:
   them.  The lists are merged one generator at a time by a round-robin
   walk over the residue cycles of that generator, with no table:
   O((k-1)*a*(P+1)) element work in O((k-1)*a) Python-level merges of
-  sorted runs, plus the closure steps of each cycle.
+  sorted runs, plus the closure steps of each cycle; at P = 0, one flat
+  list of a integers and O((k-1)*a) steps, Boecker and Liptak's round robin.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count, islice
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Iterator
 
@@ -42,6 +43,7 @@ _BERNOULLI = bernoulli_row(POWER_CAP + 1)
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_SPLIT_WINDOW = 1 << 16
 
 
 class PSemigroup(Record):
@@ -111,9 +113,28 @@ def member_mask(sp: PSemigroup, length: int) -> int:
 
 
 def bit_positions(mask: int) -> Iterator[int]:
-    """The set bits of a non-negative mask, ascending; C-level iteration
-    over the binary digits, O(bit_length) with no per-bit Python step."""
+    """The set bits of a non-negative mask, ascending, lazily.  ``compress``
+    takes one C step per binary digit, splitting the digits at each "1" one
+    per set bit; the split is taken when under a quarter of them are set."""
+    if 4 * mask.bit_count() < mask.bit_length():
+        return _split_positions(mask)
+    return _compress_positions(mask)
+
+
+def _compress_positions(mask: int) -> Iterator[int]:
     return compress(count(), bin(mask)[:1:-1].encode().translate(_FROM_DIGITS))
+
+
+def _split_positions(mask: int) -> Iterator[int]:
+    """Window w of the digits, reversed ("0b" ends at index 1), splits into the
+    runs of "0" before each set bit and after the last; a set bit is w - 1 plus
+    the running sum of their lengths plus one.  One window is alive at once."""
+    digits = bin(mask)
+    for w, end in zip(count(0, _SPLIT_WINDOW), range(len(digits) - 1, 1, -_SPLIT_WINDOW)):
+        zero_runs = digits[end : max(end - _SPLIT_WINDOW, 1) : -1].split("1")
+        ends = accumulate(map((1).__add__, map(len, zero_runs)), initial=w - 1)
+        yield from islice(ends, 1, len(zero_runs))
+        del zero_runs, ends  # before the next window is split
 
 
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
@@ -234,6 +255,9 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
     generators other than a; the minimum of class j at p is the p-th entry
     of list j (counting from 0)."""
     a, keep = A.least, top + 1
+    if keep == 1:
+        minima = _round_robin(A)
+        return lambda p: minima
     lists: list[list[int]] = [[] for _ in range(a)]
     lists[0].append(0)
     for b in A.ordered:
@@ -244,6 +268,25 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
         return tuple(values[p] for values in lists)
 
     return minima_at
+
+
+def _round_robin(A: GeneratorSet) -> tuple[int, ...]:
+    """The one-best lists as one flat list n: for each generator b, each of the
+    gcd(a, b) cycles of classes s, s + b, ... is walked once from its least
+    value, which no class of the cycle can lower.  a * max(A) stands for "none
+    yet": a least value has fewer than a summands, so it is below that."""
+    a = A.least
+    n = [a * max(A.ordered)] * a
+    n[0] = 0
+    for b in A.ordered:
+        if b == a:
+            continue
+        g = gcd(a, b)
+        for r in range(g):
+            s = min(range(r, a, g), key=n.__getitem__)
+            for t in range(s + b, s + a // g * b, b):
+                n[t % a] = min(n[t % a], n[(t - b) % a] + b)
+    return tuple(n)
 
 
 def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances
@@ -44,9 +44,9 @@ from psemigroups.cli import (
     EXIT_USAGE,
     EXIT_VERIFIER_FAILED,
     analyze_document,
-    cofinite_doc,
     main,
     mask_runs,
+    split_docs,
     sums_document,
     verify_exit_code,
 )
@@ -76,8 +76,9 @@ def test_interval_runs():
 def test_mask_rendering_matches_the_tuple_oracle(values, all_from, expand):
     assert mask_runs(_mask(values)) == interval_runs(values)
     below = {x for x in values if x < all_from}
-    assert cofinite_doc(_mask(below), all_from, expand) == set_cofinite_doc(
-        below, all_from, expand
+    assert split_docs(_mask(below), all_from, expand) == (
+        set_finite_doc(below, expand),
+        set_finite_doc(set(range(all_from)) - below, expand),
     )
 
 
@@ -102,11 +103,13 @@ def test_mask_rendering_across_join_chunks(runs, lengths):
     rendered = mask_runs(mask)
     assert rendered == interval_runs(values)
     assert rendered.count(",") == max(runs - 1, 0)
-    # the tail absorbs the last run (one run fewer below) or stays apart
-    last = values[-1] if values else 0
-    for all_from in (last + 1, last + 2):
-        assert cofinite_doc(mask, all_from, False) == set_cofinite_doc(
-            values, all_from, False
+    # the clear runs share the boundaries, the first run of either kind
+    # may start at 0, and the last clear run ends at the length, if below
+    top = values[-1] + 1 if values else 0
+    for length in (top, top + 1):
+        assert split_docs(mask, length, False) == (
+            rendered,
+            interval_runs(set(range(length)) - set(values)),
         )
 
 
@@ -178,6 +181,18 @@ def test_analyze_peak_memory_is_bounded_by_its_output():
     p=st.integers(0, 15),
     expand=st.booleans(),
 )
+# at p = 0, 0 is a member, total = F and K's tail starts at total + 1; at
+# p > 0 it starts at c; the smallest instance has F = 1; at F = 87 975 the
+# sparse boundary scans cross a 2^16-digit window, at F = 206 843 the dense
+# ones run
+@example(instance=((2, 3), 0), p=0, expand=False)
+@example(instance=((2, 3), 0), p=1, expand=False)
+@example(instance=((2, 3), 0), p=0, expand=True)
+@example(instance=((5, 7, 9), 0), p=0, expand=False)
+@example(instance=((5, 7, 9), 0), p=4, expand=False)
+@example(instance=((97, 101), 0), p=8, expand=False)
+@example(instance=((97, 101), 0), p=8, expand=True)
+@example(instance=((1009, 1013, 1019), 0), p=0, expand=False)
 def test_analyze_document_matches_the_set_rendering(instance, p, expand):
     gens = as_generator_set(instance[0])
     doc = analyze_document(gens, p, expand)

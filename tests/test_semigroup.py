@@ -1,8 +1,12 @@
+import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
@@ -31,9 +35,12 @@ from psemigroups import (
 )
 from psemigroups import semigroup
 from psemigroups.semigroup import (
+    _compress_positions,
     _count_bound,
     _minima_from_lists,
     _minima_from_table,
+    _split_positions,
+    bit_positions,
     charge_weighted_sums,
 )
 
@@ -270,12 +277,12 @@ def test_membership_of_first_class_minimum():
 
 @given(
     gens=generator_tuples(max_value=12),
-    bounds=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    bounds=st.just((0, 0)) | st.tuples(st.integers(0, 40), st.integers(0, 40)),
 )
 def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds):
     # draws are unsorted and need not be minimal; each route is forced
-    # through its own function, and the minima modulo several g are read
-    # off the top instance
+    # through its own function, the lists at p = 0 being the flat round
+    # robin, and the minima modulo several g are read off the top instance
     lo, hi = sorted(bounds)
     A = GeneratorSet(gens)
     by_table = _minima_from_table(A, hi, 10**7)
@@ -343,6 +350,78 @@ def test_round_robin_lists_agree_with_heap_merge_and_brute_force(draw):
     assert build(A, 1).apery_by_residue == tuple(
         values[1] for values in heap_best_lists(gens, 1)
     )
+
+
+@st.composite
+def shared_factor_generators(draw):
+    """Lists of 2 to 5 generators, unsorted and not always minimal, whose
+    least generator a shares a factor f with another, so that the classes
+    modulo a fall into f or more cycles of that generator."""
+    f = draw(st.integers(2, 5))
+    a = f * draw(st.integers(1, 6))
+    shared = f * draw(st.integers(a // f + 1, 16))
+    rest = draw(st.lists(st.integers(a + 1, 80), min_size=1, max_size=3))
+    gens = list(dict.fromkeys([a, shared, *rest]))
+    if draw(st.booleans()) and len(gens) < 5 and a + shared not in gens:
+        gens.append(a + shared)
+    assume(reduce(gcd, gens) == 1)
+    return tuple(draw(st.permutations(gens)))
+
+
+@given(gens=shared_factor_generators())
+@example(gens=(6, 4, 9))
+@example(gens=(10, 4, 6, 25, 15))
+def test_round_robin_at_p0_agrees_with_heap_merge(gens):
+    by_lists = _minima_from_lists(GeneratorSet(gens), 0)
+    assert by_lists(0) == tuple(values[0] for values in heap_best_lists(gens, 0))
+
+
+def _brute_positions(bits: list[int]) -> list[int]:
+    return [i for i, bit in enumerate(bits) if bit]
+
+
+_WINDOW = 1 << 16
+
+
+@given(
+    digits=st.sampled_from([0, 1, 2, 64, _WINDOW - 1, _WINDOW, _WINDOW + 1])
+    | st.integers(0, 300),
+    share=st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.6, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(digits=0, share=0.0, seed=0)
+@example(digits=_WINDOW - 1, share=0.05, seed=1)
+@example(digits=_WINDOW, share=0.2, seed=2)
+@example(digits=_WINDOW + 1, share=0.05, seed=3)
+@example(digits=_WINDOW + 1, share=0.6, seed=4)
+def test_bit_positions_match_a_brute_force_scan(digits, share, seed):
+    # the top digit is set, and a drawn share of the others, on either side
+    # of the quarter at which bit_positions changes kernel; both kernels
+    # are checked whichever it takes, across the splitting kernel's window
+    rng = random.Random(seed)
+    bits = [int(rng.random() < share) for _ in range(digits - 1)] + [1] * (digits > 0)
+    mask = int("".join(map(str, reversed(bits))) or "0", 2)
+    expected = _brute_positions(bits)
+    assert list(bit_positions(mask)) == expected
+    assert list(_split_positions(mask)) == expected
+    assert list(_compress_positions(mask)) == expected
+
+
+def test_splitting_scan_peaks_no_higher_than_the_compress_scan():
+    # a quarter of 10^6 digits set: split whole, the digits would hold one
+    # run string per set bit at once, several times what compress holds
+    rng = random.Random(17)
+    digits = 10**6
+    mask = rng.getrandbits(digits) & rng.getrandbits(digits) | 1 << (digits - 1)
+    peaks = {}
+    for kernel in (_compress_positions, _split_positions):
+        tracemalloc.start()
+        try:
+            deque(kernel(mask), maxlen=0)
+            _, peaks[kernel] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[_split_positions] <= 1.1 * peaks[_compress_positions]
 
 
 @st.composite
