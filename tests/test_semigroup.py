@@ -376,11 +376,7 @@ def test_round_robin_at_p0_agrees_with_heap_merge(gens):
     assert by_lists(0) == tuple(values[0] for values in heap_best_lists(gens, 0))
 
 
-def _brute_positions(bits: list[int]) -> list[int]:
-    return [i for i, bit in enumerate(bits) if bit]
-
-
-_WINDOW = 1 << 16
+_WINDOW = semigroup._SPLIT_WINDOW
 
 
 @given(
@@ -401,7 +397,7 @@ def test_bit_positions_match_a_brute_force_scan(digits, share, seed):
     rng = random.Random(seed)
     bits = [int(rng.random() < share) for _ in range(digits - 1)] + [1] * (digits > 0)
     mask = int("".join(map(str, reversed(bits))) or "0", 2)
-    expected = _brute_positions(bits)
+    expected = [i for i, bit in enumerate(bits) if bit]
     assert list(bit_positions(mask)) == expected
     assert list(_split_positions(mask)) == expected
     assert list(_compress_positions(mask)) == expected
