@@ -255,10 +255,10 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     sp = build(gens, p)
     report = sym_mod.classify(sp)
     members = member_mask(sp, sp.frobenius + sp.multiplicity + 1)
-    h, l, _ = sym_mod.hlk_of_members(sp, members)
+    h, l = sym_mod.hlk_of_members(sp, members)
     c = sp.conductor
-    # F is a gap, so the members' tail starts at c.  H's mask is the whole
-    # mirror (at p = 0, total = F), so K is its clear bits and all above.
+    # F is a gap, so the members' tail starts at c.  H's top bit is F, the
+    # multiplicity's mirror, so K is its clear bits and all above.
     members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
     h_set, k_below = split_docs(h, h.bit_length(), expand)
     return {
@@ -384,15 +384,18 @@ def _run_verify(args: argparse.Namespace) -> list[Report]:
 
         gens = _parse_gens(_required(args, "gens"))
         return verify_gcd_scaling(gens, _parse_p_range(args.p))
-    if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric"):
+    if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric", "arf-kunz"):
         gens = _parse_gens(_required(args, "gens"))
-        fns = {
-            "symmetry": sym_mod.verify_symmetry_equivalences,
-            "pairings": sym_mod.verify_apery_pairings,
-            "pf-consequences": sym_mod.verify_pf_consequences,
-            "almost-symmetric": sym_mod.verify_almost_symmetric_equivalences,
-        }
-        return [fns[name](sp) for sp in build_range(gens, _parse_p_range(args.p))]
+        if name == "arf-kunz":
+            from .arf import verify_arf_conductor_kunz as fn
+        else:
+            fn = {
+                "symmetry": sym_mod.verify_symmetry_equivalences,
+                "pairings": sym_mod.verify_apery_pairings,
+                "pf-consequences": sym_mod.verify_pf_consequences,
+                "almost-symmetric": sym_mod.verify_almost_symmetric_equivalences,
+            }[name]
+        return [fn(sp) for sp in build_range(gens, _parse_p_range(args.p))]
     if name == "nari":
         gens = _parse_gens(_required(args, "gens"))
         _only_p0(args, "nari is defined at p = 0")
@@ -404,14 +407,6 @@ def _run_verify(args: argparse.Namespace) -> list[Report]:
         if args.a is None or args.b is None:
             raise PreconditionError("verify arf-heredity needs --a and --b")
         return [verify_arf_heredity(args.a, args.b, args.pmax)]
-    if name == "arf-kunz":
-        from .arf import verify_arf_conductor_kunz
-
-        gens = _parse_gens(_required(args, "gens"))
-        return [
-            verify_arf_conductor_kunz(sp)
-            for sp in build_range(gens, _parse_p_range(args.p))
-        ]
     if name == "eulerian-gf":
         if args.exponent is None or args.order is None:
             raise PreconditionError("verify eulerian-gf needs --exponent and --order")

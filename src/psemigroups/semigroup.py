@@ -115,8 +115,8 @@ def member_mask(sp: PSemigroup, length: int) -> int:
 def bit_positions(mask: int) -> Iterator[int]:
     """The set bits of a non-negative mask, ascending, lazily.  ``compress``
     takes one C step per binary digit, splitting the digits at each "1" one
-    per set bit; the split is taken when under a quarter of them are set."""
-    if 4 * mask.bit_count() < mask.bit_length():
+    per set bit; the split is taken when under a fifth of them are set."""
+    if 5 * mask.bit_count() < mask.bit_length():
         return _split_positions(mask)
     return _compress_positions(mask)
 
@@ -256,7 +256,16 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
     of list j (counting from 0)."""
     a, keep = A.least, top + 1
     if keep == 1:
-        minima = _round_robin(A)
+        # a * max(A) stands for "none yet": a least value has fewer than a
+        # summands, so it is below that
+        flat = [a * max(A.ordered)] * a
+        flat[0] = 0
+        for b in A.ordered:
+            if b != a:
+                g = gcd(a, b)
+                starts = [min(range(r, a, g), key=flat.__getitem__) for r in range(g)]
+                _round_robin(flat, b, starts)
+        minima = tuple(flat)
         return lambda p: minima
     lists: list[list[int]] = [[] for _ in range(a)]
     lists[0].append(0)
@@ -270,23 +279,17 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
     return minima_at
 
 
-def _round_robin(A: GeneratorSet) -> tuple[int, ...]:
-    """The one-best lists as one flat list n: for each generator b, each of the
-    gcd(a, b) cycles of classes s, s + b, ... is walked once from its least
-    value, which no class of the cycle can lower.  a * max(A) stands for "none
-    yet": a least value has fewer than a summands, so it is below that."""
-    a = A.least
-    n = [a * max(A.ordered)] * a
-    n[0] = 0
-    for b in A.ordered:
-        if b == a:
-            continue
-        g = gcd(a, b)
-        for r in range(g):
-            s = min(range(r, a, g), key=n.__getitem__)
-            for t in range(s + b, s + a // g * b, b):
-                n[t % a] = min(n[t % a], n[(t - b) % a] + b)
-    return tuple(n)
+def _round_robin(values: list[int], step: int, starts: Iterable[int]) -> None:
+    """Boecker and Liptak's round robin, in place: with indices modulo
+    n = len(values), values[t] becomes min(values[t], values[t - step] + step)
+    once round each cycle t, t + step, ... of the gcd(n, step) cycles, one
+    walk from each entry of ``starts``.  A start must hold the least value
+    on its cycle, which no other value of the cycle can then lower."""
+    n = len(values)
+    length = n // gcd(n, step)
+    for s in starts:
+        for t in range(s + step, s + length * step, step):
+            values[t % n] = min(values[t % n], values[(t - step) % n] + step)
 
 
 def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:
@@ -376,8 +379,8 @@ def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:
 def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     """The least member of each residue class modulo g (the Apéry set with
     respect to g) in a + g steps, charged first: members are closed under
-    adding a, so one walk round each gcd(a, g) cycle r, r + a, ... from its
-    least class minimum settles it (Boecker and Liptak's round robin)."""
+    adding a, so one ``_round_robin`` walk round each gcd(a, g) cycle r,
+    r + a, ... from its least class minimum settles it."""
     if g < 1:
         raise PreconditionError("modulus must be positive")
     a, h = sp.modulus, gcd(sp.modulus, g)
@@ -385,9 +388,7 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     least, start = [sp.conductor + g] * g, [0] * h  # above every least member
     for m in reversed(sp.apery_sorted):  # each class and cycle keeps its least seed
         least[m % g], start[m % h] = m, m % g
-    for s in start:
-        for t in range(s + a, s + g // h * a, a):
-            least[t % g] = min(least[t % g], least[(t - a) % g] + a)
+    _round_robin(least, a, start)
     return tuple(least)
 
 

@@ -87,16 +87,19 @@ def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     both sides outside, and K below total + 1 the x whose mirror is a gap.
     A negative x needs no bit: it is outside, and its mirror is a member.
     """
-    return hlk_of_members(sp, member_mask(sp, sp.frobenius + sp.multiplicity + 1))
+    length = sp.frobenius + sp.multiplicity + 1
+    h, l = hlk_of_members(sp, member_mask(sp, length))
+    return h, l, ((1 << length) - 1) & ~h
 
 
-def hlk_of_members(sp: PSemigroup, members: int) -> tuple[int, int, int]:
-    """``hlk_masks`` from the member bitmask over [0, total], whose digits
-    reversed are the mirror's, in O(F/64) word operations."""
+def hlk_of_members(sp: PSemigroup, members: int) -> tuple[int, int]:
+    """H and L of ``hlk_masks`` from the member bitmask over [0, total],
+    whose digits reversed are the mirror's, in O(F/64) word operations.
+    H is the whole mirror: past frobenius, the mirror lands below the
+    multiplicity, where no member lies."""
     length = sp.frobenius + sp.multiplicity + 1
     mirror = int(f"{members:0{length}b}"[::-1], 2)
-    full = (1 << length) - 1
-    return mirror & ((1 << (sp.frobenius + 1)) - 1), full & ~(members | mirror), full & ~mirror
+    return mirror, ((1 << length) - 1) & ~(members | mirror)
 
 
 def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
@@ -161,6 +164,14 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     )
 
 
+def _pair_sums(sp: PSemigroup) -> list[int]:
+    """m_r + m_((total - r) mod a) for every class r, m the class minima
+    and total = frobenius + multiplicity."""
+    a, minima = sp.modulus, sp.apery_by_residue
+    total = sp.frobenius + sp.multiplicity
+    return [m + minima[(total - r) % a] for r, m in enumerate(minima)]
+
+
 def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
     """Evaluate five characterizations of mirror symmetry and report
     whether they all agree, in O(a) with nothing F-sized.
@@ -178,8 +189,7 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low
-    minima = sp.apery_by_residue
-    mirrored = all(m + minima[(total - r) % a] == total + a for r, m in enumerate(minima))
+    mirrored = all(s == total + a for s in _pair_sums(sp))
     mismatches, _ = _class_exchange(sp)
     genus = gap_count(sp)
     # every non-member up to the largest gap is a gap, and no member lies
@@ -213,7 +223,9 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
     total + modulus for every j.  For even totals, pseudo-symmetric should
     be equivalent to m(mid + j) + m(mid - j) = total + 2*modulus when both
     indices fall in the midpoint class and the midpoint is a gap, total when
-    it is a member, and total + modulus otherwise.
+    it is a member, and total + modulus otherwise.  Each sum depends only on
+    the class of its first index, so one ``_pair_sums`` entry per class
+    settles every j.
 
     A pseudo-symmetric instance also has gap count mid + 1 (midpoint gap)
     or mid (midpoint member); that count identity is necessary but not
@@ -221,47 +233,29 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
     its necessity direction enters the overall verdict and the raw count
     check is reported alongside.
     """
-    g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
-    total = g + low
+    a = sp.modulus
+    total = sp.frobenius + sp.multiplicity
     flags = classify(sp)
-
-    def m(t: int) -> int:
-        return sp.apery_by_residue[t % a]
-
-    window = range(-2 * a, 2 * a + 1)
+    sums = _pair_sums(sp)
     if total % 2 == 1:
-        hi, lo = (total + 1) // 2, (total - 1) // 2
-        pairing = all(m(hi + j) + m(lo - j) == total + a for j in window)
+        pairing = all(s == total + a for s in sums)
+        verdicts = {"pairing": pairing, "matches_classification": pairing == flags.symmetric}
+    else:
+        mid = total // 2
+        midpoint_gap = not sp.contains(mid)
+        expected = [total + a] * a
+        expected[mid % a] = total + 2 * a if midpoint_gap else total
+        pairing = sums == expected
+        genus_offset = gap_count(sp) == mid + midpoint_gap
         verdicts = {
-            "pairing": pairing,
-            "matches_classification": pairing == flags.symmetric,
+            "midpoint_pairing": pairing,
+            "matches_classification": pairing == flags.pseudo_symmetric,
+            "genus_offset": genus_offset,
+            "genus_offset_necessity": (not flags.pseudo_symmetric) or genus_offset,
         }
-        return Report(
-            "verdicts",
-            passed=verdicts["matches_classification"],
-            note=_PAIRING_NOTE,
-            details={"identity": "apery-pairings", "verdicts": verdicts},
-        )
-
-    mid = total // 2
-    midpoint_gap = not sp.contains(mid)
-
-    def expected(j: int) -> int:
-        if j % a == 0:
-            return total + (2 * a if midpoint_gap else 0)
-        return total + a
-
-    pairing = all(m(mid + j) + m(mid - j) == expected(j) for j in window)
-    genus_offset = gap_count(sp) == mid + (1 if midpoint_gap else 0)
-    verdicts = {
-        "midpoint_pairing": pairing,
-        "matches_classification": pairing == flags.pseudo_symmetric,
-        "genus_offset": genus_offset,
-        "genus_offset_necessity": (not flags.pseudo_symmetric) or genus_offset,
-    }
     return Report(
         "verdicts",
-        passed=verdicts["matches_classification"] and verdicts["genus_offset_necessity"],
+        passed=verdicts["matches_classification"] and verdicts.get("genus_offset_necessity", True),
         note=_PAIRING_NOTE,
         details={"identity": "apery-pairings", "verdicts": verdicts},
     )

@@ -10,7 +10,8 @@ and of H/L/K, and the tuple renderers the CLI's former way of writing
 sets, kept as references for its bitmask ones.  The heap merge is the
 library's former (P+1)-best-lists step, kept as a second route for its
 round-robin one; the flag-scan minima modulo g and the mirrored member
-mask are the library's former F-sized routes, kept likewise.
+mask are the library's former F-sized routes, kept likewise, and the
+window scan the library's former residue-pairing check.
 """
 
 from __future__ import annotations
@@ -232,6 +233,43 @@ def mirror_pairs_exactly_one(sp, exception: int | None) -> bool:
         if sp.contains(x) == sp.contains(total - x):
             return False
     return True
+
+
+def window_apery_pairings(sp) -> dict[str, bool]:
+    """The verdicts of ``verify_apery_pairings`` by the library's former
+    scan of every j in [-2a, 2a], m(t) being the class minimum of t mod a,
+    compared with the symmetry flags read off the mirror pairs one by one
+    and with the gap count of the enumerated gaps."""
+    a = sp.modulus
+    total = sp.frobenius + sp.multiplicity
+
+    def m(t: int) -> int:
+        return sp.apery_by_residue[t % a]
+
+    window = range(-2 * a, 2 * a + 1)
+    if total % 2 == 1:
+        hi, lo = (total + 1) // 2, (total - 1) // 2
+        pairing = all(m(hi + j) + m(lo - j) == total + a for j in window)
+        symmetric = mirror_pairs_exactly_one(sp, None)
+        return {"pairing": pairing, "matches_classification": pairing == symmetric}
+
+    mid = total // 2
+    midpoint_gap = not sp.contains(mid)
+
+    def expected(j: int) -> int:
+        if j % a == 0:
+            return total + (2 * a if midpoint_gap else 0)
+        return total + a
+
+    pairing = all(m(mid + j) + m(mid - j) == expected(j) for j in window)
+    pseudo_symmetric = mirror_pairs_exactly_one(sp, mid)
+    genus_offset = len(sp.gaps) == mid + (1 if midpoint_gap else 0)
+    return {
+        "midpoint_pairing": pairing,
+        "matches_classification": pairing == pseudo_symmetric,
+        "genus_offset": genus_offset,
+        "genus_offset_necessity": (not pseudo_symmetric) or genus_offset,
+    }
 
 
 def set_hlk_sets(sp):

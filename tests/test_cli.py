@@ -906,6 +906,17 @@ def test_bad_input_is_refused_with_exit_3(capsys, monkeypatch, cap, command):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "name", ["symmetry", "pairings", "pf-consequences", "almost-symmetric", "arf-kunz"]
+)
+def test_per_instance_verifiers_name_a_missing_gens(capsys, name):
+    code = main(["verify", name, "--p", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PRECONDITION
+    assert captured.out == ""
+    assert captured.err == f"error: verify {name} needs --gens\n"
+
+
 def test_stdout_closed_early_exits_1_without_a_traceback():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

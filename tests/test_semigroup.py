@@ -297,11 +297,12 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds)
     assert [sp.apery_by_residue for sp in in_range] == [
         by_lists(p) for p in range(lo, hi + 1)
     ]
-    # modulo every generator, 1, a modulus below a, one sharing a factor
-    # with a, and one past the conductor
+    # modulo every generator, 1, moduli just below and past a, one below
+    # a - 1 (where a seed can exceed the sentinel c + g), one sharing a
+    # factor with a, and one past the conductor
     sp = in_range[-1]
     a = sp.modulus
-    for g in {*gens, 1, a - 1, 2 * a, 6, sp.conductor + 3}:
+    for g in {*gens, 1, a - 1, a + 1, max(2, a // 3), 2 * a, 6, sp.conductor + 3}:
         expected = brute_class_minima(gens, hi, g)
         assert minima_modulo(sp, g) == flags_minima_modulo(sp, g) == expected, g
 
@@ -382,7 +383,7 @@ _WINDOW = semigroup._SPLIT_WINDOW
 @given(
     digits=st.sampled_from([0, 1, 2, 64, _WINDOW - 1, _WINDOW, _WINDOW + 1])
     | st.integers(0, 300),
-    share=st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.6, 1.0]),
+    share=st.sampled_from([0.0, 0.05, 0.15, 0.2, 0.25, 0.3, 0.6, 1.0]),
     seed=st.integers(0, 2**32),
 )
 @example(digits=0, share=0.0, seed=0)
@@ -392,7 +393,7 @@ _WINDOW = semigroup._SPLIT_WINDOW
 @example(digits=_WINDOW + 1, share=0.6, seed=4)
 def test_bit_positions_match_a_brute_force_scan(digits, share, seed):
     # the top digit is set, and a drawn share of the others, on either side
-    # of the quarter at which bit_positions changes kernel; both kernels
+    # of the fifth at which bit_positions changes kernel; both kernels
     # are checked whichever it takes, across the splitting kernel's window
     rng = random.Random(seed)
     bits = [int(rng.random() < share) for _ in range(digits - 1)] + [1] * (digits > 0)

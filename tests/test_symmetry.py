@@ -2,7 +2,7 @@ import tracemalloc
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances, generator_tuples, small_p
@@ -13,6 +13,7 @@ from oracles import (
     mirror_pairs_exactly_one,
     mirrored_member_mask,
     set_hlk_sets,
+    window_apery_pairings,
 )
 from psemigroups import (
     PATTERN_FULL_INTERVAL,
@@ -336,6 +337,24 @@ def test_named_patterns_imply_almost_symmetry(gens, p):
 @given(gens=generator_tuples(), p=small_p)
 def test_pairings_agree_with_classification(gens, p):
     assert verify_apery_pairings(build(gens, p)).passed
+
+
+@given(gens=generator_tuples(max_value=40), p=st.integers(0, 15))
+@example(gens=(8, 4, 5, 6), p=8)  # odd total, symmetric
+@example(gens=(5, 7, 9), p=0)  # odd total, not symmetric
+@example(gens=(3, 4, 5), p=0)  # even total, midpoint a gap, pseudo-symmetric
+@example(gens=(3, 10, 11), p=0)  # even total, midpoint a gap, not pseudo-symmetric
+@example(gens=(3, 4, 11), p=1)  # even total, midpoint a member, pseudo-symmetric
+@example(gens=(5, 7, 13), p=2)  # even total, midpoint a member, not pseudo-symmetric
+def test_pairing_verdicts_match_the_window_scan(gens, p):
+    # one pair sum per class settles the window of 4a + 1 values of j
+    sp = build(gens, p)
+    report = verify_apery_pairings(sp)
+    verdicts = report.details["verdicts"]
+    assert verdicts == window_apery_pairings(sp)
+    assert report.passed == (
+        verdicts["matches_classification"] and verdicts.get("genus_offset_necessity", True)
+    )
 
 
 @given(gens=generator_tuples(), p=small_p)
