@@ -29,6 +29,7 @@ from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
 from .reports import Report
 from .semigroup import (
+    _gap_sums,
     bit_positions,
     build,
     build_range,
@@ -36,10 +37,7 @@ from .semigroup import (
     check_power,
     gap_count,
     gap_sum,
-    member_mask,
     power_sum_bernoulli,
-    power_sum_gaps,
-    weighted_power_sum,
 )
 
 EXIT_OK = 0
@@ -254,8 +252,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 
     sp = build(gens, p)
     report = sym_mod.classify(sp)
-    members = member_mask(sp, sp.frobenius + sp.multiplicity + 1)
-    h, l = sym_mod.hlk_of_members(sp, members)
+    members, h, l = sym_mod.hlk_of_members(sp)
     c = sp.conductor
     # F is a gap, so the members' tail starts at c.  H's top bit is F, the
     # multiplicity's mirror, so K is its clear bits and all above.
@@ -341,14 +338,15 @@ def sums_document(
         sp = build(gens, p)
         if weight is not None:
             charge_weighted_sums(sp, weight, mu_max + 1)
-        for mu in range(mu_max + 1):
+        direct, weighted = _gap_sums(sp, range(mu_max + 1), weight)
+        for mu, total in enumerate(direct):
             row: dict[str, Any] = {
                 "mu": mu,
-                "direct": power_sum_gaps(sp, mu),
+                "direct": total,
                 "from_apery": power_sum_bernoulli(sp, mu),
             }
             if weight is not None:
-                row["weighted"] = weighted_power_sum(sp, weight, mu)
+                row["weighted"] = weighted[mu]
             rows.append(row)
     doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
     if weight is not None:

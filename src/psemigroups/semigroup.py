@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Iterator
 
@@ -40,10 +40,10 @@ POWER_CAP = 8
 # B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula reads
 _BERNOULLI = bernoulli_row(POWER_CAP + 1)
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _SPLIT_WINDOW = 1 << 16
+_SUM_CHUNK = 1024
 
 
 class PSemigroup(Record):
@@ -89,34 +89,34 @@ class PSemigroup(Record):
 
 
 def _member_flags(sp: PSemigroup, length: int) -> bytearray:
-    """One byte per n < length: 1 for a member, 0 for a gap.  Every
-    F-sized structure starts here, so the ``length`` bytes are charged
-    against the cap before they are allocated."""
+    """One ASCII digit per n < length: "1" for a member, "0" for a gap.
+    Every F-sized structure starts here, so the ``length`` bytes are
+    charged against the cap before they are allocated."""
     charge(length, "bytes of membership flags")
-    a, flags = sp.modulus, bytearray(length)
+    a, flags = sp.modulus, bytearray(b"0") * length
     for m in sp.apery_by_residue:
         if m < length:
-            flags[m::a] = b"\x01" * len(range(m, length, a))
+            flags[m::a] = b"1" * len(range(m, length, a))
     return flags
 
 
 def _gap_walk(sp: PSemigroup) -> Iterator[int]:
     """The gaps, ascending, read off the membership flags at C level."""
-    outside = _member_flags(sp, sp.conductor).translate(_INVERT)
+    outside = _member_flags(sp, sp.conductor).translate(_GAP_FLAGS)
     return compress(range(sp.conductor), outside)
 
 
 def member_mask(sp: PSemigroup, length: int) -> int:
     """Bitmask of the members below ``length``: bit n is set iff n is a
     member."""
-    return int(_member_flags(sp, length).translate(_TO_DIGITS)[::-1] or b"0", 2)
+    return int(_member_flags(sp, length)[::-1] or b"0", 2)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
     """The set bits of a non-negative mask, ascending, lazily.  ``compress``
     takes one C step per binary digit, splitting the digits at each "1" one
-    per set bit; the split is taken when under a fifth of them are set."""
-    if 5 * mask.bit_count() < mask.bit_length():
+    per set bit; the split is taken when under a sixth of them are set."""
+    if 6 * mask.bit_count() < mask.bit_length():
         return _split_positions(mask)
     return _compress_positions(mask)
 
@@ -428,7 +428,7 @@ def check_power(mu: int) -> None:
 def power_sum_gaps(sp: PSemigroup, mu: int) -> int:
     """Sum of n^mu over the gaps, by direct summation (0^0 = 1)."""
     check_power(mu)
-    return sum(n**mu for n in _gap_walk(sp))
+    return _gap_sums(sp, range(mu, mu + 1), None)[0][0]
 
 
 def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
@@ -467,22 +467,36 @@ def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
 
 
 def weighted_power_sum(sp: PSemigroup, weight: Fraction | int | str, mu: int) -> Fraction:
-    """Sum of weight^n * n^mu over the gaps (0^0 = 1); weight 1 reproduces
-    the plain power sum.
-
-    With weight num/den the terms share the denominator den^F (F the
-    largest gap), so the numerators num^n * den^(F-n) * n^mu are summed as
-    integers by Horner's rule over the gaps, charged first, and reduced once.
-    """
+    """Sum of weight^n * n^mu over the gaps (0^0 = 1), charged first;
+    weight 1 reproduces the plain power sum."""
     check_power(mu)
-    w = charge_weighted_sums(sp, weight, 1)
-    num, den = w.numerator, w.denominator
-    total, num_power, prev = 0, 1, 0
-    for n in _gap_walk(sp):
-        num_power *= num ** (n - prev)
-        total = total * den ** (n - prev) + num_power * n**mu
-        prev = n
-    return Fraction(total, den**prev)
+    return _gap_sums(sp, range(mu, mu + 1), charge_weighted_sums(sp, weight, 1))[1][0]
+
+
+def _gap_sums(sp: PSemigroup, mus: range, weight: Fraction | None) -> tuple[list, list]:
+    """For each mu of ``mus``, the sum of n^mu over the gaps and, given a
+    weight num/den (the caller has charged it), of weight^n * n^mu, from one
+    walk of the gaps, _SUM_CHUNK at a time.  The weighted terms share the
+    denominator den^F (F the largest gap), so each row sums the numerators
+    num^n * den^(F-n) * n^mu as integers by Horner's rule, stepping by
+    num^(n-prev) and den^(n-prev), computed once a chunk for every row."""
+    direct, weighted, num_powers = [0] * len(mus), [0] * len(mus), [1] * len(mus)
+    num, den = (1, 1) if weight is None else weight.as_integer_ratio()
+    gaps, prev = _gap_walk(sp), 0
+    for chunk in iter(lambda: list(islice(gaps, _SUM_CHUNK)), []):
+        powers = [list(map(pow, chunk, repeat(mu))) for mu in mus]
+        direct = [s + sum(terms) for s, terms in zip(direct, powers)]
+        if weight is not None:
+            widths = [n - m for n, m in zip(chunk, [prev, *chunk])]
+            num_steps, den_steps = ([base**w for w in widths] for base in (num, den))
+            for i, terms in enumerate(powers):
+                t, q = weighted[i], num_powers[i]
+                for a, b, x in zip(num_steps, den_steps, terms):
+                    q *= a
+                    t = t * b + q * x
+                weighted[i], num_powers[i] = t, q
+        prev = chunk[-1]
+    return direct, [Fraction(t, den**prev) for t in weighted] if weight else []
 
 
 def charge_weighted_sums(sp: PSemigroup, weight: Fraction | int | str, rows: int) -> Fraction:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
+from . import semigroup
 from .denumerant import GeneratorSet, as_generator_set
 from .reports import Record, Report
-from .semigroup import PSemigroup, build, gap_count, member_mask
+from .semigroup import PSemigroup, build, gap_count
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
 PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
@@ -87,19 +88,19 @@ def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
     both sides outside, and K below total + 1 the x whose mirror is a gap.
     A negative x needs no bit: it is outside, and its mirror is a member.
     """
-    length = sp.frobenius + sp.multiplicity + 1
-    h, l = hlk_of_members(sp, member_mask(sp, length))
-    return h, l, ((1 << length) - 1) & ~h
+    _, h, l = hlk_of_members(sp)
+    return h, l, ((1 << (sp.frobenius + sp.multiplicity + 1)) - 1) & ~h
 
 
-def hlk_of_members(sp: PSemigroup, members: int) -> tuple[int, int]:
-    """H and L of ``hlk_masks`` from the member bitmask over [0, total],
-    whose digits reversed are the mirror's, in O(F/64) word operations.
-    H is the whole mirror: past frobenius, the mirror lands below the
-    multiplicity, where no member lies."""
+def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:
+    """The member bitmask over [0, total] and H and L of ``hlk_masks``, from
+    one build of the membership digits: reversed they read as the member
+    mask, as they stand as the mirror's, which is H: past frobenius, the
+    mirror lands below the multiplicity, where no member lies."""
     length = sp.frobenius + sp.multiplicity + 1
-    mirror = int(f"{members:0{length}b}"[::-1], 2)
-    return mirror, ((1 << length) - 1) & ~(members | mirror)
+    digits = semigroup._member_flags(sp, length)
+    members, mirror = int(digits[::-1], 2), int(digits, 2)
+    return members, mirror, ((1 << length) - 1) & ~(members | mirror)
 
 
 def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
@@ -216,7 +217,8 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
 
 def verify_apery_pairings(sp: PSemigroup) -> Report:
     """Residue-pairing characterizations of symmetric (odd mirror total) and
-    pseudo-symmetric (even total), checked against the definitional flags.
+    pseudo-symmetric (even total), checked against the definitional flags,
+    read as ``classify`` reads them off ``_class_exchange``'s mismatch count.
 
     With m(t) the class minimum of t mod modulus: for odd totals, symmetric
     should be equivalent to m((total+1)/2 + j) + m((total-1)/2 - j) =
@@ -235,11 +237,11 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
     """
     a = sp.modulus
     total = sp.frobenius + sp.multiplicity
-    flags = classify(sp)
+    mismatches, _ = _class_exchange(sp)
     sums = _pair_sums(sp)
     if total % 2 == 1:
         pairing = all(s == total + a for s in sums)
-        verdicts = {"pairing": pairing, "matches_classification": pairing == flags.symmetric}
+        verdicts = {"pairing": pairing, "matches_classification": pairing == (mismatches == 0)}
     else:
         mid = total // 2
         midpoint_gap = not sp.contains(mid)
@@ -249,9 +251,9 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
         genus_offset = gap_count(sp) == mid + midpoint_gap
         verdicts = {
             "midpoint_pairing": pairing,
-            "matches_classification": pairing == flags.pseudo_symmetric,
+            "matches_classification": pairing == (mismatches == 1),
             "genus_offset": genus_offset,
-            "genus_offset_necessity": (not flags.pseudo_symmetric) or genus_offset,
+            "genus_offset_necessity": mismatches != 1 or genus_offset,
         }
     return Report(
         "verdicts",

@@ -11,11 +11,14 @@ sets, kept as references for its bitmask ones.  The heap merge is the
 library's former (P+1)-best-lists step, kept as a second route for its
 round-robin one; the flag-scan minima modulo g and the mirrored member
 mask are the library's former F-sized routes, kept likewise, and the
-window scan the library's former residue-pairing check.
+window scan the library's former residue-pairing check.  The per-row power
+sums are the library's former one-walk-per-row ``power_sum_gaps`` and
+``weighted_power_sum``, kept as references for its shared walk.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterable
 
@@ -111,6 +114,30 @@ def mirrored_member_mask(sp, length: int) -> int:
     """Bitmask whose bit n is set iff length - 1 - n is a member of a
     built instance: the library's former ``member_mask(mirrored=True)``."""
     return sum(1 << (length - 1 - n) for n in range(length) if sp.contains(n))
+
+
+def _member_test_gaps(sp) -> list[int]:
+    """The gaps of a built instance, by its membership test."""
+    return [n for n in range(sp.conductor) if not sp.contains(n)]
+
+
+def row_power_sum(sp, mu: int) -> int:
+    """Sum of n^mu over the gaps of a built instance (0^0 = 1), by direct
+    summation."""
+    return sum(n**mu for n in _member_test_gaps(sp))
+
+
+def row_weighted_power_sum(sp, weight: Fraction, mu: int) -> Fraction:
+    """Sum of weight^n * n^mu over the gaps of a built instance by Horner's
+    rule on the numerators over the common denominator den^F, one row at a
+    time."""
+    num, den = weight.numerator, weight.denominator
+    total, num_power, prev = 0, 1, 0
+    for n in _member_test_gaps(sp):
+        num_power *= num ** (n - prev)
+        total = total * den ** (n - prev) + num_power * n**mu
+        prev = n
+    return Fraction(total, den**prev)
 
 
 def heap_merge_lists(lists: list[list[int]], b: int, keep: int) -> list[list[int]]:

@@ -1063,9 +1063,8 @@ def test_former_flag_refusals_answer_at_the_default_cap(capsys, monkeypatch, arg
         assert set(row["verdicts"].values()) == {flags.almost_symmetric}
 
 
-def test_analyze_builds_membership_flags_once(monkeypatch):
-    # the gaps, the members and H/L/K all read one member mask over
-    # [0, frobenius + multiplicity]
+def _spy_member_flags(monkeypatch) -> list[int]:
+    """The length of every membership-flag build from here on."""
     lengths = []
     member_flags = semigroup._member_flags
 
@@ -1074,11 +1073,49 @@ def test_analyze_builds_membership_flags_once(monkeypatch):
         return member_flags(sp, length)
 
     monkeypatch.setattr(semigroup, "_member_flags", spy)
+    return lengths
+
+
+def test_analyze_builds_membership_flags_once(monkeypatch):
+    # the gaps, the members and H/L/K all read one member mask over
+    # [0, frobenius + multiplicity], and so do hlk_masks' H, L and K
+    lengths = _spy_member_flags(monkeypatch)
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         lengths.clear()
         analyze_document(as_generator_set(gens), p)
         sp = build(gens, p)
         assert lengths == [sp.frobenius + sp.multiplicity + 1]
+        lengths.clear()
+        hlk_masks(sp)
+        assert lengths == [sp.frobenius + sp.multiplicity + 1]
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        *(
+            (f"analyze --gens 6,7,17 --p {p} --format {fmt}{expand}", 1)
+            for p in (0, 14)
+            for fmt in ("json", "tsv", "pretty")
+            for expand in ("", " --expand")
+        ),
+        *(
+            (f"sums --gens 6,7,17 --p {p} --mu {mu}{weight}", 1)
+            for p in (0, 14)
+            for mu in range(9)
+            for weight in ("", " --weight 2/3")
+        ),
+        ("table --gens 6,7,17 --p 0..14 --field genus,sylvester_sum,type", 0),
+        ("classify --gens 6,7,17 --p 0..14", 0),
+        ("verify pairings --gens 6,7,17 --p 0..14", 0),
+    ],
+)
+def test_each_command_builds_membership_flags_at_most_once(capsys, monkeypatch, argv, builds):
+    # sums reads every row, weighted or not, off one walk of the gaps
+    lengths = _spy_member_flags(monkeypatch)
+    code, out = run_cli(capsys, *argv.split())
+    assert code == EXIT_OK and out
+    assert len(lengths) == builds
 
 
 def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):

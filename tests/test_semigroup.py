@@ -4,6 +4,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
@@ -17,6 +18,8 @@ from oracles import (
     flags_minima_modulo,
     heap_best_lists,
     heap_merge_lists,
+    row_power_sum,
+    row_weighted_power_sum,
     small_elements,
 )
 from psemigroups import (
@@ -35,6 +38,7 @@ from psemigroups import (
 )
 from psemigroups import semigroup
 from psemigroups.semigroup import (
+    POWER_CAP,
     _compress_positions,
     _count_bound,
     _minima_from_lists,
@@ -246,6 +250,32 @@ def test_weight_one_reduces_to_plain_power_sum(gens, p):
         assert weighted_power_sum(sp, 1, mu) == power_sum_gaps(sp, mu)
 
 
+@given(
+    gens=generator_tuples(),
+    p=small_p,
+    weight=st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)]),
+    chunk=st.sampled_from([1, 2, 3, 1024]),
+)
+@example(gens=(2, 3), p=0, weight=Fraction(-5, 7), chunk=1)
+@example(gens=(2, 3), p=1, weight=Fraction(2, 3), chunk=2)
+@example(gens=(5, 7, 9), p=3, weight=3, chunk=3)
+def test_shared_gap_walk_matches_the_per_row_oracles(gens, p, weight, chunk):
+    # every row of one walk, with the gaps read in chunks of every size
+    # (at p > 0, 0 is a gap), against one walk per row; and the one-row
+    # library calls against the same oracles
+    sp = build(gens, p)
+    weight = Fraction(weight)
+    mus = range(POWER_CAP + 1)
+    expected = [row_power_sum(sp, mu) for mu in mus]
+    expected_weighted = [row_weighted_power_sum(sp, weight, mu) for mu in mus]
+    with mock.patch.object(semigroup, "_SUM_CHUNK", chunk):
+        assert semigroup._gap_sums(sp, mus, weight) == (expected, expected_weighted)
+        assert semigroup._gap_sums(sp, mus, None) == (expected, [])
+    for mu in mus:
+        assert power_sum_gaps(sp, mu) == expected[mu]
+        assert weighted_power_sum(sp, weight, mu) == expected_weighted[mu]
+
+
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
 def test_members_are_closed_under_addition(gens, p):
     sp = build(gens, p)
@@ -383,7 +413,7 @@ _WINDOW = semigroup._SPLIT_WINDOW
 @given(
     digits=st.sampled_from([0, 1, 2, 64, _WINDOW - 1, _WINDOW, _WINDOW + 1])
     | st.integers(0, 300),
-    share=st.sampled_from([0.0, 0.05, 0.15, 0.2, 0.25, 0.3, 0.6, 1.0]),
+    share=st.sampled_from([0.0, 0.05, 0.15, 0.17, 0.2, 0.25, 0.3, 0.6, 1.0]),
     seed=st.integers(0, 2**32),
 )
 @example(digits=0, share=0.0, seed=0)
@@ -393,7 +423,7 @@ _WINDOW = semigroup._SPLIT_WINDOW
 @example(digits=_WINDOW + 1, share=0.6, seed=4)
 def test_bit_positions_match_a_brute_force_scan(digits, share, seed):
     # the top digit is set, and a drawn share of the others, on either side
-    # of the fifth at which bit_positions changes kernel; both kernels
+    # of the sixth at which bit_positions changes kernel; both kernels
     # are checked whichever it takes, across the splitting kernel's window
     rng = random.Random(seed)
     bits = [int(rng.random() < share) for _ in range(digits - 1)] + [1] * (digits > 0)
