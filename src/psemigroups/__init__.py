@@ -26,12 +26,10 @@ from .semigroup import (
     build,
     build_range,
     gap_count,
+    gap_power_sums,
     gap_sum,
-    member_mask,
     minima_modulo,
     power_sum_bernoulli,
-    power_sum_gaps,
-    weighted_power_sum,
 )
 from .symmetry import (
     PATTERN_FULL_INTERVAL,
@@ -40,7 +38,6 @@ from .symmetry import (
     SymmetryReport,
     classify,
     detect_pattern,
-    hlk_masks,
     pseudo_frobenius,
     type_p,
     verify_almost_symmetric_equivalences,
@@ -71,15 +68,13 @@ __all__ = [
     "detect_pattern",
     "eulerian",
     "gap_count",
+    "gap_power_sums",
     "gap_sum",
-    "hlk_masks",
     "horizon_cap",
     "is_arf",
     "is_minimal_generator_system",
-    "member_mask",
     "minima_modulo",
     "power_sum_bernoulli",
-    "power_sum_gaps",
     "pseudo_frobenius",
     "representations",
     "type_p",
@@ -94,7 +89,6 @@ __all__ = [
     "verify_pf_consequences",
     "verify_symmetry_equivalences",
     "verify_watanabe",
-    "weighted_power_sum",
 ]
 
 _LAZY = {

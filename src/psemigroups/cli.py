@@ -29,14 +29,13 @@ from .errors import CapExceededError, PreconditionError
 from .exactmath import verify_eulerian_gf
 from .reports import Report
 from .semigroup import (
-    _gap_sums,
     bit_positions,
     build,
     build_range,
-    charge_weighted_sums,
-    check_power,
     gap_count,
+    gap_power_sums,
     gap_sum,
+    hlk_of_members,
     power_sum_bernoulli,
 )
 
@@ -227,13 +226,29 @@ def _parse_p_range(text: str) -> range:
     return range(p, p + 1)
 
 
+# Python's default int <-> str digit limit.  An exponent as in "1e-300000"
+# would expand to that many digits when parsed, so it is refused first.
+_WEIGHT_DIGITS = 4300
+_WEIGHT_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _parse_weight(text: str | None) -> Fraction | None:
+    """The weight, refused when its numerator or denominator has more than
+    _WEIGHT_DIGITS digits; an exponent past that is refused unexpanded."""
     if text is None:
         return None
+    exponent = _WEIGHT_EXPONENT.search(text)
     try:
-        return Fraction(text)
+        too_long = exponent is not None and abs(int(exponent[1])) > _WEIGHT_DIGITS
+        weight = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise PreconditionError(f"could not parse weight from {_echo(text)}") from None
+    if weight is None or max(abs(weight.numerator), weight.denominator) >= 10**_WEIGHT_DIGITS:
+        raise PreconditionError(
+            f"weight {_echo(text)} has more than {_WEIGHT_DIGITS} digits"
+            " in its numerator or denominator"
+        )
+    return weight
 
 
 def _single_p(values: range) -> int:
@@ -252,7 +267,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 
     sp = build(gens, p)
     report = sym_mod.classify(sp)
-    members, h, l = sym_mod.hlk_of_members(sp)
+    members, h, l = hlk_of_members(sp)
     c = sp.conductor
     # F is a gap, so the members' tail starts at c.  H's top bit is F, the
     # multiplicity's mirror, so K is its clear bits and all above.
@@ -330,15 +345,12 @@ def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
 def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
-    """Rows mu = 0..mu_max from one instance, the exponent checked and the
-    weighted rows charged up front; a negative mu_max asks for none."""
+    """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
+    walk; a negative mu_max asks for none."""
     rows = []
     if mu_max >= 0:
-        check_power(mu_max)
         sp = build(gens, p)
-        if weight is not None:
-            charge_weighted_sums(sp, weight, mu_max + 1)
-        direct, weighted = _gap_sums(sp, range(mu_max + 1), weight)
+        direct, weighted = gap_power_sums(sp, mu_max, weight)
         for mu, total in enumerate(direct):
             row: dict[str, Any] = {
                 "mu": mu,

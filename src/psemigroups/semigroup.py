@@ -44,6 +44,9 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _SPLIT_WINDOW = 1 << 16
 _SUM_CHUNK = 1024
+# A B-bit integer prints to decimal in about (B / _PRINT_BITS)^2 times the
+# time of a 4096-bit Horner step: CPython's int -> str is quadratic.
+_PRINT_BITS = 512
 
 
 class PSemigroup(Record):
@@ -106,10 +109,21 @@ def _gap_walk(sp: PSemigroup) -> Iterator[int]:
     return compress(range(sp.conductor), outside)
 
 
-def member_mask(sp: PSemigroup, length: int) -> int:
-    """Bitmask of the members below ``length``: bit n is set iff n is a
-    member."""
-    return int(_member_flags(sp, length)[::-1] or b"0", 2)
+def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:
+    """Bitmasks over [0, total], total = frobenius + multiplicity, of the
+    members, of H and of L, from one build of the membership digits.
+
+    H is the x whose mirror total - x is a member, L the x with both sides
+    outside; K, the x whose mirror is a gap, is the clear bits of H below
+    total + 1 and every integer above.  Reversed, the digits read as the
+    member mask; as they stand, as the mirror's, which is H: past frobenius
+    the mirror lands below the multiplicity, where no member lies.  A
+    negative x needs no bit: it is outside, and its mirror is a member.
+    """
+    length = sp.frobenius + sp.multiplicity + 1
+    digits = _member_flags(sp, length)
+    members, mirror = int(digits[::-1], 2), int(digits, 2)
+    return members, mirror, ((1 << length) - 1) & ~(members | mirror)
 
 
 def bit_positions(mask: int) -> Iterator[int]:
@@ -185,14 +199,12 @@ def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
     """p -> class minima modulo a = min(A) for 0 <= p <= top.
 
-    The table route is tried first, within the size at which the lists
-    would cost no more; the lists take over when it does not settle there,
-    which a bound on d(n) may show before any table is grown.  That limit
-    was fitted when the lists were merged by a heap, and is kept so that no
-    input changes route; it is now conservative, as it may try a table
-    where the round-robin lists would cost a little less.
-    The horizon cap bounds the table's entries per stage and the lists'
-    a * (top + 1) entries alike.
+    The count table is tried first, while its k stages hold at most
+    (k-1) * a * (top + 1) entries in all, the lists' element work (up to
+    the cap when the lists would not fit under it); the lists take over
+    when no table of that size settles, which a bound on d(n) may show
+    before any table is grown.  The horizon cap bounds the table's entries
+    per stage and the lists' a * (top + 1) entries alike.
     """
     cap = horizon_cap()
     k = len(A)
@@ -425,12 +437,6 @@ def check_power(mu: int) -> None:
         raise CapExceededError(f"exponent {mu} exceeds the cap {POWER_CAP}")
 
 
-def power_sum_gaps(sp: PSemigroup, mu: int) -> int:
-    """Sum of n^mu over the gaps, by direct summation (0^0 = 1)."""
-    check_power(mu)
-    return _gap_sums(sp, range(mu, mu + 1), None)[0][0]
-
-
 def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     """Sum of n^mu over the gaps, evaluated from the class minima.
 
@@ -466,25 +472,42 @@ def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
     return total
 
 
-def weighted_power_sum(sp: PSemigroup, weight: Fraction | int | str, mu: int) -> Fraction:
-    """Sum of weight^n * n^mu over the gaps (0^0 = 1), charged first;
-    weight 1 reproduces the plain power sum."""
-    check_power(mu)
-    return _gap_sums(sp, range(mu, mu + 1), charge_weighted_sums(sp, weight, 1))[1][0]
+def gap_power_sums(
+    sp: PSemigroup, mu_max: int, weight: Fraction | int | None = None
+) -> tuple[list[int], list[Fraction]]:
+    """Rows mu = 0..mu_max of the sums over the gaps of n^mu and, given a
+    non-zero rational weight, of weight^n * n^mu (0^0 = 1); the weighted
+    rows are empty without one.  The exponent is checked and the weighted
+    rows are charged before one walk of the gaps, _SUM_CHUNK at a time.
 
-
-def _gap_sums(sp: PSemigroup, mus: range, weight: Fraction | None) -> tuple[list, list]:
-    """For each mu of ``mus``, the sum of n^mu over the gaps and, given a
-    weight num/den (the caller has charged it), of weight^n * n^mu, from one
-    walk of the gaps, _SUM_CHUNK at a time.  The weighted terms share the
-    denominator den^F (F the largest gap), so each row sums the numerators
-    num^n * den^(F-n) * n^mu as integers by Horner's rule, stepping by
-    num^(n-prev) and den^(n-prev), computed once a chunk for every row."""
-    direct, weighted, num_powers = [0] * len(mus), [0] * len(mus), [1] * len(mus)
-    num, den = (1, 1) if weight is None else weight.as_integer_ratio()
+    The weighted terms share the denominator den^F (F the largest gap), so
+    each row sums the numerators num^n * den^(F-n) * n^mu as integers by
+    Horner's rule, stepping by num^(n-prev) and den^(n-prev), computed once
+    a chunk for every row.  Each step works on an integer of up to
+    B = F * log2(max(|num|, den)) bits, and each row's numerator and
+    denominator print to up to B bits each.  The cap counts both, for every
+    row, in 4096-bit blocks: B / 4096 rounded up per gap, and
+    (B / _PRINT_BITS)^2 rounded up per printed integer, with log2 read to
+    1/64 bit from the top 128 bits, rounded up (exact up to 128 bits).
+    """
+    check_power(mu_max)
+    rows = mu_max + 1
+    num, den = (1, 1) if weight is None else Fraction(weight).as_integer_ratio()
+    if num == 0:
+        raise PreconditionError("weight must be non-zero")
+    if weight is not None:
+        top = max(abs(num), den)
+        shift = max(0, top.bit_length() - 128)
+        bits64 = sp.frobenius * (
+            (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
+        )
+        steps = gap_count(sp) * -(-bits64 // (64 * 4096))  # rounded up per gap
+        prints = 2 * (-(-bits64 // (64 * _PRINT_BITS))) ** 2  # numerator, denominator
+        charge(rows * (steps + prints), f"4096-bit blocks of weighted sums over F = {sp.frobenius}")
+    direct, weighted, num_powers = [0] * rows, [0] * rows, [1] * rows
     gaps, prev = _gap_walk(sp), 0
     for chunk in iter(lambda: list(islice(gaps, _SUM_CHUNK)), []):
-        powers = [list(map(pow, chunk, repeat(mu))) for mu in mus]
+        powers = [list(map(pow, chunk, repeat(mu))) for mu in range(rows)]
         direct = [s + sum(terms) for s, terms in zip(direct, powers)]
         if weight is not None:
             widths = [n - m for n, m in zip(chunk, [prev, *chunk])]
@@ -496,16 +519,4 @@ def _gap_sums(sp: PSemigroup, mus: range, weight: Fraction | None) -> tuple[list
                     t = t * b + q * x
                 weighted[i], num_powers[i] = t, q
         prev = chunk[-1]
-    return direct, [Fraction(t, den**prev) for t in weighted] if weight else []
-
-
-def charge_weighted_sums(sp: PSemigroup, weight: Fraction | int | str, rows: int) -> Fraction:
-    """The non-zero weight, once the cap admits ``rows`` weighted power sums
-    over sp: 4096-bit blocks of each gap's F * log2(max(|num|, den))-bit step."""
-    w = Fraction(weight)
-    if w == 0:
-        raise PreconditionError("weight must be non-zero")
-    bits64 = sp.frobenius * (max(abs(w.numerator), w.denominator) ** 64).bit_length()  # log2 to 1/64
-    blocks = rows * gap_count(sp) * -(-bits64 // (64 * 4096))  # rounded up per gap
-    charge(blocks, f"4096-bit blocks of weighted sums over F = {sp.frobenius}")
-    return w
+    return direct, [] if weight is None else [Fraction(t, den**prev) for t in weighted]

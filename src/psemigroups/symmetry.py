@@ -4,7 +4,8 @@ classification of a built instance.
 The mirror of x is total - x, total = multiplicity + frobenius.  Every
 verdict reads the class minima, in O(a) with nothing F-sized: the mirror
 exchange class by class, and a count of L as a second route for almost
-symmetry.  The member and mirror bitmasks (``hlk_masks``) serve rendering.
+symmetry.  The member and mirror bitmasks that ``analyze`` renders are
+``semigroup.hlk_of_members``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from . import semigroup
 from .denumerant import GeneratorSet, as_generator_set
 from .reports import Record, Report
 from .semigroup import PSemigroup, build, gap_count
@@ -77,30 +77,6 @@ def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
 def type_p(sp: PSemigroup) -> int:
     """Number of pseudo-Frobenius elements."""
     return len(pseudo_frobenius(sp))
-
-
-def hlk_masks(sp: PSemigroup) -> tuple[int, int, int]:
-    """Bitmasks of H, L and the finite part of K over [0, total], total =
-    frobenius + multiplicity; K holds every integer above total as well.
-
-    H is the x <= frobenius whose mirror is a member (below the
-    multiplicity every mirror lies past the largest gap), L the x with
-    both sides outside, and K below total + 1 the x whose mirror is a gap.
-    A negative x needs no bit: it is outside, and its mirror is a member.
-    """
-    _, h, l = hlk_of_members(sp)
-    return h, l, ((1 << (sp.frobenius + sp.multiplicity + 1)) - 1) & ~h
-
-
-def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:
-    """The member bitmask over [0, total] and H and L of ``hlk_masks``, from
-    one build of the membership digits: reversed they read as the member
-    mask, as they stand as the mirror's, which is H: past frobenius, the
-    mirror lands below the multiplicity, where no member lies."""
-    length = sp.frobenius + sp.multiplicity + 1
-    digits = semigroup._member_flags(sp, length)
-    members, mirror = int(digits[::-1], 2), int(digits, 2)
-    return members, mirror, ((1 << length) - 1) & ~(members | mirror)
 
 
 def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:

@@ -12,8 +12,8 @@ library's former (P+1)-best-lists step, kept as a second route for its
 round-robin one; the flag-scan minima modulo g and the mirrored member
 mask are the library's former F-sized routes, kept likewise, and the
 window scan the library's former residue-pairing check.  The per-row power
-sums are the library's former one-walk-per-row ``power_sum_gaps`` and
-``weighted_power_sum``, kept as references for its shared walk.
+sums are the library's former one-walk-per-row power sums, kept as
+references for ``gap_power_sums``' shared walk.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def flags_minima_modulo(sp, g: int) -> tuple[int, ...]:
 
 def mirrored_member_mask(sp, length: int) -> int:
     """Bitmask whose bit n is set iff length - 1 - n is a member of a
-    built instance: the library's former ``member_mask(mirrored=True)``."""
+    built instance: the library's former mirrored member mask, a reference
+    for the H of ``hlk_of_members``."""
     return sum(1 << (length - 1 - n) for n in range(length) if sp.contains(n))
 
 

@@ -29,12 +29,10 @@ from psemigroups import (
     build,
     classify,
     gap_count,
+    gap_power_sums,
     gap_sum,
-    hlk_masks,
     is_arf,
     power_sum_bernoulli,
-    power_sum_gaps,
-    weighted_power_sum,
 )
 from psemigroups.cli import (
     EXIT_BROKEN_PIPE,
@@ -50,6 +48,7 @@ from psemigroups.cli import (
     sums_document,
     verify_exit_code,
 )
+from psemigroups.semigroup import hlk_of_members
 
 
 def run_cli(capsys, *argv):
@@ -231,14 +230,13 @@ def test_analyze_builds_no_gap_tuples(monkeypatch, expand):
         analyze_document(as_generator_set(gens), p, expand)
         sums_document(as_generator_set(gens), p, 3, Fraction(1, 2))
         sp = build(gens, p)
+        gap_power_sums(sp, 2, Fraction(2, 3))
         for mu in range(3):
-            power_sum_gaps(sp, mu)
             power_sum_bernoulli(sp, mu)
-            weighted_power_sum(sp, Fraction(2, 3), mu)
         gap_count(sp)
         gap_sum(sp)
         is_arf(sp)
-        hlk_masks(sp)
+        hlk_of_members(sp)
         held.append(sp)
     stored = set(semigroup.PSemigroup.__slots__)
     assert len(held) == 9
@@ -503,7 +501,7 @@ def test_sums_renders_rationals_past_the_int_str_digit_limit(capsys):
     assert code == EXIT_OK
     weighted = json.loads(out)["rows"][0]["weighted"]
     assert weighted.split("/")[1] == "1" + "0" * 4324
-    expected = weighted_power_sum(build((2, 3), 180), Fraction(1, 10000), 0)
+    expected = gap_power_sums(build((2, 3), 180), 0, Fraction(1, 10000))[1][0]
     sys.set_int_max_str_digits(0)
     try:
         assert Fraction(weighted) == expected
@@ -1078,7 +1076,7 @@ def _spy_member_flags(monkeypatch) -> list[int]:
 
 def test_analyze_builds_membership_flags_once(monkeypatch):
     # the gaps, the members and H/L/K all read one member mask over
-    # [0, frobenius + multiplicity], and so do hlk_masks' H, L and K
+    # [0, frobenius + multiplicity], the one that hlk_of_members builds
     lengths = _spy_member_flags(monkeypatch)
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         lengths.clear()
@@ -1086,7 +1084,7 @@ def test_analyze_builds_membership_flags_once(monkeypatch):
         sp = build(gens, p)
         assert lengths == [sp.frobenius + sp.multiplicity + 1]
         lengths.clear()
-        hlk_masks(sp)
+        hlk_of_members(sp)
         assert lengths == [sp.frobenius + sp.multiplicity + 1]
 
 
@@ -1146,6 +1144,41 @@ def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch)
         "sums --gens 701,709,719 --p 25 --mu 8 --weight 2/3",
         cap=None,
     )
+
+
+@pytest.mark.parametrize(
+    "weight, gens, code",
+    [
+        # 10^300000 and 10^10000000 were expanded when parsed and raised to
+        # the 64th power when charged: minutes of work for ten characters
+        ("1e-300000", "2,3", EXIT_PRECONDITION),
+        ("1e-10000000", "2,3", EXIT_PRECONDITION),
+        ("1/" + "1" * 5000, "2,3", EXIT_PRECONDITION),
+        # 1979 * 997 bits a row, 16 s, 12 s of it printing the row
+        ("1e-300", "45,46", EXIT_CAP),
+    ],
+)
+def test_default_cap_refuses_huge_weights_quickly(capsys, monkeypatch, weight, gens, code):
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    start = time.perf_counter()
+    assert main(["sums", "--gens", gens, "--p", "0", "--mu", "0", "--weight", weight]) == code
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert elapsed < 2.0
+
+
+def test_weight_digits_are_bounded_after_reduction(capsys):
+    # 10^4299 has 4300 digits and 10^4300 one more, however the weight is
+    # written; the exponent is read before anything is expanded
+    head = ("sums", "--gens", "2,3", "--p", "0", "--mu", "0", "--weight")
+    for weight in ("1e-4299", "1e4299", "10e-4300", "1" + "0" * 4299):
+        code, out = run_cli(capsys, *head, weight)
+        assert code == EXIT_OK, weight
+        assert Fraction(json.loads(out)["weight"]) == Fraction(weight)
+    for weight in ("1e-4300", "1e4300", "1e-4301", "-1e4300", "1e+99999999999"):
+        code, _ = run_cli(capsys, *head, weight)
+        assert code == EXIT_PRECONDITION, weight
 
 
 def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):

@@ -3,8 +3,9 @@ exit code, never a traceback, and quickly.
 
 The horizon cap is lowered inside each example, so that a huge p range or
 --pmax, a generator up to 10^9 (one per list, at any position, so it can
-be the modulus), and a huge --order or --exponent must all end at a cap
-check rather than in a long loop or a large allocation.
+be the modulus), a huge --order or --exponent, and a --weight of a
+hundred thousand digits or more must all end at a cap check rather than
+in a long loop or a large allocation.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psemigroups.cli import main
@@ -59,6 +60,19 @@ p_text = st.one_of(
     st.just(f"0..{HUGE}"),
     st.sampled_from(["x", "5..2", "-1", "1..", "..", "0..x", "1.5", "9" * 5000]),
 )
+# 10^300000 and 10^10000000 once took minutes to expand and to charge
+WEIGHTS = (
+    "1/2",
+    "-2/3",
+    "0",
+    "1/0",
+    "nan",
+    "1e-300",
+    "1e-300000",
+    "1e-10000000",
+    "1/" + "1" * 5000,
+)
+weight_text = st.sampled_from(WEIGHTS)
 # Parameter sets that pass each verifier's preconditions, so that the
 # drawn --p and --pmax reach its computation.
 VALID_VERIFY = {
@@ -112,6 +126,7 @@ def argvs(draw):
         argv += draw(_option("--pmax", small_or_huge))
     if head == ["sums"]:
         argv += draw(_option("--mu", small_or_huge))
+        argv += draw(_option("--weight", weight_text))
     if head == ["analyze"]:
         argv += draw(st.sampled_from([[], ["--expand"]]))
     if head == ["table"]:
@@ -122,8 +137,17 @@ def argvs(draw):
     return argv
 
 
+def _with_weight_examples(test):
+    """Every weight of WEIGHTS at least once, on the smallest instance, and
+    a weight whose rows are slow to print."""
+    for weight in WEIGHTS:
+        test = example(argv=["sums", "--gens", "2,3", "--p", "0", "--weight", weight])(test)
+    return example(argv=["sums", "--gens", "45,46", "--p", "0", "--weight", "1e-300"])(test)
+
+
 @settings(max_examples=200)
 @given(argv=argvs())
+@_with_weight_examples
 def test_any_argv_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:

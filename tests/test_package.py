@@ -1,6 +1,7 @@
-"""The package surface: public names, the immutable records, and what each
-entry point imports."""
+"""The package surface: public names, the immutable records, the layering
+of its modules, and what each entry point imports."""
 
+import ast
 import copy
 import json
 import os
@@ -138,6 +139,54 @@ def test_psemigroup_fields_are_its_slots():
     assert isinstance(sp, PSemigroup)
     assert PSemigroup.__slots__[:3] == ("generators", "p", "modulus")
     assert sp.frobenius == max(sp.apery_by_residue) - sp.modulus
+
+
+# ---------------------------------------------------------------------------
+# layering: a module reads no other module's private names
+
+SOURCES = sorted((ROOT / "src" / "psemigroups").glob("*.py"))
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads(source):
+    """Each import of a private name, and each read of a private attribute
+    of an imported name, in one source file: (line, what)."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+                if isinstance(node, ast.ImportFrom) and _is_private(alias.name):
+                    found.append((node.lineno, alias.name))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+            and _is_private(node.attr)
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_reads_no_private_name_of_another(path):
+    assert _private_reads(path.read_text()) == []
+
+
+def test_private_reads_are_found():
+    source = (
+        "from .semigroup import _gap_walk, build\n"
+        "from . import semigroup as sg\n"
+        "import sys\n"
+        "sg._member_flags(sp, 1)\n"
+        "sys.__name__, sp._private, sg.build\n"
+    )
+    assert _private_reads(source) == [(1, "_gap_walk"), (4, "sg._member_flags")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -30,11 +31,10 @@ from psemigroups import (
     build,
     build_range,
     gap_count,
+    gap_power_sums,
     gap_sum,
     minima_modulo,
     power_sum_bernoulli,
-    power_sum_gaps,
-    weighted_power_sum,
 )
 from psemigroups import semigroup
 from psemigroups.semigroup import (
@@ -45,7 +45,6 @@ from psemigroups.semigroup import (
     _minima_from_table,
     _split_positions,
     bit_positions,
-    charge_weighted_sums,
 )
 
 GOLDEN_FROBENIUS = {
@@ -102,11 +101,30 @@ def test_genus_and_sum_goldens():
     assert gap_sum(sp) == 1
 
 
+def _power_sum(sp, mu):
+    """The row mu of ``gap_power_sums``, its last."""
+    return gap_power_sums(sp, mu)[0][mu]
+
+
+def _weighted_sum(sp, weight, mu):
+    """The weighted row mu of ``gap_power_sums``, its last."""
+    return gap_power_sums(sp, mu, weight)[1][mu]
+
+
+def _charged_blocks(sp, mu_max, weight):
+    """The blocks ``gap_power_sums`` charges, read off its refusal under a
+    cap of 1 (two printed integers cost at least 2)."""
+    with mock.patch.dict("os.environ", {"PSEMIGROUPS_HORIZON_CAP": "1"}):
+        with pytest.raises(CapExceededError) as refused:
+            gap_power_sums(sp, mu_max, weight)
+    return int(str(refused.value).split()[0])
+
+
 def test_power_sum_goldens():
-    assert power_sum_gaps(build((2, 3), 0), 2) == 1
-    assert power_sum_gaps(build((8, 4, 5, 6), 8), 1) == 328
+    assert _power_sum(build((2, 3), 0), 2) == 1
+    assert _power_sum(build((8, 4, 5, 6), 8), 1) == 328
     sp = build((2, 3), 1)
-    assert power_sum_gaps(sp, 0) == 7
+    assert gap_power_sums(sp, 2) == ([7, 22, 104], [])
     assert sp.gaps == (0, 1, 2, 3, 4, 5, 7)
 
 
@@ -119,45 +137,77 @@ def test_power_sum_formula_path_matches_direct_path():
 
 def test_weighted_power_sum_values():
     sp = build((2, 3), 0)
-    assert weighted_power_sum(sp, 1, 1) == 1
-    assert weighted_power_sum(sp, 2, 1) == 2
+    assert _weighted_sum(sp, 1, 1) == 1
+    assert _weighted_sum(sp, 2, 1) == 2
     # direct rational sum over the gap set {0,1,2,3,4,5,7}
     expected = sum(Fraction(1, 2) ** n for n in (0, 1, 2, 3, 4, 5, 7))
     assert expected == Fraction(253, 128)
-    assert weighted_power_sum(build((2, 3), 1), Fraction(1, 2), 0) == expected
+    assert _weighted_sum(build((2, 3), 1), Fraction(1, 2), 0) == expected
 
 
 def test_weighted_power_sum_guards():
     sp = build((2, 3), 0)
-    with pytest.raises(PreconditionError):
-        weighted_power_sum(sp, 0, 1)
+    with pytest.raises(PreconditionError, match="non-zero"):
+        gap_power_sums(sp, 1, 0)
+    with pytest.raises(PreconditionError, match="non-negative"):
+        gap_power_sums(sp, -1)
     with pytest.raises(CapExceededError):
-        power_sum_gaps(sp, 9)
+        gap_power_sums(sp, 9)
 
 
 def test_weighted_power_sum_charges_its_blocks(monkeypatch):
     # F = 7 and 7 gaps; den = 2^5000 makes each step's integer 7 * 5001
-    # bits, 9 blocks of 4096, so the walk is charged 63 blocks
+    # bits, 9 blocks of 4096 a gap, 63 in all; the row's numerator and
+    # denominator print to that many bits, 69 units of 512 each, 69^2 blocks
     sp = build((2, 3), 1)
     weight = Fraction(1, 2**5000)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "63")
-    assert weighted_power_sum(sp, weight, 0) == sum(weight**n for n in sp.gaps)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "62")
-    with pytest.raises(CapExceededError, match="63 4096-bit blocks"):
-        weighted_power_sum(sp, weight, 0)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(63 + 2 * 69**2))
+    assert gap_power_sums(sp, 0, weight) == ([7], [sum(weight**n for n in sp.gaps)])
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(62 + 2 * 69**2))
+    with pytest.raises(CapExceededError, match=f"{63 + 2 * 69**2} 4096-bit blocks"):
+        gap_power_sums(sp, 0, weight)
 
 
-def test_weighted_charge_reads_log2_to_a_64th_bit(monkeypatch):
+def test_weighted_charge_reads_log2_to_a_64th_bit():
     # F = 206 843 and 103 826 gaps: weight 1/2 costs 65/64 bits a step, so
-    # 52 blocks a gap, where bit_length (2 bits for the base 2) charged 101
+    # 52 blocks a gap, where bit_length (2 bits for the base 2) charged 101;
+    # the two printed integers of 210 075 bits are 2 * 411^2 blocks
     sp = build((1009, 1013, 1019), 0)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "5398952")
-    assert charge_weighted_sums(sp, "1/2", 1) == Fraction(1, 2)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "5398951")
-    with pytest.raises(CapExceededError, match="5398952 4096-bit blocks"):
-        charge_weighted_sums(sp, "1/2", 1)
-    with pytest.raises(CapExceededError, match="10797904 4096-bit blocks"):
-        charge_weighted_sums(sp, "1/2", 2)
+    one_row = 103_826 * 52 + 2 * 411**2
+    assert _charged_blocks(sp, 0, Fraction(1, 2)) == one_row
+    assert _charged_blocks(sp, 1, Fraction(-1, 2)) == 2 * one_row
+
+
+@given(num_bits=st.integers(1, 400), den_bits=st.integers(1, 400), seed=st.randoms())
+@example(num_bits=128, den_bits=1, seed=random.Random(0))
+@example(num_bits=1, den_bits=129, seed=random.Random(0))
+def test_weighted_charge_reads_the_top_128_bits(num_bits, den_bits, seed):
+    # log2 to a 64th of a bit: exact up to 128 bits, and beyond an upper
+    # bound by at most one 64th of a bit a step
+    weight = Fraction(
+        seed.getrandbits(num_bits) | 1 << (num_bits - 1),
+        seed.getrandbits(den_bits) | 1 << (den_bits - 1),
+    )
+    top = max(weight.numerator, weight.denominator)
+    sp = build((2, 3), 1)  # F = 7, 7 gaps
+
+    def blocks(bits64):
+        return 7 * -(-bits64 // (64 * 4096)) + 2 * (-(-bits64 // (64 * 512))) ** 2
+
+    exact = 7 * (top**64).bit_length()
+    charged = _charged_blocks(sp, 0, weight)
+    if top.bit_length() <= 128:
+        assert charged == blocks(exact)
+    assert blocks(exact) <= charged <= blocks(exact + 7)
+
+
+def test_huge_weight_is_charged_without_its_power():
+    # (2^(10^7))^64 would be an 80 MB integer; the charge reads 128 bits
+    sp = build((2, 3), 1)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        gap_power_sums(sp, 0, Fraction(1, 1 << 10**7))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_kunz_goldens():
@@ -194,8 +244,7 @@ def test_minima_modulo_checks_its_scan_against_the_cap(monkeypatch):
 
 def test_gap_count_and_sum_match_power_sums():
     sp = build((8, 4, 5, 6), 8)
-    assert gap_count(sp) == power_sum_gaps(sp, 0) == 26
-    assert gap_sum(sp) == power_sum_gaps(sp, 1) == 328
+    assert [gap_count(sp), gap_sum(sp)] == gap_power_sums(sp, 1)[0] == [26, 328]
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
@@ -239,15 +288,13 @@ def test_formula_paths_agree_on_random_instances(gens, p):
         + Fraction(a * a - 1, 12)
         == gap_sum(sp)
     )
-    for mu in range(4):
-        assert power_sum_bernoulli(sp, mu) == power_sum_gaps(sp, mu)
+    assert [power_sum_bernoulli(sp, mu) for mu in range(4)] == gap_power_sums(sp, 3)[0]
 
 
 @given(gens=generator_tuples(), p=small_p)
 def test_weight_one_reduces_to_plain_power_sum(gens, p):
-    sp = build(gens, p)
-    for mu in range(3):
-        assert weighted_power_sum(sp, 1, mu) == power_sum_gaps(sp, mu)
+    direct, weighted = gap_power_sums(build(gens, p), 2, 1)
+    assert weighted == direct
 
 
 @given(
@@ -261,19 +308,18 @@ def test_weight_one_reduces_to_plain_power_sum(gens, p):
 @example(gens=(5, 7, 9), p=3, weight=3, chunk=3)
 def test_shared_gap_walk_matches_the_per_row_oracles(gens, p, weight, chunk):
     # every row of one walk, with the gaps read in chunks of every size
-    # (at p > 0, 0 is a gap), against one walk per row; and the one-row
-    # library calls against the same oracles
+    # (at p > 0, 0 is a gap), against one walk per row; and the walks that
+    # stop at each row against the same oracles
     sp = build(gens, p)
-    weight = Fraction(weight)
     mus = range(POWER_CAP + 1)
     expected = [row_power_sum(sp, mu) for mu in mus]
-    expected_weighted = [row_weighted_power_sum(sp, weight, mu) for mu in mus]
+    expected_weighted = [row_weighted_power_sum(sp, Fraction(weight), mu) for mu in mus]
     with mock.patch.object(semigroup, "_SUM_CHUNK", chunk):
-        assert semigroup._gap_sums(sp, mus, weight) == (expected, expected_weighted)
-        assert semigroup._gap_sums(sp, mus, None) == (expected, [])
+        assert gap_power_sums(sp, POWER_CAP, weight) == (expected, expected_weighted)
+        assert gap_power_sums(sp, POWER_CAP) == (expected, [])
     for mu in mus:
-        assert power_sum_gaps(sp, mu) == expected[mu]
-        assert weighted_power_sum(sp, weight, mu) == expected_weighted[mu]
+        rows = mu + 1
+        assert gap_power_sums(sp, mu, weight) == (expected[:rows], expected_weighted[:rows])
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))

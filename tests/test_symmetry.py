@@ -22,7 +22,6 @@ from psemigroups import (
     build,
     classify,
     detect_pattern,
-    hlk_masks,
     pseudo_frobenius,
     type_p,
     verify_almost_symmetric_equivalences,
@@ -32,13 +31,16 @@ from psemigroups import (
     verify_symmetry_equivalences,
 )
 from psemigroups import semigroup, symmetry
-from psemigroups.semigroup import bit_positions, member_mask
+from psemigroups.semigroup import bit_positions, hlk_of_members
 
 
 def _hlk(sp):
-    """H, L and K up to the mirror total, ascending, from ``hlk_masks``;
-    K holds every integer above the mirror total as well."""
-    return tuple(tuple(bit_positions(mask)) for mask in hlk_masks(sp))
+    """H, L and K up to the mirror total, ascending, from
+    ``hlk_of_members``: K is the clear bits of H below total + 1, and holds
+    every integer above the mirror total as well."""
+    _, h, l = hlk_of_members(sp)
+    k_below = ((1 << (sp.frobenius + sp.multiplicity + 1)) - 1) & ~h
+    return tuple(tuple(bit_positions(mask)) for mask in (h, l, k_below))
 
 
 def test_pf_goldens():
@@ -215,9 +217,12 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     report = classify(sp)
     h, l, k_below = set_hlk_sets(sp)
     assert _hlk(sp) == (h, l, k_below)
-    # the per-class exchange that classify reads, against the masks
-    members = member_mask(sp, total + 1)
+    # the per-class exchange that classify reads, against the masks; the
+    # member mask and H, the mirror's, against the membership test
+    members, h_mask, _ = hlk_of_members(sp)
     mirror = mirrored_member_mask(sp, total + 1)
+    assert members == sum(1 << n for n in range(total + 1) if sp.contains(n))
+    assert h_mask == mirror
     full = (1 << (total + 1)) - 1
     mismatches, l_ranges = symmetry._class_exchange(sp)
     assert mismatches == (full & ~(members ^ mirror)).bit_count()
