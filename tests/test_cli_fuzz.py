@@ -4,8 +4,8 @@ exit code, never a traceback, and quickly.
 The horizon cap is lowered inside each example, so that a huge p range or
 --pmax, a generator up to 10^9 (one per list, at any position, so it can
 be the modulus), a huge --order or --exponent, and a --weight of a
-hundred thousand digits or more must all end at a cap check rather than
-in a long loop or a large allocation.
+hundred thousand digits or more must all end at a cap or size check
+rather than in a long loop or a large allocation.
 """
 
 import contextlib
