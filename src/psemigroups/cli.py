@@ -82,6 +82,19 @@ def finite_set_doc(mask: int, expand: bool) -> Any:
     return list(bit_positions(mask)) if expand else mask_runs(mask)
 
 
+def sorted_set_doc(values: Sequence[int], expand: bool) -> Any:
+    """``finite_set_doc`` of a small set given as its ascending elements,
+    in steps of its size: a run ends where the next element is not one
+    more."""
+    if expand:
+        return list(values)
+    if not values:
+        return ""
+    breaks = [i for i in range(1, len(values)) if values[i] != values[i - 1] + 1]
+    firsts = [values[i] for i in [0, *breaks]]
+    return _runs_text(firsts, [values[i - 1] + 1 for i in [*breaks, len(values)]])
+
+
 def split_docs(mask: int, length: int, expand: bool) -> tuple[Any, Any]:
     """``finite_set_doc`` of the set bits of ``mask`` and of its clear bits
     below ``length``, run texts from one scan of their shared boundaries."""
@@ -287,7 +300,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "kunz": list(sp.kunz),
         "gaps": gaps,
         "members": {"below": members_below, "all_from": c},
-        "pseudo_frobenius": finite_set_doc(sum(1 << x for x in report.pf), expand),
+        "pseudo_frobenius": sorted_set_doc(report.pf, expand),
         "type": report.type_count,
         "h_set": h_set,
         "l_set": finite_set_doc(l, expand),

@@ -28,22 +28,32 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul, neg
 from typing import Callable, Iterable, Iterator
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import bernoulli_row
+from .exactmath import bernoulli_row, eulerian
 from .reports import Record
 
 POWER_CAP = 8
-# B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula reads
-_BERNOULLI = bernoulli_row(POWER_CAP + 1)
+# B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula
+# reads, as integers over their common denominator _BERNOULLI_DEN
+_BERNOULLI_DEN = lcm(*(b.denominator for b in bernoulli_row(POWER_CAP + 1)))
+_BERNOULLI = [int(b * _BERNOULLI_DEN) for b in bernoulli_row(POWER_CAP + 1)]
+# rows 0 .. POWER_CAP of the Eulerian triangle, row 0 being [1]
+_EULERIAN = [[eulerian(e, m) for m in range(max(e, 1))] for e in range(POWER_CAP + 1)]
+# The sum of t^e over t < k is sum_i _FAULHABER[e][i] * C(k, i + 1), from
+# Worpitzky's identity, sum_m <e, m> C(k + m, e + 1), by Vandermonde's
+_FAULHABER = [
+    [sum(c * comb(m, e - i) for m, c in enumerate(_EULERIAN[e])) for i in range(e + 1)]
+    for e in range(POWER_CAP + 1)
+]
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _SPLIT_WINDOW = 1 << 16
-_SUM_CHUNK = 1024
 # A B-bit integer prints to decimal in about (B / _PRINT_BITS)^2 times the
 # time of a 4096-bit Horner step: CPython's int -> str is quadratic.
 _PRINT_BITS = 512
@@ -459,17 +469,16 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
 
 
 def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
-    """``power_sum_bernoulli``'s formula at mu; Selmer's genus and gap-sum
-    forms are its values at mu = 0 and mu = 1."""
+    """``power_sum_bernoulli``'s formula at mu, summed as one integer over
+    the common denominator a * (mu + 1) * _BERNOULLI_DEN; Selmer's genus
+    and gap-sum forms are its values at mu = 0 and mu = 1."""
     a = sp.modulus
     m = sp.apery_by_residue
-    total = Fraction(0)
+    total = a * _BERNOULLI[mu + 1] * (a ** (mu + 1) - 1)
     for kappa in range(mu + 1):
-        s = sum(x ** (mu + 1 - kappa) for x in m)
-        total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * Fraction(a) ** (kappa - 1) * s
-    total /= mu + 1
-    total += _BERNOULLI[mu + 1] / (mu + 1) * (a ** (mu + 1) - 1)
-    return total
+        s = sum(map(pow, m, repeat(mu + 1 - kappa)))
+        total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * a**kappa * s
+    return Fraction(total, a * (mu + 1) * _BERNOULLI_DEN)
 
 
 def gap_power_sums(
@@ -477,18 +486,32 @@ def gap_power_sums(
 ) -> tuple[list[int], list[Fraction]]:
     """Rows mu = 0..mu_max of the sums over the gaps of n^mu and, given a
     non-zero rational weight, of weight^n * n^mu (0^0 = 1); the weighted
-    rows are empty without one.  The exponent is checked and the weighted
-    rows are charged before one walk of the gaps, _SUM_CHUNK at a time.
+    rows are empty without one.  Every row is read off the class minima:
+    the gaps of class j are j + t*a for t < kunz_j, and nothing F-sized is
+    built.  The exponent is checked and the weighted rows are charged
+    before any row is summed; each direct row is checked against
+    ``power_sum_bernoulli``'s formula.
 
-    The weighted terms share the denominator den^F (F the largest gap), so
-    each row sums the numerators num^n * den^(F-n) * n^mu as integers by
-    Horner's rule, stepping by num^(n-prev) and den^(n-prev), computed once
-    a chunk for every row.  Each step works on an integer of up to
-    B = F * log2(max(|num|, den)) bits, and each row's numerator and
-    denominator print to up to B bits each.  The cap counts both, for every
-    row, in 4096-bit blocks: B / 4096 rounded up per gap, and
-    (B / _PRINT_BITS)^2 rounded up per printed integer, with log2 read to
-    1/64 bit from the top 128 bits, rounded up (exact up to 128 bits).
+    With weight num/den and z = weight^a, class j's weighted gaps sum to
+    G(j) - G(m_j), G(x) = sum over t >= 0 of weight^(x + t*a) * (x + t*a)^mu,
+    a rational function of z, so
+
+        W_mu = sum_e C(mu, e) a^e S_e(z) (sum_(j<a) weight^j j^(mu-e)
+                                          - sum_j weight^(m_j) m_j^(mu-e))
+
+    with S_e(z) = sum_t t^e z^t: 1/(1 - z) at e = 0, z A_e(z)/(1 - z)^(e+1)
+    with A_e the Eulerian polynomial beyond (Komatsu and Zhang's weighted
+    Sylvester sums).  The sums over the minima share the denominator
+    den^M, M the largest minimum, and are one integer Horner pass over the
+    a sorted minima for every row; each of its steps works on an integer
+    of up to M * log2(max(|num|, den)) bits, and a row's numerator and
+    denominator print to up to B = F * log2(max(|num|, den)) bits each.
+    The cap counts both, for every row, in 4096-bit blocks: a steps of
+    M * log2(...) / 4096 blocks rounded up, and (B / _PRINT_BITS)^2
+    rounded up per printed integer, with log2 read to 1/64 bit from the
+    top 128 bits, rounded up (exact up to 128 bits).  At z = 1 (weight 1,
+    or -1 with a even) weight^(j + t*a) = weight^j, and each weighted row
+    is the direct sums of the classes weighed by weight^j.
     """
     check_power(mu_max)
     rows = mu_max + 1
@@ -498,25 +521,82 @@ def gap_power_sums(
     if weight is not None:
         top = max(abs(num), den)
         shift = max(0, top.bit_length() - 128)
-        bits64 = sp.frobenius * (
-            (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
-        )
-        steps = gap_count(sp) * -(-bits64 // (64 * 4096))  # rounded up per gap
-        prints = 2 * (-(-bits64 // (64 * _PRINT_BITS))) ** 2  # numerator, denominator
+        log64 = (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
+        steps = sp.modulus * -(-sp.apery_sorted[-1] * log64 // (64 * 4096))
+        prints = 2 * (-(-sp.frobenius * log64 // (64 * _PRINT_BITS))) ** 2  # numerator, denominator
         charge(rows * (steps + prints), f"4096-bit blocks of weighted sums over F = {sp.frobenius}")
-    direct, weighted, num_powers = [0] * rows, [0] * rows, [1] * rows
-    gaps, prev = _gap_walk(sp), 0
-    for chunk in iter(lambda: list(islice(gaps, _SUM_CHUNK)), []):
-        powers = [list(map(pow, chunk, repeat(mu))) for mu in range(rows)]
-        direct = [s + sum(terms) for s, terms in zip(direct, powers)]
-        if weight is not None:
-            widths = [n - m for n, m in zip(chunk, [prev, *chunk])]
-            num_steps, den_steps = ([base**w for w in widths] for base in (num, den))
-            for i, terms in enumerate(powers):
-                t, q = weighted[i], num_powers[i]
-                for a, b, x in zip(num_steps, den_steps, terms):
-                    q *= a
-                    t = t * b + q * x
-                weighted[i], num_powers[i] = t, q
-        prev = chunk[-1]
-    return direct, [] if weight is None else [Fraction(t, den**prev) for t in weighted]
+    direct = [
+        _checked_by_formula(sp, mu, total, f"power sum at mu = {mu}")
+        for mu, total in enumerate(_class_power_sums(sp, rows, 1))
+    ]
+    if weight is None:
+        return direct, []
+    return direct, _weighted_power_sums(sp, rows, num, den)
+
+
+def _class_power_sums(sp: PSemigroup, rows: int, sign: int) -> list[int]:
+    """Rows mu < rows of the sum over classes j of sign^j times the sum of
+    (j + t*a)^mu over t < kunz_j, sign being 1 or -1, in integers: the
+    binomial expansion in t leaves the sums of t^e over t < kunz_j, which
+    _FAULHABER writes in the C(kunz_j, i + 1).  O(a * rows^2) steps, each
+    over the a classes at once."""
+    a = sp.modulus
+    binoms = [list(map(comb, sp.kunz, repeat(i + 1))) for i in range(rows)]
+    powers = [list(map(pow, range(a), repeat(d))) for d in range(rows)]
+    if sign < 0:
+        for column in powers:
+            column[1::2] = map(neg, column[1::2])
+    # moments[d][i] = sum over j of sign^j * j^d * C(kunz_j, i + 1)
+    moments = [
+        [sum(map(mul, powers[d], binoms[i])) for i in range(rows - d)] for d in range(rows)
+    ]
+    return [
+        sum(
+            comb(mu, e) * a**e * sum(f * moments[mu - e][i] for i, f in enumerate(_FAULHABER[e]))
+            for e in range(mu + 1)
+        )
+        for mu in range(rows)
+    ]
+
+
+def _weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[Fraction]:
+    """``gap_power_sums``' weighted rows for weight num/den, from the
+    closed form in its docstring.  With u = num^a and v = den^a,
+    z = u/v and S_e(z) = v * N_e / (v - u)^(e+1), N_0 = 1 and
+    N_e = sum_m <e, m> u^(m+1) v^(e-1-m), so row mu is one integer over
+    (v - u)^(mu+1) * den^M."""
+    a = sp.modulus
+    u, v = num**a, den**a
+    if u == v:
+        return list(map(Fraction, _class_power_sums(sp, rows, num)))
+    last = sp.apery_sorted[-1]
+    lows = _horner(range(a), num, den, rows)  # over den^(a - 1)
+    highs = _horner(sp.apery_sorted, num, den, rows)  # over den^last
+    scale = den ** (last - a + 1)
+    brackets = [scale * low - high for low, high in zip(lows, highs)]
+    series = [1] + [
+        sum(count * u ** (m + 1) * v ** (e - 1 - m) for m, count in enumerate(_EULERIAN[e]))
+        for e in range(1, rows)
+    ]
+    w = v - u
+    weighted = []
+    for mu in range(rows):
+        terms = (
+            comb(mu, e) * a**e * series[e] * w ** (mu - e) * brackets[mu - e] for e in range(mu + 1)
+        )
+        weighted.append(Fraction(v * sum(terms), w ** (mu + 1) * den**last))
+    return weighted
+
+
+def _horner(points: Iterable[int], num: int, den: int, rows: int) -> list[int]:
+    """Rows d < rows of the sum of num^x * den^(last - x) * x^d over the
+    ascending ``points``, last the largest, by Horner's rule: each step
+    multiplies the running sums by den^(x - prev) and the shared num^x by
+    num^(x - prev)."""
+    sums, num_power, prev = [0] * rows, 1, 0
+    for x in points:
+        den_step = den ** (x - prev)
+        num_power *= num ** (x - prev)
+        sums = [s * den_step + num_power * x**d for d, s in enumerate(sums)]
+        prev = x
+    return sums

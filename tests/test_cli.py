@@ -44,6 +44,7 @@ from psemigroups.cli import (
     analyze_document,
     main,
     mask_runs,
+    sorted_set_doc,
     split_docs,
     sums_document,
     verify_exit_code,
@@ -74,6 +75,7 @@ def test_interval_runs():
 )
 def test_mask_rendering_matches_the_tuple_oracle(values, all_from, expand):
     assert mask_runs(_mask(values)) == interval_runs(values)
+    assert sorted_set_doc(tuple(sorted(values)), expand) == set_finite_doc(values, expand)
     below = {x for x in values if x < all_from}
     assert split_docs(_mask(below), all_from, expand) == (
         set_finite_doc(below, expand),
@@ -979,7 +981,6 @@ HUGE_ARGUMENTS = {
     "johnson-modulus": "verify johnson --alpha 3 --beta 2 --gens 1000000007,1000000009 --p 0",
     "eulerian-gf": "verify eulerian-gf --exponent 1500 --order 1600",
     "analyze-generator": "analyze --gens 4,6,19999999 --p 0",
-    "sums-generator": "sums --gens 4,6,19999999 --p 0",
     "gcd-scaling-generator": "verify gcd-scaling --gens 1000000007,6,10 --p 0",
 }
 
@@ -1010,6 +1011,29 @@ def test_johnson_on_a_huge_generator_answers_by_the_closed_form(capsys, monkeypa
     assert row["lhs"] == row["rhs"] == expected
 
 
+def test_sums_on_a_huge_generator_answers_by_the_closed_form(capsys, monkeypatch):
+    # sums reads every row off the class minima, so even a cap of 1000
+    # admits F = 2 * 10^7.  For odd b, <4, 6, b> has the gaps 1, 3, ...,
+    # b - 2, 2 and b + 2, whose power sums have closed forms up to mu = 3
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    b = 19999999
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *f"sums --gens 4,6,{b} --p 0".split())
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_OK
+    assert elapsed < 1.0
+
+    def power_sums(n):  # sum of k^mu over 1 <= k <= n, mu = 0..3
+        return [n, n * (n + 1) // 2, n * (n + 1) * (2 * n + 1) // 6, (n * (n + 1) // 2) ** 2]
+
+    pairs = zip(power_sums(b - 2), power_sums((b - 3) // 2))  # all, and the even halved
+    odd = [total - 2**mu * half for mu, (total, half) in enumerate(pairs)]
+    expected = [n + 2**mu + (b + 2) ** mu for mu, n in enumerate(odd)]
+    rows = json.loads(out)["rows"]
+    assert [row["direct"] for row in rows] == [row["from_apery"] for row in rows] == expected
+    assert expected[:2] == [(b - 1) // 2 + 2, ((b - 1) // 2) ** 2 + 2 + b + 2]
+
+
 def test_f_free_commands_build_no_flags(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an F-free command built membership flags")
@@ -1035,6 +1059,9 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
         "verify almost-symmetric --gens 6,7,17 --p 0..14",
         "verify gcd-scaling --gens 8,12,15,18 --p 0..8",
         "verify gcd-scaling --gens 5,4,6 --p 0..6",
+        "sums --gens 6,7,17 --p 14 --mu 8",
+        "sums --gens 6,7,17 --p 14 --mu 8 --weight 2/3",
+        "sums --gens 6,7,17 --p 14 --mu 8 --weight -1",
     ):
         code, out = run_cli(capsys, *argv.split())
         assert code == EXIT_OK, argv
@@ -1098,7 +1125,7 @@ def test_analyze_builds_membership_flags_once(monkeypatch):
             for expand in ("", " --expand")
         ),
         *(
-            (f"sums --gens 6,7,17 --p {p} --mu {mu}{weight}", 1)
+            (f"sums --gens 6,7,17 --p {p} --mu {mu}{weight}", 0)
             for p in (0, 14)
             for mu in range(9)
             for weight in ("", " --weight 2/3")
@@ -1109,7 +1136,7 @@ def test_analyze_builds_membership_flags_once(monkeypatch):
     ],
 )
 def test_each_command_builds_membership_flags_at_most_once(capsys, monkeypatch, argv, builds):
-    # sums reads every row, weighted or not, off one walk of the gaps
+    # sums reads every row, weighted or not, off the class minima
     lengths = _spy_member_flags(monkeypatch)
     code, out = run_cli(capsys, *argv.split())
     assert code == EXIT_OK and out
@@ -1125,23 +1152,24 @@ def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):
 
 
 def test_default_cap_refuses_a_slow_weighted_sum_quickly(capsys, monkeypatch):
-    # Horner's rule over 318826 gaps of up to 2*358193-bit integers, about
-    # 20 s: the cap counts 4096-bit blocks per gap before the walk starts
+    # a Horner pass over 3001 minima of up to 1.33 * 10^6 bits and two
+    # printed integers of that size, about 11 s: the cap counts 4096-bit
+    # blocks of both before the pass starts
     _assert_refused_quickly(
         capsys,
         monkeypatch,
-        "sums --gens 1009,1013,1019 --p 50 --mu 0 --weight 2/3",
+        "sums --gens 3001,3011,3019,3023 --p 0 --mu 0 --weight 2/3",
         cap=None,
     )
 
 
 def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch):
-    # nine rows of about 4 s each: each row alone passes the cap, but every
+    # nine rows of about 2 s each: each row alone passes the cap, but every
     # row's blocks are charged together before the first
     _assert_refused_quickly(
         capsys,
         monkeypatch,
-        "sums --gens 701,709,719 --p 25 --mu 8 --weight 2/3",
+        "sums --gens 1009,1013,1019 --p 50 --mu 8 --weight 2/3",
         cap=None,
     )
 
@@ -1154,7 +1182,7 @@ def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch)
         ("1e-300000", "2,3", EXIT_PRECONDITION),
         ("1e-10000000", "2,3", EXIT_PRECONDITION),
         ("1/" + "1" * 5000, "2,3", EXIT_PRECONDITION),
-        # 1979 * 997 bits a row, 16 s, 12 s of it printing the row
+        # 1979 * 997 bits a row, about 14 s of printing the row
         ("1e-300", "45,46", EXIT_CAP),
     ],
 )

@@ -240,6 +240,15 @@ def test_classify_imports_neither_arf_nor_identities(new_imports):
     assert not names & HEAVY
 
 
+def test_sums_imports_neither_arf_nor_identities(new_imports):
+    names, out = new_imports(
+        "-m", "psemigroups", "sums", "--gens", "4,5", "--p", "1", "--mu", "2", "--weight", "1/2"
+    )
+    assert json.loads(out)["rows"][2]["direct"] == 6290
+    assert "psemigroups.semigroup" in names
+    assert not names & HEAVY
+
+
 def test_verify_arf_kunz_imports_arf(new_imports):
     names, out = new_imports("-m", "psemigroups", "verify", "arf-kunz", "--gens", "4,5,6", "--p", "2")
     assert json.loads(out)["passed"] is True

@@ -156,24 +156,26 @@ def test_weighted_power_sum_guards():
 
 
 def test_weighted_power_sum_charges_its_blocks(monkeypatch):
-    # F = 7 and 7 gaps; den = 2^5000 makes each step's integer 7 * 5001
-    # bits, 9 blocks of 4096 a gap, 63 in all; the row's numerator and
-    # denominator print to that many bits, 69 units of 512 each, 69^2 blocks
+    # F = 7 and the largest class minimum is 9; den = 2^5000 makes each of
+    # the a = 2 Horner steps work on an integer of just over 9 * 5000 bits,
+    # 11 blocks of 4096, 22 in all; the row's numerator and denominator
+    # print to just over 7 * 5000 bits, 69 units of 512 each, 69^2 blocks
     sp = build((2, 3), 1)
     weight = Fraction(1, 2**5000)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(63 + 2 * 69**2))
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(22 + 2 * 69**2))
     assert gap_power_sums(sp, 0, weight) == ([7], [sum(weight**n for n in sp.gaps)])
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(62 + 2 * 69**2))
-    with pytest.raises(CapExceededError, match=f"{63 + 2 * 69**2} 4096-bit blocks"):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(21 + 2 * 69**2))
+    with pytest.raises(CapExceededError, match=f"{22 + 2 * 69**2} 4096-bit blocks"):
         gap_power_sums(sp, 0, weight)
 
 
 def test_weighted_charge_reads_log2_to_a_64th_bit():
-    # F = 206 843 and 103 826 gaps: weight 1/2 costs 65/64 bits a step, so
-    # 52 blocks a gap, where bit_length (2 bits for the base 2) charged 101;
-    # the two printed integers of 210 075 bits are 2 * 411^2 blocks
+    # F = 206 843 and the largest class minimum 207 852: weight 1/2 costs
+    # 65/64 bits a unit of it, so 52 blocks for each of the a = 1009 Horner
+    # steps, where bit_length (2 bits for the base 2) charged 102; the two
+    # printed integers of 210 075 bits are 2 * 411^2 blocks
     sp = build((1009, 1013, 1019), 0)
-    one_row = 103_826 * 52 + 2 * 411**2
+    one_row = 1009 * 52 + 2 * 411**2
     assert _charged_blocks(sp, 0, Fraction(1, 2)) == one_row
     assert _charged_blocks(sp, 1, Fraction(-1, 2)) == 2 * one_row
 
@@ -183,22 +185,22 @@ def test_weighted_charge_reads_log2_to_a_64th_bit():
 @example(num_bits=1, den_bits=129, seed=random.Random(0))
 def test_weighted_charge_reads_the_top_128_bits(num_bits, den_bits, seed):
     # log2 to a 64th of a bit: exact up to 128 bits, and beyond an upper
-    # bound by at most one 64th of a bit a step
+    # bound by at most one 64th of a bit
     weight = Fraction(
         seed.getrandbits(num_bits) | 1 << (num_bits - 1),
         seed.getrandbits(den_bits) | 1 << (den_bits - 1),
     )
     top = max(weight.numerator, weight.denominator)
-    sp = build((2, 3), 1)  # F = 7, 7 gaps
+    sp = build((2, 3), 1)  # a = 2, F = 7, largest class minimum 9
 
-    def blocks(bits64):
-        return 7 * -(-bits64 // (64 * 4096)) + 2 * (-(-bits64 // (64 * 512))) ** 2
+    def blocks(log64):
+        return 2 * -(-9 * log64 // (64 * 4096)) + 2 * (-(-7 * log64 // (64 * 512))) ** 2
 
-    exact = 7 * (top**64).bit_length()
+    exact = (top**64).bit_length()
     charged = _charged_blocks(sp, 0, weight)
     if top.bit_length() <= 128:
         assert charged == blocks(exact)
-    assert blocks(exact) <= charged <= blocks(exact + 7)
+    assert blocks(exact) <= charged <= blocks(exact + 1)
 
 
 def test_huge_weight_is_charged_without_its_power():
@@ -300,23 +302,23 @@ def test_weight_one_reduces_to_plain_power_sum(gens, p):
 @given(
     gens=generator_tuples(),
     p=small_p,
-    weight=st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)]),
-    chunk=st.sampled_from([1, 2, 3, 1024]),
+    weight=st.sampled_from([1, -1, 3, -2, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7)]),
 )
-@example(gens=(2, 3), p=0, weight=Fraction(-5, 7), chunk=1)
-@example(gens=(2, 3), p=1, weight=Fraction(2, 3), chunk=2)
-@example(gens=(5, 7, 9), p=3, weight=3, chunk=3)
-def test_shared_gap_walk_matches_the_per_row_oracles(gens, p, weight, chunk):
-    # every row of one walk, with the gaps read in chunks of every size
-    # (at p > 0, 0 is a gap), against one walk per row; and the walks that
-    # stop at each row against the same oracles
+@example(gens=(2, 3), p=0, weight=Fraction(-5, 7))
+@example(gens=(2, 3), p=1, weight=Fraction(2, 3))
+@example(gens=(4, 5, 7), p=0, weight=-1)
+@example(gens=(6, 7, 17), p=5, weight=-1)
+@example(gens=(5, 7, 9), p=3, weight=3)
+@example(gens=(5, 7, 9), p=3, weight=-2)
+def test_shared_gap_walk_matches_the_per_row_oracles(gens, p, weight):
+    # every row read off the class minima against one walk of the gaps per
+    # row, at every mu_max: z = weight^a is 1 at weight 1 and at weight -1
+    # with a even (4 and 6 above), and at p > 0, 0 is a gap
     sp = build(gens, p)
     mus = range(POWER_CAP + 1)
     expected = [row_power_sum(sp, mu) for mu in mus]
     expected_weighted = [row_weighted_power_sum(sp, Fraction(weight), mu) for mu in mus]
-    with mock.patch.object(semigroup, "_SUM_CHUNK", chunk):
-        assert gap_power_sums(sp, POWER_CAP, weight) == (expected, expected_weighted)
-        assert gap_power_sums(sp, POWER_CAP) == (expected, [])
+    assert gap_power_sums(sp, POWER_CAP) == (expected, [])
     for mu in mus:
         rows = mu + 1
         assert gap_power_sums(sp, mu, weight) == (expected[:rows], expected_weighted[:rows])
