@@ -359,7 +359,8 @@ def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
     """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
-    walk; a negative mu_max asks for none."""
+    call, which reads them off the class minima; a negative mu_max asks
+    for none."""
     rows = []
     if mu_max >= 0:
         sp = build(gens, p)

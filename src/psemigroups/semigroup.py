@@ -504,14 +504,18 @@ def gap_power_sums(
     Sylvester sums).  The sums over the minima share the denominator
     den^M, M the largest minimum, and are one integer Horner pass over the
     a sorted minima for every row; each of its steps works on an integer
-    of up to M * log2(max(|num|, den)) bits, and a row's numerator and
-    denominator print to up to B = F * log2(max(|num|, den)) bits each.
-    The cap counts both, for every row, in 4096-bit blocks: a steps of
-    M * log2(...) / 4096 blocks rounded up, and (B / _PRINT_BITS)^2
-    rounded up per printed integer, with log2 read to 1/64 bit from the
-    top 128 bits, rounded up (exact up to 128 bits).  At z = 1 (weight 1,
-    or -1 with a even) weight^(j + t*a) = weight^j, and each weighted row
-    is the direct sums of the classes weighed by weight^j.
+    of up to M * L bits, L = log2(max(|num|, den)).  Row mu is built as
+    one integer over (den^a - num^a)^(mu+1) * den^M, of up to
+    ((mu + 1) * a + M) * L bits, and reduced to a numerator and a
+    denominator of up to F * L bits each, which are printed.  The cap
+    counts all three, for every row, in 4096-bit blocks: a steps of
+    M * L / 4096 blocks rounded up, and, since products, gcd and
+    printing are quadratic in CPython, (bits / _PRINT_BITS)^2 rounded up
+    for the unreduced row and for each printed integer, with L read to
+    1/64 bit from the top 128 bits, rounded up (exact up to 128 bits).
+    At z = 1 (weight 1, or -1 with a even) weight^(j + t*a) = weight^j,
+    and each weighted row is the direct sums of the classes weighed by
+    weight^j.
     """
     check_power(mu_max)
     rows = mu_max + 1
@@ -522,9 +526,18 @@ def gap_power_sums(
         top = max(abs(num), den)
         shift = max(0, top.bit_length() - 128)
         log64 = (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
-        steps = sp.modulus * -(-sp.apery_sorted[-1] * log64 // (64 * 4096))
-        prints = 2 * (-(-sp.frobenius * log64 // (64 * _PRINT_BITS))) ** 2  # numerator, denominator
-        charge(rows * (steps + prints), f"4096-bit blocks of weighted sums over F = {sp.frobenius}")
+        a, last = sp.modulus, sp.apery_sorted[-1]
+
+        def squared(n: int) -> int:  # blocks of an n * L-bit integer's quadratic work
+            return (-(-n * log64 // (64 * _PRINT_BITS))) ** 2
+
+        steps = a * -(-last * log64 // (64 * 4096))
+        prints = 2 * squared(sp.frobenius)  # numerator, denominator
+        unreduced = sum(squared((mu + 1) * a + last) for mu in range(rows))
+        charge(
+            rows * (steps + prints) + unreduced,
+            f"4096-bit blocks of weighted sums over F = {sp.frobenius}",
+        )
     direct = [
         _checked_by_formula(sp, mu, total, f"power sum at mu = {mu}")
         for mu, total in enumerate(_class_power_sums(sp, rows, 1))

@@ -1174,6 +1174,18 @@ def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch)
     )
 
 
+def test_default_cap_refuses_weighted_rows_built_on_many_generators_quickly(capsys, monkeypatch):
+    # a = 28 and F = 27: row mu is one integer over (den^a - 1)^(mu+1) * den^55,
+    # 4 * 10^6 bits at mu = 8 for 2 * 10^4 printed bits, about 80 s of
+    # products and gcds; the cap counts the unreduced rows before any is built
+    _assert_refused_quickly(
+        capsys,
+        monkeypatch,
+        "sums --gens " + ",".join(map(str, range(28, 56))) + " --p 0 --mu 8 --weight 1e-4000",
+        cap=None,
+    )
+
+
 @pytest.mark.parametrize(
     "weight, gens, code",
     [
@@ -1184,6 +1196,8 @@ def test_default_cap_refuses_slow_weighted_sum_rows_quickly(capsys, monkeypatch)
         ("1/" + "1" * 5000, "2,3", EXIT_PRECONDITION),
         # 1979 * 997 bits a row, about 14 s of printing the row
         ("1e-300", "45,46", EXIT_CAP),
+        # about 5.5 s: its row is built on 2069 * 565 bits and printed on 1979 * 565
+        ("1e-170", "45,46", EXIT_CAP),
     ],
 )
 def test_default_cap_refuses_huge_weights_quickly(capsys, monkeypatch, weight, gens, code):

@@ -158,26 +158,31 @@ def test_weighted_power_sum_guards():
 def test_weighted_power_sum_charges_its_blocks(monkeypatch):
     # F = 7 and the largest class minimum is 9; den = 2^5000 makes each of
     # the a = 2 Horner steps work on an integer of just over 9 * 5000 bits,
-    # 11 blocks of 4096, 22 in all; the row's numerator and denominator
-    # print to just over 7 * 5000 bits, 69 units of 512 each, 69^2 blocks
+    # 11 blocks of 4096, 22 in all; the row is built over
+    # (den^2 - 1) * den^9, just over 11 * 5000 bits, 108 units of 512 and
+    # 108^2 blocks; its numerator and denominator print to just over
+    # 7 * 5000 bits, 69 units each, 69^2 blocks
     sp = build((2, 3), 1)
     weight = Fraction(1, 2**5000)
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(22 + 2 * 69**2))
+    blocks = 22 + 108**2 + 2 * 69**2
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(blocks))
     assert gap_power_sums(sp, 0, weight) == ([7], [sum(weight**n for n in sp.gaps)])
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(21 + 2 * 69**2))
-    with pytest.raises(CapExceededError, match=f"{22 + 2 * 69**2} 4096-bit blocks"):
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(blocks - 1))
+    with pytest.raises(CapExceededError, match=f"{blocks} 4096-bit blocks"):
         gap_power_sums(sp, 0, weight)
 
 
 def test_weighted_charge_reads_log2_to_a_64th_bit():
     # F = 206 843 and the largest class minimum 207 852: weight 1/2 costs
     # 65/64 bits a unit of it, so 52 blocks for each of the a = 1009 Horner
-    # steps, where bit_length (2 bits for the base 2) charged 102; the two
-    # printed integers of 210 075 bits are 2 * 411^2 blocks
+    # steps, where bit_length (2 bits for the base 2) charged 102; row mu
+    # is built on (mu + 1) * 1009 + 207 852 units of it, 415^2 blocks at
+    # mu = 0 and 417^2 at mu = 1; the two printed integers of 210 075 bits
+    # are 2 * 411^2 blocks
     sp = build((1009, 1013, 1019), 0)
     one_row = 1009 * 52 + 2 * 411**2
-    assert _charged_blocks(sp, 0, Fraction(1, 2)) == one_row
-    assert _charged_blocks(sp, 1, Fraction(-1, 2)) == 2 * one_row
+    assert _charged_blocks(sp, 0, Fraction(1, 2)) == one_row + 415**2
+    assert _charged_blocks(sp, 1, Fraction(-1, 2)) == 2 * one_row + 415**2 + 417**2
 
 
 @given(num_bits=st.integers(1, 400), den_bits=st.integers(1, 400), seed=st.randoms())
@@ -194,7 +199,8 @@ def test_weighted_charge_reads_the_top_128_bits(num_bits, den_bits, seed):
     sp = build((2, 3), 1)  # a = 2, F = 7, largest class minimum 9
 
     def blocks(log64):
-        return 2 * -(-9 * log64 // (64 * 4096)) + 2 * (-(-7 * log64 // (64 * 512))) ** 2
+        steps = 2 * -(-9 * log64 // (64 * 4096))
+        return steps + (-(-11 * log64 // (64 * 512))) ** 2 + 2 * (-(-7 * log64 // (64 * 512))) ** 2
 
     exact = (top**64).bit_length()
     charged = _charged_blocks(sp, 0, weight)
