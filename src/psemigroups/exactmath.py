@@ -42,12 +42,12 @@ def eulerian(n: int, m: int) -> int:
         return 1 if m == 0 else 0
     if m < 0 or m >= n:
         return 0
-    return _eulerian_row(n)[m]
+    return eulerian_row(n)[m]
 
 
-def _eulerian_row(n: int) -> list[int]:
-    """Row n >= 1 of the Eulerian triangle, entries m = 0 .. n-1, built
-    from row 0 = [1] keeping only the previous row."""
+def eulerian_row(n: int) -> list[int]:
+    """Row n of the Eulerian triangle: entries m = 0 .. n-1 for n >= 1 and
+    [1] for n = 0, built from row 0 keeping only the previous row."""
     row = [1]
     for r in range(1, n + 1):
         padded = [0, *row, 0]
@@ -74,7 +74,7 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
     charge((order + 1) * (n + 2) * blocks, f"4096-bit blocks of series to order {order} at n = {n}")
     source = [k**n for k in range(order + 1)]
     binom = [(-1) ** i * comb(n + 1, i) for i in range(n + 2)]
-    row = _eulerian_row(n)
+    row = eulerian_row(n)
     for degree in range(order - n):
         lhs = sum(
             binom[i] * source[degree - i] for i in range(min(degree, n + 1) + 1)

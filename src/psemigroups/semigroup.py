@@ -34,16 +34,17 @@ from typing import Callable, Iterable, Iterator
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import bernoulli_row, eulerian
+from .exactmath import bernoulli_row, eulerian_row
 from .reports import Record
 
 POWER_CAP = 8
 # B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula
 # reads, as integers over their common denominator _BERNOULLI_DEN
-_BERNOULLI_DEN = lcm(*(b.denominator for b in bernoulli_row(POWER_CAP + 1)))
-_BERNOULLI = [int(b * _BERNOULLI_DEN) for b in bernoulli_row(POWER_CAP + 1)]
+_BERNOULLI = bernoulli_row(POWER_CAP + 1)
+_BERNOULLI_DEN = lcm(*(b.denominator for b in _BERNOULLI))
+_BERNOULLI = [int(b * _BERNOULLI_DEN) for b in _BERNOULLI]
 # rows 0 .. POWER_CAP of the Eulerian triangle, row 0 being [1]
-_EULERIAN = [[eulerian(e, m) for m in range(max(e, 1))] for e in range(POWER_CAP + 1)]
+_EULERIAN = list(map(eulerian_row, range(POWER_CAP + 1)))
 # The sum of t^e over t < k is sum_i _FAULHABER[e][i] * C(k, i + 1), from
 # Worpitzky's identity, sum_m <e, m> C(k + m, e + 1), by Vandermonde's
 _FAULHABER = [
@@ -54,8 +55,10 @@ _FAULHABER = [
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _SPLIT_WINDOW = 1 << 16
-# A B-bit integer prints to decimal in about (B / _PRINT_BITS)^2 times the
-# time of a 4096-bit Horner step: CPython's int -> str is quadratic.
+# A B-bit integer prints to decimal, or is built from B-bit products and
+# reduced by a gcd, in about (B / _PRINT_BITS)^2 times the time of a
+# 4096-bit Horner step: CPython's int -> str and gcd are quadratic, and its
+# Karatsuba products not far below.
 _PRINT_BITS = 512
 
 
@@ -510,7 +513,7 @@ def gap_power_sums(
     denominator of up to F * L bits each, which are printed.  The cap
     counts all three, for every row, in 4096-bit blocks: a steps of
     M * L / 4096 blocks rounded up, and, since products, gcd and
-    printing are quadratic in CPython, (bits / _PRINT_BITS)^2 rounded up
+    printing are about quadratic in CPython, (bits / _PRINT_BITS)^2 rounded up
     for the unreduced row and for each printed integer, with L read to
     1/64 bit from the top 128 bits, rounded up (exact up to 128 bits).
     At z = 1 (weight 1, or -1 with a even) weight^(j + t*a) = weight^j,
