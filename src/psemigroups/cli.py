@@ -36,7 +36,6 @@ from .semigroup import (
     gap_power_sums,
     gap_sum,
     hlk_of_members,
-    power_sum_bernoulli,
 )
 
 EXIT_OK = 0
@@ -51,7 +50,6 @@ EXIT_VERIFIER_FAILED = 5
 # rendering helpers
 
 _JOIN_RUNS = 8192
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def mask_runs(mask: int) -> str:
@@ -113,15 +111,15 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def jsonify(value: Any) -> Any:
-    """Recursively convert to JSON-stable primitives."""
+def _encode_fraction(value: Any) -> str:
+    """The JSON encoder's hook for what it cannot encode: a ``Fraction``
+    becomes "num/den"; anything else is refused as ``json`` refuses it."""
     if isinstance(value, Fraction):
         return fraction_str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction).encode
 
 
 def emit(doc: dict[str, Any], fmt: str) -> None:
@@ -131,7 +129,6 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        doc = jsonify(doc)
         if fmt == "json":
             # Not json.dumps(doc): that holds the document, its escaped
             # pieces, the joined string and its encoded bytes at once, several
@@ -143,60 +140,62 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
                 write(f"{',' if i else ''}{_json(key)}:")
                 write(_json(doc[key]))
             write("}\n")
-        elif fmt == "tsv":
-            for line in _tsv_lines(doc):
-                print(line)
         else:
-            for line in _pretty_lines(doc, indent=0):
+            lines = _tsv_lines(doc) if fmt == "tsv" else _pretty_lines(doc, indent=0)
+            for line in lines:
                 print(line)
     finally:
         sys.set_int_max_str_digits(saved)
 
 
-def _tsv_lines(doc: dict[str, Any]) -> list[str]:
+def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
+    """One "key<TAB>value" line per key; a non-empty list of dicts under
+    "rows" is written as a table below the other keys instead."""
     rows = doc.get("rows")
-    if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
-        head = [k for k in doc if k != "rows"]
-        lines = [f"{k}\t{_scalar(doc[k])}" for k in sorted(head)]
+    table = isinstance(rows, (list, tuple)) and rows and all(isinstance(r, dict) for r in rows)
+    for k in sorted(doc):
+        if not (table and k == "rows"):
+            yield f"{k}\t{_scalar(doc[k])}"
+    if table:
         columns = sorted(rows[0])
         for lead in ("mu", "p"):
             if lead in columns:
                 columns.remove(lead)
                 columns.insert(0, lead)
-        lines.append("\t".join(columns))
+        yield "\t".join(columns)
         for row in rows:
-            lines.append("\t".join(_scalar(row.get(c)) for c in columns))
-        return lines
-    return [f"{k}\t{_scalar(v)}" for k, v in sorted(doc.items())]
+            yield "\t".join(_scalar(row.get(c)) for c in columns)
 
 
 def _scalar(value: Any) -> str:
-    if isinstance(value, (dict, list)):
+    # a type test, not isinstance: Fraction's is an ABC check, a Python call
+    # for every leaf printed
+    if type(value) is Fraction:
+        return fraction_str(value)
+    if isinstance(value, (dict, list, tuple)):
         return _json(value)
     return str(value)
 
 
-def _pretty_lines(value: Any, indent: int) -> list[str]:
+def _pretty_lines(value: Any, indent: int) -> Iterator[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
         for k in sorted(value):
             v = value[k]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_pretty_lines(v, indent + 1))
+            if isinstance(v, (dict, list, tuple)) and v:
+                yield f"{pad}{k}:"
+                yield from _pretty_lines(v, indent + 1)
             else:
-                lines.append(f"{pad}{k}: {_scalar(v)}")
-    elif isinstance(value, list):
+                yield f"{pad}{k}: {_scalar(v)}"
+    elif isinstance(value, (list, tuple)):
         for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_pretty_lines(v, indent + 1))
+            if isinstance(v, (dict, list, tuple)):
+                yield f"{pad}-"
+                yield from _pretty_lines(v, indent + 1)
             else:
-                lines.append(f"{pad}- {_scalar(v)}")
+                yield f"{pad}- {_scalar(v)}"
     else:
-        lines.append(f"{pad}{_scalar(value)}")
-    return lines
+        yield f"{pad}{_scalar(value)}"
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +358,15 @@ def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
     """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
-    call, which reads them off the class minima; a negative mu_max asks
-    for none."""
+    call, which reads them off the class minima and checks each against
+    the Bernoulli formula: the checked value is both ``direct`` and
+    ``from_apery``.  A negative mu_max asks for none."""
     rows = []
     if mu_max >= 0:
         sp = build(gens, p)
         direct, weighted = gap_power_sums(sp, mu_max, weight)
         for mu, total in enumerate(direct):
-            row: dict[str, Any] = {
-                "mu": mu,
-                "direct": total,
-                "from_apery": power_sum_bernoulli(sp, mu),
-            }
+            row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}
             if weight is not None:
                 row["weighted"] = weighted[mu]
             rows.append(row)

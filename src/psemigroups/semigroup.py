@@ -53,7 +53,6 @@ _FAULHABER = [
 ]
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 _SPLIT_WINDOW = 1 << 16
 # A B-bit integer prints to decimal, or is built from B-bit products and
 # reduced by a gcd, in about (B / _PRINT_BITS)^2 times the time of a
@@ -100,8 +99,11 @@ class PSemigroup(Record):
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The non-members, ascending; all lie below the conductor."""
-        return tuple(_gap_walk(self))
+        """The non-members, ascending; all lie below the conductor.  Read
+        off the membership flags at C level, each "0" a true byte."""
+        flags = _member_flags(self, self.conductor)
+        outside = flags.translate(bytes.maketrans(b"01", b"\x01\x00"))
+        return tuple(compress(range(self.conductor), outside))
 
 
 def _member_flags(sp: PSemigroup, length: int) -> bytearray:
@@ -114,12 +116,6 @@ def _member_flags(sp: PSemigroup, length: int) -> bytearray:
         if m < length:
             flags[m::a] = b"1" * len(range(m, length, a))
     return flags
-
-
-def _gap_walk(sp: PSemigroup) -> Iterator[int]:
-    """The gaps, ascending, read off the membership flags at C level."""
-    outside = _member_flags(sp, sp.conductor).translate(_GAP_FLAGS)
-    return compress(range(sp.conductor), outside)
 
 
 def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:
@@ -420,24 +416,26 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
 def gap_count(sp: PSemigroup) -> int:
     """Number of gaps, in O(a): class j holds kunz_j of them.  Compared
     with Selmer's genus formula on every call."""
-    return _checked_by_formula(sp, 0, sum(sp.kunz), "genus")
+    return _checked_by_formula(sp, [sum(sp.kunz)])[0]
 
 
 def gap_sum(sp: PSemigroup) -> int:
     """Sum of the gaps, in O(a): those of class j are j, j + a, ...,
     j + (kunz_j - 1)*a.  Compared with Selmer's gap-sum formula on every
-    call."""
+    call, as is the genus it is read beside."""
     a = sp.modulus
     direct = sum(j * k + a * k * (k - 1) // 2 for j, k in enumerate(sp.kunz))
-    return _checked_by_formula(sp, 1, direct, "gap-sum")
+    return _checked_by_formula(sp, [sum(sp.kunz), direct])[1]
 
 
-def _checked_by_formula(sp: PSemigroup, mu: int, direct: int, name: str) -> int:
-    formula = _power_sum_formula(sp, mu)
-    if formula != direct:
-        raise InternalCheckError(
-            f"{name} mismatch: by class {direct}, formula {formula}"
-        )
+def _checked_by_formula(sp: PSemigroup, direct: list[int]) -> list[int]:
+    """``direct``, the gap power sums at mu < len(direct) summed by class,
+    once each row equals the formula's value from one power-sum table."""
+    for mu, (total, formula) in enumerate(zip(direct, _power_sum_formula(sp, len(direct)))):
+        if formula != total:
+            raise InternalCheckError(
+                f"power sum at mu = {mu} mismatch: by class {total}, formula {formula}"
+            )
     return direct
 
 
@@ -463,7 +461,7 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     arithmetic is mandatory; a non-integer final value is a hard failure.
     """
     check_power(mu)
-    total = _power_sum_formula(sp, mu)
+    total = _power_sum_formula(sp, mu + 1)[mu]
     if total.denominator != 1 or total < 0:
         raise InternalCheckError(
             f"power-sum formula produced a non-integer or negative value: {total}"
@@ -471,17 +469,24 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     return int(total)
 
 
-def _power_sum_formula(sp: PSemigroup, mu: int) -> Fraction:
-    """``power_sum_bernoulli``'s formula at mu, summed as one integer over
-    the common denominator a * (mu + 1) * _BERNOULLI_DEN; Selmer's genus
-    and gap-sum forms are its values at mu = 0 and mu = 1."""
-    a = sp.modulus
-    m = sp.apery_by_residue
-    total = a * _BERNOULLI[mu + 1] * (a ** (mu + 1) - 1)
-    for kappa in range(mu + 1):
-        s = sum(map(pow, m, repeat(mu + 1 - kappa)))
-        total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * a**kappa * s
-    return Fraction(total, a * (mu + 1) * _BERNOULLI_DEN)
+def _power_sum_formula(sp: PSemigroup, rows: int) -> list[Fraction]:
+    """``power_sum_bernoulli``'s formula at every mu < rows, each summed as
+    one integer over the common denominator a * (mu + 1) * _BERNOULLI_DEN,
+    from one table of the power sums S_1..S_rows of the minima: the column
+    of their e-th powers is the (e - 1)-th times the minima.  Selmer's
+    genus and gap-sum forms are its values at mu = 0 and mu = 1."""
+    a, minima = sp.modulus, sp.apery_by_residue
+    sums, column = [a, sum(minima)], minima  # S_0 = a, the number of minima
+    for _ in range(1, rows):
+        column = list(map(mul, column, minima))
+        sums.append(sum(column))
+    values = []
+    for mu in range(rows):
+        total = a * _BERNOULLI[mu + 1] * (a ** (mu + 1) - 1)
+        for kappa in range(mu + 1):
+            total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * a**kappa * sums[mu + 1 - kappa]
+        values.append(Fraction(total, a * (mu + 1) * _BERNOULLI_DEN))
+    return values
 
 
 def gap_power_sums(
@@ -492,8 +497,9 @@ def gap_power_sums(
     rows are empty without one.  Every row is read off the class minima:
     the gaps of class j are j + t*a for t < kunz_j, and nothing F-sized is
     built.  The exponent is checked and the weighted rows are charged
-    before any row is summed; each direct row is checked against
-    ``power_sum_bernoulli``'s formula.
+    before any row is summed; the direct rows are checked against
+    ``power_sum_bernoulli``'s formula, all from one table of the power
+    sums of the minima.
 
     With weight num/den and z = weight^a, class j's weighted gaps sum to
     G(j) - G(m_j), G(x) = sum over t >= 0 of weight^(x + t*a) * (x + t*a)^mu,
@@ -541,10 +547,7 @@ def gap_power_sums(
             rows * (steps + prints) + unreduced,
             f"4096-bit blocks of weighted sums over F = {sp.frobenius}",
         )
-    direct = [
-        _checked_by_formula(sp, mu, total, f"power sum at mu = {mu}")
-        for mu, total in enumerate(_class_power_sums(sp, rows, 1))
-    ]
+    direct = _checked_by_formula(sp, _class_power_sums(sp, rows, 1))
     if weight is None:
         return direct, []
     return direct, _weighted_power_sums(sp, rows, num, den)

@@ -13,7 +13,9 @@ round-robin one; the flag-scan minima modulo g and the mirrored member
 mask are the library's former F-sized routes, kept likewise, and the
 window scan the library's former residue-pairing check.  The per-row power
 sums are the library's former one-walk-per-row power sums, kept as
-references for ``gap_power_sums``' shared walk.
+references for ``gap_power_sums``' shared walk.  ``jsonify`` is the CLI's
+former copy of each document into JSON primitives, kept as the reference
+for rendering the document as it is built.
 """
 
 from __future__ import annotations
@@ -354,3 +356,15 @@ def set_cofinite_doc(below: Iterable[int], all_from: int, expand: bool) -> dict[
         all_from -= 1
         items.pop()
     return {"below": set_finite_doc(items, expand), "all_from": all_from}
+
+
+def jsonify(value: Any) -> Any:
+    """Recursively convert to JSON-stable primitives: a ``Fraction``
+    becomes "num/den", a tuple a list, a key a ``str``."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {str(k): jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value

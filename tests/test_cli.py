@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import acceptance_instances
 from oracles import (
     interval_runs,
+    jsonify,
     set_cofinite_doc,
     set_finite_doc,
     set_hlk_sets,
@@ -25,6 +26,7 @@ from oracles import (
 )
 from psemigroups import cli, semigroup
 from psemigroups import (
+    InternalCheckError,
     as_generator_set,
     build,
     classify,
@@ -122,32 +124,71 @@ _LEAVES = (
     | st.integers()
     | _HUGE
     | st.fractions()
+    | st.integers().map(Fraction)
     | st.builds(Fraction, _HUGE, st.integers(1, 10**6))
     | _KEYS
 )
 _VALUES = st.recursive(
     _LEAVES,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
     max_leaves=12,
 )
-
-
-@settings(max_examples=200)
-@given(
-    doc=st.dictionaries(_KEYS, _VALUES, max_size=6)
+_ROWS = st.lists(st.dictionaries(_KEYS, _VALUES, max_size=3), min_size=1, max_size=3)
+_DOCS = (
+    st.dictionaries(_KEYS, _VALUES, max_size=6)
     | st.builds(lambda d: {**d, "rows": []}, st.dictionaries(_KEYS, _VALUES, max_size=3))
+    | st.builds(
+        lambda d, rows: {**d, "rows": rows},
+        st.dictionaries(_KEYS, _VALUES, max_size=3),
+        _ROWS | _ROWS.map(tuple),
+    )
 )
-def test_json_is_written_as_json_dumps_writes_it(doc):
+
+
+def _emitted(doc, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.emit(doc, "json")
+        cli.emit(doc, fmt)
+    return out.getvalue()
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the int -> str digit limit, as ``emit`` does while it writes."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        expected = json.dumps(cli.jsonify(doc), sort_keys=True, separators=(",", ":"))
+        yield
     finally:
         sys.set_int_max_str_digits(saved)
-    assert out.getvalue() == expected + "\n"
+
+
+@settings(max_examples=200)
+@given(doc=_DOCS)
+def test_json_is_written_as_json_dumps_writes_it(doc):
+    with _no_digit_limit():
+        expected = json.dumps(jsonify(doc), sort_keys=True, separators=(",", ":"))
+    assert _emitted(doc, "json") == expected + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pretty"])
+@settings(max_examples=150)
+@given(doc=_DOCS)
+def test_tsv_and_pretty_render_the_document_as_jsonify_would(fmt, doc):
+    # Fractions, integral ones too, print as "num/den" and tuples as lists,
+    # with no converted copy of the document
+    with _no_digit_limit():
+        reference = jsonify(doc)
+    assert _emitted(doc, fmt) == _emitted(reference, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_emit_refuses_what_json_cannot_encode(fmt):
+    # pretty writes each leaf by str(), so only the encoder can refuse
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        _emitted({"rows": [{"x": [object()]}]}, fmt)
 
 
 class _CountedWriter(io.TextIOWrapper):
@@ -158,14 +199,20 @@ class _CountedWriter(io.TextIOWrapper):
         return super().write(text)
 
 
-def test_analyze_peak_memory_is_bounded_by_its_output():
+@pytest.mark.parametrize(
+    "options, ratio",
+    [((), 2), (("--format", "pretty"), 2), (("--expand", "--format", "pretty"), 4)],
+    ids=["json", "pretty", "expand-pretty"],
+)
+def test_analyze_peak_memory_is_bounded_by_its_output(options, ratio):
     # F = 206 843: the rendered sets, not the class minima, set the peak
-    # here, and the output is all ASCII, so its length is its size in bytes
+    # here, and the output is all ASCII, so its length is its size in bytes;
+    # expanded, each listed int outweighs its printed line
     out = _CountedWriter(open(os.devnull, "wb"))
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(out):
-            code = main(["analyze", "--gens", "1009,1013,1019", "--p", "0"])
+            code = main(["analyze", "--gens", "1009,1013,1019", "--p", "0", *options])
             out.flush()
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -173,7 +220,7 @@ def test_analyze_peak_memory_is_bounded_by_its_output():
         out.close()
     assert code == EXIT_OK
     assert out.written > 10**6
-    assert peak <= 2 * out.written
+    assert peak <= ratio * out.written
 
 
 @settings(max_examples=150)
@@ -1141,6 +1188,43 @@ def test_each_command_builds_membership_flags_at_most_once(capsys, monkeypatch, 
     code, out = run_cli(capsys, *argv.split())
     assert code == EXIT_OK and out
     assert len(lengths) == builds
+
+
+@pytest.mark.parametrize("weight", ["", " --weight 2/3", " --weight -1"])
+def test_sums_builds_the_minima_power_sums_once(capsys, monkeypatch, weight):
+    # one table of S_1..S_9 checks every direct row, and each checked value
+    # is printed in both columns
+    calls = []
+    power_sum_formula = semigroup._power_sum_formula
+
+    def spy(sp, rows):
+        calls.append(rows)
+        return power_sum_formula(sp, rows)
+
+    monkeypatch.setattr(semigroup, "_power_sum_formula", spy)
+    code, out = run_cli(capsys, *f"sums --gens 6,7,17 --p 14 --mu 8{weight}".split())
+    assert code == EXIT_OK
+    assert calls == [9]
+    rows = json.loads(out)["rows"]
+    assert [row["direct"] for row in rows] == [row["from_apery"] for row in rows]
+    assert rows[8]["direct"] == sum(n**8 for n in build((6, 7, 17), 14).gaps)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+@pytest.mark.parametrize("weight", ["", " --weight 2/3"])
+def test_sums_prints_no_row_when_a_check_fails(capsys, monkeypatch, fmt, weight):
+    # the direct route off by one in its last row: the call ends in the
+    # check's error before anything is written
+    class_power_sums = semigroup._class_power_sums
+
+    def last_row_off_by_one(sp, rows, sign):
+        return [*class_power_sums(sp, rows - 1, sign), class_power_sums(sp, rows, sign)[-1] + 1]
+
+    monkeypatch.setattr(semigroup, "_class_power_sums", last_row_off_by_one)
+    argv = f"sums --gens 6,7,17 --p 14 --mu 8 --format {fmt}{weight}".split()
+    with pytest.raises(InternalCheckError, match="power sum at mu = 8 mismatch"):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_default_cap_refuses_a_slow_series_quickly(capsys, monkeypatch):

@@ -180,13 +180,13 @@ def test_module_reads_no_private_name_of_another(path):
 
 def test_private_reads_are_found():
     source = (
-        "from .semigroup import _gap_walk, build\n"
+        "from .semigroup import _round_robin, build\n"
         "from . import semigroup as sg\n"
         "import sys\n"
         "sg._member_flags(sp, 1)\n"
         "sys.__name__, sp._private, sg.build\n"
     )
-    assert _private_reads(source) == [(1, "_gap_walk"), (4, "sg._member_flags")]
+    assert _private_reads(source) == [(1, "_round_robin"), (4, "sg._member_flags")]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from psemigroups import (
     CapExceededError,
     DenumerantTable,
     GeneratorSet,
+    InternalCheckError,
     PreconditionError,
     build,
     build_range,
@@ -44,6 +45,7 @@ from psemigroups.semigroup import (
     _minima_from_lists,
     _minima_from_table,
     _split_positions,
+    _validate,
     bit_positions,
 )
 
@@ -253,6 +255,60 @@ def test_minima_modulo_checks_its_scan_against_the_cap(monkeypatch):
 def test_gap_count_and_sum_match_power_sums():
     sp = build((8, 4, 5, 6), 8)
     assert [gap_count(sp), gap_sum(sp)] == gap_power_sums(sp, 1)[0] == [26, 328]
+
+
+def _forged(sp, **fields):
+    """``sp`` with the given fields replaced, none of them checked."""
+    return semigroup.PSemigroup(*(fields.get(f, getattr(sp, f)) for f in sp.__slots__))
+
+
+@pytest.mark.parametrize("gens, p", [((2, 3), 0), ((8, 4, 5, 6), 8), ((6, 7, 17), 14)])
+def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens, p):
+    # one more gap in class 1 shifts every row summed by class, not the
+    # formula over the minima; so does a direct route off by one in its
+    # last row alone
+    sp = build(gens, p)
+    kunz = list(sp.kunz)
+    kunz[1] += 1
+    shifted = _forged(sp, kunz=tuple(kunz))
+    for check in (gap_count, gap_sum, lambda sp: gap_power_sums(sp, 8, Fraction(2, 3))):
+        with pytest.raises(InternalCheckError, match="power sum at mu = 0 mismatch"):
+            check(shifted)
+    class_power_sums = semigroup._class_power_sums
+
+    def last_row_off_by_one(sp, rows, sign):
+        return [*class_power_sums(sp, rows - 1, sign), class_power_sums(sp, rows, sign)[-1] + 1]
+
+    monkeypatch.setattr(semigroup, "_class_power_sums", last_row_off_by_one)
+    with pytest.raises(InternalCheckError, match="power sum at mu = 8 mismatch"):
+        gap_power_sums(sp, 8)
+    assert (gap_count(sp), gap_sum(sp)) == (len(sp.gaps), sum(sp.gaps))
+
+
+def test_power_sum_bernoulli_refuses_a_non_integer_value():
+    # minima (0, 2) modulo 2 are not a numerical semigroup's: the genus
+    # formula reads 2/2 - 1/2
+    forged = _forged(build((2, 3), 0), apery_by_residue=(0, 2))
+    with pytest.raises(InternalCheckError, match="non-integer or negative value: 1/2"):
+        power_sum_bernoulli(forged, 0)
+
+
+@pytest.mark.parametrize(
+    "minima, message",
+    [
+        ((0, 10), "class minima do not cover all residues"),
+        ((0, 10, 6), "class minimum 6 is not in class 2"),
+        ((0, -2, 5), "negative Kunz coordinate"),
+        ((0, 13, 5), "class minimum 13 exceeds 5 \\+ 5"),
+    ],
+)
+def test_validate_refuses_forged_minima(minima, message):
+    # each forgery of {3,5}'s minima (0, 10, 5) breaks one check
+    gens = GeneratorSet((3, 5))
+    assert build(gens, 0).apery_by_residue == (0, 10, 5)
+    _validate(gens, (0, 10, 5))
+    with pytest.raises(InternalCheckError, match=message):
+        _validate(gens, minima)
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
