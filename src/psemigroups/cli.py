@@ -4,8 +4,9 @@ Output formats: json (stable byte-for-byte: sorted keys, compact separators,
 rationals as "num/den" strings), tsv, and pretty.  Finite sets serialize as
 run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
-here; every command is a thin adapter over the library.  ``arf`` and
-``identities`` are imported inside the handlers that call them, so the
+here; every command is a thin adapter over the library: its handler
+returns the document and exit code, and ``main`` writes the document.
+``arf`` and ``identities`` are imported where they are called, so the
 other commands never load them.
 
 Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3
@@ -21,12 +22,11 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
-from .exactmath import verify_eulerian_gf
 from .reports import Report
 from .semigroup import (
     bit_positions,
@@ -122,30 +122,48 @@ def _encode_fraction(value: Any) -> str:
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction).encode
 
 
+# emit joins short pieces of output into writes of at most this many
+# characters: with stdout unbuffered (python -u, PYTHONUNBUFFERED), each
+# write is a system call.
+_WRITE_SIZE = 1 << 16
+
+
 def emit(doc: dict[str, Any], fmt: str) -> None:
+    """Write ``doc`` to stdout in ``fmt``, short pieces joined into writes
+    of at most _WRITE_SIZE characters.  A longer piece is written alone, not
+    copied into a join."""
     # Exact rationals (a weighted power sum's den^F) can outgrow Python's
     # int -> str digit limit: lift it while rendering only, so that parsing
     # outside input keeps it.
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
+    write, batch, size = sys.stdout.write, [], 0
     try:
-        if fmt == "json":
-            # Not json.dumps(doc): that holds the document, its escaped
-            # pieces, the joined string and its encoded bytes at once, several
-            # times the output at analyze's sizes.  Each top-level value goes
-            # through the one-shot encoder and is written before the next.
-            write = sys.stdout.write
-            write("{")
-            for i, key in enumerate(sorted(doc)):
-                write(f"{',' if i else ''}{_json(key)}:")
-                write(_json(doc[key]))
-            write("}\n")
-        else:
-            lines = _tsv_lines(doc) if fmt == "tsv" else _pretty_lines(doc, indent=0)
-            for line in lines:
-                print(line)
+        for piece in {"json": _json_pieces, "tsv": _tsv_lines}.get(fmt, _pretty_lines)(doc):
+            if batch and size + len(piece) > _WRITE_SIZE:
+                write("".join(batch))
+                batch, size = [], 0
+            if len(piece) >= _WRITE_SIZE:
+                write(piece)
+            else:
+                batch.append(piece)
+                size += len(piece)
+        if batch:
+            write("".join(batch))
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def _json_pieces(doc: dict[str, Any]) -> Iterator[str]:
+    """``doc`` as json.dumps would write it.  Not json.dumps(doc): that
+    holds the document, its escaped pieces, the joined string and its
+    encoded bytes at once, several times the output at analyze's sizes.
+    Each top-level value goes through the one-shot encoder on its own."""
+    yield "{"
+    for i, key in enumerate(sorted(doc)):
+        yield f"{',' if i else ''}{_json(key)}:"
+        yield _json(doc[key])
+    yield "}\n"
 
 
 def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
@@ -153,18 +171,21 @@ def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
     "rows" is written as a table below the other keys instead."""
     rows = doc.get("rows")
     table = isinstance(rows, (list, tuple)) and rows and all(isinstance(r, dict) for r in rows)
+    # a line and its newline apart, so that a long line is not copied to end it
     for k in sorted(doc):
         if not (table and k == "rows"):
             yield f"{k}\t{_scalar(doc[k])}"
+            yield "\n"
     if table:
         columns = sorted(rows[0])
         for lead in ("mu", "p"):
             if lead in columns:
                 columns.remove(lead)
                 columns.insert(0, lead)
-        yield "\t".join(columns)
+        yield "\t".join(columns) + "\n"
         for row in rows:
             yield "\t".join(_scalar(row.get(c)) for c in columns)
+            yield "\n"
 
 
 def _scalar(value: Any) -> str:
@@ -177,25 +198,25 @@ def _scalar(value: Any) -> str:
     return str(value)
 
 
-def _pretty_lines(value: Any, indent: int) -> Iterator[str]:
+def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
     if isinstance(value, dict):
         for k in sorted(value):
             v = value[k]
             if isinstance(v, (dict, list, tuple)) and v:
-                yield f"{pad}{k}:"
+                yield f"{pad}{k}:\n"
                 yield from _pretty_lines(v, indent + 1)
             else:
-                yield f"{pad}{k}: {_scalar(v)}"
+                yield f"{pad}{k}: {_scalar(v)}\n"
     elif isinstance(value, (list, tuple)):
         for v in value:
             if isinstance(v, (dict, list, tuple)):
-                yield f"{pad}-"
+                yield f"{pad}-\n"
                 yield from _pretty_lines(v, indent + 1)
             else:
-                yield f"{pad}- {_scalar(v)}"
+                yield f"{pad}- {_scalar(v)}\n"
     else:
-        yield f"{pad}{_scalar(value)}"
+        yield f"{pad}{_scalar(value)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +284,18 @@ def _parse_weight(text: str | None) -> Fraction | None:
     return weight
 
 
-def _single_p(values: range) -> int:
+def _parse_p(text: str) -> int:
+    values = _parse_p_range(text)
     if len(values) != 1:
         raise PreconditionError("this command takes a single p, not a range")
     return values[0]
+
+
+def _parse_fields(text: str) -> list[str]:
+    fields = [f.strip() for f in text.split(",") if f.strip()]
+    if not fields:
+        raise PreconditionError("--field must name at least one field")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +333,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "h_set": h_set,
         "l_set": finite_set_doc(l, expand),
         "k_set": {"below": k_below, "all_from": h.bit_length()},
-        "symmetric": report.symmetric,
-        "pseudo_symmetric": report.pseudo_symmetric,
-        "almost_symmetric": report.almost_symmetric,
-        "completely_symmetric": report.completely_symmetric,
+        **_symmetry_flags(report),
         "pattern": sym_mod.detect_pattern(sp),
         "arf": is_arf(sp).passed,
     }
@@ -317,8 +343,10 @@ _TABLE_FIELDS = {
     "frobenius": lambda sp: sp.frobenius,
     "multiplicity": lambda sp: sp.multiplicity,
     "conductor": lambda sp: sp.conductor,
-    "genus": gap_count,
-    "sylvester_sum": gap_sum,
+    # each library function looked up when called, so that a wrapper put in
+    # this namespace in its place is the one called
+    "genus": lambda sp: gap_count(sp),
+    "sylvester_sum": lambda sp: gap_sum(sp),
     "type": lambda sp: sym_mod.type_p(sp),
 }
 
@@ -329,29 +357,20 @@ def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> di
             raise PreconditionError(
                 f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}"
             )
-    rows = []
-    for sp in build_range(gens, p_values):
-        row: dict[str, Any] = {"p": sp.p}
-        for f in fields:
-            row[f] = _TABLE_FIELDS[f](sp)
-        rows.append(row)
+    rows = [{"p": sp.p, **{f: _TABLE_FIELDS[f](sp) for f in fields}}
+            for sp in build_range(gens, p_values)]
     return {"generators": list(gens.ordered), "rows": rows}
 
 
 def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
-    rows = []
-    for sp in build_range(gens, p_values):
-        report = sym_mod.classify(sp)
-        rows.append(
-            {
-                "p": sp.p,
-                "symmetric": report.symmetric,
-                "pseudo_symmetric": report.pseudo_symmetric,
-                "almost_symmetric": report.almost_symmetric,
-                "completely_symmetric": report.completely_symmetric,
-            }
-        )
+    rows = [{"p": sp.p, **_symmetry_flags(sym_mod.classify(sp))}
+            for sp in build_range(gens, p_values)]
     return {"generators": list(gens.ordered), "rows": rows}
+
+
+def _symmetry_flags(report: sym_mod.SymmetryReport) -> dict[str, bool]:
+    flags = ("symmetric", "pseudo_symmetric", "almost_symmetric", "completely_symmetric")
+    return {flag: getattr(report, flag) for flag in flags}
 
 
 def sums_document(
@@ -377,7 +396,7 @@ def sums_document(
 
 
 # ---------------------------------------------------------------------------
-# verify plumbing
+# verifiers
 
 def _report_doc(report: Report) -> dict[str, Any]:
     return {
@@ -389,106 +408,70 @@ def _report_doc(report: Report) -> dict[str, Any]:
     }
 
 
-def _run_verify(args: argparse.Namespace) -> list[Report]:
-    name = args.name
-    if name in ("johnson", "watanabe"):
-        from .identities import verify_johnson, verify_watanabe
+def _call(path: str, *args: Any) -> Any:
+    """Call this package's function "module.name", looked up now, so that a
+    wrapper put in its module in its place is the one called.  Its module
+    is imported first if no command has loaded it yet."""
+    module, name = f"{__package__}.{path}".rsplit(".", 1)
+    __import__(module)
+    return getattr(sys.modules[module], name)(*args)
 
-        fn = verify_johnson if name == "johnson" else verify_watanabe
-        if args.alpha is None or args.beta is None or args.gens is None:
-            raise PreconditionError(f"verify {name} needs --alpha, --beta and --gens")
+
+def _each(path: str) -> Callable[..., list[Report]]:
+    """The rows of a verifier of one instance: one per p of the --p range."""
+    return lambda a, gens: [_call(path, sp) for sp in build_range(gens, _parse_p_range(a.p))]
+
+
+# Every verifier: the flags it needs, in the order its message names them;
+# why it takes only --p 0, if it does; and its rows, from the arguments and
+# the parsed --gens.
+_VERIFIERS: dict[str, tuple[tuple[str, ...], str | None, Callable[..., list[Report]]]] = {
+    "johnson": (("alpha", "beta", "gens"), None, lambda a, gens: _call(
+        "identities.verify_johnson", a.alpha, a.beta, gens, _parse_p_range(a.p))),
+    "watanabe": (("alpha", "beta", "gens"), None, lambda a, gens: _call(
+        "identities.verify_watanabe", a.alpha, a.beta, gens, _parse_p_range(a.p))),
+    "gcd-scaling": (("gens",), None, lambda a, gens: _call(
+        "identities.verify_gcd_scaling", gens, _parse_p_range(a.p))),
+    "symmetry": (("gens",), None, _each("symmetry.verify_symmetry_equivalences")),
+    "pairings": (("gens",), None, _each("symmetry.verify_apery_pairings")),
+    "pf-consequences": (("gens",), None, _each("symmetry.verify_pf_consequences")),
+    "almost-symmetric": (("gens",), None, _each("symmetry.verify_almost_symmetric_equivalences")),
+    "nari": (("gens",), "nari is defined at p = 0", lambda a, gens: [
+        _call("symmetry.verify_nari", gens)]),
+    "arf-heredity": (("a", "b"), "arf-heredity takes its p range from --pmax", lambda a, gens: [
+        _call("arf.verify_arf_heredity", a.a, a.b, a.pmax)]),
+    "arf-kunz": (("gens",), None, _each("arf.verify_arf_conductor_kunz")),
+    "eulerian-gf": (("exponent", "order"), None, lambda a, gens: [
+        _call("exactmath.verify_eulerian_gf", a.exponent, a.order)]),
+}
+
+
+def _verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    """The rows of the named verifier and the exit code they give.  A
+    verifier of --gens names its missing flags and parses --gens before it
+    reads --p; the others read --p first."""
+    needs, only_p0, rows = _VERIFIERS[args.name]
+    *head, last = [f"--{flag}" for flag in needs]
+    missing = any(getattr(args, flag) is None for flag in needs)
+    refusal = f"verify {args.name} needs {', '.join(head) + ' and ' if head else ''}{last}"
+    gens = None
+    if "gens" in needs:
+        if missing:
+            raise PreconditionError(refusal)
         gens = _parse_gens(args.gens)
-        return fn(args.alpha, args.beta, gens, _parse_p_range(args.p))
-    if name == "gcd-scaling":
-        from .identities import verify_gcd_scaling
-
-        gens = _parse_gens(_required(args, "gens"))
-        return verify_gcd_scaling(gens, _parse_p_range(args.p))
-    if name in ("symmetry", "pairings", "pf-consequences", "almost-symmetric", "arf-kunz"):
-        gens = _parse_gens(_required(args, "gens"))
-        if name == "arf-kunz":
-            from .arf import verify_arf_conductor_kunz as fn
-        else:
-            fn = {
-                "symmetry": sym_mod.verify_symmetry_equivalences,
-                "pairings": sym_mod.verify_apery_pairings,
-                "pf-consequences": sym_mod.verify_pf_consequences,
-                "almost-symmetric": sym_mod.verify_almost_symmetric_equivalences,
-            }[name]
-        return [fn(sp) for sp in build_range(gens, _parse_p_range(args.p))]
-    if name == "nari":
-        gens = _parse_gens(_required(args, "gens"))
-        _only_p0(args, "nari is defined at p = 0")
-        return [sym_mod.verify_nari(gens)]
-    if name == "arf-heredity":
-        from .arf import verify_arf_heredity
-
-        _only_p0(args, "arf-heredity takes its p range from --pmax")
-        if args.a is None or args.b is None:
-            raise PreconditionError("verify arf-heredity needs --a and --b")
-        return [verify_arf_heredity(args.a, args.b, args.pmax)]
-    if name == "eulerian-gf":
-        if args.exponent is None or args.order is None:
-            raise PreconditionError("verify eulerian-gf needs --exponent and --order")
-        return [verify_eulerian_gf(args.exponent, args.order)]
-    raise PreconditionError(f"unknown verifier {name!r}")
-
-
-def _required(args: argparse.Namespace, field: str) -> str:
-    value = getattr(args, field, None)
-    if value is None:
-        raise PreconditionError(f"verify {args.name} needs --{field}")
-    return value
-
-
-def _only_p0(args: argparse.Namespace, reason: str) -> None:
-    if _parse_p_range(args.p) != range(1):
-        raise PreconditionError(f"verify {args.name} takes only --p 0: {reason}")
+    if only_p0 and _parse_p_range(args.p) != range(1):
+        raise PreconditionError(f"verify {args.name} takes only --p 0: {only_p0}")
+    if missing:
+        raise PreconditionError(refusal)
+    docs = [_report_doc(r) for r in rows(args, gens)]
+    code = verify_exit_code(docs)
+    return {"rows": docs, "passed": code == EXIT_OK}, code
 
 
 def verify_exit_code(docs: list[dict[str, Any]]) -> int:
     """A verify run fails when some applicable row did not pass."""
     failed = any(doc["applicable"] and not doc["passed"] for doc in docs)
     return EXIT_VERIFIER_FAILED if failed else EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    gens = _parse_gens(args.gens)
-    p = _single_p(_parse_p_range(args.p))
-    emit(analyze_document(gens, p, expand=args.expand), args.format)
-    return EXIT_OK
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    gens = _parse_gens(args.gens)
-    fields = [f.strip() for f in args.field.split(",") if f.strip()]
-    if not fields:
-        raise PreconditionError("--field must name at least one field")
-    emit(table_document(gens, _parse_p_range(args.p), fields), args.format)
-    return EXIT_OK
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    gens = _parse_gens(args.gens)
-    emit(classify_document(gens, _parse_p_range(args.p)), args.format)
-    return EXIT_OK
-
-
-def _cmd_sums(args: argparse.Namespace) -> int:
-    gens = _parse_gens(args.gens)
-    p = _single_p(_parse_p_range(args.p))
-    emit(sums_document(gens, p, args.mu, _parse_weight(args.weight)), args.format)
-    return EXIT_OK
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    docs = [_report_doc(r) for r in _run_verify(args)]
-    code = verify_exit_code(docs)
-    emit({"rows": docs, "passed": code == EXIT_OK}, args.format)
-    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,51 +489,37 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="full report for one (gens, p)")
     common(analyze)
     analyze.add_argument("--expand", action="store_true", help="emit sets as integer arrays")
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler=lambda a: (
+        analyze_document(_parse_gens(a.gens), _parse_p(a.p), expand=a.expand), EXIT_OK))
 
     table = sub.add_parser("table", help="per-p rows of selected fields")
     common(table)
     table.add_argument("--field", default="frobenius", help="comma-separated field names")
-    table.set_defaults(handler=_cmd_table)
+    # --field is parsed before --p
+    table.set_defaults(handler=lambda a: (table_document(
+        _parse_gens(a.gens), fields=_parse_fields(a.field), p_values=_parse_p_range(a.p)
+    ), EXIT_OK))
 
     classify = sub.add_parser("classify", help="per-p symmetry flags")
     common(classify)
-    classify.set_defaults(handler=_cmd_classify)
+    classify.set_defaults(handler=lambda a: (
+        classify_document(_parse_gens(a.gens), _parse_p_range(a.p)), EXIT_OK))
 
     sums = sub.add_parser("sums", help="gap power sums (direct and from class minima)")
     common(sums)
     sums.add_argument("--mu", type=int, default=3, help="largest exponent to report")
     sums.add_argument("--weight", default=None, help='optional rational weight "num/den"')
-    sums.set_defaults(handler=_cmd_sums)
+    sums.set_defaults(handler=lambda a: (sums_document(
+        _parse_gens(a.gens), _parse_p(a.p), a.mu, _parse_weight(a.weight)), EXIT_OK))
 
     verify = sub.add_parser("verify", help="run a named verifier")
-    verify.add_argument(
-        "name",
-        choices=(
-            "johnson",
-            "watanabe",
-            "gcd-scaling",
-            "symmetry",
-            "pairings",
-            "pf-consequences",
-            "almost-symmetric",
-            "nari",
-            "arf-heredity",
-            "arf-kunz",
-            "eulerian-gf",
-        ),
-    )
+    verify.add_argument("name", choices=_VERIFIERS)
     verify.add_argument("--gens", default=None)
     verify.add_argument("--p", default="0")
-    verify.add_argument("--alpha", type=int, default=None)
-    verify.add_argument("--beta", type=int, default=None)
-    verify.add_argument("--a", type=int, default=None)
-    verify.add_argument("--b", type=int, default=None)
-    verify.add_argument("--pmax", type=int, default=5)
-    verify.add_argument("--exponent", type=int, default=None)
-    verify.add_argument("--order", type=int, default=None)
+    for flag in ("alpha", "beta", "a", "b", "pmax", "exponent", "order"):
+        verify.add_argument(f"--{flag}", type=int, default=None)
     verify.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler=_verify, pmax=5)
 
     return parser
 
@@ -585,7 +554,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        code = args.handler(args)
+        doc, code = args.handler(args)
+        emit(doc, args.format)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

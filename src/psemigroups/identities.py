@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import PreconditionError
@@ -61,26 +61,32 @@ def _scaling_instances(
     return B, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
 
 
-def _scaling_report(
+def _scaling_reports(
     identity: str,
     alpha: int,
     beta: int,
-    B: GeneratorSet,
-    p: int,
-    lhs: dict[str, Any],
-    rhs: dict[str, Any],
-) -> Report:
-    return Report(
-        "identity",
-        passed=lhs == rhs,
-        details={
-            "identity": identity,
-            "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": p},
-            "lhs": lhs,
-            "rhs": rhs,
-            "extras": {},
-        },
-    )
+    base: GeneratorSet | Iterable[int],
+    p_values: range,
+    sides: Callable[[PSemigroup, PSemigroup], tuple[dict, dict]],
+) -> list[Report]:
+    """One report per p of ``p_values``: ``sides(scaled, unscaled)`` gives
+    the identity's two sides, which pass when they are equal."""
+    B, pairs = _scaling_instances(alpha, beta, base, p_values)
+    return [
+        Report(
+            "identity",
+            passed=lhs == rhs,
+            details={
+                "identity": identity,
+                "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": scaled.p},
+                "lhs": lhs,
+                "rhs": rhs,
+                "extras": {},
+            },
+        )
+        for scaled, unscaled in pairs
+        for lhs, rhs in [sides(scaled, unscaled)]
+    ]
 
 
 def verify_johnson(
@@ -92,22 +98,14 @@ def verify_johnson(
         frobenius(alpha, beta*B) = beta * frobenius(alpha, B) + (beta-1) * alpha
         genus(alpha, beta*B)     = beta * genus(alpha, B) + (alpha-1)(beta-1)/2
     """
-    B, pairs = _scaling_instances(alpha, beta, base, p_values)
-    return [
-        _scaling_report(
-            "johnson",
-            alpha,
-            beta,
-            B,
-            scaled.p,
-            {"frobenius": scaled.frobenius, "genus": gap_count(scaled)},
-            {
-                "frobenius": beta * unscaled.frobenius + (beta - 1) * alpha,
-                "genus": beta * gap_count(unscaled) + (alpha - 1) * (beta - 1) // 2,
-            },
-        )
-        for scaled, unscaled in pairs
-    ]
+    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict]:
+        lhs = {"frobenius": scaled.frobenius, "genus": gap_count(scaled)}
+        return lhs, {
+            "frobenius": beta * unscaled.frobenius + (beta - 1) * alpha,
+            "genus": beta * gap_count(unscaled) + (alpha - 1) * (beta - 1) // 2,
+        }
+
+    return _scaling_reports("johnson", alpha, beta, base, p_values, sides)
 
 
 def verify_watanabe(
@@ -115,25 +113,14 @@ def verify_watanabe(
 ) -> list[Report]:
     """Symmetry is preserved under scaling the base by beta, and the least
     member scales by exactly beta, for every p of ``p_values``."""
-    B, pairs = _scaling_instances(alpha, beta, base, p_values)
-    return [
-        _scaling_report(
-            "watanabe",
-            alpha,
-            beta,
-            B,
-            scaled.p,
-            {
-                "symmetric": classify(scaled).symmetric,
-                "multiplicity": scaled.multiplicity,
-            },
-            {
-                "symmetric": classify(unscaled).symmetric,
-                "multiplicity": beta * unscaled.multiplicity,
-            },
-        )
-        for scaled, unscaled in pairs
-    ]
+    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict]:
+        lhs = {"symmetric": classify(scaled).symmetric, "multiplicity": scaled.multiplicity}
+        return lhs, {
+            "symmetric": classify(unscaled).symmetric,
+            "multiplicity": beta * unscaled.multiplicity,
+        }
+
+    return _scaling_reports("watanabe", alpha, beta, base, p_values, sides)
 
 
 def _as_int_if_integral(x: Fraction) -> int | Fraction:

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,16 +194,23 @@ def test_emit_refuses_what_json_cannot_encode(fmt):
 
 class _CountedWriter(io.TextIOWrapper):
     written = 0
+    writes = 0
 
     def write(self, text):
         self.written += len(text)
+        self.writes += 1
         return super().write(text)
 
 
 @pytest.mark.parametrize(
     "options, ratio",
-    [((), 2), (("--format", "pretty"), 2), (("--expand", "--format", "pretty"), 4)],
-    ids=["json", "pretty", "expand-pretty"],
+    [
+        ((), 2),
+        (("--format", "tsv"), 2),
+        (("--format", "pretty"), 2),
+        (("--expand", "--format", "pretty"), 4),
+    ],
+    ids=["json", "tsv", "pretty", "expand-pretty"],
 )
 def test_analyze_peak_memory_is_bounded_by_its_output(options, ratio):
     # F = 206 843: the rendered sets, not the class minima, set the peak
@@ -221,6 +229,37 @@ def test_analyze_peak_memory_is_bounded_by_its_output(options, ratio):
     assert code == EXIT_OK
     assert out.written > 10**6
     assert peak <= ratio * out.written
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_output_is_written_in_large_pieces(fmt):
+    # with stdout unbuffered every write is a system call: the expanded
+    # sets' lines (about six characters each) are joined into writes of at
+    # most 64 KiB, and a longer piece is written alone
+    out = _CountedWriter(open(os.devnull, "wb"))
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--gens", "1009,1013,1019", "--p", "0", "--expand", "--format", fmt])
+    finally:
+        out.close()
+    assert code == EXIT_OK
+    assert out.written > 10**6
+    assert out.writes <= out.written // 2**15 + 40
+
+
+def test_emit_joins_short_pieces_and_writes_a_long_one_alone(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    long = "7" * 2**16
+    cli.emit({"a": 1, "b": long, "c": 2}, "json")
+    assert writes == ['{"a":1,"b":', f'"{long}"', ',"c":2}\n']
+    writes.clear()
+    cli.emit({"rows": [{"p": 0, "v": long}, {"p": 1, "v": 3}]}, "tsv")
+    assert writes == ["p\tv\n", f"0\t{long}", "\n1\t3\n"]
+    writes.clear()
+    cli.emit({"rows": [{"p": p} for p in range(10**5)]}, "tsv")
+    assert "".join(writes) == "p\n" + "".join(f"{p}\n" for p in range(10**5))
+    assert all(2**15 < len(w) <= 2**16 for w in writes[:-1])
 
 
 @settings(max_examples=150)
@@ -953,15 +992,100 @@ def test_bad_input_is_refused_with_exit_3(capsys, monkeypatch, cap, command):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "name", ["symmetry", "pairings", "pf-consequences", "almost-symmetric", "arf-kunz"]
-)
-def test_per_instance_verifiers_name_a_missing_gens(capsys, name):
-    code = main(["verify", name, "--p", "0"])
+# A complete call of each verifier; the flags it needs and the message that
+# names them when one is missing.
+_VERIFIER_CALLS = {
+    "johnson": ("--alpha 8 --beta 3 --gens 4,5,6", "--alpha, --beta and --gens"),
+    "watanabe": ("--alpha 8 --beta 3 --gens 4,5,6", "--alpha, --beta and --gens"),
+    "gcd-scaling": ("--gens 8,12,15,18", "--gens"),
+    "symmetry": ("--gens 8,4,5,6", "--gens"),
+    "pairings": ("--gens 6,7,17", "--gens"),
+    "pf-consequences": ("--gens 4,5,6", "--gens"),
+    "almost-symmetric": ("--gens 6,7,17", "--gens"),
+    "nari": ("--gens 4,5,6", "--gens"),
+    "arf-heredity": ("--a 2 --b 7", "--a and --b"),
+    "arf-kunz": ("--gens 4,5,6", "--gens"),
+    "eulerian-gf": ("--exponent 3 --order 12", "--exponent and --order"),
+}
+
+
+def _without_each_flag():
+    for name, (flags, needs) in _VERIFIER_CALLS.items():
+        tokens = flags.split()
+        for i in range(0, len(tokens), 2):
+            argv = ["verify", name, *tokens[:i], *tokens[i + 2:], "--p", "0"]
+            yield argv, f"verify {name} needs {needs}"
+
+
+_P0_ONLY = {
+    "nari": "verify nari takes only --p 0: nari is defined at p = 0",
+    "arf-heredity": "verify arf-heredity takes only --p 0: arf-heredity takes its p range from --pmax",
+}
+# Two faults at once: each verifier refuses the first it checks.  nari
+# parses --gens before it reads --p, arf-heredity reads --p before it asks
+# for --a and --b.
+_TWO_FAULTS = [
+    ("verify nari --p 1", "verify nari needs --gens"),
+    ("verify nari --gens 4,x --p 1", "could not parse generators from '4,x'"),
+    ("verify nari --p abc", "verify nari needs --gens"),
+    ("verify nari --gens 4,5,6 --p abc", "could not parse p from 'abc'"),
+    ("verify arf-heredity --a 2 --p 1", _P0_ONLY["arf-heredity"]),
+    ("verify arf-heredity --b 7 --p abc", "could not parse p from 'abc'"),
+    ("verify johnson --alpha 8 --gens 4,x --p abc", "verify johnson needs --alpha, --beta and --gens"),
+    ("verify johnson --alpha 8 --beta 3 --gens 4,x --p abc", "could not parse generators from '4,x'"),
+]
+
+
+_USAGE_ERRORS = [
+    *_without_each_flag(),
+    *((["verify", name, *_VERIFIER_CALLS[name][0].split(), "--p", "1"], m) for name, m in _P0_ONLY.items()),
+    *((command.split(), m) for command, m in _TWO_FAULTS),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
+def test_verifier_usage_errors_are_pinned(capsys, argv, message):
+    code = main(argv)
     captured = capsys.readouterr()
-    assert code == EXIT_PRECONDITION
-    assert captured.out == ""
-    assert captured.err == f"error: verify {name} needs --gens\n"
+    assert (code, captured.out, captured.err) == (EXIT_PRECONDITION, "", f"error: {message}\n")
+
+
+def _wrap_as_a_tracer_does(monkeypatch, functions):
+    """Point every name in the package that refers to one of ``functions``
+    at a wrapper that records its calls, as psgbench/tracer.py does; return
+    the list of the called functions' names."""
+    called = []
+    wrappers = {id(fn): lambda *a, fn=fn: called.append(fn.__name__) or fn(*a) for fn in functions}
+    for name, module in list(sys.modules.items()):
+        if name == "psemigroups" or name.startswith("psemigroups."):
+            for key, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, key, wrappers[id(value)])
+    return called
+
+
+@pytest.mark.parametrize("name", _VERIFIER_CALLS)
+def test_each_verifier_call_is_traced(capsys, monkeypatch, name):
+    # the verifier table holds no function: each is looked up when called
+    from psemigroups import arf, exactmath, identities, symmetry
+
+    modules = (arf, exactmath, identities, symmetry)
+    verifiers = [getattr(m, a) for m in modules for a in vars(m) if a.startswith("verify_")]
+    called = _wrap_as_a_tracer_does(monkeypatch, verifiers)
+    code, _ = run_cli(capsys, "verify", name, *_VERIFIER_CALLS[name][0].split())
+    assert code == EXIT_OK
+    assert called
+
+
+def test_each_table_field_call_is_traced(capsys, monkeypatch):
+    # one call of each per p, through the names a tracer points at its wrappers
+    called = _wrap_as_a_tracer_does(monkeypatch, [gap_count, gap_sum])
+    code, _ = run_cli(
+        capsys, "table", "--gens", "128,218,231", "--p", "1..29",
+        "--field", "frobenius,genus,sylvester_sum,type",
+    )
+    assert code == EXIT_OK
+    assert called.count("gap_count") == called.count("gap_sum") == 29
 
 
 def test_stdout_closed_early_exits_1_without_a_traceback():
