@@ -108,9 +108,9 @@ def __getattr__(name: str) -> object:
     module = _LAZY.get(name, name)
     if module not in ("arf", "identities"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = import_module(f"{__name__}.{module}")
+    # __import__, not importlib.import_module, so that -X importtime logs it
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
     if name != module:
         value = getattr(value, name)
     globals()[name] = value

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .denumerant import as_generator_set, charge
 from .errors import PreconditionError
-from .reports import Report
+from .reports import Report, verdicts_report
 from .semigroup import PSemigroup, build, build_range
 
 
@@ -47,21 +47,12 @@ def verify_arf_heredity(a: int, b: int, p_max: int) -> Report:
     gens = as_generator_set((a, b))
     base = is_arf(build(gens, 0))
     if not base.passed:
-        return Report(
-            "verdicts",
-            passed=True,
-            applicable=False,
-            note=f"base instance is not closed (witness {base.details['witness']})",
-            details={"identity": "arf-heredity", "verdicts": {}},
-        )
+        note = f"base instance is not closed (witness {base.details['witness']})"
+        return verdicts_report("arf-heredity", {}, True, False, note)
     verdicts = {"p=0": base.passed} | {
         f"p={sp.p}": is_arf(sp).passed for sp in build_range(gens, range(1, p_max + 1))
     }
-    return Report(
-        "verdicts",
-        passed=all(verdicts.values()),
-        details={"identity": "arf-heredity", "verdicts": verdicts},
-    )
+    return verdicts_report("arf-heredity", verdicts, all(verdicts.values()))
 
 
 def verify_arf_conductor_kunz(sp: PSemigroup) -> Report:
@@ -76,37 +67,24 @@ def verify_arf_conductor_kunz(sp: PSemigroup) -> Report:
     as not applicable, and not passed, when the instance is not closed.
     """
     closure = is_arf(sp)
-    if not closure.passed:
-        return Report(
-            "arf",
-            passed=False,
-            applicable=False,
-            note="not applicable: instance is not closed under x + y - z",
-            details={
-                "is_arf": False,
-                "witness": closure.details["witness"],
-                "apery_checks": None,
-                "kunz_checks": None,
-            },
+    closed = closure.passed
+    apery_checks = kunz_checks = None
+    if closed:
+        a, c = sp.modulus, sp.conductor
+        r = c % a
+        apery_checks = (
+            sp.apery_by_residue[1 % a] == (c + 1 if r == 0 else c - r + a + 1),
+            sp.apery_by_residue[(a - 1) % a] == c - r + a - 1,
         )
-    a, c = sp.modulus, sp.conductor
-    r = c % a
-    expected_first = c + 1 if r == 0 else c - r + a + 1
-    expected_last = c - r + a - 1
-    apery_checks = (
-        sp.apery_by_residue[1 % a] == expected_first,
-        sp.apery_by_residue[(a - 1) % a] == expected_last,
-    )
-    kunz_checks = (
-        sp.kunz[1 % a] == -(-c // a),
-        sp.kunz[(a - 1) % a] == c // a,
-    )
+        kunz_checks = (sp.kunz[1 % a] == -(-c // a), sp.kunz[(a - 1) % a] == c // a)
     return Report(
         "arf",
-        passed=all(apery_checks) and all(kunz_checks),
+        passed=closed and all(apery_checks) and all(kunz_checks),
+        applicable=closed,
+        note="" if closed else "not applicable: instance is not closed under x + y - z",
         details={
-            "is_arf": True,
-            "witness": None,
+            "is_arf": closed,
+            "witness": closure.details["witness"],
             "apery_checks": apery_checks,
             "kunz_checks": kunz_checks,
         },

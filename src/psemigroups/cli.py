@@ -417,31 +417,46 @@ def _call(path: str, *args: Any) -> Any:
     return getattr(sys.modules[module], name)(*args)
 
 
+def _p_values(args: argparse.Namespace) -> range:
+    """The --p range of ``verify``: p = 0 when --p is not given."""
+    return range(1) if args.p is None else _parse_p_range(args.p)
+
+
 def _each(path: str) -> Callable[..., list[Report]]:
     """The rows of a verifier of one instance: one per p of the --p range."""
-    return lambda a, gens: [_call(path, sp) for sp in build_range(gens, _parse_p_range(a.p))]
+    return lambda a, gens: [_call(path, sp) for sp in build_range(gens, _p_values(a))]
 
+
+# The flags of ``verify`` besides --format, which every verifier reads.
+_VERIFY_FLAGS = ("gens", "p", "alpha", "beta", "a", "b", "pmax", "exponent", "order")
+# arf-heredity's top p when --pmax is not given
+_PMAX = 5
 
 # Every verifier: the flags it needs, in the order its message names them;
-# why it takes only --p 0, if it does; and its rows, from the arguments and
-# the parsed --gens.
-_VERIFIERS: dict[str, tuple[tuple[str, ...], str | None, Callable[..., list[Report]]]] = {
-    "johnson": (("alpha", "beta", "gens"), None, lambda a, gens: _call(
-        "identities.verify_johnson", a.alpha, a.beta, gens, _parse_p_range(a.p))),
-    "watanabe": (("alpha", "beta", "gens"), None, lambda a, gens: _call(
-        "identities.verify_watanabe", a.alpha, a.beta, gens, _parse_p_range(a.p))),
-    "gcd-scaling": (("gens",), None, lambda a, gens: _call(
-        "identities.verify_gcd_scaling", gens, _parse_p_range(a.p))),
-    "symmetry": (("gens",), None, _each("symmetry.verify_symmetry_equivalences")),
-    "pairings": (("gens",), None, _each("symmetry.verify_apery_pairings")),
-    "pf-consequences": (("gens",), None, _each("symmetry.verify_pf_consequences")),
-    "almost-symmetric": (("gens",), None, _each("symmetry.verify_almost_symmetric_equivalences")),
-    "nari": (("gens",), "nari is defined at p = 0", lambda a, gens: [
+# the flags it reads when they are given; why it takes only --p 0, if it
+# does; and its rows, from the arguments and the parsed --gens.
+_VERIFIERS: dict[
+    str, tuple[tuple[str, ...], tuple[str, ...], str | None, Callable[..., list[Report]]]
+] = {
+    "johnson": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: _call(
+        "identities.verify_johnson", a.alpha, a.beta, gens, _p_values(a))),
+    "watanabe": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: _call(
+        "identities.verify_watanabe", a.alpha, a.beta, gens, _p_values(a))),
+    "gcd-scaling": (("gens",), ("p",), None, lambda a, gens: _call(
+        "identities.verify_gcd_scaling", gens, _p_values(a))),
+    "symmetry": (("gens",), ("p",), None, _each("symmetry.verify_symmetry_equivalences")),
+    "pairings": (("gens",), ("p",), None, _each("symmetry.verify_apery_pairings")),
+    "pf-consequences": (("gens",), ("p",), None, _each("symmetry.verify_pf_consequences")),
+    "almost-symmetric": (
+        ("gens",), ("p",), None, _each("symmetry.verify_almost_symmetric_equivalences")),
+    "nari": (("gens",), ("p",), "nari is defined at p = 0", lambda a, gens: [
         _call("symmetry.verify_nari", gens)]),
-    "arf-heredity": (("a", "b"), "arf-heredity takes its p range from --pmax", lambda a, gens: [
-        _call("arf.verify_arf_heredity", a.a, a.b, a.pmax)]),
-    "arf-kunz": (("gens",), None, _each("arf.verify_arf_conductor_kunz")),
-    "eulerian-gf": (("exponent", "order"), None, lambda a, gens: [
+    "arf-heredity": (
+        ("a", "b"), ("p", "pmax"), "arf-heredity takes its p range from --pmax",
+        lambda a, gens: [_call(
+            "arf.verify_arf_heredity", a.a, a.b, _PMAX if a.pmax is None else a.pmax)]),
+    "arf-kunz": (("gens",), ("p",), None, _each("arf.verify_arf_conductor_kunz")),
+    "eulerian-gf": (("exponent", "order"), (), None, lambda a, gens: [
         _call("exactmath.verify_eulerian_gf", a.exponent, a.order)]),
 }
 
@@ -449,8 +464,9 @@ _VERIFIERS: dict[str, tuple[tuple[str, ...], str | None, Callable[..., list[Repo
 def _verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     """The rows of the named verifier and the exit code they give.  A
     verifier of --gens names its missing flags and parses --gens before it
-    reads --p; the others read --p first."""
-    needs, only_p0, rows = _VERIFIERS[args.name]
+    reads --p; the others read --p first.  A flag the verifier does not
+    read is refused last, before any row is computed."""
+    needs, reads, only_p0, rows = _VERIFIERS[args.name]
     *head, last = [f"--{flag}" for flag in needs]
     missing = any(getattr(args, flag) is None for flag in needs)
     refusal = f"verify {args.name} needs {', '.join(head) + ' and ' if head else ''}{last}"
@@ -459,10 +475,13 @@ def _verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
         if missing:
             raise PreconditionError(refusal)
         gens = _parse_gens(args.gens)
-    if only_p0 and _parse_p_range(args.p) != range(1):
+    if only_p0 and _p_values(args) != range(1):
         raise PreconditionError(f"verify {args.name} takes only --p 0: {only_p0}")
     if missing:
         raise PreconditionError(refusal)
+    for flag in _VERIFY_FLAGS:
+        if getattr(args, flag) is not None and flag not in needs + reads:
+            raise PreconditionError(f"verify {args.name} does not take --{flag}")
     docs = [_report_doc(r) for r in rows(args, gens)]
     code = verify_exit_code(docs)
     return {"rows": docs, "passed": code == EXIT_OK}, code
@@ -514,12 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verifier")
     verify.add_argument("name", choices=_VERIFIERS)
-    verify.add_argument("--gens", default=None)
-    verify.add_argument("--p", default="0")
-    for flag in ("alpha", "beta", "a", "b", "pmax", "exponent", "order"):
-        verify.add_argument(f"--{flag}", type=int, default=None)
+    for flag in _VERIFY_FLAGS:
+        verify.add_argument(f"--{flag}", type=str if flag in ("gens", "p") else int)
     verify.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-    verify.set_defaults(handler=_verify, pmax=5)
+    verify.set_defaults(handler=_verify)
 
     return parser
 

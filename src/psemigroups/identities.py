@@ -36,10 +36,10 @@ def is_minimal_generator_system(gens: GeneratorSet | Iterable[int]) -> bool:
 
 def _scaling_instances(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
-) -> tuple[GeneratorSet, Iterator[tuple[PSemigroup, PSemigroup]]]:
-    """Validate the shared preconditions; return the base and the (scaled,
-    unscaled) instance pairs for every p of ``p_values``, each generator
-    list's class minima computed once, at the largest p."""
+) -> tuple[dict[str, Any], Iterator[tuple[PSemigroup, PSemigroup]]]:
+    """Validate the shared preconditions; return the rows' params and the
+    (scaled, unscaled) instance pairs for every p of ``p_values``, each
+    generator list's class minima computed once, at the largest p."""
     B = as_generator_set(base)
     if alpha < 2:
         raise PreconditionError("alpha must be at least 2")
@@ -58,34 +58,35 @@ def _scaling_instances(
             "alpha must lie in the semigroup generated by the base"
         )
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
-    return B, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
+    params = {"alpha": alpha, "beta": beta, "base": list(B.ordered)}
+    return params, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
 
 
-def _scaling_reports(
+def _identity_reports(
     identity: str,
-    alpha: int,
-    beta: int,
-    base: GeneratorSet | Iterable[int],
-    p_values: range,
-    sides: Callable[[PSemigroup, PSemigroup], tuple[dict, dict]],
+    params: dict[str, Any],
+    pairs: Iterable[tuple[PSemigroup, PSemigroup]],
+    sides: Callable[[PSemigroup, PSemigroup], tuple[dict, dict, dict]],
+    note: str = "",
 ) -> list[Report]:
-    """One report per p of ``p_values``: ``sides(scaled, unscaled)`` gives
-    the identity's two sides, which pass when they are equal."""
-    B, pairs = _scaling_instances(alpha, beta, base, p_values)
+    """One report per instance pair: ``sides(first, second)`` gives the
+    identity's two sides, which pass when they are equal, and its extras;
+    ``params`` gains the pair's p."""
     return [
         Report(
             "identity",
             passed=lhs == rhs,
+            note=note,
             details={
                 "identity": identity,
-                "params": {"alpha": alpha, "beta": beta, "base": list(B.ordered), "p": scaled.p},
+                "params": {**params, "p": first.p},
                 "lhs": lhs,
                 "rhs": rhs,
-                "extras": {},
+                "extras": extras,
             },
         )
-        for scaled, unscaled in pairs
-        for lhs, rhs in [sides(scaled, unscaled)]
+        for first, second in pairs
+        for lhs, rhs, extras in [sides(first, second)]
     ]
 
 
@@ -98,14 +99,14 @@ def verify_johnson(
         frobenius(alpha, beta*B) = beta * frobenius(alpha, B) + (beta-1) * alpha
         genus(alpha, beta*B)     = beta * genus(alpha, B) + (alpha-1)(beta-1)/2
     """
-    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict]:
+    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict, dict]:
         lhs = {"frobenius": scaled.frobenius, "genus": gap_count(scaled)}
         return lhs, {
             "frobenius": beta * unscaled.frobenius + (beta - 1) * alpha,
             "genus": beta * gap_count(unscaled) + (alpha - 1) * (beta - 1) // 2,
-        }
+        }, {}
 
-    return _scaling_reports("johnson", alpha, beta, base, p_values, sides)
+    return _identity_reports("johnson", *_scaling_instances(alpha, beta, base, p_values), sides)
 
 
 def verify_watanabe(
@@ -113,14 +114,14 @@ def verify_watanabe(
 ) -> list[Report]:
     """Symmetry is preserved under scaling the base by beta, and the least
     member scales by exactly beta, for every p of ``p_values``."""
-    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict]:
+    def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict, dict]:
         lhs = {"symmetric": classify(scaled).symmetric, "multiplicity": scaled.multiplicity}
         return lhs, {
             "symmetric": classify(unscaled).symmetric,
             "multiplicity": beta * unscaled.multiplicity,
-        }
+        }, {}
 
-    return _scaling_reports("watanabe", alpha, beta, base, p_values, sides)
+    return _identity_reports("watanabe", *_scaling_instances(alpha, beta, base, p_values), sides)
 
 
 def _as_int_if_integral(x: Fraction) -> int | Fraction:
@@ -154,48 +155,26 @@ def verify_gcd_scaling(
     if any(x < 2 for x in reduced_rest):
         raise PreconditionError("reduced generators must stay at least 2")
     reduced = GeneratorSet((first, *reduced_rest))
-    pairs = zip(build_range(A, p_values), build_range(reduced, p_values))
-    return [_gcd_scaling_report(A, d, sp, sp_r) for sp, sp_r in pairs]
-
-
-def _gcd_scaling_report(
-    A: GeneratorSet, d: int, sp: PSemigroup, sp_r: PSemigroup
-) -> Report:
-    first = A.ordered[0]
-    g, n, s = sp.frobenius, gap_count(sp), gap_sum(sp)
-    g_r, n_r, s_r = sp_r.frobenius, gap_count(sp_r), gap_sum(sp_r)
-
     cubic = (first - 1) * (d - 1) * (2 * first * d - first - d - 1)
-    expected_sum = d * d * s_r + Fraction(first * d * (d - 1), 2) * n_r + Fraction(cubic, 12)
-    denominator_2_variant = (
-        d * d * s_r + Fraction(first * d * (d - 1), 2) * n_r + Fraction(cubic, 2)
-    )
 
-    lhs = {
-        "frobenius": g,
-        "genus": n,
-        "sylvester_sum": s,
-        "apery": sorted(minima_modulo(sp, first)),
-    }
-    rhs = {
-        "frobenius": d * g_r + (d - 1) * first,
-        "genus": d * n_r + (d - 1) * (first - 1) // 2,
-        "sylvester_sum": _as_int_if_integral(expected_sum),
-        "apery": sorted(d * x for x in minima_modulo(sp_r, first)),
-    }
-    return Report(
-        "identity",
-        passed=lhs == rhs,
-        note=_SCALING_SUM_NOTE,
-        details={
-            "identity": "gcd-scaling",
-            "params": {"generators": list(A.ordered), "d": d, "p": sp.p},
-            "lhs": lhs,
-            "rhs": rhs,
-            "extras": {
-                "sylvester_sum_denominator_2_variant": _as_int_if_integral(
-                    denominator_2_variant
-                )
-            },
-        },
-    )
+    def sides(sp: PSemigroup, sp_r: PSemigroup) -> tuple[dict, dict, dict]:
+        lhs = {
+            "frobenius": sp.frobenius,
+            "genus": gap_count(sp),
+            "sylvester_sum": gap_sum(sp),
+            "apery": sorted(minima_modulo(sp, first)),
+        }
+        n_r = gap_count(sp_r)
+        quadratic = d * d * gap_sum(sp_r) + Fraction(first * d * (d - 1), 2) * n_r
+        rhs = {
+            "frobenius": d * sp_r.frobenius + (d - 1) * first,
+            "genus": d * n_r + (d - 1) * (first - 1) // 2,
+            "sylvester_sum": _as_int_if_integral(quadratic + Fraction(cubic, 12)),
+            "apery": sorted(d * x for x in minima_modulo(sp_r, first)),
+        }
+        variant = _as_int_if_integral(quadratic + Fraction(cubic, 2))
+        return lhs, rhs, {"sylvester_sum_denominator_2_variant": variant}
+
+    pairs = zip(build_range(A, p_values), build_range(reduced, p_values))
+    params = {"generators": list(A.ordered), "d": d}
+    return _identity_reports("gcd-scaling", params, pairs, sides, _SCALING_SUM_NOTE)

@@ -1,5 +1,5 @@
-"""The immutable record base, and the one result type every verifier and
-closure check returns."""
+"""The immutable record base, the one result type every verifier and
+closure check returns, and the builder of the verdict rows."""
 
 from __future__ import annotations
 
@@ -66,6 +66,12 @@ class Report(Record):
     ``details`` holds the values particular to the kind of check; the JSON
     row renders them flat beside the four common keys.  Each report gets
     its own ``details`` dict unless one is passed.
+
+    ``kind`` names the row's shape, and each shape is built in one place:
+    ``closure`` by ``arf.is_arf``, ``series`` by
+    ``exactmath.verify_eulerian_gf``, ``verdicts`` by ``verdicts_report``
+    below, ``identity`` by one builder in ``identities``, and
+    ``arf`` by ``arf.verify_arf_conductor_kunz``.
     """
 
     __slots__ = ("kind", "passed", "applicable", "note", "details")
@@ -85,3 +91,17 @@ class Report(Record):
         details: dict[str, Any] | None = None,
     ) -> None:
         super().__init__(kind, passed, applicable, note, {} if details is None else details)
+
+
+def verdicts_report(
+    identity: str,
+    verdicts: dict[str, bool],
+    passed: bool,
+    applicable: bool = True,
+    note: str = "",
+) -> Report:
+    """The row of a verifier that states its claim as named verdicts: the
+    symmetry verifiers and Arf heredity."""
+    return Report(
+        "verdicts", passed, applicable, note, {"identity": identity, "verdicts": verdicts}
+    )

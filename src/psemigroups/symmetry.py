@@ -14,7 +14,7 @@ from itertools import chain
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
-from .reports import Record, Report
+from .reports import Record, Report, verdicts_report
 from .semigroup import PSemigroup, build, gap_count
 
 PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
@@ -184,11 +184,7 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
         ),
         "genus_midpoint": 2 * genus == total + 1,
     }
-    return Report(
-        "verdicts",
-        passed=len(set(verdicts.values())) == 1,
-        details={"identity": "symmetry-equivalences", "verdicts": verdicts},
-    )
+    return verdicts_report("symmetry-equivalences", verdicts, len(set(verdicts.values())) == 1)
 
 
 def verify_apery_pairings(sp: PSemigroup) -> Report:
@@ -231,12 +227,8 @@ def verify_apery_pairings(sp: PSemigroup) -> Report:
             "genus_offset": genus_offset,
             "genus_offset_necessity": mismatches != 1 or genus_offset,
         }
-    return Report(
-        "verdicts",
-        passed=verdicts["matches_classification"] and verdicts.get("genus_offset_necessity", True),
-        note=_PAIRING_NOTE,
-        details={"identity": "apery-pairings", "verdicts": verdicts},
-    )
+    passed = verdicts["matches_classification"] and verdicts.get("genus_offset_necessity", True)
+    return verdicts_report("apery-pairings", verdicts, passed, note=_PAIRING_NOTE)
 
 
 def verify_pf_consequences(sp: PSemigroup) -> Report:
@@ -267,13 +259,8 @@ def verify_pf_consequences(sp: PSemigroup) -> Report:
             verdicts["pseudo_pf_pair"] = set(flags.pf) == {mid, g}
             verdicts["pseudo_type_two"] = flags.type_count == 2
     applicable = bool(verdicts)
-    return Report(
-        "verdicts",
-        passed=all(verdicts.values()),
-        applicable=applicable,
-        note="" if applicable else "neither symmetry hypothesis holds",
-        details={"identity": "pf-consequences", "verdicts": verdicts},
-    )
+    note = "" if applicable else "neither symmetry hypothesis holds"
+    return verdicts_report("pf-consequences", verdicts, all(verdicts.values()), applicable, note)
 
 
 def _l_count(sp: PSemigroup) -> int:
@@ -299,11 +286,8 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
         "pf_is_l_plus_frobenius": l_subset_pf and len(pf) == l_count + 1,
         "mirror_or_pf": _within(l_ranges, pf),
     }
-    return Report(
-        "verdicts",
-        passed=len(set(verdicts.values())) == 1,
-        details={"identity": "almost-symmetric-equivalences", "verdicts": verdicts},
-    )
+    passed = len(set(verdicts.values())) == 1
+    return verdicts_report("almost-symmetric-equivalences", verdicts, passed)
 
 
 def detect_pattern(sp: PSemigroup) -> str:
@@ -342,8 +326,4 @@ def verify_nari(gens: GeneratorSet | Iterable[int]) -> Report:
         "count_identity": count_identity,
         "almost_symmetric": flags.almost_symmetric,
     }
-    return Report(
-        "verdicts",
-        passed=(not count_identity) or flags.almost_symmetric,
-        details={"identity": "nari", "verdicts": verdicts},
-    )
+    return verdicts_report("nari", verdicts, (not count_identity) or flags.almost_symmetric)

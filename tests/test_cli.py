@@ -641,10 +641,11 @@ def test_verify_eulerian_gf(capsys):
     assert json.loads(out)["passed"] is True
 
 
-# Exact stdout of `psg verify` for each row kind (identity with extras,
-# verdicts with a note, an arf-heredity row that is not applicable, arf-kunz
-# rows closed and not applicable, series), so that a change to how reports
-# are built or rendered cannot move a byte.  The two gcd-scaling lists whose
+# Exact stdout of `psg verify` for every verifier and each row kind
+# (identity with extras, verdicts with a note, pf-consequences and
+# arf-heredity rows applicable and not, arf-kunz rows closed and not
+# applicable, series), so that a change to how reports are built or
+# rendered cannot move a byte.  The two gcd-scaling lists whose
 # first generator is not the least read the Apéry sets modulo that first
 # generator, not modulo the instances' own modulus.
 PINNED_VERIFY = [
@@ -700,6 +701,30 @@ PINNED_VERIFY = [
         '{"applicable":true,"identity":"apery-pairings","kind":"verdicts","note":"indices are reduced to residue classes; paired indices sum to frobenius + multiplicity","passed":true,"verdicts":{"matches_classification":true,"pairing":true}}]}'
     ),
     (
+        'verify watanabe --alpha 8 --beta 3 --gens 4,5,6 --p 8',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"extras":{},"identity":"watanabe","kind":"identity","lhs":{"multiplicity":72,"symmetric":true},"note":"","params":{"alpha":8,"base":[4,5,6],"beta":3,"p":8},"passed":true,"rhs":{"multiplicity":72,"symmetric":true}}]}'
+    ),
+    (
+        'verify pf-consequences --gens 6,7,17 --p 0..4',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"pf-consequences","kind":"verdicts","note":"","passed":true,"verdicts":{"pseudo_pf_pair":true,"pseudo_type_two":true}},'
+        '{"applicable":true,"identity":"pf-consequences","kind":"verdicts","note":"","passed":true,"verdicts":{"symmetric_parity":true,"symmetric_pf_singleton":true,"symmetric_type_one":true}},'
+        '{"applicable":false,"identity":"pf-consequences","kind":"verdicts","note":"neither symmetry hypothesis holds","passed":true,"verdicts":{}},'
+        '{"applicable":false,"identity":"pf-consequences","kind":"verdicts","note":"neither symmetry hypothesis holds","passed":true,"verdicts":{}},'
+        '{"applicable":true,"identity":"pf-consequences","kind":"verdicts","note":"","passed":true,"verdicts":{"pseudo_pf_singleton":true,"pseudo_type_one":true}}]}'
+    ),
+    (
+        'verify nari --gens 4,5,6',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"nari","kind":"verdicts","note":"","passed":true,"verdicts":{"almost_symmetric":true,"count_identity":true}}]}'
+    ),
+    (
+        'verify arf-heredity --a 2 --b 7 --pmax 5',
+        0,
+        '{"passed":true,"rows":[{"applicable":true,"identity":"arf-heredity","kind":"verdicts","note":"","passed":true,"verdicts":{"p=0":true,"p=1":true,"p=2":true,"p=3":true,"p=4":true,"p=5":true}}]}'
+    ),
+    (
         'verify arf-heredity --a 3 --b 4 --pmax 2',
         0,
         '{"passed":true,"rows":[{"applicable":false,"identity":"arf-heredity","kind":"verdicts","note":"base instance is not closed (witness (4, 4, 3))","passed":true,"verdicts":{}}]}'
@@ -726,6 +751,10 @@ def test_verify_output_is_pinned(capsys, command, exit_code, stdout):
         assert "sha256:" + hashlib.sha256(out.encode()).hexdigest() == stdout
     else:
         assert out == stdout + "\n"
+
+
+def test_every_verifier_has_pinned_output():
+    assert {command.split()[1] for command, _, _ in PINNED_VERIFY} == set(cli._VERIFIERS)
 
 
 # Exact stdout of p ranges on each side of the route choice for the class
@@ -1036,10 +1065,42 @@ _TWO_FAULTS = [
 ]
 
 
+# What each verifier reads besides the flags it needs and --format; any
+# other flag of `verify` is refused, and a --gens or --p it does not read
+# is not parsed.
+_OPTIONAL_FLAGS = {name: {"p"} for name in _VERIFIER_CALLS} | {
+    "arf-heredity": {"p", "pmax"},
+    "eulerian-gf": set(),
+}
+_FLAG_VALUES = {
+    "gens": "4,5,6", "p": "0", "alpha": "8", "beta": "3", "a": "2", "b": "7",
+    "pmax": "2", "exponent": "3", "order": "12",
+}
+
+
+def _with_a_foreign_flag():
+    for name, (flags, _) in _VERIFIER_CALLS.items():
+        tokens = flags.split()
+        for flag, value in _FLAG_VALUES.items():
+            if f"--{flag}" not in tokens and flag not in _OPTIONAL_FLAGS[name]:
+                argv = ["verify", name, *tokens, f"--{flag}", value]
+                yield argv, f"verify {name} does not take --{flag}"
+
+
+_FOREIGN_FLAGS = [
+    ("verify eulerian-gf --exponent 3 --order 12 --p abc".split(), "verify eulerian-gf does not take --p"),
+    ("verify arf-heredity --a 2 --b 7 --gens x".split(), "verify arf-heredity does not take --gens"),
+    *_with_a_foreign_flag(),
+]
+
+
 _USAGE_ERRORS = [
     *_without_each_flag(),
+    # an empty --p is given, so it is parsed
+    (["verify", "nari", "--gens", "4,5,6", "--p", ""], "could not parse p from ''"),
     *((["verify", name, *_VERIFIER_CALLS[name][0].split(), "--p", "1"], m) for name, m in _P0_ONLY.items()),
     *((command.split(), m) for command, m in _TWO_FAULTS),
+    *_FOREIGN_FLAGS,
 ]
 
 

@@ -22,19 +22,21 @@ from psemigroups.cli import main
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 HUGE = 10**12
 
-VERIFIERS = (
-    "johnson",
-    "watanabe",
-    "gcd-scaling",
-    "symmetry",
-    "pairings",
-    "pf-consequences",
-    "almost-symmetric",
-    "nari",
-    "arf-heredity",
-    "arf-kunz",
-    "eulerian-gf",
-)
+# The flags each verifier reads besides --format; any other flag is
+# refused before its value is used, so only these are drawn for it.
+VERIFIER_FLAGS = {
+    "johnson": ("--gens", "--alpha", "--beta", "--p"),
+    "watanabe": ("--gens", "--alpha", "--beta", "--p"),
+    "gcd-scaling": ("--gens", "--p"),
+    "symmetry": ("--gens", "--p"),
+    "pairings": ("--gens", "--p"),
+    "pf-consequences": ("--gens", "--p"),
+    "almost-symmetric": ("--gens", "--p"),
+    "nari": ("--gens", "--p"),
+    "arf-heredity": ("--a", "--b", "--p", "--pmax"),
+    "arf-kunz": ("--gens", "--p"),
+    "eulerian-gf": ("--exponent", "--order"),
+}
 
 small = st.integers(-2, 12)
 small_or_huge = st.one_of(small, st.just(HUGE))
@@ -73,6 +75,15 @@ WEIGHTS = (
     "1/" + "1" * 5000,
 )
 weight_text = st.sampled_from(WEIGHTS)
+FLAG_VALUES = {
+    "--gens": gens_text,
+    "--alpha": small_or_huge,
+    "--beta": small_or_huge,
+    "--a": small_or_huge,
+    "--b": small_or_huge,
+    "--exponent": st.one_of(small, st.integers(-2, 3000)),
+    "--order": st.one_of(st.integers(-2, 30), st.integers(-2, HUGE)),
+}
 # Parameter sets that pass each verifier's preconditions, so that the
 # drawn --p and --pmax reach its computation.
 VALID_VERIFY = {
@@ -107,22 +118,21 @@ def argvs(draw):
     head = draw(
         st.one_of(
             st.sampled_from([["analyze"], ["table"], ["classify"], ["sums"]]),
-            st.sampled_from(VERIFIERS).map(lambda name: ["verify", name]),
+            st.sampled_from(list(VERIFIER_FLAGS)).map(lambda name: ["verify", name]),
         )
     )
     argv = list(head)
+    reads = VERIFIER_FLAGS[head[1]] if head[0] == "verify" else ("--gens", "--p")
     valid = VALID_VERIFY.get(head[-1]) if head[0] == "verify" else None
     if valid and draw(st.booleans()):
         argv += draw(st.sampled_from(valid))
     else:
-        argv += draw(_option("--gens", gens_text))
-        if head[0] == "verify":
-            for name in ("--alpha", "--beta", "--a", "--b"):
-                argv += draw(_option(name, small_or_huge))
-            argv += draw(_option("--exponent", st.one_of(small, st.integers(-2, 3000))))
-            argv += draw(_option("--order", st.one_of(st.integers(-2, 30), st.integers(-2, HUGE))))
-    argv += draw(_option("--p", p_text))
-    if head[0] == "verify":
+        for name, values in FLAG_VALUES.items():
+            if name in reads:
+                argv += draw(_option(name, values))
+    if "--p" in reads:
+        argv += draw(_option("--p", p_text))
+    if "--pmax" in reads:
         argv += draw(_option("--pmax", small_or_huge))
     if head == ["sums"]:
         argv += draw(_option("--mu", small_or_huge))

@@ -254,3 +254,9 @@ def test_verify_arf_kunz_imports_arf(new_imports):
     assert json.loads(out)["passed"] is True
     assert "psemigroups.arf" in names
     assert "psemigroups.identities" not in names
+
+
+def test_a_lazy_name_loads_its_module_where_importtime_sees_it(new_imports):
+    names, _ = new_imports("-c", "import psemigroups; psemigroups.is_arf")
+    assert "psemigroups.arf" in names
+    assert "psemigroups.identities" not in names
