@@ -1,10 +1,10 @@
 """Exact arithmetic for p-numerical semigroups.
 
-Members are the non-negative integers with more than p representations over
-a fixed generator list; the package computes the class minima (Apery data),
-gaps, power sums, pseudo-Frobenius sets, symmetry classifications, closure
-properties, and verifies the scaling identities relating different
-generator lists.
+Members are the non-negative integers whose representation count over a
+fixed generator list exceeds p; the package computes the class minima
+(Apery data), gaps, power sums, pseudo-Frobenius sets, symmetry
+classifications, closure properties, and verifies the scaling identities
+relating different generator lists.
 
 ``arf`` and ``identities`` load on first use of one of their names, so that
 a command that needs neither does not import them.
@@ -16,7 +16,6 @@ from .denumerant import (
     as_generator_set,
     denumerant,
     horizon_cap,
-    representations,
 )
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .exactmath import bernoulli, eulerian, verify_eulerian_gf
@@ -76,7 +75,6 @@ __all__ = [
     "minima_modulo",
     "power_sum_bernoulli",
     "pseudo_frobenius",
-    "representations",
     "type_p",
     "verify_arf_conductor_kunz",
     "verify_arf_heredity",

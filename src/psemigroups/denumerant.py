@@ -162,30 +162,3 @@ def denumerant(gens: GeneratorSet | Iterable[int], n: int) -> int:
         raise PreconditionError("n must be non-negative")
     return DenumerantTable(gens, n).count(n)
 
-
-def representations(gens: GeneratorSet | Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """All coefficient tuples over the input order summing to n.
-
-    Returned in lexicographic order; the list length equals denumerant(gens, n).
-    """
-    A = as_generator_set(gens)
-    if n < 0:
-        raise PreconditionError("n must be non-negative")
-    charge(n + 1, f"integers up to n for the representations of {n}")
-    order = A.ordered
-    out: list[tuple[int, ...]] = []
-    coeffs = [0] * len(order)
-
-    def descend(i: int, remaining: int) -> None:
-        if i == len(order) - 1:
-            q, r = divmod(remaining, order[i])
-            if r == 0:
-                coeffs[i] = q
-                out.append(tuple(coeffs))
-            return
-        for x in range(remaining // order[i] + 1):
-            coeffs[i] = x
-            descend(i + 1, remaining - x * order[i])
-
-    descend(0, n)
-    return out

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul, neg
+from operator import add, eq, le, mul, neg
 from typing import Callable, Iterable, Iterator
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
@@ -190,7 +190,7 @@ def _top_p(p_values: range) -> int:
 
 def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
     a = A.least
-    _validate(A, minima)
+    _validate(A, minima, p)
     frobenius = max(minima) - a
     return PSemigroup(
         generators=A,
@@ -208,19 +208,24 @@ def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
     """p -> class minima modulo a = min(A) for 0 <= p <= top.
 
-    The count table is tried first, while its k stages hold at most
-    (k-1) * a * (top + 1) entries in all, the lists' element work (up to
-    the cap when the lists would not fit under it); the lists take over
-    when no table of that size settles, which a bound on d(n) may show
-    before any table is grown.  The horizon cap bounds the table's entries
-    per stage and the lists' a * (top + 1) entries alike.
+    A count table is tried first, and the (top+1)-best lists take over
+    when it does not settle; the horizon cap bounds the table's entries
+    per stage and the lists' a * (top + 1) entries alike.  When the lists
+    fit, the table's k stages may hold their element work,
+    (k-1) * a * (top + 1) entries in all.  When they do not, the table may
+    grow to the cap if it can settle there: its last a entries, each of
+    which must exceed top, sum to at most ``_count_bound(A, cap - 1)``.
+    Otherwise the lists' charge refuses at once.
     """
     cap = horizon_cap()
     k = len(A)
     list_entries = A.least * (top + 1)
-    lists_fit = list_entries <= cap
-    limit = min(cap, (k - 1) * list_entries // k) if lists_fit else cap
-    minima_at = _minima_from_table(A, top, limit)
+    if list_entries <= cap:
+        minima_at = _minima_from_table(A, top, (k - 1) * list_entries // k)
+    elif _count_bound(A, cap - 1) >= list_entries:
+        minima_at = _minima_from_table(A, top, cap)
+    else:
+        minima_at = None
     if minima_at is None:
         charge(list_entries, f"list entries for the class minima at p = {top}")
         minima_at = _minima_from_lists(A, top)
@@ -377,8 +382,14 @@ def _closure(values: list[int], width: int, keep: int) -> list[int]:
     return out
 
 
-def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:
-    """O(k*a) structural checks of class minima from either route."""
+def _validate(A: GeneratorSet, minima: tuple[int, ...], p: int) -> None:
+    """O(k*a) checks of class minima at p from either route.  A count
+    never drops along a step of a generator b, so the member m_(j-b) + b
+    bounds m_j.  At p = 0 the minima are shortest paths in the residue
+    graph modulo a (Nijenhuis 1979; Boecker and Liptak 2007), so they are
+    exact iff also tight: m_0 = 0 and every other m_j is its least bound.
+    At p > 0 only the bounds are checked; the lower side rests on the two
+    routes' agreement and on the brute-force tests."""
     a = A.least
     if len(minima) != a:
         raise InternalCheckError("class minima do not cover all residues")
@@ -387,14 +398,25 @@ def _validate(A: GeneratorSet, minima: tuple[int, ...]) -> None:
             raise InternalCheckError(f"class minimum {m} is not in class {j}")
         if m < 0:
             raise InternalCheckError("negative Kunz coordinate")
-    # a count never drops along a step of a generator b, so the member
-    # m_j + b bounds the minimum of its class
+    tight = 0  # byte j is 1 once some m_(j-b) + b equals m_j
     for b in A.ordered:
-        for j, m in enumerate(minima):
-            if minima[(j + b) % a] > m + b:
+        if b != a:  # m_j + a bounds m_j, never tightly
+            s = b % a
+            bound = list(map(add, minima[-s:] + minima[:-s], repeat(b)))  # m_(j-b) + b
+            if not all(map(le, minima, bound)):
+                j = next(j for j, m in enumerate(minima) if minima[(j + b) % a] > m + b)
                 raise InternalCheckError(
-                    f"class minimum {minima[(j + b) % a]} exceeds {m} + {b}"
+                    f"class minimum {minima[(j + b) % a]} exceeds {minima[j]} + {b}"
                 )
+            if p == 0:
+                tight |= int.from_bytes(bytes(map(eq, minima, bound)), "little")
+    if p == 0:
+        j = 0 if minima[0] else (tight | 1).to_bytes(a, "little").find(0)
+        if j >= 0:
+            least = min(minima[(j - b) % a] + b for b in A.ordered if b != a) if j else 0
+            raise InternalCheckError(
+                f"class minimum {minima[j]} is not tight at p = 0: {least} expected"
+            )
 
 
 def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:

@@ -41,6 +41,25 @@ def brute_count(gens: tuple[int, ...], n: int) -> int:
     return rec(0, n)
 
 
+def representations(gens: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """The coefficient tuples that ``brute_count`` counts, listed by the
+    same recursion, in lexicographic order over the input order."""
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> None:
+        if i == len(gens) - 1:
+            q, r = divmod(remaining, gens[i])
+            if r == 0:
+                out.append((*prefix, q))
+            return
+        for x in range(remaining // gens[i] + 1):
+            rec(i + 1, remaining - x * gens[i], (*prefix, x))
+
+    if n >= 0:
+        rec(0, n, ())
+    return out
+
+
 def dp_counts(gens: tuple[int, ...], horizon: int) -> list[int]:
     """d(0..horizon) by the textbook DP, one generator and one n at a
     time: d(n) += d(n - g)."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import acceptance_instances
-from oracles import small_elements
+from oracles import representations, small_elements
 from psemigroups import (
     build,
     classify,
@@ -24,7 +24,6 @@ from psemigroups import (
     is_arf,
     power_sum_bernoulli,
     pseudo_frobenius,
-    representations,
     verify_arf_conductor_kunz,
     verify_arf_heredity,
     verify_almost_symmetric_equivalences,

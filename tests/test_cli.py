@@ -1200,9 +1200,42 @@ def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
 def test_default_cap_refuses_a_huge_p_range_quickly(capsys, monkeypatch, command):
-    # no n within the default cap has 10^12 representations, which the
-    # table route sees from a bound on d(n) before it grows any table
+    # no n within the default cap has 10^12 representations, which a bound
+    # on d(n) shows before any table is grown
     _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
+
+
+def test_an_input_no_route_can_answer_is_refused_before_any_table(capsys, monkeypatch):
+    # {30,31,32} at p = 40 needs 30 * 41 = 1230 list entries, past the cap,
+    # and a table within the cap cannot settle: its last 30 entries count
+    # the points over {31, 32} up to its horizon, at most 568 of them
+    # below 1000 (_count_bound), and each entry must exceed 40
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    tables = []
+
+    class Recording(semigroup.DenumerantTable):
+        def __init__(self, *args):
+            tables.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(semigroup, "DenumerantTable", Recording)
+    code = main("classify --gens 30,31,32 --p 40".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_CAP, "")
+    assert captured.err == (
+        "error: 1230 list entries for the class minima at p = 40, past the cap 1000\n"
+    )
+    assert tables == []
+    # {6,7,11,13} at p = 200 needs 1206 list entries, but a table within
+    # the cap can settle, and does
+    code, out = run_cli(capsys, *"table --gens 6,7,11,13 --p 200 --field frobenius".split())
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == [{"frobenius": 174, "p": 200}]
+    assert len(tables) == 1
+    # the same at the default cap, where a doomed table would hold 10^7
+    # entries a stage
+    _assert_refused_quickly(capsys, monkeypatch, "classify --gens 3000,3001,3002 --p 3400", cap=None)
+    assert len(tables) == 1
 
 
 # the minimality test's 2a list entries, the Eulerian series' terms, the
@@ -1521,6 +1554,32 @@ def test_readme_cli_examples_run(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK, argv
         assert isinstance(json.loads(out), dict), argv
+
+
+def test_readme_exit_code_table_runs(capsys, monkeypatch):
+    # every row of README's table of exit codes, at the default cap
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = [
+        (command.strip(" `").split()[1:], int(code))
+        for line in readme.splitlines()
+        if line.startswith("| `psg ")
+        for command, code, _ in [line.strip("|").split("|")]
+    ]
+    codes = {EXIT_OK, EXIT_USAGE, EXIT_PRECONDITION, EXIT_CAP, EXIT_VERIFIER_FAILED}
+    assert {code for _, code in rows} == codes
+    for argv, expected in rows:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, elapsed < 1.0) == (expected, True), argv
+        if code in (EXIT_OK, EXIT_VERIFIER_FAILED):
+            assert isinstance(json.loads(captured.out), dict), argv
+        else:
+            assert captured.out == "", argv
+            prefix = f"usage: psg {argv[0]} " if code == EXIT_USAGE else "error: "
+            assert captured.err.startswith(prefix), argv
 
 
 def test_json_is_deterministic_in_process(capsys):

@@ -3,14 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import generator_tuples
-from oracles import brute_count, dp_counts
+from oracles import brute_count, dp_counts, representations
 from psemigroups import (
     CapExceededError,
     DenumerantTable,
     GeneratorSet,
     PreconditionError,
     denumerant,
-    representations,
 )
 
 REMARK_TUPLES_456 = {(0, 5, 0), (1, 3, 1), (2, 1, 2), (5, 1, 0)}
@@ -147,13 +146,6 @@ def test_table_grows_exactly_to_the_horizon_asked_for():
     assert table.horizon == 501
 
 
-def test_representations_are_bounded_by_the_horizon_cap(monkeypatch):
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "50")
-    assert len(representations((4, 5), 49)) == denumerant((4, 5), 49)
-    with pytest.raises(CapExceededError):
-        representations((4, 5), 60)
-
-
 def test_horizon_cap_env_override(monkeypatch):
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "50")
     with pytest.raises(CapExceededError):
@@ -166,5 +158,3 @@ def test_horizon_cap_env_override(monkeypatch):
 def test_negative_n_rejected():
     with pytest.raises(PreconditionError):
         denumerant((4, 5, 6), -1)
-    with pytest.raises(PreconditionError):
-        representations((4, 5, 6), -1)

@@ -294,21 +294,26 @@ def test_power_sum_bernoulli_refuses_a_non_integer_value():
 
 
 @pytest.mark.parametrize(
-    "minima, message",
+    "gens, minima, message",
     [
-        ((0, 10), "class minima do not cover all residues"),
-        ((0, 10, 6), "class minimum 6 is not in class 2"),
-        ((0, -2, 5), "negative Kunz coordinate"),
-        ((0, 13, 5), "class minimum 13 exceeds 5 \\+ 5"),
+        ((3, 5), (0, 10), "class minima do not cover all residues"),
+        ((3, 5), (0, 10, 6), "class minimum 6 is not in class 2"),
+        ((3, 5), (0, -2, 5), "negative Kunz coordinate"),
+        ((3, 5), (0, 13, 5), "class minimum 13 exceeds 5 \\+ 5"),
+        # too small: every bound holds, but no sum of 7s and 9s is 1
+        ((5, 7, 9), (0, 1, 2, 3, 4), "class minimum 1 is not tight at p = 0: 11 expected"),
+        ((3, 4), (3, 7, 11), "class minimum 3 is not tight at p = 0: 0 expected"),
     ],
 )
-def test_validate_refuses_forged_minima(minima, message):
-    # each forgery of {3,5}'s minima (0, 10, 5) breaks one check
-    gens = GeneratorSet((3, 5))
-    assert build(gens, 0).apery_by_residue == (0, 10, 5)
-    _validate(gens, (0, 10, 5))
+def test_validate_refuses_forged_minima(gens, minima, message):
+    # each forgery of the p = 0 minima breaks one check; at p > 0 only the
+    # bounds are checked, which minima too small do not break
+    gens = GeneratorSet(gens)
+    _validate(gens, build(gens, 0).apery_by_residue, 0)
     with pytest.raises(InternalCheckError, match=message):
-        _validate(gens, minima)
+        _validate(gens, minima, 0)
+    if "tight" in message:
+        _validate(gens, minima, 1)
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
