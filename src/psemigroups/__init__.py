@@ -102,14 +102,13 @@ _LAZY = {
 
 def __getattr__(name: str) -> object:
     """Import ``arf`` or ``identities`` when one of their names (or the
-    module itself) is first asked for, and keep the name here."""
+    module itself) is first asked for.  A function name is read from its
+    module on each access, not kept here, so that a wrapper put in the
+    module in its place is the one returned."""
     module = _LAZY.get(name, name)
     if module not in ("arf", "identities"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, so that -X importtime logs it
     __import__(f"{__name__}.{module}")
     value = globals()[module]
-    if name != module:
-        value = getattr(value, name)
-    globals()[name] = value
-    return value
+    return value if name == module else getattr(value, name)

@@ -6,8 +6,8 @@ run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
 here; every command is a thin adapter over the library: its handler
 returns the document and exit code, and ``main`` writes the document.
-``arf`` and ``identities`` are imported where they are called, so the
-other commands never load them.
+``arf`` and ``identities`` are reached through the package's lazy names,
+so the other commands never load them.
 
 Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3
 precondition failure, 4 cap exceeded, 5 verifier failure.
@@ -24,8 +24,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
+import psemigroups
+
 from . import symmetry as sym_mod
-from .denumerant import GeneratorSet, as_generator_set
+from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import CapExceededError, PreconditionError
 from .reports import Report
 from .semigroup import (
@@ -303,13 +305,15 @@ def _parse_fields(text: str) -> list[str]:
 
 def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[str, Any]:
     """Every set is rendered from one member bitmask over [0, total], so
-    no O(F) tuple is built unless ``expand`` lists the elements."""
-    from .arf import is_arf
-
+    no O(F) tuple is built unless ``expand`` lists the elements, and
+    then the integers it lists are charged first."""
     sp = build(gens, p)
     report = sym_mod.classify(sp)
     members, h, l = hlk_of_members(sp)
     c = sp.conductor
+    if expand:
+        # c gaps and members below c, F + 1 = c in H and in K below H's top
+        charge(2 * c + l.bit_count() + len(report.pf), "integers listed by --expand")
     # F is a gap, so the members' tail starts at c.  H's top bit is F, the
     # multiplicity's mirror, so K is its clear bits and all above.
     members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
@@ -335,7 +339,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "k_set": {"below": k_below, "all_from": h.bit_length()},
         **_symmetry_flags(report),
         "pattern": sym_mod.detect_pattern(sp),
-        "arf": is_arf(sp).passed,
+        "arf": psemigroups.is_arf(sp).passed,
     }
 
 
@@ -408,23 +412,16 @@ def _report_doc(report: Report) -> dict[str, Any]:
     }
 
 
-def _call(path: str, *args: Any) -> Any:
-    """Call this package's function "module.name", looked up now, so that a
-    wrapper put in its module in its place is the one called.  Its module
-    is imported first if no command has loaded it yet."""
-    module, name = f"{__package__}.{path}".rsplit(".", 1)
-    __import__(module)
-    return getattr(sys.modules[module], name)(*args)
-
-
 def _p_values(args: argparse.Namespace) -> range:
     """The --p range of ``verify``: p = 0 when --p is not given."""
     return range(1) if args.p is None else _parse_p_range(args.p)
 
 
-def _each(path: str) -> Callable[..., list[Report]]:
+def _each(name: str) -> Callable[..., list[Report]]:
     """The rows of a verifier of one instance: one per p of the --p range."""
-    return lambda a, gens: [_call(path, sp) for sp in build_range(gens, _p_values(a))]
+    return lambda a, gens: [
+        getattr(psemigroups, name)(sp) for sp in build_range(gens, _p_values(a))
+    ]
 
 
 # The flags of ``verify`` besides --format, which every verifier reads.
@@ -434,30 +431,33 @@ _PMAX = 5
 
 # Every verifier: the flags it needs, in the order its message names them;
 # the flags it reads when they are given; why it takes only --p 0, if it
-# does; and its rows, from the arguments and the parsed --gens.
+# does; and its rows, from the arguments and the parsed --gens.  Each
+# verifier is looked up in the package when called: the package loads
+# ``arf`` and ``identities`` on first use, and a wrapper put in its place
+# is the one called.
 _VERIFIERS: dict[
     str, tuple[tuple[str, ...], tuple[str, ...], str | None, Callable[..., list[Report]]]
 ] = {
-    "johnson": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: _call(
-        "identities.verify_johnson", a.alpha, a.beta, gens, _p_values(a))),
-    "watanabe": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: _call(
-        "identities.verify_watanabe", a.alpha, a.beta, gens, _p_values(a))),
-    "gcd-scaling": (("gens",), ("p",), None, lambda a, gens: _call(
-        "identities.verify_gcd_scaling", gens, _p_values(a))),
-    "symmetry": (("gens",), ("p",), None, _each("symmetry.verify_symmetry_equivalences")),
-    "pairings": (("gens",), ("p",), None, _each("symmetry.verify_apery_pairings")),
-    "pf-consequences": (("gens",), ("p",), None, _each("symmetry.verify_pf_consequences")),
+    "johnson": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: (
+        psemigroups.verify_johnson(a.alpha, a.beta, gens, _p_values(a)))),
+    "watanabe": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: (
+        psemigroups.verify_watanabe(a.alpha, a.beta, gens, _p_values(a)))),
+    "gcd-scaling": (("gens",), ("p",), None, lambda a, gens: (
+        psemigroups.verify_gcd_scaling(gens, _p_values(a)))),
+    "symmetry": (("gens",), ("p",), None, _each("verify_symmetry_equivalences")),
+    "pairings": (("gens",), ("p",), None, _each("verify_apery_pairings")),
+    "pf-consequences": (("gens",), ("p",), None, _each("verify_pf_consequences")),
     "almost-symmetric": (
-        ("gens",), ("p",), None, _each("symmetry.verify_almost_symmetric_equivalences")),
+        ("gens",), ("p",), None, _each("verify_almost_symmetric_equivalences")),
     "nari": (("gens",), ("p",), "nari is defined at p = 0", lambda a, gens: [
-        _call("symmetry.verify_nari", gens)]),
+        psemigroups.verify_nari(gens)]),
     "arf-heredity": (
         ("a", "b"), ("p", "pmax"), "arf-heredity takes its p range from --pmax",
-        lambda a, gens: [_call(
-            "arf.verify_arf_heredity", a.a, a.b, _PMAX if a.pmax is None else a.pmax)]),
-    "arf-kunz": (("gens",), ("p",), None, _each("arf.verify_arf_conductor_kunz")),
+        lambda a, gens: [psemigroups.verify_arf_heredity(
+            a.a, a.b, _PMAX if a.pmax is None else a.pmax)]),
+    "arf-kunz": (("gens",), ("p",), None, _each("verify_arf_conductor_kunz")),
     "eulerian-gf": (("exponent", "order"), (), None, lambda a, gens: [
-        _call("exactmath.verify_eulerian_gf", a.exponent, a.order)]),
+        psemigroups.verify_eulerian_gf(a.exponent, a.order)]),
 }
 
 

@@ -93,67 +93,67 @@ def as_generator_set(gens: GeneratorSet | Iterable[int]) -> GeneratorSet:
 class DenumerantTable:
     """Count table for one generator list, extendable in place.
 
-    One staged array per generator is kept (stage i counts tuples over the
-    first i+1 generators only), so growing the horizon fills just the new
-    indices for each generator.  The table grows exactly to the horizon
-    asked for; the caller sets the growth schedule.
+    ``counts`` holds d(0..horizon), one list, read-only to callers.  Stage
+    i counts tuples over the first i+1 generators only; each stage keeps
+    just its last min(g_i, horizon + 1) values, the tail that the next
+    growth reads, so growing the horizon fills just the new indices for
+    each generator and holds no more than the entries it charged.
+    The table grows exactly to the horizon asked for; the caller sets the
+    growth schedule.
     """
 
     def __init__(self, generators: GeneratorSet | Iterable[int], horizon: int = 0) -> None:
         self.generators = as_generator_set(generators)
         if horizon < 0:
             raise PreconditionError("horizon must be non-negative")
-        charge(horizon + 1, "count table entries per stage")
-        self._stages: list[list[int]] = [[] for _ in self.generators.ordered]
-        self._horizon = -1
+        charge(horizon + 1, "count table entries")
+        self.counts: list[int] = []
+        self._tails: list[list[int]] = [[] for _ in self.generators.ordered]
         self._fill(horizon)
 
     @property
     def horizon(self) -> int:
-        return self._horizon
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """Snapshot of d(0..horizon)."""
-        return tuple(self._stages[-1])
+        return len(self.counts) - 1
 
     def _fill(self, new_horizon: int) -> None:
-        """Extend each stage to ``new_horizon`` from the previous one, one
-        slice, then add s[n - g] to each new s[n] in ascending n.  That
-        runs either down each residue class modulo g as a prefix sum or
-        over blocks of g entries, each block reading only the block before
-        it; whichever takes fewer Python steps."""
-        lo, end = self._horizon + 1, new_horizon + 1
-        for i, g in enumerate(self.generators.ordered):
-            stage = self._stages[i]
-            if i:
-                stage += self._stages[i - 1][lo:end]
+        """Append d(horizon + 1 .. new_horizon): one zero segment, 1 at
+        n = 0, passes through every stage.  Stage g adds its tail, its
+        last values before the segment (g of them once it has g), to the
+        segment's entries below g that they align with, then adds s[n - g]
+        to each later s[n] in ascending n, either down each residue class
+        modulo g as a prefix sum or over blocks of g entries, each block
+        reading only the block before it; whichever takes fewer Python
+        steps."""
+        segment = [0] * (new_horizon - self.horizon)
+        if not self.counts:
+            segment[0] = 1
+        end = len(segment)
+        for g, tail in zip(self.generators.ordered, self._tails):
+            lo = g - len(tail)
+            segment[lo:g] = map(add, segment[lo:g], tail)
+            if end - g <= g * g:
+                for n in range(g, end, g):
+                    segment[n : n + g] = map(add, segment[n : n + g], segment[n - g : n])
             else:
-                stage += [0] * (end - lo)
-                if lo == 0:
-                    stage[0] = 1
-            start = max(lo, g)
-            if end - start <= g * g:
-                for n in range(start, end, g):
-                    stage[n : n + g] = map(add, stage[n : n + g], stage[n - g : n])
-            else:
-                for r in range(start - g, start):
-                    stage[r:end:g] = accumulate(stage[r:end:g])
-        self._horizon = new_horizon
+                for r in range(g):
+                    segment[r:end:g] = accumulate(segment[r:end:g])
+            tail += segment[-g:]
+            del tail[:-g]
+        self.counts += segment
 
     def ensure(self, n: int) -> None:
         """Grow the table to horizon n, unless it already reaches n."""
-        if n <= self._horizon:
+        if n <= self.horizon:
             return
-        charge(n + 1, "count table entries per stage")
+        charge(n + 1, "count table entries")
         self._fill(n)
 
     def count(self, n: int) -> int:
         if n < 0:
             raise PreconditionError("count index must be non-negative")
-        if n > self._horizon:
+        if n > self.horizon:
             raise PreconditionError("n exceeds the table horizon; call ensure(n)")
-        return self._stages[-1][n]
+        return self.counts[n]
 
 
 def denumerant(gens: GeneratorSet | Iterable[int], n: int) -> int:

@@ -10,9 +10,9 @@ modulo a = min(A), its minima modulo any other g included.
 The minima for every p of a range come from one computation at the largest
 p, P, along the cheaper of two exact routes:
 
-- the count table, grown geometrically while its k stages hold at most
-  (k-1)*a*(P+1) entries; once every class column exceeds P within it, each
-  p's minima are read by bisection;
+- the count table, grown geometrically while filling its k stages takes
+  at most (k-1)*a*(P+1) steps; once every class column exceeds P
+  within it, each p's minima are read by bisection;
 - (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
   congruent to n modulo a that are representable over the generators
   other than a, so the class minimum at p is the (p+1)-th smallest of
@@ -171,12 +171,16 @@ def build_range(
 ) -> Iterator[PSemigroup]:
     """The instances for every p of ``p_values``, in order, from one
     computation of the class minima up to its largest p.  That computation
-    (and the cap check) happens here; each instance is made when the
-    iterator reaches it, so a long range holds one instance at a time."""
+    (and its cap checks) happens here; each instance is made when the
+    iterator reaches it, so a long range holds one instance at a time.
+    The a class minima of every instance are charged before any is made."""
     A = as_generator_set(gens)
     if not p_values:
         return iter(())
-    minima_at = _class_minima(A, _top_p(p_values))
+    top = _top_p(p_values)
+    instances = (p_values[-1] - p_values[0]) // p_values.step + 1  # len() stops at 2^63
+    charge(A.least * instances, f"class minima of the {instances} instances of the p range")
+    minima_at = _class_minima(A, top)
     return (_instance(A, p, minima_at(p)) for p in p_values)
 
 
@@ -210,9 +214,9 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
 
     A count table is tried first, and the (top+1)-best lists take over
     when it does not settle; the horizon cap bounds the table's entries
-    per stage and the lists' a * (top + 1) entries alike.  When the lists
-    fit, the table's k stages may hold their element work,
-    (k-1) * a * (top + 1) entries in all.  When they do not, the table may
+    and the lists' a * (top + 1) entries alike.  When the lists fit, the
+    table's fill, k steps an entry, may do their element work,
+    (k-1) * a * (top + 1) steps in all.  When they do not, the table may
     grow to the cap if it can settle there: its last a entries, each of
     which must exceed top, sum to at most ``_count_bound(A, cap - 1)``.
     Otherwise the lists' charge refuses at once.
@@ -235,8 +239,8 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
 def _minima_from_table(
     A: GeneratorSet, top: int, limit: int
 ) -> Callable[[int], tuple[int, ...]] | None:
-    """Count-table route: grow the table from max(A) by h -> 2h + 64, at
-    most ``limit`` entries a stage, until the last entry of every class
+    """Count-table route: grow the table from max(A) by h -> 2h + 64, to
+    at most ``limit`` entries, until the last entry of every class
     column exceeds ``top``; None when it does not within that size.
     Columns are non-decreasing, so the minimum of class j at p is
     j + a * (number of entries of column j that are at most p)."""
@@ -248,15 +252,12 @@ def _minima_from_table(
     if _count_bound(A, limit - 1) <= top:
         return None
     table = DenumerantTable(A, horizon)
-    while True:
+    while min(table.counts[-a:]) <= top:
         h = table.horizon
-        if min(table.count(n) for n in range(h - a + 1, h + 1)) > top:
-            break
         if h + 1 >= limit:
             return None
         table.ensure(min(2 * h + 64, limit - 1))
-    counts = table.counts
-    columns = [counts[j::a] for j in range(a)]
+    columns = [table.counts[j::a] for j in range(a)]
 
     def minima_at(p: int) -> tuple[int, ...]:
         return tuple(j + a * bisect_right(col, p) for j, col in enumerate(columns))

@@ -1193,15 +1193,16 @@ HUGE_RANGES = {
 
 @pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
 def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
-    # the range is never listed, and the cap is checked once, at its top p,
-    # before any instance of the range is made
+    # the range is never listed, and the cap is checked before any instance
+    # of the range is made
     _assert_refused_quickly(capsys, monkeypatch, command)
 
 
 @pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
 def test_default_cap_refuses_a_huge_p_range_quickly(capsys, monkeypatch, command):
-    # no n within the default cap has 10^12 representations, which a bound
-    # on d(n) shows before any table is grown
+    # the class minima of 10^12 instances, or the top p: no n within the
+    # default cap has 10^12 representations, which a bound on d(n) shows
+    # before any table is grown
     _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
 
 
@@ -1233,7 +1234,7 @@ def test_an_input_no_route_can_answer_is_refused_before_any_table(capsys, monkey
     assert json.loads(out)["rows"] == [{"frobenius": 174, "p": 200}]
     assert len(tables) == 1
     # the same at the default cap, where a doomed table would hold 10^7
-    # entries a stage
+    # entries
     _assert_refused_quickly(capsys, monkeypatch, "classify --gens 3000,3001,3002 --p 3400", cap=None)
     assert len(tables) == 1
 
@@ -1538,6 +1539,55 @@ def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("top", ["1000000000", "1" + "0" * 30])
+def test_default_cap_refuses_the_instances_of_a_long_range(capsys, monkeypatch, top):
+    # {4,5,6} at p = 10^9 may try a table up to the cap (no table is made
+    # here), but the range's 10^9 + 1 instances of 4 class minima each are
+    # refused first; their number is not len(), which stops at 2^63
+    monkeypatch.setattr(semigroup, "DenumerantTable", None)
+    command = f"classify --gens 4,5,6 --p 0..{top}"
+    _assert_refused_quickly(capsys, monkeypatch, command, cap=None)
+    code = main(command.split())
+    assert (code, capsys.readouterr().err) == (EXIT_CAP, (
+        f"error: {4 * (int(top) + 1)} class minima of the {int(top) + 1} instances"
+        " of the p range, past the cap 10000000\n"
+    ))
+
+
+def _listed(doc):
+    """The number of integers the sets of an expanded analyze document list."""
+    sets = ("gaps", "h_set", "l_set", "pseudo_frobenius")
+    return sum(map(len, [*map(doc.get, sets), doc["members"]["below"], doc["k_set"]["below"]]))
+
+
+def test_expand_is_charged_for_the_integers_it_lists(capsys, monkeypatch):
+    argv = ["analyze", "--gens", "6,7,17", "--p", "14"]
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+    code, out = run_cli(capsys, *argv, "--expand")
+    listed = _listed(json.loads(out))
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(listed))
+    assert run_cli(capsys, *argv, "--expand") == (EXIT_OK, out)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(listed - 1))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    code = main([*argv, "--expand"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_CAP, "", (
+        f"error: {listed} integers listed by --expand, past the cap {listed - 1}\n"
+    ))
+
+
+def test_default_cap_refuses_expand_on_the_largest_rung_before_any_list(capsys, monkeypatch):
+    # 2c + |L| + |PF| integers at F = 6814761, refused once the masks are
+    # built and before any set is rendered
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    monkeypatch.setattr(cli, "split_docs", None)
+    code = main("analyze --gens 10007,10009,10037 --p 0 --expand".split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_CAP, "", (
+        "error: 13630840 integers listed by --expand, past the cap 10000000\n"
+    ))
 
 
 def test_readme_cli_examples_run(capsys):

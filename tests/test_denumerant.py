@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -109,15 +111,55 @@ def test_table_extension_preserves_counts():
     gens=generator_tuples(max_value=30, max_size=5),
     start=st.integers(0, 300),
     targets=st.lists(st.integers(0, 5000), max_size=5),
+    steps=st.lists(st.integers(1, 30), max_size=5),
 )
-def test_grown_table_matches_plain_dp(gens, start, targets):
+def test_grown_table_matches_plain_dp(gens, start, targets, steps):
     # growth steps below and above g^2 entries take the block and the
-    # per-class prefix-sum paths for the generators drawn
+    # per-class prefix-sum paths for the generators drawn; a step shorter
+    # than g keeps part of that stage's old tail
     table = DenumerantTable(gens, start)
-    assert list(table.counts) == dp_counts(gens, start)
+    assert table.counts == dp_counts(gens, start)
     for n in targets:
         table.ensure(n)
-        assert list(table.counts) == dp_counts(gens, table.horizon)
+        assert table.counts == dp_counts(gens, table.horizon)
+    for step in steps:
+        table.ensure(table.horizon + step)
+        assert table.counts == dp_counts(gens, table.horizon)
+
+
+def test_grown_table_holds_one_count_list():
+    # d(0..horizon) as one list, a slot and an int object an entry, plus a
+    # tail of g values a stage: about 40 bytes an entry at k = 4, where k
+    # full stages would hold about 100
+    gens = (101, 103, 107, 109)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = DenumerantTable(gens, max(gens))
+        while table.horizon < 200_000:
+            table.ensure(min(2 * table.horizon + 64, 200_000))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.horizon == len(table.counts) - 1 == 200_000
+    assert held <= 50 * (table.horizon + 1)
+
+
+def test_table_below_its_generators_holds_only_what_it_charged():
+    # a stage's tail is at most horizon + 1 values, so a short table over
+    # large generators allocates what its charge covers, not sum(A)
+    gens = (10_000_019, 10_000_079)
+    tracemalloc.start()
+    try:
+        table = DenumerantTable(gens, 5)
+        table.ensure(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts == [1] + [0] * 9
+    assert [len(tail) for tail in table._tails] == [10, 10]
+    assert peak < 10_000
+    assert denumerant((1000000007, 1000000009), 5) == 0
 
 
 def test_table_invariant_shift_monotonicity_whole_table():
