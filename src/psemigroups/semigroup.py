@@ -8,11 +8,12 @@ whole class; every invariant of an instance is derived from its minima
 modulo a = min(A), its minima modulo any other g included.
 
 The minima for every p of a range come from one computation at the largest
-p, P, along the cheaper of two exact routes:
+p, P, along one of two exact routes, picked by the one rule that
+``_class_minima`` states:
 
-- the count table, grown geometrically while filling its k stages takes
-  at most (k-1)*a*(P+1) steps; once every class column exceeds P
-  within it, each p's minima are read by bisection;
+- the count table, grown geometrically up to that rule's limit; once
+  every class column exceeds P within it, each p's minima are read by
+  bisection;
 - (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
   congruent to n modulo a that are representable over the generators
   other than a, so the class minimum at p is the (p+1)-th smallest of
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, eq, le, mul, neg
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
@@ -172,8 +173,11 @@ def build_range(
     """The instances for every p of ``p_values``, in order, from one
     computation of the class minima up to its largest p.  That computation
     (and its cap checks) happens here; each instance is made when the
-    iterator reaches it, so a long range holds one instance at a time.
-    The a class minima of every instance are charged before any is made."""
+    iterator reaches it, so a long range holds one instance, and the
+    minima of the one before, at a time.  The a class minima of every
+    instance are charged before any is made; at a top p > 0 that charge
+    also covers the p = 0 minima, a integers from the flat round robin,
+    against which ``_validate`` checks each instance from below."""
     A = as_generator_set(gens)
     if not p_values:
         return iter(())
@@ -181,7 +185,34 @@ def build_range(
     instances = (p_values[-1] - p_values[0]) // p_values.step + 1  # len() stops at 2^63
     charge(A.least * instances, f"class minima of the {instances} instances of the p range")
     minima_at = _class_minima(A, top)
-    return (_instance(A, p, minima_at(p)) for p in p_values)
+    return _instances(A, p_values, minima_at, _flat_minima(A) if top else None)
+
+
+def _instances(
+    A: GeneratorSet,
+    p_values: range,
+    minima_at: Callable[[int], tuple[int, ...]],
+    floor: list[int] | None,
+) -> Iterator[PSemigroup]:
+    """The instances of ``p_values``, each checked by ``_validate``
+    against the p = 0 ``floor`` and the instance before it."""
+    a, earlier = A.least, None
+    for p in p_values:
+        minima = minima_at(p)
+        _validate(A, minima, p, floor, earlier)
+        earlier = p, minima
+        frobenius = max(minima) - a
+        yield PSemigroup(
+            generators=A,
+            p=p,
+            modulus=a,
+            apery_by_residue=minima,
+            apery_sorted=tuple(sorted(minima)),
+            multiplicity=min(minima),
+            frobenius=frobenius,
+            conductor=frobenius + 1,
+            kunz=tuple((m - j) // a for j, m in enumerate(minima)),
+        )
 
 
 def _top_p(p_values: range) -> int:
@@ -192,44 +223,30 @@ def _top_p(p_values: range) -> int:
     return max(ends)
 
 
-def _instance(A: GeneratorSet, p: int, minima: tuple[int, ...]) -> PSemigroup:
-    a = A.least
-    _validate(A, minima, p)
-    frobenius = max(minima) - a
-    return PSemigroup(
-        generators=A,
-        p=p,
-        modulus=a,
-        apery_by_residue=minima,
-        apery_sorted=tuple(sorted(minima)),
-        multiplicity=min(minima),
-        frobenius=frobenius,
-        conductor=frobenius + 1,
-        kunz=tuple((m - j) // a for j, m in enumerate(minima)),
-    )
-
-
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
-    """p -> class minima modulo a = min(A) for 0 <= p <= top.
+    """p -> class minima modulo a = min(A) for 0 <= p <= top; the only
+    place a route is picked, by one rule:
 
-    A count table is tried first, and the (top+1)-best lists take over
-    when it does not settle; the horizon cap bounds the table's entries
-    and the lists' a * (top + 1) entries alike.  When the lists fit, the
-    table's fill, k steps an entry, may do their element work,
-    (k-1) * a * (top + 1) steps in all.  When they do not, the table may
-    grow to the cap if it can settle there: its last a entries, each of
-    which must exceed top, sum to at most ``_count_bound(A, cap - 1)``.
-    Otherwise the lists' charge refuses at once.
+    - when the lists' a * (top + 1) entries fit under the cap,
+      limit = (k-1) * a * (top + 1) // k, a table whose fill, k steps an
+      entry, does at most the lists' element work, and need = top + 1,
+      as some count below the limit must exceed top;
+    - when they do not, limit = cap and need = a * (top + 1), as each of
+      the table's last a entries must exceed top;
+    - a table is tried iff max(A) < limit and
+      ``_count_bound(A, limit - 1) >= need``.  If none is tried, or the
+      one tried does not settle, the lists are charged, which refuses
+      when they do not fit, and then built.
     """
-    cap = horizon_cap()
-    k = len(A)
+    cap, k = horizon_cap(), len(A)
     list_entries = A.least * (top + 1)
     if list_entries <= cap:
-        minima_at = _minima_from_table(A, top, (k - 1) * list_entries // k)
-    elif _count_bound(A, cap - 1) >= list_entries:
-        minima_at = _minima_from_table(A, top, cap)
+        limit, need = (k - 1) * list_entries // k, top + 1
     else:
-        minima_at = None
+        limit, need = cap, list_entries
+    minima_at = None
+    if max(A.ordered) < limit and _count_bound(A, limit - 1) >= need:
+        minima_at = _minima_from_table(A, top, limit)
     if minima_at is None:
         charge(list_entries, f"list entries for the class minima at p = {top}")
         minima_at = _minima_from_lists(A, top)
@@ -245,13 +262,7 @@ def _minima_from_table(
     Columns are non-decreasing, so the minimum of class j at p is
     j + a * (number of entries of column j that are at most p)."""
     a = A.least
-    horizon = max(A.ordered)
-    if horizon + 1 > limit:
-        return None
-    # a top p that no n below the limit can pass is refused before any table
-    if _count_bound(A, limit - 1) <= top:
-        return None
-    table = DenumerantTable(A, horizon)
+    table = DenumerantTable(A, max(A.ordered))
     while min(table.counts[-a:]) <= top:
         h = table.horizon
         if h + 1 >= limit:
@@ -283,16 +294,7 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
     of list j (counting from 0)."""
     a, keep = A.least, top + 1
     if keep == 1:
-        # a * max(A) stands for "none yet": a least value has fewer than a
-        # summands, so it is below that
-        flat = [a * max(A.ordered)] * a
-        flat[0] = 0
-        for b in A.ordered:
-            if b != a:
-                g = gcd(a, b)
-                starts = [min(range(r, a, g), key=flat.__getitem__) for r in range(g)]
-                _round_robin(flat, b, starts)
-        minima = tuple(flat)
+        minima = tuple(_flat_minima(A))
         return lambda p: minima
     lists: list[list[int]] = [[] for _ in range(a)]
     lists[0].append(0)
@@ -304,6 +306,22 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
         return tuple(values[p] for values in lists)
 
     return minima_at
+
+
+def _flat_minima(A: GeneratorSet) -> list[int]:
+    """The class minima at p = 0, one flat list of a integers, by one
+    ``_round_robin`` per generator other than a: O(k*a) steps."""
+    a = A.least
+    # a * max(A) stands for "none yet": a least value has fewer than a
+    # summands, so it is below that
+    flat = [a * max(A.ordered)] * a
+    flat[0] = 0
+    for b in A.ordered:
+        if b != a:
+            g = gcd(a, b)
+            starts = [min(range(r, a, g), key=flat.__getitem__) for r in range(g)]
+            _round_robin(flat, b, starts)
+    return flat
 
 
 def _round_robin(values: list[int], step: int, starts: Iterable[int]) -> None:
@@ -383,14 +401,24 @@ def _closure(values: list[int], width: int, keep: int) -> list[int]:
     return out
 
 
-def _validate(A: GeneratorSet, minima: tuple[int, ...], p: int) -> None:
+def _validate(
+    A: GeneratorSet,
+    minima: tuple[int, ...],
+    p: int,
+    floor: list[int] | None = None,
+    earlier: tuple[int, tuple[int, ...]] | None = None,
+) -> None:
     """O(k*a) checks of class minima at p from either route.  A count
     never drops along a step of a generator b, so the member m_(j-b) + b
     bounds m_j.  At p = 0 the minima are shortest paths in the residue
     graph modulo a (Nijenhuis 1979; Boecker and Liptak 2007), so they are
     exact iff also tight: m_0 = 0 and every other m_j is its least bound.
-    At p > 0 only the bounds are checked; the lower side rests on the two
-    routes' agreement and on the brute-force tests."""
+    At p > 0 no cheap tight certificate is known, so the minima are
+    checked from below: against ``floor``, the p = 0 minima from the flat
+    round robin, which neither p > 0 route uses, and against ``earlier``,
+    (q, minima at q) for another p of the range, as the minima never
+    decrease as p grows.  Exactness beyond these rests on the two routes'
+    agreement and on the brute-force tests."""
     a = A.least
     if len(minima) != a:
         raise InternalCheckError("class minima do not cover all residues")
@@ -404,10 +432,9 @@ def _validate(A: GeneratorSet, minima: tuple[int, ...], p: int) -> None:
         if b != a:  # m_j + a bounds m_j, never tightly
             s = b % a
             bound = list(map(add, minima[-s:] + minima[:-s], repeat(b)))  # m_(j-b) + b
-            if not all(map(le, minima, bound)):
-                j = next(j for j, m in enumerate(minima) if minima[(j + b) % a] > m + b)
+            if (j := _first_above(minima, bound)) >= 0:
                 raise InternalCheckError(
-                    f"class minimum {minima[(j + b) % a]} exceeds {minima[j]} + {b}"
+                    f"class minimum {minima[j]} exceeds {minima[(j - b) % a]} + {b}"
                 )
             if p == 0:
                 tight |= int.from_bytes(bytes(map(eq, minima, bound)), "little")
@@ -418,6 +445,27 @@ def _validate(A: GeneratorSet, minima: tuple[int, ...], p: int) -> None:
             raise InternalCheckError(
                 f"class minimum {minima[j]} is not tight at p = 0: {least} expected"
             )
+    if floor is not None and (j := _first_above(floor, minima)) >= 0:
+        raise InternalCheckError(
+            f"class minimum {minima[j]} at p = {p} is below {floor[j]}"
+            " from the p = 0 round robin"
+        )
+    if earlier is not None:
+        q, other = earlier
+        low, high = (other, minima) if q < p else (minima, other)
+        if (j := _first_above(low, high)) >= 0:
+            raise InternalCheckError(
+                f"class minimum {high[j]} at p = {max(p, q)} is below {low[j]},"
+                f" its class's minimum at p = {min(p, q)}"
+            )
+
+
+def _first_above(lower: Sequence[int], upper: Sequence[int]) -> int:
+    """The first index at which ``lower`` exceeds ``upper``, or -1; the
+    pass that finds none is one C-level ``all``."""
+    if all(map(le, lower, upper)):
+        return -1
+    return next(j for j, (x, y) in enumerate(zip(lower, upper)) if x > y)
 
 
 def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:

@@ -4,6 +4,7 @@ import tracemalloc
 from collections import deque
 from fractions import Fraction
 from functools import reduce
+from hashlib import sha256
 from math import gcd
 from unittest import mock
 
@@ -294,26 +295,64 @@ def test_power_sum_bernoulli_refuses_a_non_integer_value():
 
 
 @pytest.mark.parametrize(
-    "gens, minima, message",
+    "gens, p, minima, earlier, message",
     [
-        ((3, 5), (0, 10), "class minima do not cover all residues"),
-        ((3, 5), (0, 10, 6), "class minimum 6 is not in class 2"),
-        ((3, 5), (0, -2, 5), "negative Kunz coordinate"),
-        ((3, 5), (0, 13, 5), "class minimum 13 exceeds 5 \\+ 5"),
+        ((3, 5), 0, (0, 10), None, "class minima do not cover all residues"),
+        ((3, 5), 0, (0, 10, 6), None, "class minimum 6 is not in class 2"),
+        ((3, 5), 0, (0, -2, 5), None, "negative Kunz coordinate"),
+        ((3, 5), 0, (0, 13, 5), None, "class minimum 13 exceeds 5 \\+ 5"),
         # too small: every bound holds, but no sum of 7s and 9s is 1
-        ((5, 7, 9), (0, 1, 2, 3, 4), "class minimum 1 is not tight at p = 0: 11 expected"),
-        ((3, 4), (3, 7, 11), "class minimum 3 is not tight at p = 0: 0 expected"),
+        ((5, 7, 9), 0, (0, 1, 2, 3, 4), None,
+         "class minimum 1 is not tight at p = 0: 11 expected"),
+        ((3, 4), 0, (3, 7, 11), None, "class minimum 3 is not tight at p = 0: 0 expected"),
+        # the same, too small at p = 1, where no minimum is tight
+        ((5, 7, 9), 1, (0, 1, 2, 3, 4), None,
+         "class minimum 1 at p = 1 is below 16 from the p = 0 round robin"),
+        # {3, 5}'s minima at p = 0 passed off as those at p = 2, after p = 1
+        ((3, 5), 2, (0, 10, 5), 1,
+         "class minimum 0 at p = 2 is below 15, its class's minimum at p = 1"),
+        # its minima at p = 3 passed off as those at p = 1, after p = 2
+        ((3, 5), 1, (45, 55, 50), 2,
+         "class minimum 30 at p = 2 is below 45, its class's minimum at p = 1"),
     ],
 )
-def test_validate_refuses_forged_minima(gens, minima, message):
-    # each forgery of the p = 0 minima breaks one check; at p > 0 only the
-    # bounds are checked, which minima too small do not break
+def test_validate_refuses_forged_minima(gens, p, minima, earlier, message):
+    # each forgery breaks one check, made with the p = 0 minima as the
+    # floor at p > 0 and the true minima at ``earlier`` as the range's
+    # previous instance; without the floor, at p > 0 only the bounds are
+    # checked, which minima too small do not break
     gens = GeneratorSet(gens)
-    _validate(gens, build(gens, 0).apery_by_residue, 0)
+    floor = list(build(gens, 0).apery_by_residue) if p else None
+    if earlier is not None:
+        earlier = earlier, build(gens, earlier).apery_by_residue
+    _validate(gens, build(gens, p).apery_by_residue, p, floor, earlier)
     with pytest.raises(InternalCheckError, match=message):
-        _validate(gens, minima, 0)
+        _validate(gens, minima, p, floor, earlier)
     if "tight" in message:
         _validate(gens, minima, 1)
+
+
+@pytest.mark.parametrize(
+    "forgery, p_values, message",
+    [
+        ((0, 1, 2), range(2, 3), "class minimum 1 at p = 2 is below 10 from the p = 0 round robin"),
+        ((0, 10, 5), range(1, 4), "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
+        ((0, 10, 5), range(3, 0, -1), "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
+    ],
+)
+def test_range_build_checks_each_instance_from_below(monkeypatch, forgery, p_values, message):
+    # {3, 5}'s minima forged at p = 2: below the p = 0 floor, or as its
+    # minima at p = 0, which fail against p = 1 whether it comes before or
+    # after
+    minima_at = semigroup._class_minima
+
+    def forged(A, top):
+        true = minima_at(A, top)
+        return lambda p: forgery if p == 2 else true(p)
+
+    monkeypatch.setattr(semigroup, "_class_minima", forged)
+    with pytest.raises(InternalCheckError, match=message):
+        list(build_range((3, 5), p_values))
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
@@ -604,10 +643,20 @@ def test_count_bound_holds_up_to_n(gens, n):
 
 
 def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
-    # d(n) <= (n + 3) // 3 for {2, 3}, so no n below 10^6 has more than
-    # 10^12 representations
+    # d(n) <= (n + 3) // 3 for {2, 3} (_count_bound), so on neither branch
+    # of the rule can a table settle at p = 10^12, and none is made
     monkeypatch.setattr(semigroup, "DenumerantTable", None)
-    assert _minima_from_table(GeneratorSet((2, 3)), 10**12, 10**6) is None
+    A, top = GeneratorSet((2, 3)), 10**12
+    # the lists' 2 * (10^12 + 1) entries fit: a table would need a count
+    # past 10^12 below 10^12 + 1; a stub stands in for the lists
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(3 * 10**12))
+    monkeypatch.setattr(semigroup, "_minima_from_lists", lambda A, top: "lists")
+    assert semigroup._class_minima(A, top) == "lists"
+    # they do not fit: a table's last 2 entries would need 2 * (10^12 + 1)
+    # counts between them below the cap, and the lists' charge refuses
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP")
+    with pytest.raises(CapExceededError, match="^2000000000002 list entries .* cap 10000000$"):
+        semigroup._class_minima(A, top)
 
 
 @pytest.mark.parametrize(
@@ -631,6 +680,99 @@ def test_table_route_grows_by_doubling_from_the_largest_generator(monkeypatch, g
     sp = build(gens, top)
     assert sp.apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)
     assert seen == fills
+
+
+# For each (generators, top p, cap): the horizons each table was filled
+# to, the route that answered ("table", "lists", or None for a refusal),
+# and the first 16 hex digits of the SHA-256 of the repr of the minima at
+# the top p, or the refusal.  Recorded before the route rule moved into
+# _class_minima alone; the cases after {25,27,30,47} were drawn once from
+# random.Random(28), and {37,48,63,75} is a table that cannot settle
+# within the cap of 1000.
+ROUTE_RECORDS = [
+    ((17, 18, 19), 5, 1000, [19, 67], "lists", "ccb02836436bed97"),
+    ((17, 18, 19), 5, None, [19, 67], "lists", "ccb02836436bed97"),
+    ((3000, 3001, 3002), 3400, 1000, [], None,
+     "3000 class minima of the 1 instances of the p range, past the cap 1000"),
+    ((3000, 3001, 3002), 3400, None, [], None,
+     "10203000 list entries for the class minima at p = 3400, past the cap 10000000"),
+    ((2, 3), 10**12, 1000, [], None,
+     "2000000000002 list entries for the class minima at p = 1000000000000, past the cap 1000"),
+    ((2, 3), 10**12, None, [], None,
+     "2000000000002 list entries for the class minima at p = 1000000000000,"
+     " past the cap 10000000"),
+    ((8, 9, 10), 1832, 1000, [], None,
+     "14664 list entries for the class minima at p = 1832, past the cap 1000"),
+    ((8, 9, 10), 1832, None, [10, 84, 232, 528, 1120, 2304], "table", "76a2e7e2360e6f2a"),
+    ((21, 33, 38), 1088, 1000, [], None,
+     "22869 list entries for the class minima at p = 1088, past the cap 1000"),
+    ((21, 33, 38), 1088, None, [38, 140, 344, 752, 1568, 3200, 6464, 12992], "table",
+     "2e9f1d9447b876a8"),
+    ((1009, 1013, 1019), 50, 1000, [], None,
+     "1009 class minima of the 1 instances of the p range, past the cap 1000"),
+    ((1009, 1013, 1019), 50, None, [1019, 2102, 4268, 8600, 17264, 34305], "lists",
+     "5a85f679cc19bfe9"),
+    ((6, 7, 11, 13), 200, 1000, [13, 90, 244], "table", "0f83295ec59d00d3"),
+    ((6, 7, 11, 13), 200, None, [13, 90, 244], "table", "0f83295ec59d00d3"),
+    ((30, 31, 32), 40, 1000, [], None,
+     "1230 list entries for the class minima at p = 40, past the cap 1000"),
+    ((30, 31, 32), 40, None, [32, 128, 320, 704, 819], "lists", "0194863f916895ee"),
+    ((25, 27, 30, 47), 1231, 1000, [], None,
+     "30800 list entries for the class minima at p = 1231, past the cap 1000"),
+    ((25, 27, 30, 47), 1231, None, [47, 158, 380, 824, 1712, 3488], "table", "6e47771397681beb"),
+    ((19, 72), 20, 1000, [], "lists", "5a6dead49ebb98c8"),
+    ((19, 72), 20, None, [], "lists", "5a6dead49ebb98c8"),
+    ((19, 23, 27), 7, 1000, [27, 100], "lists", "2fc19c898744a093"),
+    ((19, 23, 27), 7, None, [27, 100], "lists", "2fc19c898744a093"),
+    ((15, 56), 29, 1000, [], "lists", "95cd992c019964b1"),
+    ((15, 56), 29, None, [], "lists", "95cd992c019964b1"),
+    ((67, 69), 24, 1000, [], None,
+     "1675 list entries for the class minima at p = 24, past the cap 1000"),
+    ((67, 69), 24, None, [], "lists", "1f0ae6ff50fc1c01"),
+    ((19, 28, 32, 60), 30, 1000, [60, 184, 432, 440], "lists", "44a6a20e335d8adc"),
+    ((19, 28, 32, 60), 30, None, [60, 184, 432, 440], "lists", "44a6a20e335d8adc"),
+    ((13, 36, 69, 71), 0, 1000, [], "lists", "512b3cacde2b4bf2"),
+    ((13, 36, 69, 71), 0, None, [], "lists", "512b3cacde2b4bf2"),
+    ((7, 57), 1681, 1000, [], None,
+     "11774 list entries for the class minima at p = 1681, past the cap 1000"),
+    ((7, 57), 1681, None, [], "lists", "db02205aa1900438"),
+    ((23, 35, 51), 27, 1000, [51, 166, 396, 428], "lists", "e2b88fedd90e6994"),
+    ((23, 35, 51), 27, None, [51, 166, 396, 428], "lists", "e2b88fedd90e6994"),
+    ((37, 48, 63, 75), 27, 1000, [75, 214, 492, 999], None,
+     "1036 list entries for the class minima at p = 27, past the cap 1000"),
+    ((37, 48, 63, 75), 27, None, [75, 214, 492, 776], "lists", "f2533ad39027c782"),
+]
+
+
+@pytest.mark.parametrize("gens, top, cap, fills, route, outcome", ROUTE_RECORDS)
+def test_class_minima_keep_their_recorded_routes(
+    monkeypatch, gens, top, cap, fills, route, outcome
+):
+    seen, answered = [], []
+    lists = semigroup._minima_from_lists
+
+    class Recording(DenumerantTable):
+        def _fill(self, new_horizon):
+            seen.append(new_horizon)
+            super()._fill(new_horizon)
+
+    def spy(A, top):
+        answered.append(top)
+        return lists(A, top)
+
+    monkeypatch.setattr(semigroup, "DenumerantTable", Recording)
+    monkeypatch.setattr(semigroup, "_minima_from_lists", spy)
+    if cap is None:
+        monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    else:
+        monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(cap))
+    try:
+        minima = build(gens, top).apery_by_residue
+    except CapExceededError as refusal:
+        got = None, str(refusal)
+    else:
+        got = "lists" if answered else "table", sha256(repr(minima).encode()).hexdigest()[:16]
+    assert (seen, *got) == (fills, route, outcome)
 
 
 def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
