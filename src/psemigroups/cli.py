@@ -132,8 +132,8 @@ _WRITE_SIZE = 1 << 16
 
 def emit(doc: dict[str, Any], fmt: str) -> None:
     """Write ``doc`` to stdout in ``fmt``, short pieces joined into writes
-    of at most _WRITE_SIZE characters.  A longer piece is written alone, not
-    copied into a join."""
+    of at most _WRITE_SIZE characters.  A longer piece is written alone:
+    joining a list of one string returns that string, uncopied."""
     # Exact rationals (a weighted power sum's den^F) can outgrow Python's
     # int -> str digit limit: lift it while rendering only, so that parsing
     # outside input keeps it.
@@ -145,11 +145,8 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
             if batch and size + len(piece) > _WRITE_SIZE:
                 write("".join(batch))
                 batch, size = [], 0
-            if len(piece) >= _WRITE_SIZE:
-                write(piece)
-            else:
-                batch.append(piece)
-                size += len(piece)
+            batch.append(piece)
+            size += len(piece)
         if batch:
             write("".join(batch))
     finally:

@@ -38,9 +38,7 @@ def eulerian(n: int, m: int) -> int:
     """
     if n < 0:
         raise PreconditionError("Eulerian row index must be non-negative")
-    if n == 0:
-        return 1 if m == 0 else 0
-    if m < 0 or m >= n:
+    if not 0 <= m < max(n, 1):  # row 0 is [1]
         return 0
     return eulerian_row(n)[m]
 

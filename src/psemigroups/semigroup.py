@@ -20,14 +20,15 @@ p, P, along one of two exact routes, picked by the one rule that
   them.  The lists are merged one generator at a time by a round-robin
   walk over the residue cycles of that generator, with no table:
   O((k-1)*a*(P+1)) element work in O((k-1)*a) Python-level merges of
-  sorted runs, plus the closure steps of each cycle; at P = 0, one flat
+  sorted runs, plus one merge of progressions per cycle; at P = 0, one flat
   list of a integers and O((k-1)*a) steps, Boecker and Liptak's round robin.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
+from heapq import merge
 from itertools import accumulate, compress, count, islice, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, eq, le, mul, neg
@@ -345,10 +346,11 @@ def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int
     g = gcd(a, b) cycles s0, s0 + b, ... of length L = a/g, and going once
     round a cycle adds W = L*b.  A first walk round each cycle collects
     the values that reach s0 without going round; the new list of s0 is
-    their closure under adding W, and a second walk feeds it on round the
-    cycle.  So a generator costs about 2a Python steps, each a merge of
-    two ascending runs by one C-level ``list.sort``, and O(a*keep)
-    element work, plus at most ``keep`` block steps of each closure."""
+    the ``keep`` smallest of x + t*W over them and t >= 0, one merge of
+    their progressions, and a second walk feeds it on round the cycle.
+    So a generator costs about 2a Python steps, each a merge of two
+    ascending runs by one C-level ``list.sort``, and O(a*keep) element
+    work, plus one merge of at most ``keep`` progressions per cycle."""
     a = len(lists)
     g = gcd(a, b)
     length = a // g
@@ -358,7 +360,8 @@ def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int
         fed: list[int] = []
         for s in rest:
             fed = _keep_union(lists[s], fed, b, keep)
-        fed = new[s0] = _closure(_keep_union(lists[s0], fed, b, keep), length * b, keep)
+        reach = _keep_union(lists[s0], fed, b, keep)
+        fed = new[s0] = list(islice(merge(*[count(x, length * b) for x in reach]), keep))
         for s in rest:
             fed = new[s] = _keep_union(lists[s], fed, b, keep)
     return new
@@ -375,30 +378,6 @@ def _keep_union(old: list[int], fed: list[int], b: int, keep: int) -> list[int]:
         merged.sort()
         del merged[keep:]
     return merged
-
-
-def _closure(values: list[int], width: int, keep: int) -> list[int]:
-    """The ``keep`` smallest of x + t*width over the ascending ``values``
-    and t >= 0, one block of the given width at a time: block m holds the
-    residues modulo width of the values below (m + 1)*width, plus
-    m*width.  Each block adds at least one value, and once every value is
-    below, the blocks repeat with period width."""
-    out: list[int] = []
-    residues: list[int] = []
-    i, n = 0, len(values)
-    base = values[0] // width * width if values else 0
-    while i < n and len(out) < keep:
-        j = bisect_left(values, base + width, i)
-        residues += [x % width for x in values[i:j]]
-        residues.sort()
-        i = j
-        out += [base + r for r in residues]
-        base += width
-    if residues and len(out) < keep:
-        blocks = -((len(out) - keep) // len(residues))
-        out += [base + t * width + r for t in range(blocks) for r in residues]
-    del out[keep:]
-    return out
 
 
 def _validate(

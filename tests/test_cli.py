@@ -1632,6 +1632,20 @@ def test_readme_exit_code_table_runs(capsys, monkeypatch):
             assert captured.err.startswith(prefix), argv
 
 
+def test_benchmark_reference_digests_are_reproduced(capsys, monkeypatch):
+    # psgbench/reference.json records "exit:sha256 of stdout" for every
+    # invocation of the benchmark's default seed, at the default cap
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    path = Path(__file__).resolve().parent.parent / "psgbench" / "reference.json"
+    reference = json.loads(path.read_text())
+    labels = [item for workload in reference.values() for item in workload.items()]
+    assert labels
+    for label, digest in labels:
+        code = main(label.split())
+        out = capsys.readouterr().out
+        assert f"{code}:{hashlib.sha256(out.encode()).hexdigest()}" == digest, label
+
+
 def test_json_is_deterministic_in_process(capsys):
     _, first = run_cli(capsys, "analyze", "--gens", "6,7,17", "--p", "14")
     _, second = run_cli(capsys, "analyze", "--gens", "6,7,17", "--p", "14")

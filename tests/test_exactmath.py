@@ -47,6 +47,9 @@ def test_eulerian_base_values():
     assert eulerian(4, 1) == 11
     assert eulerian(3, -1) == 0
     assert eulerian(3, 3) == 0
+    assert eulerian(0, 1) == 0
+    # outside the triangle, refused before any row is built
+    assert eulerian(10**6, -1) == 0
 
 
 @pytest.mark.parametrize("n", range(9))

@@ -610,7 +610,7 @@ def merge_inputs(draw):
     """(lists, b, keep): for each class r modulo a, at most ``keep``
     ascending values congruent to r, and a generator b > a, at times a
     multiple of a.  Unlike lists grown from {0}, these often start a
-    cycle's closure from several values."""
+    cycle's merge from several values."""
     a = draw(st.integers(1, 12))
     b = draw(st.integers(a + 1, 40))
     keep = draw(st.integers(1, 12))
@@ -622,6 +622,10 @@ def merge_inputs(draw):
 
 
 @given(draw=merge_inputs())
+# a repeated value, with gcd(a, b) = 3 leaving two of the three cycles
+# empty; one value that goes round its cycle many times
+@example(draw=([[0, 0, 6], [], [], [3], [], []], 9, 12))
+@example(draw=([[0], [], [], []], 7, 12))
 def test_round_robin_merge_agrees_with_heap_merge(draw):
     lists, b, keep = draw
     before = [values.copy() for values in lists]
