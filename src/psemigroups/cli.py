@@ -207,15 +207,13 @@ def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
                 yield from _pretty_lines(v, indent + 1)
             else:
                 yield f"{pad}{k}: {_scalar(v)}\n"
-    elif isinstance(value, (list, tuple)):
+    else:  # a list or tuple: both branches write every scalar inline
         for v in value:
             if isinstance(v, (dict, list, tuple)):
                 yield f"{pad}-\n"
                 yield from _pretty_lines(v, indent + 1)
             else:
                 yield f"{pad}- {_scalar(v)}\n"
-    else:
-        yield f"{pad}{_scalar(value)}\n"
 
 
 # ---------------------------------------------------------------------------

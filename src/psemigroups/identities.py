@@ -146,7 +146,7 @@ def verify_gcd_scaling(
     """
     A = as_generator_set(gens)
     first, rest = A.ordered[0], A.ordered[1:]
-    d = gcd(*rest) if len(rest) > 1 else rest[0]
+    d = gcd(*rest)
     if d <= 1:
         raise PreconditionError(
             "generators after the first must share a common factor > 1"

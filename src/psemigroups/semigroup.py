@@ -171,36 +171,43 @@ def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
 def build_range(
     gens: GeneratorSet | Iterable[int], p_values: range
 ) -> Iterator[PSemigroup]:
-    """The instances for every p of ``p_values``, in order, from one
-    computation of the class minima up to its largest p.  That computation
-    (and its cap checks) happens here; each instance is made when the
-    iterator reaches it, so a long range holds one instance, and the
-    minima of the one before, at a time.  The a class minima of every
-    instance are charged before any is made; at a top p > 0 that charge
-    also covers the p = 0 minima, a integers from the flat round robin,
-    against which ``_validate`` checks each instance from below."""
+    """The instances for every p of ``p_values``, an ascending range, in
+    order, from one computation of the class minima up to its last p.
+    That computation (and its cap checks) happens here; each instance is
+    made when the iterator reaches it, so a long range holds one
+    instance, and the minima of the one before, at a time.  The range is
+    one chain for ``_validate``: every instance is checked from below
+    against the one before it, and the first, when the range starts above
+    0, against the p = 0 minima of one flat round robin.  The a class
+    minima of every instance are charged before any is made; that charge
+    also covers the a integers of that p = 0 link."""
     A = as_generator_set(gens)
+    if p_values.step < 0:
+        raise PreconditionError("p range must ascend")
     if not p_values:
         return iter(())
-    top = _top_p(p_values)
-    instances = (p_values[-1] - p_values[0]) // p_values.step + 1  # len() stops at 2^63
+    first, top = p_values[0], p_values[-1]
+    if first < 0:
+        raise PreconditionError("p must be non-negative")
+    instances = (top - first) // p_values.step + 1  # len() stops at 2^63
     charge(A.least * instances, f"class minima of the {instances} instances of the p range")
     minima_at = _class_minima(A, top)
-    return _instances(A, p_values, minima_at, _flat_minima(A) if top else None)
+    return _instances(A, p_values, minima_at, (0, _flat_minima(A)) if first else None)
 
 
 def _instances(
     A: GeneratorSet,
     p_values: range,
     minima_at: Callable[[int], tuple[int, ...]],
-    floor: list[int] | None,
+    earlier: tuple[int, Sequence[int]] | None,
 ) -> Iterator[PSemigroup]:
     """The instances of ``p_values``, each checked by ``_validate``
-    against the p = 0 ``floor`` and the instance before it."""
-    a, earlier = A.least, None
+    against ``earlier``, (q, minima at q) for the chain's link before it;
+    each (p, minima) is handed on as the next link."""
+    a = A.least
     for p in p_values:
         minima = minima_at(p)
-        _validate(A, minima, p, floor, earlier)
+        _validate(A, minima, p, earlier)
         earlier = p, minima
         frobenius = max(minima) - a
         yield PSemigroup(
@@ -214,14 +221,6 @@ def _instances(
             conductor=frobenius + 1,
             kunz=tuple((m - j) // a for j, m in enumerate(minima)),
         )
-
-
-def _top_p(p_values: range) -> int:
-    """The largest p of a non-empty range, which must hold no negative p."""
-    ends = (p_values[0], p_values[-1])
-    if min(ends) < 0:
-        raise PreconditionError("p must be non-negative")
-    return max(ends)
 
 
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
@@ -384,8 +383,7 @@ def _validate(
     A: GeneratorSet,
     minima: tuple[int, ...],
     p: int,
-    floor: list[int] | None = None,
-    earlier: tuple[int, tuple[int, ...]] | None = None,
+    earlier: tuple[int, Sequence[int]] | None = None,
 ) -> None:
     """O(k*a) checks of class minima at p from either route.  A count
     never drops along a step of a generator b, so the member m_(j-b) + b
@@ -393,11 +391,11 @@ def _validate(
     graph modulo a (Nijenhuis 1979; Boecker and Liptak 2007), so they are
     exact iff also tight: m_0 = 0 and every other m_j is its least bound.
     At p > 0 no cheap tight certificate is known, so the minima are
-    checked from below: against ``floor``, the p = 0 minima from the flat
-    round robin, which neither p > 0 route uses, and against ``earlier``,
-    (q, minima at q) for another p of the range, as the minima never
-    decrease as p grows.  Exactness beyond these rests on the two routes'
-    agreement and on the brute-force tests."""
+    checked from below against ``earlier``, (q, minima at q) for some
+    q < p, as the minima never decrease as p grows: in a range, the
+    instance before, or the p = 0 minima from the flat round robin, which
+    neither p > 0 route uses.  Exactness beyond these rests on the two
+    routes' agreement and on the brute-force tests."""
     a = A.least
     if len(minima) != a:
         raise InternalCheckError("class minima do not cover all residues")
@@ -424,19 +422,11 @@ def _validate(
             raise InternalCheckError(
                 f"class minimum {minima[j]} is not tight at p = 0: {least} expected"
             )
-    if floor is not None and (j := _first_above(floor, minima)) >= 0:
+    if earlier is not None and (j := _first_above(earlier[1], minima)) >= 0:
         raise InternalCheckError(
-            f"class minimum {minima[j]} at p = {p} is below {floor[j]}"
-            " from the p = 0 round robin"
+            f"class minimum {minima[j]} at p = {p} is below {earlier[1][j]},"
+            f" its class's minimum at p = {earlier[0]}"
         )
-    if earlier is not None:
-        q, other = earlier
-        low, high = (other, minima) if q < p else (minima, other)
-        if (j := _first_above(low, high)) >= 0:
-            raise InternalCheckError(
-                f"class minimum {high[j]} at p = {max(p, q)} is below {low[j]},"
-                f" its class's minimum at p = {min(p, q)}"
-            )
 
 
 def _first_above(lower: Sequence[int], upper: Sequence[int]) -> int:

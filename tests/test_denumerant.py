@@ -200,3 +200,10 @@ def test_horizon_cap_env_override(monkeypatch):
 def test_negative_n_rejected():
     with pytest.raises(PreconditionError):
         denumerant((4, 5, 6), -1)
+    with pytest.raises(PreconditionError, match="horizon must be non-negative"):
+        DenumerantTable((4, 5, 6), -1)
+    table = DenumerantTable((4, 5, 6), 10)
+    with pytest.raises(PreconditionError, match="count index must be non-negative"):
+        table.count(-1)
+    with pytest.raises(PreconditionError, match="n exceeds the table horizon; call ensure"):
+        table.count(11)

@@ -11,6 +11,7 @@ from psemigroups import (
     PreconditionError,
     bernoulli,
     eulerian,
+    exactmath,
     verify_eulerian_gf,
 )
 
@@ -38,6 +39,8 @@ def test_bernoulli_odd_indices_vanish():
 def test_bernoulli_negative_index_rejected():
     with pytest.raises(PreconditionError):
         bernoulli(-1)
+    with pytest.raises(PreconditionError, match="Eulerian row index must be non-negative"):
+        eulerian(-1, 0)
 
 
 def test_eulerian_base_values():
@@ -71,6 +74,20 @@ def test_series_check_passes_on_known_orders():
 def test_series_check_rejects_small_order():
     with pytest.raises(PreconditionError):
         verify_eulerian_gf(2, 3)
+    with pytest.raises(PreconditionError, match="series exponent n must be positive"):
+        verify_eulerian_gf(0, 5)
+
+
+def test_series_check_reports_its_first_mismatch(monkeypatch):
+    # row 3 is [1, 4, 1]; with its middle entry wrong, degree 2 is the
+    # first whose coefficients differ
+    true_row = exactmath.eulerian_row
+    monkeypatch.setattr(
+        exactmath, "eulerian_row", lambda n: [1, 5, 1] if n == 3 else true_row(n)
+    )
+    check = verify_eulerian_gf(3, 12)
+    assert not check.passed
+    assert check.details == {"first_mismatch": 2}
 
 
 def test_series_check_is_bounded_by_the_horizon_cap(monkeypatch):

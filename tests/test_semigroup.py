@@ -306,44 +306,45 @@ def test_power_sum_bernoulli_refuses_a_non_integer_value():
          "class minimum 1 is not tight at p = 0: 11 expected"),
         ((3, 4), 0, (3, 7, 11), None, "class minimum 3 is not tight at p = 0: 0 expected"),
         # the same, too small at p = 1, where no minimum is tight
-        ((5, 7, 9), 1, (0, 1, 2, 3, 4), None,
-         "class minimum 1 at p = 1 is below 16 from the p = 0 round robin"),
+        ((5, 7, 9), 1, (0, 1, 2, 3, 4), 0,
+         "class minimum 1 at p = 1 is below 16, its class's minimum at p = 0"),
         # {3, 5}'s minima at p = 0 passed off as those at p = 2, after p = 1
         ((3, 5), 2, (0, 10, 5), 1,
          "class minimum 0 at p = 2 is below 15, its class's minimum at p = 1"),
-        # its minima at p = 3 passed off as those at p = 1, after p = 2
-        ((3, 5), 1, (45, 55, 50), 2,
-         "class minimum 30 at p = 2 is below 45, its class's minimum at p = 1"),
     ],
 )
 def test_validate_refuses_forged_minima(gens, p, minima, earlier, message):
-    # each forgery breaks one check, made with the p = 0 minima as the
-    # floor at p > 0 and the true minima at ``earlier`` as the range's
-    # previous instance; without the floor, at p > 0 only the bounds are
-    # checked, which minima too small do not break
+    # each forgery breaks one check, made with the true minima at
+    # ``earlier`` as the chain's link before p; without it, at p > 0 only
+    # the bounds are checked, which minima too small do not break
     gens = GeneratorSet(gens)
-    floor = list(build(gens, 0).apery_by_residue) if p else None
     if earlier is not None:
         earlier = earlier, build(gens, earlier).apery_by_residue
-    _validate(gens, build(gens, p).apery_by_residue, p, floor, earlier)
+    _validate(gens, build(gens, p).apery_by_residue, p, earlier)
     with pytest.raises(InternalCheckError, match=message):
-        _validate(gens, minima, p, floor, earlier)
+        _validate(gens, minima, p, earlier)
     if "tight" in message:
         _validate(gens, minima, 1)
 
 
 @pytest.mark.parametrize(
-    "forgery, p_values, message",
+    "forgery, p_values, error, message",
     [
-        ((0, 1, 2), range(2, 3), "class minimum 1 at p = 2 is below 10 from the p = 0 round robin"),
-        ((0, 10, 5), range(1, 4), "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
-        ((0, 10, 5), range(3, 0, -1), "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
+        ((0, 1, 2), range(2, 3), InternalCheckError,
+         "class minimum 1 at p = 2 is below 10, its class's minimum at p = 0"),
+        ((0, 10, 5), range(1, 4), InternalCheckError,
+         "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
+        # refused before any minima are computed
+        ((0, 10, 5), range(3, 0, -1), PreconditionError, "p range must ascend"),
+        ((0, 10, 5), range(-1, 3), PreconditionError, "p must be non-negative"),
     ],
 )
-def test_range_build_checks_each_instance_from_below(monkeypatch, forgery, p_values, message):
-    # {3, 5}'s minima forged at p = 2: below the p = 0 floor, or as its
-    # minima at p = 0, which fail against p = 1 whether it comes before or
-    # after
+def test_range_build_checks_each_instance_from_below(
+    monkeypatch, forgery, p_values, error, message
+):
+    # {3, 5}'s minima forged at p = 2: below the p = 0 minima that seed a
+    # range starting above 0, or as its minima at p = 0, which fail against
+    # p = 1 before it
     minima_at = semigroup._class_minima
 
     def forged(A, top):
@@ -351,8 +352,31 @@ def test_range_build_checks_each_instance_from_below(monkeypatch, forgery, p_val
         return lambda p: forgery if p == 2 else true(p)
 
     monkeypatch.setattr(semigroup, "_class_minima", forged)
-    with pytest.raises(InternalCheckError, match=message):
+    with pytest.raises(error, match=message):
         list(build_range((3, 5), p_values))
+
+
+def test_range_build_seeds_its_chain_at_p_0_only_when_it_starts_above_0(monkeypatch):
+    # a range from p = 0 is its own p = 0 link, certified tight; one that
+    # starts above 0 takes one flat round robin; a single p = 0 build reads
+    # its minima from that round robin
+    calls, flat_minima = [], semigroup._flat_minima
+
+    def spy(A):
+        calls.append(A)
+        return flat_minima(A)
+
+    monkeypatch.setattr(semigroup, "_flat_minima", spy)
+    counted = []
+    for make in (
+        lambda: list(build_range((3, 5), range(0, 4))),
+        lambda: list(build_range((3, 5), range(2, 4))),
+        lambda: build((3, 5), 0),
+    ):
+        calls.clear()
+        make()
+        counted.append(len(calls))
+    assert counted == [0, 1, 1]
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
