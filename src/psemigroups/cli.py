@@ -166,16 +166,15 @@ def _json_pieces(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
-    """One "key<TAB>value" line per key; a non-empty list of dicts under
-    "rows" is written as a table below the other keys instead."""
+    """One "key<TAB>value" line per key; a non-empty "rows", always a list
+    of dicts, is written as a table below the other keys instead."""
     rows = doc.get("rows")
-    table = isinstance(rows, (list, tuple)) and rows and all(isinstance(r, dict) for r in rows)
     # a line and its newline apart, so that a long line is not copied to end it
     for k in sorted(doc):
-        if not (table and k == "rows"):
+        if not (rows and k == "rows"):
             yield f"{k}\t{_scalar(doc[k])}"
             yield "\n"
-    if table:
+    if rows:
         columns = sorted(rows[0])
         for lead in ("mu", "p"):
             if lead in columns:
@@ -376,18 +375,16 @@ def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
     """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
-    call, which reads them off the class minima and checks each against
-    the Bernoulli formula: the checked value is both ``direct`` and
-    ``from_apery``.  A negative mu_max asks for none."""
+    call, which refuses a negative exponent or one past its cap, reads the
+    rows off the class minima and checks each against the Bernoulli
+    formula: the checked value is both ``direct`` and ``from_apery``."""
+    direct, weighted = gap_power_sums(build(gens, p), mu_max, weight)
     rows = []
-    if mu_max >= 0:
-        sp = build(gens, p)
-        direct, weighted = gap_power_sums(sp, mu_max, weight)
-        for mu, total in enumerate(direct):
-            row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}
-            if weight is not None:
-                row["weighted"] = weighted[mu]
-            rows.append(row)
+    for mu, total in enumerate(direct):
+        row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}
+        if weight is not None:
+            row["weighted"] = weighted[mu]
+        rows.append(row)
     doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
     if weight is not None:
         doc["weight"] = weight

@@ -51,12 +51,11 @@ def _scaling_instances(
         raise PreconditionError("alpha must differ from every base generator")
     if not is_minimal_generator_system(B):
         raise PreconditionError("base generators must form a minimal system")
-    # as for a listed generator: alpha is in <B> iff it has a second representation
-    unscaled = GeneratorSet((alpha, *B.ordered))
-    if alpha not in build(unscaled, 1):
+    if alpha not in build(B, 0):
         raise PreconditionError(
             "alpha must lie in the semigroup generated by the base"
         )
+    unscaled = GeneratorSet((alpha, *B.ordered))
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
     params = {"alpha": alpha, "beta": beta, "base": list(B.ordered)}
     return params, zip(build_range(scaled, p_values), build_range(unscaled, p_values))

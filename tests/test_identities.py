@@ -16,6 +16,7 @@ from psemigroups import (
     verify_johnson,
     verify_watanabe,
 )
+from psemigroups import identities
 
 
 def test_minimality():
@@ -55,6 +56,19 @@ def test_membership_preconditions_match_brute_force(gens, alpha):
         assert not in_base and "alpha must lie" in str(err)
     else:
         assert in_base
+
+
+def test_alpha_membership_is_read_off_the_base_semigroup(monkeypatch):
+    # minimality builds B at p = 1, and alpha in <B> is read off B at p = 0
+    calls = []
+
+    def spy(gens, p):
+        calls.append((gens.ordered, p))
+        return build(gens, p)
+
+    monkeypatch.setattr(identities, "build", spy)
+    assert verify_johnson(8, 3, (4, 5, 6), range(1))[0].passed
+    assert calls == [((4, 5, 6), 1), ((4, 5, 6), 0)]
 
 
 def test_johnson_golden_columns():
