@@ -26,8 +26,8 @@ def is_arf(sp: PSemigroup) -> Report:
     is below m_(j+t), and so a gap.  So the scan costs O(a * t*), t* the
     first failing difference, charged before each t.
     """
-    a, c, m = sp.modulus, sp.conductor, sp.apery_by_residue
-    for t in range(1, min(a, c)):
+    a, m = sp.modulus, sp.apery_by_residue
+    for t in range(1, a):
         charge(a * t, f"class steps of the Arf scan to difference {t}")
         y = min(map(max, m, [v + t for v in m[-t:] + m[:-t]]))
         firsts = map(max, m, [y + (j - y) % a for j in range(a)])
@@ -73,10 +73,10 @@ def verify_arf_conductor_kunz(sp: PSemigroup) -> Report:
         a, c = sp.modulus, sp.conductor
         r = c % a
         apery_checks = (
-            sp.apery_by_residue[1 % a] == (c + 1 if r == 0 else c - r + a + 1),
-            sp.apery_by_residue[(a - 1) % a] == c - r + a - 1,
+            sp.apery_by_residue[1] == (c + 1 if r == 0 else c - r + a + 1),
+            sp.apery_by_residue[a - 1] == c - r + a - 1,
         )
-        kunz_checks = (sp.kunz[1 % a] == -(-c // a), sp.kunz[(a - 1) % a] == c // a)
+        kunz_checks = (sp.kunz[1] == -(-c // a), sp.kunz[a - 1] == c // a)
     return Report(
         "arf",
         passed=closed and all(apery_checks) and all(kunz_checks),

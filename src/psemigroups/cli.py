@@ -346,6 +346,7 @@ _TABLE_FIELDS = {
     "genus": lambda sp: gap_count(sp),
     "sylvester_sum": lambda sp: gap_sum(sp),
     "type": lambda sp: sym_mod.type_p(sp),
+    "pattern": lambda sp: sym_mod.detect_pattern(sp),
 }
 
 

@@ -69,7 +69,7 @@ def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
     shifts = [m - low for m in sp.apery_sorted if m != low] + [a]
     return tuple(
         x
-        for x in sorted(m - a for m in minima if m >= a)
+        for x in (m - a for m in sp.apery_sorted if m >= a)
         if all(x + t >= minima[(x + t) % a] for t in shifts)
     )
 
@@ -86,16 +86,16 @@ def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
     Of the points j, j + a, ... <= total of class j the first kunz_j are
     outside, and a prefix has its mirror in: x <= total - m[(total - j)
     mod a].  The exchange fails between the two thresholds, with both
-    sides outside (L) where the first is the larger.
+    sides outside (L) where the first is the larger.  Neither count needs
+    capping at the points up to total: every gap is at most frobenius, and
+    u is at most total.
     """
     a, minima, kunz = sp.modulus, sp.apery_by_residue, sp.kunz
     total = sp.frobenius + sp.multiplicity
     mismatches, l_ranges = 0, []
-    for j in range(min(a, total + 1)):
-        n = (total - j) // a + 1
-        below = min(kunz[j], n)
+    for j, below in enumerate(kunz):
         u = total - minima[(total - j) % a]  # congruent to j
-        mirror_in = max(0, min((u - j) // a + 1, n))
+        mirror_in = max(0, (u - j) // a + 1)
         mismatches += abs(below - mirror_in)
         if below > mirror_in:
             l_ranges.append(range(j + mirror_in * a, j + below * a, a))
@@ -278,13 +278,12 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     86, 2013) does at p = 0 (L and PF hold gaps; F is in PF, not in L);
     every gap mirrors to a member or is PF, by ``classify``'s route."""
     total = sp.frobenius + sp.multiplicity
-    pf, l_count = pseudo_frobenius(sp), _l_count(sp)
-    l_subset_pf = l_count == sum(not sp.contains(total - f) for f in pf)
-    _, l_ranges = _class_exchange(sp)
+    flags, l_count = classify(sp), _l_count(sp)
+    l_subset_pf = l_count == sum(not sp.contains(total - f) for f in flags.pf)
     verdicts = {
         "l_subset_pf": l_subset_pf,
-        "pf_is_l_plus_frobenius": l_subset_pf and len(pf) == l_count + 1,
-        "mirror_or_pf": _within(l_ranges, pf),
+        "pf_is_l_plus_frobenius": l_subset_pf and len(flags.pf) == l_count + 1,
+        "mirror_or_pf": flags.almost_symmetric,
     }
     passed = len(set(verdicts.values())) == 1
     return verdicts_report("almost-symmetric-equivalences", verdicts, passed)

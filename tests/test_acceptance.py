@@ -262,6 +262,7 @@ def test_c06_formula_enumeration_equivalence_on_random_instances():
         sp = build(gens, p)
         a, m = sp.modulus, sp.apery_by_residue
         assert max(m) - a == max(sp.gaps), (gens, p)
+        assert sp.frobenius >= sp.modulus - 1, (gens, p)
         assert Fraction(sum(m), a) - Fraction(a - 1, 2) == gap_count(sp), (gens, p)
         assert (
             Fraction(sum(x * x for x in m), 2 * a)

@@ -31,6 +31,7 @@ from psemigroups import (
     as_generator_set,
     build,
     classify,
+    detect_pattern,
     gap_count,
     gap_power_sums,
     gap_sum,
@@ -546,10 +547,20 @@ def test_table_golden_sequences(capsys):
 
 def test_table_multiple_fields(capsys):
     _, out = run_cli(
-        capsys, "table", "--gens", "4,5,6", "--p", "0..2", "--field", "frobenius,genus,type"
+        capsys, "table", "--gens", "4,5,6", "--p", "0..2", "--field", "frobenius,genus,type,pattern"
     )
     rows = json.loads(out)["rows"]
-    assert rows[0] == {"p": 0, "frobenius": 7, "genus": 4, "type": 1}
+    assert rows[0] == {"p": 0, "frobenius": 7, "genus": 4, "type": 1, "pattern": "OTHER"}
+
+
+def test_table_pattern_field(capsys):
+    code, out = run_cli(capsys, "table", "--gens", "17,18,19", "--p", "6..8", "--field", "pattern")
+    rows = json.loads(out)["rows"]
+    assert code == EXIT_OK
+    assert [r["pattern"] for r in rows] == ["OTHER", "SINGLETON_PLUS_TAIL", "FULL_INTERVAL"]
+    assert [r["pattern"] for r in rows] == [
+        detect_pattern(build((17, 18, 19), p)) for p in range(6, 9)
+    ]
 
 
 def test_classify_rows(capsys):
@@ -1604,6 +1615,69 @@ def test_readme_cli_examples_run(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == EXIT_OK, argv
         assert isinstance(json.loads(out), dict), argv
+
+
+def _readme_block_after(marker):
+    # the psg calls of the first code block after the paragraph opening with marker
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split(marker, 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("psg ")]
+
+
+def _tsv_table(capsys, argv):
+    # the generators line and the rows of a tsv table document, as strings
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK, argv
+    lines = out.splitlines()
+    header = lines[1].split("\t")
+    return lines[0], [dict(zip(header, line.split("\t"))) for line in lines[2:]]
+
+
+def test_readme_showcase_tables_match_the_library(capsys):
+    calls = _readme_block_after("The summary tables of the showcase")
+    assert [argv[2] for argv in calls] == ["4,5,6", "8,4,5,6", "8,12,15,18", "17,18,19"]
+    for argv in calls:
+        gens = tuple(int(g) for g in argv[2].split(","))
+        first, rows = _tsv_table(capsys, argv)
+        assert first == f"generators\t[{argv[2]}]"
+        assert [row["p"] for row in rows] == [str(p) for p in range(11)], argv
+        for p, row in enumerate(rows):
+            sp = build(gens, p)
+            assert row == {
+                "p": str(p),
+                "frobenius": str(sp.frobenius),
+                "multiplicity": str(sp.multiplicity),
+                "genus": str(gap_count(sp)),
+                "sylvester_sum": str(gap_sum(sp)),
+            }, (argv, p)
+
+
+def test_readme_classification_schedule_matches_the_library(capsys):
+    table, flags = _readme_block_after("The classification schedule of")
+    assert (table[:5], flags[:5]) == (
+        ["table", "--gens", "17,18,19", "--p", "0..44"],
+        ["classify", "--gens", "17,18,19", "--p", "0..44"],
+    )
+    _, table_rows = _tsv_table(capsys, table)
+    _, flag_rows = _tsv_table(capsys, flags)
+    assert len(table_rows) == len(flag_rows) == 45
+    for p, (row, flag_row) in enumerate(zip(table_rows, flag_rows)):
+        sp = build((17, 18, 19), p)
+        report = classify(sp)
+        assert row == {
+            "p": str(p),
+            "multiplicity": str(sp.multiplicity),
+            "frobenius": str(sp.frobenius),
+            "type": str(report.type_count),
+            "pattern": detect_pattern(sp),
+        }, p
+        assert flag_row == {
+            "p": str(p),
+            "symmetric": str(report.symmetric),
+            "pseudo_symmetric": str(report.pseudo_symmetric),
+            "almost_symmetric": str(report.almost_symmetric),
+            "completely_symmetric": str(report.completely_symmetric),
+        }, p
 
 
 def test_readme_exit_code_table_runs(capsys, monkeypatch):
