@@ -405,77 +405,48 @@ def _report_doc(report: Report) -> dict[str, Any]:
     }
 
 
-def _p_values(args: argparse.Namespace) -> range:
-    """The --p range of ``verify``: p = 0 when --p is not given."""
-    return range(1) if args.p is None else _parse_p_range(args.p)
-
-
-def _each(name: str) -> Callable[..., list[Report]]:
+def _each(name: str) -> Callable[[argparse.Namespace], list[Report]]:
     """The rows of a verifier of one instance: one per p of the --p range."""
-    return lambda a, gens: [
-        getattr(psemigroups, name)(sp) for sp in build_range(gens, _p_values(a))
+    return lambda a: [
+        getattr(psemigroups, name)(sp)
+        for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
     ]
 
 
-# The flags of ``verify`` besides --format, which every verifier reads.
-_VERIFY_FLAGS = ("gens", "p", "alpha", "beta", "a", "b", "pmax", "exponent", "order")
-# arf-heredity's top p when --pmax is not given
-_PMAX = 5
+# A verifier's flags besides --format: each with its type and its default,
+# None for a flag the verifier needs.
+_INSTANCES = {"gens": (str, None), "p": (str, "0")}
+_SCALING = {"alpha": (int, None), "beta": (int, None), **_INSTANCES}
 
-# Every verifier: the flags it needs, in the order its message names them;
-# the flags it reads when they are given; why it takes only --p 0, if it
-# does; and its rows, from the arguments and the parsed --gens.  Each
-# verifier is looked up in the package when called: the package loads
-# ``arf`` and ``identities`` on first use, and a wrapper put in its place
-# is the one called.
-_VERIFIERS: dict[
-    str, tuple[tuple[str, ...], tuple[str, ...], str | None, Callable[..., list[Report]]]
-] = {
-    "johnson": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: (
-        psemigroups.verify_johnson(a.alpha, a.beta, gens, _p_values(a)))),
-    "watanabe": (("alpha", "beta", "gens"), ("p",), None, lambda a, gens: (
-        psemigroups.verify_watanabe(a.alpha, a.beta, gens, _p_values(a)))),
-    "gcd-scaling": (("gens",), ("p",), None, lambda a, gens: (
-        psemigroups.verify_gcd_scaling(gens, _p_values(a)))),
-    "symmetry": (("gens",), ("p",), None, _each("verify_symmetry_equivalences")),
-    "pairings": (("gens",), ("p",), None, _each("verify_apery_pairings")),
-    "pf-consequences": (("gens",), ("p",), None, _each("verify_pf_consequences")),
-    "almost-symmetric": (
-        ("gens",), ("p",), None, _each("verify_almost_symmetric_equivalences")),
-    "nari": (("gens",), ("p",), "nari is defined at p = 0", lambda a, gens: [
-        psemigroups.verify_nari(gens)]),
-    "arf-heredity": (
-        ("a", "b"), ("p", "pmax"), "arf-heredity takes its p range from --pmax",
-        lambda a, gens: [psemigroups.verify_arf_heredity(
-            a.a, a.b, _PMAX if a.pmax is None else a.pmax)]),
-    "arf-kunz": (("gens",), ("p",), None, _each("verify_arf_conductor_kunz")),
-    "eulerian-gf": (("exponent", "order"), (), None, lambda a, gens: [
+# Every verifier: its flags, and its rows from the parsed arguments, which
+# parse --gens before --p.  Each verifier is looked up in the package when
+# called: the package loads ``arf`` and ``identities`` on first use, and a
+# wrapper put in its place is the one called.
+_VERIFIERS: dict[str, tuple[dict[str, tuple[Any, Any]], Callable[..., list[Report]]]] = {
+    "johnson": (_SCALING, lambda a: psemigroups.verify_johnson(
+        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p))),
+    "watanabe": (_SCALING, lambda a: psemigroups.verify_watanabe(
+        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p))),
+    "gcd-scaling": (_INSTANCES, lambda a: psemigroups.verify_gcd_scaling(
+        _parse_gens(a.gens), _parse_p_range(a.p))),
+    "symmetry": (_INSTANCES, _each("verify_symmetry_equivalences")),
+    "pairings": (_INSTANCES, _each("verify_apery_pairings")),
+    "pf-consequences": (_INSTANCES, _each("verify_pf_consequences")),
+    "almost-symmetric": (_INSTANCES, _each("verify_almost_symmetric_equivalences")),
+    # defined at p = 0
+    "nari": ({"gens": (str, None)}, lambda a: [psemigroups.verify_nari(_parse_gens(a.gens))]),
+    # its p range is 0..--pmax
+    "arf-heredity": ({"a": (int, None), "b": (int, None), "pmax": (int, 5)}, lambda a: [
+        psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)]),
+    "arf-kunz": (_INSTANCES, _each("verify_arf_conductor_kunz")),
+    "eulerian-gf": ({"exponent": (int, None), "order": (int, None)}, lambda a: [
         psemigroups.verify_eulerian_gf(a.exponent, a.order)]),
 }
 
 
-def _verify(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    """The rows of the named verifier and the exit code they give.  A
-    verifier of --gens names its missing flags and parses --gens before it
-    reads --p; the others read --p first.  A flag the verifier does not
-    read is refused last, before any row is computed."""
-    needs, reads, only_p0, rows = _VERIFIERS[args.name]
-    *head, last = [f"--{flag}" for flag in needs]
-    missing = any(getattr(args, flag) is None for flag in needs)
-    refusal = f"verify {args.name} needs {', '.join(head) + ' and ' if head else ''}{last}"
-    gens = None
-    if "gens" in needs:
-        if missing:
-            raise PreconditionError(refusal)
-        gens = _parse_gens(args.gens)
-    if only_p0 and _p_values(args) != range(1):
-        raise PreconditionError(f"verify {args.name} takes only --p 0: {only_p0}")
-    if missing:
-        raise PreconditionError(refusal)
-    for flag in _VERIFY_FLAGS:
-        if getattr(args, flag) is not None and flag not in needs + reads:
-            raise PreconditionError(f"verify {args.name} does not take --{flag}")
-    docs = [_report_doc(r) for r in rows(args, gens)]
+def _verify(rows: list[Report]) -> tuple[dict[str, Any], int]:
+    """The document of a verifier's rows and the exit code they give."""
+    docs = [_report_doc(r) for r in rows]
     code = verify_exit_code(docs)
     return {"rows": docs, "passed": code == EXIT_OK}, code
 
@@ -525,11 +496,15 @@ def build_parser() -> argparse.ArgumentParser:
         _parse_gens(a.gens), _parse_p(a.p), a.mu, _parse_weight(a.weight)), EXIT_OK))
 
     verify = sub.add_parser("verify", help="run a named verifier")
-    verify.add_argument("name", choices=_VERIFIERS)
-    for flag in _VERIFY_FLAGS:
-        verify.add_argument(f"--{flag}", type=str if flag in ("gens", "p") else int)
-    verify.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-    verify.set_defaults(handler=_verify)
+    verifiers = verify.add_subparsers(dest="name", required=True)
+    for name, (flags, rows) in _VERIFIERS.items():
+        # no abbreviations: --p would be read as arf-heredity's --pmax, --a
+        # and --b as johnson's --alpha and --beta
+        leaf = verifiers.add_parser(name, allow_abbrev=False)
+        for flag, (kind, default) in flags.items():
+            leaf.add_argument(f"--{flag}", type=kind, default=default, required=default is None)
+        leaf.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
+        leaf.set_defaults(handler=lambda a, rows=rows: _verify(rows(a)))
 
     return parser
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -992,11 +993,12 @@ def test_precondition_exit_code(capsys):
     for weight in ("abc", "1/0"):
         code, _ = run_cli(capsys, "sums", "--gens", "2,3", "--p", "0", "--weight", weight)
         assert code == EXIT_PRECONDITION
-    # nari is defined at p = 0, and arf-heredity reads its range from --pmax
+    # nari is defined at p = 0, and arf-heredity reads its range from --pmax:
+    # neither takes --p, so it is a usage error
     code, _ = run_cli(capsys, "verify", "nari", "--gens", "4,5,6", "--p", "0..50")
-    assert code == EXIT_PRECONDITION
+    assert code == EXIT_USAGE
     code, _ = run_cli(capsys, "verify", "arf-heredity", "--a", "3", "--b", "4", "--p", "3")
-    assert code == EXIT_PRECONDITION
+    assert code == EXIT_USAGE
     # 19999999 = 4 * 4999996 + 5 * 3: the base is not minimal, whatever its size
     code, _ = run_cli(
         capsys, "verify", "johnson", "--alpha", "9", "--beta", "2",
@@ -1007,9 +1009,6 @@ def test_precondition_exit_code(capsys):
 
 # refusals of bad input at each layer, with the horizon cap set (None: unset)
 REFUSED_INPUTS = {
-    "johnson-missing-alpha": (None, "verify johnson --beta 3 --gens 4,5,6"),
-    "arf-heredity-missing-b": (None, "verify arf-heredity --a 2"),
-    "eulerian-gf-missing-order": (None, "verify eulerian-gf --exponent 3"),
     "empty-field-list": (None, "table --gens 4,5,6 --p 0 --field ,"),
     "descending-p-range": (None, "classify --gens 4,5,6 --p 5..3"),
     "unknown-field": (None, "table --gens 4,5,6 --p 0 --field bogus"),
@@ -1032,55 +1031,25 @@ def test_bad_input_is_refused_with_exit_3(capsys, monkeypatch, cap, command):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
-# A complete call of each verifier; the flags it needs and the message that
-# names them when one is missing.
+# A complete call of each verifier: the flags it needs.
 _VERIFIER_CALLS = {
-    "johnson": ("--alpha 8 --beta 3 --gens 4,5,6", "--alpha, --beta and --gens"),
-    "watanabe": ("--alpha 8 --beta 3 --gens 4,5,6", "--alpha, --beta and --gens"),
-    "gcd-scaling": ("--gens 8,12,15,18", "--gens"),
-    "symmetry": ("--gens 8,4,5,6", "--gens"),
-    "pairings": ("--gens 6,7,17", "--gens"),
-    "pf-consequences": ("--gens 4,5,6", "--gens"),
-    "almost-symmetric": ("--gens 6,7,17", "--gens"),
-    "nari": ("--gens 4,5,6", "--gens"),
-    "arf-heredity": ("--a 2 --b 7", "--a and --b"),
-    "arf-kunz": ("--gens 4,5,6", "--gens"),
-    "eulerian-gf": ("--exponent 3 --order 12", "--exponent and --order"),
+    "johnson": "--alpha 8 --beta 3 --gens 4,5,6",
+    "watanabe": "--alpha 8 --beta 3 --gens 4,5,6",
+    "gcd-scaling": "--gens 8,12,15,18",
+    "symmetry": "--gens 8,4,5,6",
+    "pairings": "--gens 6,7,17",
+    "pf-consequences": "--gens 4,5,6",
+    "almost-symmetric": "--gens 6,7,17",
+    "nari": "--gens 4,5,6",
+    "arf-heredity": "--a 2 --b 7",
+    "arf-kunz": "--gens 4,5,6",
+    "eulerian-gf": "--exponent 3 --order 12",
 }
-
-
-def _without_each_flag():
-    for name, (flags, needs) in _VERIFIER_CALLS.items():
-        tokens = flags.split()
-        for i in range(0, len(tokens), 2):
-            argv = ["verify", name, *tokens[:i], *tokens[i + 2:], "--p", "0"]
-            yield argv, f"verify {name} needs {needs}"
-
-
-_P0_ONLY = {
-    "nari": "verify nari takes only --p 0: nari is defined at p = 0",
-    "arf-heredity": "verify arf-heredity takes only --p 0: arf-heredity takes its p range from --pmax",
-}
-# Two faults at once: each verifier refuses the first it checks.  nari
-# parses --gens before it reads --p, arf-heredity reads --p before it asks
-# for --a and --b.
-_TWO_FAULTS = [
-    ("verify nari --p 1", "verify nari needs --gens"),
-    ("verify nari --gens 4,x --p 1", "could not parse generators from '4,x'"),
-    ("verify nari --p abc", "verify nari needs --gens"),
-    ("verify nari --gens 4,5,6 --p abc", "could not parse p from 'abc'"),
-    ("verify arf-heredity --a 2 --p 1", _P0_ONLY["arf-heredity"]),
-    ("verify arf-heredity --b 7 --p abc", "could not parse p from 'abc'"),
-    ("verify johnson --alpha 8 --gens 4,x --p abc", "verify johnson needs --alpha, --beta and --gens"),
-    ("verify johnson --alpha 8 --beta 3 --gens 4,x --p abc", "could not parse generators from '4,x'"),
-]
-
-
-# What each verifier reads besides the flags it needs and --format; any
-# other flag of `verify` is refused, and a --gens or --p it does not read
-# is not parsed.
+# What each verifier reads besides the flags it needs and --format: nari
+# is defined at p = 0, and arf-heredity takes its p range from --pmax.
 _OPTIONAL_FLAGS = {name: {"p"} for name in _VERIFIER_CALLS} | {
-    "arf-heredity": {"p", "pmax"},
+    "nari": set(),
+    "arf-heredity": {"pmax"},
     "eulerian-gf": set(),
 }
 _FLAG_VALUES = {
@@ -1089,37 +1058,83 @@ _FLAG_VALUES = {
 }
 
 
+def _without_each_flag():
+    for name, flags in _VERIFIER_CALLS.items():
+        tokens = flags.split()
+        for i in range(0, len(tokens), 2):
+            yield ["verify", name, *tokens[:i], *tokens[i + 2:]], tokens[i]
+
+
 def _with_a_foreign_flag():
-    for name, (flags, _) in _VERIFIER_CALLS.items():
+    for name, flags in _VERIFIER_CALLS.items():
         tokens = flags.split()
         for flag, value in _FLAG_VALUES.items():
             if f"--{flag}" not in tokens and flag not in _OPTIONAL_FLAGS[name]:
-                argv = ["verify", name, *tokens, f"--{flag}", value]
-                yield argv, f"verify {name} does not take --{flag}"
+                yield ["verify", name, *tokens, f"--{flag}", value], f"--{flag}"
 
 
-_FOREIGN_FLAGS = [
-    ("verify eulerian-gf --exponent 3 --order 12 --p abc".split(), "verify eulerian-gf does not take --p"),
-    ("verify arf-heredity --a 2 --b 7 --gens x".split(), "verify arf-heredity does not take --gens"),
+# Two faults at once: argparse's is reported first, then --gens is parsed,
+# then --p.  Each usage error names its flag; each precondition failure is
+# pinned in full.
+_TWO_FAULTS = [
+    ("verify nari --p 1", "--gens"),
+    ("verify nari --gens 4,x --p 1", "--p"),
+    ("verify nari --p abc", "--gens"),
+    ("verify nari --gens 4,5,6 --p abc", "--p"),
+    ("verify arf-heredity --a 2 --p 1", "--b"),
+    ("verify arf-heredity --b 7 --p abc", "--a"),
+    ("verify arf-heredity --a 2 --b 7 --gens x", "--gens"),
+    ("verify eulerian-gf --exponent 3 --order 12 --p abc", "--p"),
+    ("verify johnson --alpha 8 --gens 4,x --p abc", "--beta"),
+    ("verify johnson --alpha x --beta 3 --gens 4,x --p abc", "--alpha"),
+]
+_PARSE_ORDER = [
+    ("verify johnson --alpha 8 --beta 3 --gens 4,x --p abc", "could not parse generators from '4,x'"),
+    ("verify johnson --alpha 8 --beta 3 --gens 4,5,6 --p abc", "could not parse p from 'abc'"),
+    ("verify symmetry --gens 4,x --p 5..3", "could not parse generators from '4,x'"),
+    ("verify arf-kunz --gens 4,5,6 --p 5..3", "invalid p range '5..3'"),
+    # an empty --p is given, so it is parsed
+    ("verify pairings --gens 4,5,6 --p=", "could not parse p from ''"),
+]
+
+_USAGE_ERRORS = [
+    *_without_each_flag(),
+    # nari and arf-heredity take no --p, whatever its value (--p 0 is
+    # among the foreign flags)
+    *((["verify", name, *_VERIFIER_CALLS[name].split(), "--p", p], "--p")
+      for name in ("nari", "arf-heredity") for p in ("1", "0..50")),
+    *((command.split(), flag) for command, flag in _TWO_FAULTS),
     *_with_a_foreign_flag(),
 ]
 
 
-_USAGE_ERRORS = [
-    *_without_each_flag(),
-    # an empty --p is given, so it is parsed
-    (["verify", "nari", "--gens", "4,5,6", "--p", ""], "could not parse p from ''"),
-    *((["verify", name, *_VERIFIER_CALLS[name][0].split(), "--p", "1"], m) for name, m in _P0_ONLY.items()),
-    *((command.split(), m) for command, m in _TWO_FAULTS),
-    *_FOREIGN_FLAGS,
-]
-
-
-@pytest.mark.parametrize("argv, message", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
-def test_verifier_usage_errors_are_pinned(capsys, argv, message):
+@pytest.mark.parametrize("argv, flag", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
+def test_verifier_usage_errors_are_pinned(capsys, argv, flag):
+    # the flag is named on the error line, the last; argparse's wording of
+    # it is not pinned, as it may change between Python versions
     code = main(argv)
     captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("usage: psg")
+    assert flag in re.findall(r"--\w+", captured.err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, message", _PARSE_ORDER, ids=[c for c, _ in _PARSE_ORDER])
+def test_verifier_parses_gens_before_p(capsys, command, message):
+    code = main(command.split())
+    captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (EXIT_PRECONDITION, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", _VERIFIER_CALLS)
+def test_verifier_help_lists_exactly_its_flags(capsys, name):
+    assert main(["verify", name, "-h"]) == EXIT_OK
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: psg verify {name} ")
+    flags = {token.strip("[]") for token in usage.split() if token.strip("[]").startswith("-")}
+    assert flags == {"-h", "--format", *(f"--{flag}" for flag in cli._VERIFIERS[name][0])}
+    needed = _VERIFIER_CALLS[name].split()[::2]
+    assert flags == {"-h", "--format", *needed, *(f"--{flag}" for flag in _OPTIONAL_FLAGS[name])}
 
 
 def _wrap_as_a_tracer_does(monkeypatch, functions):
@@ -1144,7 +1159,7 @@ def test_each_verifier_call_is_traced(capsys, monkeypatch, name):
     modules = (arf, exactmath, identities, symmetry)
     verifiers = [getattr(m, a) for m in modules for a in vars(m) if a.startswith("verify_")]
     called = _wrap_as_a_tracer_does(monkeypatch, verifiers)
-    code, _ = run_cli(capsys, "verify", name, *_VERIFIER_CALLS[name][0].split())
+    code, _ = run_cli(capsys, "verify", name, *_VERIFIER_CALLS[name].split())
     assert code == EXIT_OK
     assert called
 
@@ -1326,7 +1341,7 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
         "classify --gens 6,7,17 --p 0..14",
         "verify pairings --gens 6,7,17 --p 0..14",
         "verify pf-consequences --gens 6,7,17 --p 0..14",
-        "verify nari --gens 6,7,17 --p 0",
+        "verify nari --gens 6,7,17",
         "verify symmetry --gens 8,4,5,6 --p 0..10",
         "verify arf-kunz --gens 6,7,17 --p 0..14",
         "verify arf-kunz --gens 2,5 --p 0..4",

@@ -22,8 +22,8 @@ from psemigroups.cli import main
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
 HUGE = 10**12
 
-# The flags each verifier reads besides --format; any other flag is
-# refused before its value is used, so only these are drawn for it.
+# The flags each verifier takes besides --format; any other flag is a usage
+# error before any value is used, so only these are drawn for it.
 VERIFIER_FLAGS = {
     "johnson": ("--gens", "--alpha", "--beta", "--p"),
     "watanabe": ("--gens", "--alpha", "--beta", "--p"),
@@ -32,8 +32,8 @@ VERIFIER_FLAGS = {
     "pairings": ("--gens", "--p"),
     "pf-consequences": ("--gens", "--p"),
     "almost-symmetric": ("--gens", "--p"),
-    "nari": ("--gens", "--p"),
-    "arf-heredity": ("--a", "--b", "--p", "--pmax"),
+    "nari": ("--gens",),
+    "arf-heredity": ("--a", "--b", "--pmax"),
     "arf-kunz": ("--gens", "--p"),
     "eulerian-gf": ("--exponent", "--order"),
 }

@@ -17,6 +17,7 @@ from oracles import (
     brute_class_minima,
     brute_count,
     brute_gap_set,
+    dp_counts,
     flags_minima_modulo,
     heap_best_lists,
     heap_merge_lists,
@@ -666,8 +667,15 @@ def test_table_route_gives_up_within_its_size_limit():
 
 @given(gens=generator_tuples(max_value=12), n=st.integers(0, 60))
 def test_count_bound_holds_up_to_n(gens, n):
-    bound = _count_bound(GeneratorSet(gens), n)
+    A = GeneratorSet(gens)
+    bound = _count_bound(A, n)
     assert max(brute_count(gens, t) for t in range(n + 1)) <= bound
+    # the bound the cap rule rests on: the last a counts of a table to
+    # horizon n sum to N(n), the points over the other generators with
+    # sum(b * x_b) <= n, and so to at most the bound
+    others = tuple(b for b in A.ordered if b != A.least)
+    tail = sum(DenumerantTable(A, n).counts[-A.least:])
+    assert tail == sum(dp_counts(others, n)) <= bound
 
 
 def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
