@@ -141,7 +141,7 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
     sys.set_int_max_str_digits(0)
     write, batch, size = sys.stdout.write, [], 0
     try:
-        for piece in {"json": _json_pieces, "tsv": _tsv_lines}.get(fmt, _pretty_lines)(doc):
+        for piece in _WRITERS[fmt](doc):
             if batch and size + len(piece) > _WRITE_SIZE:
                 write("".join(batch))
                 batch, size = [], 0
@@ -213,6 +213,10 @@ def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
                 yield from _pretty_lines(v, indent + 1)
             else:
                 yield f"{pad}- {_scalar(v)}\n"
+
+
+# Every output format, by its --format name.
+_WRITERS = {"json": _json_pieces, "tsv": _tsv_lines, "pretty": _pretty_lines}
 
 
 # ---------------------------------------------------------------------------
@@ -393,60 +397,12 @@ def sums_document(
 
 
 # ---------------------------------------------------------------------------
-# verifiers
-
-def _report_doc(report: Report) -> dict[str, Any]:
-    return {
-        "kind": report.kind,
-        "passed": report.passed,
-        "applicable": report.applicable,
-        "note": report.note,
-        **report.details,
-    }
-
-
-def _each(name: str) -> Callable[[argparse.Namespace], list[Report]]:
-    """The rows of a verifier of one instance: one per p of the --p range."""
-    return lambda a: [
-        getattr(psemigroups, name)(sp)
-        for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
-    ]
-
-
-# A verifier's flags besides --format: each with its type and its default,
-# None for a flag the verifier needs.
-_INSTANCES = {"gens": (str, None), "p": (str, "0")}
-_SCALING = {"alpha": (int, None), "beta": (int, None), **_INSTANCES}
-
-# Every verifier: its flags, and its rows from the parsed arguments, which
-# parse --gens before --p.  Each verifier is looked up in the package when
-# called: the package loads ``arf`` and ``identities`` on first use, and a
-# wrapper put in its place is the one called.
-_VERIFIERS: dict[str, tuple[dict[str, tuple[Any, Any]], Callable[..., list[Report]]]] = {
-    "johnson": (_SCALING, lambda a: psemigroups.verify_johnson(
-        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p))),
-    "watanabe": (_SCALING, lambda a: psemigroups.verify_watanabe(
-        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p))),
-    "gcd-scaling": (_INSTANCES, lambda a: psemigroups.verify_gcd_scaling(
-        _parse_gens(a.gens), _parse_p_range(a.p))),
-    "symmetry": (_INSTANCES, _each("verify_symmetry_equivalences")),
-    "pairings": (_INSTANCES, _each("verify_apery_pairings")),
-    "pf-consequences": (_INSTANCES, _each("verify_pf_consequences")),
-    "almost-symmetric": (_INSTANCES, _each("verify_almost_symmetric_equivalences")),
-    # defined at p = 0
-    "nari": ({"gens": (str, None)}, lambda a: [psemigroups.verify_nari(_parse_gens(a.gens))]),
-    # its p range is 0..--pmax
-    "arf-heredity": ({"a": (int, None), "b": (int, None), "pmax": (int, 5)}, lambda a: [
-        psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)]),
-    "arf-kunz": (_INSTANCES, _each("verify_arf_conductor_kunz")),
-    "eulerian-gf": ({"exponent": (int, None), "order": (int, None)}, lambda a: [
-        psemigroups.verify_eulerian_gf(a.exponent, a.order)]),
-}
-
+# commands
 
 def _verify(rows: list[Report]) -> tuple[dict[str, Any], int]:
     """The document of a verifier's rows and the exit code they give."""
-    docs = [_report_doc(r) for r in rows]
+    docs = [{"kind": r.kind, "passed": r.passed, "applicable": r.applicable, "note": r.note,
+             **r.details} for r in rows]
     code = verify_exit_code(docs)
     return {"rows": docs, "passed": code == EXIT_OK}, code
 
@@ -457,73 +413,110 @@ def verify_exit_code(docs: list[dict[str, Any]]) -> int:
     return EXIT_VERIFIER_FAILED if failed else EXIT_OK
 
 
+# A command's handler: its document and exit code from the parsed arguments.
+_Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], int]]
+
+
+def _each(name: str) -> _Handler:
+    """A verifier of one instance: one row per p of the --p range."""
+    return lambda a: _verify([
+        getattr(psemigroups, name)(sp)
+        for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
+    ])
+
+
+# The default of a flag that a command needs: argparse requires it.
+_NEEDED = object()
+
+# A command's flags besides --format: each with its type, its default and
+# its help; type bool makes a switch.  The four commands need --p; a
+# verifier's defaults to 0.
+_COMMON = {
+    "gens": (str, _NEEDED, "comma-separated generators, e.g. 4,5,6"),
+    "p": (str, _NEEDED, "p value or range lo..hi"),
+}
+_INSTANCES = {"gens": (str, _NEEDED, None), "p": (str, "0", None)}
+_SCALING = {"alpha": (int, _NEEDED, None), "beta": (int, _NEEDED, None), **_INSTANCES}
+
+# Every command that runs: its help line in ``psg -h`` (None for a
+# verifier, which ``psg verify -h`` does not list), its flags, and its
+# handler, which parses --gens before --p.  Each verifier is looked up in
+# the package when called: the package loads ``arf`` and ``identities`` on
+# first use, and a wrapper put in its place is the one called.
+_COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _Handler]] = {
+    "analyze": ("full report for one (gens, p)", {
+        **_COMMON, "expand": (bool, False, "emit sets as integer arrays"),
+    }, lambda a: (analyze_document(_parse_gens(a.gens), _parse_p(a.p), a.expand), EXIT_OK)),
+    # --field is parsed before --p
+    "table": ("per-p rows of selected fields", {
+        **_COMMON, "field": (str, "frobenius", "comma-separated field names"),
+    }, lambda a: (table_document(_parse_gens(a.gens), fields=_parse_fields(a.field),
+                                 p_values=_parse_p_range(a.p)), EXIT_OK)),
+    "classify": ("per-p symmetry flags", _COMMON, lambda a: (
+        classify_document(_parse_gens(a.gens), _parse_p_range(a.p)), EXIT_OK)),
+    "sums": ("gap power sums (direct and from class minima)", {
+        **_COMMON, "mu": (int, 3, "largest exponent to report"),
+        "weight": (str, None, 'optional rational weight "num/den"'),
+    }, lambda a: (sums_document(
+        _parse_gens(a.gens), _parse_p(a.p), a.mu, _parse_weight(a.weight)), EXIT_OK)),
+    "verify johnson": (None, _SCALING, lambda a: _verify(psemigroups.verify_johnson(
+        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
+    "verify watanabe": (None, _SCALING, lambda a: _verify(psemigroups.verify_watanabe(
+        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
+    "verify gcd-scaling": (None, _INSTANCES, lambda a: _verify(psemigroups.verify_gcd_scaling(
+        _parse_gens(a.gens), _parse_p_range(a.p)))),
+    "verify symmetry": (None, _INSTANCES, _each("verify_symmetry_equivalences")),
+    "verify pairings": (None, _INSTANCES, _each("verify_apery_pairings")),
+    "verify pf-consequences": (None, _INSTANCES, _each("verify_pf_consequences")),
+    "verify almost-symmetric": (None, _INSTANCES, _each("verify_almost_symmetric_equivalences")),
+    # defined at p = 0
+    "verify nari": (None, {"gens": _INSTANCES["gens"]}, lambda a: _verify(
+        [psemigroups.verify_nari(_parse_gens(a.gens))])),
+    # its p range is 0..--pmax
+    "verify arf-heredity": (None, {
+        "a": (int, _NEEDED, None), "b": (int, _NEEDED, None), "pmax": (int, 5, None),
+    }, lambda a: _verify([psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)])),
+    "verify arf-kunz": (None, _INSTANCES, _each("verify_arf_conductor_kunz")),
+    "verify eulerian-gf": (None, {
+        "exponent": (int, _NEEDED, None), "order": (int, _NEEDED, None),
+    }, lambda a: _verify([psemigroups.verify_eulerian_gf(a.exponent, a.order)])),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psg",
         description="Exact computations on p-numerical semigroups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--gens", required=True, help="comma-separated generators, e.g. 4,5,6")
-        p.add_argument("--p", required=True, help="p value or range lo..hi")
-        p.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-
-    analyze = sub.add_parser("analyze", help="full report for one (gens, p)")
-    common(analyze)
-    analyze.add_argument("--expand", action="store_true", help="emit sets as integer arrays")
-    analyze.set_defaults(handler=lambda a: (
-        analyze_document(_parse_gens(a.gens), _parse_p(a.p), expand=a.expand), EXIT_OK))
-
-    table = sub.add_parser("table", help="per-p rows of selected fields")
-    common(table)
-    table.add_argument("--field", default="frobenius", help="comma-separated field names")
-    # --field is parsed before --p
-    table.set_defaults(handler=lambda a: (table_document(
-        _parse_gens(a.gens), fields=_parse_fields(a.field), p_values=_parse_p_range(a.p)
-    ), EXIT_OK))
-
-    classify = sub.add_parser("classify", help="per-p symmetry flags")
-    common(classify)
-    classify.set_defaults(handler=lambda a: (
-        classify_document(_parse_gens(a.gens), _parse_p_range(a.p)), EXIT_OK))
-
-    sums = sub.add_parser("sums", help="gap power sums (direct and from class minima)")
-    common(sums)
-    sums.add_argument("--mu", type=int, default=3, help="largest exponent to report")
-    sums.add_argument("--weight", default=None, help='optional rational weight "num/den"')
-    sums.set_defaults(handler=lambda a: (sums_document(
-        _parse_gens(a.gens), _parse_p(a.p), a.mu, _parse_weight(a.weight)), EXIT_OK))
-
-    verify = sub.add_parser("verify", help="run a named verifier")
-    verifiers = verify.add_subparsers(dest="name", required=True)
-    for name, (flags, rows) in _VERIFIERS.items():
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, (help_line, flags, handler) in _COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in groups:  # verify, made here so that psg -h lists it last
+            verify = groups[""].add_parser(group, help="run a named verifier")
+            groups[group] = verify.add_subparsers(dest="name", required=True)
         # no abbreviations: --p would be read as arf-heredity's --pmax, --a
         # and --b as johnson's --alpha and --beta
-        leaf = verifiers.add_parser(name, allow_abbrev=False)
-        for flag, (kind, default) in flags.items():
-            leaf.add_argument(f"--{flag}", type=kind, default=default, required=default is None)
-        leaf.add_argument("--format", choices=("json", "tsv", "pretty"), default="json")
-        leaf.set_defaults(handler=lambda a, rows=rows: _verify(rows(a)))
-
+        leaf = groups[group].add_parser(
+            name, allow_abbrev=False, **({} if help_line is None else {"help": help_line}))
+        for flag, (kind, default, help_text) in flags.items():
+            how = {"action": "store_true"} if kind is bool else {
+                "type": kind, "required": default is _NEEDED}
+            leaf.add_argument(f"--{flag}", default=default, help=help_text, **how)
+        leaf.add_argument("--format", choices=_WRITERS, default="json")
+        leaf.set_defaults(handler=handler, leaf=leaf)
     return parser
 
 
 # argparse takes a token that starts with "-" and is not a plain number for
-# an option, so "--weight -2/3" would lose its value: such a pair (the flag
-# possibly abbreviated, as argparse allows) is joined into "--weight=-2/3"
-# before parsing.
+# an option, so "--weight -2/3" would lose its value: such a pair is joined
+# into "--weight=-2/3" before parsing.
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
-
-
-def _is_weight_flag(token: str) -> bool:
-    return token.startswith("--w") and "--weight".startswith(token)
 
 
 def _join_negative_weight(argv: Sequence[str]) -> list[str]:
     joined: list[str] = []
     for token in argv:
-        if joined and _is_weight_flag(joined[-1]) and _NEGATIVE_VALUE.match(token):
+        if joined and joined[-1] == "--weight" and _NEGATIVE_VALUE.match(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -533,9 +526,12 @@ def _join_negative_weight(argv: Sequence[str]) -> list[str]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(
+        args, foreign = parser.parse_known_args(
             _join_negative_weight(sys.argv[1:] if argv is None else argv)
         )
+        # argparse hands a leaf's leftovers up to psg: the leaf reports them
+        if foreign:
+            args.leaf.error(f"unrecognized arguments: {' '.join(foreign)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

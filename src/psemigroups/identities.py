@@ -153,6 +153,11 @@ def verify_gcd_scaling(
     reduced_rest = tuple(x // d for x in rest)
     if any(x < 2 for x in reduced_rest):
         raise PreconditionError("reduced generators must stay at least 2")
+    if first in reduced_rest:
+        collision = rest[reduced_rest.index(first)]
+        raise PreconditionError(
+            f"reduced generator {collision}/{d} = {first} repeats the first generator"
+        )
     reduced = GeneratorSet((first, *reduced_rest))
     cubic = (first - 1) * (d - 1) * (2 * first * d - first - d - 1)
 

@@ -586,7 +586,9 @@ def test_sums_rows(capsys):
     head = ("sums", "--gens", "2,3", "--p", "1", "--mu", "0")
     spaced = run_cli(capsys, *head, "--weight", "-2/3")
     joined = run_cli(capsys, *head, "--weight=-2/3")
-    assert spaced == joined == run_cli(capsys, *head, "--wei", "-2/3")
+    assert spaced == joined
+    # flags are spelled in full: an abbreviated --weight is foreign
+    assert run_cli(capsys, *head, "--wei", "-2/3") == (EXIT_USAGE, "")
     assert spaced[0] == EXIT_OK
     assert json.loads(spaced[1])["rows"][0]["weighted"] == "1069/2187"
 
@@ -766,7 +768,8 @@ def test_verify_output_is_pinned(capsys, command, exit_code, stdout):
 
 
 def test_every_verifier_has_pinned_output():
-    assert {command.split()[1] for command, _, _ in PINNED_VERIFY} == set(cli._VERIFIERS)
+    pinned = {" ".join(command.split()[:2]) for command, _, _ in PINNED_VERIFY}
+    assert pinned == {command for command in cli._COMMANDS if command.startswith("verify ")}
 
 
 # Exact stdout of p ranges on each side of the route choice for the class
@@ -1045,17 +1048,29 @@ _VERIFIER_CALLS = {
     "arf-kunz": "--gens 4,5,6",
     "eulerian-gf": "--exponent 3 --order 12",
 }
-# What each verifier reads besides the flags it needs and --format: nari
+# ... and of each of the four other commands.
+_COMMAND_CALLS = {name: "--gens 4,5,6 --p 0" for name in ("analyze", "table", "classify", "sums")}
+_CALLS = {**_VERIFIER_CALLS, **_COMMAND_CALLS}
+# What each command reads besides the flags it needs and --format: nari
 # is defined at p = 0, and arf-heredity takes its p range from --pmax.
 _OPTIONAL_FLAGS = {name: {"p"} for name in _VERIFIER_CALLS} | {
     "nari": set(),
     "arf-heredity": {"pmax"},
     "eulerian-gf": set(),
+    "analyze": {"expand"},
+    "table": {"field"},
+    "classify": set(),
+    "sums": {"mu", "weight"},
 }
 _FLAG_VALUES = {
     "gens": "4,5,6", "p": "0", "alpha": "8", "beta": "3", "a": "2", "b": "7",
-    "pmax": "2", "exponent": "3", "order": "12",
+    "pmax": "2", "exponent": "3", "order": "12", "field": "genus", "mu": "3", "weight": "1/2",
 }
+
+
+def _leaf(name):
+    """The argv that names a command: verifiers are under verify."""
+    return [name] if name in _COMMAND_CALLS else ["verify", name]
 
 
 def _without_each_flag():
@@ -1066,11 +1081,11 @@ def _without_each_flag():
 
 
 def _with_a_foreign_flag():
-    for name, flags in _VERIFIER_CALLS.items():
+    for name, flags in _CALLS.items():
         tokens = flags.split()
         for flag, value in _FLAG_VALUES.items():
             if f"--{flag}" not in tokens and flag not in _OPTIONAL_FLAGS[name]:
-                yield ["verify", name, *tokens, f"--{flag}", value], f"--{flag}"
+                yield [*_leaf(name), *tokens, f"--{flag}", value], f"--{flag}"
 
 
 # Two faults at once: argparse's is reported first, then --gens is parsed,
@@ -1096,6 +1111,13 @@ _PARSE_ORDER = [
     # an empty --p is given, so it is parsed
     ("verify pairings --gens 4,5,6 --p=", "could not parse p from ''"),
 ]
+# Flags are spelled in full on every command.
+_ABBREVIATED = [
+    ("analyze --gens 4,5,6 --p 0 --exp", "--exp"),
+    ("table --gens 4,5,6 --p 0 --fie genus", "--fie"),
+    ("classify --gens 4,5,6 --p 0 --form tsv", "--form"),
+    ("sums --gens 4,5,6 --p 0 --we 1/2", "--we"),
+]
 
 _USAGE_ERRORS = [
     *_without_each_flag(),
@@ -1105,17 +1127,20 @@ _USAGE_ERRORS = [
       for name in ("nari", "arf-heredity") for p in ("1", "0..50")),
     *((command.split(), flag) for command, flag in _TWO_FAULTS),
     *_with_a_foreign_flag(),
+    *((command.split(), flag) for command, flag in _ABBREVIATED),
 ]
 
 
 @pytest.mark.parametrize("argv, flag", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
 def test_verifier_usage_errors_are_pinned(capsys, argv, flag):
-    # the flag is named on the error line, the last; argparse's wording of
-    # it is not pinned, as it may change between Python versions
+    # the command that got the flag gives its usage, and the flag is named
+    # on the error line, the last; argparse's wording of it is not pinned,
+    # as it may change between Python versions
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_USAGE, "")
-    assert captured.err.startswith("usage: psg")
+    command = argv[:2] if argv[0] == "verify" else argv[:1]
+    assert captured.err.startswith(f"usage: psg {' '.join(command)} ")
     assert flag in re.findall(r"--\w+", captured.err.splitlines()[-1])
 
 
@@ -1126,14 +1151,15 @@ def test_verifier_parses_gens_before_p(capsys, command, message):
     assert (code, captured.out, captured.err) == (EXIT_PRECONDITION, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("name", _VERIFIER_CALLS)
+@pytest.mark.parametrize("name", _CALLS)
 def test_verifier_help_lists_exactly_its_flags(capsys, name):
-    assert main(["verify", name, "-h"]) == EXIT_OK
+    command = " ".join(_leaf(name))
+    assert main([*_leaf(name), "-h"]) == EXIT_OK
     usage = capsys.readouterr().out.split("\n\n")[0]
-    assert usage.startswith(f"usage: psg verify {name} ")
+    assert usage.startswith(f"usage: psg {command} ")
     flags = {token.strip("[]") for token in usage.split() if token.strip("[]").startswith("-")}
-    assert flags == {"-h", "--format", *(f"--{flag}" for flag in cli._VERIFIERS[name][0])}
-    needed = _VERIFIER_CALLS[name].split()[::2]
+    assert flags == {"-h", "--format", *(f"--{flag}" for flag in cli._COMMANDS[command][1])}
+    needed = _CALLS[name].split()[::2]
     assert flags == {"-h", "--format", *needed, *(f"--{flag}" for flag in _OPTIONAL_FLAGS[name])}
 
 

@@ -151,6 +151,9 @@ def test_gcd_scaling_preconditions():
         verify_gcd_scaling((17, 18, 19), range(0, 1))[0]  # gcd of the tail is 1
     with pytest.raises(PreconditionError):
         verify_gcd_scaling((3, 2, 4), range(0, 1))[0]  # tail/d drops below 2
+    # 6/3 = 2 is the first generator: the reduced list would repeat it
+    with pytest.raises(PreconditionError, match=r"6/3 = 2 repeats the first generator"):
+        verify_gcd_scaling((2, 6, 9), range(0, 1))
 
 
 def test_printed_denominator_2_variant_fails_enumeration():
