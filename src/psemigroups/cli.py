@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import psemigroups
 
@@ -31,6 +31,7 @@ from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import CapExceededError, PreconditionError
 from .reports import Report
 from .semigroup import (
+    PSemigroup,
     bit_positions,
     build,
     build_range,
@@ -317,63 +318,58 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
     h_set, k_below = split_docs(h, h.bit_length(), expand)
     return {
+        **_row(sp, _TABLE_FIELDS, report),
         "generators": list(sp.generators.ordered),
-        "p": sp.p,
         "modulus": sp.modulus,
         "apery_by_residue": list(sp.apery_by_residue),
         "apery_sorted": list(sp.apery_sorted),
-        "multiplicity": sp.multiplicity,
-        "frobenius": sp.frobenius,
-        "conductor": c,
-        "genus": gap_count(sp),
-        "sylvester_sum": gap_sum(sp),
         "kunz": list(sp.kunz),
         "gaps": gaps,
         "members": {"below": members_below, "all_from": c},
         "pseudo_frobenius": sorted_set_doc(report.pf, expand),
-        "type": report.type_count,
         "h_set": h_set,
         "l_set": finite_set_doc(l, expand),
         "k_set": {"below": k_below, "all_from": h.bit_length()},
-        **_symmetry_flags(report),
-        "pattern": sym_mod.detect_pattern(sp),
         "arf": psemigroups.is_arf(sp).passed,
     }
 
 
-_TABLE_FIELDS = {
-    "frobenius": lambda sp: sp.frobenius,
-    "multiplicity": lambda sp: sp.multiplicity,
-    "conductor": lambda sp: sp.conductor,
-    # each library function looked up when called, so that a wrapper put in
-    # this namespace in its place is the one called
-    "genus": lambda sp: gap_count(sp),
-    "sylvester_sum": lambda sp: gap_sum(sp),
-    "type": lambda sp: sym_mod.type_p(sp),
-    "pattern": lambda sp: sym_mod.detect_pattern(sp),
+# Every scalar of one instance: analyze writes them all, table the ones
+# asked for.  A field reads the instance or ``report()``, the row's one
+# sym_mod.classify(sp); each library function is looked up when called,
+# so that a wrapper put in its place is the one called.
+_TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
+    "frobenius": lambda sp, report: sp.frobenius,
+    "multiplicity": lambda sp, report: sp.multiplicity,
+    "conductor": lambda sp, report: sp.conductor,
+    "genus": lambda sp, report: gap_count(sp),
+    "sylvester_sum": lambda sp, report: gap_sum(sp),
+    "pattern": lambda sp, report: sym_mod.detect_pattern(sp),
+    "type": lambda sp, report: report().type_count,
+    "symmetric": lambda sp, report: report().symmetric,
+    "pseudo_symmetric": lambda sp, report: report().pseudo_symmetric,
+    "almost_symmetric": lambda sp, report: report().almost_symmetric,
+    "completely_symmetric": lambda sp, report: report().completely_symmetric,
 }
+_SYMMETRY_FLAGS = [field for field in _TABLE_FIELDS if field.endswith("symmetric")]
+
+
+def _row(sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
+    """``p`` and ``fields`` of one instance, whose classification is
+    ``report``, or is made when a field first reads it."""
+    def classified() -> sym_mod.SymmetryReport:
+        nonlocal report
+        report = report or sym_mod.classify(sp)
+        return report
+    return {"p": sp.p, **{f: _TABLE_FIELDS[f](sp, classified) for f in fields}}
 
 
 def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> dict[str, Any]:
     for f in fields:
         if f not in _TABLE_FIELDS:
-            raise PreconditionError(
-                f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}"
-            )
-    rows = [{"p": sp.p, **{f: _TABLE_FIELDS[f](sp) for f in fields}}
-            for sp in build_range(gens, p_values)]
-    return {"generators": list(gens.ordered), "rows": rows}
-
-
-def classify_document(gens: GeneratorSet, p_values: range) -> dict[str, Any]:
-    rows = [{"p": sp.p, **_symmetry_flags(sym_mod.classify(sp))}
-            for sp in build_range(gens, p_values)]
-    return {"generators": list(gens.ordered), "rows": rows}
-
-
-def _symmetry_flags(report: sym_mod.SymmetryReport) -> dict[str, bool]:
-    flags = ("symmetric", "pseudo_symmetric", "almost_symmetric", "completely_symmetric")
-    return {flag: getattr(report, flag) for flag in flags}
+            raise PreconditionError(f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}")
+    return {"generators": list(gens.ordered),
+            "rows": [_row(sp, fields) for sp in build_range(gens, p_values)]}
 
 
 def sums_document(
@@ -453,7 +449,7 @@ _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _
     }, lambda a: (table_document(_parse_gens(a.gens), fields=_parse_fields(a.field),
                                  p_values=_parse_p_range(a.p)), EXIT_OK)),
     "classify": ("per-p symmetry flags", _COMMON, lambda a: (
-        classify_document(_parse_gens(a.gens), _parse_p_range(a.p)), EXIT_OK)),
+        table_document(_parse_gens(a.gens), _parse_p_range(a.p), _SYMMETRY_FLAGS), EXIT_OK)),
     "sums": ("gap power sums (direct and from class minima)", {
         **_COMMON, "mu": (int, 3, "largest exponent to report"),
         "weight": (str, None, 'optional rational weight "num/den"'),
@@ -483,11 +479,23 @@ _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports its own leftovers, with its own usage.  One
+    that takes --weight first joins a negative value to it: argparse reads
+    a token such as "-2/3" as a flag, so "--weight -2/3" would lose it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        if "--weight" in self._option_string_actions:
+            args = _join_negative_weight(args)
+        namespace, foreign = super().parse_known_args(args, namespace)
+        if foreign:
+            self.error(f"unrecognized arguments: {' '.join(foreign)}")
+        return namespace, foreign
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="psg",
-        description="Exact computations on p-numerical semigroups.",
-    )
+    # the subcommands' parsers are made of the parser's own class
+    parser = _Parser(prog="psg", description="Exact computations on p-numerical semigroups.")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for command, (help_line, flags, handler) in _COMMANDS.items():
         group, _, name = command.rpartition(" ")
@@ -503,13 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "type": kind, "required": default is _NEEDED}
             leaf.add_argument(f"--{flag}", default=default, help=help_text, **how)
         leaf.add_argument("--format", choices=_WRITERS, default="json")
-        leaf.set_defaults(handler=handler, leaf=leaf)
+        leaf.set_defaults(handler=handler)
     return parser
 
 
-# argparse takes a token that starts with "-" and is not a plain number for
-# an option, so "--weight -2/3" would lose its value: such a pair is joined
-# into "--weight=-2/3" before parsing.
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
@@ -524,14 +529,8 @@ def _join_negative_weight(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args, foreign = parser.parse_known_args(
-            _join_negative_weight(sys.argv[1:] if argv is None else argv)
-        )
-        # argparse hands a leaf's leftovers up to psg: the leaf reports them
-        if foreign:
-            args.leaf.error(f"unrecognized arguments: {' '.join(foreign)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from oracles import (
     small_elements,
 )
 from psemigroups import cli, semigroup
+from psemigroups import symmetry as sym_mod
 from psemigroups import (
     InternalCheckError,
     as_generator_set,
@@ -571,6 +573,45 @@ def test_classify_rows(capsys):
     assert pseudo == [0, 4, 5]
     symmetric = [r["p"] for r in rows if r["symmetric"]]
     assert symmetric == [1, 6]
+
+
+# classify's four flags, as table's fields
+_FLAG_FIELDS = "symmetric,pseudo_symmetric,almost_symmetric,completely_symmetric"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+@pytest.mark.parametrize("gens, p", [("17,18,19", "0..44"), ("6,7,17", "0..25")])
+def test_classify_is_the_table_of_the_four_flags(capsys, gens, p, fmt):
+    head = ("--gens", gens, "--p", p, "--format", fmt)
+    flags = run_cli(capsys, "classify", *head)
+    assert flags[0] == EXIT_OK
+    assert run_cli(capsys, "table", *head, "--field", _FLAG_FIELDS) == flags
+
+
+@pytest.mark.parametrize("gens, p", [("17,18,19", "5"), ("6,7,17", "16"), ("8,4,5,6", "8"),
+                                     ("2,3", "0"), ("12,14,17,21", "3")])
+def test_analyze_writes_the_table_row_with_every_field(capsys, gens, p):
+    _, analyzed = run_cli(capsys, "analyze", "--gens", gens, "--p", p)
+    _, table = run_cli(capsys, "table", "--gens", gens, "--p", p, "--field", ",".join(cli._TABLE_FIELDS))
+    doc = json.loads(analyzed)
+    assert json.loads(table)["rows"] == [{key: doc[key] for key in ["p", *cli._TABLE_FIELDS]}]
+
+
+def test_a_row_classifies_its_instance_at_most_once(capsys, monkeypatch):
+    classified = []
+    monkeypatch.setattr(sym_mod, "classify", lambda sp: classified.append(sp.p) or classify(sp))
+    head = ("--gens", "6,7,17", "--p", "0..25")
+    for argv, calls in [
+        (("table", *head, "--field", "frobenius,genus"), []),
+        (("table", *head, "--field", "frobenius,pattern,multiplicity,conductor,sylvester_sum"), []),
+        (("table", *head, "--field", "type,symmetric"), list(range(26))),
+        (("table", *head, "--field", ",".join(cli._TABLE_FIELDS)), list(range(26))),
+        (("classify", *head), list(range(26))),
+        (("analyze", "--gens", "6,7,17", "--p", "16"), [16]),
+    ]:
+        classified.clear()
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        assert classified == calls, argv
 
 
 def test_sums_rows(capsys):
@@ -1119,6 +1160,14 @@ _ABBREVIATED = [
     ("sums --gens 4,5,6 --p 0 --we 1/2", "--we"),
 ]
 
+# Each parser reports its own leftovers: a flag before the command's name
+# is psg's (or verify's), and a foreign --weight is echoed as typed.
+_OWN_LEFTOVERS = [
+    ("--x analyze --gens 4,5,6 --p 0", "--x"),
+    ("verify --x nari --gens 4,5,6", "--x"),
+    ("classify --gens 4,5,6 --p 0 --weight -2/3", "--weight -2/3"),
+]
+
 _USAGE_ERRORS = [
     *_without_each_flag(),
     # nari and arf-heredity take no --p, whatever its value (--p 0 is
@@ -1128,20 +1177,29 @@ _USAGE_ERRORS = [
     *((command.split(), flag) for command, flag in _TWO_FAULTS),
     *_with_a_foreign_flag(),
     *((command.split(), flag) for command, flag in _ABBREVIATED),
+    *((command.split(), flag) for command, flag in _OWN_LEFTOVERS),
 ]
 
 
+def _usage_of(argv):
+    """The start of the usage line of the parser that got argv's first
+    flag: psg's, verify's or a command's, named by the tokens before it.
+    At a fixed COLUMNS, argparse keeps "[-h]" on that line."""
+    names = list(takewhile(lambda token: not token.startswith("-"), argv))
+    return " ".join(["usage: psg", *names[:2 if names[:1] == ["verify"] else 1], "[-h]"])
+
+
 @pytest.mark.parametrize("argv, flag", _USAGE_ERRORS, ids=[" ".join(a) for a, _ in _USAGE_ERRORS])
-def test_verifier_usage_errors_are_pinned(capsys, argv, flag):
-    # the command that got the flag gives its usage, and the flag is named
-    # on the error line, the last; argparse's wording of it is not pinned,
-    # as it may change between Python versions
+def test_verifier_usage_errors_are_pinned(capsys, monkeypatch, argv, flag):
+    # the parser that got the flag gives its usage, and the flag is named,
+    # as typed, on the error line, the last; argparse's wording of it is
+    # not pinned, as it may change between Python versions
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (EXIT_USAGE, "")
-    command = argv[:2] if argv[0] == "verify" else argv[:1]
-    assert captured.err.startswith(f"usage: psg {' '.join(command)} ")
-    assert flag in re.findall(r"--\w+", captured.err.splitlines()[-1])
+    assert captured.err.startswith(_usage_of(argv))
+    assert re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w=-])", captured.err.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command, message", _PARSE_ORDER, ids=[c for c, _ in _PARSE_ORDER])
@@ -1724,6 +1782,7 @@ def test_readme_classification_schedule_matches_the_library(capsys):
 def test_readme_exit_code_table_runs(capsys, monkeypatch):
     # every row of README's table of exit codes, at the default cap
     monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     rows = [
         (command.strip(" `").split()[1:], int(code))
@@ -1743,7 +1802,7 @@ def test_readme_exit_code_table_runs(capsys, monkeypatch):
             assert isinstance(json.loads(captured.out), dict), argv
         else:
             assert captured.out == "", argv
-            prefix = f"usage: psg {argv[0]} " if code == EXIT_USAGE else "error: "
+            prefix = _usage_of(argv) if code == EXIT_USAGE else "error: "
             assert captured.err.startswith(prefix), argv
 
 
