@@ -167,9 +167,12 @@ def _json_pieces(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
-    """One "key<TAB>value" line per key; a non-empty "rows", always a list
-    of dicts, is written as a table below the other keys instead."""
+    """One "key<TAB>value" line per key; a "rows" that is a non-empty list
+    of dicts, as every command's is, is written as a table below the other
+    keys instead.  Any other "rows" is a key like the rest."""
     rows = doc.get("rows")
+    if not (isinstance(rows, (list, tuple)) and rows and all(type(r) is dict for r in rows)):
+        rows = None
     # a line and its newline apart, so that a long line is not copied to end it
     for k in sorted(doc):
         if not (rows and k == "rows"):

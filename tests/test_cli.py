@@ -181,12 +181,21 @@ def test_json_is_written_as_json_dumps_writes_it(doc):
 @pytest.mark.parametrize("fmt", ["tsv", "pretty"])
 @settings(max_examples=150)
 @given(doc=_DOCS)
+# a "rows" that is not a list of dicts
+@example(doc={"rows": {"": None}})
+@example(doc={"rows": [None]})
+@example(doc={"rows": ({"a": 1}, 2)})
 def test_tsv_and_pretty_render_the_document_as_jsonify_would(fmt, doc):
     # Fractions, integral ones too, print as "num/den" and tuples as lists,
     # with no converted copy of the document
     with _no_digit_limit():
         reference = jsonify(doc)
     assert _emitted(doc, fmt) == _emitted(reference, fmt)
+
+
+@pytest.mark.parametrize("rows", [{"a": 1}, [None], [{"a": 1}, 2], (3,)])
+def test_tsv_writes_a_rows_that_is_not_a_list_of_dicts_as_a_key(rows):
+    assert _emitted({"rows": rows, "b": 1}, "tsv") == f"b\t1\nrows\t{cli._json(jsonify(rows))}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
