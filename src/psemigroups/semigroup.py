@@ -318,22 +318,21 @@ def _flat_minima(A: GeneratorSet) -> list[int]:
     flat[0] = 0
     for b in A.ordered:
         if b != a:
-            g = gcd(a, b)
-            starts = [min(range(r, a, g), key=flat.__getitem__) for r in range(g)]
-            _round_robin(flat, b, starts)
+            _round_robin(flat, b)
     return flat
 
 
-def _round_robin(values: list[int], step: int, starts: Iterable[int]) -> None:
+def _round_robin(values: list[int], step: int) -> None:
     """Boecker and Liptak's round robin, in place: with indices modulo
     n = len(values), values[t] becomes min(values[t], values[t - step] + step)
-    once round each cycle t, t + step, ... of the gcd(n, step) cycles, one
-    walk from each entry of ``starts``.  A start must hold the least value
-    on its cycle, which no other value of the cycle can then lower."""
+    once round each cycle r, r + step, ... of the gcd(n, step) cycles, the
+    indices congruent to r modulo gcd(n, step).  Each walk starts from its
+    cycle's least value, which no other value of the cycle can lower."""
     n = len(values)
-    length = n // gcd(n, step)
-    for s in starts:
-        for t in range(s + step, s + length * step, step):
+    g = gcd(n, step)
+    for r in range(g):
+        s = min(range(r, n, g), key=values.__getitem__)
+        for t in range(s + step, s + n // g * step, step):
             values[t % n] = min(values[t % n], values[(t - step) % n] + step)
 
 
@@ -440,16 +439,18 @@ def _first_above(lower: Sequence[int], upper: Sequence[int]) -> int:
 def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     """The least member of each residue class modulo g (the Apéry set with
     respect to g) in a + g steps, charged first: members are closed under
-    adding a, so one ``_round_robin`` walk round each gcd(a, g) cycle r,
-    r + a, ... from its least class minimum settles it."""
+    adding a, so one ``_round_robin`` walk round each h = gcd(a, g) cycle
+    r, r + a, ... of the least class minima settles it.  Each cycle's least
+    value is a seed, not the sentinel c + g: some member congruent to r
+    modulo h lies in [c, c + h - 1], so the least seed of cycle r is below
+    c + g."""
     if g < 1:
         raise PreconditionError("modulus must be positive")
-    a, h = sp.modulus, gcd(sp.modulus, g)
-    charge(a + g, f"class steps of the minima modulo {g}")
-    least, start = [sp.conductor + g] * g, [0] * h  # above every least member
-    for m in reversed(sp.apery_sorted):  # each class and cycle keeps its least seed
-        least[m % g], start[m % h] = m, m % g
-    _round_robin(least, a, start)
+    charge(sp.modulus + g, f"class steps of the minima modulo {g}")
+    least = [sp.conductor + g] * g  # above every least member
+    for m in reversed(sp.apery_sorted):  # each class keeps its least seed
+        least[m % g] = m
+    _round_robin(least, sp.modulus)
     return tuple(least)
 
 

@@ -3,14 +3,13 @@ classification of a built instance.
 
 The mirror of x is total - x, total = multiplicity + frobenius.  Every
 verdict reads the class minima, in O(a) with nothing F-sized: the mirror
-exchange class by class, and a count of L as a second route for almost
-symmetry.  The member and mirror bitmasks that ``analyze`` renders are
-``semigroup.hlk_of_members``.
+exchange and |L| class by class, and a global count of L as a second
+route for almost symmetry.  The member and mirror bitmasks that
+``analyze`` renders are ``semigroup.hlk_of_members``.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable
 
 from .denumerant import GeneratorSet, as_generator_set
@@ -79,9 +78,9 @@ def type_p(sp: PSemigroup) -> int:
     return len(pseudo_frobenius(sp))
 
 
-def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
-    """(number of x in [0, total] where the mirror exchange fails, L as one
-    range per class), L being the x with both sides outside.  O(a).
+def _class_exchange(sp: PSemigroup) -> tuple[int, int]:
+    """(number of x in [0, total] where the mirror exchange fails, |L|), L
+    being the x with both sides outside.  O(a).
 
     Of the points j, j + a, ... <= total of class j the first kunz_j are
     outside, and a prefix has its mirror in: x <= total - m[(total - j)
@@ -92,22 +91,21 @@ def _class_exchange(sp: PSemigroup) -> tuple[int, list[range]]:
     """
     a, minima, kunz = sp.modulus, sp.apery_by_residue, sp.kunz
     total = sp.frobenius + sp.multiplicity
-    mismatches, l_ranges = 0, []
+    mismatches = l_count = 0
     for j, below in enumerate(kunz):
         u = total - minima[(total - j) % a]  # congruent to j
         mirror_in = max(0, (u - j) // a + 1)
         mismatches += abs(below - mirror_in)
         if below > mirror_in:
-            l_ranges.append(range(j + mirror_in * a, j + below * a, a))
-    return mismatches, l_ranges
+            l_count += below - mirror_in
+    return mismatches, l_count
 
 
-def _within(l_ranges: list[range], pf: tuple[int, ...]) -> bool:
-    """Whether every point of the ranges is in pf; at most len(pf) points
-    are listed."""
-    return sum(map(len, l_ranges)) <= len(pf) and set(
-        chain.from_iterable(l_ranges)
-    ) <= set(pf)
+def _pf_in_l(sp: PSemigroup, pf: tuple[int, ...]) -> int:
+    """|PF ∩ L|: PF holds gaps in [0, frobenius], so f is in L iff its
+    mirror total - f is a gap, and L is in PF iff this is |L|."""
+    total = sp.frobenius + sp.multiplicity
+    return sum(not sp.contains(total - f) for f in pf)
 
 
 def classify(sp: PSemigroup) -> SymmetryReport:
@@ -117,7 +115,8 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     exactly (each pair summing to the mirror total holds exactly one
     member).  pseudo_symmetric: the mirror total is even and the exchange
     is exact away from the midpoint, which is its own mirror.
-    almost_symmetric: every both-sides-outside element is pseudo-Frobenius.
+    almost_symmetric: every both-sides-outside element is pseudo-Frobenius,
+    so |L| is the ``_pf_in_l`` count.
     completely_symmetric: symmetric with the least member at the conductor.
 
     The exchange must hold in both directions: one gap mirroring onto
@@ -128,7 +127,7 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     structure.
     """
     pf = pseudo_frobenius(sp)
-    mismatches, l_ranges = _class_exchange(sp)
+    mismatches, l_count = _class_exchange(sp)
     total = sp.frobenius + sp.multiplicity
     symmetric = mismatches == 0
     return SymmetryReport(
@@ -136,7 +135,7 @@ def classify(sp: PSemigroup) -> SymmetryReport:
         type_count=len(pf),
         symmetric=symmetric,
         pseudo_symmetric=total % 2 == 0 and mismatches == 1,
-        almost_symmetric=_within(l_ranges, pf),
+        almost_symmetric=l_count == _pf_in_l(sp, pf),
         completely_symmetric=symmetric and sp.multiplicity == sp.conductor,
     )
 
@@ -277,9 +276,8 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     L is in PF and PF is L plus F, by counting L as Nari (Semigroup Forum
     86, 2013) does at p = 0 (L and PF hold gaps; F is in PF, not in L);
     every gap mirrors to a member or is PF, by ``classify``'s route."""
-    total = sp.frobenius + sp.multiplicity
     flags, l_count = classify(sp), _l_count(sp)
-    l_subset_pf = l_count == sum(not sp.contains(total - f) for f in flags.pf)
+    l_subset_pf = l_count == _pf_in_l(sp, flags.pf)
     verdicts = {
         "l_subset_pf": l_subset_pf,
         "pf_is_l_plus_frobenius": l_subset_pf and len(flags.pf) == l_count + 1,

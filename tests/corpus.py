@@ -17,9 +17,12 @@ From the root of a checkout,
 prints one line per call: its argv, its exit code, and the first 16 hex
 digits of the sha256 of its stdout and of its stderr, so that two trees
 give two files to diff.  ``--digest`` prints only the sha256 of those
-lines, the value ``tests/test_corpus.py`` pins.  argparse's wording
-differs between Python versions, so the lines and the digest are those
-of one interpreter.
+lines, the value ``tests/test_corpus.py`` pins.  ``--against DIR`` runs
+the same calls on the checkout at DIR too, in a child process with
+``PYTHONPATH=DIR/src``, and prints the calls whose exit code, stdout or
+stderr differ, grouped by how they differ and by command; it exits 1
+when any call differs.  argparse's wording differs between Python
+versions, so the lines and the digest are those of one interpreter.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from math import gcd
-from typing import Iterator
+from pathlib import Path
+from typing import Iterable, Iterator
 
 from psemigroups.cli import main
 
@@ -193,8 +199,9 @@ KINDS = {
 }
 
 
-def calls(seed: int, size: int) -> list[list[str]]:
-    """``size`` calls, the same for the same seed on every tree."""
+def draws(seed: int, size: int) -> list[tuple[str, list[str]]]:
+    """``size`` (command, argv) pairs, the same for the same seed on every
+    tree; the command is the leaf the call was drawn for."""
     rng = random.Random(seed)
     names = list(KINDS)
     weights = [KINDS[name][1] for name in names]
@@ -202,8 +209,14 @@ def calls(seed: int, size: int) -> list[list[str]]:
     out = []
     for _ in range(size):
         kind = rng.choices(names, weights)[0]
-        out.append(KINDS[kind][0](rng, rng.choice(leaves)))
+        leaf = rng.choice(leaves)
+        out.append((leaf, KINDS[kind][0](rng, leaf)))
     return out
+
+
+def calls(seed: int, size: int) -> list[list[str]]:
+    """The argv of every draw."""
+    return [argv for _, argv in draws(seed, size)]
 
 
 @contextlib.contextmanager
@@ -236,11 +249,65 @@ def _short(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _line(argv: list[str]) -> str:
+    code, out, err = run(argv)
+    return f"{json.dumps(argv)}\t{code}\t{_short(out)}\t{_short(err)}"
+
+
 def lines(seed: int, size: int) -> Iterator[str]:
     """One line per call: argv, exit, stdout digest, stderr digest."""
-    for argv in calls(seed, size):
-        code, out, err = run(argv)
-        yield f"{json.dumps(argv)}\t{code}\t{_short(out)}\t{_short(err)}"
+    return map(_line, calls(seed, size))
+
+
+# How many differing calls of one command ``report`` lists.
+SHOWN = 3
+# How two lines of one call can differ, the gravest first.
+DIFFERENCES = ("exit changed", "stdout changed, same exit", "stderr changed only")
+
+
+def _difference(ours: str, theirs: str) -> str | None:
+    """The first of DIFFERENCES that two lines of one call show, or None."""
+    _, *fields = ours.split("\t")
+    _, *other = theirs.split("\t")
+    return next((kind for kind, x, y in zip(DIFFERENCES, fields, other) if x != y), None)
+
+
+def group(
+    leaves: Iterable[str], ours: Iterable[str], theirs: Iterable[str]
+) -> dict[str, dict[str, list[str]]]:
+    """The lines of ``ours`` that differ from ``theirs``, by difference and
+    then by command, in draw order; ``leaves`` names each call's command."""
+    groups: dict[str, dict[str, list[str]]] = {}
+    for leaf, mine, other in zip(leaves, ours, theirs, strict=True):
+        kind = _difference(mine, other)
+        if kind is not None:
+            groups.setdefault(kind, {}).setdefault(leaf, []).append(mine)
+    return {kind: groups[kind] for kind in DIFFERENCES if kind in groups}
+
+
+def against(root: Path, seed: int, size: int) -> dict[str, dict[str, list[str]]]:
+    """``group`` of this tree's lines against those of the checkout at
+    ``root``, whose lines a child process prints."""
+    child = subprocess.run(
+        [sys.executable, __file__, "--seed", str(seed), "--size", str(size)],
+        env={**os.environ, "PYTHONPATH": str(root.resolve() / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    leaves, argvs = zip(*draws(seed, size))
+    return group(leaves, map(_line, argvs), child.stdout.splitlines())
+
+
+def report(groups: dict[str, dict[str, list[str]]], size: int) -> Iterator[str]:
+    """The lines that print ``groups``: a count per difference and per
+    command, and the argv of the first SHOWN calls of each."""
+    counts = {kind: sum(map(len, by_leaf.values())) for kind, by_leaf in groups.items()}
+    yield f"{sum(counts.values())} of {size} calls differ"
+    for kind, by_leaf in groups.items():
+        yield f"{kind}: {counts[kind]}"
+        for leaf, found in by_leaf.items():
+            yield f"  {leaf}: {len(found)}"
+            for line in found[:SHOWN]:
+                yield "    " + line.split("\t")[0]
 
 
 def digest(seed: int, size: int) -> str:
@@ -256,8 +323,16 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--size", type=int, default=2000)
     parser.add_argument("--digest", action="store_true", help="print only the aggregate digest")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare every call with the checkout at DIR")
     args = parser.parse_args()
-    if args.digest:
+    if args.against is not None:
+        if not (args.against / "src" / "psemigroups").is_dir():
+            parser.error(f"no src/psemigroups under {args.against}")
+        groups = against(args.against, args.seed, args.size)
+        print("\n".join(report(groups, args.size)))
+        sys.exit(1 if groups else 0)
+    elif args.digest:
         print(digest(args.seed, args.size))
     else:
         for line in lines(args.seed, args.size):

@@ -1068,6 +1068,8 @@ REFUSED_INPUTS = {
     "johnson-zero-beta": (None, "verify johnson --alpha 9 --beta 0 --gens 4,5 --p 0"),
     "arf-heredity-negative-pmax": (None, "verify arf-heredity --a 2 --b 3 --pmax -1"),
     "zero-cap": ("0", "classify --gens 4,5 --p 0"),
+    "analyze-p-range": (None, "analyze --gens 4,5,6 --p 0..3"),
+    "sums-p-range": (None, "sums --gens 4,5,6 --p 0..3"),
 }
 
 

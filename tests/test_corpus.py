@@ -2,9 +2,11 @@
 its recorded digest: a change of any call's exit code, stdout or stderr
 moves it.  A deliberate change of output re-records the digest and says
 so in CHANGES.md; ``PYTHONPATH=src python tests/corpus.py --seed 0 --size
-400``, run on both trees and diffed, shows which calls moved."""
+400 --against DIR``, DIR a checkout of the other tree, shows which calls
+moved."""
 
 import platform
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,26 @@ def test_corpus_digest_is_the_recorded_one():
     if version not in DIGESTS:
         pytest.skip(f"no corpus digest recorded for Python {version}")
     assert corpus.digest(SEED, SIZE) == DIGESTS[version]
+
+
+def test_no_call_differs_against_this_checkout():
+    # the child process imports this checkout's package too
+    root = Path(__file__).resolve().parent.parent
+    assert corpus.against(root, 1, 40) == {}
+
+
+def test_differing_calls_are_grouped_by_how_and_by_command():
+    theirs = ['["a"]\t0\tx\ty', '["b"]\t3\tx\ty', '["c"]\t0\tx\ty', '["d"]\t0\tx\ty']
+    ours = ['["a"]\t0\tx\ty', '["b"]\t2\tz\tw', '["c"]\t0\tz\ty', '["d"]\t0\tx\tw']
+    groups = corpus.group(["sums", "table", "table", "sums"], ours, theirs)
+    assert groups == {
+        "exit changed": {"table": [ours[1]]},
+        "stdout changed, same exit": {"table": [ours[2]]},
+        "stderr changed only": {"sums": [ours[3]]},
+    }
+    assert list(corpus.report(groups, 4)) == [
+        "3 of 4 calls differ",
+        "exit changed: 1", "  table: 1", '    ["b"]',
+        "stdout changed, same exit: 1", "  table: 1", '    ["c"]',
+        "stderr changed only: 1", "  sums: 1", '    ["d"]',
+    ]

@@ -380,6 +380,14 @@ def test_range_build_seeds_its_chain_at_p_0_only_when_it_starts_above_0(monkeypa
     assert counted == [0, 1, 1]
 
 
+@pytest.mark.parametrize("p_values", [range(3, 3), range(5, 2)])
+def test_an_empty_range_builds_nothing_and_charges_nothing(monkeypatch, p_values):
+    # an empty range (a step of 1 that ends at or below its start) returns
+    # before any charge, so even a cap of 1 does not refuse it
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1")
+    assert list(build_range((4, 5, 6), p_values)) == []
+
+
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
 def test_gaps_match_brute_force(gens, p):
     sp, expected = build(gens, p), brute_gap_set(gens, p)
@@ -584,6 +592,43 @@ def shared_factor_generators(draw):
 def test_round_robin_at_p0_agrees_with_heap_merge(gens):
     by_lists = _minima_from_lists(GeneratorSet(gens), 0)
     assert by_lists(0) == tuple(values[0] for values in heap_best_lists(gens, 0))
+
+
+@st.composite
+def round_robin_inputs(draw):
+    """(values, step), values drawn from small integers and one large
+    sentinel, so that at times a whole cycle holds only the sentinel."""
+    n = draw(st.integers(1, 24))
+    step = draw(st.integers(1, 60))
+    sentinel = 1000
+    values = draw(st.lists(st.integers(0, 50) | st.just(sentinel), min_size=n, max_size=n))
+    return values, step
+
+
+def _relaxation_fixpoint(values, step):
+    """values[t] = min(values[t], values[t - step] + step), indices modulo
+    len(values), repeated until nothing changes."""
+    values, n, changed = values.copy(), len(values), True
+    while changed:
+        changed = False
+        for t in range(n):
+            lowered = values[(t - step) % n] + step
+            if lowered < values[t]:
+                values[t], changed = lowered, True
+    return values
+
+
+@given(draw=round_robin_inputs())
+# a cycle that holds only the sentinel, beside one with a seed; a step that
+# is a multiple of the length, so that every cycle is one index
+@example(draw=([0, 1000, 7, 1000], 2))
+@example(draw=([1000, 1000, 1000], 6))
+@example(draw=([5, 3, 9, 1000, 2, 1000], 4))
+def test_round_robin_reaches_the_relaxation_fixpoint(draw):
+    values, step = draw
+    walked = values.copy()
+    semigroup._round_robin(walked, step)
+    assert walked == _relaxation_fixpoint(values, step)
 
 
 _WINDOW = semigroup._SPLIT_WINDOW

@@ -1,5 +1,4 @@
 import tracemalloc
-from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -224,9 +223,9 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     assert members == sum(1 << n for n in range(total + 1) if sp.contains(n))
     assert h_mask == mirror
     full = (1 << (total + 1)) - 1
-    mismatches, l_ranges = symmetry._class_exchange(sp)
+    mismatches, l_count = symmetry._class_exchange(sp)
     assert mismatches == (full & ~(members ^ mirror)).bit_count()
-    assert tuple(sorted(chain.from_iterable(l_ranges))) == l
+    assert l_count == len(l)
     symmetric = mirror_pairs_exactly_one(sp, exception=None)
     pseudo = total % 2 == 0 and mirror_pairs_exactly_one(sp, exception=total // 2)
     assert (report.symmetric, report.pseudo_symmetric) == (symmetric, pseudo)
