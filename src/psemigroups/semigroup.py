@@ -455,29 +455,16 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
 
 
 def gap_count(sp: PSemigroup) -> int:
-    """Number of gaps, in O(a): class j holds kunz_j of them.  Compared
-    with Selmer's genus formula on every call."""
-    return _checked_by_formula(sp, [sum(sp.kunz)])[0]
+    """Number of gaps, in O(a): row mu = 0 of ``gap_power_sums``, so
+    checked against Selmer's genus formula on every call."""
+    return gap_power_sums(sp, 0)[0][0]
 
 
 def gap_sum(sp: PSemigroup) -> int:
-    """Sum of the gaps, in O(a): those of class j are j, j + a, ...,
-    j + (kunz_j - 1)*a.  Compared with Selmer's gap-sum formula on every
-    call, as is the genus it is read beside."""
-    a = sp.modulus
-    direct = sum(j * k + a * k * (k - 1) // 2 for j, k in enumerate(sp.kunz))
-    return _checked_by_formula(sp, [sum(sp.kunz), direct])[1]
-
-
-def _checked_by_formula(sp: PSemigroup, direct: list[int]) -> list[int]:
-    """``direct``, the gap power sums at mu < len(direct) summed by class,
-    once each row equals the formula's value from one power-sum table."""
-    for mu, (total, formula) in enumerate(zip(direct, _power_sum_formula(sp, len(direct)))):
-        if formula != total:
-            raise InternalCheckError(
-                f"power sum at mu = {mu} mismatch: by class {total}, formula {formula}"
-            )
-    return direct
+    """Sum of the gaps, in O(a): row mu = 1 of ``gap_power_sums``, so
+    checked against Selmer's gap-sum formula on every call, as is the genus
+    in row 0."""
+    return gap_power_sums(sp, 1)[0][1]
 
 
 def check_power(mu: int) -> None:
@@ -588,7 +575,12 @@ def gap_power_sums(
             rows * (steps + prints) + unreduced,
             f"4096-bit blocks of weighted sums over F = {sp.frobenius}",
         )
-    direct = _checked_by_formula(sp, _class_power_sums(sp, rows, 1))
+    direct = _class_power_sums(sp, rows, 1)
+    for mu, (total, formula) in enumerate(zip(direct, _power_sum_formula(sp, rows))):
+        if formula != total:
+            raise InternalCheckError(
+                f"power sum at mu = {mu} mismatch: by class {total}, formula {formula}"
+            )
     if weight is None:
         return direct, []
     return direct, _weighted_power_sums(sp, rows, num, den)

@@ -39,7 +39,7 @@ from psemigroups import (
     minima_modulo,
     power_sum_bernoulli,
 )
-from psemigroups import semigroup
+from psemigroups import cli, semigroup
 from psemigroups.semigroup import (
     POWER_CAP,
     _compress_positions,
@@ -268,8 +268,9 @@ def _forged(sp, **fields):
 def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens, p):
     # one more gap in class 1 shifts every row summed by class, not the
     # formula over the minima; so does a direct route off by one in its
-    # last row alone
+    # last row alone, and with it the gap count and sum, its rows 0 and 1
     sp = build(gens, p)
+    assert (gap_count(sp), gap_sum(sp)) == (len(sp.gaps), sum(sp.gaps))
     kunz = list(sp.kunz)
     kunz[1] += 1
     shifted = _forged(sp, kunz=tuple(kunz))
@@ -284,7 +285,12 @@ def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens,
     monkeypatch.setattr(semigroup, "_class_power_sums", last_row_off_by_one)
     with pytest.raises(InternalCheckError, match="power sum at mu = 8 mismatch"):
         gap_power_sums(sp, 8)
-    assert (gap_count(sp), gap_sum(sp)) == (len(sp.gaps), sum(sp.gaps))
+    with pytest.raises(InternalCheckError, match="power sum at mu = 0 mismatch"):
+        gap_count(sp)
+    with pytest.raises(InternalCheckError, match="power sum at mu = 1 mismatch"):
+        gap_sum(sp)
+    with pytest.raises(InternalCheckError, match="power sum at mu = 1 mismatch"):
+        cli.table_document(GeneratorSet(gens), range(0, 3), ["sylvester_sum"])
 
 
 def test_power_sum_bernoulli_refuses_a_non_integer_value():
