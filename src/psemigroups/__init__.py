@@ -38,7 +38,6 @@ from .symmetry import (
     classify,
     detect_pattern,
     pseudo_frobenius,
-    type_p,
     verify_almost_symmetric_equivalences,
     verify_apery_pairings,
     verify_nari,
@@ -75,7 +74,6 @@ __all__ = [
     "minima_modulo",
     "power_sum_bernoulli",
     "pseudo_frobenius",
-    "type_p",
     "verify_arf_conductor_kunz",
     "verify_arf_heredity",
     "verify_almost_symmetric_equivalences",

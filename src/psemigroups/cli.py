@@ -348,7 +348,7 @@ _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "genus": lambda sp, report: gap_count(sp),
     "sylvester_sum": lambda sp, report: gap_sum(sp),
     "pattern": lambda sp, report: sym_mod.detect_pattern(sp),
-    "type": lambda sp, report: report().type_count,
+    "type": lambda sp, report: len(report().pf),
     "symmetric": lambda sp, report: report().symmetric,
     "pseudo_symmetric": lambda sp, report: report().pseudo_symmetric,
     "almost_symmetric": lambda sp, report: report().almost_symmetric,

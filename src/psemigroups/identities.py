@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .denumerant import GeneratorSet, as_generator_set
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum, minima_modulo
+from .semigroup import PSemigroup, build, build_range, gap_count, gap_power_sums, minima_modulo
 from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
@@ -162,14 +162,15 @@ def verify_gcd_scaling(
     cubic = (first - 1) * (d - 1) * (2 * first * d - first - d - 1)
 
     def sides(sp: PSemigroup, sp_r: PSemigroup) -> tuple[dict, dict, dict]:
+        (n, s), _ = gap_power_sums(sp, 1)
+        (n_r, s_r), _ = gap_power_sums(sp_r, 1)
         lhs = {
             "frobenius": sp.frobenius,
-            "genus": gap_count(sp),
-            "sylvester_sum": gap_sum(sp),
+            "genus": n,
+            "sylvester_sum": s,
             "apery": sorted(minima_modulo(sp, first)),
         }
-        n_r = gap_count(sp_r)
-        quadratic = d * d * gap_sum(sp_r) + Fraction(first * d * (d - 1), 2) * n_r
+        quadratic = d * d * s_r + Fraction(first * d * (d - 1), 2) * n_r
         rhs = {
             "frobenius": d * sp_r.frobenius + (d - 1) * first,
             "genus": d * n_r + (d - 1) * (first - 1) // 2,

@@ -31,12 +31,11 @@ _PAIRING_NOTE = (
 
 
 class SymmetryReport(Record):
-    """Classification of one instance: pseudo-Frobenius set, type, and the
-    four symmetry flags."""
+    """Classification of one instance: the pseudo-Frobenius set, whose size
+    is the type, and the four symmetry flags."""
 
     __slots__ = (
         "pf",
-        "type_count",
         "symmetric",
         "pseudo_symmetric",
         "almost_symmetric",
@@ -44,7 +43,6 @@ class SymmetryReport(Record):
     )
 
     pf: tuple[int, ...]
-    type_count: int
     symmetric: bool
     pseudo_symmetric: bool
     almost_symmetric: bool
@@ -71,11 +69,6 @@ def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
         for x in (m - a for m in sp.apery_sorted if m >= a)
         if all(x + t >= minima[(x + t) % a] for t in shifts)
     )
-
-
-def type_p(sp: PSemigroup) -> int:
-    """Number of pseudo-Frobenius elements."""
-    return len(pseudo_frobenius(sp))
 
 
 def _class_exchange(sp: PSemigroup) -> tuple[int, int]:
@@ -132,7 +125,6 @@ def classify(sp: PSemigroup) -> SymmetryReport:
     symmetric = mismatches == 0
     return SymmetryReport(
         pf=pf,
-        type_count=len(pf),
         symmetric=symmetric,
         pseudo_symmetric=total % 2 == 0 and mismatches == 1,
         almost_symmetric=l_count == _pf_in_l(sp, pf),
@@ -247,16 +239,16 @@ def verify_pf_consequences(sp: PSemigroup) -> Report:
     verdicts: dict[str, bool] = {}
     if flags.symmetric:
         verdicts["symmetric_pf_singleton"] = flags.pf == (g,)
-        verdicts["symmetric_type_one"] = flags.type_count == 1
+        verdicts["symmetric_type_one"] = len(flags.pf) == 1
         verdicts["symmetric_parity"] = (g - low) % 2 == 1
     if flags.pseudo_symmetric:
         mid = (g + low) // 2
         if sp.contains(mid):
             verdicts["pseudo_pf_singleton"] = flags.pf == (g,)
-            verdicts["pseudo_type_one"] = flags.type_count == 1
+            verdicts["pseudo_type_one"] = len(flags.pf) == 1
         else:
             verdicts["pseudo_pf_pair"] = set(flags.pf) == {mid, g}
-            verdicts["pseudo_type_two"] = flags.type_count == 2
+            verdicts["pseudo_type_two"] = len(flags.pf) == 2
     applicable = bool(verdicts)
     note = "" if applicable else "neither symmetry hypothesis holds"
     return verdicts_report("pf-consequences", verdicts, all(verdicts.values()), applicable, note)
@@ -318,7 +310,7 @@ def verify_nari(gens: GeneratorSet | Iterable[int]) -> Report:
     the converse is not claimed."""
     sp = build(as_generator_set(gens), 0)
     flags = classify(sp)
-    count_identity = 2 * gap_count(sp) == sp.frobenius + flags.type_count
+    count_identity = 2 * gap_count(sp) == sp.frobenius + len(flags.pf)
     verdicts = {
         "count_identity": count_identity,
         "almost_symmetric": flags.almost_symmetric,

@@ -1778,7 +1778,7 @@ def test_readme_classification_schedule_matches_the_library(capsys):
             "p": str(p),
             "multiplicity": str(sp.multiplicity),
             "frobenius": str(sp.frobenius),
-            "type": str(report.type_count),
+            "type": str(len(report.pf)),
             "pattern": detect_pattern(sp),
         }, p
         assert flag_row == {
@@ -1853,7 +1853,7 @@ def test_cli_is_a_thin_adapter(capsys):
     assert doc["frobenius"] == sp.frobenius
     assert doc["genus"] == gap_count(sp)
     assert doc["sylvester_sum"] == gap_sum(sp)
-    assert doc["type"] == report.type_count
+    assert doc["type"] == len(report.pf)
     assert doc["symmetric"] == report.symmetric
     assert doc["apery_by_residue"] == list(sp.apery_by_residue)
 

@@ -16,7 +16,7 @@ from psemigroups import (
     verify_johnson,
     verify_watanabe,
 )
-from psemigroups import identities
+from psemigroups import identities, semigroup
 
 
 def test_minimality():
@@ -154,6 +154,23 @@ def test_gcd_scaling_preconditions():
     # 6/3 = 2 is the first generator: the reduced list would repeat it
     with pytest.raises(PreconditionError, match=r"6/3 = 2 repeats the first generator"):
         verify_gcd_scaling((2, 6, 9), range(0, 1))
+
+
+def test_gcd_scaling_sums_each_instance_gaps_once(monkeypatch):
+    # one gap_power_sums(sp, 1) gives an instance's genus and gap sum
+    calls = []
+    class_power_sums = semigroup._class_power_sums
+
+    def spy(sp, rows, sign):
+        calls.append((sp.generators.ordered, sp.p, rows))
+        return class_power_sums(sp, rows, sign)
+
+    monkeypatch.setattr(semigroup, "_class_power_sums", spy)
+    reports = verify_gcd_scaling((203, 366, 388), range(0, 8))
+    assert len(reports) == 8 and all(r.passed for r in reports)
+    assert sorted(calls) == sorted(
+        (gens, p, 2) for gens in ((203, 366, 388), (203, 183, 194)) for p in range(8)
+    )
 
 
 def test_printed_denominator_2_variant_fails_enumeration():

@@ -14,7 +14,7 @@ import pytest
 
 import psemigroups
 from psemigroups import GeneratorSet, PreconditionError, PSemigroup, Report, SymmetryReport
-from psemigroups import build, classify
+from psemigroups import build, classify, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +124,11 @@ def test_record_constructor_binds_like_a_signature():
         SymmetryReport(*values[:-1], pf=values[0])
     with pytest.raises(TypeError):
         SymmetryReport(*values, colour="red")
+
+
+def test_symmetry_report_stores_only_pf_and_the_flags():
+    # the type is len(pf): a stored copy of a derived value is one more route
+    assert SymmetryReport.__slots__ == ("pf", *cli._SYMMETRY_FLAGS)
 
 
 def test_generator_set_validates_and_keeps_a_tuple():

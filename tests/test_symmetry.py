@@ -22,7 +22,6 @@ from psemigroups import (
     classify,
     detect_pattern,
     pseudo_frobenius,
-    type_p,
     verify_almost_symmetric_equivalences,
     verify_apery_pairings,
     verify_nari,
@@ -49,9 +48,9 @@ def test_pf_goldens():
 
 
 def test_type_goldens():
-    assert type_p(build((17, 18, 19), 5)) == 12
-    assert type_p(build((6, 7, 17), 16)) == 1
-    assert type_p(build((2, 3), 0)) == 1
+    assert len(pseudo_frobenius(build((17, 18, 19), 5))) == 12
+    assert len(pseudo_frobenius(build((6, 7, 17), 16))) == 1
+    assert len(pseudo_frobenius(build((2, 3), 0))) == 1
 
 
 def test_hlk_goldens_171819_p5():
@@ -204,7 +203,7 @@ def test_pf_matches_full_shift_reference_near_frobenius_1e4():
         ((2, 3), 1666, 9997, 1),
     ):
         sp = build(gens, p)
-        assert (sp.frobenius, type_p(sp)) == (frobenius, type_count)
+        assert (sp.frobenius, len(pseudo_frobenius(sp))) == (frobenius, type_count)
         assert pseudo_frobenius(sp) == full_shift_pseudo_frobenius(sp)
 
 
