@@ -227,25 +227,22 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
     """p -> class minima modulo a = min(A) for 0 <= p <= top; the only
     place a route is picked, by one rule:
 
-    - when the lists' a * (top + 1) entries fit under the cap,
-      limit = (k-1) * a * (top + 1) // k, a table whose fill, k steps an
-      entry, does at most the lists' element work, and need = top + 1,
-      as some count below the limit must exceed top;
-    - when they do not, limit = cap and need = a * (top + 1), as each of
-      the table's last a entries must exceed top;
-    - a table is tried iff max(A) < limit and
-      ``_count_bound(A, limit - 1) >= need``.  If none is tried, or the
-      one tried does not settle, the lists are charged, which refuses
-      when they do not fit, and then built.
+    - the table's limit is (k-1) * a * (top + 1) // k when the lists'
+      a * (top + 1) entries fit under the cap, so that its fill, k steps
+      an entry, does at most the lists' element work, and the cap when
+      they do not;
+    - a table settles only when each of its last a counts exceeds top,
+      and those counts sum to N(h) <= ``_count_bound(A, h)``, so one is
+      tried iff max(A) < limit and
+      ``_count_bound(A, limit - 1) >= a * (top + 1)``.  If none is tried,
+      or the one tried does not settle, the lists are charged, which
+      refuses when they do not fit, and then built.
     """
     cap, k = horizon_cap(), len(A)
     list_entries = A.least * (top + 1)
-    if list_entries <= cap:
-        limit, need = (k - 1) * list_entries // k, top + 1
-    else:
-        limit, need = cap, list_entries
+    limit = (k - 1) * list_entries // k if list_entries <= cap else cap
     minima_at = None
-    if max(A.ordered) < limit and _count_bound(A, limit - 1) >= need:
+    if max(A.ordered) < limit and _count_bound(A, limit - 1) >= list_entries:
         minima_at = _minima_from_table(A, top, limit)
     if minima_at is None:
         charge(list_entries, f"list entries for the class minima at p = {top}")
@@ -277,11 +274,12 @@ def _minima_from_table(
 
 
 def _count_bound(A: GeneratorSet, n: int) -> int:
-    """An upper bound on d(t) for every t <= n.  The a coordinate of
-    a representation of t is fixed by the others, x_b for the m other
-    generators b, which satisfy sum(b * x_b) <= t; the unit cubes at those
-    points lie in the simplex sum(b * y_b) <= n + sum(b), so d(t) is at
-    most its volume."""
+    """An upper bound on N(n), the number of points (x_b) over the m
+    generators b other than a with sum(b * x_b) <= n: the sum of the last
+    a counts of a table to horizon n, which ``_class_minima``'s rule
+    reads, and so at least each d(t), t <= n, as the a coordinate of a
+    representation is fixed by the others.  The unit cubes at those points
+    lie in the simplex sum(b * y_b) <= n + sum(b), whose volume bounds N(n)."""
     others = [b for b in A.ordered if b != A.least]
     m = len(others)
     return (n + sum(others)) ** m // (factorial(m) * prod(others))

@@ -716,8 +716,8 @@ def test_table_route_gives_up_within_its_size_limit():
     assert max(_minima_from_lists(A, 0)(0)) == 6814761 + 10007
 
 
-@given(gens=generator_tuples(max_value=12), n=st.integers(0, 60))
-def test_count_bound_holds_up_to_n(gens, n):
+@given(gens=generator_tuples(max_value=12), n=st.integers(0, 60), top=st.integers(0, 20))
+def test_count_bound_holds_up_to_n(gens, n, top):
     A = GeneratorSet(gens)
     bound = _count_bound(A, n)
     assert max(brute_count(gens, t) for t in range(n + 1)) <= bound
@@ -727,15 +727,20 @@ def test_count_bound_holds_up_to_n(gens, n):
     others = tuple(b for b in A.ordered if b != A.least)
     tail = sum(DenumerantTable(A, n).counts[-A.least:])
     assert tail == sum(dp_counts(others, n)) <= bound
+    # so where the bound is short of a * (top + 1), some last count is at
+    # most top, and no table to horizon n settles
+    if n >= max(A.ordered) and bound < A.least * (top + 1):
+        assert _minima_from_table(A, top, n + 1) is None
 
 
 def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
-    # d(n) <= (n + 3) // 3 for {2, 3} (_count_bound), so on neither branch
-    # of the rule can a table settle at p = 10^12, and none is made
+    # N(n) <= (n + 3) // 3 for {2, 3} (_count_bound), so whether or not
+    # the lists fit, no table can settle at p = 10^12, and none is made
     monkeypatch.setattr(semigroup, "DenumerantTable", None)
     A, top = GeneratorSet((2, 3)), 10**12
-    # the lists' 2 * (10^12 + 1) entries fit: a table would need a count
-    # past 10^12 below 10^12 + 1; a stub stands in for the lists
+    # the lists' 2 * (10^12 + 1) entries fit: a table would need that many
+    # counts in its last 2 entries below 10^12 + 1; a stub stands in for
+    # the lists
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(3 * 10**12))
     monkeypatch.setattr(semigroup, "_minima_from_lists", lambda A, top: "lists")
     assert semigroup._class_minima(A, top) == "lists"
@@ -744,6 +749,59 @@ def test_table_route_refuses_a_hopeless_top_p_before_any_table(monkeypatch):
     monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP")
     with pytest.raises(CapExceededError, match="^2000000000002 list entries .* cap 10000000$"):
         semigroup._class_minima(A, top)
+
+
+# Instances of the ladder and mid-sweep benchmark workloads at seed 0, and
+# {17,18,19} at p = 5: on each, max(A) < limit but _count_bound(A, limit - 1)
+# is short of a * (top + 1), so no table could settle below its limit
+HOPELESS_TABLES = [
+    ((1009, 1013, 1019), 50),
+    ((128, 218, 231), 29),
+    ((279, 349, 403, 471), 55),
+    ((201, 207, 322), 16),
+    ((249, 391, 397, 470), 60),
+    ((146, 214, 291), 19),
+    ((203, 366, 388), 7),
+    ((203, 183, 194), 7),
+    ((254, 273, 489, 525), 48),
+    ((254, 91, 163, 175), 48),
+    ((151, 157, 163), 20),
+    ((17, 18, 19), 5),
+]
+
+
+@pytest.mark.parametrize("gens, top", HOPELESS_TABLES)
+def test_no_table_is_filled_where_none_can_settle(monkeypatch, gens, top):
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    monkeypatch.setattr(semigroup, "DenumerantTable", None)
+    assert build(gens, top).apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)
+
+
+# The high-p benchmark workload's tops at seed 0: each table settles
+@pytest.mark.parametrize(
+    "gens, top",
+    [
+        ((8, 9, 10), 1832),
+        ((25, 27, 30, 47), 1231),
+        ((21, 33, 38), 1088),
+        ((10, 11, 12, 18), 4300),
+        ((17, 22, 25), 1159),
+        ((12, 14, 17, 21), 1928),
+    ],
+)
+def test_the_table_route_answers_where_its_table_settles(monkeypatch, gens, top):
+    monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
+    answers = []
+    table = semigroup._minima_from_table
+
+    def spy(A, top, limit):
+        answers.append(table(A, top, limit))
+        return answers[-1]
+
+    monkeypatch.setattr(semigroup, "_minima_from_table", spy)
+    sp = build(gens, top)
+    assert len(answers) == 1 and answers[0] is not None
+    assert answers[0](top) == sp.apery_by_residue
 
 
 @pytest.mark.parametrize(
@@ -775,10 +833,11 @@ def test_table_route_grows_by_doubling_from_the_largest_generator(monkeypatch, g
 # the top p, or the refusal.  Recorded before the route rule moved into
 # _class_minima alone; the cases after {25,27,30,47} were drawn once from
 # random.Random(28), and {37,48,63,75} is a table that cannot settle
-# within the cap of 1000.
+# within the cap of 1000.  The fills list only the tables the bound
+# admits, _count_bound(A, limit - 1) >= a * (top + 1).
 ROUTE_RECORDS = [
-    ((17, 18, 19), 5, 1000, [19, 67], "lists", "ccb02836436bed97"),
-    ((17, 18, 19), 5, None, [19, 67], "lists", "ccb02836436bed97"),
+    ((17, 18, 19), 5, 1000, [], "lists", "ccb02836436bed97"),
+    ((17, 18, 19), 5, None, [], "lists", "ccb02836436bed97"),
     ((3000, 3001, 3002), 3400, 1000, [], None,
      "3000 class minima of the 1 instances of the p range, past the cap 1000"),
     ((3000, 3001, 3002), 3400, None, [], None,
@@ -797,37 +856,36 @@ ROUTE_RECORDS = [
      "2e9f1d9447b876a8"),
     ((1009, 1013, 1019), 50, 1000, [], None,
      "1009 class minima of the 1 instances of the p range, past the cap 1000"),
-    ((1009, 1013, 1019), 50, None, [1019, 2102, 4268, 8600, 17264, 34305], "lists",
-     "5a85f679cc19bfe9"),
+    ((1009, 1013, 1019), 50, None, [], "lists", "5a85f679cc19bfe9"),
     ((6, 7, 11, 13), 200, 1000, [13, 90, 244], "table", "0f83295ec59d00d3"),
     ((6, 7, 11, 13), 200, None, [13, 90, 244], "table", "0f83295ec59d00d3"),
     ((30, 31, 32), 40, 1000, [], None,
      "1230 list entries for the class minima at p = 40, past the cap 1000"),
-    ((30, 31, 32), 40, None, [32, 128, 320, 704, 819], "lists", "0194863f916895ee"),
+    ((30, 31, 32), 40, None, [], "lists", "0194863f916895ee"),
     ((25, 27, 30, 47), 1231, 1000, [], None,
      "30800 list entries for the class minima at p = 1231, past the cap 1000"),
     ((25, 27, 30, 47), 1231, None, [47, 158, 380, 824, 1712, 3488], "table", "6e47771397681beb"),
     ((19, 72), 20, 1000, [], "lists", "5a6dead49ebb98c8"),
     ((19, 72), 20, None, [], "lists", "5a6dead49ebb98c8"),
-    ((19, 23, 27), 7, 1000, [27, 100], "lists", "2fc19c898744a093"),
-    ((19, 23, 27), 7, None, [27, 100], "lists", "2fc19c898744a093"),
+    ((19, 23, 27), 7, 1000, [], "lists", "2fc19c898744a093"),
+    ((19, 23, 27), 7, None, [], "lists", "2fc19c898744a093"),
     ((15, 56), 29, 1000, [], "lists", "95cd992c019964b1"),
     ((15, 56), 29, None, [], "lists", "95cd992c019964b1"),
     ((67, 69), 24, 1000, [], None,
      "1675 list entries for the class minima at p = 24, past the cap 1000"),
     ((67, 69), 24, None, [], "lists", "1f0ae6ff50fc1c01"),
-    ((19, 28, 32, 60), 30, 1000, [60, 184, 432, 440], "lists", "44a6a20e335d8adc"),
-    ((19, 28, 32, 60), 30, None, [60, 184, 432, 440], "lists", "44a6a20e335d8adc"),
+    ((19, 28, 32, 60), 30, 1000, [], "lists", "44a6a20e335d8adc"),
+    ((19, 28, 32, 60), 30, None, [], "lists", "44a6a20e335d8adc"),
     ((13, 36, 69, 71), 0, 1000, [], "lists", "512b3cacde2b4bf2"),
     ((13, 36, 69, 71), 0, None, [], "lists", "512b3cacde2b4bf2"),
     ((7, 57), 1681, 1000, [], None,
      "11774 list entries for the class minima at p = 1681, past the cap 1000"),
     ((7, 57), 1681, None, [], "lists", "db02205aa1900438"),
-    ((23, 35, 51), 27, 1000, [51, 166, 396, 428], "lists", "e2b88fedd90e6994"),
-    ((23, 35, 51), 27, None, [51, 166, 396, 428], "lists", "e2b88fedd90e6994"),
+    ((23, 35, 51), 27, 1000, [], "lists", "e2b88fedd90e6994"),
+    ((23, 35, 51), 27, None, [], "lists", "e2b88fedd90e6994"),
     ((37, 48, 63, 75), 27, 1000, [75, 214, 492, 999], None,
      "1036 list entries for the class minima at p = 27, past the cap 1000"),
-    ((37, 48, 63, 75), 27, None, [75, 214, 492, 776], "lists", "f2533ad39027c782"),
+    ((37, 48, 63, 75), 27, None, [], "lists", "f2533ad39027c782"),
 ]
 
 
