@@ -6,8 +6,8 @@ fixed generator list exceeds p; the package computes the class minima
 classifications, closure properties, and verifies the scaling identities
 relating different generator lists.
 
-``arf`` and ``identities`` load on first use of one of their names, so that
-a command that needs neither does not import them.
+``symmetry``, ``arf`` and ``identities`` load on first use of one of their
+names, so that a command that needs none of them does not import them.
 """
 
 from .denumerant import (
@@ -29,20 +29,6 @@ from .semigroup import (
     gap_sum,
     minima_modulo,
     power_sum_bernoulli,
-)
-from .symmetry import (
-    PATTERN_FULL_INTERVAL,
-    PATTERN_OTHER,
-    PATTERN_SINGLETON_PLUS_TAIL,
-    SymmetryReport,
-    classify,
-    detect_pattern,
-    pseudo_frobenius,
-    verify_almost_symmetric_equivalences,
-    verify_apery_pairings,
-    verify_nari,
-    verify_pf_consequences,
-    verify_symmetry_equivalences,
 )
 
 __all__ = [
@@ -88,6 +74,18 @@ __all__ = [
 ]
 
 _LAZY = {
+    "PATTERN_FULL_INTERVAL": "symmetry",
+    "PATTERN_OTHER": "symmetry",
+    "PATTERN_SINGLETON_PLUS_TAIL": "symmetry",
+    "SymmetryReport": "symmetry",
+    "classify": "symmetry",
+    "detect_pattern": "symmetry",
+    "pseudo_frobenius": "symmetry",
+    "verify_almost_symmetric_equivalences": "symmetry",
+    "verify_apery_pairings": "symmetry",
+    "verify_nari": "symmetry",
+    "verify_pf_consequences": "symmetry",
+    "verify_symmetry_equivalences": "symmetry",
     "is_arf": "arf",
     "verify_arf_conductor_kunz": "arf",
     "verify_arf_heredity": "arf",
@@ -99,12 +97,12 @@ _LAZY = {
 
 
 def __getattr__(name: str) -> object:
-    """Import ``arf`` or ``identities`` when one of their names (or the
-    module itself) is first asked for.  A function name is read from its
-    module on each access, not kept here, so that a wrapper put in the
-    module in its place is the one returned."""
+    """Import ``symmetry``, ``arf`` or ``identities`` when one of their
+    names (or the module itself) is first asked for.  A function name is
+    read from its module on each access, not kept here, so that a wrapper
+    put in the module in its place is the one returned."""
     module = _LAZY.get(name, name)
-    if module not in ("arf", "identities"):
+    if module not in ("symmetry", "arf", "identities"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, so that -X importtime logs it
     __import__(f"{__name__}.{module}")

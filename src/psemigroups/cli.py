@@ -6,8 +6,9 @@ run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
 here; every command is a thin adapter over the library: its handler
 returns the document and exit code, and ``main`` writes the document.
-``arf`` and ``identities`` are reached through the package's lazy names,
-so the other commands never load them.
+``symmetry``, ``arf`` and ``identities`` are reached through the package's
+lazy names, so a command that calls none of them never loads them, and
+``fractions`` is imported only where a rational is made or printed.
 
 Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3
 precondition failure, 4 cap exceeded, 5 verifier failure.
@@ -20,13 +21,11 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import psemigroups
 
-from . import symmetry as sym_mod
 from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import CapExceededError, PreconditionError
 from .reports import Report
@@ -40,6 +39,9 @@ from .semigroup import (
     gap_sum,
     hlk_of_members,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -117,6 +119,8 @@ def fraction_str(value: Fraction) -> str:
 def _encode_fraction(value: Any) -> str:
     """The JSON encoder's hook for what it cannot encode: a ``Fraction``
     becomes "num/den"; anything else is refused as ``json`` refuses it."""
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return fraction_str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -191,13 +195,16 @@ def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def _scalar(value: Any) -> str:
-    # a type test, not isinstance: Fraction's is an ABC check, a Python call
-    # for every leaf printed
-    if type(value) is Fraction:
-        return fraction_str(value)
     if isinstance(value, (dict, list, tuple)):
         return _json(value)
-    return str(value)
+    if isinstance(value, (int, str)) or value is None:
+        return str(value)
+    # any other leaf: a document that holds a rational has loaded
+    # ``fractions`` already.  A type test, not isinstance: Fraction's is an
+    # ABC check.
+    from fractions import Fraction
+
+    return fraction_str(value) if type(value) is Fraction else str(value)
 
 
 def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
@@ -274,6 +281,8 @@ def _parse_weight(text: str | None) -> Fraction | None:
     _WEIGHT_DIGITS digits; an exponent past that is refused unexpanded."""
     if text is None:
         return None
+    from fractions import Fraction
+
     exponent = _WEIGHT_EXPONENT.search(text)
     try:
         too_long = exponent is not None and abs(int(exponent[1])) > _WEIGHT_DIGITS
@@ -310,7 +319,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     no O(F) tuple is built unless ``expand`` lists the elements, and
     then the integers it lists are charged first."""
     sp = build(gens, p)
-    report = sym_mod.classify(sp)
+    report = psemigroups.classify(sp)
     members, h, l = hlk_of_members(sp)
     c = sp.conductor
     if expand:
@@ -339,7 +348,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 
 # Every scalar of one instance: analyze writes them all, table the ones
 # asked for.  A field reads the instance or ``report()``, the row's one
-# sym_mod.classify(sp); each library function is looked up when called,
+# psemigroups.classify(sp); each library function is looked up when called,
 # so that a wrapper put in its place is the one called.
 _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "frobenius": lambda sp, report: sp.frobenius,
@@ -347,7 +356,7 @@ _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "conductor": lambda sp, report: sp.conductor,
     "genus": lambda sp, report: gap_count(sp),
     "sylvester_sum": lambda sp, report: gap_sum(sp),
-    "pattern": lambda sp, report: sym_mod.detect_pattern(sp),
+    "pattern": lambda sp, report: psemigroups.detect_pattern(sp),
     "type": lambda sp, report: len(report().pf),
     "symmetric": lambda sp, report: report().symmetric,
     "pseudo_symmetric": lambda sp, report: report().pseudo_symmetric,
@@ -360,9 +369,9 @@ _SYMMETRY_FLAGS = [field for field in _TABLE_FIELDS if field.endswith("symmetric
 def _row(sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
     """``p`` and ``fields`` of one instance, whose classification is
     ``report``, or is made when a field first reads it."""
-    def classified() -> sym_mod.SymmetryReport:
+    def classified() -> psemigroups.SymmetryReport:
         nonlocal report
-        report = report or sym_mod.classify(sp)
+        report = report or psemigroups.classify(sp)
         return report
     return {"p": sp.p, **{f: _TABLE_FIELDS[f](sp, classified) for f in fields}}
 
@@ -440,8 +449,9 @@ _SCALING = {"alpha": (int, _NEEDED, None), "beta": (int, _NEEDED, None), **_INST
 # Every command that runs: its help line in ``psg -h`` (None for a
 # verifier, which ``psg verify -h`` does not list), its flags, and its
 # handler, which parses --gens before --p.  Each verifier is looked up in
-# the package when called: the package loads ``arf`` and ``identities`` on
-# first use, and a wrapper put in its place is the one called.
+# the package when called: the package loads ``symmetry``, ``arf`` and
+# ``identities`` on first use, and a wrapper put in its place is the one
+# called.
 _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _Handler]] = {
     "analyze": ("full report for one (gens, p)", {
         **_COMMON, "expand": (bool, False, "emit sets as integer arrays"),
@@ -496,19 +506,28 @@ class _Parser(argparse.ArgumentParser):
         return namespace, foreign
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of every command name, and of every verifier name when
+    the command is verify, in which only the leaf that argparse hands
+    ``argv`` to gets its flags: a call runs one leaf, and every usage line
+    and error above a leaf reads only the names below it."""
     # the subcommands' parsers are made of the parser's own class
     parser = _Parser(prog="psg", description="Exact computations on p-numerical semigroups.")
     groups = {"": parser.add_subparsers(dest="command", required=True)}
+    names = _dispatched(parser, argv)
     for command, (help_line, flags, handler) in _COMMANDS.items():
         group, _, name = command.rpartition(" ")
         if group not in groups:  # verify, made here so that psg -h lists it last
             verify = groups[""].add_parser(group, help="run a named verifier")
             groups[group] = verify.add_subparsers(dest="name", required=True)
+        if group and names[:1] != [group]:
+            continue
         # no abbreviations: --p would be read as arf-heredity's --pmax, --a
         # and --b as johnson's --alpha and --beta
         leaf = groups[group].add_parser(
             name, allow_abbrev=False, **({} if help_line is None else {"help": help_line}))
+        if command.split(" ") != names:
+            continue
         for flag, (kind, default, help_text) in flags.items():
             how = {"action": "store_true"} if kind is bool else {
                 "type": kind, "required": default is _NEEDED}
@@ -516,6 +535,28 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.add_argument("--format", choices=_WRITERS, default="json")
         leaf.set_defaults(handler=handler)
     return parser
+
+
+def _dispatched(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
+    """The command, or "verify" and the verifier, that argparse reads from
+    ``argv``: at each level the first token it takes as a positional, one
+    not starting with "-", "-" itself, a negative number, one holding a
+    space, or the token after "--"."""
+    names: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            token = next(tokens, None)
+            if token is None:
+                break
+        elif token.startswith("-") and not (
+            token == "-" or parser._negative_number_matcher.match(token) or " " in token
+        ):
+            continue
+        names.append(token)
+        if names != ["verify"]:
+            break
+    return names
 
 
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
@@ -532,8 +573,9 @@ def _join_negative_weight(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

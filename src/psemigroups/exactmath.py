@@ -6,18 +6,23 @@ Every value here is an ``int`` or a ``fractions.Fraction``; nothing rounds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
 from .denumerant import charge
 from .errors import PreconditionError
 from .reports import Report
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def bernoulli_row(n: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_n under the x/(e^x - 1) convention, so
     B_1 = -1/2, from the recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0 for
     m >= 1, anchored at B_0 = 1."""
+    from fractions import Fraction
+
     if n < 0:
         raise PreconditionError("Bernoulli index must be non-negative")
     row = [Fraction(1)]

@@ -27,24 +27,26 @@ p, P, along one of two exact routes, picked by the one rule that
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from heapq import merge
 from itertools import accumulate, compress, count, islice, repeat
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 from operator import add, eq, le, mul, neg
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import bernoulli_row, eulerian_row
+from .exactmath import eulerian_row
 from .reports import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 POWER_CAP = 8
 # B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula
-# reads, as integers over their common denominator _BERNOULLI_DEN
-_BERNOULLI = bernoulli_row(POWER_CAP + 1)
-_BERNOULLI_DEN = lcm(*(b.denominator for b in _BERNOULLI))
-_BERNOULLI = [int(b * _BERNOULLI_DEN) for b in _BERNOULLI]
+# reads, as integers over their common denominator: exactmath.bernoulli_row
+# is their second route
+_BERNOULLI_DEN = 210
+_BERNOULLI = [210, -105, 35, 0, -7, 0, 5, 0, -7, 0]
 # rows 0 .. POWER_CAP of the Eulerian triangle, row 0 being [1]
 _EULERIAN = list(map(eulerian_row, range(POWER_CAP + 1)))
 # The sum of t^e over t < k is sum_i _FAULHABER[e][i] * C(k, i + 1), from
@@ -486,8 +488,10 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     numbers (B_1 = -1/2).  Intermediate terms are not integers, so rational
     arithmetic is mandatory; a non-integer final value is a hard failure.
     """
+    from fractions import Fraction
+
     check_power(mu)
-    total = _power_sum_formula(sp, mu + 1)[mu]
+    total = Fraction(*_power_sum_formula(sp, mu + 1)[mu])
     if total.denominator != 1 or total < 0:
         raise InternalCheckError(
             f"power-sum formula produced a non-integer or negative value: {total}"
@@ -495,12 +499,13 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     return int(total)
 
 
-def _power_sum_formula(sp: PSemigroup, rows: int) -> list[Fraction]:
-    """``power_sum_bernoulli``'s formula at every mu < rows, each summed as
-    one integer over the common denominator a * (mu + 1) * _BERNOULLI_DEN,
-    from one table of the power sums S_1..S_rows of the minima: the column
-    of their e-th powers is the (e - 1)-th times the minima.  Selmer's
-    genus and gap-sum forms are its values at mu = 0 and mu = 1."""
+def _power_sum_formula(sp: PSemigroup, rows: int) -> list[tuple[int, int]]:
+    """``power_sum_bernoulli``'s formula at every mu < rows, each as an
+    integer numerator and its denominator a * (mu + 1) * _BERNOULLI_DEN,
+    unreduced, so that no rational is made; from one table of the power
+    sums S_1..S_rows of the minima: the column of their e-th powers is the
+    (e - 1)-th times the minima.  Selmer's genus and gap-sum forms are its
+    values at mu = 0 and mu = 1."""
     a, minima = sp.modulus, sp.apery_by_residue
     sums, column = [a, sum(minima)], minima  # S_0 = a, the number of minima
     for _ in range(1, rows):
@@ -511,7 +516,7 @@ def _power_sum_formula(sp: PSemigroup, rows: int) -> list[Fraction]:
         total = a * _BERNOULLI[mu + 1] * (a ** (mu + 1) - 1)
         for kappa in range(mu + 1):
             total += comb(mu + 1, kappa) * _BERNOULLI[kappa] * a**kappa * sums[mu + 1 - kappa]
-        values.append(Fraction(total, a * (mu + 1) * _BERNOULLI_DEN))
+        values.append((total, a * (mu + 1) * _BERNOULLI_DEN))
     return values
 
 
@@ -554,10 +559,12 @@ def gap_power_sums(
     """
     check_power(mu_max)
     rows = mu_max + 1
-    num, den = (1, 1) if weight is None else Fraction(weight).as_integer_ratio()
-    if num == 0:
-        raise PreconditionError("weight must be non-zero")
     if weight is not None:
+        from fractions import Fraction
+
+        num, den = Fraction(weight).as_integer_ratio()
+        if num == 0:
+            raise PreconditionError("weight must be non-zero")
         top = max(abs(num), den)
         shift = max(0, top.bit_length() - 128)
         log64 = (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
@@ -575,9 +582,11 @@ def gap_power_sums(
         )
     direct = _class_power_sums(sp, rows, 1)
     for mu, (total, formula) in enumerate(zip(direct, _power_sum_formula(sp, rows))):
-        if formula != total:
+        if formula[0] != total * formula[1]:
+            from fractions import Fraction
+
             raise InternalCheckError(
-                f"power sum at mu = {mu} mismatch: by class {total}, formula {formula}"
+                f"power sum at mu = {mu} mismatch: by class {total}, formula {Fraction(*formula)}"
             )
     if weight is None:
         return direct, []
@@ -615,6 +624,8 @@ def _weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[
     z = u/v and S_e(z) = v * N_e / (v - u)^(e+1), N_0 = 1 and
     N_e = sum_m <e, m> u^(m+1) v^(e-1-m), so row mu is one integer over
     (v - u)^(mu+1) * den^M."""
+    from fractions import Fraction
+
     a = sp.modulus
     u, v = num**a, den**a
     if u == v:

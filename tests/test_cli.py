@@ -1232,6 +1232,87 @@ def test_verifier_help_lists_exactly_its_flags(capsys, name):
     assert flags == {"-h", "--format", *needed, *(f"--{flag}" for flag in _OPTIONAL_FLAGS[name])}
 
 
+def _leaves(parser):
+    """Every leaf parser that ``parser`` holds, by its ``cli._COMMANDS`` key."""
+    def names(p, dest):
+        return next(action.choices for action in p._actions if action.dest == dest)
+
+    commands = dict(names(parser, "command"))
+    verifiers = names(commands.pop("verify"), "name")
+    return {**commands, **{f"verify {name}": leaf for name, leaf in verifiers.items()}}
+
+
+def _flagged(parser):
+    """The leaves of ``parser`` that declare a flag besides -h."""
+    return [key for key, leaf in _leaves(parser).items() if len(leaf._actions) > 1]
+
+
+def _dispatched(capsys, monkeypatch, argv):
+    """Run ``main(argv)``; return its exit code and the leaf that argparse
+    handed it to ("" for none), read off the last parser it entered."""
+    entered = []
+    parse_known_args = cli._Parser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        entered.append(self.prog.removeprefix("psg").strip())
+        return parse_known_args(self, args, namespace)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    capsys.readouterr()
+    return code, entered[-1] if entered[-1] in cli._COMMANDS else ""
+
+
+# Calls, each with the leaf that argparse hands it to ("" for none): a
+# command and a verifier, help at each level, a foreign flag before the
+# name, one that takes a value, which argparse reads as the name (two
+# with a negative value), a negative number or a token with a space where
+# the name goes, and no argument at all.
+_DISPATCH = [
+    ("analyze --gens 4,5,6 --p 0".split(), "analyze"),
+    ("sums --gens 4,5,6 --p 0 --weight -2/3".split(), "sums"),
+    ("verify nari --gens 4,5,6".split(), "verify nari"),
+    ("-h".split(), ""),
+    ("analyze -h".split(), "analyze"),
+    ("verify -h".split(), ""),
+    ("verify arf-heredity -h".split(), "verify arf-heredity"),
+    ("--x analyze --gens 4,5,6 --p 0".split(), "analyze"),
+    ("verify --x nari --gens 4,5,6".split(), "verify nari"),
+    ("--mu 3 classify --gens 4,5,6 --p 0".split(), ""),
+    ("--mu -1 classify --gens 4,5,6 --p 0".split(), ""),
+    ("verify --weight -1 pairings --gens 4,5,6".split(), ""),
+    ("-1 analyze --gens 4,5,6 --p 0".split(), ""),
+    ("verify -1 nari --gens 4,5,6".split(), ""),
+    (["-x y", "analyze", "--gens", "4,5,6", "--p", "0"], ""),
+    ([], ""),
+]
+
+
+@pytest.mark.parametrize("argv, leaf", _DISPATCH, ids=[" ".join(a) for a, _ in _DISPATCH])
+def test_the_parser_flags_only_the_leaf_it_dispatches_to(capsys, monkeypatch, argv, leaf):
+    parser = cli.build_parser(argv)
+    assert _flagged(parser) == ([leaf] if leaf else [])
+    # the verifiers' names are made only for a call whose command is verify
+    made = [key for key in _leaves(parser) if key not in _COMMAND_CALLS]
+    assert made == [f"verify {name}" for name in _VERIFIER_CALLS if argv[:1] == ["verify"]]
+    assert _dispatched(capsys, monkeypatch, argv)[1] == leaf
+
+
+@pytest.mark.parametrize("argv, leaf", [("-- analyze --gens 4,5,6 --p 0", "analyze"),
+                                        ("verify -- nari --gens 4,5,6", "verify nari")])
+def test_the_name_after_a_double_dash_is_the_flagged_leaf(capsys, monkeypatch, argv, leaf):
+    # Python 3.11's argparse reads "--" itself as the name and refuses it;
+    # an argparse that drops it hands the call to the name after it
+    assert _flagged(cli.build_parser(argv.split())) == [leaf]
+    code, dispatched = _dispatched(capsys, monkeypatch, argv.split())
+    assert (code, dispatched) in ((EXIT_USAGE, ""), (EXIT_OK, leaf))
+
+
+def test_a_parser_built_for_no_call_flags_no_leaf():
+    # the benchmark's set-up line, which every call pays
+    assert _flagged(cli.build_parser()) == []
+
 def _wrap_as_a_tracer_does(monkeypatch, functions):
     """Point every name in the package that refers to one of ``functions``
     at a wrapper that records its calls, as psgbench/tracer.py does; return

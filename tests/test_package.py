@@ -30,10 +30,11 @@ def test_every_public_name_imports(name):
 
 
 def test_lazy_names_are_the_module_functions():
-    from psemigroups import arf, identities
+    from psemigroups import arf, identities, symmetry
 
     assert psemigroups.is_arf is arf.is_arf
     assert psemigroups.verify_johnson is identities.verify_johnson
+    assert psemigroups.classify is symmetry.classify
     assert psemigroups.arf is arf
 
 
@@ -200,6 +201,9 @@ def test_private_reads_are_found():
 # taken away, so that site hooks cannot trip the test.
 
 HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
+# what only some commands run: the symmetry classification, and the
+# rationals of weights, identity rows and Bernoulli numbers
+ON_USE = {"psemigroups.symmetry", "fractions", "decimal"}
 
 
 def _imported(*args):
@@ -238,10 +242,25 @@ def test_parser_imports_no_heavy_module(new_imports):
     assert not names & HEAVY
 
 
+def test_parser_imports_neither_symmetry_nor_fractions(new_imports):
+    # the set-up every psg call pays, as the benchmark's setup_s times it
+    names, _ = new_imports("-c", "import psemigroups.cli as c; c.build_parser()")
+    assert "psemigroups.semigroup" in names
+    assert not names & ON_USE
+
+
+def test_table_of_plain_fields_imports_neither_symmetry_nor_fractions(new_imports):
+    names, out = new_imports("-m", "psemigroups", "table", "--gens", "8,9,10",
+                             "--p", "1321..1832", "--field", "frobenius,genus")
+    assert json.loads(out)["rows"][-1]["p"] == 1832
+    assert not names & (HEAVY | ON_USE)
+
+
 def test_classify_imports_neither_arf_nor_identities(new_imports):
     names, out = new_imports("-m", "psemigroups", "classify", "--gens", "4,5", "--p", "0")
     assert json.loads(out)["rows"][0]["symmetric"] is True
     assert "psemigroups.symmetry" in names
+    assert "fractions" not in names
     assert not names & HEAVY
 
 
@@ -250,7 +269,7 @@ def test_sums_imports_neither_arf_nor_identities(new_imports):
         "-m", "psemigroups", "sums", "--gens", "4,5", "--p", "1", "--mu", "2", "--weight", "1/2"
     )
     assert json.loads(out)["rows"][2]["direct"] == 6290
-    assert "psemigroups.semigroup" in names
+    assert {"psemigroups.semigroup", "fractions"} <= names
     assert not names & HEAVY
 
 

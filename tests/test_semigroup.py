@@ -40,8 +40,11 @@ from psemigroups import (
     power_sum_bernoulli,
 )
 from psemigroups import cli, semigroup
+from psemigroups.exactmath import bernoulli_row
 from psemigroups.semigroup import (
     POWER_CAP,
+    _BERNOULLI,
+    _BERNOULLI_DEN,
     _compress_positions,
     _count_bound,
     _minima_from_lists,
@@ -291,6 +294,27 @@ def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens,
         gap_sum(sp)
     with pytest.raises(InternalCheckError, match="power sum at mu = 1 mismatch"):
         cli.table_document(GeneratorSet(gens), range(0, 3), ["sylvester_sum"])
+
+
+def test_the_integer_bernoulli_row_is_exactmaths():
+    # the power-sum formula reads B_0 .. B_(POWER_CAP + 1) as integers over
+    # one denominator; the recurrence in exactmath is their second route
+    assert [Fraction(b, _BERNOULLI_DEN) for b in _BERNOULLI] == bernoulli_row(POWER_CAP + 1)
+
+
+def test_a_power_sum_mismatch_prints_the_formula_reduced():
+    # the formula is an unreduced numerator over a * (mu + 1) * 210; the
+    # message prints the rational it stands for
+    sp = build((6, 7, 17), 14)
+    kunz = list(sp.kunz)
+    kunz[1] += 1
+    numerator, denominator = semigroup._power_sum_formula(sp, 1)[0]
+    assert denominator == 6 * _BERNOULLI_DEN and numerator == gap_count(sp) * denominator
+    with pytest.raises(InternalCheckError) as raised:
+        gap_count(_forged(sp, kunz=tuple(kunz)))
+    assert str(raised.value) == (
+        f"power sum at mu = 0 mismatch: by class {gap_count(sp) + 1}, formula {gap_count(sp)}"
+    )
 
 
 def test_power_sum_bernoulli_refuses_a_non_integer_value():
