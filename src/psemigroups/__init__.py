@@ -6,8 +6,9 @@ fixed generator list exceeds p; the package computes the class minima
 classifications, closure properties, and verifies the scaling identities
 relating different generator lists.
 
-``symmetry``, ``arf`` and ``identities`` load on first use of one of their
-names, so that a command that needs none of them does not import them.
+``symmetry``, ``arf``, ``identities`` and ``exactmath`` load on first use
+of one of their names, so that a command that needs none of them does not
+import them.
 """
 
 from .denumerant import (
@@ -18,7 +19,6 @@ from .denumerant import (
     horizon_cap,
 )
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import bernoulli, eulerian, verify_eulerian_gf
 from .reports import Report
 from .semigroup import (
     PSemigroup,
@@ -93,16 +93,19 @@ _LAZY = {
     "verify_gcd_scaling": "identities",
     "verify_johnson": "identities",
     "verify_watanabe": "identities",
+    "bernoulli": "exactmath",
+    "eulerian": "exactmath",
+    "verify_eulerian_gf": "exactmath",
 }
 
 
 def __getattr__(name: str) -> object:
-    """Import ``symmetry``, ``arf`` or ``identities`` when one of their
-    names (or the module itself) is first asked for.  A function name is
-    read from its module on each access, not kept here, so that a wrapper
-    put in the module in its place is the one returned."""
+    """Import ``symmetry``, ``arf``, ``identities`` or ``exactmath`` when
+    one of their names (or the module itself) is first asked for.  A
+    function name is read from its module on each access, not kept here,
+    so that a wrapper put in the module in its place is the one returned."""
     module = _LAZY.get(name, name)
-    if module not in ("symmetry", "arf", "identities"):
+    if module not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, so that -X importtime logs it
     __import__(f"{__name__}.{module}")

@@ -6,9 +6,14 @@ run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
 here; every command is a thin adapter over the library: its handler
 returns the document and exit code, and ``main`` writes the document.
-``symmetry``, ``arf`` and ``identities`` are reached through the package's
-lazy names, so a command that calls none of them never loads them, and
-``fractions`` is imported only where a rational is made or printed.
+``symmetry``, ``arf``, ``identities`` and ``exactmath`` are reached through
+the package's lazy names, so a command that calls none of them never loads
+them, and ``fractions`` is imported only where a rational is made or
+printed.  A pattern here is a string that ``re`` compiles on first use
+and caches, so that importing ``cli`` compiles none.
+
+``run`` is the process entry of ``psg`` and ``python -m psemigroups``:
+``main``, then an exit that does not collect the heap it leaves.
 
 Exit codes: 0 success, 1 stdout closed early, 2 usage error, 3
 precondition failure, 4 cap exceeded, 5 verifier failure.
@@ -17,12 +22,13 @@ precondition failure, 4 cap exceeded, 5 verifier failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import psemigroups
 
@@ -273,7 +279,7 @@ def _parse_p_range(text: str) -> range:
 # Python's default int <-> str digit limit.  An exponent as in "1e-300000"
 # would expand to that many digits when parsed, so it is refused first.
 _WEIGHT_DIGITS = 4300
-_WEIGHT_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_WEIGHT_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
 
 
 def _parse_weight(text: str | None) -> Fraction | None:
@@ -283,7 +289,7 @@ def _parse_weight(text: str | None) -> Fraction | None:
         return None
     from fractions import Fraction
 
-    exponent = _WEIGHT_EXPONENT.search(text)
+    exponent = re.search(_WEIGHT_EXPONENT, text)
     try:
         too_long = exponent is not None and abs(int(exponent[1])) > _WEIGHT_DIGITS
         weight = None if too_long else Fraction(text)
@@ -559,13 +565,13 @@ def _dispatched(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[st
     return names
 
 
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+_NEGATIVE_VALUE = r"-[\d.]"
 
 
 def _join_negative_weight(argv: Sequence[str]) -> list[str]:
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] == "--weight" and _NEGATIVE_VALUE.match(token):
+        if joined and joined[-1] == "--weight" and re.match(_NEGATIVE_VALUE, token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -596,5 +602,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CAP
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and exit with its code.
+    Between the two, ``gc.freeze()`` moves every object left alive to the
+    permanent generation, which the collection at interpreter shutdown
+    does not walk: the process is about to give that heap back whole.
+    atexit handlers and the final flush of stdout and stderr still run.
+    ``main`` never freezes, so an in-process caller keeps collecting; an
+    exception that escapes ``main`` propagates, and nothing is frozen."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

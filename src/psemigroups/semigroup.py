@@ -27,7 +27,6 @@ p, P, along one of two exact routes, picked by the one rule that
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import merge
 from itertools import accumulate, compress, count, islice, repeat
 from math import comb, factorial, gcd, prod
 from operator import add, eq, le, mul, neg
@@ -35,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
-from .exactmath import eulerian_row
 from .reports import Record
 
 if TYPE_CHECKING:
@@ -47,14 +45,16 @@ POWER_CAP = 8
 # is their second route
 _BERNOULLI_DEN = 210
 _BERNOULLI = [210, -105, 35, 0, -7, 0, 5, 0, -7, 0]
-# rows 0 .. POWER_CAP of the Eulerian triangle, row 0 being [1]
-_EULERIAN = list(map(eulerian_row, range(POWER_CAP + 1)))
-# The sum of t^e over t < k is sum_i _FAULHABER[e][i] * C(k, i + 1), from
-# Worpitzky's identity, sum_m <e, m> C(k + m, e + 1), by Vandermonde's
-_FAULHABER = [
-    [sum(c * comb(m, e - i) for m, c in enumerate(_EULERIAN[e])) for i in range(e + 1)]
-    for e in range(POWER_CAP + 1)
-]
+# The sum of t^e over t < k is sum_i _FAULHABER[e][i] * C(k, i + 1), with
+# _FAULHABER[e][i] = i! * S(e, i), S the Stirling numbers of the second
+# kind: t^e = sum_i i! * S(e, i) * C(t, i), and C(t, i) summed over t < k
+# is C(k, i + 1).  S(e, i) = i * S(e-1, i) + S(e-1, i-1) makes each row
+# i times the sum of the previous row's entries i - 1 and i, from row 0, [1].
+_FAULHABER = list(accumulate(
+    range(POWER_CAP),
+    lambda row, _: [i * (x + y) for i, (x, y) in enumerate(zip([0, *row], [*row, 0]))],
+    initial=[1],
+))
 
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 _SPLIT_WINDOW = 1 << 16
@@ -349,6 +349,8 @@ def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int
     So a generator costs about 2a Python steps, each a merge of two
     ascending runs by one C-level ``list.sort``, and O(a*keep) element
     work, plus one merge of at most ``keep`` progressions per cycle."""
+    from heapq import merge
+
     a = len(lists)
     g = gcd(a, b)
     length = a // g
@@ -626,6 +628,8 @@ def _weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[
     (v - u)^(mu+1) * den^M."""
     from fractions import Fraction
 
+    from .exactmath import eulerian_row
+
     a = sp.modulus
     u, v = num**a, den**a
     if u == v:
@@ -636,7 +640,7 @@ def _weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[
     scale = den ** (last - a + 1)
     brackets = [scale * low - high for low, high in zip(lows, highs)]
     series = [1] + [
-        sum(count * u ** (m + 1) * v ** (e - 1 - m) for m, count in enumerate(_EULERIAN[e]))
+        sum(count * u ** (m + 1) * v ** (e - 1 - m) for m, count in enumerate(eulerian_row(e)))
         for e in range(1, rows)
     ]
     w = v - u

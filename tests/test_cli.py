@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1363,6 +1365,78 @@ def test_stdout_closed_early_exits_1_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# ---------------------------------------------------------------------------
+# the process entry: run is main, then an exit that freezes the heap
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_run_exits_with_mains_code_after_one_freeze(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_VERIFIER_FAILED)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == EXIT_VERIFIER_FAILED
+    assert calls == ["main", "freeze"]
+
+
+def test_run_lets_an_exception_from_main_through_unfrozen(monkeypatch):
+    frozen = []
+
+    def failing():
+        raise ValueError("from main")
+
+    monkeypatch.setattr(cli, "main", failing)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    with pytest.raises(ValueError, match="from main"):
+        cli.run()
+    assert frozen == []
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    code, out = run_cli(capsys, "classify", "--gens", "4,5", "--p", "0")
+    assert code == EXIT_OK and json.loads(out)["rows"][0]["symmetric"] is True
+    assert gc.get_freeze_count() == before
+
+
+def _called_names(tree):
+    return [node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+
+def test_every_process_entry_is_run():
+    entry = ast.parse((ROOT / "src" / "psemigroups" / "__main__.py").read_text())
+    assert _called_names(entry) == ["run"]
+    # read as text: tomllib is not in every supported Python
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    assert re.search(r'^psg = "psemigroups\.cli:run"$', scripts, re.M)
+    (block,) = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert _called_names(block) == ["run"]
+
+
+def test_run_keeps_atexit_handlers_and_the_final_flush(capsys):
+    # the handler's text has no newline, so only the interpreter's final
+    # flush of stderr writes it
+    argv = ["classify", "--gens", "4,5", "--p", "0"]
+    source = (
+        "import atexit, sys\n"
+        "atexit.register(sys.stderr.write, 'atexit handler ran')\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "from psemigroups import cli\n"
+        "cli.run()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True, timeout=60)
+    code, out = run_cli(capsys, *argv)
+    assert proc.returncode == code == EXIT_OK
+    assert proc.stdout == out.encode()
+    assert proc.stderr == b"atexit handler ran"
 
 
 def test_error_messages_quote_a_bounded_prefix(capsys):

@@ -30,12 +30,13 @@ def test_every_public_name_imports(name):
 
 
 def test_lazy_names_are_the_module_functions():
-    from psemigroups import arf, identities, symmetry
+    from psemigroups import arf, exactmath, identities, symmetry
 
     assert psemigroups.is_arf is arf.is_arf
     assert psemigroups.verify_johnson is identities.verify_johnson
     assert psemigroups.classify is symmetry.classify
     assert psemigroups.arf is arf
+    assert psemigroups.bernoulli is exactmath.bernoulli
 
 
 def test_unknown_name_raises_attribute_error():
@@ -201,9 +202,10 @@ def test_private_reads_are_found():
 # taken away, so that site hooks cannot trip the test.
 
 HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
-# what only some commands run: the symmetry classification, and the
-# rationals of weights, identity rows and Bernoulli numbers
-ON_USE = {"psemigroups.symmetry", "fractions", "decimal"}
+# what only some commands run: the symmetry classification; the rationals
+# of weights, identity rows and Bernoulli numbers; the Bernoulli and
+# Eulerian numbers themselves; and the merge of the class minima's lists
+ON_USE = {"psemigroups.symmetry", "fractions", "decimal", "psemigroups.exactmath", "heapq"}
 
 
 def _imported(*args):
@@ -269,8 +271,33 @@ def test_sums_imports_neither_arf_nor_identities(new_imports):
         "-m", "psemigroups", "sums", "--gens", "4,5", "--p", "1", "--mu", "2", "--weight", "1/2"
     )
     assert json.loads(out)["rows"][2]["direct"] == 6290
-    assert {"psemigroups.semigroup", "fractions"} <= names
+    assert {"psemigroups.semigroup", "fractions", "psemigroups.exactmath"} <= names
     assert not names & HEAVY
+
+
+def test_sums_without_a_weight_imports_no_eulerian_row(new_imports):
+    # the unweighted rows read _FAULHABER, built at import without exactmath
+    names, out = new_imports("-m", "psemigroups", "sums", "--gens", "4,5", "--p", "1", "--mu", "8")
+    assert json.loads(out)["rows"][2]["direct"] == 6290
+    assert not names & (HEAVY | {"psemigroups.exactmath", "fractions"})
+
+
+def test_verify_eulerian_gf_imports_exactmath(new_imports):
+    names, out = new_imports(
+        "-m", "psemigroups", "verify", "eulerian-gf", "--exponent", "3", "--order", "12"
+    )
+    assert json.loads(out)["passed"] is True
+    assert "psemigroups.exactmath" in names
+    assert not names & (HEAVY | {"psemigroups.symmetry"})
+
+
+def test_only_the_lists_route_imports_heapq(new_imports):
+    # a*p << F: the class minima come from the (p+1)-best lists, merged by
+    # heapq.merge; the table route of the high-p call above loads no heapq
+    names, out = new_imports("-m", "psemigroups", "classify", "--gens", "279,349,403,471",
+                             "--p", "46..55")
+    assert [row["p"] for row in json.loads(out)["rows"]] == list(range(46, 56))
+    assert "heapq" in names
 
 
 def test_verify_arf_kunz_imports_arf(new_imports):

@@ -5,7 +5,7 @@ from collections import deque
 from fractions import Fraction
 from functools import reduce
 from hashlib import sha256
-from math import gcd
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -40,11 +40,12 @@ from psemigroups import (
     power_sum_bernoulli,
 )
 from psemigroups import cli, semigroup
-from psemigroups.exactmath import bernoulli_row
+from psemigroups.exactmath import bernoulli_row, eulerian_row
 from psemigroups.semigroup import (
     POWER_CAP,
     _BERNOULLI,
     _BERNOULLI_DEN,
+    _FAULHABER,
     _compress_positions,
     _count_bound,
     _minima_from_lists,
@@ -300,6 +301,23 @@ def test_the_integer_bernoulli_row_is_exactmaths():
     # the power-sum formula reads B_0 .. B_(POWER_CAP + 1) as integers over
     # one denominator; the recurrence in exactmath is their second route
     assert [Fraction(b, _BERNOULLI_DEN) for b in _BERNOULLI] == bernoulli_row(POWER_CAP + 1)
+
+
+def test_the_stirling_faulhaber_rows_are_worpitzkys():
+    # the sums of t^e over t < k, written in the C(k, i + 1), by Worpitzky's
+    # identity sum_m <e, m> C(k + m, e + 1) and Vandermonde's, from
+    # exactmath's Eulerian rows: the second route of the recurrence
+    worpitzky = [
+        [sum(c * comb(m, e - i) for m, c in enumerate(eulerian_row(e))) for i in range(e + 1)]
+        for e in range(POWER_CAP + 1)
+    ]
+    assert _FAULHABER == worpitzky
+
+
+def test_the_faulhaber_rows_sum_powers():
+    for e, row in enumerate(_FAULHABER):
+        for k in range(13):
+            assert sum(f * comb(k, i + 1) for i, f in enumerate(row)) == sum(t**e for t in range(k))
 
 
 def test_a_power_sum_mismatch_prints_the_formula_reduced():
