@@ -10,7 +10,8 @@ returns the document and exit code, and ``main`` writes the document.
 the package's lazy names, so a command that calls none of them never loads
 them, and ``fractions`` is imported only where a rational is made or
 printed.  A pattern here is a string that ``re`` compiles on first use
-and caches, so that importing ``cli`` compiles none.
+and caches, so that importing ``cli`` compiles none, and a parser gets
+its flags only when argparse enters it.
 
 ``run`` is the process entry of ``psg`` and ``python -m psemigroups``:
 ``main``, then an exit that does not collect the heap it leaves.
@@ -499,11 +500,21 @@ _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that reports its own leftovers, with its own usage.  One
-    that takes --weight first joins a negative value to it: argparse reads
-    a token such as "-2/3" as a flag, so "--weight -2/3" would lose it."""
+    """A parser that reports its own leftovers, with its own usage, and
+    that runs ``grow`` on itself the first time argparse enters it, before
+    it parses: a parser gets its flags, or the parsers below it, only when
+    a call reaches it.  One that takes --weight first joins a negative
+    value to it: argparse reads a token such as "-2/3" as a flag, so
+    "--weight -2/3" would lose it."""
+
+    def __init__(self, *args: Any, grow: Callable[[_Parser], None] | None = None, **kw: Any):
+        super().__init__(*args, **kw)
+        self._grow = grow
 
     def parse_known_args(self, args=None, namespace=None):
+        grow, self._grow = self._grow, None
+        if grow:
+            grow(self)
         if "--weight" in self._option_string_actions:
             args = _join_negative_weight(args)
         namespace, foreign = super().parse_known_args(args, namespace)
@@ -512,57 +523,43 @@ class _Parser(argparse.ArgumentParser):
         return namespace, foreign
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of every command name, and of every verifier name when
-    the command is verify, in which only the leaf that argparse hands
-    ``argv`` to gets its flags: a call runs one leaf, and every usage line
-    and error above a leaf reads only the names below it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command name, none with a flag yet: only the
+    parsers that argparse enters on a call's path grow, so ``psg -h``,
+    ``psg verify -h`` and every usage error above a leaf read only the
+    names below it, and a call makes one leaf's flags."""
     # the subcommands' parsers are made of the parser's own class
     parser = _Parser(prog="psg", description="Exact computations on p-numerical semigroups.")
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    names = _dispatched(parser, argv)
-    for command, (help_line, flags, handler) in _COMMANDS.items():
-        group, _, name = command.rpartition(" ")
-        if group not in groups:  # verify, made here so that psg -h lists it last
-            verify = groups[""].add_parser(group, help="run a named verifier")
-            groups[group] = verify.add_subparsers(dest="name", required=True)
-        if group and names[:1] != [group]:
-            continue
-        # no abbreviations: --p would be read as arf-heredity's --pmax, --a
-        # and --b as johnson's --alpha and --beta
-        leaf = groups[group].add_parser(
-            name, allow_abbrev=False, **({} if help_line is None else {"help": help_line}))
-        if command.split(" ") != names:
-            continue
-        for flag, (kind, default, help_text) in flags.items():
-            how = {"action": "store_true"} if kind is bool else {
-                "type": kind, "required": default is _NEEDED}
-            leaf.add_argument(f"--{flag}", default=default, help=help_text, **how)
-        leaf.add_argument("--format", choices=_WRITERS, default="json")
-        leaf.set_defaults(handler=handler)
+    _add_names(parser, "")
     return parser
 
 
-def _dispatched(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list[str]:
-    """The command, or "verify" and the verifier, that argparse reads from
-    ``argv``: at each level the first token it takes as a positional, one
-    not starting with "-", "-" itself, a negative number, one holding a
-    space, or the token after "--"."""
-    names: list[str] = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--":
-            token = next(tokens, None)
-            if token is None:
-                break
-        elif token.startswith("-") and not (
-            token == "-" or parser._negative_number_matcher.match(token) or " " in token
-        ):
-            continue
-        names.append(token)
-        if names != ["verify"]:
-            break
-    return names
+def _add_names(parser: _Parser, group: str) -> None:
+    """Give ``parser`` a parser for each name in ``group`` ("" for the
+    commands, "verify" for the verifiers), each growing its flags when
+    entered; the commands end with verify, which grows the verifiers."""
+    names = parser.add_subparsers(dest="name" if group else "command", required=True)
+    for command, (help_line, *_) in _COMMANDS.items():
+        head, _, name = command.rpartition(" ")
+        # no abbreviations: --p would be read as arf-heredity's --pmax, --a
+        # and --b as johnson's --alpha and --beta
+        if head == group:
+            names.add_parser(name, allow_abbrev=False,
+                             grow=lambda leaf, command=command: _add_flags(leaf, command),
+                             **({} if help_line is None else {"help": help_line}))
+    if not group:
+        names.add_parser("verify", help="run a named verifier",
+                         grow=lambda verify: _add_names(verify, "verify"))
+
+
+def _add_flags(leaf: _Parser, command: str) -> None:
+    _, flags, handler = _COMMANDS[command]
+    for flag, (kind, default, help_text) in flags.items():
+        how = {"action": "store_true"} if kind is bool else {
+            "type": kind, "required": default is _NEEDED}
+        leaf.add_argument(f"--{flag}", default=default, help=help_text, **how)
+    leaf.add_argument("--format", choices=_WRITERS, default="json")
+    leaf.set_defaults(handler=handler)
 
 
 _NEGATIVE_VALUE = r"-[\d.]"
@@ -579,9 +576,8 @@ def _join_negative_weight(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -22,7 +22,8 @@ HORIZON_CAP_ENV = "PSEMIGROUPS_HORIZON_CAP"
 
 
 def horizon_cap() -> int:
-    """Largest allowed number of table entries; env var overrides the default."""
+    """Largest number of units, whatever they count, that one ``charge``
+    admits; env var overrides the default."""
     raw = os.environ.get(HORIZON_CAP_ENV)
     if raw is None:
         return DEFAULT_HORIZON_CAP

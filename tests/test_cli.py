@@ -1235,9 +1235,10 @@ def test_verifier_help_lists_exactly_its_flags(capsys, name):
 
 
 def _leaves(parser):
-    """Every leaf parser that ``parser`` holds, by its ``cli._COMMANDS`` key."""
+    """Every leaf parser that ``parser`` holds, by its ``cli._COMMANDS`` key;
+    the verifiers' only once argparse has entered verify."""
     def names(p, dest):
-        return next(action.choices for action in p._actions if action.dest == dest)
+        return next((action.choices for action in p._actions if action.dest == dest), {})
 
     commands = dict(names(parser, "command"))
     verifiers = names(commands.pop("verify"), "name")
@@ -1250,20 +1251,22 @@ def _flagged(parser):
 
 
 def _dispatched(capsys, monkeypatch, argv):
-    """Run ``main(argv)``; return its exit code and the leaf that argparse
-    handed it to ("" for none), read off the last parser it entered."""
-    entered = []
-    parse_known_args = cli._Parser.parse_known_args
+    """Run ``main(argv)``; return its exit code, the parser it built, the
+    parsers that argparse entered, by their names after "psg", and the
+    leaf it handed the call to ("" for none), the last parser entered."""
+    built, entered = [], []
+    build_parser, parse_known_args = cli.build_parser, cli._Parser.parse_known_args
 
     def spy(self, args=None, namespace=None):
         entered.append(self.prog.removeprefix("psg").strip())
         return parse_known_args(self, args, namespace)
 
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
     monkeypatch.setattr(cli._Parser, "parse_known_args", spy)
     monkeypatch.setenv("COLUMNS", "80")
     code = main(argv)
     capsys.readouterr()
-    return code, entered[-1] if entered[-1] in cli._COMMANDS else ""
+    return code, built[-1], entered, entered[-1] if entered[-1] in cli._COMMANDS else ""
 
 
 # Calls, each with the leaf that argparse hands it to ("" for none): a
@@ -1293,27 +1296,42 @@ _DISPATCH = [
 
 @pytest.mark.parametrize("argv, leaf", _DISPATCH, ids=[" ".join(a) for a, _ in _DISPATCH])
 def test_the_parser_flags_only_the_leaf_it_dispatches_to(capsys, monkeypatch, argv, leaf):
-    parser = cli.build_parser(argv)
-    assert _flagged(parser) == ([leaf] if leaf else [])
-    # the verifiers' names are made only for a call whose command is verify
+    _, parser, entered, dispatched = _dispatched(capsys, monkeypatch, argv)
+    assert (dispatched, _flagged(parser)) == (leaf, [leaf] if leaf else [])
+    # the verifiers' names are made only for a call that argparse hands to
+    # verify, which every call whose command is verify is
     made = [key for key in _leaves(parser) if key not in _COMMAND_CALLS]
-    assert made == [f"verify {name}" for name in _VERIFIER_CALLS if argv[:1] == ["verify"]]
-    assert _dispatched(capsys, monkeypatch, argv)[1] == leaf
+    assert ("verify" in entered) == (argv[:1] == ["verify"])
+    assert made == [f"verify {name}" for name in _VERIFIER_CALLS if "verify" in entered]
 
 
-@pytest.mark.parametrize("argv, leaf", [("-- analyze --gens 4,5,6 --p 0", "analyze"),
-                                        ("verify -- nari --gens 4,5,6", "verify nari")])
-def test_the_name_after_a_double_dash_is_the_flagged_leaf(capsys, monkeypatch, argv, leaf):
-    # Python 3.11's argparse reads "--" itself as the name and refuses it;
-    # an argparse that drops it hands the call to the name after it
-    assert _flagged(cli.build_parser(argv.split())) == [leaf]
-    code, dispatched = _dispatched(capsys, monkeypatch, argv.split())
-    assert (code, dispatched) in ((EXIT_USAGE, ""), (EXIT_OK, leaf))
+@pytest.mark.parametrize("argv", ["-- analyze --gens 4,5,6 --p 0", "verify -- nari --gens 4,5,6"])
+def test_a_double_dash_before_a_name_is_read_as_the_name(capsys, monkeypatch, argv):
+    # argparse hands "--" itself on as the name and refuses it, so no leaf
+    # is entered and none has flags
+    code, parser, _, dispatched = _dispatched(capsys, monkeypatch, argv.split())
+    assert (code, dispatched, _flagged(parser)) == (EXIT_USAGE, "", [])
 
 
 def test_a_parser_built_for_no_call_flags_no_leaf():
-    # the benchmark's set-up line, which every call pays
-    assert _flagged(cli.build_parser()) == []
+    # the benchmark's set-up line, which every call pays: the command
+    # names, no flag, and no verifier's name until a verify call is parsed
+    parser = cli.build_parser()
+    assert (list(_leaves(parser)), _flagged(parser)) == (list(_COMMAND_CALLS), [])
+    parser.parse_args("verify nari --gens 4,5,6".split())
+    leaves = [*_COMMAND_CALLS, *(f"verify {name}" for name in _VERIFIER_CALLS)]
+    assert (list(_leaves(parser)), _flagged(parser)) == (leaves, ["verify nari"])
+
+
+def test_a_parser_grows_once():
+    # a second parse of the same call, on the same parser, adds no flag
+    # again, which argparse would refuse as a conflicting option string
+    parser = cli.build_parser()
+    for argv in ("sums --gens 4,5,6 --p 0 --weight -2/3", "verify pairings --gens 6,7,17 --p 1"):
+        first = parser.parse_args(argv.split())
+        assert parser.parse_args(argv.split()) == first
+    assert _flagged(parser) == ["sums", "verify pairings"]
+
 
 def _wrap_as_a_tracer_does(monkeypatch, functions):
     """Point every name in the package that refers to one of ``functions``

@@ -1,5 +1,6 @@
 """Grammar-driven fuzzing of the CLI contract: any argv ends in a documented
-exit code, never a traceback, and quickly.
+exit code, never a traceback, and quickly; and the parser that ran it gave
+flags to no leaf but the one that argparse handed it to.
 
 The horizon cap is lowered inside each example, so that a huge p range or
 --pmax, a generator up to 10^9 (one per list, at any position, so it can
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from psemigroups import cli
 from psemigroups.cli import main
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5}
@@ -169,3 +171,41 @@ def test_any_argv_ends_in_a_documented_exit_code(argv):
     assert code in DOCUMENTED_EXIT_CODES, (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert elapsed < 2.0, (argv, elapsed)
+
+
+# Tokens that move a call off its leaf, put before the command's name, the
+# verifier's or a flag: a "--", a negative number, a foreign flag, one that
+# takes a value, and help.
+DETOURS = [[], ["--"], ["-1"], ["--x"], ["--mu", "3"], ["-h"]]
+
+
+def _parsers(parser):
+    """``parser`` and every parser below it."""
+    yield parser
+    for action in parser._actions:
+        for below in (action.choices or {}).values():
+            if isinstance(below, cli._Parser):
+                yield from _parsers(below)
+
+
+@settings(max_examples=100)
+@given(argv=argvs(), detour=st.sampled_from(DETOURS), at=st.integers(0, 2))
+def test_only_the_last_parser_entered_has_flags(argv, detour, at):
+    argv = [*argv[:at], *detour, *argv[at:]]
+    built, entered = [], []
+    build_parser, parse_known_args = cli.build_parser, cli._Parser.parse_known_args
+
+    def spy(self, args=None, namespace=None):
+        entered.append(self)
+        return parse_known_args(self, args, namespace)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PSEMIGROUPS_HORIZON_CAP", "1000")
+        mp.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+        mp.setattr(cli._Parser, "parse_known_args", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    flagged = [p for p in _parsers(built[0])
+               if any(a.dest not in ("help", "command", "name") for a in p._actions)]
+    last = entered[-1]
+    assert flagged == ([last] if last.prog.removeprefix("psg ") in cli._COMMANDS else []), argv
