@@ -357,6 +357,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 # asked for.  A field reads the instance or ``report()``, the row's one
 # psemigroups.classify(sp); each library function is looked up when called,
 # so that a wrapper put in its place is the one called.
+# Each field reads only the minima: a p repeating its predecessor's repeats its row.
 _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "frobenius": lambda sp, report: sp.frobenius,
     "multiplicity": lambda sp, report: sp.multiplicity,
@@ -387,8 +388,13 @@ def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> di
     for f in fields:
         if f not in _TABLE_FIELDS:
             raise PreconditionError(f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}")
-    return {"generators": list(gens.ordered),
-            "rows": [_row(sp, fields) for sp in build_range(gens, p_values)]}
+    rows: list[dict[str, Any]] = []
+    minima = None
+    for sp in build_range(gens, p_values):
+        repeat = sp.apery_by_residue == minima
+        rows.append({**rows[-1], "p": sp.p} if repeat else _row(sp, fields))
+        minima = sp.apery_by_residue
+    return {"generators": list(gens.ordered), "rows": rows}
 
 
 def sums_document(

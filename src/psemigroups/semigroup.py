@@ -179,8 +179,9 @@ def build_range(
     made when the iterator reaches it, so a long range holds one
     instance, and the minima of the one before, at a time.  The range is
     one chain for ``_validate``: every instance is checked from below
-    against the one before it, and the first, when the range starts above
-    0, against the p = 0 minima of one flat round robin.  The a class
+    against the one before it (except one whose minima repeat that one's,
+    which cannot fail), and the first, when the range starts above 0,
+    against the p = 0 minima of one flat round robin.  The a class
     minima of every instance are charged before any is made; that charge
     also covers the a integers of that p = 0 link."""
     A = as_generator_set(gens)
@@ -205,24 +206,22 @@ def _instances(
 ) -> Iterator[PSemigroup]:
     """The instances of ``p_values``, each checked by ``_validate``
     against ``earlier``, (q, minima at q) for the chain's link before it;
-    each (p, minima) is handed on as the next link."""
-    a = A.least
+    each (p, minima) is handed on as the next link.  A p whose minima
+    equal the instance before it has the same semigroup: its instance
+    shares that one's fields, with only p new, and is not checked again,
+    as the check reads only the generators and the minima, and its link
+    from below to an equal tuple holds."""
+    a, fields = A.least, None
     for p in p_values:
         minima = minima_at(p)
-        _validate(A, minima, p, earlier)
+        if fields is None or minima != fields[1]:
+            _validate(A, minima, p, earlier)
+            frobenius = max(minima) - a
+            # PSemigroup's slots after generators and p, in order
+            fields = (a, minima, tuple(sorted(minima)), min(minima), frobenius, frobenius + 1,
+                      tuple((m - j) // a for j, m in enumerate(minima)))
         earlier = p, minima
-        frobenius = max(minima) - a
-        yield PSemigroup(
-            generators=A,
-            p=p,
-            modulus=a,
-            apery_by_residue=minima,
-            apery_sorted=tuple(sorted(minima)),
-            multiplicity=min(minima),
-            frobenius=frobenius,
-            conductor=frobenius + 1,
-            kunz=tuple((m - j) // a for j, m in enumerate(minima)),
-        )
+        yield PSemigroup(A, p, *fields)
 
 
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:

@@ -12,11 +12,12 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import takewhile
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_instances
@@ -623,6 +624,61 @@ def test_a_row_classifies_its_instance_at_most_once(capsys, monkeypatch):
         classified.clear()
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         assert classified == calls, argv
+
+
+@pytest.mark.parametrize("gens, lo, hi, distinct", [
+    # 512 values of p, 19 distinct minima tuples
+    ((10, 11, 12, 18), 3789, 4300, 19),
+    # at low p every p has minima of its own
+    ((4, 5, 6), 0, 5, 6),
+])
+def test_a_range_checks_and_classifies_each_distinct_set_once(
+    capsys, monkeypatch, gens, lo, hi, distinct
+):
+    minima = [sp.apery_by_residue for sp in semigroup.build_range(gens, range(lo, hi + 1))]
+    changes = [m for i, m in enumerate(minima) if i == 0 or m != minima[i - 1]]
+    assert len(changes) == distinct
+    validated, classified, validate = [], [], semigroup._validate
+
+    def counted_validate(A, values, p, earlier=None):
+        validated.append(values)
+        return validate(A, values, p, earlier)
+
+    monkeypatch.setattr(semigroup, "_validate", counted_validate)
+    monkeypatch.setattr(sym_mod, "classify",
+                        lambda sp: classified.append(sp.apery_by_residue) or classify(sp))
+    argv = ("classify", "--gens", ",".join(map(str, gens)), "--p", f"{lo}..{hi}")
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert [row["p"] for row in json.loads(out)["rows"]] == list(range(lo, hi + 1))
+    assert validated == classified == changes
+
+
+def _rows(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == EXIT_OK
+    return json.loads(out.getvalue())["rows"]
+
+
+@settings(max_examples=20)
+@given(
+    gens=st.lists(st.integers(2, 12), min_size=3, max_size=4, unique=True).filter(
+        lambda xs: gcd(*xs) == 1),
+    lo=st.integers(300, 3000),
+    width=st.integers(1, 8),
+)
+def test_a_range_gives_the_rows_of_its_single_p_calls(gens, lo, width):
+    # every field but p reads only the class minima, so a p whose minima
+    # repeat the p before it shares that p's row: the rows must still be
+    # those that each p gives alone
+    p_values = range(lo, lo + width + 1)
+    minima = [sp.apery_by_residue for sp in semigroup.build_range(gens, p_values)]
+    assume(any(m == n for m, n in zip(minima, minima[1:])))
+    head = ("--gens", ",".join(map(str, gens)))
+    for command in (("table", "--field", ",".join(cli._TABLE_FIELDS)), ("classify",)):
+        ranged = _rows(*command, *head, "--p", f"{p_values[0]}..{p_values[-1]}")
+        assert ranged == [row for p in p_values for row in _rows(*command, *head, "--p", str(p))]
 
 
 def test_sums_rows(capsys):

@@ -377,28 +377,32 @@ def test_validate_refuses_forged_minima(gens, p, minima, earlier, message):
 
 
 @pytest.mark.parametrize(
-    "forgery, p_values, error, message",
+    "forgeries, p_values, error, message",
     [
-        ((0, 1, 2), range(2, 3), InternalCheckError,
+        ({2: (0, 1, 2)}, range(2, 3), InternalCheckError,
          "class minimum 1 at p = 2 is below 10, its class's minimum at p = 0"),
-        ((0, 10, 5), range(1, 4), InternalCheckError,
+        ({2: (0, 10, 5)}, range(1, 4), InternalCheckError,
          "class minimum 0 at p = 2 is below 15, its class's .* p = 1"),
+        # the p = 1 minima repeated at p = 2 and 3, then the p = 0 minima:
+        # the drop is found against p = 3, the repeat just before it
+        ({2: (15, 25, 20), 3: (15, 25, 20), 4: (0, 10, 5)}, range(1, 6), InternalCheckError,
+         "class minimum 0 at p = 4 is below 15, its class's minimum at p = 3"),
         # refused before any minima are computed
-        ((0, 10, 5), range(3, 0, -1), PreconditionError, "p range must ascend"),
-        ((0, 10, 5), range(-1, 3), PreconditionError, "p must be non-negative"),
+        ({2: (0, 10, 5)}, range(3, 0, -1), PreconditionError, "p range must ascend"),
+        ({2: (0, 10, 5)}, range(-1, 3), PreconditionError, "p must be non-negative"),
     ],
 )
 def test_range_build_checks_each_instance_from_below(
-    monkeypatch, forgery, p_values, error, message
+    monkeypatch, forgeries, p_values, error, message
 ):
-    # {3, 5}'s minima forged at p = 2: below the p = 0 minima that seed a
-    # range starting above 0, or as its minima at p = 0, which fail against
-    # p = 1 before it
+    # {3, 5}'s minima forged at the p of ``forgeries``: below the p = 0
+    # minima that seed a range starting above 0, or as its minima at p = 0,
+    # which fail against the p before them
     minima_at = semigroup._class_minima
 
     def forged(A, top):
         true = minima_at(A, top)
-        return lambda p: forgery if p == 2 else true(p)
+        return lambda p: forgeries.get(p) or true(p)
 
     monkeypatch.setattr(semigroup, "_class_minima", forged)
     with pytest.raises(error, match=message):
