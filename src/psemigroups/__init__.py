@@ -6,9 +6,12 @@ fixed generator list exceeds p; the package computes the class minima
 classifications, closure properties, and verifies the scaling identities
 relating different generator lists.
 
-``symmetry``, ``arf``, ``identities`` and ``exactmath`` load on first use
-of one of their names, so that a command that needs none of them does not
-import them.
+``symmetry`` (the classification), ``criteria`` (the symmetry verifiers
+and the layout pattern), ``arf``, ``identities`` and ``exactmath`` (with
+the rational power-sum rows) load on first use of one of their names, so
+that a command that needs none of them does not import them; ``sets``,
+the F-sized sets and their text, loads when ``analyze`` or
+``PSemigroup.gaps`` first reads it.
 """
 
 from .denumerant import (
@@ -27,8 +30,6 @@ from .semigroup import (
     gap_count,
     gap_power_sums,
     gap_sum,
-    minima_modulo,
-    power_sum_bernoulli,
 )
 
 __all__ = [
@@ -74,36 +75,38 @@ __all__ = [
 ]
 
 _LAZY = {
-    "PATTERN_FULL_INTERVAL": "symmetry",
-    "PATTERN_OTHER": "symmetry",
-    "PATTERN_SINGLETON_PLUS_TAIL": "symmetry",
     "SymmetryReport": "symmetry",
     "classify": "symmetry",
-    "detect_pattern": "symmetry",
     "pseudo_frobenius": "symmetry",
-    "verify_almost_symmetric_equivalences": "symmetry",
-    "verify_apery_pairings": "symmetry",
-    "verify_nari": "symmetry",
-    "verify_pf_consequences": "symmetry",
-    "verify_symmetry_equivalences": "symmetry",
+    "PATTERN_FULL_INTERVAL": "criteria",
+    "PATTERN_OTHER": "criteria",
+    "PATTERN_SINGLETON_PLUS_TAIL": "criteria",
+    "detect_pattern": "criteria",
+    "verify_almost_symmetric_equivalences": "criteria",
+    "verify_apery_pairings": "criteria",
+    "verify_nari": "criteria",
+    "verify_pf_consequences": "criteria",
+    "verify_symmetry_equivalences": "criteria",
     "is_arf": "arf",
     "verify_arf_conductor_kunz": "arf",
     "verify_arf_heredity": "arf",
     "is_minimal_generator_system": "identities",
+    "minima_modulo": "identities",
     "verify_gcd_scaling": "identities",
     "verify_johnson": "identities",
     "verify_watanabe": "identities",
     "bernoulli": "exactmath",
     "eulerian": "exactmath",
+    "power_sum_bernoulli": "exactmath",
     "verify_eulerian_gf": "exactmath",
 }
 
 
 def __getattr__(name: str) -> object:
-    """Import ``symmetry``, ``arf``, ``identities`` or ``exactmath`` when
-    one of their names (or the module itself) is first asked for.  A
-    function name is read from its module on each access, not kept here,
-    so that a wrapper put in the module in its place is the one returned."""
+    """Import a module of ``_LAZY`` when one of its names (or the module
+    itself) is first asked for.  A function name is read from its module
+    on each access, not kept here, so that a wrapper put in the module in
+    its place is the one returned."""
     module = _LAZY.get(name, name)
     if module not in _LAZY.values():
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,12 +6,14 @@ run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
 here; every command is a thin adapter over the library: its handler
 returns the document and exit code, and ``main`` writes the document.
-``symmetry``, ``arf``, ``identities`` and ``exactmath`` are reached through
-the package's lazy names, so a command that calls none of them never loads
-them, and ``fractions`` is imported only where a rational is made or
-printed.  A pattern here is a string that ``re`` compiles on first use
-and caches, so that importing ``cli`` compiles none, and a parser gets
-its flags only when argparse enters it.
+``symmetry``, ``criteria``, ``arf``, ``identities`` and ``exactmath`` are
+reached through the package's lazy names, so a command that calls none of
+them never loads them; ``analyze`` imports ``sets`` for its F-sized sets,
+and the tsv and pretty writers, ``sums`` and the verify rows are
+``cli_more``, imported on first use.  So a json ``table`` or ``classify``
+compiles only the code it runs.  ``fractions`` is imported only where a
+rational is made or printed, and a parser gets its flags only when
+argparse enters it.
 
 ``run`` is the process entry of ``psg`` and ``python -m psemigroups``:
 ``main``, then an exit that does not collect the heap it leaves.
@@ -26,26 +28,14 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
-from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import psemigroups
 
 from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import CapExceededError, PreconditionError
-from .reports import Report
-from .semigroup import (
-    PSemigroup,
-    bit_positions,
-    build,
-    build_range,
-    gap_count,
-    gap_power_sums,
-    gap_sum,
-    hlk_of_members,
-)
+from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,66 +48,16 @@ EXIT_CAP = 4
 EXIT_VERIFIER_FAILED = 5
 
 
+def _more() -> Any:
+    """``cli_more``, the code that only some calls run, imported when a
+    call first needs it."""
+    from . import cli_more
+
+    return cli_more
+
+
 # ---------------------------------------------------------------------------
 # rendering helpers
-
-_JOIN_RUNS = 8192
-
-
-def mask_runs(mask: int) -> str:
-    """Run-length rendering of the finite set whose members are the set
-    bits of ``mask``: "0-23,25,27".  The set bits of mask ^ (mask << 1)
-    are the run boundaries, alternately a run's first element and the
-    integer just past its last."""
-    return ",".join(_runs_text(chunk[::2], chunk[1::2]) for chunk in _edge_chunks(mask))
-
-
-def _edge_chunks(mask: int) -> Iterator[list[int]]:
-    """The run boundaries of ``mask``, ascending, _JOIN_RUNS at a time, so
-    that at most that many run strings are alive at once."""
-    edges = bit_positions(mask ^ (mask << 1))
-    return iter(lambda: list(islice(edges, _JOIN_RUNS)), [])
-
-
-def _runs_text(firsts: list[int], stops: list[int]) -> str:
-    """The runs [first, stop) that are not empty, one formatted string each."""
-    return ",".join(
-        str(first) if stop - first == 1 else f"{first}-{stop - 1}"
-        for first, stop in zip(firsts, stops) if first < stop
-    )
-
-
-def finite_set_doc(mask: int, expand: bool) -> Any:
-    """A finite set, given as the bitmask of its elements."""
-    return list(bit_positions(mask)) if expand else mask_runs(mask)
-
-
-def sorted_set_doc(values: Sequence[int], expand: bool) -> Any:
-    """``finite_set_doc`` of a small set given as its ascending elements,
-    in steps of its size: a run ends where the next element is not one
-    more."""
-    if expand:
-        return list(values)
-    if not values:
-        return ""
-    breaks = [i for i in range(1, len(values)) if values[i] != values[i - 1] + 1]
-    firsts = [values[i] for i in [0, *breaks]]
-    return _runs_text(firsts, [values[i - 1] + 1 for i in [*breaks, len(values)]])
-
-
-def split_docs(mask: int, length: int, expand: bool) -> tuple[Any, Any]:
-    """``finite_set_doc`` of the set bits of ``mask`` and of its clear bits
-    below ``length``, run texts from one scan of their shared boundaries."""
-    if expand:
-        return list(bit_positions(mask)), list(bit_positions(~mask & ((1 << length) - 1)))
-    set_texts, clear_texts, stop = [], [], 0
-    for chunk in _edge_chunks(mask):
-        set_texts.append(_runs_text(chunk[::2], chunk[1::2]))
-        clear_texts.append(_runs_text([stop, *chunk[1:-1:2]], chunk[::2]))
-        stop = chunk[-1]
-    clear_texts.append(_runs_text([stop], [length]))
-    return ",".join(set_texts), ",".join(filter(None, clear_texts))
-
 
 def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -133,7 +73,7 @@ def _encode_fraction(value: Any) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction).encode
+to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction).encode
 
 
 # emit joins short pieces of output into writes of at most this many
@@ -153,7 +93,7 @@ def emit(doc: dict[str, Any], fmt: str) -> None:
     sys.set_int_max_str_digits(0)
     write, batch, size = sys.stdout.write, [], 0
     try:
-        for piece in _WRITERS[fmt](doc):
+        for piece in _json_pieces(doc) if fmt == "json" else _more().WRITERS[fmt](doc):
             if batch and size + len(piece) > _WRITE_SIZE:
                 write("".join(batch))
                 batch, size = [], 0
@@ -172,69 +112,13 @@ def _json_pieces(doc: dict[str, Any]) -> Iterator[str]:
     Each top-level value goes through the one-shot encoder on its own."""
     yield "{"
     for i, key in enumerate(sorted(doc)):
-        yield f"{',' if i else ''}{_json(key)}:"
-        yield _json(doc[key])
+        yield f"{',' if i else ''}{to_json(key)}:"
+        yield to_json(doc[key])
     yield "}\n"
 
 
-def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
-    """One "key<TAB>value" line per key; a "rows" that is a non-empty list
-    of dicts, as every command's is, is written as a table below the other
-    keys instead.  Any other "rows" is a key like the rest."""
-    rows = doc.get("rows")
-    if not (isinstance(rows, (list, tuple)) and rows and all(type(r) is dict for r in rows)):
-        rows = None
-    # a line and its newline apart, so that a long line is not copied to end it
-    for k in sorted(doc):
-        if not (rows and k == "rows"):
-            yield f"{k}\t{_scalar(doc[k])}"
-            yield "\n"
-    if rows:
-        columns = sorted(rows[0])
-        for lead in ("mu", "p"):
-            if lead in columns:
-                columns.remove(lead)
-                columns.insert(0, lead)
-        yield "\t".join(columns) + "\n"
-        for row in rows:
-            yield "\t".join(_scalar(row.get(c)) for c in columns)
-            yield "\n"
-
-
-def _scalar(value: Any) -> str:
-    if isinstance(value, (dict, list, tuple)):
-        return _json(value)
-    if isinstance(value, (int, str)) or value is None:
-        return str(value)
-    # any other leaf: a document that holds a rational has loaded
-    # ``fractions`` already.  A type test, not isinstance: Fraction's is an
-    # ABC check.
-    from fractions import Fraction
-
-    return fraction_str(value) if type(value) is Fraction else str(value)
-
-
-def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list, tuple)) and v:
-                yield f"{pad}{k}:\n"
-                yield from _pretty_lines(v, indent + 1)
-            else:
-                yield f"{pad}{k}: {_scalar(v)}\n"
-    else:  # a list or tuple: both branches write every scalar inline
-        for v in value:
-            if isinstance(v, (dict, list, tuple)):
-                yield f"{pad}-\n"
-                yield from _pretty_lines(v, indent + 1)
-            else:
-                yield f"{pad}- {_scalar(v)}\n"
-
-
-# Every output format, by its --format name.
-_WRITERS = {"json": _json_pieces, "tsv": _tsv_lines, "pretty": _pretty_lines}
+# Every --format name: json is written here, the others by ``cli_more``.
+_FORMATS = ("json", "tsv", "pretty")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +127,7 @@ _WRITERS = {"json": _json_pieces, "tsv": _tsv_lines, "pretty": _pretty_lines}
 _ECHO_LIMIT = 40
 
 
-def _echo(text: str) -> str:
+def echo(text: str) -> str:
     """The rejected text for an error message, cut to a bounded prefix."""
     if len(text) <= _ECHO_LIMIT:
         return repr(text)
@@ -254,7 +138,7 @@ def _parse_gens(text: str) -> GeneratorSet:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise PreconditionError(f"could not parse generators from {_echo(text)}") from None
+        raise PreconditionError(f"could not parse generators from {echo(text)}") from None
     return as_generator_set(values)
 
 
@@ -264,44 +148,17 @@ def _parse_p_range(text: str) -> range:
         try:
             lo, hi = int(lo_text), int(hi_text)
         except ValueError:
-            raise PreconditionError(f"could not parse p range from {_echo(text)}") from None
+            raise PreconditionError(f"could not parse p range from {echo(text)}") from None
         if lo < 0 or hi < lo:
-            raise PreconditionError(f"invalid p range {_echo(text)}")
+            raise PreconditionError(f"invalid p range {echo(text)}")
         return range(lo, hi + 1)
     try:
         p = int(text)
     except ValueError:
-        raise PreconditionError(f"could not parse p from {_echo(text)}") from None
+        raise PreconditionError(f"could not parse p from {echo(text)}") from None
     if p < 0:
         raise PreconditionError("p must be non-negative")
     return range(p, p + 1)
-
-
-# Python's default int <-> str digit limit.  An exponent as in "1e-300000"
-# would expand to that many digits when parsed, so it is refused first.
-_WEIGHT_DIGITS = 4300
-_WEIGHT_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"
-
-
-def _parse_weight(text: str | None) -> Fraction | None:
-    """The weight, refused when its numerator or denominator has more than
-    _WEIGHT_DIGITS digits; an exponent past that is refused unexpanded."""
-    if text is None:
-        return None
-    from fractions import Fraction
-
-    exponent = re.search(_WEIGHT_EXPONENT, text)
-    try:
-        too_long = exponent is not None and abs(int(exponent[1])) > _WEIGHT_DIGITS
-        weight = None if too_long else Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"could not parse weight from {_echo(text)}") from None
-    if weight is None or max(abs(weight.numerator), weight.denominator) >= 10**_WEIGHT_DIGITS:
-        raise PreconditionError(
-            f"weight {_echo(text)} has more than {_WEIGHT_DIGITS} digits"
-            " in its numerator or denominator"
-        )
-    return weight
 
 
 def _parse_p(text: str) -> int:
@@ -327,17 +184,24 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     then the integers it lists are charged first."""
     sp = build(gens, p)
     report = psemigroups.classify(sp)
-    members, h, l = hlk_of_members(sp)
+    # the scalars, which load ``criteria`` for the pattern, then ``sets``,
+    # then the masks: in this order the peak RSS of {3001,3011,3019,3023}
+    # at p 0 is about 2.5 MB lower than with ``sets`` loaded first or the
+    # scalars made last
+    row = _row(sp, _TABLE_FIELDS, report)
+    from . import sets
+
+    members, h, l = sets.hlk_of_members(sp)
     c = sp.conductor
     if expand:
         # c gaps and members below c, F + 1 = c in H and in K below H's top
         charge(2 * c + l.bit_count() + len(report.pf), "integers listed by --expand")
     # F is a gap, so the members' tail starts at c.  H's top bit is F, the
     # multiplicity's mirror, so K is its clear bits and all above.
-    members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
-    h_set, k_below = split_docs(h, h.bit_length(), expand)
+    members_below, gaps = sets.split_docs(members & ((1 << c) - 1), c, expand)
+    h_set, k_below = sets.split_docs(h, h.bit_length(), expand)
     return {
-        **_row(sp, _TABLE_FIELDS, report),
+        **row,
         "generators": list(sp.generators.ordered),
         "modulus": sp.modulus,
         "apery_by_residue": list(sp.apery_by_residue),
@@ -345,9 +209,9 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "kunz": list(sp.kunz),
         "gaps": gaps,
         "members": {"below": members_below, "all_from": c},
-        "pseudo_frobenius": sorted_set_doc(report.pf, expand),
+        "pseudo_frobenius": sets.sorted_set_doc(report.pf, expand),
         "h_set": h_set,
-        "l_set": finite_set_doc(l, expand),
+        "l_set": sets.finite_set_doc(l, expand),
         "k_set": {"below": k_below, "all_from": h.bit_length()},
         "arf": psemigroups.is_arf(sp).passed,
     }
@@ -397,42 +261,8 @@ def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> di
     return {"generators": list(gens.ordered), "rows": rows}
 
 
-def sums_document(
-    gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
-) -> dict[str, Any]:
-    """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
-    call, which refuses a negative exponent or one past its cap, reads the
-    rows off the class minima and checks each against the Bernoulli
-    formula: the checked value is both ``direct`` and ``from_apery``."""
-    direct, weighted = gap_power_sums(build(gens, p), mu_max, weight)
-    rows = []
-    for mu, total in enumerate(direct):
-        row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}
-        if weight is not None:
-            row["weighted"] = weighted[mu]
-        rows.append(row)
-    doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
-    if weight is not None:
-        doc["weight"] = weight
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # commands
-
-def _verify(rows: list[Report]) -> tuple[dict[str, Any], int]:
-    """The document of a verifier's rows and the exit code they give."""
-    docs = [{"kind": r.kind, "passed": r.passed, "applicable": r.applicable, "note": r.note,
-             **r.details} for r in rows]
-    code = verify_exit_code(docs)
-    return {"rows": docs, "passed": code == EXIT_OK}, code
-
-
-def verify_exit_code(docs: list[dict[str, Any]]) -> int:
-    """A verify run fails when some applicable row did not pass."""
-    failed = any(doc["applicable"] and not doc["passed"] for doc in docs)
-    return EXIT_VERIFIER_FAILED if failed else EXIT_OK
-
 
 # A command's handler: its document and exit code from the parsed arguments.
 _Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], int]]
@@ -440,7 +270,7 @@ _Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], int]]
 
 def _each(name: str) -> _Handler:
     """A verifier of one instance: one row per p of the --p range."""
-    return lambda a: _verify([
+    return lambda a: _more().verify_document([
         getattr(psemigroups, name)(sp)
         for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
     ])
@@ -462,9 +292,9 @@ _SCALING = {"alpha": (int, _NEEDED, None), "beta": (int, _NEEDED, None), **_INST
 # Every command that runs: its help line in ``psg -h`` (None for a
 # verifier, which ``psg verify -h`` does not list), its flags, and its
 # handler, which parses --gens before --p.  Each verifier is looked up in
-# the package when called: the package loads ``symmetry``, ``arf`` and
-# ``identities`` on first use, and a wrapper put in its place is the one
-# called.
+# the package when called: the package loads ``criteria``, ``arf``,
+# ``identities`` and ``exactmath`` on first use, and a wrapper put in its
+# place is the one called.
 _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _Handler]] = {
     "analyze": ("full report for one (gens, p)", {
         **_COMMON, "expand": (bool, False, "emit sets as integer arrays"),
@@ -479,29 +309,30 @@ _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _
     "sums": ("gap power sums (direct and from class minima)", {
         **_COMMON, "mu": (int, 3, "largest exponent to report"),
         "weight": (str, None, 'optional rational weight "num/den"'),
-    }, lambda a: (sums_document(
-        _parse_gens(a.gens), _parse_p(a.p), a.mu, _parse_weight(a.weight)), EXIT_OK)),
-    "verify johnson": (None, _SCALING, lambda a: _verify(psemigroups.verify_johnson(
-        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
-    "verify watanabe": (None, _SCALING, lambda a: _verify(psemigroups.verify_watanabe(
-        a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
-    "verify gcd-scaling": (None, _INSTANCES, lambda a: _verify(psemigroups.verify_gcd_scaling(
-        _parse_gens(a.gens), _parse_p_range(a.p)))),
+    }, lambda a: (_more().sums_document(
+        _parse_gens(a.gens), _parse_p(a.p), a.mu, _more().parse_weight(a.weight)), EXIT_OK)),
+    "verify johnson": (None, _SCALING, lambda a: _more().verify_document(
+        psemigroups.verify_johnson(a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
+    "verify watanabe": (None, _SCALING, lambda a: _more().verify_document(
+        psemigroups.verify_watanabe(a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
+    "verify gcd-scaling": (None, _INSTANCES, lambda a: _more().verify_document(
+        psemigroups.verify_gcd_scaling(_parse_gens(a.gens), _parse_p_range(a.p)))),
     "verify symmetry": (None, _INSTANCES, _each("verify_symmetry_equivalences")),
     "verify pairings": (None, _INSTANCES, _each("verify_apery_pairings")),
     "verify pf-consequences": (None, _INSTANCES, _each("verify_pf_consequences")),
     "verify almost-symmetric": (None, _INSTANCES, _each("verify_almost_symmetric_equivalences")),
     # defined at p = 0
-    "verify nari": (None, {"gens": _INSTANCES["gens"]}, lambda a: _verify(
+    "verify nari": (None, {"gens": _INSTANCES["gens"]}, lambda a: _more().verify_document(
         [psemigroups.verify_nari(_parse_gens(a.gens))])),
     # its p range is 0..--pmax
     "verify arf-heredity": (None, {
         "a": (int, _NEEDED, None), "b": (int, _NEEDED, None), "pmax": (int, 5, None),
-    }, lambda a: _verify([psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)])),
+    }, lambda a: _more().verify_document([psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)])),
     "verify arf-kunz": (None, _INSTANCES, _each("verify_arf_conductor_kunz")),
     "verify eulerian-gf": (None, {
         "exponent": (int, _NEEDED, None), "order": (int, _NEEDED, None),
-    }, lambda a: _verify([psemigroups.verify_eulerian_gf(a.exponent, a.order)])),
+    }, lambda a: _more().verify_document(
+        [psemigroups.verify_eulerian_gf(a.exponent, a.order)])),
 }
 
 
@@ -522,7 +353,7 @@ class _Parser(argparse.ArgumentParser):
         if grow:
             grow(self)
         if "--weight" in self._option_string_actions:
-            args = _join_negative_weight(args)
+            args = _more().join_negative_weight(args)
         namespace, foreign = super().parse_known_args(args, namespace)
         if foreign:
             self.error(f"unrecognized arguments: {' '.join(foreign)}")
@@ -564,21 +395,8 @@ def _add_flags(leaf: _Parser, command: str) -> None:
         how = {"action": "store_true"} if kind is bool else {
             "type": kind, "required": default is _NEEDED}
         leaf.add_argument(f"--{flag}", default=default, help=help_text, **how)
-    leaf.add_argument("--format", choices=_WRITERS, default="json")
+    leaf.add_argument("--format", choices=_FORMATS, default="json")
     leaf.set_defaults(handler=handler)
-
-
-_NEGATIVE_VALUE = r"-[\d.]"
-
-
-def _join_negative_weight(argv: Sequence[str]) -> list[str]:
-    joined: list[str] = []
-    for token in argv:
-        if joined and joined[-1] == "--weight" and re.match(_NEGATIVE_VALUE, token):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,7 +1,8 @@
 """Mechanical verifiers for the scaling identities: multiplying all base
 generators by a coprime factor (frobenius/genus transport and symmetry
 preservation), and dividing out the common factor of all generators after
-the first.
+the first, whose sorted minima modulo the first generator it compares
+(``minima_modulo``).
 """
 
 from __future__ import annotations
@@ -10,10 +11,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Iterable, Iterator
 
-from .denumerant import GeneratorSet, as_generator_set
+from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, build, build_range, gap_count, gap_power_sums, minima_modulo
+from .semigroup import PSemigroup, build, build_range, gap_count, gap_power_sums, round_robin
 from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
@@ -32,6 +33,24 @@ def is_minimal_generator_system(gens: GeneratorSet | Iterable[int]) -> bool:
     A = as_generator_set(gens)
     order_one = build(A, 1)
     return not any(b in order_one for b in A.ordered)
+
+
+def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
+    """The least member of each residue class modulo g (the Apéry set with
+    respect to g) in a + g steps, charged first: members are closed under
+    adding a, so one ``round_robin`` walk round each h = gcd(a, g) cycle
+    r, r + a, ... of the least class minima settles it.  Each cycle's least
+    value is a seed, not the sentinel c + g: some member congruent to r
+    modulo h lies in [c, c + h - 1], so the least seed of cycle r is below
+    c + g."""
+    if g < 1:
+        raise PreconditionError("modulus must be positive")
+    charge(sp.modulus + g, f"class steps of the minima modulo {g}")
+    least = [sp.conductor + g] * g  # above every least member
+    for m in reversed(sp.apery_sorted):  # each class keeps its least seed
+        least[m % g] = m
+    round_robin(least, sp.modulus)
+    return tuple(least)
 
 
 def _scaling_instances(

@@ -27,7 +27,7 @@ p, P, along one of two exact routes, picked by the one rule that
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, count, islice, repeat
 from math import comb, factorial, gcd, prod
 from operator import add, eq, le, mul, neg
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -55,15 +55,6 @@ _FAULHABER = list(accumulate(
     lambda row, _: [i * (x + y) for i, (x, y) in enumerate(zip([0, *row], [*row, 0]))],
     initial=[1],
 ))
-
-_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_SPLIT_WINDOW = 1 << 16
-# A B-bit integer prints to decimal, or is built from B-bit products and
-# reduced by a gcd, in about (B / _PRINT_BITS)^2 times the time of a
-# 4096-bit Horner step: CPython's int -> str and gcd are quadratic, and its
-# Karatsuba products not far below.
-_PRINT_BITS = 512
-
 
 class PSemigroup(Record):
     """One built (generators, p) instance; immutable and freely shareable.
@@ -104,64 +95,10 @@ class PSemigroup(Record):
     @property
     def gaps(self) -> tuple[int, ...]:
         """The non-members, ascending; all lie below the conductor.  Read
-        off the membership flags at C level, each "0" a true byte."""
-        flags = _member_flags(self, self.conductor)
-        outside = flags.translate(bytes.maketrans(b"01", b"\x01\x00"))
-        return tuple(compress(range(self.conductor), outside))
+        off the membership flags by ``sets.gap_tuple``."""
+        from .sets import gap_tuple
 
-
-def _member_flags(sp: PSemigroup, length: int) -> bytearray:
-    """One ASCII digit per n < length: "1" for a member, "0" for a gap.
-    Every F-sized structure starts here, so the ``length`` bytes are
-    charged against the cap before they are allocated."""
-    charge(length, "bytes of membership flags")
-    a, flags = sp.modulus, bytearray(b"0") * length
-    for m in sp.apery_by_residue:
-        if m < length:
-            flags[m::a] = b"1" * len(range(m, length, a))
-    return flags
-
-
-def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:
-    """Bitmasks over [0, total], total = frobenius + multiplicity, of the
-    members, of H and of L, from one build of the membership digits.
-
-    H is the x whose mirror total - x is a member, L the x with both sides
-    outside; K, the x whose mirror is a gap, is the clear bits of H below
-    total + 1 and every integer above.  Reversed, the digits read as the
-    member mask; as they stand, as the mirror's, which is H: past frobenius
-    the mirror lands below the multiplicity, where no member lies.  A
-    negative x needs no bit: it is outside, and its mirror is a member.
-    """
-    length = sp.frobenius + sp.multiplicity + 1
-    digits = _member_flags(sp, length)
-    members, mirror = int(digits[::-1], 2), int(digits, 2)
-    return members, mirror, ((1 << length) - 1) & ~(members | mirror)
-
-
-def bit_positions(mask: int) -> Iterator[int]:
-    """The set bits of a non-negative mask, ascending, lazily.  ``compress``
-    takes one C step per binary digit, splitting the digits at each "1" one
-    per set bit; the split is taken when under a sixth of them are set."""
-    if 6 * mask.bit_count() < mask.bit_length():
-        return _split_positions(mask)
-    return _compress_positions(mask)
-
-
-def _compress_positions(mask: int) -> Iterator[int]:
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_FROM_DIGITS))
-
-
-def _split_positions(mask: int) -> Iterator[int]:
-    """Window w of the digits, reversed ("0b" ends at index 1), splits into the
-    runs of "0" before each set bit and after the last; a set bit is w - 1 plus
-    the running sum of their lengths plus one.  One window is alive at once."""
-    digits = bin(mask)
-    for w, end in zip(count(0, _SPLIT_WINDOW), range(len(digits) - 1, 1, -_SPLIT_WINDOW)):
-        zero_runs = digits[end : max(end - _SPLIT_WINDOW, 1) : -1].split("1")
-        ends = accumulate(map((1).__add__, map(len, zero_runs)), initial=w - 1)
-        yield from islice(ends, 1, len(zero_runs))
-        del zero_runs, ends  # before the next window is split
+        return gap_tuple(self)
 
 
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
@@ -309,7 +246,7 @@ def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, 
 
 def _flat_minima(A: GeneratorSet) -> list[int]:
     """The class minima at p = 0, one flat list of a integers, by one
-    ``_round_robin`` per generator other than a: O(k*a) steps."""
+    ``round_robin`` per generator other than a: O(k*a) steps."""
     a = A.least
     # a * max(A) stands for "none yet": a least value has fewer than a
     # summands, so it is below that
@@ -317,11 +254,11 @@ def _flat_minima(A: GeneratorSet) -> list[int]:
     flat[0] = 0
     for b in A.ordered:
         if b != a:
-            _round_robin(flat, b)
+            round_robin(flat, b)
     return flat
 
 
-def _round_robin(values: list[int], step: int) -> None:
+def round_robin(values: list[int], step: int) -> None:
     """Boecker and Liptak's round robin, in place: with indices modulo
     n = len(values), values[t] becomes min(values[t], values[t - step] + step)
     once round each cycle r, r + step, ... of the gcd(n, step) cycles, the
@@ -437,24 +374,6 @@ def _first_above(lower: Sequence[int], upper: Sequence[int]) -> int:
     return next(j for j, (x, y) in enumerate(zip(lower, upper)) if x > y)
 
 
-def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
-    """The least member of each residue class modulo g (the Apéry set with
-    respect to g) in a + g steps, charged first: members are closed under
-    adding a, so one ``_round_robin`` walk round each h = gcd(a, g) cycle
-    r, r + a, ... of the least class minima settles it.  Each cycle's least
-    value is a seed, not the sentinel c + g: some member congruent to r
-    modulo h lies in [c, c + h - 1], so the least seed of cycle r is below
-    c + g."""
-    if g < 1:
-        raise PreconditionError("modulus must be positive")
-    charge(sp.modulus + g, f"class steps of the minima modulo {g}")
-    least = [sp.conductor + g] * g  # above every least member
-    for m in reversed(sp.apery_sorted):  # each class keeps its least seed
-        least[m % g] = m
-    _round_robin(least, sp.modulus)
-    return tuple(least)
-
-
 def gap_count(sp: PSemigroup) -> int:
     """Number of gaps, in O(a): row mu = 0 of ``gap_power_sums``, so
     checked against Selmer's genus formula on every call."""
@@ -477,30 +396,7 @@ def check_power(mu: int) -> None:
         raise CapExceededError(f"exponent {mu} exceeds the cap {POWER_CAP}")
 
 
-def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
-    """Sum of n^mu over the gaps, evaluated from the class minima.
-
-    Exact-rational evaluation of
-
-        (1/(mu+1)) * sum_{k=0}^{mu} C(mu+1, k) B_k a^(k-1) S_(mu+1-k)
-            + (B_(mu+1)/(mu+1)) * (a^(mu+1) - 1)
-
-    with S_e the e-th power sum of the class minima and B the Bernoulli
-    numbers (B_1 = -1/2).  Intermediate terms are not integers, so rational
-    arithmetic is mandatory; a non-integer final value is a hard failure.
-    """
-    from fractions import Fraction
-
-    check_power(mu)
-    total = Fraction(*_power_sum_formula(sp, mu + 1)[mu])
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError(
-            f"power-sum formula produced a non-integer or negative value: {total}"
-        )
-    return int(total)
-
-
-def _power_sum_formula(sp: PSemigroup, rows: int) -> list[tuple[int, int]]:
+def power_sum_formula(sp: PSemigroup, rows: int) -> list[tuple[int, int]]:
     """``power_sum_bernoulli``'s formula at every mu < rows, each as an
     integer numerator and its denominator a * (mu + 1) * _BERNOULLI_DEN,
     unreduced, so that no rational is made; from one table of the power
@@ -531,58 +427,17 @@ def gap_power_sums(
     built.  The exponent is checked and the weighted rows are charged
     before any row is summed; the direct rows are checked against
     ``power_sum_bernoulli``'s formula, all from one table of the power
-    sums of the minima.
-
-    With weight num/den and z = weight^a, class j's weighted gaps sum to
-    G(j) - G(m_j), G(x) = sum over t >= 0 of weight^(x + t*a) * (x + t*a)^mu,
-    a rational function of z, so
-
-        W_mu = sum_e C(mu, e) a^e S_e(z) (sum_(j<a) weight^j j^(mu-e)
-                                          - sum_j weight^(m_j) m_j^(mu-e))
-
-    with S_e(z) = sum_t t^e z^t: 1/(1 - z) at e = 0, z A_e(z)/(1 - z)^(e+1)
-    with A_e the Eulerian polynomial beyond (Komatsu and Zhang's weighted
-    Sylvester sums).  The sums over the minima share the denominator
-    den^M, M the largest minimum, and are one integer Horner pass over the
-    a sorted minima for every row; each of its steps works on an integer
-    of up to M * L bits, L = log2(max(|num|, den)).  Row mu is built as
-    one integer over (den^a - num^a)^(mu+1) * den^M, of up to
-    ((mu + 1) * a + M) * L bits, and reduced to a numerator and a
-    denominator of up to F * L bits each, which are printed.  The cap
-    counts all three, for every row, in 4096-bit blocks: a steps of
-    M * L / 4096 blocks rounded up, and, since products, gcd and
-    printing are about quadratic in CPython, (bits / _PRINT_BITS)^2 rounded up
-    for the unreduced row and for each printed integer, with L read to
-    1/64 bit from the top 128 bits, rounded up (exact up to 128 bits).
-    At z = 1 (weight 1, or -1 with a even) weight^(j + t*a) = weight^j,
-    and each weighted row is the direct sums of the classes weighed by
-    weight^j.
+    sums of the minima.  The weighted rows, and their charge, are
+    ``exactmath.weighted_power_sums`` and ``exactmath.charge_weighted``.
     """
     check_power(mu_max)
     rows = mu_max + 1
     if weight is not None:
-        from fractions import Fraction
+        from .exactmath import charge_weighted, weighted_power_sums
 
-        num, den = Fraction(weight).as_integer_ratio()
-        if num == 0:
-            raise PreconditionError("weight must be non-zero")
-        top = max(abs(num), den)
-        shift = max(0, top.bit_length() - 128)
-        log64 = (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
-        a, last = sp.modulus, sp.apery_sorted[-1]
-
-        def squared(n: int) -> int:  # blocks of an n * L-bit integer's quadratic work
-            return (-(-n * log64 // (64 * _PRINT_BITS))) ** 2
-
-        steps = a * -(-last * log64 // (64 * 4096))
-        prints = 2 * squared(sp.frobenius)  # numerator, denominator
-        unreduced = sum(squared((mu + 1) * a + last) for mu in range(rows))
-        charge(
-            rows * (steps + prints) + unreduced,
-            f"4096-bit blocks of weighted sums over F = {sp.frobenius}",
-        )
-    direct = _class_power_sums(sp, rows, 1)
-    for mu, (total, formula) in enumerate(zip(direct, _power_sum_formula(sp, rows))):
+        num, den = charge_weighted(sp, rows, weight)
+    direct = class_power_sums(sp, rows, 1)
+    for mu, (total, formula) in enumerate(zip(direct, power_sum_formula(sp, rows))):
         if formula[0] != total * formula[1]:
             from fractions import Fraction
 
@@ -591,10 +446,10 @@ def gap_power_sums(
             )
     if weight is None:
         return direct, []
-    return direct, _weighted_power_sums(sp, rows, num, den)
+    return direct, weighted_power_sums(sp, rows, num, den)
 
 
-def _class_power_sums(sp: PSemigroup, rows: int, sign: int) -> list[int]:
+def class_power_sums(sp: PSemigroup, rows: int, sign: int) -> list[int]:
     """Rows mu < rows of the sum over classes j of sign^j times the sum of
     (j + t*a)^mu over t < kunz_j, sign being 1 or -1, in integers: the
     binomial expansion in t leaves the sums of t^e over t < kunz_j, which
@@ -617,50 +472,3 @@ def _class_power_sums(sp: PSemigroup, rows: int, sign: int) -> list[int]:
         )
         for mu in range(rows)
     ]
-
-
-def _weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[Fraction]:
-    """``gap_power_sums``' weighted rows for weight num/den, from the
-    closed form in its docstring.  With u = num^a and v = den^a,
-    z = u/v and S_e(z) = v * N_e / (v - u)^(e+1), N_0 = 1 and
-    N_e = sum_m <e, m> u^(m+1) v^(e-1-m), so row mu is one integer over
-    (v - u)^(mu+1) * den^M."""
-    from fractions import Fraction
-
-    from .exactmath import eulerian_row
-
-    a = sp.modulus
-    u, v = num**a, den**a
-    if u == v:
-        return list(map(Fraction, _class_power_sums(sp, rows, num)))
-    last = sp.apery_sorted[-1]
-    lows = _horner(range(a), num, den, rows)  # over den^(a - 1)
-    highs = _horner(sp.apery_sorted, num, den, rows)  # over den^last
-    scale = den ** (last - a + 1)
-    brackets = [scale * low - high for low, high in zip(lows, highs)]
-    series = [1] + [
-        sum(count * u ** (m + 1) * v ** (e - 1 - m) for m, count in enumerate(eulerian_row(e)))
-        for e in range(1, rows)
-    ]
-    w = v - u
-    weighted = []
-    for mu in range(rows):
-        terms = (
-            comb(mu, e) * a**e * series[e] * w ** (mu - e) * brackets[mu - e] for e in range(mu + 1)
-        )
-        weighted.append(Fraction(v * sum(terms), w ** (mu + 1) * den**last))
-    return weighted
-
-
-def _horner(points: Iterable[int], num: int, den: int, rows: int) -> list[int]:
-    """Rows d < rows of the sum of num^x * den^(last - x) * x^d over the
-    ascending ``points``, last the largest, by Horner's rule: each step
-    multiplies the running sums by den^(x - prev) and the shared num^x by
-    num^(x - prev)."""
-    sums, num_power, prev = [0] * rows, 1, 0
-    for x in points:
-        den_step = den ** (x - prev)
-        num_power *= num ** (x - prev)
-        sums = [s * den_step + num_power * x**d for d, s in enumerate(sums)]
-        prev = x
-    return sums

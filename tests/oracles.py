@@ -11,7 +11,9 @@ sets, kept as references for its bitmask ones.  The heap merge is the
 library's former (P+1)-best-lists step, kept as a second route for its
 round-robin one; the flag-scan minima modulo g and the mirrored member
 mask are the library's former F-sized routes, kept likewise, and the
-window scan the library's former residue-pairing check.  The per-row power
+window scan the library's former residue-pairing check.  The count over
+an arithmetic sequence of three generators is a closed form, with no table
+and no lists, for sizes that no brute-force scan reaches.  The per-row power
 sums are the library's former one-walk-per-row power sums, kept as
 references for ``gap_power_sums``' shared walk.  ``jsonify`` is the CLI's
 former copy of each document into JSON primitives, kept as the reference
@@ -58,6 +60,20 @@ def representations(gens: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     if n >= 0:
         rec(0, n, ())
     return out
+
+
+def arithmetic_count(a: int, d: int, n: int) -> int:
+    """The representation count of n over {a, a + d, a + 2d}, gcd(a, d) = 1,
+    with no table: a representation with s summands is s offsets from
+    {0, 1, 2} (in steps of d) summing to t = (n - s*a)/d, and the twos
+    among them number from max(0, t - s) to t // 2 (ROADMAP item 16).  No
+    s below n / (a + 2d) has one: there t > 2s."""
+    total = 0
+    for s in range(-(-n // (a + 2 * d)), n // a + 1):
+        t, r = divmod(n - s * a, d)
+        if r == 0:
+            total += max(0, t // 2 - max(0, t - s) + 1)
+    return total
 
 
 def dp_counts(gens: tuple[int, ...], horizon: int) -> list[int]:

@@ -34,7 +34,7 @@ from psemigroups import (
     verify_watanabe,
     PreconditionError,
 )
-from psemigroups.semigroup import bit_positions, hlk_of_members
+from psemigroups.sets import bit_positions, hlk_of_members
 
 INSTANCES = acceptance_instances(200, seed=20260810)
 

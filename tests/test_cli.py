@@ -30,7 +30,7 @@ from oracles import (
     set_pattern,
     small_elements,
 )
-from psemigroups import cli, semigroup
+from psemigroups import cli, cli_more, semigroup, sets
 from psemigroups import symmetry as sym_mod
 from psemigroups import (
     InternalCheckError,
@@ -53,13 +53,9 @@ from psemigroups.cli import (
     EXIT_VERIFIER_FAILED,
     analyze_document,
     main,
-    mask_runs,
-    sorted_set_doc,
-    split_docs,
-    sums_document,
-    verify_exit_code,
 )
-from psemigroups.semigroup import hlk_of_members
+from psemigroups.cli_more import sums_document, verify_exit_code
+from psemigroups.sets import hlk_of_members, mask_runs, sorted_set_doc, split_docs
 
 
 def run_cli(capsys, *argv):
@@ -93,7 +89,7 @@ def test_mask_rendering_matches_the_tuple_oracle(values, all_from, expand):
     )
 
 
-_CHUNK = cli._JOIN_RUNS
+_CHUNK = sets._JOIN_RUNS
 
 
 @pytest.mark.parametrize("lengths", [(1,), (5,), (1, 5), (5, 1)], ids=str)
@@ -198,7 +194,7 @@ def test_tsv_and_pretty_render_the_document_as_jsonify_would(fmt, doc):
 
 @pytest.mark.parametrize("rows", [{"a": 1}, [None], [{"a": 1}, 2], (3,)])
 def test_tsv_writes_a_rows_that_is_not_a_list_of_dicts_as_a_key(rows):
-    assert _emitted({"rows": rows, "b": 1}, "tsv") == f"b\t1\nrows\t{cli._json(jsonify(rows))}\n"
+    assert _emitted({"rows": rows, "b": 1}, "tsv") == f"b\t1\nrows\t{cli.to_json(jsonify(rows))}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
@@ -330,6 +326,7 @@ def test_analyze_builds_no_gap_tuples(monkeypatch, expand):
         return held[-1]
 
     monkeypatch.setattr(cli, "build", build_and_hold)
+    monkeypatch.setattr(cli_more, "build", build_and_hold)
     for gens, p in (((17, 18, 19), 5), ((2, 3), 1), ((6, 7, 17), 14)):
         analyze_document(as_generator_set(gens), p, expand)
         sums_document(as_generator_set(gens), p, 3, Fraction(1, 2))
@@ -1406,9 +1403,9 @@ def _wrap_as_a_tracer_does(monkeypatch, functions):
 @pytest.mark.parametrize("name", _VERIFIER_CALLS)
 def test_each_verifier_call_is_traced(capsys, monkeypatch, name):
     # the verifier table holds no function: each is looked up when called
-    from psemigroups import arf, exactmath, identities, symmetry
+    from psemigroups import arf, criteria, exactmath, identities
 
-    modules = (arf, exactmath, identities, symmetry)
+    modules = (arf, criteria, exactmath, identities)
     verifiers = [getattr(m, a) for m in modules for a in vars(m) if a.startswith("verify_")]
     called = _wrap_as_a_tracer_does(monkeypatch, verifiers)
     code, _ = run_cli(capsys, "verify", name, *_VERIFIER_CALLS[name].split())
@@ -1654,7 +1651,7 @@ def test_f_free_commands_build_no_flags(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an F-free command built membership flags")
 
-    monkeypatch.setattr(semigroup, "_member_flags", refuse)
+    monkeypatch.setattr(sets, "_member_flags", refuse)
     sp = build((8, 4, 5, 6), 8)
     assert (gap_count(sp), gap_sum(sp)) == (26, 328)
     assert is_arf(build((3, 4), 0)).details["witness"] == (4, 4, 3)
@@ -1707,13 +1704,13 @@ def test_former_flag_refusals_answer_at_the_default_cap(capsys, monkeypatch, arg
 def _spy_member_flags(monkeypatch) -> list[int]:
     """The length of every membership-flag build from here on."""
     lengths = []
-    member_flags = semigroup._member_flags
+    member_flags = sets._member_flags
 
     def spy(sp, length):
         lengths.append(length)
         return member_flags(sp, length)
 
-    monkeypatch.setattr(semigroup, "_member_flags", spy)
+    monkeypatch.setattr(sets, "_member_flags", spy)
     return lengths
 
 
@@ -1764,13 +1761,13 @@ def test_sums_builds_the_minima_power_sums_once(capsys, monkeypatch, weight):
     # one table of S_1..S_9 checks every direct row, and each checked value
     # is printed in both columns
     calls = []
-    power_sum_formula = semigroup._power_sum_formula
+    power_sum_formula = semigroup.power_sum_formula
 
     def spy(sp, rows):
         calls.append(rows)
         return power_sum_formula(sp, rows)
 
-    monkeypatch.setattr(semigroup, "_power_sum_formula", spy)
+    monkeypatch.setattr(semigroup, "power_sum_formula", spy)
     code, out = run_cli(capsys, *f"sums --gens 6,7,17 --p 14 --mu 8{weight}".split())
     assert code == EXIT_OK
     assert calls == [9]
@@ -1784,12 +1781,12 @@ def test_sums_builds_the_minima_power_sums_once(capsys, monkeypatch, weight):
 def test_sums_prints_no_row_when_a_check_fails(capsys, monkeypatch, fmt, weight):
     # the direct route off by one in its last row: the call ends in the
     # check's error before anything is written
-    class_power_sums = semigroup._class_power_sums
+    class_power_sums = semigroup.class_power_sums
 
     def last_row_off_by_one(sp, rows, sign):
         return [*class_power_sums(sp, rows - 1, sign), class_power_sums(sp, rows, sign)[-1] + 1]
 
-    monkeypatch.setattr(semigroup, "_class_power_sums", last_row_off_by_one)
+    monkeypatch.setattr(semigroup, "class_power_sums", last_row_off_by_one)
     argv = f"sums --gens 6,7,17 --p 14 --mu 8 --format {fmt}{weight}".split()
     with pytest.raises(InternalCheckError, match="power sum at mu = 8 mismatch"):
         main(argv)
@@ -1932,7 +1929,7 @@ def test_default_cap_refuses_expand_on_the_largest_rung_before_any_list(capsys, 
     # 2c + |L| + |PF| integers at F = 6814761, refused once the masks are
     # built and before any set is rendered
     monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
-    monkeypatch.setattr(cli, "split_docs", None)
+    monkeypatch.setattr(sets, "split_docs", None)
     code = main("analyze --gens 10007,10009,10037 --p 0 --expand".split())
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (EXIT_CAP, "", (

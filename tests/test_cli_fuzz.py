@@ -183,9 +183,12 @@ def _parsers(parser):
     """``parser`` and every parser below it."""
     yield parser
     for action in parser._actions:
-        for below in (action.choices or {}).values():
-            if isinstance(below, cli._Parser):
-                yield from _parsers(below)
+        # a subcommand action's choices map names to parsers; --format's
+        # are a tuple of names
+        if isinstance(action.choices, dict):
+            for below in action.choices.values():
+                if isinstance(below, cli._Parser):
+                    yield from _parsers(below)
 
 
 @settings(max_examples=100)

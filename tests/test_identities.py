@@ -159,13 +159,13 @@ def test_gcd_scaling_preconditions():
 def test_gcd_scaling_sums_each_instance_gaps_once(monkeypatch):
     # one gap_power_sums(sp, 1) gives an instance's genus and gap sum
     calls = []
-    class_power_sums = semigroup._class_power_sums
+    class_power_sums = semigroup.class_power_sums
 
     def spy(sp, rows, sign):
         calls.append((sp.generators.ordered, sp.p, rows))
         return class_power_sums(sp, rows, sign)
 
-    monkeypatch.setattr(semigroup, "_class_power_sums", spy)
+    monkeypatch.setattr(semigroup, "class_power_sums", spy)
     reports = verify_gcd_scaling((203, 366, 388), range(0, 8))
     assert len(reports) == 8 and all(r.passed for r in reports)
     assert sorted(calls) == sorted(

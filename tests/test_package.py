@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import footprint
 import psemigroups
 from psemigroups import GeneratorSet, PreconditionError, PSemigroup, Report, SymmetryReport
 from psemigroups import build, classify, cli
@@ -202,10 +203,15 @@ def test_private_reads_are_found():
 # taken away, so that site hooks cannot trip the test.
 
 HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
+# the package code that no json table or classify runs: the F-sized sets
+# and their text; the symmetry verifiers and the layout pattern; the tsv
+# and pretty writers, sums and the verify rows
+MOVED = {"psemigroups.sets", "psemigroups.criteria", "psemigroups.cli_more"}
 # what only some commands run: the symmetry classification; the rationals
 # of weights, identity rows and Bernoulli numbers; the Bernoulli and
-# Eulerian numbers themselves; and the merge of the class minima's lists
-ON_USE = {"psemigroups.symmetry", "fractions", "decimal", "psemigroups.exactmath", "heapq"}
+# Eulerian numbers themselves, with the rational power-sum rows; the merge
+# of the class minima's lists; and MOVED
+ON_USE = {"psemigroups.symmetry", "fractions", "decimal", "psemigroups.exactmath", "heapq", *MOVED}
 
 
 def _imported(*args):
@@ -261,9 +267,43 @@ def test_table_of_plain_fields_imports_neither_symmetry_nor_fractions(new_import
 def test_classify_imports_neither_arf_nor_identities(new_imports):
     names, out = new_imports("-m", "psemigroups", "classify", "--gens", "4,5", "--p", "0")
     assert json.loads(out)["rows"][0]["symmetric"] is True
-    assert "psemigroups.symmetry" in names
-    assert "fractions" not in names
-    assert not names & HEAVY
+    assert names & (HEAVY | ON_USE) == {"psemigroups.symmetry"}
+
+
+# The calls whose compiled source tests/footprint.py counts, each with its
+# bound in AST nodes: the set-up every call pays, and the table and
+# classify shapes of the benchmark's high-p workload.
+COUNTED = {
+    None: 7800,
+    "table --gens 8,9,10 --p 1321..1832 --field frobenius,genus": 7800,
+    "classify --gens 12,14,17,21 --p 1417..1928": 8300,
+}
+
+
+@pytest.mark.parametrize("call", COUNTED)
+def test_a_call_compiles_at_most_its_counted_cost(call):
+    assert footprint.cost(call and call.split()) <= COUNTED[call]
+
+
+@pytest.mark.parametrize("call", COUNTED)
+def test_counted_calls_load_none_of_the_moved_code(new_imports, call):
+    args = ["-m", "psemigroups", *call.split()] if call else ["-c", footprint.SETUP]
+    names, _ = new_imports(*args)
+    assert "psemigroups.cli" in names
+    assert not names & MOVED
+
+
+@pytest.mark.parametrize("argv, module", [
+    ("analyze --gens 4,5 --p 0", "psemigroups.sets"),
+    ("table --gens 4,5 --p 0 --format tsv", "psemigroups.cli_more"),
+    ("classify --gens 4,5 --p 0 --format pretty", "psemigroups.cli_more"),
+    ("verify symmetry --gens 4,5,6 --p 0..2", "psemigroups.criteria"),
+    ("sums --gens 4,5 --p 1 --mu 2 --weight 1/2", "psemigroups.exactmath"),
+])
+def test_a_command_loads_the_moved_code_it_runs(new_imports, argv, module):
+    names, out = new_imports("-m", "psemigroups", *argv.split())
+    assert out
+    assert module in names
 
 
 def test_sums_imports_neither_arf_nor_identities(new_imports):

@@ -9,11 +9,12 @@ from math import comb, gcd
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
 from oracles import (
+    arithmetic_count,
     brute_class_minima,
     brute_count,
     brute_gap_set,
@@ -39,21 +40,19 @@ from psemigroups import (
     minima_modulo,
     power_sum_bernoulli,
 )
-from psemigroups import cli, semigroup
+from psemigroups import cli, semigroup, sets
 from psemigroups.exactmath import bernoulli_row, eulerian_row
 from psemigroups.semigroup import (
     POWER_CAP,
     _BERNOULLI,
     _BERNOULLI_DEN,
     _FAULHABER,
-    _compress_positions,
     _count_bound,
     _minima_from_lists,
     _minima_from_table,
-    _split_positions,
     _validate,
-    bit_positions,
 )
+from psemigroups.sets import _compress_positions, _split_positions, bit_positions
 
 GOLDEN_FROBENIUS = {
     (4, 5, 6): [7, 13, 19, 23, 27, 31, 33, 37, 39, 43, 43],
@@ -281,12 +280,12 @@ def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens,
     for check in (gap_count, gap_sum, lambda sp: gap_power_sums(sp, 8, Fraction(2, 3))):
         with pytest.raises(InternalCheckError, match="power sum at mu = 0 mismatch"):
             check(shifted)
-    class_power_sums = semigroup._class_power_sums
+    class_power_sums = semigroup.class_power_sums
 
     def last_row_off_by_one(sp, rows, sign):
         return [*class_power_sums(sp, rows - 1, sign), class_power_sums(sp, rows, sign)[-1] + 1]
 
-    monkeypatch.setattr(semigroup, "_class_power_sums", last_row_off_by_one)
+    monkeypatch.setattr(semigroup, "class_power_sums", last_row_off_by_one)
     with pytest.raises(InternalCheckError, match="power sum at mu = 8 mismatch"):
         gap_power_sums(sp, 8)
     with pytest.raises(InternalCheckError, match="power sum at mu = 0 mismatch"):
@@ -326,7 +325,7 @@ def test_a_power_sum_mismatch_prints_the_formula_reduced():
     sp = build((6, 7, 17), 14)
     kunz = list(sp.kunz)
     kunz[1] += 1
-    numerator, denominator = semigroup._power_sum_formula(sp, 1)[0]
+    numerator, denominator = semigroup.power_sum_formula(sp, 1)[0]
     assert denominator == 6 * _BERNOULLI_DEN and numerator == gap_count(sp) * denominator
     with pytest.raises(InternalCheckError) as raised:
         gap_count(_forged(sp, kunz=tuple(kunz)))
@@ -576,6 +575,24 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds)
         assert minima_modulo(sp, g) == flags_minima_modulo(sp, g) == expected, g
 
 
+@settings(max_examples=10)
+@given(a=st.integers(2, 3000), d=st.integers(1, 60), p=st.integers(0, 500))
+@example(a=1009, d=4, p=500)
+@example(a=3001, d=7, p=20)
+def test_arithmetic_sequence_minima_are_certified_by_their_counts(a, d, p):
+    # ROADMAP item 16 at k = 3: counts do not fall along steps of a, so m is
+    # its class's minimum iff d(m) > p and, unless m < a, d(m - a) <= p.
+    # The closed count reads no table and no lists: it checks whichever
+    # route ``build`` takes, at F up to about 6 * 10^6
+    assume(gcd(a, d) == 1)
+    sp = build((a, a + d, a + 2 * d), p)
+    for m in sp.apery_by_residue:
+        assert arithmetic_count(a, d, m) > p, m
+        assert m < a or arithmetic_count(a, d, m - a) <= p, m
+    assert sp.frobenius == max(sp.apery_by_residue) - a
+    assert gap_count(sp) == sum((m - j) // a for j, m in enumerate(sp.apery_by_residue))
+
+
 @st.composite
 def lists_route_draws(draw):
     """(generators, top p) for the lists route, unsorted and not always
@@ -679,11 +696,11 @@ def _relaxation_fixpoint(values, step):
 def test_round_robin_reaches_the_relaxation_fixpoint(draw):
     values, step = draw
     walked = values.copy()
-    semigroup._round_robin(walked, step)
+    semigroup.round_robin(walked, step)
     assert walked == _relaxation_fixpoint(values, step)
 
 
-_WINDOW = semigroup._SPLIT_WINDOW
+_WINDOW = sets._SPLIT_WINDOW
 
 
 @given(

@@ -28,8 +28,8 @@ from psemigroups import (
     verify_pf_consequences,
     verify_symmetry_equivalences,
 )
-from psemigroups import semigroup, symmetry
-from psemigroups.semigroup import bit_positions, hlk_of_members
+from psemigroups import criteria, sets, symmetry
+from psemigroups.sets import bit_positions, hlk_of_members
 
 
 def _hlk(sp):
@@ -222,7 +222,7 @@ def test_bitmask_flags_and_hlk_match_the_set_routes(instance, p):
     assert members == sum(1 << n for n in range(total + 1) if sp.contains(n))
     assert h_mask == mirror
     full = (1 << (total + 1)) - 1
-    mismatches, l_count = symmetry._class_exchange(sp)
+    mismatches, l_count = symmetry.class_exchange(sp)
     assert mismatches == (full & ~(members ^ mirror)).bit_count()
     assert l_count == len(l)
     symmetric = mirror_pairs_exactly_one(sp, exception=None)
@@ -245,7 +245,7 @@ def test_classify_builds_no_bitmask(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("classify built an F-sized bitmask")
 
-    monkeypatch.setattr(semigroup, "_member_flags", refuse)
+    monkeypatch.setattr(sets, "_member_flags", refuse)
     assert classify(build((8, 12, 15, 18), 8)).symmetric
     assert classify(build((6, 7, 17), 0)).pseudo_symmetric
     r14 = classify(build((6, 7, 17), 14))
@@ -278,7 +278,7 @@ def test_l_set_matches_brute_force(gens, p):
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=small_p)
 def test_l_count_matches_brute_force(gens, p):
-    assert symmetry._l_count(build(gens, p)) == len(brute_l_set(gens, p))
+    assert criteria._l_count(build(gens, p)) == len(brute_l_set(gens, p))
 
 
 @given(gens=generator_tuples(), p=small_p)
