@@ -6,8 +6,8 @@ fixed generator list exceeds p; the package computes the class minima
 classifications, closure properties, and verifies the scaling identities
 relating different generator lists.
 
-``symmetry`` (the classification), ``criteria`` (the symmetry verifiers
-and the layout pattern), ``arf``, ``identities`` and ``exactmath`` (with
+``symmetry`` (the classification and the layout pattern), ``criteria``
+(the symmetry verifiers), ``arf``, ``identities`` and ``exactmath`` (with
 the rational power-sum rows) load on first use of one of their names, so
 that a command that needs none of them does not import them; ``sets``,
 the F-sized sets and their text, loads when ``analyze`` or
@@ -78,10 +78,10 @@ _LAZY = {
     "SymmetryReport": "symmetry",
     "classify": "symmetry",
     "pseudo_frobenius": "symmetry",
-    "PATTERN_FULL_INTERVAL": "criteria",
-    "PATTERN_OTHER": "criteria",
-    "PATTERN_SINGLETON_PLUS_TAIL": "criteria",
-    "detect_pattern": "criteria",
+    "PATTERN_FULL_INTERVAL": "symmetry",
+    "PATTERN_OTHER": "symmetry",
+    "PATTERN_SINGLETON_PLUS_TAIL": "symmetry",
+    "detect_pattern": "symmetry",
     "verify_almost_symmetric_equivalences": "criteria",
     "verify_apery_pairings": "criteria",
     "verify_nari": "criteria",

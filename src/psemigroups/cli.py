@@ -9,9 +9,9 @@ returns the document and exit code, and ``main`` writes the document.
 ``symmetry``, ``criteria``, ``arf``, ``identities`` and ``exactmath`` are
 reached through the package's lazy names, so a command that calls none of
 them never loads them; ``analyze`` imports ``sets`` for its F-sized sets,
-and the tsv and pretty writers, ``sums`` and the verify rows are
-``cli_more``, imported on first use.  So a json ``table`` or ``classify``
-compiles only the code it runs.  ``fractions`` is imported only where a
+and the tsv and pretty writers and ``sums`` are ``cli_more``, imported on
+first use.  So a json ``table``, ``classify`` or ``verify`` compiles only
+the code it runs.  ``fractions`` is imported only where a
 rational is made or printed, and a parser gets its flags only when
 argparse enters it.
 
@@ -35,6 +35,7 @@ import psemigroups
 
 from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import CapExceededError, PreconditionError
+from .reports import Report
 from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum
 
 if TYPE_CHECKING:
@@ -184,11 +185,11 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     then the integers it lists are charged first."""
     sp = build(gens, p)
     report = psemigroups.classify(sp)
-    # the scalars, which load ``criteria`` for the pattern, then ``sets``,
-    # then the masks: in this order the peak RSS of {3001,3011,3019,3023}
-    # at p 0 is about 2.5 MB lower than with ``sets`` loaded first or the
-    # scalars made last
-    row = _row(sp, _TABLE_FIELDS, report)
+    # ``sets`` and the masks, then the scalars.  The own peak RSS of a fresh
+    # {3001,3011,3019,3023} p 0 call moves by up to 2.7 MB with the heap's
+    # layout, which comment lines alone change: over five layouts it was
+    # 26.5-29.0 MB in this order and 28.6-29.3 MB with the scalars first
+    # (2-core x86 VM, CPython 3.11)
     from . import sets
 
     members, h, l = sets.hlk_of_members(sp)
@@ -200,6 +201,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     # multiplicity's mirror, so K is its clear bits and all above.
     members_below, gaps = sets.split_docs(members & ((1 << c) - 1), c, expand)
     h_set, k_below = sets.split_docs(h, h.bit_length(), expand)
+    row = _row(p, sp, _TABLE_FIELDS, report)
     return {
         **row,
         "generators": list(sp.generators.ordered),
@@ -221,7 +223,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 # asked for.  A field reads the instance or ``report()``, the row's one
 # psemigroups.classify(sp); each library function is looked up when called,
 # so that a wrapper put in its place is the one called.
-# Each field reads only the minima: a p repeating its predecessor's repeats its row.
+# Each field reads only the instance: a p sharing the one before's repeats its row.
 _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "frobenius": lambda sp, report: sp.frobenius,
     "multiplicity": lambda sp, report: sp.multiplicity,
@@ -238,14 +240,14 @@ _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
 _SYMMETRY_FLAGS = [field for field in _TABLE_FIELDS if field.endswith("symmetric")]
 
 
-def _row(sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
-    """``p`` and ``fields`` of one instance, whose classification is
+def _row(p: int, sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
+    """``p`` and ``fields`` of the instance of p, whose classification is
     ``report``, or is made when a field first reads it."""
     def classified() -> psemigroups.SymmetryReport:
         nonlocal report
         report = report or psemigroups.classify(sp)
         return report
-    return {"p": sp.p, **{f: _TABLE_FIELDS[f](sp, classified) for f in fields}}
+    return {"p": p, **{f: _TABLE_FIELDS[f](sp, classified) for f in fields}}
 
 
 def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> dict[str, Any]:
@@ -253,11 +255,10 @@ def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> di
         if f not in _TABLE_FIELDS:
             raise PreconditionError(f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}")
     rows: list[dict[str, Any]] = []
-    minima = None
-    for sp in build_range(gens, p_values):
-        repeat = sp.apery_by_residue == minima
-        rows.append({**rows[-1], "p": sp.p} if repeat else _row(sp, fields))
-        minima = sp.apery_by_residue
+    previous = None
+    for p, sp in zip(p_values, build_range(gens, p_values)):
+        rows.append({**rows[-1], "p": p} if sp is previous else _row(p, sp, fields))
+        previous = sp
     return {"generators": list(gens.ordered), "rows": rows}
 
 
@@ -268,9 +269,23 @@ def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> di
 _Handler = Callable[[argparse.Namespace], tuple[dict[str, Any], int]]
 
 
+def verify_document(rows: list[Report]) -> tuple[dict[str, Any], int]:
+    """The document of a verifier's rows and the exit code they give."""
+    docs = [{"kind": r.kind, "passed": r.passed, "applicable": r.applicable, "note": r.note,
+             **r.details} for r in rows]
+    code = verify_exit_code(docs)
+    return {"rows": docs, "passed": code == EXIT_OK}, code
+
+
+def verify_exit_code(docs: list[dict[str, Any]]) -> int:
+    """A verify run fails when some applicable row did not pass."""
+    failed = any(doc["applicable"] and not doc["passed"] for doc in docs)
+    return EXIT_VERIFIER_FAILED if failed else EXIT_OK
+
+
 def _each(name: str) -> _Handler:
     """A verifier of one instance: one row per p of the --p range."""
-    return lambda a: _more().verify_document([
+    return lambda a: verify_document([
         getattr(psemigroups, name)(sp)
         for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
     ])
@@ -311,27 +326,27 @@ _COMMANDS: dict[str, tuple[str | None, dict[str, tuple[Any, Any, str | None]], _
         "weight": (str, None, 'optional rational weight "num/den"'),
     }, lambda a: (_more().sums_document(
         _parse_gens(a.gens), _parse_p(a.p), a.mu, _more().parse_weight(a.weight)), EXIT_OK)),
-    "verify johnson": (None, _SCALING, lambda a: _more().verify_document(
+    "verify johnson": (None, _SCALING, lambda a: verify_document(
         psemigroups.verify_johnson(a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
-    "verify watanabe": (None, _SCALING, lambda a: _more().verify_document(
+    "verify watanabe": (None, _SCALING, lambda a: verify_document(
         psemigroups.verify_watanabe(a.alpha, a.beta, _parse_gens(a.gens), _parse_p_range(a.p)))),
-    "verify gcd-scaling": (None, _INSTANCES, lambda a: _more().verify_document(
+    "verify gcd-scaling": (None, _INSTANCES, lambda a: verify_document(
         psemigroups.verify_gcd_scaling(_parse_gens(a.gens), _parse_p_range(a.p)))),
     "verify symmetry": (None, _INSTANCES, _each("verify_symmetry_equivalences")),
     "verify pairings": (None, _INSTANCES, _each("verify_apery_pairings")),
     "verify pf-consequences": (None, _INSTANCES, _each("verify_pf_consequences")),
     "verify almost-symmetric": (None, _INSTANCES, _each("verify_almost_symmetric_equivalences")),
     # defined at p = 0
-    "verify nari": (None, {"gens": _INSTANCES["gens"]}, lambda a: _more().verify_document(
+    "verify nari": (None, {"gens": _INSTANCES["gens"]}, lambda a: verify_document(
         [psemigroups.verify_nari(_parse_gens(a.gens))])),
     # its p range is 0..--pmax
     "verify arf-heredity": (None, {
         "a": (int, _NEEDED, None), "b": (int, _NEEDED, None), "pmax": (int, 5, None),
-    }, lambda a: _more().verify_document([psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)])),
+    }, lambda a: verify_document([psemigroups.verify_arf_heredity(a.a, a.b, a.pmax)])),
     "verify arf-kunz": (None, _INSTANCES, _each("verify_arf_conductor_kunz")),
     "verify eulerian-gf": (None, {
         "exponent": (int, _NEEDED, None), "order": (int, _NEEDED, None),
-    }, lambda a: _more().verify_document(
+    }, lambda a: verify_document(
         [psemigroups.verify_eulerian_gf(a.exponent, a.order)])),
 }
 

@@ -1,8 +1,7 @@
 """The parts of the ``psg`` command that only some calls run: the tsv and
-pretty writers, the ``sums`` document with its weight, and the rows and
-exit code of a ``verify`` call.  ``cli`` imports this module on first
-use, so that a json call of ``table``, ``classify`` or ``analyze`` never
-compiles it.
+pretty writers, and the ``sums`` document with its weight.  ``cli``
+imports this module on first use, so that a json call of ``table``,
+``classify``, ``analyze`` or ``verify`` never compiles it.
 """
 
 from __future__ import annotations
@@ -10,15 +9,13 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .cli import EXIT_OK, EXIT_VERIFIER_FAILED, echo, fraction_str, to_json
+from .cli import echo, fraction_str, to_json
 from .denumerant import GeneratorSet
 from .errors import PreconditionError
 from .semigroup import build, gap_power_sums
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .reports import Report
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +142,3 @@ def sums_document(
     if weight is not None:
         doc["weight"] = weight
     return doc
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-def verify_document(rows: list[Report]) -> tuple[dict[str, Any], int]:
-    """The document of a verifier's rows and the exit code they give."""
-    docs = [{"kind": r.kind, "passed": r.passed, "applicable": r.applicable, "note": r.note,
-             **r.details} for r in rows]
-    code = verify_exit_code(docs)
-    return {"rows": docs, "passed": code == EXIT_OK}, code
-
-
-def verify_exit_code(docs: list[dict[str, Any]]) -> int:
-    """A verify run fails when some applicable row did not pass."""
-    failed = any(doc["applicable"] and not doc["passed"] for doc in docs)
-    return EXIT_VERIFIER_FAILED if failed else EXIT_OK

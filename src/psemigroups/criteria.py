@@ -1,11 +1,9 @@
 """The symmetry verifiers, each asserting that several characterizations
-of one notion agree on a built instance, and the member-layout pattern
-that forces almost symmetry.
+of one notion agree on a built instance.
 
 Every check reads the class minima, in O(a) with nothing F-sized, and
 re-derives its flags by ``symmetry.classify``'s route.  Only ``verify``
-and the ``pattern`` field of ``table`` and ``analyze`` read them, so the
-package loads this module on first use.
+reads them, so the package loads this module on first use.
 """
 
 from __future__ import annotations
@@ -16,10 +14,6 @@ from .denumerant import GeneratorSet, as_generator_set
 from .reports import Report, verdicts_report
 from .semigroup import PSemigroup, build, gap_count
 from .symmetry import class_exchange, classify, pf_in_l
-
-PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
-PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
-PATTERN_OTHER = "OTHER"
 
 # Index arithmetic for the residue-pairing checks reads m(t) as the class
 # minimum of t's residue class; paired indices always sum to
@@ -176,31 +170,6 @@ def verify_almost_symmetric_equivalences(sp: PSemigroup) -> Report:
     }
     passed = len(set(verdicts.values())) == 1
     return verdicts_report("almost-symmetric-equivalences", verdicts, passed)
-
-
-def detect_pattern(sp: PSemigroup) -> str:
-    """Tag the two distinguished almost-symmetric member layouts.
-
-    FULL_INTERVAL: no gap at or above the least member (the members are one
-    unbroken tail).  SINGLETON_PLUS_TAIL: the least member stands alone
-    before the conductor tail, with at least two integers missing between
-    them.  Everything else is OTHER.  Both named layouts force almost
-    symmetry.
-
-    No member lies strictly between the least one and the conductor iff
-    every other class minimum is at least the conductor and so is the next
-    member of the least one's class: an O(a) test on the minima.
-    """
-    low, c = sp.multiplicity, sp.conductor
-    if low == c:
-        return PATTERN_FULL_INTERVAL
-    if (
-        c >= low + 3
-        and low + sp.modulus >= c
-        and all(m == low or m >= c for m in sp.apery_by_residue)
-    ):
-        return PATTERN_SINGLETON_PLUS_TAIL
-    return PATTERN_OTHER
 
 
 def verify_nari(gens: GeneratorSet | Iterable[int]) -> Report:

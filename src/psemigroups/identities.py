@@ -55,10 +55,10 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
 
 def _scaling_instances(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
-) -> tuple[dict[str, Any], Iterator[tuple[PSemigroup, PSemigroup]]]:
-    """Validate the shared preconditions; return the rows' params and the
-    (scaled, unscaled) instance pairs for every p of ``p_values``, each
-    generator list's class minima computed once, at the largest p."""
+) -> tuple[dict[str, Any], Iterator[tuple[int, PSemigroup, PSemigroup]]]:
+    """Validate the shared preconditions; return the rows' params and
+    (p, scaled, unscaled) for every p of ``p_values``, each generator
+    list's class minima computed once, at the largest p."""
     B = as_generator_set(base)
     if alpha < 2:
         raise PreconditionError("alpha must be at least 2")
@@ -77,19 +77,19 @@ def _scaling_instances(
     unscaled = GeneratorSet((alpha, *B.ordered))
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
     params = {"alpha": alpha, "beta": beta, "base": list(B.ordered)}
-    return params, zip(build_range(scaled, p_values), build_range(unscaled, p_values))
+    return params, zip(p_values, build_range(scaled, p_values), build_range(unscaled, p_values))
 
 
 def _identity_reports(
     identity: str,
     params: dict[str, Any],
-    pairs: Iterable[tuple[PSemigroup, PSemigroup]],
+    pairs: Iterable[tuple[int, PSemigroup, PSemigroup]],
     sides: Callable[[PSemigroup, PSemigroup], tuple[dict, dict, dict]],
     note: str = "",
 ) -> list[Report]:
-    """One report per instance pair: ``sides(first, second)`` gives the
-    identity's two sides, which pass when they are equal, and its extras;
-    ``params`` gains the pair's p."""
+    """One report per (p, first, second): ``sides(first, second)`` gives
+    the identity's two sides, which pass when they are equal, and its
+    extras; ``params`` gains p."""
     return [
         Report(
             "identity",
@@ -97,13 +97,13 @@ def _identity_reports(
             note=note,
             details={
                 "identity": identity,
-                "params": {**params, "p": first.p},
+                "params": {**params, "p": p},
                 "lhs": lhs,
                 "rhs": rhs,
                 "extras": extras,
             },
         )
-        for first, second in pairs
+        for p, first, second in pairs
         for lhs, rhs, extras in [sides(first, second)]
     ]
 
@@ -199,6 +199,6 @@ def verify_gcd_scaling(
         variant = _as_int_if_integral(quadratic + Fraction(cubic, 2))
         return lhs, rhs, {"sylvester_sum_denominator_2_variant": variant}
 
-    pairs = zip(build_range(A, p_values), build_range(reduced, p_values))
+    pairs = zip(p_values, build_range(A, p_values), build_range(reduced, p_values))
     params = {"generators": list(A.ordered), "d": d}
     return _identity_reports("gcd-scaling", params, pairs, sides, _SCALING_SUM_NOTE)

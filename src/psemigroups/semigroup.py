@@ -22,13 +22,17 @@ p, P, along one of two exact routes, picked by the one rule that
   O((k-1)*a*(P+1)) element work in O((k-1)*a) Python-level merges of
   sorted runs, plus one merge of progressions per cycle; at P = 0, one flat
   list of a integers and O((k-1)*a) steps, Boecker and Liptak's round robin.
+
+An instance is a pure function of its generators and minima, with no p:
+``_instances`` is the one place that knows when S_p repeats, and makes
+and checks one instance for each run of p with equal minima.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, count, islice, repeat
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, eq, le, mul, neg
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -57,7 +61,8 @@ _FAULHABER = list(accumulate(
 ))
 
 class PSemigroup(Record):
-    """One built (generators, p) instance; immutable and freely shareable.
+    """One built semigroup, a pure function of its generators and class
+    minima, with no p; immutable, freely shareable, compared by value.
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
     modulus.  The instance holds O(a) data; ``gaps`` is derived from the
@@ -66,7 +71,6 @@ class PSemigroup(Record):
 
     __slots__ = (
         "generators",
-        "p",
         "modulus",
         "apery_by_residue",
         "apery_sorted",
@@ -77,7 +81,6 @@ class PSemigroup(Record):
     )
 
     generators: GeneratorSet
-    p: int
     modulus: int
     apery_by_residue: tuple[int, ...]
     apery_sorted: tuple[int, ...]
@@ -110,17 +113,16 @@ def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
 def build_range(
     gens: GeneratorSet | Iterable[int], p_values: range
 ) -> Iterator[PSemigroup]:
-    """The instances for every p of ``p_values``, an ascending range, in
+    """The instance of every p of ``p_values``, an ascending range, in
     order, from one computation of the class minima up to its last p.
     That computation (and its cap checks) happens here; each instance is
-    made when the iterator reaches it, so a long range holds one
-    instance, and the minima of the one before, at a time.  The range is
-    one chain for ``_validate``: every instance is checked from below
-    against the one before it (except one whose minima repeat that one's,
-    which cannot fail), and the first, when the range starts above 0,
-    against the p = 0 minima of one flat round robin.  The a class
-    minima of every instance are charged before any is made; that charge
-    also covers the a integers of that p = 0 link."""
+    made when the iterator reaches it, so a long range holds one at a
+    time.  A run of p with equal minima yields one object, once per p;
+    callers take each p from ``p_values``.  The range is one chain for
+    ``_validate``: each new instance is checked against the p before it,
+    the first, when the range starts above 0, against the p = 0 minima of
+    one flat round robin.  The a class minima of every p are charged
+    before any instance is made, with the a integers of that p = 0 link."""
     A = as_generator_set(gens)
     if p_values.step < 0:
         raise PreconditionError("p range must ascend")
@@ -141,24 +143,23 @@ def _instances(
     minima_at: Callable[[int], tuple[int, ...]],
     earlier: tuple[int, Sequence[int]] | None,
 ) -> Iterator[PSemigroup]:
-    """The instances of ``p_values``, each checked by ``_validate``
-    against ``earlier``, (q, minima at q) for the chain's link before it;
-    each (p, minima) is handed on as the next link.  A p whose minima
-    equal the instance before it has the same semigroup: its instance
-    shares that one's fields, with only p new, and is not checked again,
-    as the check reads only the generators and the minima, and its link
-    from below to an equal tuple holds."""
-    a, fields = A.least, None
+    """The instance of each p of ``p_values``: the one place that decides
+    when S_p repeats.  A p whose minima differ from the p before it gets a
+    new instance, checked by ``_validate`` against ``earlier``, (q, minima
+    at q) for the chain's link before it; a p whose minima are equal has
+    the same semigroup, so it gets that same object, unchecked, as the
+    check reads only the generators and the minima and both its links to
+    an equal tuple hold.  Each (p, minima) is handed on as the next link."""
+    a, sp = A.least, None
     for p in p_values:
         minima = minima_at(p)
-        if fields is None or minima != fields[1]:
+        if sp is None or minima != sp.apery_by_residue:
             _validate(A, minima, p, earlier)
             frobenius = max(minima) - a
-            # PSemigroup's slots after generators and p, in order
-            fields = (a, minima, tuple(sorted(minima)), min(minima), frobenius, frobenius + 1,
-                      tuple((m - j) // a for j, m in enumerate(minima)))
+            sp = PSemigroup(A, a, minima, tuple(sorted(minima)), min(minima), frobenius,
+                            frobenius + 1, tuple((m - j) // a for j, m in enumerate(minima)))
         earlier = p, minima
-        yield PSemigroup(A, p, *fields)
+        yield sp
 
 
 def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
@@ -328,11 +329,15 @@ def _validate(
     graph modulo a (Nijenhuis 1979; Boecker and Liptak 2007), so they are
     exact iff also tight: m_0 = 0 and every other m_j is its least bound.
     At p > 0 no cheap tight certificate is known, so the minima are
-    checked from below against ``earlier``, (q, minima at q) for some
-    q < p, as the minima never decrease as p grows: in a range, the
-    instance before, or the p = 0 minima from the flat round robin, which
-    neither p > 0 route uses.  Exactness beyond these rests on the two
-    routes' agreement and on the brute-force tests."""
+    checked as one link of a chain, against ``earlier``, (q, minima at q)
+    for some q < p: in a range, the p before, or the p = 0 minima from the
+    flat round robin, which neither p > 0 route uses.  From below, the
+    minima never decrease as p grows.  From above, d(n + lcm(a, b)) >=
+    d(n) + 1 for every b != a: shift each representation of n by
+    lcm/a copies of a, then add lcm/b copies of b to the one with the
+    fewest a's.  So m_j(p) <= m_j(q) + (p - q) * L, L the least such lcm.
+    Exactness beyond these rests on the two routes' agreement and on the
+    brute-force tests."""
     a = A.least
     if len(minima) != a:
         raise InternalCheckError("class minima do not cover all residues")
@@ -359,10 +364,19 @@ def _validate(
             raise InternalCheckError(
                 f"class minimum {minima[j]} is not tight at p = 0: {least} expected"
             )
-    if earlier is not None and (j := _first_above(earlier[1], minima)) >= 0:
+    if earlier is None:
+        return
+    q, below = earlier
+    if (j := _first_above(below, minima)) >= 0:
         raise InternalCheckError(
-            f"class minimum {minima[j]} at p = {p} is below {earlier[1][j]},"
-            f" its class's minimum at p = {earlier[0]}"
+            f"class minimum {minima[j]} at p = {p} is below {below[j]},"
+            f" its class's minimum at p = {q}"
+        )
+    L = min(lcm(a, b) for b in A.ordered if b != a)
+    if (j := _first_above(minima, list(map(add, below, repeat((p - q) * L))))) >= 0:
+        raise InternalCheckError(
+            f"class minimum {minima[j]} at p = {p} exceeds {below[j]} + {p - q} * {L},"
+            f" its class's bound from p = {q}"
         )
 
 

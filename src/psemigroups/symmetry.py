@@ -1,18 +1,21 @@
-"""Pseudo-Frobenius data and the symmetry classification of a built
-instance.
+"""Pseudo-Frobenius data, the symmetry classification and the
+member-layout pattern of a built instance.
 
 The mirror of x is total - x, total = multiplicity + frobenius.  Every
 verdict reads the class minima, in O(a) with nothing F-sized: the mirror
 exchange and |L| class by class.  The verifiers that check these flags
-against other characterizations, and the member-layout pattern, are
-``criteria``; the member and mirror bitmasks that ``analyze`` renders are
-``sets.hlk_of_members``.
+against other characterizations are ``criteria``; the member and mirror
+bitmasks that ``analyze`` renders are ``sets.hlk_of_members``.
 """
 
 from __future__ import annotations
 
 from .reports import Record
 from .semigroup import PSemigroup
+
+PATTERN_FULL_INTERVAL = "FULL_INTERVAL"
+PATTERN_SINGLETON_PLUS_TAIL = "SINGLETON_PLUS_TAIL"
+PATTERN_OTHER = "OTHER"
 
 
 class SymmetryReport(Record):
@@ -115,3 +118,28 @@ def classify(sp: PSemigroup) -> SymmetryReport:
         almost_symmetric=l_count == pf_in_l(sp, pf),
         completely_symmetric=symmetric and sp.multiplicity == sp.conductor,
     )
+
+
+def detect_pattern(sp: PSemigroup) -> str:
+    """Tag the two distinguished almost-symmetric member layouts.
+
+    FULL_INTERVAL: no gap at or above the least member (the members are one
+    unbroken tail).  SINGLETON_PLUS_TAIL: the least member stands alone
+    before the conductor tail, with at least two integers missing between
+    them.  Everything else is OTHER.  Both named layouts force almost
+    symmetry.
+
+    No member lies strictly between the least one and the conductor iff
+    every other class minimum is at least the conductor and so is the next
+    member of the least one's class: an O(a) test on the minima.
+    """
+    low, c = sp.multiplicity, sp.conductor
+    if low == c:
+        return PATTERN_FULL_INTERVAL
+    if (
+        c >= low + 3
+        and low + sp.modulus >= c
+        and all(m == low or m >= c for m in sp.apery_by_residue)
+    ):
+        return PATTERN_SINGLETON_PLUS_TAIL
+    return PATTERN_OTHER

@@ -9,7 +9,7 @@ them: with no bytecode to read (``PYTHONDONTWRITEBYTECODE=1`` and no
 ``__pycache__``, as in the benchmark's children) a call compiles each
 module it loads, in time about proportional to its nodes, and a
 docstring or a comment costs one node or none.  ``tests/test_package.py``
-bounds the cost of three calls.
+bounds the cost of five calls.
 
 From the root of a checkout,
 

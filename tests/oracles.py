@@ -12,10 +12,10 @@ library's former (P+1)-best-lists step, kept as a second route for its
 round-robin one; the flag-scan minima modulo g and the mirrored member
 mask are the library's former F-sized routes, kept likewise, and the
 window scan the library's former residue-pairing check.  The count over
-an arithmetic sequence of three generators is a closed form, with no table
-and no lists, for sizes that no brute-force scan reaches.  The per-row power
-sums are the library's former one-walk-per-row power sums, kept as
-references for ``gap_power_sums``' shared walk.  ``jsonify`` is the CLI's
+an arithmetic sequence, a sum of Gaussian binomial coefficients, reads no
+table and no lists, for sizes that no brute-force scan reaches.  The
+per-row power sums are the library's former one-walk-per-row power sums,
+kept as references for ``gap_power_sums``' shared walk.  ``jsonify`` is the CLI's
 former copy of each document into JSON primitives, kept as the reference
 for rendering the document as it is built.
 """
@@ -23,6 +23,7 @@ for rendering the document as it is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Any, Iterable
 
@@ -62,18 +63,41 @@ def representations(gens: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def arithmetic_count(a: int, d: int, n: int) -> int:
-    """The representation count of n over {a, a + d, a + 2d}, gcd(a, d) = 1,
-    with no table: a representation with s summands is s offsets from
-    {0, 1, 2} (in steps of d) summing to t = (n - s*a)/d, and the twos
-    among them number from max(0, t - s) to t // 2 (ROADMAP item 16).  No
-    s below n / (a + 2d) has one: there t > 2s."""
+def arithmetic_count(a: int, d: int, k: int, n: int) -> int:
+    """The representation count of n over the arithmetic sequence
+    {a, a + d, ..., a + (k-1)d}, gcd(a, d) = 1, with no table: a
+    representation with s summands is s offsets from {0, ..., k-1} (in
+    steps of d) summing to t = (n - s*a)/d, and those number
+    ``box_partitions(t, s, k - 1)`` (ROADMAP item 16).  No s below
+    n / (a + (k-1)d) has one: there t > s(k-1)."""
     total = 0
-    for s in range(-(-n // (a + 2 * d)), n // a + 1):
+    for s in range(-(-n // (a + (k - 1) * d)), n // a + 1):
         t, r = divmod(n - s * a, d)
         if r == 0:
-            total += max(0, t // 2 - max(0, t - s) + 1)
+            total += box_partitions(t, s, k - 1)
     return total
+
+
+@lru_cache(maxsize=None)
+def box_partitions(t: int, s: int, m: int) -> int:
+    """The partitions of t into at most s parts, each at most m: the
+    coefficient of q^t in the Gaussian binomial [s+m choose m]_q (Andrews,
+    The Theory of Partitions, 1976, ch. 3).  Closed for m <= 2, where the
+    twos number from max(0, t - s) to t // 2.  Above, no more than t
+    parts are positive, and the partitions of t are the complements of
+    those of s*m - t in the s by m box, so s and t are cut to those;
+    then the partitions with fewer than s parts, and those with s, less
+    one from each part: [s+m choose m]_q = [s-1+m choose m]_q +
+    q^s [s-1+m choose m-1]_q.  The recursion is at most s + m deep."""
+    if t < 0 or t > s * m:
+        return 0
+    if m < 2 or t == 0:
+        return 1
+    if m == 2:
+        return t // 2 - max(0, t - s) + 1
+    s = min(s, t)
+    t = min(t, s * m - t)
+    return box_partitions(t, s - 1, m) + box_partitions(t - s, s, m - 1)
 
 
 def dp_counts(gens: tuple[int, ...], horizon: int) -> list[int]:

@@ -63,12 +63,12 @@ def test_heredity_scans_each_instance_once(monkeypatch):
     scanned = []
 
     def spy(sp):
-        scanned.append(sp.p)
+        scanned.append(sp)
         return is_arf(sp)
 
     monkeypatch.setattr(arf, "is_arf", spy)
     assert verify_arf_heredity(2, 3, 5).passed
-    assert scanned == [0, 1, 2, 3, 4, 5]
+    assert scanned == [build((2, 3), p) for p in range(6)]
 
 
 def test_conductor_kunz_zero_residue_branch():

@@ -53,8 +53,9 @@ from psemigroups.cli import (
     EXIT_VERIFIER_FAILED,
     analyze_document,
     main,
+    verify_exit_code,
 )
-from psemigroups.cli_more import sums_document, verify_exit_code
+from psemigroups.cli_more import sums_document
 from psemigroups.sets import hlk_of_members, mask_runs, sorted_set_doc, split_docs
 
 
@@ -607,8 +608,10 @@ def test_analyze_writes_the_table_row_with_every_field(capsys, gens, p):
 
 
 def test_a_row_classifies_its_instance_at_most_once(capsys, monkeypatch):
+    # each classified instance is that of the p listed; no two p of
+    # 0..25 share one
     classified = []
-    monkeypatch.setattr(sym_mod, "classify", lambda sp: classified.append(sp.p) or classify(sp))
+    monkeypatch.setattr(sym_mod, "classify", lambda sp: classified.append(sp) or classify(sp))
     head = ("--gens", "6,7,17", "--p", "0..25")
     for argv, calls in [
         (("table", *head, "--field", "frobenius,genus"), []),
@@ -620,7 +623,7 @@ def test_a_row_classifies_its_instance_at_most_once(capsys, monkeypatch):
     ]:
         classified.clear()
         assert run_cli(capsys, *argv)[0] == EXIT_OK
-        assert classified == calls, argv
+        assert classified == [build((6, 7, 17), p) for p in calls], argv
 
 
 @pytest.mark.parametrize("gens, lo, hi, distinct", [
@@ -649,6 +652,26 @@ def test_a_range_checks_and_classifies_each_distinct_set_once(
     assert code == EXIT_OK
     assert [row["p"] for row in json.loads(out)["rows"]] == list(range(lo, hi + 1))
     assert validated == classified == changes
+
+
+def test_a_range_makes_one_instance_per_run_of_equal_minima(capsys, monkeypatch):
+    # build_range hands every p of a run of equal minima the same object,
+    # and a new one where the minima change; classify makes no other
+    gens, p_values = (10, 11, 12, 18), range(3789, 4301)
+    instances = list(semigroup.build_range(gens, p_values))
+    shared = [sp is before for before, sp in zip(instances, instances[1:])]
+    assert shared == [sp == before for before, sp in zip(instances, instances[1:])]
+    assert shared.count(False) == 18 and len(set(map(id, instances))) == 19
+    made, init = [], semigroup.PSemigroup.__init__
+
+    def counted_init(self, *args):
+        made.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(semigroup.PSemigroup, "__init__", counted_init)
+    code, out = run_cli(capsys, "classify", "--gens", "10,11,12,18", "--p", "3789..4300")
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == 512
+    assert made == [sp.apery_by_residue for sp in dict.fromkeys(instances)]
 
 
 def _rows(*argv):

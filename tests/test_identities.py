@@ -162,14 +162,16 @@ def test_gcd_scaling_sums_each_instance_gaps_once(monkeypatch):
     class_power_sums = semigroup.class_power_sums
 
     def spy(sp, rows, sign):
-        calls.append((sp.generators.ordered, sp.p, rows))
+        calls.append((sp.generators.ordered, sp.apery_by_residue, rows))
         return class_power_sums(sp, rows, sign)
 
     monkeypatch.setattr(semigroup, "class_power_sums", spy)
     reports = verify_gcd_scaling((203, 366, 388), range(0, 8))
     assert len(reports) == 8 and all(r.passed for r in reports)
+    assert [r.details["params"]["p"] for r in reports] == list(range(8))
     assert sorted(calls) == sorted(
-        (gens, p, 2) for gens in ((203, 366, 388), (203, 183, 194)) for p in range(8)
+        (gens, build(gens, p).apery_by_residue, 2)
+        for gens in ((203, 366, 388), (203, 183, 194)) for p in range(8)
     )
 
 

@@ -145,7 +145,9 @@ def test_generator_set_validates_and_keeps_a_tuple():
 def test_psemigroup_fields_are_its_slots():
     sp = build((4, 5, 6), 2)
     assert isinstance(sp, PSemigroup)
-    assert PSemigroup.__slots__[:3] == ("generators", "p", "modulus")
+    # an instance is its generators and what its class minima give: no p
+    assert PSemigroup.__slots__[:3] == ("generators", "modulus", "apery_by_residue")
+    assert not hasattr(sp, "p")
     assert sp.frobenius == max(sp.apery_by_residue) - sp.modulus
 
 
@@ -204,8 +206,8 @@ def test_private_reads_are_found():
 
 HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
 # the package code that no json table or classify runs: the F-sized sets
-# and their text; the symmetry verifiers and the layout pattern; the tsv
-# and pretty writers, sums and the verify rows
+# and their text; the symmetry verifiers; the tsv and pretty writers and
+# sums
 MOVED = {"psemigroups.sets", "psemigroups.criteria", "psemigroups.cli_more"}
 # what only some commands run: the symmetry classification; the rationals
 # of weights, identity rows and Bernoulli numbers; the Bernoulli and
@@ -271,12 +273,18 @@ def test_classify_imports_neither_arf_nor_identities(new_imports):
 
 
 # The calls whose compiled source tests/footprint.py counts, each with its
-# bound in AST nodes: the set-up every call pays, and the table and
-# classify shapes of the benchmark's high-p workload.
+# bound in AST nodes: the set-up every call pays, the table and classify
+# shapes of the benchmark's high-p workload, which load none of MOVED,
+# and an analyze and a verify shape, which load one module of it each.
+LEAN = [
+    None,
+    "table --gens 8,9,10 --p 1321..1832 --field frobenius,genus",
+    "classify --gens 12,14,17,21 --p 1417..1928",
+]
 COUNTED = {
-    None: 7800,
-    "table --gens 8,9,10 --p 1321..1832 --field frobenius,genus": 7800,
-    "classify --gens 12,14,17,21 --p 1417..1928": 8300,
+    **dict(zip(LEAN, (7800, 7800, 8300))),
+    "analyze --gens 1009,1013,1019 --p 50": 10000,
+    "verify symmetry --gens 201,207,322 --p 4..16": 9500,
 }
 
 
@@ -285,7 +293,7 @@ def test_a_call_compiles_at_most_its_counted_cost(call):
     assert footprint.cost(call and call.split()) <= COUNTED[call]
 
 
-@pytest.mark.parametrize("call", COUNTED)
+@pytest.mark.parametrize("call", LEAN)
 def test_counted_calls_load_none_of_the_moved_code(new_imports, call):
     args = ["-m", "psemigroups", *call.split()] if call else ["-c", footprint.SETUP]
     names, _ = new_imports(*args)
@@ -304,6 +312,21 @@ def test_a_command_loads_the_moved_code_it_runs(new_imports, argv, module):
     names, out = new_imports("-m", "psemigroups", *argv.split())
     assert out
     assert module in names
+
+
+@pytest.mark.parametrize("argv, module", [
+    # the verify rows and exit code are cli's own
+    ("verify symmetry --gens 4,5,6 --p 0..2", "psemigroups.cli_more"),
+    ("verify gcd-scaling --gens 203,366,388 --p 0..1", "psemigroups.cli_more"),
+    # the layout pattern is symmetry's, beside the classification
+    ("table --gens 8,9,10 --p 1321..1332 --field pattern", "psemigroups.criteria"),
+    ("analyze --gens 4,5 --p 0", "psemigroups.criteria"),
+])
+def test_a_command_loads_none_of_the_moved_code_it_does_not_run(new_imports, argv, module):
+    names, out = new_imports("-m", "psemigroups", *argv.split())
+    assert out
+    assert "psemigroups.cli" in names
+    assert module not in names
 
 
 def test_sums_imports_neither_arf_nor_identities(new_imports):

@@ -431,6 +431,56 @@ def test_range_build_seeds_its_chain_at_p_0_only_when_it_starts_above_0(monkeypa
     assert counted == [0, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "gens, forgeries, p_values, message",
+    [
+        # {3, 5}: d(n + 15) = d(n) + 1, so the bound is tight and a shift
+        # by a is past it
+        ((3, 5), {2: (33, 43, 38)}, range(1, 3),
+         "class minimum 33 at p = 2 exceeds 15 \\+ 1 \\* 15, its class's bound from p = 1"),
+        # the first p of a range that starts above 0, against the p = 0 link
+        ((3, 5), {2: (33, 43, 38)}, range(2, 3),
+         "class minimum 33 at p = 2 exceeds 0 \\+ 2 \\* 15, its class's bound from p = 0"),
+        # the p = 1 minima repeated at p = 2: the jump is found against p = 2
+        ((3, 5), {2: (15, 25, 20), 3: (33, 43, 38)}, range(1, 4),
+         "class minimum 33 at p = 3 exceeds 15 \\+ 1 \\* 15, its class's bound from p = 2"),
+        # {4, 5, 6}'s minima at p = 2, (16, 21, 18, 23), shifted up by
+        # a * 2: by a * 1 they are those of p = 3, which no check refuses
+        ((4, 5, 6), {2: (24, 29, 26, 31)}, range(1, 3),
+         "class minimum 26 at p = 2 exceeds 10 \\+ 1 \\* 12, its class's bound from p = 1"),
+    ],
+)
+def test_range_build_checks_each_link_from_above(monkeypatch, gens, forgeries, p_values, message):
+    # for b != a, d(n + lcm(a, b)) >= d(n) + 1, so no minimum climbs more
+    # than the least such lcm a step of p: each forgery passes every other
+    # check, and is refused against the p before it
+    minima_at = semigroup._class_minima
+
+    def forged(A, top):
+        true = minima_at(A, top)
+        return lambda p: forgeries.get(p) or true(p)
+
+    monkeypatch.setattr(semigroup, "_class_minima", forged)
+    with pytest.raises(InternalCheckError, match=message):
+        list(build_range(gens, p_values))
+
+
+def test_a_link_checks_bounds_not_exactness():
+    # {4, 5, 6}'s minima at p = 3 passed off as those at p = 2 climb at
+    # most 12 a class from p = 1, so no check of the link refuses them
+    A = GeneratorSet((4, 5, 6))
+    _validate(A, build(A, 3).apery_by_residue, 2, (1, build(A, 1).apery_by_residue))
+
+
+@given(gens=generator_tuples(max_value=12), p=st.integers(0, 60), q=st.integers(0, 60))
+@example(gens=(10, 11, 12, 18), p=3789, q=3790)
+@example(gens=(10, 11, 12, 18), p=3797, q=3798)
+def test_instances_are_equal_exactly_when_their_minima_are(gens, p, q):
+    # an instance holds no p: it is its generators and its class minima
+    sp, sq = build(gens, p), build(gens, q)
+    assert (sp == sq) == (sp.apery_by_residue == sq.apery_by_residue)
+
+
 @pytest.mark.parametrize("p_values", [range(3, 3), range(5, 2)])
 def test_an_empty_range_builds_nothing_and_charges_nothing(monkeypatch, p_values):
     # an empty range (a step of 1 that ends at or below its start) returns
@@ -575,20 +625,44 @@ def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds)
         assert minima_modulo(sp, g) == flags_minima_modulo(sp, g) == expected, g
 
 
-@settings(max_examples=10)
-@given(a=st.integers(2, 3000), d=st.integers(1, 60), p=st.integers(0, 500))
-@example(a=1009, d=4, p=500)
-@example(a=3001, d=7, p=20)
-def test_arithmetic_sequence_minima_are_certified_by_their_counts(a, d, p):
-    # ROADMAP item 16 at k = 3: counts do not fall along steps of a, so m is
-    # its class's minimum iff d(m) > p and, unless m < a, d(m - a) <= p.
-    # The closed count reads no table and no lists: it checks whichever
-    # route ``build`` takes, at F up to about 6 * 10^6
+def test_arithmetic_count_is_the_brute_force_count():
+    for k, a, d in [(2, 5, 3), (3, 7, 2), (3, 4, 5), (4, 5, 1), (4, 6, 5), (5, 7, 3), (5, 3, 4)]:
+        gens = tuple(a + i * d for i in range(k))
+        assert [arithmetic_count(a, d, k, n) for n in range(90)] == [
+            brute_count(gens, n) for n in range(90)
+        ], gens
+
+
+# the largest a and p drawn at each k: the count's cost grows with k
+_ARITHMETIC_SIZES = {3: (3000, 500), 4: (1000, 200), 5: (500, 100)}
+
+
+@st.composite
+def arithmetic_draws(draw):
+    """(a, d, k, p) with gcd(a, d) = 1 and k = 3..5."""
+    k = draw(st.sampled_from(sorted(_ARITHMETIC_SIZES)))
+    a_max, p_max = _ARITHMETIC_SIZES[k]
+    a, d = draw(st.integers(2, a_max)), draw(st.integers(1, 60))
     assume(gcd(a, d) == 1)
-    sp = build((a, a + d, a + 2 * d), p)
+    return a, d, k, draw(st.integers(0, p_max))
+
+
+@settings(max_examples=15)
+@given(draw=arithmetic_draws())
+@example(draw=(1009, 4, 3, 500))
+@example(draw=(3001, 7, 3, 20))
+@example(draw=(401, 2, 4, 5))
+@example(draw=(997, 2, 5, 200))
+def test_arithmetic_sequence_minima_are_certified_by_their_counts(draw):
+    # ROADMAP item 16: counts do not fall along steps of a, so m is its
+    # class's minimum iff d(m) > p and, unless m < a, d(m - a) <= p.  The
+    # count reads no table and no lists: it checks whichever route
+    # ``build`` takes, at F up to about 6 * 10^6
+    a, d, k, p = draw
+    sp = build(tuple(a + i * d for i in range(k)), p)
     for m in sp.apery_by_residue:
-        assert arithmetic_count(a, d, m) > p, m
-        assert m < a or arithmetic_count(a, d, m - a) <= p, m
+        assert arithmetic_count(a, d, k, m) > p, m
+        assert m < a or arithmetic_count(a, d, k, m - a) <= p, m
     assert sp.frobenius == max(sp.apery_by_residue) - a
     assert gap_count(sp) == sum((m - j) // a for j, m in enumerate(sp.apery_by_residue))
 
