@@ -49,9 +49,9 @@ def verify_arf_heredity(a: int, b: int, p_max: int) -> Report:
     if not base.passed:
         note = f"base instance is not closed (witness {base.details['witness']})"
         return verdicts_report("arf-heredity", {}, True, False, note)
-    p_values = range(1, p_max + 1)
     verdicts = {"p=0": base.passed} | {
-        f"p={p}": is_arf(sp).passed for p, sp in zip(p_values, build_range(gens, p_values))
+        f"p={p}": closed for ps, sp in build_range(gens, range(1, p_max + 1))
+        for closed in [is_arf(sp).passed] for p in ps
     }
     return verdicts_report("arf-heredity", verdicts, all(verdicts.values()))
 

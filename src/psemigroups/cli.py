@@ -201,9 +201,9 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
     # multiplicity's mirror, so K is its clear bits and all above.
     members_below, gaps = sets.split_docs(members & ((1 << c) - 1), c, expand)
     h_set, k_below = sets.split_docs(h, h.bit_length(), expand)
-    row = _row(p, sp, _TABLE_FIELDS, report)
     return {
-        **row,
+        "p": p,
+        **_row(sp, _TABLE_FIELDS, report),
         "generators": list(sp.generators.ordered),
         "modulus": sp.modulus,
         "apery_by_residue": list(sp.apery_by_residue),
@@ -223,7 +223,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
 # asked for.  A field reads the instance or ``report()``, the row's one
 # psemigroups.classify(sp); each library function is looked up when called,
 # so that a wrapper put in its place is the one called.
-# Each field reads only the instance: a p sharing the one before's repeats its row.
+# Each field reads only the instance: a run's row is made once, for all its p.
 _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
     "frobenius": lambda sp, report: sp.frobenius,
     "multiplicity": lambda sp, report: sp.multiplicity,
@@ -240,25 +240,22 @@ _TABLE_FIELDS: dict[str, Callable[[PSemigroup, Callable[[], Any]], Any]] = {
 _SYMMETRY_FLAGS = [field for field in _TABLE_FIELDS if field.endswith("symmetric")]
 
 
-def _row(p: int, sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
-    """``p`` and ``fields`` of the instance of p, whose classification is
-    ``report``, or is made when a field first reads it."""
+def _row(sp: PSemigroup, fields: Iterable[str], report: Any = None) -> dict[str, Any]:
+    """``fields`` of the instance, whose classification is ``report``, or
+    is made when a field first reads it."""
     def classified() -> psemigroups.SymmetryReport:
         nonlocal report
         report = report or psemigroups.classify(sp)
         return report
-    return {"p": p, **{f: _TABLE_FIELDS[f](sp, classified) for f in fields}}
+    return {f: _TABLE_FIELDS[f](sp, classified) for f in fields}
 
 
 def table_document(gens: GeneratorSet, p_values: range, fields: list[str]) -> dict[str, Any]:
     for f in fields:
         if f not in _TABLE_FIELDS:
             raise PreconditionError(f"unknown field {f!r}; choose from {sorted(_TABLE_FIELDS)}")
-    rows: list[dict[str, Any]] = []
-    previous = None
-    for p, sp in zip(p_values, build_range(gens, p_values)):
-        rows.append({**rows[-1], "p": p} if sp is previous else _row(p, sp, fields))
-        previous = sp
+    rows = [{"p": p, **row} for ps, sp in build_range(gens, p_values)
+            for row in [_row(sp, fields)] for p in ps]
     return {"generators": list(gens.ordered), "rows": rows}
 
 
@@ -284,10 +281,10 @@ def verify_exit_code(docs: list[dict[str, Any]]) -> int:
 
 
 def _each(name: str) -> _Handler:
-    """A verifier of one instance: one row per p of the --p range."""
+    """A verifier of one instance: one row per p of the --p range, its run's report."""
     return lambda a: verify_document([
-        getattr(psemigroups, name)(sp)
-        for sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
+        report for ps, sp in build_range(_parse_gens(a.gens), _parse_p_range(a.p))
+        for report in [getattr(psemigroups, name)(sp)] for _ in ps
     ])
 
 

@@ -53,6 +53,15 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     return tuple(least)
 
 
+def _pairs(
+    first: GeneratorSet, second: GeneratorSet, p_values: range
+) -> Iterator[tuple[int, PSemigroup, PSemigroup]]:
+    """(p, first's instance at p, second's) for every p of ``p_values``."""
+    firsts, runs = build_range(first, p_values), build_range(second, p_values)
+    seconds = (sp for ps, sp in runs for _ in ps)
+    return ((p, sp, sq) for ps, sp in firsts for p, sq in zip(ps, seconds))
+
+
 def _scaling_instances(
     alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
 ) -> tuple[dict[str, Any], Iterator[tuple[int, PSemigroup, PSemigroup]]]:
@@ -77,7 +86,7 @@ def _scaling_instances(
     unscaled = GeneratorSet((alpha, *B.ordered))
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
     params = {"alpha": alpha, "beta": beta, "base": list(B.ordered)}
-    return params, zip(p_values, build_range(scaled, p_values), build_range(unscaled, p_values))
+    return params, _pairs(scaled, unscaled, p_values)
 
 
 def _identity_reports(
@@ -199,6 +208,6 @@ def verify_gcd_scaling(
         variant = _as_int_if_integral(quadratic + Fraction(cubic, 2))
         return lhs, rhs, {"sylvester_sum_denominator_2_variant": variant}
 
-    pairs = zip(p_values, build_range(A, p_values), build_range(reduced, p_values))
+    pairs = _pairs(A, reduced, p_values)
     params = {"generators": list(A.ordered), "d": d}
     return _identity_reports("gcd-scaling", params, pairs, sides, _SCALING_SUM_NOTE)

@@ -12,7 +12,7 @@ p, P, along one of two exact routes, picked by the one rule that
 ``_class_minima`` states:
 
 - the count table, grown geometrically up to that rule's limit; once
-  every class column exceeds P within it, each p's minima are read by
+  every class column exceeds P within it, each run's minima are read by
   bisection;
 - (P+1)-best lists: d(n) counts, with multiplicity, the values t <= n
   congruent to n modulo a that are representable over the generators
@@ -23,9 +23,9 @@ p, P, along one of two exact routes, picked by the one rule that
   sorted runs, plus one merge of progressions per cycle; at P = 0, one flat
   list of a integers and O((k-1)*a) steps, Boecker and Liptak's round robin.
 
-An instance is a pure function of its generators and minima, with no p:
-``_instances`` is the one place that knows when S_p repeats, and makes
-and checks one instance for each run of p with equal minima.
+An instance is a pure function of its generators and minima, with no p.
+Class j's minimum moves once p reaches d(m_j), so a route gives where the
+minima at p end, and ``_instances`` makes and checks one instance a run.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate, count, islice, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, eq, le, mul, neg
+from operator import add, eq, getitem, le, mul, neg
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, charge, horizon_cap
@@ -42,6 +42,8 @@ from .reports import Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    # p -> (class minima at p, the least p' > p whose minima differ)
+    RunAt = Callable[[int], tuple[tuple[int, ...], int]]
 
 POWER_CAP = 8
 # B_0 .. B_(POWER_CAP + 1), every Bernoulli number the power-sum formula
@@ -107,22 +109,20 @@ class PSemigroup(Record):
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
     """The instance for the given generators and p, built on each call:
     callers hold it and pass it on rather than building it again."""
-    return next(build_range(gens, range(p, p + 1)))
+    return next(build_range(gens, range(p, p + 1)))[1]
 
 
 def build_range(
     gens: GeneratorSet | Iterable[int], p_values: range
-) -> Iterator[PSemigroup]:
-    """The instance of every p of ``p_values``, an ascending range, in
-    order, from one computation of the class minima up to its last p.
-    That computation (and its cap checks) happens here; each instance is
-    made when the iterator reaches it, so a long range holds one at a
-    time.  A run of p with equal minima yields one object, once per p;
-    callers take each p from ``p_values``.  The range is one chain for
-    ``_validate``: each new instance is checked against the p before it,
-    the first, when the range starts above 0, against the p = 0 minima of
-    one flat round robin.  The a class minima of every p are charged
-    before any instance is made, with the a integers of that p = 0 link."""
+) -> Iterator[tuple[range, PSemigroup]]:
+    """(ps, instance) for each run of ``p_values``, an ascending range, in
+    order: ps, a sub-range, holds the p with equal minima.  One computation
+    of the class minima up to the last p (and its cap checks) happens here;
+    each instance is made when the iterator reaches it.  The runs are one
+    chain for ``_validate``: each instance is checked against the run
+    before it, the first, when the range starts above 0, against the p = 0
+    minima of one flat round robin.  The a class minima of every p are
+    charged before any instance is made, with the a integers of that link."""
     A = as_generator_set(gens)
     if p_values.step < 0:
         raise PreconditionError("p range must ascend")
@@ -133,38 +133,31 @@ def build_range(
         raise PreconditionError("p must be non-negative")
     instances = (top - first) // p_values.step + 1  # len() stops at 2^63
     charge(A.least * instances, f"class minima of the {instances} instances of the p range")
-    minima_at = _class_minima(A, top)
-    return _instances(A, p_values, minima_at, (0, _flat_minima(A)) if first else None)
+    run_at = _class_minima(A, top)
+    return _instances(A, p_values, run_at, (0, _flat_minima(A)) if first else None)
 
 
 def _instances(
-    A: GeneratorSet,
-    p_values: range,
-    minima_at: Callable[[int], tuple[int, ...]],
-    earlier: tuple[int, Sequence[int]] | None,
-) -> Iterator[PSemigroup]:
-    """The instance of each p of ``p_values``: the one place that decides
-    when S_p repeats.  A p whose minima differ from the p before it gets a
-    new instance, checked by ``_validate`` against ``earlier``, (q, minima
-    at q) for the chain's link before it; a p whose minima are equal has
-    the same semigroup, so it gets that same object, unchecked, as the
-    check reads only the generators and the minima and both its links to
-    an equal tuple hold.  Each (p, minima) is handed on as the next link."""
-    a, sp = A.least, None
-    for p in p_values:
-        minima = minima_at(p)
-        if sp is None or minima != sp.apery_by_residue:
-            _validate(A, minima, p, earlier)
-            frobenius = max(minima) - a
-            sp = PSemigroup(A, a, minima, tuple(sorted(minima)), min(minima), frobenius,
-                            frobenius + 1, tuple((m - j) // a for j, m in enumerate(minima)))
-        earlier = p, minima
-        yield sp
+    A: GeneratorSet, p_values: range, run_at: RunAt, earlier: tuple[int, Sequence[int]] | None
+) -> Iterator[tuple[range, PSemigroup]]:
+    """(ps, instance) for each run of ``p_values``, one ``run_at`` a run:
+    the one place that decides when S_p repeats.  Each is checked against
+    ``earlier``, (q, minima at q), the chain's link before it."""
+    a, p, stop, step = A.least, p_values.start, p_values.stop, p_values.step
+    while p < stop:
+        minima, end = run_at(p)
+        _validate(A, minima, p, earlier)
+        frobenius = max(minima) - a
+        ps = range(p, min(end, stop), step)
+        yield ps, PSemigroup(A, a, minima, tuple(sorted(minima)), min(minima), frobenius,
+                             frobenius + 1, tuple((m - j) // a for j, m in enumerate(minima)))
+        earlier = ps[-1], minima
+        p = ps[-1] + step
 
 
-def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
-    """p -> class minima modulo a = min(A) for 0 <= p <= top; the only
-    place a route is picked, by one rule:
+def _class_minima(A: GeneratorSet, top: int) -> RunAt:
+    """``RunAt`` of the minima modulo a = min(A) for 0 <= p <= top (an end
+    past top: they hold to top); the only place a route is picked, by one rule:
 
     - the table's limit is (k-1) * a * (top + 1) // k when the lists'
       a * (top + 1) entries fit under the cap, so that its fill, k steps
@@ -180,23 +173,21 @@ def _class_minima(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]
     cap, k = horizon_cap(), len(A)
     list_entries = A.least * (top + 1)
     limit = (k - 1) * list_entries // k if list_entries <= cap else cap
-    minima_at = None
+    run_at = None
     if max(A.ordered) < limit and _count_bound(A, limit - 1) >= list_entries:
-        minima_at = _minima_from_table(A, top, limit)
-    if minima_at is None:
+        run_at = _minima_from_table(A, top, limit)
+    if run_at is None:
         charge(list_entries, f"list entries for the class minima at p = {top}")
-        minima_at = _minima_from_lists(A, top)
-    return minima_at
+        run_at = _minima_from_lists(A, top)
+    return run_at
 
 
-def _minima_from_table(
-    A: GeneratorSet, top: int, limit: int
-) -> Callable[[int], tuple[int, ...]] | None:
+def _minima_from_table(A: GeneratorSet, top: int, limit: int) -> RunAt | None:
     """Count-table route: grow the table from max(A) by h -> 2h + 64, to
     at most ``limit`` entries, until the last entry of every class
     column exceeds ``top``; None when it does not within that size.
-    Columns are non-decreasing, so the minimum of class j at p is
-    j + a * (number of entries of column j that are at most p)."""
+    Columns are non-decreasing, so the minimum of class j at p is j + a*i,
+    i its column's entries at most p, until p reaches d(m_j), entry i."""
     a = A.least
     table = DenumerantTable(A, max(A.ordered))
     while min(table.counts[-a:]) <= top:
@@ -206,10 +197,11 @@ def _minima_from_table(
         table.ensure(min(2 * h + 64, limit - 1))
     columns = [table.counts[j::a] for j in range(a)]
 
-    def minima_at(p: int) -> tuple[int, ...]:
-        return tuple(j + a * bisect_right(col, p) for j, col in enumerate(columns))
+    def run_at(p: int) -> tuple[tuple[int, ...], int]:
+        below = list(map(bisect_right, columns, repeat(p)))
+        return tuple(j + a * i for j, i in enumerate(below)), min(map(getitem, columns, below))
 
-    return minima_at
+    return run_at
 
 
 def _count_bound(A: GeneratorSet, n: int) -> int:
@@ -224,25 +216,26 @@ def _count_bound(A: GeneratorSet, n: int) -> int:
     return (n + sum(others)) ** m // (factorial(m) * prod(others))
 
 
-def _minima_from_lists(A: GeneratorSet, top: int) -> Callable[[int], tuple[int, ...]]:
+def _minima_from_lists(A: GeneratorSet, top: int) -> RunAt:
     """(top+1)-best-lists route: for each residue class modulo a, the
     top + 1 smallest values (with multiplicity) representable over the
     generators other than a; the minimum of class j at p is the p-th entry
-    of list j (counting from 0)."""
+    of list j (counting from 0), until p passes the entries equal to it."""
     a, keep = A.least, top + 1
     if keep == 1:
         minima = tuple(_flat_minima(A))
-        return lambda p: minima
+        return lambda p: (minima, 1)
     lists: list[list[int]] = [[] for _ in range(a)]
     lists[0].append(0)
     for b in A.ordered:
         if b != a:
             lists = _merge_generator(lists, b, keep)
 
-    def minima_at(p: int) -> tuple[int, ...]:
-        return tuple(values[p] for values in lists)
+    def run_at(p: int) -> tuple[tuple[int, ...], int]:
+        minima = tuple(values[p] for values in lists)
+        return minima, min(map(bisect_right, lists, minima))
 
-    return minima_at
+    return run_at
 
 
 def _flat_minima(A: GeneratorSet) -> list[int]:
@@ -330,7 +323,7 @@ def _validate(
     exact iff also tight: m_0 = 0 and every other m_j is its least bound.
     At p > 0 no cheap tight certificate is known, so the minima are
     checked as one link of a chain, against ``earlier``, (q, minima at q)
-    for some q < p: in a range, the p before, or the p = 0 minima from the
+    for some q < p: in a range, the run before, or the p = 0 minima from the
     flat round robin, which neither p > 0 route uses.  From below, the
     minima never decrease as p grows.  From above, d(n + lcm(a, b)) >=
     d(n) + 1 for every b != a: shift each representation of n by

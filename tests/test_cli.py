@@ -30,6 +30,7 @@ from oracles import (
     set_pattern,
     small_elements,
 )
+import psemigroups
 from psemigroups import cli, cli_more, semigroup, sets
 from psemigroups import symmetry as sym_mod
 from psemigroups import (
@@ -635,33 +636,45 @@ def test_a_row_classifies_its_instance_at_most_once(capsys, monkeypatch):
 def test_a_range_checks_and_classifies_each_distinct_set_once(
     capsys, monkeypatch, gens, lo, hi, distinct
 ):
-    minima = [sp.apery_by_residue for sp in semigroup.build_range(gens, range(lo, hi + 1))]
-    changes = [m for i, m in enumerate(minima) if i == 0 or m != minima[i - 1]]
+    # each p's minima read from the route itself, one read a p; the route
+    # of a range is read once a run, at its first p
+    p_values, class_minima = range(lo, hi + 1), semigroup._class_minima
+    run_at = class_minima(semigroup.as_generator_set(gens), hi)
+    minima = [run_at(p)[0] for p in p_values]
+    starts = [i for i, m in enumerate(minima) if i == 0 or m != minima[i - 1]]
+    changes = [minima[i] for i in starts]
     assert len(changes) == distinct
-    validated, classified, validate = [], [], semigroup._validate
+    validated, classified, read, validate = [], [], [], semigroup._validate
+
+    def counted_class_minima(A, top):
+        run_at = class_minima(A, top)
+        return lambda p: read.append(p) or run_at(p)
 
     def counted_validate(A, values, p, earlier=None):
         validated.append(values)
         return validate(A, values, p, earlier)
 
     monkeypatch.setattr(semigroup, "_validate", counted_validate)
+    monkeypatch.setattr(semigroup, "_class_minima", counted_class_minima)
     monkeypatch.setattr(sym_mod, "classify",
                         lambda sp: classified.append(sp.apery_by_residue) or classify(sp))
     argv = ("classify", "--gens", ",".join(map(str, gens)), "--p", f"{lo}..{hi}")
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    assert [row["p"] for row in json.loads(out)["rows"]] == list(range(lo, hi + 1))
+    assert [row["p"] for row in json.loads(out)["rows"]] == list(p_values)
     assert validated == classified == changes
+    assert read == [p_values[i] for i in starts]
 
 
 def test_a_range_makes_one_instance_per_run_of_equal_minima(capsys, monkeypatch):
-    # build_range hands every p of a run of equal minima the same object,
-    # and a new one where the minima change; classify makes no other
+    # build_range hands out each run of equal minima as its p values and
+    # one instance, and a new run where the minima change; classify makes
+    # no other instance
     gens, p_values = (10, 11, 12, 18), range(3789, 4301)
-    instances = list(semigroup.build_range(gens, p_values))
-    shared = [sp is before for before, sp in zip(instances, instances[1:])]
-    assert shared == [sp == before for before, sp in zip(instances, instances[1:])]
-    assert shared.count(False) == 18 and len(set(map(id, instances))) == 19
+    runs = list(semigroup.build_range(gens, p_values))
+    assert [p for ps, _ in runs for p in ps] == list(p_values)
+    minima = [sp.apery_by_residue for _, sp in runs]
+    assert len(runs) == 19 and all(m != n for m, n in zip(minima, minima[1:]))
     made, init = [], semigroup.PSemigroup.__init__
 
     def counted_init(self, *args):
@@ -671,7 +684,23 @@ def test_a_range_makes_one_instance_per_run_of_equal_minima(capsys, monkeypatch)
     monkeypatch.setattr(semigroup.PSemigroup, "__init__", counted_init)
     code, out = run_cli(capsys, "classify", "--gens", "10,11,12,18", "--p", "3789..4300")
     assert code == EXIT_OK and len(json.loads(out)["rows"]) == 512
-    assert made == [sp.apery_by_residue for sp in dict.fromkeys(instances)]
+    assert made == minima
+
+
+def test_a_range_verifier_reports_once_a_run(capsys, monkeypatch):
+    # a report holds no p, so each p of a run repeats its run's report:
+    # 19 checks for 512 rows, with the bytes (SHA-256 pinned) that one
+    # check per p writes
+    checked, check = [], psemigroups.verify_symmetry_equivalences
+    monkeypatch.setattr(psemigroups, "verify_symmetry_equivalences",
+                        lambda sp: checked.append(sp) or check(sp))
+    code, out = run_cli(capsys, "verify", "symmetry", "--gens", "10,11,12,18",
+                        "--p", "3789..4300")
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == 512
+    assert len(checked) == 19
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "647bd0e1a415ad80723330d746a2c9c79313062912f2cc3031b3f194b4209ff3"
+    )
 
 
 def _rows(*argv):
@@ -693,8 +722,7 @@ def test_a_range_gives_the_rows_of_its_single_p_calls(gens, lo, width):
     # repeat the p before it shares that p's row: the rows must still be
     # those that each p gives alone
     p_values = range(lo, lo + width + 1)
-    minima = [sp.apery_by_residue for sp in semigroup.build_range(gens, p_values)]
-    assume(any(m == n for m, n in zip(minima, minima[1:])))
+    assume(any(len(ps) > 1 for ps, _ in semigroup.build_range(gens, p_values)))
     head = ("--gens", ",".join(map(str, gens)))
     for command in (("table", "--field", ",".join(cli._TABLE_FIELDS)), ("classify",)):
         ranged = _rows(*command, *head, "--p", f"{p_values[0]}..{p_values[-1]}")

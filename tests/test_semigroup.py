@@ -375,6 +375,20 @@ def test_validate_refuses_forged_minima(gens, p, minima, earlier, message):
         _validate(gens, minima, 1)
 
 
+def _forge_routes(monkeypatch, forgeries):
+    """Stand in for every minima route: the minima of ``forgeries`` at
+    their p and the true minima elsewhere, each run ending at the next
+    forged p, or at p + 1 after the last, so that every forged p is read."""
+    class_minima = semigroup._class_minima
+
+    def forged(A, top):
+        true = class_minima(A, top)
+        return lambda p: (forgeries.get(p) or true(p)[0],
+                          min((q for q in forgeries if q > p), default=p + 1))
+
+    monkeypatch.setattr(semigroup, "_class_minima", forged)
+
+
 @pytest.mark.parametrize(
     "forgeries, p_values, error, message",
     [
@@ -397,13 +411,7 @@ def test_range_build_checks_each_instance_from_below(
     # {3, 5}'s minima forged at the p of ``forgeries``: below the p = 0
     # minima that seed a range starting above 0, or as its minima at p = 0,
     # which fail against the p before them
-    minima_at = semigroup._class_minima
-
-    def forged(A, top):
-        true = minima_at(A, top)
-        return lambda p: forgeries.get(p) or true(p)
-
-    monkeypatch.setattr(semigroup, "_class_minima", forged)
+    _forge_routes(monkeypatch, forgeries)
     with pytest.raises(error, match=message):
         list(build_range((3, 5), p_values))
 
@@ -444,6 +452,10 @@ def test_range_build_seeds_its_chain_at_p_0_only_when_it_starts_above_0(monkeypa
         # the p = 1 minima repeated at p = 2: the jump is found against p = 2
         ((3, 5), {2: (15, 25, 20), 3: (33, 43, 38)}, range(1, 4),
          "class minimum 33 at p = 3 exceeds 15 \\+ 1 \\* 15, its class's bound from p = 2"),
+        # the p = 1 minima as one run of p = 1 and 2: the jump is found
+        # against the run's last p, not its first
+        ((3, 5), {3: (33, 43, 38)}, range(1, 4),
+         "class minimum 33 at p = 3 exceeds 15 \\+ 1 \\* 15, its class's bound from p = 2"),
         # {4, 5, 6}'s minima at p = 2, (16, 21, 18, 23), shifted up by
         # a * 2: by a * 1 they are those of p = 3, which no check refuses
         ((4, 5, 6), {2: (24, 29, 26, 31)}, range(1, 3),
@@ -454,13 +466,7 @@ def test_range_build_checks_each_link_from_above(monkeypatch, gens, forgeries, p
     # for b != a, d(n + lcm(a, b)) >= d(n) + 1, so no minimum climbs more
     # than the least such lcm a step of p: each forgery passes every other
     # check, and is refused against the p before it
-    minima_at = semigroup._class_minima
-
-    def forged(A, top):
-        true = minima_at(A, top)
-        return lambda p: forgeries.get(p) or true(p)
-
-    monkeypatch.setattr(semigroup, "_class_minima", forged)
+    _forge_routes(monkeypatch, forgeries)
     with pytest.raises(InternalCheckError, match=message):
         list(build_range(gens, p_values))
 
@@ -487,6 +493,28 @@ def test_an_empty_range_builds_nothing_and_charges_nothing(monkeypatch, p_values
     # before any charge, so even a cap of 1 does not refuse it
     monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", "1")
     assert list(build_range((4, 5, 6), p_values)) == []
+
+
+@given(
+    gens=generator_tuples(max_value=12),
+    start=st.integers(0, 60),
+    step=st.integers(2, 5),
+    count=st.integers(1, 12),
+    over=st.integers(1, 4),
+)
+@example(gens=(10, 11, 12, 18), start=3789, step=5, count=40, over=3)
+@example(gens=(8, 9, 10), start=1321, step=2, count=30, over=1)
+def test_a_stepped_range_is_the_runs_of_its_p_values(gens, start, step, count, over):
+    # the stop lies 1 .. step - 1 past the last p, off the step; a run may
+    # end between two p of the range, and the next starts at the first p
+    # past that end
+    last = start + (count - 1) * step
+    p_values = range(start, last + 1 + over % (step - 1), step)
+    runs = list(build_range(gens, p_values))
+    assert [p for ps, _ in runs for p in ps] == list(p_values)
+    assert all(sp == build(gens, p) for ps, sp in runs for p in ps)
+    minima = [sp.apery_by_residue for _, sp in runs]
+    assert all(m != n for m, n in zip(minima, minima[1:]))
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
@@ -600,20 +628,29 @@ def test_membership_of_first_class_minimum():
 def test_minima_routes_agree_with_each_other_build_and_brute_force(gens, bounds):
     # draws are unsorted and need not be minimal; each route is forced
     # through its own function, the lists at p = 0 being the flat round
-    # robin, and the minima modulo several g are read off the top instance
+    # robin, and the minima modulo several g are read off the top instance.
+    # Each route's run from every p is exact: its minima hold at every p'
+    # up to its end, by the other route and by brute force, and change there
     lo, hi = sorted(bounds)
     A = GeneratorSet(gens)
     by_table = _minima_from_table(A, hi, 10**7)
     by_lists = _minima_from_lists(A, hi)
-    for p in range(lo, hi + 1):
-        assert by_table(p) == by_lists(p), p
-    assert by_lists(hi) == brute_class_minima(gens, hi, A.least)
-    in_range = list(build_range(gens, range(lo, hi + 1)))
+    brute = {p: brute_class_minima(gens, p, A.least) for p in range(lo, hi + 1)}
+    for run_at, other in ((by_table, by_lists), (by_lists, by_table)):
+        for p in range(lo, hi + 1):
+            minima, end = run_at(p)
+            assert end > p, p
+            for q in range(p, min(end, hi + 1)):
+                assert minima == other(q)[0] == brute[q], (p, q)
+            if end <= hi:
+                assert run_at(end)[0] != minima, p
+    runs = list(build_range(gens, range(lo, hi + 1)))
+    in_range = [sp for ps, sp in runs for _ in ps]
     assert [sp.apery_by_residue for sp in in_range] == [
         build(gens, p).apery_by_residue for p in range(lo, hi + 1)
     ]
     assert [sp.apery_by_residue for sp in in_range] == [
-        by_lists(p) for p in range(lo, hi + 1)
+        by_lists(p)[0] for p in range(lo, hi + 1)
     ]
     # modulo every generator, 1, moduli just below and past a, one below
     # a - 1 (where a seed can exceed the sentinel c + g), one sharing a
@@ -700,14 +737,14 @@ def test_round_robin_lists_agree_with_heap_merge_and_brute_force(draw):
     by_lists = _minima_from_lists(A, top)
     heap_lists = heap_best_lists(gens, top)
     for p in range(top + 1):
-        assert by_lists(p) == tuple(values[p] for values in heap_lists), p
+        assert by_lists(p)[0] == tuple(values[p] for values in heap_lists), p
     if len(gens) == 2:
         # over one other generator b the lists are b*t, t = j/b mod a + p*a
         b = max(gens)
         inverse = pow(b, -1, a)
-        assert by_lists(top) == tuple(b * (j * inverse % a + top * a) for j in range(a))
+        assert by_lists(top)[0] == tuple(b * (j * inverse % a + top * a) for j in range(a))
     if top <= 40 and max(gens) <= 20:
-        assert by_lists(top) == brute_class_minima(gens, top, a)
+        assert by_lists(top)[0] == brute_class_minima(gens, top, a)
     assert build(A, 1).apery_by_residue == tuple(
         values[1] for values in heap_best_lists(gens, 1)
     )
@@ -734,7 +771,7 @@ def shared_factor_generators(draw):
 @example(gens=(10, 4, 6, 25, 15))
 def test_round_robin_at_p0_agrees_with_heap_merge(gens):
     by_lists = _minima_from_lists(GeneratorSet(gens), 0)
-    assert by_lists(0) == tuple(values[0] for values in heap_best_lists(gens, 0))
+    assert by_lists(0)[0] == tuple(values[0] for values in heap_best_lists(gens, 0))
 
 
 @st.composite
@@ -850,7 +887,7 @@ def test_table_route_gives_up_within_its_size_limit():
     # {10007, 10009, 10037} at p = 0 has F = 6814761, far past 20000 entries
     A = GeneratorSet((10007, 10009, 10037))
     assert _minima_from_table(A, 0, 20_000) is None
-    assert max(_minima_from_lists(A, 0)(0)) == 6814761 + 10007
+    assert max(_minima_from_lists(A, 0)(0)[0]) == 6814761 + 10007
 
 
 @given(gens=generator_tuples(max_value=12), n=st.integers(0, 60), top=st.integers(0, 20))
@@ -911,7 +948,8 @@ HOPELESS_TABLES = [
 def test_no_table_is_filled_where_none_can_settle(monkeypatch, gens, top):
     monkeypatch.delenv("PSEMIGROUPS_HORIZON_CAP", raising=False)
     monkeypatch.setattr(semigroup, "DenumerantTable", None)
-    assert build(gens, top).apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)
+    by_lists = _minima_from_lists(GeneratorSet(gens), top)
+    assert build(gens, top).apery_by_residue == by_lists(top)[0]
 
 
 # The high-p benchmark workload's tops at seed 0: each table settles
@@ -938,7 +976,7 @@ def test_the_table_route_answers_where_its_table_settles(monkeypatch, gens, top)
     monkeypatch.setattr(semigroup, "_minima_from_table", spy)
     sp = build(gens, top)
     assert len(answers) == 1 and answers[0] is not None
-    assert answers[0](top) == sp.apery_by_residue
+    assert answers[0](top)[0] == sp.apery_by_residue
 
 
 @pytest.mark.parametrize(
@@ -960,7 +998,7 @@ def test_table_route_grows_by_doubling_from_the_largest_generator(monkeypatch, g
 
     monkeypatch.setattr(semigroup, "DenumerantTable", Recording)
     sp = build(gens, top)
-    assert sp.apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)
+    assert sp.apery_by_residue == _minima_from_lists(GeneratorSet(gens), top)(top)[0]
     assert seen == fills
 
 
@@ -1063,4 +1101,4 @@ def test_range_build_checks_the_cap_at_its_top_p(monkeypatch):
         build_range((2, 3), range(0, 10**12 + 1))
     # F = 6p + 1 for {2, 3}: 601 at p = 100 stays under the cap
     rows = build_range((2, 3), range(0, 101))
-    assert [next(rows).frobenius for _ in range(3)] == [1, 7, 13]
+    assert [next(rows)[1].frobenius for _ in range(3)] == [1, 7, 13]
