@@ -14,92 +14,39 @@ the F-sized sets and their text, loads when ``analyze`` or
 ``PSemigroup.gaps`` first reads it.
 """
 
-from .denumerant import (
-    DenumerantTable,
-    GeneratorSet,
-    as_generator_set,
-    denumerant,
-    horizon_cap,
-)
+from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, denumerant, horizon_cap
 from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .reports import Report
-from .semigroup import (
-    PSemigroup,
-    build,
-    build_range,
-    gap_count,
-    gap_power_sums,
-    gap_sum,
-)
+from .semigroup import PSemigroup, build, build_range, gap_count, gap_power_sums, gap_sum
 
-__all__ = [
-    "CapExceededError",
-    "DenumerantTable",
-    "GeneratorSet",
-    "InternalCheckError",
-    "PATTERN_FULL_INTERVAL",
-    "PATTERN_OTHER",
-    "PATTERN_SINGLETON_PLUS_TAIL",
-    "PSemigroup",
-    "PreconditionError",
-    "Report",
-    "SymmetryReport",
-    "as_generator_set",
-    "bernoulli",
-    "build",
-    "build_range",
-    "classify",
-    "denumerant",
-    "detect_pattern",
-    "eulerian",
-    "gap_count",
-    "gap_power_sums",
-    "gap_sum",
-    "horizon_cap",
-    "is_arf",
-    "is_minimal_generator_system",
-    "minima_modulo",
-    "power_sum_bernoulli",
-    "pseudo_frobenius",
-    "verify_arf_conductor_kunz",
-    "verify_arf_heredity",
-    "verify_almost_symmetric_equivalences",
-    "verify_apery_pairings",
-    "verify_eulerian_gf",
-    "verify_gcd_scaling",
-    "verify_johnson",
-    "verify_nari",
-    "verify_pf_consequences",
-    "verify_symmetry_equivalences",
-    "verify_watanabe",
-]
-
+# the names that load their module on first use, by module
 _LAZY = {
-    "SymmetryReport": "symmetry",
-    "classify": "symmetry",
-    "pseudo_frobenius": "symmetry",
-    "PATTERN_FULL_INTERVAL": "symmetry",
-    "PATTERN_OTHER": "symmetry",
-    "PATTERN_SINGLETON_PLUS_TAIL": "symmetry",
-    "detect_pattern": "symmetry",
-    "verify_almost_symmetric_equivalences": "criteria",
-    "verify_apery_pairings": "criteria",
-    "verify_nari": "criteria",
-    "verify_pf_consequences": "criteria",
-    "verify_symmetry_equivalences": "criteria",
-    "is_arf": "arf",
-    "verify_arf_conductor_kunz": "arf",
-    "verify_arf_heredity": "arf",
-    "is_minimal_generator_system": "identities",
-    "minima_modulo": "identities",
-    "verify_gcd_scaling": "identities",
-    "verify_johnson": "identities",
-    "verify_watanabe": "identities",
-    "bernoulli": "exactmath",
-    "eulerian": "exactmath",
-    "power_sum_bernoulli": "exactmath",
-    "verify_eulerian_gf": "exactmath",
+    "symmetry": (
+        "SymmetryReport", "classify", "pseudo_frobenius", "PATTERN_FULL_INTERVAL",
+        "PATTERN_OTHER", "PATTERN_SINGLETON_PLUS_TAIL", "detect_pattern",
+    ),
+    "criteria": (
+        "verify_almost_symmetric_equivalences", "verify_apery_pairings", "verify_nari",
+        "verify_pf_consequences", "verify_symmetry_equivalences",
+    ),
+    "arf": ("is_arf", "verify_arf_conductor_kunz", "verify_arf_heredity"),
+    "identities": (
+        "is_minimal_generator_system", "minima_modulo", "verify_gcd_scaling",
+        "verify_johnson", "verify_watanabe",
+    ),
+    "exactmath": (
+        "bernoulli", "eulerian", "power_sum_bernoulli", "verify_eulerian_gf",
+        "weighted_power_sums",
+    ),
 }
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([
+    "CapExceededError", "DenumerantTable", "GeneratorSet", "InternalCheckError",
+    "PSemigroup", "PreconditionError", "Report", "as_generator_set", "build",
+    "build_range", "denumerant", "gap_count", "gap_power_sums", "gap_sum", "horizon_cap",
+    *_MODULE_OF,
+])
 
 
 def __getattr__(name: str) -> object:
@@ -107,8 +54,8 @@ def __getattr__(name: str) -> object:
     itself) is first asked for.  A function name is read from its module
     on each access, not kept here, so that a wrapper put in the module in
     its place is the one returned."""
-    module = _LAZY.get(name, name)
-    if module not in _LAZY.values():
+    module = _MODULE_OF.get(name, name)
+    if module not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # __import__, not importlib.import_module, so that -X importtime logs it
     __import__(f"{__name__}.{module}")

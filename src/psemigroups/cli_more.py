@@ -127,18 +127,25 @@ def join_negative_weight(argv: Sequence[str]) -> list[str]:
 def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
-    """Rows mu = 0..mu_max from one instance and one ``gap_power_sums``
-    call, which refuses a negative exponent or one past its cap, reads the
-    rows off the class minima and checks each against the Bernoulli
-    formula: the checked value is both ``direct`` and ``from_apery``."""
-    direct, weighted = gap_power_sums(build(gens, p), mu_max, weight)
+    """Rows mu = 0..mu_max from one instance.  Given a weight,
+    ``exactmath.weighted_power_sums`` runs first, so that a refused
+    exponent, weight or charge ends the call before any row is summed.
+    ``gap_power_sums`` refuses a negative exponent or one past its cap,
+    reads the rows off the class minima and checks each against the
+    Bernoulli formula: the checked value is both ``direct`` and
+    ``from_apery``."""
+    sp = build(gens, p)
+    doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p}
+    if weight is not None:
+        from .exactmath import weighted_power_sums
+
+        weighted = weighted_power_sums(sp, mu_max, weight)
+        doc["weight"] = weight
     rows = []
-    for mu, total in enumerate(direct):
+    for mu, total in enumerate(gap_power_sums(sp, mu_max)):
         row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}
         if weight is not None:
             row["weighted"] = weighted[mu]
         rows.append(row)
-    doc: dict[str, Any] = {"generators": list(gens.ordered), "p": p, "rows": rows}
-    if weight is not None:
-        doc["weight"] = weight
+    doc["rows"] = rows
     return doc

@@ -1,7 +1,9 @@
 """Exact special-number arithmetic: Bernoulli numbers, Eulerian numbers, a
 truncated-power-series check of the Eulerian generating function, and the
 rational rows of the gap power sums: the Bernoulli formula as a rational
-and the weighted sums, whose series read the Eulerian numbers.
+and ``weighted_power_sums``, whose series read the Eulerian numbers.  The
+weighted rows are charged and summed here alone; ``semigroup``, the build
+layer, imports nothing from this module.
 
 Every value here is an ``int`` or a ``fractions.Fraction``; nothing rounds.
 """
@@ -120,25 +122,18 @@ def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
     return int(total)
 
 
-def charge_weighted(sp: PSemigroup, rows: int, weight: Fraction | int) -> tuple[int, int]:
-    """The numerator and denominator of a non-zero ``weight``, once the
-    ``weighted_power_sums`` rows mu < rows over ``sp`` are charged: a
-    Horner pass over the a sorted minima, each of whose steps works on an
-    integer of up to M * L bits, M the largest minimum and
-    L = log2(max(|num|, den)); row mu built as one integer of up to
-    ((mu + 1) * a + M) * L bits; and its numerator and denominator, of up
-    to F * L bits each, printed.  The cap counts all three, for every row,
-    in 4096-bit blocks: a steps of M * L / 4096 blocks rounded up, and,
-    since products, gcd and printing are about quadratic in CPython,
-    (bits / _PRINT_BITS)^2 rounded up for the unreduced row and for each
-    printed integer, with L read to 1/64 bit from the top 128 bits,
-    rounded up (exact up to 128 bits)."""
-    from fractions import Fraction
-
-    num, den = Fraction(weight).as_integer_ratio()
-    if num == 0:
-        raise PreconditionError("weight must be non-zero")
-    top = max(abs(num), den)
+def _charge_weighted(sp: PSemigroup, rows: int, top: int) -> None:
+    """Charge the ``weighted_power_sums`` rows mu < rows over ``sp`` for a
+    weight num/den, top = max(|num|, den): a Horner pass over the a sorted
+    minima, each of whose steps works on an integer of up to M * L bits,
+    M the largest minimum and L = log2(top); row mu built as one integer
+    of up to ((mu + 1) * a + M) * L bits; and its numerator and
+    denominator, of up to F * L bits each, printed.  The cap counts all
+    three, for every row, in 4096-bit blocks: a steps of M * L / 4096
+    blocks rounded up, and, since products, gcd and printing are about
+    quadratic in CPython, (bits / _PRINT_BITS)^2 rounded up for the
+    unreduced row and for each printed integer, with L read to 1/64 bit
+    from the top 128 bits, rounded up (exact up to 128 bits)."""
     shift = max(0, top.bit_length() - 128)
     log64 = (((top >> shift) + (shift > 0)) ** 64).bit_length() + 64 * shift
     a, last = sp.modulus, sp.apery_sorted[-1]
@@ -153,12 +148,14 @@ def charge_weighted(sp: PSemigroup, rows: int, weight: Fraction | int) -> tuple[
         rows * (steps + prints) + unreduced,
         f"4096-bit blocks of weighted sums over F = {sp.frobenius}",
     )
-    return num, den
 
 
-def weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[Fraction]:
-    """Rows mu < rows of the sum over the gaps of weight^n * n^mu, weight
-    num/den, for ``semigroup.gap_power_sums``.
+def weighted_power_sums(sp: PSemigroup, mu_max: int, weight: Fraction | int) -> list[Fraction]:
+    """Rows mu = 0..mu_max of the sum over the gaps of weight^n * n^mu
+    (0^0 = 1), for a non-zero rational weight, read off the class minima.
+    The exponent is checked and the rows are charged before any row is
+    summed.  Unlike ``semigroup.gap_power_sums`` no row is checked against
+    a second route; ``tests/oracles.py`` walks the gaps for them.
 
     With z = weight^a, class j's weighted gaps sum to G(j) - G(m_j),
     G(x) = sum over t >= 0 of weight^(x + t*a) * (x + t*a)^mu, a rational
@@ -171,14 +168,20 @@ def weighted_power_sums(sp: PSemigroup, rows: int, num: int, den: int) -> list[F
     with A_e the Eulerian polynomial beyond (Komatsu and Zhang's weighted
     Sylvester sums).  The sums over the minima share the denominator
     den^M, M the largest minimum, and are one integer Horner pass over the
-    a sorted minima for every row.  With u = num^a and v = den^a,
-    z = u/v and S_e(z) = v * N_e / (v - u)^(e+1), N_0 = 1 and
+    a sorted minima for every row.  With weight num/den, u = num^a and
+    v = den^a, z = u/v and S_e(z) = v * N_e / (v - u)^(e+1), N_0 = 1 and
     N_e = sum_m <e, m> u^(m+1) v^(e-1-m), so row mu is one integer over
     (v - u)^(mu+1) * den^M.  At z = 1 (weight 1, or -1 with a even)
     weight^(j + t*a) = weight^j, and each weighted row is the direct sums
     of the classes weighed by weight^j."""
     from fractions import Fraction
 
+    check_power(mu_max)
+    num, den = Fraction(weight).as_integer_ratio()
+    if num == 0:
+        raise PreconditionError("weight must be non-zero")
+    rows = mu_max + 1
+    _charge_weighted(sp, rows, max(abs(num), den))
     a = sp.modulus
     u, v = num**a, den**a
     if u == v:

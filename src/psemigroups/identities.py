@@ -190,8 +190,8 @@ def verify_gcd_scaling(
     cubic = (first - 1) * (d - 1) * (2 * first * d - first - d - 1)
 
     def sides(sp: PSemigroup, sp_r: PSemigroup) -> tuple[dict, dict, dict]:
-        (n, s), _ = gap_power_sums(sp, 1)
-        (n_r, s_r), _ = gap_power_sums(sp_r, 1)
+        n, s = gap_power_sums(sp, 1)
+        n_r, s_r = gap_power_sums(sp_r, 1)
         lhs = {
             "frobenius": sp.frobenius,
             "genus": n,

@@ -41,7 +41,6 @@ from .errors import CapExceededError, InternalCheckError, PreconditionError
 from .reports import Record
 
 if TYPE_CHECKING:
-    from fractions import Fraction
     # p -> (class minima at p, the least p' > p whose minima differ)
     RunAt = Callable[[int], tuple[tuple[int, ...], int]]
 
@@ -382,16 +381,16 @@ def _first_above(lower: Sequence[int], upper: Sequence[int]) -> int:
 
 
 def gap_count(sp: PSemigroup) -> int:
-    """Number of gaps, in O(a): row mu = 0 of ``gap_power_sums``, so
-    checked against Selmer's genus formula on every call."""
-    return gap_power_sums(sp, 0)[0][0]
+    """Number of gaps, in O(a): the one row of ``gap_power_sums(sp, 0)``,
+    so checked against Selmer's genus formula on every call."""
+    return gap_power_sums(sp, 0)[0]
 
 
 def gap_sum(sp: PSemigroup) -> int:
     """Sum of the gaps, in O(a): row mu = 1 of ``gap_power_sums``, so
     checked against Selmer's gap-sum formula on every call, as is the genus
     in row 0."""
-    return gap_power_sums(sp, 1)[0][1]
+    return gap_power_sums(sp, 1)[1]
 
 
 def check_power(mu: int) -> None:
@@ -424,25 +423,17 @@ def power_sum_formula(sp: PSemigroup, rows: int) -> list[tuple[int, int]]:
     return values
 
 
-def gap_power_sums(
-    sp: PSemigroup, mu_max: int, weight: Fraction | int | None = None
-) -> tuple[list[int], list[Fraction]]:
-    """Rows mu = 0..mu_max of the sums over the gaps of n^mu and, given a
-    non-zero rational weight, of weight^n * n^mu (0^0 = 1); the weighted
-    rows are empty without one.  Every row is read off the class minima:
-    the gaps of class j are j + t*a for t < kunz_j, and nothing F-sized is
-    built.  The exponent is checked and the weighted rows are charged
-    before any row is summed; the direct rows are checked against
+def gap_power_sums(sp: PSemigroup, mu_max: int) -> list[int]:
+    """Rows mu = 0..mu_max of the sums over the gaps of n^mu (0^0 = 1),
+    read off the class minima: the gaps of class j are j + t*a for
+    t < kunz_j, and nothing F-sized is built.  The exponent is checked
+    before any row is summed, and every row is checked against
     ``power_sum_bernoulli``'s formula, all from one table of the power
-    sums of the minima.  The weighted rows, and their charge, are
-    ``exactmath.weighted_power_sums`` and ``exactmath.charge_weighted``.
+    sums of the minima.  The weighted rows are
+    ``exactmath.weighted_power_sums``.
     """
     check_power(mu_max)
     rows = mu_max + 1
-    if weight is not None:
-        from .exactmath import charge_weighted, weighted_power_sums
-
-        num, den = charge_weighted(sp, rows, weight)
     direct = class_power_sums(sp, rows, 1)
     for mu, (total, formula) in enumerate(zip(direct, power_sum_formula(sp, rows))):
         if formula[0] != total * formula[1]:
@@ -451,9 +442,7 @@ def gap_power_sums(
             raise InternalCheckError(
                 f"power sum at mu = {mu} mismatch: by class {total}, formula {Fraction(*formula)}"
             )
-    if weight is None:
-        return direct, []
-    return direct, weighted_power_sums(sp, rows, num, den)
+    return direct
 
 
 def class_power_sums(sp: PSemigroup, rows: int, sign: int) -> list[int]:

@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,66 @@ def test_private_reads_are_found():
 
 
 # ---------------------------------------------------------------------------
+# layering: the build layer imports no module above it
+
+# (the function or class whose body holds the import, None at module level,
+# module) for each package module that semigroup.py may import
+BUILD_LAYER_IMPORTS = {
+    (None, "denumerant"), (None, "errors"), (None, "reports"), ("PSemigroup.gaps", "sets"),
+}
+
+
+def _package_imports(source):
+    """(the qualified name of the function or class whose body holds the
+    import, None at module level, module) for each module of the package
+    that one source file imports."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                # "from . import sets" imports sets, "from .sets import x" sets
+                names = [child.module] if child.module else [a.name for a in child.names]
+                modules = [f"psemigroups.{n}" if child.level else n for n in names]
+            else:
+                modules = []
+            for module in modules:
+                if module.startswith("psemigroups."):
+                    found.add((scope, module.partition(".")[2]))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_build_layer_imports_only_the_layers_below_it():
+    source = (ROOT / "src" / "psemigroups" / "semigroup.py").read_text()
+    assert _package_imports(source) <= BUILD_LAYER_IMPORTS
+
+
+def test_package_imports_are_found():
+    source = (
+        "import sys\n"
+        "from .errors import PreconditionError\n"
+        "from . import sets\n"
+        "class PSemigroup:\n"
+        "    def gaps(self):\n"
+        "        from .exactmath import bernoulli\n"
+        "def build():\n"
+        "    import psemigroups.symmetry\n"
+    )
+    assert _package_imports(source) == {
+        (None, "errors"), (None, "sets"),
+        ("PSemigroup.gaps", "exactmath"), ("build", "symmetry"),
+    }
+
+
+# ---------------------------------------------------------------------------
 # import footprint: each entry point loads only what it runs.  -X importtime
 # names every module a fresh interpreter imports; a bare interpreter's are
 # taken away, so that site hooks cannot trip the test.
@@ -291,6 +352,23 @@ COUNTED = {
 @pytest.mark.parametrize("call", COUNTED)
 def test_a_call_compiles_at_most_its_counted_cost(call):
     assert footprint.cost(call and call.split()) <= COUNTED[call]
+
+
+def _readme_cost(call):
+    """The AST nodes that README's start-up notes give for the command of
+    ``call``: one sentence names a json table, a classify, an analyze and
+    a verify symmetry."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = re.search(r"A json `table` compiles [^.]*\.", text)
+    assert sentence, "README's footprint sentence is gone"
+    figures = dict(re.findall(r"`([a-z ]+)`(?: compiles)? ([\d,]+)", sentence[0]))
+    (command,) = [command for command in figures if call.startswith(command + " ")]
+    return int(figures[command].replace(",", ""))
+
+
+@pytest.mark.parametrize("call", [call for call in COUNTED if call])
+def test_readme_gives_the_counted_cost_of_each_call(call):
+    assert _readme_cost(call) == footprint.cost(call.split())
 
 
 @pytest.mark.parametrize("call", LEAN)

@@ -39,8 +39,9 @@ from psemigroups import (
     gap_sum,
     minima_modulo,
     power_sum_bernoulli,
+    weighted_power_sums,
 )
-from psemigroups import cli, semigroup, sets
+from psemigroups import cli, cli_more, exactmath, semigroup, sets
 from psemigroups.exactmath import bernoulli_row, eulerian_row
 from psemigroups.semigroup import (
     POWER_CAP,
@@ -110,20 +111,20 @@ def test_genus_and_sum_goldens():
 
 def _power_sum(sp, mu):
     """The row mu of ``gap_power_sums``, its last."""
-    return gap_power_sums(sp, mu)[0][mu]
+    return gap_power_sums(sp, mu)[mu]
 
 
 def _weighted_sum(sp, weight, mu):
-    """The weighted row mu of ``gap_power_sums``, its last."""
-    return gap_power_sums(sp, mu, weight)[1][mu]
+    """The row mu of ``weighted_power_sums``, its last."""
+    return weighted_power_sums(sp, mu, weight)[mu]
 
 
 def _charged_blocks(sp, mu_max, weight):
-    """The blocks ``gap_power_sums`` charges, read off its refusal under a
-    cap of 1 (two printed integers cost at least 2)."""
+    """The blocks ``weighted_power_sums`` charges, read off its refusal
+    under a cap of 1 (two printed integers cost at least 2)."""
     with mock.patch.dict("os.environ", {"PSEMIGROUPS_HORIZON_CAP": "1"}):
         with pytest.raises(CapExceededError) as refused:
-            gap_power_sums(sp, mu_max, weight)
+            weighted_power_sums(sp, mu_max, weight)
     return int(str(refused.value).split()[0])
 
 
@@ -131,7 +132,7 @@ def test_power_sum_goldens():
     assert _power_sum(build((2, 3), 0), 2) == 1
     assert _power_sum(build((8, 4, 5, 6), 8), 1) == 328
     sp = build((2, 3), 1)
-    assert gap_power_sums(sp, 2) == ([7, 22, 104], [])
+    assert gap_power_sums(sp, 2) == [7, 22, 104]
     assert sp.gaps == (0, 1, 2, 3, 4, 5, 7)
 
 
@@ -155,28 +156,60 @@ def test_weighted_power_sum_values():
 def test_weighted_power_sum_guards():
     sp = build((2, 3), 0)
     with pytest.raises(PreconditionError, match="non-zero"):
-        gap_power_sums(sp, 1, 0)
-    with pytest.raises(PreconditionError, match="non-negative"):
-        gap_power_sums(sp, -1)
-    with pytest.raises(CapExceededError):
-        gap_power_sums(sp, 9)
+        weighted_power_sums(sp, 1, 0)
+    for power_sums in (gap_power_sums, lambda sp, mu: weighted_power_sums(sp, mu, 2)):
+        with pytest.raises(PreconditionError, match="non-negative"):
+            power_sums(sp, -1)
+        with pytest.raises(CapExceededError):
+            power_sums(sp, 9)
+
+
+# {2, 3} at p = 1 has F = 7 and largest class minimum 9; den = 2^5000
+# makes each of the a = 2 Horner steps work on an integer of just over
+# 9 * 5000 bits, 11 blocks of 4096, 22 in all; row 0 is built over
+# (den^2 - 1) * den^9, just over 11 * 5000 bits, 108 units of 512 and
+# 108^2 blocks; its numerator and denominator print to just over
+# 7 * 5000 bits, 69 units each, 69^2 blocks
+HEAVY_WEIGHT = Fraction(1, 2**5000)
+HEAVY_BLOCKS = 22 + 108**2 + 2 * 69**2
 
 
 def test_weighted_power_sum_charges_its_blocks(monkeypatch):
-    # F = 7 and the largest class minimum is 9; den = 2^5000 makes each of
-    # the a = 2 Horner steps work on an integer of just over 9 * 5000 bits,
-    # 11 blocks of 4096, 22 in all; the row is built over
-    # (den^2 - 1) * den^9, just over 11 * 5000 bits, 108 units of 512 and
-    # 108^2 blocks; its numerator and denominator print to just over
-    # 7 * 5000 bits, 69 units each, 69^2 blocks
     sp = build((2, 3), 1)
-    weight = Fraction(1, 2**5000)
-    blocks = 22 + 108**2 + 2 * 69**2
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(blocks))
-    assert gap_power_sums(sp, 0, weight) == ([7], [sum(weight**n for n in sp.gaps)])
-    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(blocks - 1))
-    with pytest.raises(CapExceededError, match=f"{blocks} 4096-bit blocks"):
-        gap_power_sums(sp, 0, weight)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(HEAVY_BLOCKS))
+    assert gap_power_sums(sp, 0) == [7]
+    assert weighted_power_sums(sp, 0, HEAVY_WEIGHT) == [sum(HEAVY_WEIGHT**n for n in sp.gaps)]
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(HEAVY_BLOCKS - 1))
+    with pytest.raises(CapExceededError, match=f"{HEAVY_BLOCKS} 4096-bit blocks"):
+        weighted_power_sums(sp, 0, HEAVY_WEIGHT)
+
+
+def test_sums_refuses_an_over_cap_weight_before_it_sums_any_row(monkeypatch):
+    # the weighted rows are charged before any row, direct or weighted, is
+    # summed; under the full charge the spies see both kinds summed
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in (
+        (semigroup, "class_power_sums"), (exactmath, "class_power_sums"), (exactmath, "_horner")
+    ):
+        spy(module, name)
+    gens = GeneratorSet((2, 3))
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(HEAVY_BLOCKS - 1))
+    with pytest.raises(CapExceededError, match=f"{HEAVY_BLOCKS} 4096-bit blocks"):
+        cli_more.sums_document(gens, 1, 0, HEAVY_WEIGHT)
+    assert calls == []
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(HEAVY_BLOCKS))
+    assert cli_more.sums_document(gens, 1, 0, HEAVY_WEIGHT)["rows"][0]["direct"] == 7
+    assert sorted(calls) == ["_horner", "_horner", "class_power_sums"]
 
 
 def test_weighted_charge_reads_log2_to_a_64th_bit():
@@ -221,7 +254,7 @@ def test_huge_weight_is_charged_without_its_power():
     sp = build((2, 3), 1)
     start = time.perf_counter()
     with pytest.raises(CapExceededError):
-        gap_power_sums(sp, 0, Fraction(1, 1 << 10**7))
+        weighted_power_sums(sp, 0, Fraction(1, 1 << 10**7))
     assert time.perf_counter() - start < 1.0
 
 
@@ -259,7 +292,7 @@ def test_minima_modulo_checks_its_scan_against_the_cap(monkeypatch):
 
 def test_gap_count_and_sum_match_power_sums():
     sp = build((8, 4, 5, 6), 8)
-    assert [gap_count(sp), gap_sum(sp)] == gap_power_sums(sp, 1)[0] == [26, 328]
+    assert [gap_count(sp), gap_sum(sp)] == gap_power_sums(sp, 1) == [26, 328]
 
 
 def _forged(sp, **fields):
@@ -270,14 +303,20 @@ def _forged(sp, **fields):
 @pytest.mark.parametrize("gens, p", [((2, 3), 0), ((8, 4, 5, 6), 8), ((6, 7, 17), 14)])
 def test_each_power_sum_check_fires_on_a_shifted_direct_route(monkeypatch, gens, p):
     # one more gap in class 1 shifts every row summed by class, not the
-    # formula over the minima; so does a direct route off by one in its
-    # last row alone, and with it the gap count and sum, its rows 0 and 1
+    # formula over the minima, also under a weighted sums call; so does a
+    # direct route off by one in its last row alone, and with it the gap
+    # count and sum, its rows 0 and 1
     sp = build(gens, p)
     assert (gap_count(sp), gap_sum(sp)) == (len(sp.gaps), sum(sp.gaps))
     kunz = list(sp.kunz)
     kunz[1] += 1
     shifted = _forged(sp, kunz=tuple(kunz))
-    for check in (gap_count, gap_sum, lambda sp: gap_power_sums(sp, 8, Fraction(2, 3))):
+    monkeypatch.setattr(cli_more, "build", lambda gens, p: shifted)
+
+    def weighted_sums(sp):
+        return cli_more.sums_document(sp.generators, p, 8, Fraction(2, 3))
+
+    for check in (gap_count, gap_sum, weighted_sums):
         with pytest.raises(InternalCheckError, match="power sum at mu = 0 mismatch"):
             check(shifted)
     class_power_sums = semigroup.class_power_sums
@@ -558,13 +597,13 @@ def test_formula_paths_agree_on_random_instances(gens, p):
         + Fraction(a * a - 1, 12)
         == gap_sum(sp)
     )
-    assert [power_sum_bernoulli(sp, mu) for mu in range(4)] == gap_power_sums(sp, 3)[0]
+    assert [power_sum_bernoulli(sp, mu) for mu in range(4)] == gap_power_sums(sp, 3)
 
 
 @given(gens=generator_tuples(), p=small_p)
 def test_weight_one_reduces_to_plain_power_sum(gens, p):
-    direct, weighted = gap_power_sums(build(gens, p), 2, 1)
-    assert weighted == direct
+    sp = build(gens, p)
+    assert weighted_power_sums(sp, 2, 1) == gap_power_sums(sp, 2)
 
 
 @given(
@@ -586,10 +625,11 @@ def test_shared_gap_walk_matches_the_per_row_oracles(gens, p, weight):
     mus = range(POWER_CAP + 1)
     expected = [row_power_sum(sp, mu) for mu in mus]
     expected_weighted = [row_weighted_power_sum(sp, Fraction(weight), mu) for mu in mus]
-    assert gap_power_sums(sp, POWER_CAP) == (expected, [])
+    assert gap_power_sums(sp, POWER_CAP) == expected
     for mu in mus:
         rows = mu + 1
-        assert gap_power_sums(sp, mu, weight) == (expected[:rows], expected_weighted[:rows])
+        assert gap_power_sums(sp, mu) == expected[:rows]
+        assert weighted_power_sums(sp, mu, weight) == expected_weighted[:rows]
 
 
 @given(gens=generator_tuples(max_value=12, max_size=3), p=st.integers(0, 2))
