@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import PreconditionError
@@ -53,21 +53,11 @@ def minima_modulo(sp: PSemigroup, g: int) -> tuple[int, ...]:
     return tuple(least)
 
 
-def _pairs(
-    first: GeneratorSet, second: GeneratorSet, p_values: range
-) -> Iterator[tuple[int, PSemigroup, PSemigroup]]:
-    """(p, first's instance at p, second's) for every p of ``p_values``."""
-    firsts, runs = build_range(first, p_values), build_range(second, p_values)
-    seconds = (sp for ps, sp in runs for _ in ps)
-    return ((p, sp, sq) for ps, sp in firsts for p, sq in zip(ps, seconds))
-
-
 def _scaling_instances(
-    alpha: int, beta: int, base: GeneratorSet | Iterable[int], p_values: range
-) -> tuple[dict[str, Any], Iterator[tuple[int, PSemigroup, PSemigroup]]]:
-    """Validate the shared preconditions; return the rows' params and
-    (p, scaled, unscaled) for every p of ``p_values``, each generator
-    list's class minima computed once, at the largest p."""
+    alpha: int, beta: int, base: GeneratorSet | Iterable[int]
+) -> tuple[dict[str, Any], GeneratorSet, GeneratorSet]:
+    """Validate the shared preconditions; return the rows' params and the
+    scaled and unscaled generator lists."""
     B = as_generator_set(base)
     if alpha < 2:
         raise PreconditionError("alpha must be at least 2")
@@ -86,35 +76,39 @@ def _scaling_instances(
     unscaled = GeneratorSet((alpha, *B.ordered))
     scaled = GeneratorSet((alpha, *(beta * b for b in B.ordered)))
     params = {"alpha": alpha, "beta": beta, "base": list(B.ordered)}
-    return params, _pairs(scaled, unscaled, p_values)
+    return params, scaled, unscaled
 
 
 def _identity_reports(
     identity: str,
     params: dict[str, Any],
-    pairs: Iterable[tuple[int, PSemigroup, PSemigroup]],
+    first: GeneratorSet,
+    second: GeneratorSet,
+    p_values: range,
     sides: Callable[[PSemigroup, PSemigroup], tuple[dict, dict, dict]],
     note: str = "",
 ) -> list[Report]:
-    """One report per (p, first, second): ``sides(first, second)`` gives
-    the identity's two sides, which pass when they are equal, and its
-    extras; ``params`` gains p."""
-    return [
-        Report(
-            "identity",
-            passed=lhs == rhs,
-            note=note,
-            details={
-                "identity": identity,
-                "params": {**params, "p": p},
-                "lhs": lhs,
-                "rhs": rhs,
-                "extras": extras,
-            },
-        )
-        for p, first, second in pairs
-        for lhs, rhs, extras in [sides(first, second)]
-    ]
+    """One report per p of ``p_values``: ``sides(first's instance at p,
+    second's)`` gives the identity's two sides, which pass when they are
+    equal, and its extras; ``params`` gains p.  Each list's range is built
+    once, the first list's first, so that its charge is the one refused;
+    the two lists' runs are walked in step, cut where either ends, and
+    ``sides`` runs once a piece, its dicts shared by the piece's rows."""
+    firsts, seconds = build_range(first, p_values), build_range(second, p_values)
+    reports: list[Report] = []
+    qs = range(0)
+    for ps, sp in firsts:
+        while ps:
+            if not qs:
+                qs, sq = next(seconds)
+            n = min(len(ps), len(qs))
+            lhs, rhs, extras = sides(sp, sq)
+            reports += [Report("identity", passed=lhs == rhs, note=note, details={
+                "identity": identity, "params": {**params, "p": p},
+                "lhs": lhs, "rhs": rhs, "extras": extras,
+            }) for p in ps[:n]]
+            ps, qs = ps[n:], qs[n:]
+    return reports
 
 
 def verify_johnson(
@@ -133,7 +127,7 @@ def verify_johnson(
             "genus": beta * gap_count(unscaled) + (alpha - 1) * (beta - 1) // 2,
         }, {}
 
-    return _identity_reports("johnson", *_scaling_instances(alpha, beta, base, p_values), sides)
+    return _identity_reports("johnson", *_scaling_instances(alpha, beta, base), p_values, sides)
 
 
 def verify_watanabe(
@@ -148,7 +142,7 @@ def verify_watanabe(
             "multiplicity": beta * unscaled.multiplicity,
         }, {}
 
-    return _identity_reports("watanabe", *_scaling_instances(alpha, beta, base, p_values), sides)
+    return _identity_reports("watanabe", *_scaling_instances(alpha, beta, base), p_values, sides)
 
 
 def _as_int_if_integral(x: Fraction) -> int | Fraction:
@@ -208,6 +202,5 @@ def verify_gcd_scaling(
         variant = _as_int_if_integral(quadratic + Fraction(cubic, 2))
         return lhs, rhs, {"sylvester_sum_denominator_2_variant": variant}
 
-    pairs = _pairs(A, reduced, p_values)
     params = {"generators": list(A.ordered), "d": d}
-    return _identity_reports("gcd-scaling", params, pairs, sides, _SCALING_SUM_NOTE)
+    return _identity_reports("gcd-scaling", params, A, reduced, p_values, sides, _SCALING_SUM_NOTE)

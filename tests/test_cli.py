@@ -705,6 +705,37 @@ def test_a_range_verifier_reports_once_a_run(capsys, monkeypatch):
     )
 
 
+SCALING_RUNS = {
+    "gcd-scaling": ("--gens 7,10,12 --p 300..340", (7, 10, 12), range(300, 341), 24,
+                    "035dd30a7e2b8890cbffa8f82ad166e38629dbb2574b21a44b02dc274e4d2c6c"),
+    "johnson": ("--alpha 9 --beta 2 --gens 4,5 --p 1000..1511", (9, 8, 10), range(1000, 1512),
+                138, "873868f88fabda1b9c0ec6e03d206db40507e70de67e9d6d2f2ffbb1d439d605"),
+    "watanabe": ("--alpha 9 --beta 2 --gens 4,5 --p 1000..1511", (9, 8, 10), range(1000, 1512),
+                 138, "468f1d04fe04888b4be0ead33c8ac697a69580cc8f740ed2f319bbbc5eae5aba"),
+}
+
+
+@pytest.mark.parametrize("name", SCALING_RUNS)
+def test_a_scaling_verifier_computes_its_sides_once_a_run(capsys, monkeypatch, name):
+    # the two lists' runs coincide here, so each side is computed once a
+    # run of the first list (the scaled or original one), with the bytes
+    # (SHA-256 pinned) that one computation per p writes; each verifier's
+    # sides call one of these three once per list
+    from psemigroups import identities
+
+    args, first, p_values, runs, digest = SCALING_RUNS[name]
+    calls = []
+    for spied in ("minima_modulo", "gap_count", "classify"):
+        real = getattr(identities, spied)
+        monkeypatch.setattr(identities, spied,
+                            lambda *xs, real=real: calls.append(xs) or real(*xs))
+    assert len(list(semigroup.build_range(first, p_values))) == runs
+    code, out = run_cli(capsys, "verify", name, *args.split())
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == len(p_values)
+    assert len(calls) == 2 * runs
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _rows(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -729,6 +760,38 @@ def test_a_range_gives_the_rows_of_its_single_p_calls(gens, lo, width):
     for command in (("table", "--field", ",".join(cli._TABLE_FIELDS)), ("classify",)):
         ranged = _rows(*command, *head, "--p", f"{p_values[0]}..{p_values[-1]}")
         assert ranged == [row for p in p_values for row in _rows(*command, *head, "--p", str(p))]
+
+
+@st.composite
+def scaling_inputs(draw):
+    """A minimal base B of 2-3 generators in 3..12 with gcd 1, alpha the sum
+    of two of them, beta in {2, 3} coprime to alpha, and the gcd-scaling set
+    (alpha, beta*B)."""
+    base = draw(st.lists(st.integers(3, 12), min_size=2, max_size=3, unique=True).filter(
+        lambda xs: gcd(*xs) == 1 and psemigroups.is_minimal_generator_system(xs)))
+    alpha = draw(st.sampled_from(base)) + draw(st.sampled_from(base))
+    beta = draw(st.sampled_from((2, 3)))
+    assume(gcd(alpha, beta) == 1)
+    return alpha, beta, base
+
+
+@settings(max_examples=20)
+@given(scaling=scaling_inputs(), lo=st.integers(300, 2000), width=st.integers(1, 8))
+def test_a_scaling_range_gives_the_rows_of_its_single_p_calls(scaling, lo, width):
+    # a scaling verifier computes its sides once a piece of the two lists'
+    # runs and writes it for each p: the rows must still be those that
+    # each p gives alone
+    alpha, beta, base = scaling
+    p_values = range(lo, lo + width + 1)
+    gens = ",".join(map(str, base))
+    scaled = ",".join(map(str, (alpha, *(beta * b for b in base))))
+    for command in (
+        ("verify", "johnson", "--alpha", str(alpha), "--beta", str(beta), "--gens", gens),
+        ("verify", "watanabe", "--alpha", str(alpha), "--beta", str(beta), "--gens", gens),
+        ("verify", "gcd-scaling", "--gens", scaled),
+    ):
+        ranged = _rows(*command, "--p", f"{p_values[0]}..{p_values[-1]}")
+        assert ranged == [row for p in p_values for row in _rows(*command, "--p", str(p))]
 
 
 def test_sums_rows(capsys):
@@ -1591,11 +1654,22 @@ HUGE_RANGES = {
 }
 
 
-@pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
-def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, command):
+# the scaling verifiers refuse on the first list's charge: a = 8 of the
+# scaled {9, 8, 10} (the unscaled {9, 4, 5} would charge 4) and a = 5 of
+# {5, 6, 9} (the reduced {5, 2, 3} would charge 2)
+SCALING_CHARGES = {"johnson": 8, "watanabe": 8, "gcd-scaling": 5}
+
+
+@pytest.mark.parametrize("name, command", HUGE_RANGES.items(), ids=HUGE_RANGES)
+def test_cap_bounds_a_huge_p_range_quickly(capsys, monkeypatch, name, command):
     # the range is never listed, and the cap is checked before any instance
     # of the range is made
-    _assert_refused_quickly(capsys, monkeypatch, command)
+    err = _assert_refused_quickly(capsys, monkeypatch, command)
+    if name in SCALING_CHARGES:
+        assert err == (
+            f"error: {SCALING_CHARGES[name] * (10**12 + 1)} class minima of the"
+            " 1000000000001 instances of the p range, past the cap 1000\n"
+        )
 
 
 @pytest.mark.parametrize("command", HUGE_RANGES.values(), ids=HUGE_RANGES)
@@ -1939,6 +2013,7 @@ def _assert_refused_quickly(capsys, monkeypatch, command, cap="1000"):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert elapsed < 1.0
+    return captured.err
 
 
 @pytest.mark.parametrize("top", ["1000000000", "1" + "0" * 30])

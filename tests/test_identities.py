@@ -175,6 +175,36 @@ def test_gcd_scaling_sums_each_instance_gaps_once(monkeypatch):
     )
 
 
+SCALING_CALLS = {
+    "johnson": (verify_johnson, (9, 2, (4, 5), range(1000, 1100))),
+    "watanabe": (verify_watanabe, (9, 2, (4, 5), range(1000, 1100))),
+    "gcd-scaling": (verify_gcd_scaling, ((7, 10, 12), range(300, 341))),
+}
+
+
+@pytest.mark.parametrize("split", [0, 1], ids=["first", "second"])
+@pytest.mark.parametrize("name", SCALING_CALLS)
+def test_a_piece_ends_where_either_lists_run_ends(monkeypatch, name, split):
+    # the two lists' runs coincide wherever the identity holds, so no real
+    # input cuts a run; splitting one list's runs into one-p runs of the
+    # same instances must leave every row as it was
+    verifier, args = SCALING_CALLS[name]
+    expected = verifier(*args)
+    built, build_range = [], identities.build_range
+
+    def split_range(gens, p_values):
+        runs = list(build_range(gens, p_values))
+        if len(built) == split:
+            assert any(len(ps) > 1 for ps, _ in runs)
+            runs = [(range(p, p + 1), sp) for ps, sp in runs for p in ps]
+        built.append(gens)
+        return iter(runs)
+
+    monkeypatch.setattr(identities, "build_range", split_range)
+    assert verifier(*args) == expected
+    assert len(built) == 2
+
+
 def test_printed_denominator_2_variant_fails_enumeration():
     # the denominator-2 form of the quadratic scaling term would predict
     # 3828 here, while the enumerated gap sum is 3618
