@@ -7,7 +7,6 @@ the first, whose sorted minima modulo the first generator it compares
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Iterable
 
@@ -15,7 +14,6 @@ from .denumerant import GeneratorSet, as_generator_set, charge
 from .errors import PreconditionError
 from .reports import Report
 from .semigroup import PSemigroup, build, build_range, gap_count, gap_power_sums, round_robin
-from .symmetry import classify
 
 _SCALING_SUM_NOTE = (
     "the quadratic gap-sum scaling uses 12 in its final denominator;"
@@ -135,6 +133,8 @@ def verify_watanabe(
 ) -> list[Report]:
     """Symmetry is preserved under scaling the base by beta, and the least
     member scales by exactly beta, for every p of ``p_values``."""
+    from .symmetry import classify
+
     def sides(scaled: PSemigroup, unscaled: PSemigroup) -> tuple[dict, dict, dict]:
         lhs = {"symmetric": classify(scaled).symmetric, "multiplicity": scaled.multiplicity}
         return lhs, {
@@ -143,10 +143,6 @@ def verify_watanabe(
         }, {}
 
     return _identity_reports("watanabe", *_scaling_instances(alpha, beta, base), p_values, sides)
-
-
-def _as_int_if_integral(x: Fraction) -> int | Fraction:
-    return int(x) if x.denominator == 1 else x
 
 
 def verify_gcd_scaling(
@@ -162,8 +158,10 @@ def verify_gcd_scaling(
 
     and the sorted class minima modulo a1 of the original equal d times
     those of the reduced instance.  The first listed generator plays the
-    role of a1 regardless of whether it is the minimum; each list's class
-    minima are computed once, at the largest p.
+    role of a1 regardless of whether it is the minimum.  Every division is
+    exact: d(d-1) is even, and gcd(a1, d) = 1, as it divides every generator,
+    so the constant terms are the genus and the gap sum of <a1, d> (Brown
+    and Shiue, Fibonacci Quart. 31, 1993).
     """
     A = as_generator_set(gens)
     first, rest = A.ordered[0], A.ordered[1:]
@@ -192,15 +190,14 @@ def verify_gcd_scaling(
             "sylvester_sum": s,
             "apery": sorted(minima_modulo(sp, first)),
         }
-        quadratic = d * d * s_r + Fraction(first * d * (d - 1), 2) * n_r
+        quadratic = d * d * s_r + first * d * (d - 1) // 2 * n_r
         rhs = {
             "frobenius": d * sp_r.frobenius + (d - 1) * first,
             "genus": d * n_r + (d - 1) * (first - 1) // 2,
-            "sylvester_sum": _as_int_if_integral(quadratic + Fraction(cubic, 12)),
+            "sylvester_sum": quadratic + cubic // 12,
             "apery": sorted(d * x for x in minima_modulo(sp_r, first)),
         }
-        variant = _as_int_if_integral(quadratic + Fraction(cubic, 2))
-        return lhs, rhs, {"sylvester_sum_denominator_2_variant": variant}
+        return lhs, rhs, {"sylvester_sum_denominator_2_variant": quadratic + cubic // 2}
 
     params = {"generators": list(A.ordered), "d": d}
     return _identity_reports("gcd-scaling", params, A, reduced, p_values, sides, _SCALING_SUM_NOTE)

@@ -44,14 +44,15 @@ def pseudo_frobenius(sp: PSemigroup) -> tuple[int, ...]:
     Each residue class modulo a is closed upward under adding a, so within
     a class only the least member s above the multiplicity can fail: the
     class minimum, or multiplicity + a in the multiplicity's own class.
-    That leaves a shifts t = s - multiplicity, among them t = a, which
-    forces x + a to be a member; so every pseudo-Frobenius element is some
-    class minimum minus a, and the test costs O(a^2), independent of the
-    Frobenius number.  The shifts are tried smallest first: a candidate
-    that fails usually fails on a small one, so the check stops early.
+    That leaves a shifts t = s - multiplicity.  The shift t = a forces
+    x + a to be a member, so every pseudo-Frobenius element is some class
+    minimum m minus a, and x + a = m passes it; the test of the a - 1
+    others costs O(a^2), independent of the Frobenius number.  They are
+    tried smallest first: a candidate that fails usually fails on a small
+    one, so the check stops early.
     """
     a, low, minima = sp.modulus, sp.multiplicity, sp.apery_by_residue
-    shifts = [m - low for m in sp.apery_sorted if m != low] + [a]
+    shifts = [m - low for m in sp.apery_sorted[1:]]
     return tuple(
         x
         for x in (m - a for m in sp.apery_sorted if m >= a)

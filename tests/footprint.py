@@ -15,9 +15,10 @@ From the root of a checkout,
 
     PYTHONPATH=src python tests/footprint.py
 
-prints, for ``psg -h``, the set-up and one call of each command shape of
-the benchmark's seed-0 workloads (``psgbench/workloads.py``), the modules
-loaded with their line and node counts, and the totals.
+prints, for ``psg -h``, the set-up, one call of each command shape of
+the benchmark's seed-0 workloads (``psgbench/workloads.py``) and a
+``verify watanabe``, the modules loaded with their line and node counts,
+and the totals.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # One seed-0 call of each command shape of the benchmark; ladder's table
-# and classify have high-p's shapes.
+# and classify have high-p's shapes.  verify watanabe, which the benchmark
+# does not run, is the one scaling verifier that loads symmetry.
 CALLS = [
     "-h",
     "analyze --gens 1009,1013,1019 --p 50",
@@ -45,6 +47,7 @@ CALLS = [
     "verify arf-kunz --gens 146,214,291 --p 4..19",
     "verify gcd-scaling --gens 203,366,388 --p 0..7",
     "verify johnson --alpha 254 --beta 3 --gens 91,163,175 --p 40..48",
+    "verify watanabe --alpha 254 --beta 3 --gens 91,163,175 --p 40..48",
     "sums --gens 151,157,163 --p 20 --mu 3 --weight 1/2",
 ]
 

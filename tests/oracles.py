@@ -17,15 +17,19 @@ table and no lists, for sizes that no brute-force scan reaches.  The
 per-row power sums are the library's former one-walk-per-row power sums,
 kept as references for ``gap_power_sums``' shared walk.  ``jsonify`` is the CLI's
 former copy of each document into JSON primitives, kept as the reference
-for rendering the document as it is built.
+for rendering the document as it is built.  The flag routes read the
+membership test once a value, at C speed, into bytes and masks: linear in
+F, they check ``tests/layers.py``'s layers at the benchmark ladder's sizes,
+where the quadratic references are out of reach.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 
 def brute_count(gens: tuple[int, ...], n: int) -> int:
@@ -178,9 +182,9 @@ def mirrored_member_mask(sp, length: int) -> int:
     return sum(1 << (length - 1 - n) for n in range(length) if sp.contains(n))
 
 
-def _member_test_gaps(sp) -> list[int]:
-    """The gaps of a built instance, by its membership test."""
-    return [n for n in range(sp.conductor) if not sp.contains(n)]
+def _member_test_gaps(sp) -> Iterator[int]:
+    """The gaps of a built instance, ascending, by its membership test."""
+    return (n for n in range(sp.conductor) if not sp.contains(n))
 
 
 def row_power_sum(sp, mu: int) -> int:
@@ -283,18 +287,62 @@ def full_shift_pseudo_frobenius(sp) -> tuple[int, ...]:
     return tuple(x for x in sp.gaps if not (failmask >> x) & 1)
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def contains_flags(sp, values: Iterable[int]) -> bytes:
+    """One byte per value of a built instance: 1 where its membership test
+    accepts the value, 0 where not."""
+    return bytes(map(sp.contains, values))
+
+
+def flags_mask(flags: bytes) -> int:
+    """The bitmask whose bit n is set iff byte n of ``flags`` is."""
+    return int(b"0" + flags[::-1].translate(_FLAG_DIGITS), 2)
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending, by a regex scan of
+    its binary digits."""
+    return [digit.start() for digit in re.finditer("1", bin(mask)[:1:-1])]
+
+
+def mask_pseudo_frobenius(sp) -> tuple[int, ...]:
+    """Pseudo-Frobenius on a built instance by bitmasks read off its
+    membership test, where ``full_shift_pseudo_frobenius`` is too slow: a
+    gap x qualifies iff no shift t = s - multiplicity >= 1, s a member,
+    puts x + t on a gap.  The shift a (multiplicity + a is a member) leaves
+    only the gaps x with x + a a member, at most a of them, and each is
+    tested against every shift by one AND: O(a * F / 64)."""
+    low, g, a = sp.multiplicity, sp.frobenius, sp.modulus
+    members = flags_mask(contains_flags(sp, range(g + low + a + 1)))
+    gaps = ((1 << (g + 1)) - 1) & ~members
+    shifts = (members >> low) & ~1
+    return tuple(x for x in mask_bits(gaps & (members >> a)) if not (gaps >> x) & shifts)
+
+
+def is_run_text(text: str, flags: bytes) -> bool:
+    """True iff ``text`` is the run-length text ("0-23,25,27") of the
+    positions of the non-zero bytes of ``flags``.  Each run, one regex
+    match, is compared where it must stand in ``text``, so that no string
+    of the text's size is built."""
+    at = 0
+    for run in re.finditer(rb"[^\x00]+", flags):
+        first, last = run.start(), run.end() - 1
+        piece = f"{',' if at else ''}{first}{f'-{last}' if last > first else ''}"
+        if not text.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(text)
+
+
 def full_scan_arf(sp) -> tuple[bool, tuple[int, int, int] | None]:
     """Bitmask reference for the x + y - z closure over members below the
     conductor, trying every difference t = y - z in ascending order;
     returns (closed, first witness)."""
     c = sp.conductor
-    member_mask = 0
-    for n in range(c):
-        if sp.contains(n):
-            member_mask |= 1 << n
-    gap_mask = 0
-    for x in sp.gaps:
-        gap_mask |= 1 << x
+    member_mask = flags_mask(contains_flags(sp, range(c)))
+    gap_mask = ((1 << c) - 1) & ~member_mask
     for t in range(c):
         pair_mask = member_mask & (member_mask << t)
         if pair_mask == 0:

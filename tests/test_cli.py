@@ -720,14 +720,16 @@ def test_a_scaling_verifier_computes_its_sides_once_a_run(capsys, monkeypatch, n
     # the two lists' runs coincide here, so each side is computed once a
     # run of the first list (the scaled or original one), with the bytes
     # (SHA-256 pinned) that one computation per p writes; each verifier's
-    # sides call one of these three once per list
-    from psemigroups import identities
+    # sides call one of these three once per list (watanabe reads classify
+    # from symmetry when it runs)
+    from psemigroups import identities, symmetry
 
     args, first, p_values, runs, digest = SCALING_RUNS[name]
     calls = []
-    for spied in ("minima_modulo", "gap_count", "classify"):
-        real = getattr(identities, spied)
-        monkeypatch.setattr(identities, spied,
+    for module, spied in ((identities, "minima_modulo"), (identities, "gap_count"),
+                          (symmetry, "classify")):
+        real = getattr(module, spied)
+        monkeypatch.setattr(module, spied,
                             lambda *xs, real=real: calls.append(xs) or real(*xs))
     assert len(list(semigroup.build_range(first, p_values))) == runs
     code, out = run_cli(capsys, "verify", name, *args.split())

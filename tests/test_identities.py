@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import generator_tuples, small_p
-from oracles import brute_count
+from oracles import brute_count, brute_gap_set
 from psemigroups import (
     PreconditionError,
     build,
@@ -211,6 +211,33 @@ def test_printed_denominator_2_variant_fails_enumeration():
     report = verify_gcd_scaling((8, 12, 15, 18), range(8, 9))[0]
     variant = report.details["extras"]["sylvester_sum_denominator_2_variant"]
     assert variant != report.details["lhs"]["sylvester_sum"]
+
+
+@pytest.mark.parametrize("a1", range(2, 16))
+def test_gcd_scalings_constant_terms_are_the_two_generator_genus_and_gap_sum(a1):
+    # gcd(a1, d) = 1 in every gcd-scaling call, so its constant terms are
+    # integers: the genus and the gap sum of <a1, d>
+    for d in range(2, 16):
+        if gcd(a1, d) != 1:
+            continue
+        gaps = brute_gap_set((a1, d), 0)
+        cubic = (a1 - 1) * (d - 1) * (2 * a1 * d - a1 - d - 1)
+        assert cubic % 12 == 0 and cubic // 12 == sum(gaps)
+        assert (a1 - 1) * (d - 1) % 2 == 0 and (a1 - 1) * (d - 1) // 2 == len(gaps)
+
+
+@pytest.mark.parametrize("gens, p_values", [
+    ((8, 12, 15, 18), range(0, 9)),
+    ((5, 4, 6), range(0, 4)),
+    ((7, 10, 12), range(300, 306)),
+    ((203, 366, 388), range(0, 3)),
+])
+def test_every_side_of_a_gcd_scaling_report_is_an_int(gens, p_values):
+    for report in verify_gcd_scaling(gens, p_values):
+        sides = report.details["lhs"], report.details["rhs"], report.details["extras"]
+        values = [v for side in sides for value in side.values()
+                  for v in (value if isinstance(value, list) else [value])]
+        assert values and all(type(v) is int for v in values)
 
 
 def test_generator_dropping_reduction_only_valid_at_p_zero():

@@ -271,9 +271,9 @@ HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
 # sums
 MOVED = {"psemigroups.sets", "psemigroups.criteria", "psemigroups.cli_more"}
 # what only some commands run: the symmetry classification; the rationals
-# of weights, identity rows and Bernoulli numbers; the Bernoulli and
-# Eulerian numbers themselves, with the rational power-sum rows; the merge
-# of the class minima's lists; and MOVED
+# of weights and Bernoulli numbers, and of any value printed as one; the
+# Bernoulli and Eulerian numbers themselves, with the rational power-sum
+# rows; the merge of the class minima's lists; and MOVED
 ON_USE = {"psemigroups.symmetry", "fractions", "decimal", "psemigroups.exactmath", "heapq", *MOVED}
 
 
@@ -399,6 +399,12 @@ def test_a_command_loads_the_moved_code_it_runs(new_imports, argv, module):
     # the layout pattern is symmetry's, beside the classification
     ("table --gens 8,9,10 --p 1321..1332 --field pattern", "psemigroups.criteria"),
     ("analyze --gens 4,5 --p 0", "psemigroups.criteria"),
+    # the scaling identities are integer ones, and only watanabe classifies
+    ("verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..2", "fractions"),
+    ("verify johnson --alpha 9 --beta 2 --gens 4,5 --p 0..2", "psemigroups.symmetry"),
+    ("verify gcd-scaling --gens 203,366,388 --p 0..1", "fractions"),
+    ("verify gcd-scaling --gens 203,366,388 --p 0..1", "psemigroups.symmetry"),
+    ("verify watanabe --alpha 9 --beta 2 --gens 4,5 --p 0..2", "fractions"),
 ])
 def test_a_command_loads_none_of_the_moved_code_it_does_not_run(new_imports, argv, module):
     names, out = new_imports("-m", "psemigroups", *argv.split())
