@@ -10,22 +10,21 @@ with it: the class minima with the heap-merged lists, a second minima
 route; the sets and flags with the bytes and masks that the membership
 test gives one value at a time; the document's run texts with those
 bytes, a run at a time.  No reference is quadratic in F, so the largest
-rung checks in about 20 s.
+rung checks in about 22 s.
 
 From the root of a checkout,
 
-    PYTHONPATH=src python tests/layers.py [--repeat N]
+    PYTHONPATH=src python tests/layers.py
 
 checks, then times, each layer on the benchmark ladder's three instances,
 and prints one JSON line per instance: its generators, p, modulus and
-Frobenius number, and each layer's best of N ``time.perf_counter`` runs
-(default 5), in ms.  ``tests/test_layers.py`` runs the checks alone, with
+Frobenius number, and each layer's best of ``REPEAT`` ``time.perf_counter``
+runs, in ms.  ``tests/test_layers.py`` runs the checks alone, with
 no timings, on small instances.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
@@ -53,6 +52,9 @@ LADDER = [
     ((3001, 3011, 3019, 3023), 0),
     ((10007, 10009, 10037), 0),
 ]
+
+# Timings per layer; ``best_ms`` reports the least.
+REPEAT = 5
 
 # The document's set texts, each read off its flags by ``check``.
 _TEXTS = ("gaps", "members", "h_set", "l_set", "k_set")
@@ -140,10 +142,10 @@ def check(gens: tuple[int, ...], p: int) -> None:
     assert is_run_text(doc["k_set"]["below"], mirror[:c].translate(_NOT)), "analyze: k_set"
 
 
-def best_ms(call: Callable[[], Any], repeat: int) -> float:
-    """The least of ``repeat`` timings of ``call``, in ms."""
+def best_ms(call: Callable[[], Any]) -> float:
+    """The least of ``REPEAT`` timings of ``call``, in ms."""
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -151,16 +153,13 @@ def best_ms(call: Callable[[], Any], repeat: int) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5, help="timings per layer (best of)")
-    repeat = parser.parse_args().repeat
     for gens, p in LADDER:
         check(gens, p)
         calls = layers(gens, p)
         (_, sp), = calls["build"]()
         print(json.dumps({
             "generators": list(gens), "p": p, "modulus": sp.modulus, "frobenius": sp.frobenius,
-            "ms": {name: best_ms(call, repeat) for name, call in calls.items()},
+            "ms": {name: best_ms(call) for name, call in calls.items()},
         }), flush=True)
 
 
