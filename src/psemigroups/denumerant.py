@@ -119,10 +119,10 @@ class DenumerantTable:
         n = 0, passes through every stage.  Stage g adds its tail, its
         last values before the segment (g of them once it has g), to the
         segment's entries below g that they align with, then adds s[n - g]
-        to each later s[n] in ascending n, either down each residue class
-        modulo g as a prefix sum or over blocks of g entries, each block
-        reading only the block before it; whichever takes fewer Python
-        steps."""
+        to each later s[n] in ascending n: one C-level prefix sum down each
+        residue class modulo g with two or more entries in the segment,
+        min(g, len - g) of them over len entries, so a stage whose g is at
+        least the segment's length makes none, however large g is."""
         segment = [0] * (new_horizon - self.horizon)
         if not self.counts:
             segment[0] = 1
@@ -130,12 +130,8 @@ class DenumerantTable:
         for g, tail in zip(self.generators.ordered, self._tails):
             lo = g - len(tail)
             segment[lo:g] = map(add, segment[lo:g], tail)
-            if end - g <= g * g:
-                for n in range(g, end, g):
-                    segment[n : n + g] = map(add, segment[n : n + g], segment[n - g : n])
-            else:
-                for r in range(g):
-                    segment[r:end:g] = accumulate(segment[r:end:g])
+            for r in range(min(g, end - g)):
+                segment[r:end:g] = accumulate(segment[r:end:g])
             tail += segment[-g:]
             del tail[:-g]
         self.counts += segment

@@ -16,11 +16,12 @@ From the root of a checkout,
 
     PYTHONPATH=src python tests/layers.py
 
-checks, then times, each layer on the benchmark ladder's three instances,
-and prints one JSON line per instance: its generators, p, modulus and
-Frobenius number, and each layer's best of ``REPEAT`` ``time.perf_counter``
-runs, in ms.  ``tests/test_layers.py`` runs the checks alone, with
-no timings, on small instances.
+checks, then times, each layer on the four ``RUNGS``: the build of the
+last reads a count table, the others' the (p+1)-best lists.  It prints
+one JSON line per instance: its generators, p, modulus and Frobenius
+number, and each layer's best of ``REPEAT`` ``time.perf_counter`` runs,
+in ms.  ``tests/test_layers.py`` runs the checks alone, with no timings,
+on small instances and on the last rung.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from psemigroups import build_range, classify, gap_power_sums, is_arf, pseudo_fr
 from psemigroups.cli import analyze_document, emit
 from psemigroups.sets import hlk_of_members
 
-# The instances of the benchmark's ladder: (generators, p).
-LADDER = [
+# (generators, p): the benchmark ladder's three instances, then the set of
+# high-p's largest classify, whose class minima come off a count table.
+RUNGS = [
     ((1009, 1013, 1019), 50),
     ((3001, 3011, 3019, 3023), 0),
     ((10007, 10009, 10037), 0),
+    ((10, 11, 12, 18), 4300),
 ]
 
 # Timings per layer; ``best_ms`` reports the least.
@@ -153,7 +156,7 @@ def best_ms(call: Callable[[], Any]) -> float:
 
 
 def main() -> None:
-    for gens, p in LADDER:
+    for gens, p in RUNGS:
         check(gens, p)
         calls = layers(gens, p)
         (_, sp), = calls["build"]()

@@ -1,4 +1,6 @@
+import importlib
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -11,8 +13,12 @@ from psemigroups import (
     DenumerantTable,
     GeneratorSet,
     PreconditionError,
+    build_range,
     denumerant,
 )
+
+# the module, which the package's denumerant function shadows
+denumerant_module = importlib.import_module("psemigroups.denumerant")
 
 REMARK_TUPLES_456 = {(0, 5, 0), (1, 3, 1), (2, 1, 2), (5, 1, 0)}
 REMARK_TUPLES_8456 = {
@@ -114,9 +120,9 @@ def test_table_extension_preserves_counts():
     steps=st.lists(st.integers(1, 30), max_size=5),
 )
 def test_grown_table_matches_plain_dp(gens, start, targets, steps):
-    # growth steps below and above g^2 entries take the block and the
-    # per-class prefix-sum paths for the generators drawn; a step shorter
-    # than g keeps part of that stage's old tail
+    # a growth step of at most g entries makes no prefix sum at stage g,
+    # a longer one sums each residue class with two or more entries; a
+    # step shorter than g keeps part of that stage's old tail
     table = DenumerantTable(gens, start)
     assert table.counts == dp_counts(gens, start)
     for n in targets:
@@ -145,10 +151,48 @@ def test_grown_table_holds_one_count_list():
     assert held <= 50 * (table.horizon + 1)
 
 
-def test_table_below_its_generators_holds_only_what_it_charged():
+def _spy_fill(monkeypatch):
+    """Lists that fill as the tables grow: one entry per prefix sum made,
+    and the segment length of each ``_fill`` call."""
+    made, lengths = [], []
+    monkeypatch.setattr(denumerant_module, "accumulate",
+                        lambda values: made.append(1) or accumulate(values))
+    fill = DenumerantTable._fill
+    monkeypatch.setattr(DenumerantTable, "_fill",
+                        lambda table, n: lengths.append(n - table.horizon) or fill(table, n))
+    return made, lengths
+
+
+# The seed-0 high-p calls whose class minima come off a count table:
+# generators, p range, and the prefix sums that their fills make.
+HIGH_P_TABLE_RANGES = [
+    ((10, 11, 12, 18), range(3789, 4301), 229),
+    ((12, 14, 17, 21), range(1417, 1929), 280),
+    ((25, 27, 30, 47), range(1000, 1232), 708),
+    ((17, 22, 25), range(1000, 1160), 398),
+    ((21, 33, 38), range(1000, 1089), 669),
+    ((8, 9, 10), range(1321, 1833), 141),
+]
+
+
+@pytest.mark.parametrize("gens, p_values, prefix_sums", HIGH_P_TABLE_RANGES)
+def test_fill_makes_one_prefix_sum_per_residue_class_with_two_entries(
+    monkeypatch, gens, p_values, prefix_sums
+):
+    # stage g of a fill over a segment of length end sums the classes
+    # modulo g with two or more entries in it, min(g, end - g) of them
+    made, lengths = _spy_fill(monkeypatch)
+    list(build_range(gens, p_values))
+    assert len(made) == sum(max(0, min(g, end - g)) for end in lengths for g in gens)
+    assert len(made) == prefix_sums
+
+
+def test_table_below_its_generators_holds_only_what_it_charged(monkeypatch):
     # a stage's tail is at most horizon + 1 values, so a short table over
-    # large generators allocates what its charge covers, not sum(A)
+    # large generators allocates what its charge covers, not sum(A); each
+    # residue class of a stage has one entry, so no prefix sum is made
     gens = (10_000_019, 10_000_079)
+    made, _ = _spy_fill(monkeypatch)
     tracemalloc.start()
     try:
         table = DenumerantTable(gens, 5)
@@ -159,6 +203,7 @@ def test_table_below_its_generators_holds_only_what_it_charged():
     assert table.counts == [1] + [0] * 9
     assert [len(tail) for tail in table._tails] == [10, 10]
     assert peak < 10_000
+    assert not made
     assert denumerant((1000000007, 1000000009), 5) == 0
 
 

@@ -14,12 +14,22 @@ from oracles import (
     is_run_text,
     mask_pseudo_frobenius,
 )
-from psemigroups import build
+from psemigroups import build, semigroup
 
 
 @pytest.mark.parametrize("p", range(4))
 def test_every_layer_gives_its_reference_value(p):
     layers.check((4, 5, 6), p)
+
+
+def test_the_count_table_rung_gives_its_reference_values(monkeypatch):
+    # the one rung whose class minima come off a count table
+    tables = []
+    real = semigroup._minima_from_table
+    monkeypatch.setattr(semigroup, "_minima_from_table",
+                        lambda *args: tables.append(real(*args)) or tables[-1])
+    layers.check(*layers.RUNGS[-1])
+    assert tables and None not in tables
 
 
 def _shifted(real):
