@@ -10,8 +10,7 @@ relating different generator lists.
 (the symmetry verifiers), ``arf``, ``identities`` and ``exactmath`` (with
 the rational power-sum rows) load on first use of one of their names, so
 that a command that needs none of them does not import them; ``sets``,
-the F-sized sets and their text, loads when ``analyze`` or
-``PSemigroup.gaps`` first reads it.
+the F-sized sets and their text, loads when ``analyze`` first reads it.
 """
 
 from .denumerant import DenumerantTable, GeneratorSet, as_generator_set, denumerant, horizon_cap

@@ -31,7 +31,7 @@ minima at p end, and ``_instances`` makes and checks one instance a run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, eq, getitem, le, mul, neg
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -66,8 +66,9 @@ class PSemigroup(Record):
     minima, with no p; immutable, freely shareable, compared by value.
 
     ``apery_by_residue[j]`` is the least member congruent to j modulo the
-    modulus.  The instance holds O(a) data; ``gaps`` is derived from the
-    class minima on each access and never stored.
+    modulus.  The instance holds O(a) data; ``gaps`` is listed from the
+    class minima on each access and never stored, so this layer imports
+    none of the F-sized sets that ``analyze`` renders.
     """
 
     __slots__ = (
@@ -98,11 +99,13 @@ class PSemigroup(Record):
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        """The non-members, ascending; all lie below the conductor.  Read
-        off the membership flags by ``sets.gap_tuple``."""
-        from .sets import gap_tuple
-
-        return gap_tuple(self)
+        """The non-members, ascending: class j's are j, j + a, ... below
+        its minimum.  The genus of them is charged before any is listed."""
+        charge(sum(self.kunz), "gaps to list")
+        a = self.modulus
+        return tuple(sorted(chain.from_iterable(
+            map(range, range(a), self.apery_by_residue, repeat(a))
+        )))
 
 
 def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
@@ -275,9 +278,9 @@ def _merge_generator(lists: list[list[int]], b: int, keep: int) -> list[list[int
     the values that reach s0 without going round; the new list of s0 is
     the ``keep`` smallest of x + t*W over them and t >= 0, one merge of
     their progressions, and a second walk feeds it on round the cycle.
-    So a generator costs about 2a Python steps, each a merge of two
-    ascending runs by one C-level ``list.sort``, and O(a*keep) element
-    work, plus one merge of at most ``keep`` progressions per cycle."""
+    So a generator costs 2a - gcd(a, b) merges, each of two ascending runs
+    by one C-level ``list.sort``, and O(a*keep) element work, plus one
+    merge of at most ``keep`` progressions per cycle."""
     from heapq import merge
 
     a = len(lists)

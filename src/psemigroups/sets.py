@@ -4,9 +4,9 @@ The gaps, the members and the mirror sets H, L and K (the mirror of x is
 total - x, total = frobenius + multiplicity) are read off one build of
 the membership digits, as bitmasks; a finite set serializes as
 run-length interval text ("181-191,200-210") or, expanded, as its
-ascending elements.  Only ``analyze`` and ``PSemigroup.gaps`` read them,
-so the package loads this module on first use: every other command reads
-the class minima alone.
+ascending elements.  Only ``analyze`` reads them, so the package loads
+this module when ``analyze`` first runs: every other command, and
+``PSemigroup.gaps``, reads the class minima alone.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ def _member_flags(sp: PSemigroup, length: int) -> bytearray:
         if m < length:
             flags[m::a] = b"1" * len(range(m, length, a))
     return flags
-
-
-def gap_tuple(sp: PSemigroup) -> tuple[int, ...]:
-    """``PSemigroup.gaps``: the membership flags below the conductor, read
-    at C level, each "0" a true byte."""
-    flags = _member_flags(sp, sp.conductor)
-    outside = flags.translate(bytes.maketrans(b"01", b"\x01\x00"))
-    return tuple(compress(range(sp.conductor), outside))
 
 
 def hlk_of_members(sp: PSemigroup) -> tuple[int, int, int]:

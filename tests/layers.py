@@ -3,14 +3,17 @@ first against ``tests/oracles.py``.
 
 The layers are those of one instance (A, p): ``build_range``, the H/L/K
 masks, ``pseudo_frobenius``, ``classify``, ``is_arf``, rows 0-1 of
-``gap_power_sums``, the ``analyze`` document and its ``emit`` as json.
+``gap_power_sums``, ``verify_apery_pairings`` (the verifier of ``verify
+pairings``, which the benchmark's mid-sweep runs on every seed), the
+``analyze`` document and its ``emit`` as json.
 ``check(gens, p)`` compares the value of each but ``emit``, whose bytes
 the corpus and golden tests pin, with a reference that shares no code
 with it: the class minima with the heap-merged lists, a second minima
 route; the sets and flags with the bytes and masks that the membership
-test gives one value at a time; the document's run texts with those
-bytes, a run at a time.  No reference is quadratic in F, so the largest
-rung checks in about 22 s.
+test gives one value at a time; the pairing verdicts with the scan of
+every j in [-2a, 2a] of ``oracles.window_apery_pairings``; the
+document's run texts with those bytes, a run at a time.  No reference is
+quadratic in F, so the largest rung checks in about 22 s.
 
 From the root of a checkout,
 
@@ -42,8 +45,16 @@ from oracles import (
     mask_pseudo_frobenius,
     mirror_pairs_exactly_one,
     row_power_sum,
+    window_apery_pairings,
 )
-from psemigroups import build_range, classify, gap_power_sums, is_arf, pseudo_frobenius
+from psemigroups import (
+    build_range,
+    classify,
+    gap_power_sums,
+    is_arf,
+    pseudo_frobenius,
+    verify_apery_pairings,
+)
 from psemigroups.cli import analyze_document, emit
 from psemigroups.sets import hlk_of_members
 
@@ -87,6 +98,7 @@ def layers(gens: tuple[int, ...], p: int) -> dict[str, Callable[[], Any]]:
         "classify": lambda: classify(sp),
         "is_arf": lambda: is_arf(sp),
         "rows_0_1": lambda: gap_power_sums(sp, 1),
+        "verify_pairings": lambda: verify_apery_pairings(sp),
         "analyze": analyze,
         "emit": emit_doc,
     }
@@ -124,6 +136,10 @@ def check(gens: tuple[int, ...], p: int) -> None:
     assert (arf.passed, arf.details["witness"]) == full_scan_arf(sp), "is_arf"
     rows = [row_power_sum(sp, 0), row_power_sum(sp, 1)]
     assert calls["rows_0_1"]() == rows, "rows 0-1"
+    pairings = calls["verify_pairings"]()
+    verdicts = window_apery_pairings(sp)
+    passed = verdicts["matches_classification"] and verdicts.get("genus_offset_necessity", True)
+    assert (pairings.details["verdicts"], pairings.passed) == (verdicts, passed), "verify pairings"
 
     doc = calls["analyze"]()
     pattern = "FULL_INTERVAL" if low == c else (

@@ -14,12 +14,19 @@ from oracles import (
     is_run_text,
     mask_pseudo_frobenius,
 )
-from psemigroups import build, semigroup
+from psemigroups import Report, build, semigroup
 
 
 @pytest.mark.parametrize("p", range(4))
 def test_every_layer_gives_its_reference_value(p):
     layers.check((4, 5, 6), p)
+
+
+@pytest.mark.parametrize("gens, p", [((3, 4, 5), 0), ((5, 7, 13), 2)])
+def test_every_layer_gives_its_reference_value_at_an_even_mirror_total(gens, p):
+    # {4,5,6} p 0..3 and every rung have odd mirror totals; the pairing
+    # verdicts of an even one, its midpoint a gap, then a member
+    layers.check(gens, p)
 
 
 def test_the_count_table_rung_gives_its_reference_values(monkeypatch):
@@ -39,6 +46,16 @@ def _shifted(real):
     return wrong
 
 
+def _flipped_verdict(real):
+    def wrong(sp):
+        report = real(sp)
+        verdicts = report.details["verdicts"]
+        first = next(iter(verdicts))
+        details = {**report.details, "verdicts": {**verdicts, first: not verdicts[first]}}
+        return Report(report.kind, report.passed, report.applicable, report.note, details)
+    return wrong
+
+
 def _extra_gap(real):
     def wrong(gens, p):
         doc = real(gens, p)
@@ -49,6 +66,7 @@ def _extra_gap(real):
 @pytest.mark.parametrize("name, wrong, layer", [
     ("pseudo_frobenius", _shifted, "pseudo_frobenius"),
     ("gap_power_sums", _shifted, "rows 0-1"),
+    ("verify_apery_pairings", _flipped_verdict, "verify pairings"),
     ("analyze_document", _extra_gap, "analyze: gaps"),
 ])
 def test_a_wrong_layer_fails_its_check(monkeypatch, name, wrong, layer):

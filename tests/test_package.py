@@ -205,9 +205,7 @@ def test_private_reads_are_found():
 
 # (the function or class whose body holds the import, None at module level,
 # module) for each package module that semigroup.py may import
-BUILD_LAYER_IMPORTS = {
-    (None, "denumerant"), (None, "errors"), (None, "reports"), ("PSemigroup.gaps", "sets"),
-}
+BUILD_LAYER_IMPORTS = {(None, "denumerant"), (None, "errors"), (None, "reports")}
 
 
 def _package_imports(source):
@@ -452,6 +450,15 @@ def test_verify_arf_kunz_imports_arf(new_imports):
     assert json.loads(out)["passed"] is True
     assert "psemigroups.arf" in names
     assert "psemigroups.identities" not in names
+
+
+def test_gaps_load_none_of_the_f_sized_sets(new_imports):
+    # PSemigroup.gaps lists each class's gaps below its minimum; only
+    # analyze reads the membership digits of sets
+    names, out = new_imports("-c", "import psemigroups as p; print(p.build((4, 5, 6), 3).gaps)")
+    assert out == f"{(*range(20), 21, 23)}\n"
+    assert "psemigroups.semigroup" in names
+    assert "psemigroups.sets" not in names
 
 
 def test_a_lazy_name_loads_its_module_where_importtime_sees_it(new_imports):

@@ -564,6 +564,27 @@ def test_gaps_match_brute_force(gens, p):
     assert gap_sum(sp) == sum(expected)
 
 
+def test_gaps_read_the_class_minima_and_build_no_flags(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gaps built membership flags")
+
+    monkeypatch.setattr(sets, "_member_flags", refuse)
+    assert build((4, 5, 6), 3).gaps == (*range(20), 21, 23)
+
+
+def test_gaps_charge_their_genus(monkeypatch):
+    # the integers it lists: {4, 5, 6} at p = 3 has 22 gaps below its
+    # conductor 24
+    sp = build((4, 5, 6), 3)
+    genus = gap_count(sp)
+    assert (genus, sp.conductor) == (22, 24)
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(genus))
+    assert len(sp.gaps) == genus
+    monkeypatch.setenv("PSEMIGROUPS_HORIZON_CAP", str(genus - 1))
+    with pytest.raises(CapExceededError, match="^22 gaps to list, past the cap 21$"):
+        sp.gaps  # noqa: B018
+
+
 @given(gens=generator_tuples(), p=small_p)
 def test_structural_invariants(gens, p):
     sp = build(gens, p)
@@ -921,6 +942,34 @@ def test_round_robin_merge_agrees_with_heap_merge(draw):
     before = [values.copy() for values in lists]
     assert semigroup._merge_generator(lists, b, keep) == heap_merge_lists(lists, b, keep)
     assert lists == before
+
+
+# Lists-route builds and their _keep_union calls: mid-sweep's seed-0
+# table, classify and verifier ranges, and two sets with generators that
+# share a factor with a
+LIST_MERGES = [
+    ((279, 349, 403, 471), range(46, 56), 1639),
+    ((128, 218, 231), range(1, 30), 509),
+    ((201, 207, 322), range(4, 17), 800),
+    ((249, 391, 397, 470), range(51, 61), 1491),
+    ((146, 214, 291), range(4, 20), 581),
+    ((6, 4, 9), range(0, 6), 13),
+    ((10, 4, 6, 25, 15), range(0, 8), 26),
+]
+
+
+@pytest.mark.parametrize("gens, p_values, merges", LIST_MERGES)
+def test_each_generator_makes_2a_minus_gcd_list_merges(monkeypatch, gens, p_values, merges):
+    # each of the gcd(a, b) cycles of a/gcd classes is walked twice, but
+    # for its first class, once: 2a - gcd(a, b) merges for generator b
+    calls = []
+    real = semigroup._keep_union
+    monkeypatch.setattr(semigroup, "_keep_union", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(semigroup, "DenumerantTable", None)
+    list(build_range(gens, p_values))
+    a = min(gens)
+    assert len(calls) == sum(2 * a - gcd(a, b) for b in gens if b != a)
+    assert len(calls) == merges
 
 
 def test_table_route_gives_up_within_its_size_limit():

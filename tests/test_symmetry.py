@@ -18,6 +18,7 @@ from psemigroups import (
     PATTERN_FULL_INTERVAL,
     PATTERN_OTHER,
     PATTERN_SINGLETON_PLUS_TAIL,
+    PSemigroup,
     build,
     classify,
     detect_pattern,
@@ -205,6 +206,56 @@ def test_pf_matches_full_shift_reference_near_frobenius_1e4():
         sp = build(gens, p)
         assert (sp.frobenius, len(pseudo_frobenius(sp))) == (frobenius, type_count)
         assert pseudo_frobenius(sp) == full_shift_pseudo_frobenius(sp)
+
+
+class _CountedMinima(tuple):
+    """Class minima that count their reads: ``pseudo_frobenius`` reads one
+    per shift test."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _smallest_first_shift_tests(sp):
+    """The shift tests of a plain loop over the candidates m - a, m >= a a
+    class minimum, that tries the a - 1 shifts s - multiplicity, s a class
+    minimum other than the multiplicity, smallest first and stops at the
+    first that leaves x + t below its class minimum; at most a - 1 a
+    candidate."""
+    a, minima = sp.modulus, sp.apery_by_residue
+    shifts = sorted(m - sp.multiplicity for m in minima)[1:]
+    tests = 0
+    for x in (m - a for m in minima if m >= a):
+        for t in shifts:
+            tests += 1
+            if x + t < minima[(x + t) % a]:
+                break
+    return tests
+
+
+# (generators, p, shift tests): high-p's and mid-sweep's seed-0 sets and
+# the ladder's first rung
+PF_SHIFT_TESTS = [
+    ((12, 14, 17, 21), 1417, 22),
+    ((279, 349, 403, 471), 46, 5790),
+    ((201, 207, 322), 4, 420),
+    ((1009, 1013, 1019), 50, 103924),
+]
+
+
+@pytest.mark.parametrize("gens, p, tests", PF_SHIFT_TESTS)
+def test_pf_tries_the_shifts_smallest_first_and_stops_at_a_failure(gens, p, tests):
+    sp = build(gens, p)
+    minima = _CountedMinima(sp.apery_by_residue)
+    counted = PSemigroup(*(minima if f == "apery_by_residue" else getattr(sp, f)
+                           for f in sp.__slots__))
+    assert pseudo_frobenius(counted) == pseudo_frobenius(sp)
+    candidates = sum(m >= sp.modulus for m in sp.apery_by_residue)
+    assert minima.reads == _smallest_first_shift_tests(sp) <= (sp.modulus - 1) * candidates
+    assert minima.reads == tests
 
 
 @settings(max_examples=200)
