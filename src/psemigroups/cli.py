@@ -9,11 +9,11 @@ returns the document and exit code, and ``main`` writes the document.
 ``symmetry``, ``criteria``, ``arf``, ``identities`` and ``exactmath`` are
 reached through the package's lazy names, so a command that calls none of
 them never loads them; ``analyze`` imports ``sets`` for its F-sized sets,
-and the tsv and pretty writers and ``sums`` are ``cli_more``, imported on
-first use.  So a json ``table``, ``classify`` or ``verify`` compiles only
-the code it runs.  ``fractions`` is imported only where a
-rational is made or printed, and a parser gets its flags only when
-argparse enters it.
+all from ``sets.analyze_sets``, and the tsv and pretty writers and ``sums``
+are ``cli_more``, imported on first use.  So a json ``table``,
+``classify`` or ``verify`` compiles only the code it runs.  ``fractions``
+is imported only where a rational is made or printed, and a parser gets
+its flags only when argparse enters it.
 
 ``run`` is the process entry of ``psg`` and ``python -m psemigroups``:
 ``main``, then an exit that does not collect the heap it leaves.
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, S
 
 import psemigroups
 
-from .denumerant import GeneratorSet, as_generator_set, charge
+from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .reports import Report
 from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum
@@ -180,27 +180,18 @@ def _parse_fields(text: str) -> list[str]:
 # document builders
 
 def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[str, Any]:
-    """Every set is rendered from one member bitmask over [0, total], so
-    no O(F) tuple is built unless ``expand`` lists the elements, and
-    then the integers it lists are charged first."""
+    """The scalars, the class minima and ``arf`` of one instance, and the
+    F-sized sets that ``sets.analyze_sets`` renders from one member mask."""
     sp = build(gens, p)
     report = psemigroups.classify(sp)
-    # ``sets`` and the masks, then the scalars.  The own peak RSS of a fresh
+    # The sets, then the scalars.  The own peak RSS of a fresh
     # {3001,3011,3019,3023} p 0 call moves by up to 2.7 MB with the heap's
     # layout, which comment lines alone change: over five layouts it was
     # 26.5-29.0 MB in this order and 28.6-29.3 MB with the scalars first
     # (2-core x86 VM, CPython 3.11)
     from . import sets
 
-    members, h, l = sets.hlk_of_members(sp)
-    c = sp.conductor
-    if expand:
-        # c gaps and members below c, F + 1 = c in H and in K below H's top
-        charge(2 * c + l.bit_count() + len(report.pf), "integers listed by --expand")
-    # F is a gap, so the members' tail starts at c.  H's top bit is F, the
-    # multiplicity's mirror, so K is its clear bits and all above.
-    members_below, gaps = sets.split_docs(members & ((1 << c) - 1), c, expand)
-    h_set, k_below = sets.split_docs(h, h.bit_length(), expand)
+    finite_sets = sets.analyze_sets(sp, report.pf, expand)
     return {
         "p": p,
         **_row(sp, _TABLE_FIELDS, report),
@@ -209,12 +200,7 @@ def analyze_document(gens: GeneratorSet, p: int, expand: bool = False) -> dict[s
         "apery_by_residue": list(sp.apery_by_residue),
         "apery_sorted": list(sp.apery_sorted),
         "kunz": list(sp.kunz),
-        "gaps": gaps,
-        "members": {"below": members_below, "all_from": c},
-        "pseudo_frobenius": sets.sorted_set_doc(report.pf, expand),
-        "h_set": h_set,
-        "l_set": sets.finite_set_doc(l, expand),
-        "k_set": {"below": k_below, "all_from": h.bit_length()},
+        **finite_sets,
         "arf": psemigroups.is_arf(sp).passed,
     }
 

@@ -4,9 +4,9 @@ The gaps, the members and the mirror sets H, L and K (the mirror of x is
 total - x, total = frobenius + multiplicity) are read off one build of
 the membership digits, as bitmasks; a finite set serializes as
 run-length interval text ("181-191,200-210") or, expanded, as its
-ascending elements.  Only ``analyze`` reads them, so the package loads
-this module when ``analyze`` first runs: every other command, and
-``PSemigroup.gaps``, reads the class minima alone.
+ascending elements.  ``analyze`` reads them through ``analyze_sets``
+alone, so the package loads this module when ``analyze`` first runs:
+every other command, and ``PSemigroup.gaps``, reads the class minima.
 """
 
 from __future__ import annotations
@@ -99,15 +99,33 @@ def _runs_text(firsts: list[int], stops: list[int]) -> str:
     )
 
 
-def finite_set_doc(mask: int, expand: bool) -> Any:
-    """A finite set, given as the bitmask of its elements."""
-    return list(bit_positions(mask)) if expand else mask_runs(mask)
+def analyze_sets(sp: PSemigroup, pf: Sequence[int], expand: bool) -> dict[str, Any]:
+    """``analyze``'s six sets of ``sp``, whose pseudo-Frobenius numbers are
+    ``pf``, from one ``hlk_of_members``: run texts, or with ``expand`` the
+    elements, whose number is charged before any set is rendered.  F is a
+    gap, so the members' tail starts at c; H's top bit is F, the
+    multiplicity's mirror, so K is its clear bits below c and all from c."""
+    members, h, l = hlk_of_members(sp)
+    c = sp.conductor
+    if expand:
+        # c gaps and members below c, c = F + 1 in H and in K below c
+        charge(2 * c + l.bit_count() + len(pf), "integers listed by --expand")
+    members_below, gaps = split_docs(members & ((1 << c) - 1), c, expand)
+    h_set, k_below = split_docs(h, c, expand)
+    return {
+        "gaps": gaps,
+        "members": {"below": members_below, "all_from": c},
+        "pseudo_frobenius": sorted_set_doc(pf, expand),
+        "h_set": h_set,
+        "l_set": list(bit_positions(l)) if expand else mask_runs(l),
+        "k_set": {"below": k_below, "all_from": c},
+    }
 
 
 def sorted_set_doc(values: Sequence[int], expand: bool) -> Any:
-    """``finite_set_doc`` of a small set given as its ascending elements,
-    in steps of its size: a run ends where the next element is not one
-    more."""
+    """A small set given as its ascending elements, as its run text or,
+    with ``expand``, its list, in steps of its size: a run ends where the
+    next element is not one more."""
     if expand:
         return list(values)
     if not values:
@@ -118,8 +136,8 @@ def sorted_set_doc(values: Sequence[int], expand: bool) -> Any:
 
 
 def split_docs(mask: int, length: int, expand: bool) -> tuple[Any, Any]:
-    """``finite_set_doc`` of the set bits of ``mask`` and of its clear bits
-    below ``length``, run texts from one scan of their shared boundaries."""
+    """The set bits of ``mask`` and its clear bits below ``length``, listed
+    or as run texts from one scan of their shared boundaries."""
     if expand:
         return list(bit_positions(mask)), list(bit_positions(~mask & ((1 << length) - 1)))
     set_texts, clear_texts, stop = [], [], 0

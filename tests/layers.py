@@ -2,7 +2,8 @@
 first against ``tests/oracles.py``.
 
 The layers are those of one instance (A, p): ``build_range``, the H/L/K
-masks, ``pseudo_frobenius``, ``classify``, ``is_arf``, rows 0-1 of
+masks, the derived sets that ``analyze`` writes (``analyze_sets``),
+``pseudo_frobenius``, ``classify``, ``is_arf``, rows 0-1 of
 ``gap_power_sums``, ``verify_apery_pairings`` (the verifier of ``verify
 pairings``, which the benchmark's mid-sweep runs on every seed), the
 ``analyze`` document and its ``emit`` as json.
@@ -11,9 +12,10 @@ the corpus and golden tests pin, with a reference that shares no code
 with it: the class minima with the heap-merged lists, a second minima
 route; the sets and flags with the bytes and masks that the membership
 test gives one value at a time; the pairing verdicts with the scan of
-every j in [-2a, 2a] of ``oracles.window_apery_pairings``; the
-document's run texts with those bytes, a run at a time.  No reference is
-quadratic in F, so the largest rung checks in about 22 s.
+every j in [-2a, 2a] of ``oracles.window_apery_pairings``; the derived
+sets' run texts with those bytes, a run at a time, and the document's
+sets with the derived sets.  No reference is quadratic in F, so the
+largest rung checks in about 22 s.
 
 From the root of a checkout,
 
@@ -56,7 +58,7 @@ from psemigroups import (
     verify_apery_pairings,
 )
 from psemigroups.cli import analyze_document, emit
-from psemigroups.sets import hlk_of_members
+from psemigroups.sets import analyze_sets, hlk_of_members
 
 # (generators, p): the benchmark ladder's three instances, then the set of
 # high-p's largest classify, whose class minima come off a count table.
@@ -70,8 +72,8 @@ RUNGS = [
 # Timings per layer; ``best_ms`` reports the least.
 REPEAT = 5
 
-# The document's set texts, each read off its flags by ``check``.
-_TEXTS = ("gaps", "members", "h_set", "l_set", "k_set")
+# The entries of ``analyze_sets``, each read off its flags by ``check``.
+_SETS = ("gaps", "members", "pseudo_frobenius", "h_set", "l_set", "k_set")
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
@@ -80,6 +82,7 @@ def layers(gens: tuple[int, ...], p: int) -> dict[str, Callable[[], Any]]:
     order timed: emit writes the document of the last analyze call to the
     null device, and one document is alive at a time."""
     (_, sp), = build_range(gens, range(p, p + 1))
+    pf = pseudo_frobenius(sp)
     docs: list[dict[str, Any]] = []
 
     def analyze() -> dict[str, Any]:
@@ -94,6 +97,7 @@ def layers(gens: tuple[int, ...], p: int) -> dict[str, Callable[[], Any]]:
     return {
         "build": lambda: list(build_range(gens, range(p, p + 1))),
         "masks": lambda: hlk_of_members(sp),
+        "sets": lambda: analyze_sets(sp, pf, False),
         "pseudo_frobenius": lambda: pseudo_frobenius(sp),
         "classify": lambda: classify(sp),
         "is_arf": lambda: is_arf(sp),
@@ -122,6 +126,15 @@ def check(gens: tuple[int, ...], p: int) -> None:
     assert calls["masks"]() == tuple(map(flags_mask, (flags, mirror, l_flags))), "masks"
     pf = mask_pseudo_frobenius(sp)
     assert calls["pseudo_frobenius"]() == pf, "pseudo_frobenius"
+    # K is the x whose mirror is a gap: below c, H's clear bits
+    finite = calls["sets"]()
+    assert finite["members"]["all_from"] == c and finite["k_set"]["all_from"] == c, "sets: tails"
+    assert is_run_text(finite["gaps"], flags[:c].translate(_NOT)), "sets: gaps"
+    assert is_run_text(finite["members"]["below"], flags[:c]), "sets: members"
+    assert finite["pseudo_frobenius"] == interval_runs(pf), "sets: pseudo_frobenius"
+    assert is_run_text(finite["h_set"], mirror), "sets: h_set"
+    assert is_run_text(finite["l_set"], l_flags), "sets: l_set"
+    assert is_run_text(finite["k_set"]["below"], mirror[:c].translate(_NOT)), "sets: k_set"
     symmetric = mirror_pairs_exactly_one(sp, None)
     expected = (
         pf,
@@ -144,21 +157,15 @@ def check(gens: tuple[int, ...], p: int) -> None:
     doc = calls["analyze"]()
     pattern = "FULL_INTERVAL" if low == c else (
         "SINGLETON_PLUS_TAIL" if flags[:c].count(1) == 1 and c >= low + 3 else "OTHER")
-    assert {k: v for k, v in doc.items() if k not in _TEXTS} == {
+    assert {k: v for k, v in doc.items() if k not in _SETS} == {
         "p": p, "generators": list(gens), "modulus": a, "apery_by_residue": list(minima),
         "apery_sorted": sorted(minima), "kunz": [(m - j) // a for j, m in enumerate(minima)],
         "frobenius": g, "multiplicity": low, "conductor": c, "genus": rows[0],
         "sylvester_sum": rows[1], "pattern": pattern, "type": len(pf),
         **dict(zip(report.__slots__[1:], expected[1:])),
-        "pseudo_frobenius": interval_runs(pf), "arf": arf.passed,
+        "arf": arf.passed,
     }, "analyze: scalars"
-    # K is the x whose mirror is a gap: below c, H's clear bits
-    assert doc["members"]["all_from"] == c and doc["k_set"]["all_from"] == c, "analyze: tails"
-    assert is_run_text(doc["gaps"], flags[:c].translate(_NOT)), "analyze: gaps"
-    assert is_run_text(doc["members"]["below"], flags[:c]), "analyze: members"
-    assert is_run_text(doc["h_set"], mirror), "analyze: h_set"
-    assert is_run_text(doc["l_set"], l_flags), "analyze: l_set"
-    assert is_run_text(doc["k_set"]["below"], mirror[:c].translate(_NOT)), "analyze: k_set"
+    assert {k: doc[k] for k in _SETS} == finite, "analyze: sets"
 
 
 def best_ms(call: Callable[[], Any]) -> float:

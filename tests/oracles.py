@@ -376,7 +376,8 @@ def window_apery_pairings(sp) -> dict[str, bool]:
     """The verdicts of ``verify_apery_pairings`` by the library's former
     scan of every j in [-2a, 2a], m(t) being the class minimum of t mod a,
     compared with the symmetry flags read off the mirror pairs one by one
-    and with the gap count of the enumerated gaps."""
+    and with the gaps counted by the membership test below c, not by the
+    package."""
     a = sp.modulus
     total = sp.frobenius + sp.multiplicity
 
@@ -400,7 +401,8 @@ def window_apery_pairings(sp) -> dict[str, bool]:
 
     pairing = all(m(mid + j) + m(mid - j) == expected(j) for j in window)
     pseudo_symmetric = mirror_pairs_exactly_one(sp, mid)
-    genus_offset = len(sp.gaps) == mid + (1 if midpoint_gap else 0)
+    genus = contains_flags(sp, range(sp.conductor)).count(0)
+    genus_offset = genus == mid + (1 if midpoint_gap else 0)
     return {
         "midpoint_pairing": pairing,
         "matches_classification": pairing == pseudo_symmetric,

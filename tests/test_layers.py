@@ -63,11 +63,20 @@ def _extra_gap(real):
     return wrong
 
 
+def _swapped_h_and_k(real):
+    def wrong(sp, pf, expand):
+        sets = real(sp, pf, expand)
+        return {**sets, "h_set": sets["k_set"]["below"],
+                "k_set": {**sets["k_set"], "below": sets["h_set"]}}
+    return wrong
+
+
 @pytest.mark.parametrize("name, wrong, layer", [
-    ("pseudo_frobenius", _shifted, "pseudo_frobenius"),
+    ("pseudo_frobenius", _shifted, "^pseudo_frobenius"),
     ("gap_power_sums", _shifted, "rows 0-1"),
     ("verify_apery_pairings", _flipped_verdict, "verify pairings"),
-    ("analyze_document", _extra_gap, "analyze: gaps"),
+    ("analyze_sets", _swapped_h_and_k, "sets: h_set"),
+    ("analyze_document", _extra_gap, "analyze: sets"),
 ])
 def test_a_wrong_layer_fails_its_check(monkeypatch, name, wrong, layer):
     monkeypatch.setattr(layers, name, wrong(getattr(layers, name)))

@@ -972,6 +972,46 @@ def test_each_generator_makes_2a_minus_gcd_list_merges(monkeypatch, gens, p_valu
     assert len(calls) == merges
 
 
+# Ranges and the runs that build_range yields for them: high-p's seed-0
+# table-route ranges, mid-sweep's lists-route ones, and a range from p = 0
+RUN_RANGES = [
+    ((10, 11, 12, 18), range(3789, 4301), "table", 19),
+    ((12, 14, 17, 21), range(1417, 1929), "table", 81),
+    ((8, 9, 10), range(1321, 1833), "table", 124),
+    ((279, 349, 403, 471), range(46, 56), "lists", 10),
+    ((128, 218, 231), range(1, 30), "lists", 29),
+    ((4, 5, 6), range(0, 31), "lists", 26),
+]
+
+
+@pytest.mark.parametrize("gens, p_values, route, runs", RUN_RANGES)
+def test_a_range_reads_its_route_and_validates_once_a_run(
+    monkeypatch, gens, p_values, route, runs
+):
+    # one route read and one _validate a run, at its first p, and a run is
+    # a block of p whose entries in the heap-merged lists are equal
+    reads, validated, tables = [], [], []
+    class_minima, validate, table = (
+        semigroup._class_minima, semigroup._validate, semigroup._minima_from_table)
+
+    def counted_class_minima(A, top):
+        run_at = class_minima(A, top)
+        return lambda p: reads.append(p) or run_at(p)
+
+    monkeypatch.setattr(semigroup, "_class_minima", counted_class_minima)
+    monkeypatch.setattr(semigroup, "_validate",
+                        lambda *args: validated.append(args[2]) or validate(*args))
+    monkeypatch.setattr(semigroup, "_minima_from_table",
+                        lambda *args: tables.append(table(*args)) or tables[-1])
+    starts = [ps[0] for ps, _ in build_range(gens, p_values)]
+    lists = heap_best_lists(gens, p_values[-1])
+    minima = [tuple(values[p] for values in lists) for p in p_values]
+    blocks = 1 + sum(m != n for m, n in zip(minima, minima[1:]))
+    assert reads == validated == starts
+    assert len(starts) == blocks == runs
+    assert ("table" if tables and tables[-1] else "lists") == route
+
+
 def test_table_route_gives_up_within_its_size_limit():
     # {10007, 10009, 10037} at p = 0 has F = 6814761, far past 20000 entries
     A = GeneratorSet((10007, 10009, 10037))

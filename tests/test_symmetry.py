@@ -411,6 +411,23 @@ def test_pairing_verdicts_match_the_window_scan(gens, p):
     )
 
 
+@pytest.mark.parametrize("gens, p, verdicts", [
+    ((3, 4, 5), 0, (True, True, True, True)),  # midpoint a gap
+    ((5, 7, 13), 2, (False, True, False, True)),  # midpoint a member
+])
+def test_window_scan_counts_the_gaps_without_the_package(monkeypatch, gens, p, verdicts):
+    # the oracle's genus_offset verdict reads the membership test alone
+    sp = build(gens, p)
+
+    def refuse(self):
+        raise AssertionError("the window scan read PSemigroup.gaps")
+
+    monkeypatch.setattr(PSemigroup, "gaps", property(refuse))
+    scanned = window_apery_pairings(sp)
+    assert tuple(scanned.values()) == verdicts
+    assert scanned == verify_apery_pairings(sp).details["verdicts"]
+
+
 @given(gens=generator_tuples(), p=small_p)
 def test_exchange_criteria_agree_and_counting_is_necessary(gens, p):
     v = verify_symmetry_equivalences(build(gens, p)).details["verdicts"]
