@@ -1,7 +1,8 @@
 """Command-line surface: analyze, table, classify, sums, verify.
 
-Output formats: json (stable byte-for-byte: sorted keys, compact separators,
-rationals as "num/den" strings), tsv, and pretty.  Finite sets serialize as
+Output formats: json (stable byte-for-byte: sorted keys, compact
+separators), tsv, and pretty.  A document holds only JSON values: ``sums``
+writes its rationals as "num/den" strings itself.  Finite sets serialize as
 run-length interval strings mirroring brace notation ("181-191,200-210");
 co-finite sets as {"below": ..., "all_from": n}.  No numeric logic lives
 here; every command is a thin adapter over the library: its handler
@@ -12,8 +13,8 @@ them never loads them; ``analyze`` imports ``sets`` for its F-sized sets,
 all from ``sets.analyze_sets``, and the tsv and pretty writers and ``sums``
 are ``cli_more``, imported on first use.  So a json ``table``,
 ``classify`` or ``verify`` compiles only the code it runs.  ``fractions``
-is imported only where a rational is made or printed, and a parser gets
-its flags only when argparse enters it.
+is imported only by ``sums --weight``, and a parser gets its flags only
+when argparse enters it.
 
 ``run`` is the process entry of ``psg`` and ``python -m psemigroups``:
 ``main``, then an exit that does not collect the heap it leaves.
@@ -25,11 +26,12 @@ precondition failure, 4 cap exceeded, 5 verifier failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import psemigroups
 
@@ -37,9 +39,6 @@ from .denumerant import GeneratorSet, as_generator_set
 from .errors import CapExceededError, PreconditionError
 from .reports import Report
 from .semigroup import PSemigroup, build, build_range, gap_count, gap_sum
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -60,21 +59,7 @@ def _more() -> Any:
 # ---------------------------------------------------------------------------
 # rendering helpers
 
-def fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _encode_fraction(value: Any) -> str:
-    """The JSON encoder's hook for what it cannot encode: a ``Fraction``
-    becomes "num/den"; anything else is refused as ``json`` refuses it."""
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return fraction_str(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encode_fraction).encode
+to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # emit joins short pieces of output into writes of at most this many
@@ -83,27 +68,35 @@ to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_encod
 _WRITE_SIZE = 1 << 16
 
 
-def emit(doc: dict[str, Any], fmt: str) -> None:
-    """Write ``doc`` to stdout in ``fmt``, short pieces joined into writes
-    of at most _WRITE_SIZE characters.  A longer piece is written alone:
-    joining a list of one string returns that string, uncopied."""
-    # Exact rationals (a weighted power sum's den^F) can outgrow Python's
-    # int -> str digit limit: lift it while rendering only, so that parsing
-    # outside input keeps it.
+@contextlib.contextmanager
+def unlimited_digits() -> Iterator[None]:
+    """Python's int -> str digit limit, lifted for the body only.  An exact
+    result can pass it: a weighted power sum's denominator den^F, or the
+    Frobenius number 18b - 1 of {3, 9b + 1}, b = 10^4299.  Parsing outside
+    input keeps the limit."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
-    write, batch, size = sys.stdout.write, [], 0
     try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def emit(doc: dict[str, Any], fmt: str) -> None:
+    """Write ``doc``, which holds only str, int, bool, None, dict, list
+    and tuple, to stdout in ``fmt``, short pieces joined into writes of at
+    most _WRITE_SIZE characters.  A longer piece is written alone: joining
+    a list of one string returns that string, uncopied."""
+    write, batch, size = sys.stdout.write, [], 0
+    with unlimited_digits():
         for piece in _json_pieces(doc) if fmt == "json" else _more().WRITERS[fmt](doc):
             if batch and size + len(piece) > _WRITE_SIZE:
                 write("".join(batch))
                 batch, size = [], 0
             batch.append(piece)
             size += len(piece)
-        if batch:
-            write("".join(batch))
-    finally:
-        sys.set_int_max_str_digits(saved)
+    if batch:
+        write("".join(batch))
 
 
 def _json_pieces(doc: dict[str, Any]) -> Iterator[str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from .cli import echo, fraction_str, to_json
+from .cli import echo, to_json, unlimited_digits
 from .denumerant import GeneratorSet
 from .errors import PreconditionError
 from .semigroup import build, gap_power_sums
@@ -22,18 +22,16 @@ if TYPE_CHECKING:
 # the tsv and pretty writers
 
 def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
-    """One "key<TAB>value" line per key; a "rows" that is a non-empty list
-    of dicts, as every command's is, is written as a table below the other
-    keys instead.  Any other "rows" is a key like the rest."""
-    rows = doc.get("rows")
-    if not (isinstance(rows, (list, tuple)) and rows and all(type(r) is dict for r in rows)):
-        rows = None
+    """One "key<TAB>value" line per key but "rows", which every command
+    that has one makes a non-empty list of dicts: it is written as a table
+    below the other keys."""
     # a line and its newline apart, so that a long line is not copied to end it
     for k in sorted(doc):
-        if not (rows and k == "rows"):
+        if k != "rows":
             yield f"{k}\t{_scalar(doc[k])}"
             yield "\n"
-    if rows:
+    if "rows" in doc:
+        rows = doc["rows"]
         columns = sorted(rows[0])
         for lead in ("mu", "p"):
             if lead in columns:
@@ -46,16 +44,7 @@ def _tsv_lines(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def _scalar(value: Any) -> str:
-    if isinstance(value, (dict, list, tuple)):
-        return to_json(value)
-    if isinstance(value, (int, str)) or value is None:
-        return str(value)
-    # any other leaf: a document that holds a rational has loaded
-    # ``fractions`` already.  A type test, not isinstance: Fraction's is an
-    # ABC check.
-    from fractions import Fraction
-
-    return fraction_str(value) if type(value) is Fraction else str(value)
+    return to_json(value) if isinstance(value, (dict, list, tuple)) else str(value)
 
 
 def _pretty_lines(value: Any, indent: int = 0) -> Iterator[str]:
@@ -124,12 +113,19 @@ def join_negative_weight(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+def _ratio(value: Fraction) -> str:
+    """``value`` as "num/den", "N/1" when integral."""
+    with unlimited_digits():
+        return f"{value.numerator}/{value.denominator}"
+
+
 def sums_document(
     gens: GeneratorSet, p: int, mu_max: int, weight: Fraction | None
 ) -> dict[str, Any]:
     """Rows mu = 0..mu_max from one instance.  Given a weight,
     ``exactmath.weighted_power_sums`` runs first, so that a refused
-    exponent, weight or charge ends the call before any row is summed.
+    exponent, weight or charge ends the call before any row is summed;
+    the weight and each row's ``weighted`` are written by ``_ratio``.
     ``gap_power_sums`` refuses a negative exponent or one past its cap,
     reads the rows off the class minima and checks each against the
     Bernoulli formula: the checked value is both ``direct`` and
@@ -139,8 +135,8 @@ def sums_document(
     if weight is not None:
         from .exactmath import weighted_power_sums
 
-        weighted = weighted_power_sums(sp, mu_max, weight)
-        doc["weight"] = weight
+        weighted = list(map(_ratio, weighted_power_sums(sp, mu_max, weight)))
+        doc["weight"] = _ratio(weight)
     rows = []
     for mu, total in enumerate(gap_power_sums(sp, mu_max)):
         row: dict[str, Any] = {"mu": mu, "direct": total, "from_apery": total}

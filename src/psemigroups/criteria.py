@@ -47,6 +47,12 @@ def verify_symmetry_equivalences(sp: PSemigroup) -> Report:
     frobenius] in half.  sorted_pairing: opposite entries of the sorted
     class minima sum to total + modulus.  genus_midpoint: twice the gap
     count is total + 1.
+
+    window_counts and genus_midpoint are one equation: the members in the
+    window number frobenius + 1 - genus and its gaps genus - multiplicity,
+    so an even split is 2 * genus = total + 1.  Both verdicts hold on every
+    symmetric instance and can hold on one that is not, which is why the
+    five disagree there.
     """
     g, low, a = sp.frobenius, sp.multiplicity, sp.modulus
     total = g + low

@@ -468,10 +468,8 @@ def set_cofinite_doc(below: Iterable[int], all_from: int, expand: bool) -> dict[
 
 
 def jsonify(value: Any) -> Any:
-    """Recursively convert to JSON-stable primitives: a ``Fraction``
-    becomes "num/den", a tuple a list, a key a ``str``."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    """Recursively convert to JSON-stable primitives: a tuple becomes a
+    list, a key a ``str``."""
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

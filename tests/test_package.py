@@ -269,9 +269,9 @@ HEAVY = {"dataclasses", "inspect", "psemigroups.arf", "psemigroups.identities"}
 # sums
 MOVED = {"psemigroups.sets", "psemigroups.criteria", "psemigroups.cli_more"}
 # what only some commands run: the symmetry classification; the rationals
-# of weights and Bernoulli numbers, and of any value printed as one; the
-# Bernoulli and Eulerian numbers themselves, with the rational power-sum
-# rows; the merge of the class minima's lists; and MOVED
+# of weights and Bernoulli numbers; the Bernoulli and Eulerian numbers
+# themselves, with the rational power-sum rows; the merge of the class
+# minima's lists; and MOVED
 ON_USE = {"psemigroups.symmetry", "fractions", "decimal", "psemigroups.exactmath", "heapq", *MOVED}
 
 
@@ -334,7 +334,8 @@ def test_classify_imports_neither_arf_nor_identities(new_imports):
 # The calls whose compiled source tests/footprint.py counts, each with its
 # bound in AST nodes: the set-up every call pays, the table and classify
 # shapes of the benchmark's high-p workload, which load none of MOVED,
-# and an analyze and a verify shape, which load one module of it each.
+# an analyze and a verify shape, which load one module of it each, and
+# mid-sweep's weighted sums shape.
 LEAN = [
     None,
     "table --gens 8,9,10 --p 1321..1832 --field frobenius,genus",
@@ -344,6 +345,7 @@ COUNTED = {
     **dict(zip(LEAN, (7800, 7800, 8300))),
     "analyze --gens 1009,1013,1019 --p 50": 10000,
     "verify symmetry --gens 201,207,322 --p 4..16": 9500,
+    "sums --gens 151,157,163 --p 20 --mu 3 --weight 1/2": 9600,
 }
 
 
@@ -354,8 +356,8 @@ def test_a_call_compiles_at_most_its_counted_cost(call):
 
 def _readme_cost(call):
     """The AST nodes that README's start-up notes give for the command of
-    ``call``: one sentence names a json table, a classify, an analyze and
-    a verify symmetry."""
+    ``call``: one sentence names a json table, a classify, an analyze, a
+    verify symmetry and a sums."""
     text = " ".join((ROOT / "README.md").read_text().split())
     sentence = re.search(r"A json `table` compiles [^.]*\.", text)
     assert sentence, "README's footprint sentence is gone"

@@ -1,4 +1,6 @@
 import tracemalloc
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +133,18 @@ def test_counting_criteria_alone_are_not_sufficient():
     assert v["window_counts"] and v["genus_midpoint"]
     assert not v["definition"] and not v["complementary_pairs"] and not v["sorted_pairing"]
     assert not bundle.passed
+
+
+def test_the_two_counting_criteria_are_one_equation():
+    # the window holds frobenius + 1 - genus members and genus -
+    # multiplicity gaps, so its even split is 2 * genus = total + 1: every
+    # A in [2, 13] with gcd 1 and at most three generators, p <= 6
+    for k in (2, 3):
+        for gens in combinations(range(2, 14), k):
+            if gcd(*gens) == 1:
+                for p in range(7):
+                    v = verify_symmetry_equivalences(build(gens, p)).details["verdicts"]
+                    assert v["window_counts"] == v["genus_midpoint"], (gens, p)
 
 
 def test_apery_pairing_examples():
