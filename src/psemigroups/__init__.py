@@ -34,8 +34,7 @@ _LAZY = {
         "verify_johnson", "verify_watanabe",
     ),
     "exactmath": (
-        "bernoulli", "eulerian", "power_sum_bernoulli", "verify_eulerian_gf",
-        "weighted_power_sums",
+        "bernoulli", "eulerian", "verify_eulerian_gf", "weighted_power_sums",
     ),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}

@@ -1,9 +1,9 @@
 """Exact special-number arithmetic: Bernoulli numbers, Eulerian numbers, a
 truncated-power-series check of the Eulerian generating function, and the
-rational rows of the gap power sums: the Bernoulli formula as a rational
-and ``weighted_power_sums``, whose series read the Eulerian numbers.  The
-weighted rows are charged and summed here alone; ``semigroup``, the build
-layer, imports nothing from this module.
+one set of rational power-sum rows, ``weighted_power_sums``, whose series
+read the Eulerian numbers.  The weighted rows are charged and summed here
+alone; the unweighted rows are integers from ``semigroup``, the build
+layer, which imports nothing from this module.
 
 Every value here is an ``int`` or a ``fractions.Fraction``; nothing rounds.
 """
@@ -14,9 +14,9 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable
 
 from .denumerant import charge
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .reports import Report
-from .semigroup import PSemigroup, check_power, class_power_sums, power_sum_formula
+from .semigroup import PSemigroup, check_power, class_power_sums
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -97,29 +97,6 @@ def verify_eulerian_gf(n: int, order: int) -> Report:
         if lhs != rhs:
             return Report("series", passed=False, details={"first_mismatch": degree})
     return Report("series", passed=True, details={"first_mismatch": None})
-
-
-def power_sum_bernoulli(sp: PSemigroup, mu: int) -> int:
-    """Sum of n^mu over the gaps, evaluated from the class minima.
-
-    Exact-rational evaluation of
-
-        (1/(mu+1)) * sum_{k=0}^{mu} C(mu+1, k) B_k a^(k-1) S_(mu+1-k)
-            + (B_(mu+1)/(mu+1)) * (a^(mu+1) - 1)
-
-    with S_e the e-th power sum of the class minima and B the Bernoulli
-    numbers (B_1 = -1/2).  Intermediate terms are not integers, so rational
-    arithmetic is mandatory; a non-integer final value is a hard failure.
-    """
-    from fractions import Fraction
-
-    check_power(mu)
-    total = Fraction(*power_sum_formula(sp, mu + 1)[mu])
-    if total.denominator != 1 or total < 0:
-        raise InternalCheckError(
-            f"power-sum formula produced a non-integer or negative value: {total}"
-        )
-    return int(total)
 
 
 def _charge_weighted(sp: PSemigroup, rows: int, top: int) -> None:

@@ -117,23 +117,24 @@ def build(gens: GeneratorSet | Iterable[int], p: int) -> PSemigroup:
 def build_range(
     gens: GeneratorSet | Iterable[int], p_values: range
 ) -> Iterator[tuple[range, PSemigroup]]:
-    """(ps, instance) for each run of ``p_values``, an ascending range, in
-    order: ps, a sub-range, holds the p with equal minima.  One computation
-    of the class minima up to the last p (and its cap checks) happens here;
-    each instance is made when the iterator reaches it.  The runs are one
+    """(ps, instance) for each run of ``p_values``, a range of consecutive
+    p, in order: ps, a sub-range, holds the p with equal minima.  A range
+    with a step other than 1 is refused.  One computation of the class
+    minima up to the last p (and its cap checks) happens here; each
+    instance is made when the iterator reaches it.  The runs are one
     chain for ``_validate``: each instance is checked against the run
     before it, the first, when the range starts above 0, against the p = 0
     minima of one flat round robin.  The a class minima of every p are
     charged before any instance is made, with the a integers of that link."""
     A = as_generator_set(gens)
-    if p_values.step < 0:
-        raise PreconditionError("p range must ascend")
+    if p_values.step != 1:
+        raise PreconditionError("p range must ascend by 1")
     if not p_values:
         return iter(())
-    first, top = p_values[0], p_values[-1]
+    first, top = p_values.start, p_values.stop - 1
     if first < 0:
         raise PreconditionError("p must be non-negative")
-    instances = (top - first) // p_values.step + 1  # len() stops at 2^63
+    instances = top - first + 1  # len() stops at 2^63
     charge(A.least * instances, f"class minima of the {instances} instances of the p range")
     run_at = _class_minima(A, top)
     return _instances(A, p_values, run_at, (0, _flat_minima(A)) if first else None)
@@ -142,19 +143,21 @@ def build_range(
 def _instances(
     A: GeneratorSet, p_values: range, run_at: RunAt, earlier: tuple[int, Sequence[int]] | None
 ) -> Iterator[tuple[range, PSemigroup]]:
-    """(ps, instance) for each run of ``p_values``, one ``run_at`` a run:
-    the one place that decides when S_p repeats.  Each is checked against
-    ``earlier``, (q, minima at q), the chain's link before it."""
-    a, p, stop, step = A.least, p_values.start, p_values.stop, p_values.step
+    """(ps, instance) for each run of ``p_values``, a range of consecutive
+    p, one ``run_at`` a run: the one place that decides when S_p repeats.
+    Each run ps is range(p, end) cut at the range's stop, and the next
+    starts at ps.stop.  Each is checked against ``earlier``, (q, minima
+    at q), the chain's link before it."""
+    a, p, stop = A.least, p_values.start, p_values.stop
     while p < stop:
         minima, end = run_at(p)
         _validate(A, minima, p, earlier)
         frobenius = max(minima) - a
-        ps = range(p, min(end, stop), step)
+        ps = range(p, min(end, stop))
         yield ps, PSemigroup(A, a, minima, tuple(sorted(minima)), min(minima), frobenius,
                              frobenius + 1, tuple((m - j) // a for j, m in enumerate(minima)))
         earlier = ps[-1], minima
-        p = ps[-1] + step
+        p = ps.stop
 
 
 def _class_minima(A: GeneratorSet, top: int) -> RunAt:
@@ -406,12 +409,18 @@ def check_power(mu: int) -> None:
 
 
 def power_sum_formula(sp: PSemigroup, rows: int) -> list[tuple[int, int]]:
-    """``power_sum_bernoulli``'s formula at every mu < rows, each as an
-    integer numerator and its denominator a * (mu + 1) * _BERNOULLI_DEN,
-    unreduced, so that no rational is made; from one table of the power
-    sums S_1..S_rows of the minima: the column of their e-th powers is the
-    (e - 1)-th times the minima.  Selmer's genus and gap-sum forms are its
-    values at mu = 0 and mu = 1."""
+    """The Bernoulli formula for the sum of n^mu over the gaps,
+
+        (1/(mu+1)) * sum_{k=0}^{mu} C(mu+1, k) B_k a^(k-1) S_(mu+1-k)
+            + (B_(mu+1)/(mu+1)) * (a^(mu+1) - 1),
+
+    at every mu < rows, with S_e the e-th power sum of the class minima
+    and B the Bernoulli numbers (B_1 = -1/2).  Its terms are not integers,
+    so each value is an integer numerator and its denominator
+    a * (mu + 1) * _BERNOULLI_DEN, unreduced, and no rational is made.
+    S_1..S_rows come from one table: the column of the minima's e-th
+    powers is the (e - 1)-th times the minima.  Selmer's genus and
+    gap-sum forms are its values at mu = 0 and mu = 1."""
     a, minima = sp.modulus, sp.apery_by_residue
     sums, column = [a, sum(minima)], minima  # S_0 = a, the number of minima
     for _ in range(1, rows):
@@ -431,9 +440,8 @@ def gap_power_sums(sp: PSemigroup, mu_max: int) -> list[int]:
     read off the class minima: the gaps of class j are j + t*a for
     t < kunz_j, and nothing F-sized is built.  The exponent is checked
     before any row is summed, and every row is checked against
-    ``power_sum_bernoulli``'s formula, all from one table of the power
-    sums of the minima.  The weighted rows are
-    ``exactmath.weighted_power_sums``.
+    ``power_sum_formula``, the Bernoulli formula over the power sums of
+    the minima.  The weighted rows are ``exactmath.weighted_power_sums``.
     """
     check_power(mu_max)
     rows = mu_max + 1

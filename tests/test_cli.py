@@ -24,6 +24,7 @@ from conftest import acceptance_instances
 from oracles import (
     interval_runs,
     jsonify,
+    row_power_sum,
     set_cofinite_doc,
     set_finite_doc,
     set_hlk_sets,
@@ -43,7 +44,6 @@ from psemigroups import (
     gap_power_sums,
     gap_sum,
     is_arf,
-    power_sum_bernoulli,
     weighted_power_sums,
 )
 from psemigroups.cli import (
@@ -313,7 +313,7 @@ def test_analyze_builds_no_gap_tuples(monkeypatch, expand):
         gap_power_sums(sp, 2)
         weighted_power_sums(sp, 2, Fraction(2, 3))
         for mu in range(3):
-            power_sum_bernoulli(sp, mu)
+            row_power_sum(sp, mu)
         gap_count(sp)
         gap_sum(sp)
         is_arf(sp)
